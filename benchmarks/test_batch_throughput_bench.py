@@ -52,10 +52,7 @@ COMM_BACKENDS = ("virtual", "thread", "process")
 def _kernel_backend() -> str | None:
     """Prefer a C kernel backend (the SpMM row-reuse win lives there);
     fall back to the session default when only numpy is available."""
-    for name in ("scipy", "numba"):
-        if name in available_backends():
-            return name
-    return None
+    return "scipy" if "scipy" in available_backends() else None
 
 
 def _batch_rate(ps: PreparedSystem, b_block, repeats=3):

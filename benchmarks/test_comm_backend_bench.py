@@ -48,10 +48,7 @@ DISPATCH_OVERHEAD_MAX = 1.5
 def _kernel_backend() -> str | None:
     """Prefer a GIL-releasing C kernel backend (thread concurrency needs
     it); fall back to the session default when only numpy is available."""
-    for name in ("scipy", "numba"):
-        if name in available_backends():
-            return name
-    return None
+    return "scipy" if "scipy" in available_backends() else None
 
 
 def _wall_solve(problem, n_parts, backend, degree, repeats=3):

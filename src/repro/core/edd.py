@@ -15,6 +15,15 @@ A degree-``m`` polynomial preconditioner adds ``m`` matvec+exchange pairs
 per step in either variant, giving the Table 1 totals ``m+3`` vs ``m+1``.
 The mixed-format inner product (Eq. 33) makes every Gram-Schmidt projection
 a single allreduce with no neighbour traffic.
+
+The restart cycle itself lives in :func:`repro.solvers.krylov.restarted_fgmres`;
+this module supplies the two Krylov spaces it runs over —
+:class:`_EDDVectorSpace` (:func:`edd_fgmres`: :class:`DistVector` pairs,
+per-rank compute through the rank engine, so it can run worker-resident)
+and :class:`_EDDBlockSpace` (:func:`edd_fgmres_block`: :class:`DistBlock`
+pairs with coalesced exchanges) — and with them everything that is
+specific to the element-based decomposition: which format each vector is
+in and where the ``⊕Σ∂Ω`` exchanges fall.
 """
 
 from __future__ import annotations
@@ -22,11 +31,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.distributed import DistBlock, DistVector, EDDSystem
-from repro.obs.tracer import NULL_TRACER
 from repro.precond.base import PolynomialPreconditioner
 from repro.precond.coarse import TwoLevelPreconditioner, TwoLevelSpec
-from repro.solvers.diagnostics import ConvergenceMonitor
-from repro.solvers.givens import GivensLSQ
+from repro.solvers.krylov import restarted_fgmres
 from repro.solvers.result import SolveResult
 
 
@@ -41,21 +48,28 @@ def _resolve_precond(system, options):
     return precond
 
 
-def _precondition(system: EDDSystem, precond, v_hat: DistVector) -> DistVector:
+def _precondition(system: EDDSystem, precond, v_hat):
     """Apply the polynomial preconditioner through the communicating
     operator: ``m`` matvecs, each followed by one interface assembly
     (the distributed Algorithm 7); a two-level preconditioner adds its
-    coarse correction around the same recurrence."""
+    coarse correction around the same recurrence.  ``v_hat`` is a
+    :class:`DistVector`, or a :class:`DistBlock` for the batched path:
+    the same recurrence over an ``(n, k)`` block, each matvec one SpMM +
+    ONE batched interface assembly for all ``k`` columns."""
+    block = isinstance(v_hat, DistBlock)
     if precond is None:
         return v_hat.copy()
     if isinstance(precond, TwoLevelPreconditioner):
-        return precond.apply_edd(system, v_hat)
+        apply = precond.apply_edd_block if block else precond.apply_edd
+        return apply(system, v_hat)
     if not isinstance(precond, PolynomialPreconditioner):
         raise TypeError(
             "EDD-FGMRES requires a polynomial or two-level preconditioner "
             "(or None): factorization preconditioners cannot be applied to "
             "unassembled local-distributed matrices"
         )
+    if block:
+        return precond.apply_linear(system.matvec_assembled_block, v_hat)
     engine = system.rank_engine()
     if engine.resident:
         terms = precond.chain_terms()
@@ -66,23 +80,6 @@ def _precondition(system: EDDSystem, precond, v_hat: DistVector) -> DistVector:
             if out is not None:
                 return out
     return precond.apply_linear(system.matvec_assembled, v_hat)
-
-
-def _precondition_block(system: EDDSystem, precond, v_hat: DistBlock) -> DistBlock:
-    """Batched preconditioner application: the same ``m``-term recurrence
-    over an ``(n, k)`` block, each matvec one SpMM + ONE batched interface
-    assembly for all ``k`` columns."""
-    if precond is None:
-        return v_hat.copy()
-    if isinstance(precond, TwoLevelPreconditioner):
-        return precond.apply_edd_block(system, v_hat)
-    if not isinstance(precond, PolynomialPreconditioner):
-        raise TypeError(
-            "EDD-FGMRES requires a polynomial or two-level preconditioner "
-            "(or None): factorization preconditioners cannot be applied to "
-            "unassembled local-distributed matrices"
-        )
-    return precond.apply_linear(system.matvec_assembled_block, v_hat)
 
 
 def _sub_scaled_block(w: DistBlock, v: DistBlock, scales) -> DistBlock:
@@ -98,6 +95,282 @@ def _sub_scaled_block(w: DistBlock, v: DistBlock, scales) -> DistBlock:
 
     comm.run_ranks(body, work=2 * sum(p.size for p in a))
     return DistBlock(out, w.kind, comm)
+
+
+class _EDDVectorSpace:
+    """The :class:`~repro.solvers.krylov.KrylovSpace` of
+    :func:`edd_fgmres`: one column of ``(local, global)``
+    :class:`DistVector` pairs, per-rank compute through the system's
+    rank engine (inline closures, or worker-resident rank ops whose
+    mirrored basis is kept in step by ``seed`` / ``commit``)."""
+
+    k = 1
+
+    def __init__(self, system: EDDSystem, precond, restart, basic, cgs):
+        self.system = system
+        self.precond = precond
+        self.basic = basic
+        self.cgs = cgs
+        self.comm = system.comm
+        self.stats = system.comm.stats
+        self.b_loc = DistVector(
+            [p.copy() for p in system.b_local], "local", system.comm
+        )
+        self.x_hat = system.zeros("global")
+        self.engine = system.rank_engine()
+        # Only the fused CGS round reads the workers' basis mirror.
+        self.mirrored = cgs and self.engine.resident
+        # Reusable CGS coefficient workspace (rank-partials per basis
+        # vector); sized once for the whole solve, not per Arnoldi step.
+        self.partial_buf = np.empty((restart, system.n_parts))
+
+    def residual(self, cols):
+        system = self.system
+        self.r_loc = self.b_loc - system.matvec_local(self.x_hat)
+        self.r_hat = system.assemble(self.r_loc)
+        return np.array(
+            [np.sqrt(max(system.dot(self.r_loc, self.r_hat), 0.0))]
+        )
+
+    def start_cycle(self, cols, betas):
+        self.v_loc = [(1.0 / betas[0]) * self.r_loc]
+        self.v_hat = [(1.0 / betas[0]) * self.r_hat]
+        if self.mirrored:
+            self.engine.seed_basis(self.v_loc[0].parts, self.v_hat[0].parts)
+        self.z_hat: list = []
+
+    def precondition(self, j):
+        self.z_hat.append(_precondition(self.system, self.precond, self.v_hat[j]))
+
+    def matvec(self, j):
+        system = self.system
+        if self.basic:
+            # Exchange 1 of 3: Algorithm 5's statement 14 re-assembles
+            # the preconditioned vector (Algorithm 6 keeps it in global
+            # distributed format and skips this).
+            self.z_hat[j] = system.assemble(system.localize(self.z_hat[j]))
+        self.w_loc = system.matvec_local(self.z_hat[j], cache=j)
+        self.w_hat = system.assemble(self.w_loc)  # the enhanced variant's only exchange
+
+    def orthogonalize(self, j):
+        system = self.system
+        v_loc, v_hat, w_loc, w_hat = self.v_loc, self.v_hat, self.w_loc, self.w_hat
+        h = np.empty(j + 2)
+        if self.cgs:
+            # Classical Gram-Schmidt (the paper's listings): all
+            # coefficients from the unmodified w via the mixed-format
+            # inner product, batched into ONE allreduce of j+1 words
+            # (Eq. 33).  The engine fuses the whole coefficient round
+            # — partial dots, reduction, AXPY pairs — into a single
+            # step (one worker dispatch in resident mode).
+            basis = [v.parts for v in v_loc], [v.parts for v in v_hat]
+            wl, wh = self.engine.arnoldi_step(
+                j, h, basis, (w_loc.parts, w_hat.parts), self.partial_buf
+            )
+            w_loc = DistVector(wl, "local", self.comm)
+            w_hat = DistVector(wh, "global", self.comm)
+        else:
+            # Modified Gram-Schmidt: numerically sturdier, but each
+            # projection needs the *updated* w — j+1 sequential
+            # allreduces per step, the communication cost that makes
+            # parallel GMRES implementations prefer CGS.
+            for i in range(j + 1):
+                h[i] = system.dot(v_loc[i], w_hat)
+                w_loc = w_loc - h[i] * v_loc[i]
+                w_hat = w_hat - h[i] * v_hat[i]
+        if self.basic:
+            # Exchange 3 of 3: restore format consistency by
+            # re-assembling the orthogonalized vector.
+            w_hat = system.assemble(system.localize(w_hat))
+        h[j + 1] = np.sqrt(max(system.dot(w_loc, w_hat), 0.0))
+        self.w_loc, self.w_hat = w_loc, w_hat
+        return h[:, None]
+
+    def commit(self, j, keep, h_next):
+        inv_h = 1.0 / h_next[0]
+        self.v_loc.append(inv_h * self.w_loc)
+        self.v_hat.append(inv_h * self.w_hat)
+        if self.mirrored:
+            # Workers mirror the append from their post-ortho slots;
+            # the basic variant overrides the hat part with the
+            # re-assembled vector computed in orthogonalize.
+            self.engine.commit_basis(
+                inv_h, hat_parts=self.w_hat.parts if self.basic else None
+            )
+
+    def retire(self, pos, col, y):
+        self.update([col], [y])
+
+    def update(self, cols, ys):
+        """``x += sum_i y[i] * z_hat[i]``: against the worker-cached ``z``
+        slots when resident, via DistVector ops otherwise."""
+        if self.engine.resident:
+            self.x_hat = DistVector(
+                self.engine.axpy_update(self.x_hat.parts, ys[0]),
+                "global", self.comm,
+            )
+        else:
+            for i, yi in enumerate(ys[0]):
+                self.x_hat = self.x_hat + float(yi) * self.z_hat[i]
+
+    def solutions(self):
+        # Unscale on the way out (Algorithm 4, step 5): u = D x.
+        u_hat = DistVector(
+            [d * p for d, p in zip(self.system.d_parts, self.x_hat.parts)],
+            "global",
+            self.comm,
+        )
+        return [self.system.to_global_vector(u_hat)]
+
+
+class _EDDBlockSpace:
+    """The :class:`~repro.solvers.krylov.KrylovSpace` of
+    :func:`edd_fgmres_block`: ``(local, global)`` :class:`DistBlock`
+    pairs.  A column that leaves a cycle is compacted out of every live
+    Krylov block, so finished columns stop charging flops and words."""
+
+    def __init__(self, system: EDDSystem, b_blk, precond, restart, basic, cgs):
+        self.system = system
+        self.precond = precond
+        self.basic = basic
+        self.cgs = cgs
+        self.comm = system.comm
+        self.stats = system.comm.stats
+        self.b_blk = b_blk
+        self.k = b_blk.k
+        self.n_rows = sum(p.shape[0] for p in b_blk.parts)
+        self.x_hat = system.zeros_block(self.k, "global")
+        self.engine = system.rank_engine()
+        # Reusable CGS coefficient workspace (basis vector x rank x column).
+        self.partial_buf = np.empty((restart, system.n_parts, self.k))
+
+    def residual(self, cols):
+        system = self.system
+        idx = np.asarray(cols)
+        self.r_loc = self.b_blk.take_cols(idx) - system.matvec_local_block(
+            self.x_hat.take_cols(idx)
+        )
+        self.r_hat = system.assemble_block(self.r_loc)
+        self.r_cols = list(cols)
+        return np.sqrt(
+            np.maximum(system.dot_block(self.r_loc, self.r_hat), 0.0)
+        )
+
+    def start_cycle(self, cols, betas):
+        r_loc, r_hat = self.r_loc, self.r_hat
+        sel = [self.r_cols.index(c) for c in cols]
+        if sel != list(range(len(self.r_cols))):
+            r_loc, r_hat = r_loc.take_cols(sel), r_hat.take_cols(sel)
+        self.v_loc = [r_loc.scale_cols(1.0 / betas)]
+        self.v_hat = [r_hat.scale_cols(1.0 / betas)]
+        self.z_blk: list = []
+
+    def precondition(self, j):
+        self.z_blk.append(_precondition(self.system, self.precond, self.v_hat[j]))
+
+    def matvec(self, j):
+        system = self.system
+        if self.basic:
+            self.z_blk[j] = system.assemble_block(
+                system.localize_block(self.z_blk[j])
+            )
+        self.w_loc = system.matvec_local_block(self.z_blk[j])
+        self.w_hat = system.assemble_block(self.w_loc)
+
+    def orthogonalize(self, j):
+        system, comm = self.system, self.comm
+        v_loc, v_hat, w_loc, w_hat = self.v_loc, self.v_hat, self.w_loc, self.w_hat
+        hblk = np.empty((j + 2, w_hat.k))
+        if self.cgs:
+            basis = [v.parts for v in v_loc], [v.parts for v in v_hat]
+            wl, wh = self.engine.arnoldi_step_block(
+                j, hblk, basis, (w_loc.parts, w_hat.parts), self.partial_buf
+            )
+            w_loc = DistBlock(wl, "local", comm)
+            w_hat = DistBlock(wh, "global", comm)
+        else:
+            for i in range(j + 1):
+                hi = system.dot_block(v_loc[i], w_hat)
+                hblk[i] = hi
+                w_loc = _sub_scaled_block(w_loc, v_loc[i], hi)
+                w_hat = _sub_scaled_block(w_hat, v_hat[i], hi)
+        if self.basic:
+            w_hat = system.assemble_block(system.localize_block(w_hat))
+        hblk[j + 1] = np.sqrt(np.maximum(system.dot_block(w_loc, w_hat), 0.0))
+        self.w_loc, self.w_hat = w_loc, w_hat
+        return hblk
+
+    def retire(self, pos, col, y):
+        if len(y):
+            x_parts, z_blk = self.x_hat.parts, self.z_blk
+            comm = self.comm
+
+            def body(r: int) -> None:
+                xr = x_parts[r]
+                for i, yi in enumerate(y):
+                    xr[:, col] = xr[:, col] + float(yi) * z_blk[i].parts[r][:, pos]
+                comm.add_flops(r, 2 * len(y) * xr.shape[0])
+
+            comm.run_ranks(body, work=2 * len(y) * self.n_rows)
+        for blocks in (self.v_loc, self.v_hat, self.z_blk):
+            for i, blk in enumerate(blocks):
+                blocks[i] = blk.drop_col(pos)
+
+    def commit(self, j, keep, h_next):
+        w_loc, w_hat = self.w_loc, self.w_hat
+        if keep is not None:
+            w_loc, w_hat = w_loc.take_cols(keep), w_hat.take_cols(keep)
+        self.v_loc.append(w_loc.scale_cols(1.0 / h_next))
+        self.v_hat.append(w_hat.scale_cols(1.0 / h_next))
+
+    def update(self, cols, ys):
+        # All columns share the Krylov dimension: one batched update.
+        m = len(ys[0])
+        y_mat = np.array(ys)
+        idx = np.asarray(cols)
+        x_parts, z_blk = self.x_hat.parts, self.z_blk
+        comm = self.comm
+
+        def body(r: int) -> None:
+            xr = x_parts[r]
+            for i in range(m):
+                xr[:, idx] = xr[:, idx] + z_blk[i].parts[r] * y_mat[:, i]
+            comm.add_flops(r, 2 * m * xr.shape[0] * len(idx))
+
+        comm.run_ranks(body, work=2 * m * self.n_rows * len(idx))
+
+    def solutions(self):
+        # Unscale on the way out (Algorithm 4, step 5): u = D x, per column.
+        u_blk = DistBlock(
+            [d[:, None] * p for d, p in zip(self.system.d_parts, self.x_hat.parts)],
+            "global",
+            self.comm,
+        )
+        u_full = self.system.to_global_block(u_blk)
+        return [np.ascontiguousarray(u_full[:, c]) for c in range(self.k)]
+
+
+def _configure(system, precond, restart, tol, max_iter, variant,
+               orthogonalization, options):
+    """Fold ``options`` over the keyword arguments and validate; returns
+    ``(precond, restart, tol, max_iter, basic, cgs)``."""
+    if options is not None:
+        restart = options.restart
+        tol = options.tol
+        max_iter = options.max_iter
+        orthogonalization = options.orthogonalization
+        if options.method in ("edd-basic", "edd-enhanced"):
+            variant = options.method[len("edd-"):]
+        if precond is None:
+            precond = _resolve_precond(system, options)
+    if variant not in ("basic", "enhanced"):
+        raise ValueError("variant must be 'basic' or 'enhanced'")
+    if orthogonalization not in ("cgs", "mgs"):
+        raise ValueError("orthogonalization must be 'cgs' or 'mgs'")
+    if restart < 1:
+        raise ValueError("restart must be >= 1")
+    return (precond, restart, tol, max_iter,
+            variant == "basic", orthogonalization == "cgs")
 
 
 def edd_fgmres(
@@ -134,215 +407,14 @@ def edd_fgmres(
     claim-3 invariant counts.  ``None`` (the default) costs one hoisted
     bool check per instrumentation site.
     """
-    if options is not None:
-        restart = options.restart
-        tol = options.tol
-        max_iter = options.max_iter
-        orthogonalization = options.orthogonalization
-        if options.method in ("edd-basic", "edd-enhanced"):
-            variant = options.method[len("edd-"):]
-        if precond is None:
-            precond = _resolve_precond(system, options)
-    if variant not in ("basic", "enhanced"):
-        raise ValueError("variant must be 'basic' or 'enhanced'")
-    if orthogonalization not in ("cgs", "mgs"):
-        raise ValueError("orthogonalization must be 'cgs' or 'mgs'")
-    if restart < 1:
-        raise ValueError("restart must be >= 1")
-    basic = variant == "basic"
-
-    b_loc = DistVector([p.copy() for p in system.b_local], "local", system.comm)
-    x_hat = system.zeros("global")
-    engine = system.rank_engine()
-    cgs = orthogonalization == "cgs"
-
-    # Initial residual; x0 = 0 so r = b (kept general for restarts below).
-    r_loc = b_loc - system.matvec_local(x_hat)
-    r_hat = system.assemble(r_loc)
-    norm_b0 = np.sqrt(max(system.dot(r_loc, r_hat), 0.0))
-    history = [1.0]
-    if norm_b0 == 0.0:
-        return SolveResult(np.zeros(system.n_global), True, 0, 0, history)
-    monitor = ConvergenceMonitor(tol)
-    if not monitor.check_finite(norm_b0, 0, "initial residual"):
-        return SolveResult(
-            np.zeros(system.n_global), False, 0, 0, history,
-            monitor.finalize(False, 0, 1.0),
-        )
-
-    total_iters = 0
-    restarts = 0
-    converged = False
-    beta = norm_b0
-    trc = tracer if tracer is not None else NULL_TRACER
-    traced = trc.enabled
-    if traced:
-        stats = system.comm.stats
-        last_msgs = stats.total_nbr_messages
-        last_words = stats.total_nbr_words
-        last_reds = stats.max_reductions
-    # Reusable CGS coefficient workspace (rank-partials per basis vector);
-    # sized once for the whole solve instead of per Arnoldi step.
-    partial_buf = np.empty((restart, system.n_parts))
-    while not converged and total_iters < max_iter and not monitor.fatal:
-        restarts += 1
-        if traced:
-            trc.begin("cycle", "solver", cycle=restarts)
-        v_loc = [(1.0 / beta) * r_loc]
-        v_hat = [(1.0 / beta) * r_hat]
-        if cgs:
-            engine.seed_basis(v_loc[0], v_hat[0])
-        z_hat: list = []
-        lsq = GivensLSQ(restart, beta)
-        broke_down = False
-        j = 0
-        while j < restart and total_iters < max_iter:
-            if traced:
-                trc.begin("arnoldi_step", "solver", j=j)
-                trc.begin("precond_apply", "solver")
-            z = _precondition(system, precond, v_hat[j])
-            if traced:
-                trc.end()
-            if basic:
-                # Exchange 1 of 3: Algorithm 5's statement 14 re-assembles
-                # the preconditioned vector (Algorithm 6 keeps it in global
-                # distributed format and skips this).
-                z = system.assemble(system.localize(z))
-            z_hat.append(z)
-            if traced:
-                trc.begin("matvec", "solver")
-            w_loc = system.matvec_local(z, cache=j)
-            if traced:
-                trc.end()
-            w_hat = system.assemble(w_loc)  # the enhanced variant's only exchange
-
-            h = np.empty(j + 2)
-            if traced:
-                trc.begin("orthogonalize", "solver")
-            if cgs:
-                # Classical Gram-Schmidt (the paper's listings): all
-                # coefficients from the unmodified w via the mixed-format
-                # inner product, batched into ONE allreduce of j+1 words
-                # (Eq. 33).  The engine fuses the whole coefficient round
-                # — partial dots, reduction, AXPY pairs — into a single
-                # step (one worker dispatch in resident mode).
-                w_loc, w_hat = engine.arnoldi_step(
-                    j, h, v_loc, v_hat, w_loc, w_hat, partial_buf
-                )
-            else:
-                # Modified Gram-Schmidt: numerically sturdier, but each
-                # projection needs the *updated* w — j+1 sequential
-                # allreduces per step, the communication cost that makes
-                # parallel GMRES implementations prefer CGS.
-                for i in range(j + 1):
-                    h[i] = system.dot(v_loc[i], w_hat)
-                    w_loc = w_loc - h[i] * v_loc[i]
-                    w_hat = w_hat - h[i] * v_hat[i]
-            if basic:
-                # Exchange 3 of 3: restore format consistency by
-                # re-assembling the orthogonalized vector.
-                w_hat = system.assemble(system.localize(w_hat))
-            norm_sq = system.dot(w_loc, w_hat)
-            h[j + 1] = np.sqrt(max(norm_sq, 0.0))
-            if traced:
-                trc.end()  # orthogonalize
-            if not monitor.check_finite(h, total_iters + 1, "Hessenberg column"):
-                if traced:
-                    trc.end()  # arnoldi_step
-                break
-            if traced:
-                trc.begin("givens_update", "solver")
-            res = lsq.append_column(h)
-            if traced:
-                trc.end()
-            total_iters += 1
-            history.append(res / norm_b0)
-            if traced:
-                m_now = stats.total_nbr_messages
-                w_now = stats.total_nbr_words
-                r_now = stats.max_reductions
-                trc.metric(
-                    iteration=total_iters, rel_res=res / norm_b0,
-                    nbr_messages=m_now - last_msgs,
-                    nbr_words=w_now - last_words,
-                    reductions=r_now - last_reds,
-                )
-                last_msgs, last_words, last_reds = m_now, w_now, r_now
-            if not monitor.check_divergence(res / norm_b0, total_iters):
-                if traced:
-                    trc.end()
-                break
-            if res / norm_b0 <= tol:
-                converged = True
-                j += 1
-                if traced:
-                    trc.end()
-                break
-            if h[j + 1] <= breakdown_tol:
-                # Possible happy breakdown — the recomputed true residual
-                # at the restart boundary decides; a corrupted breakdown
-                # restarts instead of returning converged.
-                monitor.note_breakdown(float(h[j + 1]), total_iters)
-                broke_down = True
-                j += 1
-                if traced:
-                    trc.end()
-                break
-            v_loc.append((1.0 / h[j + 1]) * w_loc)
-            v_hat.append((1.0 / h[j + 1]) * w_hat)
-            if cgs:
-                # Workers mirror the append from their post-ortho slots;
-                # the basic variant overrides the hat part with the
-                # re-assembled vector computed above.
-                engine.commit_basis(
-                    1.0 / h[j + 1], hat_parts=w_hat.parts if basic else None
-                )
-            j += 1
-            if traced:
-                trc.end()  # arnoldi_step
-        y = lsq.solve()
-        x_hat = engine.axpy_update(x_hat, y, z_hat)
-        r_loc = b_loc - system.matvec_local(x_hat)
-        r_hat = system.assemble(r_loc)
-        beta = np.sqrt(max(system.dot(r_loc, r_hat), 0.0))
-        if not monitor.check_finite(beta, total_iters, "recomputed residual"):
-            if traced:
-                trc.end()  # cycle
-            break
-        true_rel = beta / norm_b0
-        if traced:
-            trc.metric(iteration=total_iters, true_rel=true_rel,
-                       cycle=restarts)
-        if true_rel <= tol:
-            converged = True
-        elif converged:
-            # The Givens recurrence claimed convergence; verify against
-            # the recomputed true residual (the "recurrence residual
-            # lies" failure) and demote on gross mismatch.
-            converged = monitor.confirm_convergence(true_rel, total_iters)
-        elif broke_down:
-            monitor.confirm_breakdown(true_rel, total_iters)
-        if not converged:
-            monitor.cycle_end(true_rel, total_iters)
-        if traced:
-            trc.end(true_rel=true_rel)  # cycle
-
-    # Unscale on the way out (Algorithm 4, step 5): u = D x.
-    u_hat = DistVector(
-        [d * p for d, p in zip(system.d_parts, x_hat.parts)],
-        "global",
-        system.comm,
+    precond, restart, tol, max_iter, basic, cgs = _configure(
+        system, precond, restart, tol, max_iter, variant,
+        orthogonalization, options,
     )
-    u = system.to_global_vector(u_hat)
-    final_rel = history[-1] if history else float("nan")
-    return SolveResult(
-        u,
-        converged,
-        total_iters,
-        restarts,
-        history,
-        monitor.finalize(converged, total_iters, final_rel),
-    )
+    space = _EDDVectorSpace(system, precond, restart, basic, cgs)
+    return restarted_fgmres(
+        space, restart, tol, max_iter, breakdown_tol, tracer
+    )[0]
 
 
 def edd_fgmres_block(
@@ -385,316 +457,17 @@ def edd_fgmres_block(
     recomputed true-residual check rejoin the next restart cycle, exactly
     as the single-RHS monitor flow would.
     """
-    if options is not None:
-        restart = options.restart
-        tol = options.tol
-        max_iter = options.max_iter
-        orthogonalization = options.orthogonalization
-        if options.method in ("edd-basic", "edd-enhanced"):
-            variant = options.method[len("edd-"):]
-        if precond is None:
-            precond = _resolve_precond(system, options)
-    if variant not in ("basic", "enhanced"):
-        raise ValueError("variant must be 'basic' or 'enhanced'")
-    if orthogonalization not in ("cgs", "mgs"):
-        raise ValueError("orthogonalization must be 'cgs' or 'mgs'")
-    if restart < 1:
-        raise ValueError("restart must be >= 1")
-    basic = variant == "basic"
-    comm = system.comm
-    n_parts = system.n_parts
-
+    precond, restart, tol, max_iter, basic, cgs = _configure(
+        system, precond, restart, tol, max_iter, variant,
+        orthogonalization, options,
+    )
     if isinstance(b, DistBlock):
         if b.kind != "local":
             raise ValueError("RHS block must be local-distributed")
         b_blk = b
     else:
         b_blk = system.rhs_block(b)
-    k = b_blk.k
-    if k == 0:
+    if b_blk.k == 0:
         return []
-    n_rows = sum(p.shape[0] for p in b_blk.parts)
-
-    x_hat = system.zeros_block(k, "global")
-    r_loc = b_blk - system.matvec_local_block(x_hat)
-    r_hat = system.assemble_block(r_loc)
-    norm_b0 = np.sqrt(np.maximum(system.dot_block(r_loc, r_hat), 0.0))
-
-    histories = [[1.0] for _ in range(k)]
-    monitors = [ConvergenceMonitor(tol) for _ in range(k)]
-    iters = [0] * k
-    n_restarts = [0] * k
-    converged = [False] * k
-    zero_col = [False] * k
-    bad_init = [False] * k
-    active: list = []
-    for c in range(k):
-        if norm_b0[c] == 0.0:
-            zero_col[c] = True
-            converged[c] = True
-        elif not monitors[c].check_finite(
-            float(norm_b0[c]), 0, "initial residual"
-        ):
-            bad_init[c] = True
-        else:
-            active.append(c)
-
-    # Residual block state carried between cycles: columns ``r_cols`` of
-    # (r_loc, r_hat) with per-column norms ``beta_arr``.
-    r_cols = list(range(k))
-    beta_arr = norm_b0
-    # Reusable CGS coefficient workspace (basis vector x rank x column).
-    partial_buf = np.empty((restart, n_parts, k))
-    trc = tracer if tracer is not None else NULL_TRACER
-    traced = trc.enabled
-    cycle_no = 0
-
-    while active:
-        cycle_no += 1
-        if traced:
-            trc.begin("cycle", "solver", cycle=cycle_no, k=len(active))
-        participants = list(active)
-        sel = [r_cols.index(c) for c in participants]
-        if sel != list(range(len(r_cols))):
-            rl = r_loc.take_cols(sel)
-            rh = r_hat.take_cols(sel)
-            betas = beta_arr[np.asarray(sel)]
-        else:
-            rl, rh = r_loc, r_hat
-            betas = beta_arr
-        for c in participants:
-            n_restarts[c] += 1
-        inv_beta = 1.0 / betas
-        v_loc = [rl.scale_cols(inv_beta)]
-        v_hat = [rh.scale_cols(inv_beta)]
-        z_blk: list = []
-        lsqs = {c: GivensLSQ(restart, float(betas[i]))
-                for i, c in enumerate(participants)}
-        claimed = {c: False for c in participants}
-        broke = {c: False for c in participants}
-        cols = list(participants)
-
-        def exit_column(pos: int) -> None:
-            """Apply column ``pos``'s solution update and compact it out of
-            every live Krylov block (per-column convergence masking)."""
-            c = cols[pos]
-            y = lsqs[c].solve()
-            if len(y):
-
-                def body(r: int) -> None:
-                    xr = x_hat.parts[r]
-                    for i, yi in enumerate(y):
-                        xr[:, c] = xr[:, c] + float(yi) * z_blk[i].parts[r][:, pos]
-                    comm.add_flops(r, 2 * len(y) * xr.shape[0])
-
-                comm.run_ranks(body, work=2 * len(y) * n_rows)
-            for i in range(len(v_loc)):
-                v_loc[i] = v_loc[i].drop_col(pos)
-            for i in range(len(v_hat)):
-                v_hat[i] = v_hat[i].drop_col(pos)
-            for i in range(len(z_blk)):
-                z_blk[i] = z_blk[i].drop_col(pos)
-            cols.pop(pos)
-
-        j = 0
-        while j < restart and cols:
-            over = [p for p in range(len(cols)) if iters[cols[p]] >= max_iter]
-            for p in reversed(over):
-                exit_column(p)
-            if not cols:
-                break
-            ka = len(cols)
-            if traced:
-                trc.begin("arnoldi_step", "solver", j=j, k=ka)
-                trc.begin("precond_apply", "solver")
-            z = _precondition_block(system, precond, v_hat[j])
-            if traced:
-                trc.end()
-            if basic:
-                z = system.assemble_block(system.localize_block(z))
-            z_blk.append(z)
-            if traced:
-                trc.begin("matvec", "solver")
-            w_loc = system.matvec_local_block(z)
-            if traced:
-                trc.end()
-            w_hat = system.assemble_block(w_loc)
-
-            hblk = np.empty((j + 2, ka))
-            if traced:
-                trc.begin("orthogonalize", "solver")
-            if orthogonalization == "cgs":
-                partial = partial_buf[: j + 1, :, :ka]
-
-                def dots_body(r: int) -> None:
-                    wr = w_hat.parts[r]
-                    for i in range(j + 1):
-                        vp = v_loc[i].parts[r]
-                        for cc in range(ka):
-                            partial[i, r, cc] = vp[:, cc] @ wr[:, cc]
-                    comm.add_flops(r, 2 * (j + 1) * wr.size)
-
-                comm.run_ranks(dots_body, work=2 * (j + 1) * n_rows * ka)
-                hblk[: j + 1] = comm.allreduce_sum(
-                    list(partial.transpose(1, 0, 2)), words=(j + 1) * ka
-                )
-
-                new_loc: list = [None] * n_parts
-                new_hat: list = [None] * n_parts
-
-                def ortho_body(r: int) -> None:
-                    wl = w_loc.parts[r]
-                    wh = w_hat.parts[r]
-                    for i in range(j + 1):
-                        hi = hblk[i]
-                        wl = wl - hi * v_loc[i].parts[r]
-                        wh = wh - hi * v_hat[i].parts[r]
-                    new_loc[r] = wl
-                    new_hat[r] = wh
-                    comm.add_flops(r, 4 * (j + 1) * wl.size)
-
-                comm.run_ranks(ortho_body, work=4 * (j + 1) * n_rows * ka)
-                w_loc = DistBlock(new_loc, "local", comm)
-                w_hat = DistBlock(new_hat, "global", comm)
-            else:
-                for i in range(j + 1):
-                    hi = system.dot_block(v_loc[i], w_hat)
-                    hblk[i] = hi
-                    w_loc = _sub_scaled_block(w_loc, v_loc[i], hi)
-                    w_hat = _sub_scaled_block(w_hat, v_hat[i], hi)
-            if basic:
-                w_hat = system.assemble_block(system.localize_block(w_hat))
-            norm_sq = system.dot_block(w_loc, w_hat)
-            hblk[j + 1] = np.sqrt(np.maximum(norm_sq, 0.0))
-            if traced:
-                trc.end()  # orthogonalize
-                trc.begin("givens_update", "solver")
-
-            exits: list = []
-            for pos in range(ka):
-                c = cols[pos]
-                mon = monitors[c]
-                hcol = hblk[:, pos]
-                if not mon.check_finite(hcol, iters[c] + 1, "Hessenberg column"):
-                    exits.append(pos)
-                    continue
-                res = lsqs[c].append_column(hcol)
-                iters[c] += 1
-                histories[c].append(res / norm_b0[c])
-                if not mon.check_divergence(res / norm_b0[c], iters[c]):
-                    exits.append(pos)
-                    continue
-                if res / norm_b0[c] <= tol:
-                    claimed[c] = True
-                    exits.append(pos)
-                    continue
-                if hblk[j + 1, pos] <= breakdown_tol:
-                    mon.note_breakdown(float(hblk[j + 1, pos]), iters[c])
-                    broke[c] = True
-                    exits.append(pos)
-            if traced:
-                trc.end()  # givens_update
-
-            if exits:
-                keep = [p for p in range(ka) if p not in exits]
-                for p in reversed(exits):
-                    exit_column(p)
-                if not cols:
-                    if traced:
-                        trc.end()  # arnoldi_step
-                    break
-                w_loc = w_loc.take_cols(keep)
-                w_hat = w_hat.take_cols(keep)
-                h_next = hblk[j + 1, np.asarray(keep)]
-            else:
-                h_next = hblk[j + 1]
-            v_loc.append(w_loc.scale_cols(1.0 / h_next))
-            v_hat.append(w_hat.scale_cols(1.0 / h_next))
-            j += 1
-            if traced:
-                trc.end()  # arnoldi_step
-
-        # Solution update for the columns that rode out the full cycle (all
-        # share the same Krylov dimension, so one batched update suffices).
-        if cols:
-            ys = [lsqs[c].solve() for c in cols]
-            m = len(ys[0])
-            if m:
-                y_mat = np.array(ys)
-                idx = np.asarray(cols)
-
-                def x_body(r: int) -> None:
-                    xr = x_hat.parts[r]
-                    for i in range(m):
-                        xr[:, idx] = xr[:, idx] + z_blk[i].parts[r] * y_mat[:, i]
-                    comm.add_flops(r, 2 * m * xr.shape[0] * len(idx))
-
-                comm.run_ranks(x_body, work=2 * m * n_rows * len(idx))
-
-        # One batched residual recompute for every cycle participant
-        # (mid-cycle exits included: their claims are verified here, the
-        # no-silent-wrong-answer invariant of the single-RHS solver).
-        idxp = np.asarray(participants)
-        b_sub = b_blk.take_cols(idxp)
-        x_sub = x_hat.take_cols(idxp)
-        r_loc = b_sub - system.matvec_local_block(x_sub)
-        r_hat = system.assemble_block(r_loc)
-        beta_arr = np.sqrt(np.maximum(system.dot_block(r_loc, r_hat), 0.0))
-        r_cols = list(participants)
-
-        for p2, c in enumerate(participants):
-            mon = monitors[c]
-            beta_c = float(beta_arr[p2])
-            if not mon.check_finite(beta_c, iters[c], "recomputed residual"):
-                continue
-            true_rel = beta_c / norm_b0[c]
-            if true_rel <= tol:
-                converged[c] = True
-            elif claimed[c]:
-                converged[c] = mon.confirm_convergence(true_rel, iters[c])
-            elif broke[c]:
-                mon.confirm_breakdown(true_rel, iters[c])
-            if not converged[c]:
-                mon.cycle_end(true_rel, iters[c])
-
-        active = [
-            c for c in participants
-            if not (converged[c] or monitors[c].fatal or iters[c] >= max_iter)
-        ]
-        if traced:
-            trc.end()  # cycle
-
-    # Unscale on the way out (Algorithm 4, step 5): u = D x, per column.
-    u_blk = DistBlock(
-        [d[:, None] * p for d, p in zip(system.d_parts, x_hat.parts)],
-        "global",
-        comm,
-    )
-    u_full = system.to_global_block(u_blk)
-    results = []
-    for c in range(k):
-        if zero_col[c]:
-            results.append(
-                SolveResult(np.zeros(system.n_global), True, 0, 0, histories[c])
-            )
-            continue
-        if bad_init[c]:
-            results.append(
-                SolveResult(
-                    np.zeros(system.n_global), False, 0, 0, histories[c],
-                    monitors[c].finalize(False, 0, 1.0),
-                )
-            )
-            continue
-        final_rel = histories[c][-1] if histories[c] else float("nan")
-        results.append(
-            SolveResult(
-                np.ascontiguousarray(u_full[:, c]),
-                converged[c],
-                iters[c],
-                n_restarts[c],
-                histories[c],
-                monitors[c].finalize(converged[c], iters[c], final_rel),
-            )
-        )
-    return results
+    space = _EDDBlockSpace(system, b_blk, precond, restart, basic, cgs)
+    return restarted_fgmres(space, restart, tol, max_iter, breakdown_tol, tracer)

@@ -45,7 +45,8 @@ class SolverOptions:
         ``"thread"``, ``"process"`` or ``"chaos"``); None keeps the
         session default.
     orthogonalization:
-        Gram-Schmidt flavour for EDD (``"cgs"`` or ``"mgs"``).
+        Gram-Schmidt flavour (``"cgs"`` or ``"mgs"``); ``"mgs"`` is
+        available for the EDD methods only.
     dynamic:
         Solve the elastodynamics effective system (Eq. 52) instead of the
         static one.
@@ -76,6 +77,12 @@ class SolverOptions:
             raise ValueError(
                 f"orthogonalization must be one of {_ORTHO}, "
                 f"got {self.orthogonalization!r}"
+            )
+        if self.method == "rdd" and self.orthogonalization != "cgs":
+            raise ValueError(
+                f"orthogonalization={self.orthogonalization!r} is not "
+                "available with method='rdd' (Algorithm 8 is classical "
+                "Gram-Schmidt only; 'mgs' applies to the EDD methods)"
             )
         if self.restart < 1:
             raise ValueError("restart must be >= 1")

@@ -9,6 +9,14 @@ the Eq. 48 halo scatter/gather.  Vectors live on disjoint DOF sets, so the
 local/global format distinction disappears and inner products are plain
 local dots plus an allreduce (Eq. 47).
 
+The restart cycle lives in :func:`repro.solvers.krylov.restarted_fgmres`;
+this module supplies the system and the two Krylov spaces the driver
+runs over — :class:`_RDDVectorSpace` (:func:`rdd_fgmres`: per-rank parts
+through the rank engine, so it can run worker-resident) and
+:class:`_RDDBlockSpace` (:func:`rdd_fgmres_block`: ``(n_own, k)`` part
+blocks, one coalesced halo exchange per matvec).  Orthogonalization is
+classical Gram-Schmidt only.
+
 The structural costs the paper attributes to this approach are modeled
 faithfully: the system is built from the *assembled* global matrix (the
 assembly EDD avoids), and :meth:`RDDSystem.replication_factor` reports the
@@ -23,15 +31,13 @@ import numpy as np
 
 from repro.fem.bc import DirichletBC
 from repro.fem.mesh import Mesh
-from repro.obs.tracer import NULL_TRACER
 from repro.parallel.comm import Comm, make_comm
 from repro.partition.interface import SubdomainMap
 from repro.partition.node_partition import NodePartition
 from repro.precond.base import PolynomialPreconditioner
 from repro.precond.coarse import TwoLevelPreconditioner, TwoLevelSpec
 from repro.precond.scaling import norm1_scaling
-from repro.solvers.diagnostics import ConvergenceMonitor
-from repro.solvers.givens import GivensLSQ
+from repro.solvers.krylov import restarted_fgmres
 from repro.solvers.result import SolveResult
 from repro.sparse.csr import CSRMatrix
 
@@ -305,30 +311,33 @@ def build_rdd_system(
 
 
 def _axpy_parts(comm, y_parts, alpha, x_parts):
+    """``y + alpha * x`` per rank, on vectors or ``(n_own, k)`` blocks."""
     out = [None] * len(y_parts)
 
     def body(r: int) -> None:
         out[r] = y_parts[r] + alpha * x_parts[r]
-        comm.add_flops(r, 2 * len(y_parts[r]))
+        comm.add_flops(r, 2 * y_parts[r].size)
 
-    comm.run_ranks(body, work=2 * sum(len(y) for y in y_parts))
+    comm.run_ranks(body, work=2 * sum(y.size for y in y_parts))
     return out
 
 
 def _scale_parts(comm, alpha, x_parts):
+    """``alpha * x`` per rank, on vectors or ``(n_own, k)`` blocks."""
     out = [None] * len(x_parts)
 
     def body(r: int) -> None:
         out[r] = alpha * x_parts[r]
-        comm.add_flops(r, len(x_parts[r]))
+        comm.add_flops(r, x_parts[r].size)
 
-    comm.run_ranks(body, work=sum(len(x) for x in x_parts))
+    comm.run_ranks(body, work=sum(x.size for x in x_parts))
     return out
 
 
 class _RDDVector:
     """Minimal arithmetic wrapper so polynomial ``apply_linear`` recurrences
-    run unchanged on row-partitioned vectors."""
+    run unchanged on row-partitioned vectors and ``(n_own, k)`` part
+    blocks (elementwise, so block columns are exact single vectors)."""
 
     __slots__ = ("parts", "system")
 
@@ -376,21 +385,28 @@ def _resolve_precond_rdd(system: RDDSystem, options):
 
 
 def _precondition_rdd(system: RDDSystem, precond, v_parts: list) -> list:
+    """``z = C v`` on per-rank parts — vectors, or ``(n_own, k)`` blocks
+    for the batched path: polynomial recurrences run through the
+    (coalesced) halo-exchanging matvec, one exchange per degree for all
+    ``k`` columns; block-Jacobi solves per rank (and column) locally."""
+    block = v_parts[0].ndim == 2
     if precond is None:
         return [p.copy() for p in v_parts]
     if isinstance(precond, TwoLevelPreconditioner):
-        return precond.apply_rdd(system, v_parts)
+        apply = precond.apply_rdd_block if block else precond.apply_rdd
+        return apply(system, v_parts)
     if hasattr(precond, "apply_parts"):
         # Block-Jacobi-style local preconditioner (Section 4.1.2): solve
         # per-rank with the diagonal block, no communication.
-        return precond.apply_parts(v_parts)
+        apply = precond.apply_parts_block if block else precond.apply_parts
+        return apply(v_parts)
     if not isinstance(precond, PolynomialPreconditioner):
         raise TypeError(
             "rdd_fgmres applies polynomial preconditioners through the "
             "halo-exchanging matvec; wrap other preconditioners yourself"
         )
     engine = system.rank_engine()
-    if engine.resident:
+    if engine.resident and not block:
         terms = precond.chain_terms()
         if terms is not None:
             # Fused resident path: the whole degree-m matvec/recurrence
@@ -399,33 +415,12 @@ def _precondition_rdd(system: RDDSystem, precond, v_parts: list) -> list:
             out = engine.poly_chain(precond, terms, v_parts)
             if out is not None:
                 return out
+    matvec = system.matvec_block if block else system.matvec
     vec = _RDDVector([p.copy() for p in v_parts], system)
     out = precond.apply_linear(
-        lambda v: _RDDVector(system.matvec(v.parts), system), vec
+        lambda v: _RDDVector(matvec(v.parts), system), vec
     )
     return out.parts
-
-
-def _axpy_parts_block(comm, y_parts, alpha, x_parts):
-    out = [None] * len(y_parts)
-
-    def body(r: int) -> None:
-        out[r] = y_parts[r] + alpha * x_parts[r]
-        comm.add_flops(r, 2 * y_parts[r].size)
-
-    comm.run_ranks(body, work=2 * sum(y.size for y in y_parts))
-    return out
-
-
-def _scale_parts_block(comm, alpha, x_parts):
-    out = [None] * len(x_parts)
-
-    def body(r: int) -> None:
-        out[r] = alpha * x_parts[r]
-        comm.add_flops(r, x_parts[r].size)
-
-    comm.run_ranks(body, work=sum(x.size for x in x_parts))
-    return out
 
 
 def _scale_cols_parts(comm, scales, x_parts):
@@ -450,62 +445,187 @@ def _drop_col_parts(parts, pos):
     return [np.delete(p, pos, axis=1) for p in parts]
 
 
-class _RDDBlock:
-    """Arithmetic wrapper over ``(n_own, k)`` part blocks so polynomial
-    ``apply_linear`` recurrences run unchanged on batched RDD vectors
-    (column-exact with :class:`_RDDVector` arithmetic)."""
+class _RDDVectorSpace:
+    """The :class:`~repro.solvers.krylov.KrylovSpace` of
+    :func:`rdd_fgmres`: one column of per-rank parts on disjoint DOF
+    sets, per-rank compute through the system's rank engine (inline
+    closures, or worker-resident rank ops whose mirrored basis is kept
+    in step by ``seed`` / ``commit``)."""
 
-    __slots__ = ("parts", "system")
+    k = 1
 
-    def __init__(self, parts, system):
-        self.parts = parts
+    def __init__(self, system: RDDSystem, precond, restart):
         self.system = system
+        self.precond = precond
+        self.comm = system.comm
+        self.stats = system.comm.stats
+        self.engine = system.rank_engine()
+        self.x = [np.zeros(len(o)) for o in system.own]
+        self.b = [bb.copy() for bb in system.b]
+        self.partial_buf = np.empty((restart, system.n_parts))
 
-    def copy(self):
-        return _RDDBlock([p.copy() for p in self.parts], self.system)
+    def residual(self, cols):
+        system = self.system
+        ax = system.matvec(self.x)
+        self.r = _axpy_parts(self.comm, self.b, -1.0, ax)
+        return np.array([np.sqrt(system.dot(self.r, self.r))])
 
-    def __add__(self, other):
-        return _RDDBlock(
-            _axpy_parts_block(self.system.comm, self.parts, 1.0, other.parts),
-            self.system,
+    def start_cycle(self, cols, betas):
+        self.v = [_scale_parts(self.comm, 1.0 / betas[0], self.r)]
+        if self.engine.resident:
+            self.engine.seed_basis(self.v[0])
+        self.z: list = []
+
+    def precondition(self, j):
+        self.z.append(_precondition_rdd(self.system, self.precond, self.v[j]))
+
+    def matvec(self, j):
+        self.w = self.system.matvec(self.z[j], cache=j)
+
+    def orthogonalize(self, j):
+        h = np.empty(j + 2)
+        # Fused CGS coefficient round mirroring edd_fgmres — partial
+        # dots, ONE allreduce of j+1 words, AXPY updates — which the
+        # engine runs inline or as a single worker dispatch.
+        (self.w,) = self.engine.arnoldi_step(
+            j, h, (self.v,), (self.w,), self.partial_buf
         )
+        h[j + 1] = np.sqrt(max(self.system.dot(self.w, self.w), 0.0))
+        return h[:, None]
 
-    def __sub__(self, other):
-        return _RDDBlock(
-            _axpy_parts_block(self.system.comm, self.parts, -1.0, other.parts),
-            self.system,
+    def commit(self, j, keep, h_next):
+        inv_h = 1.0 / h_next[0]
+        self.v.append(_scale_parts(self.comm, inv_h, self.w))
+        if self.engine.resident:
+            self.engine.commit_basis(inv_h)
+
+    def retire(self, pos, col, y):
+        self.update([col], [y])
+
+    def update(self, cols, ys):
+        """``x += sum_i y[i] * z[i]``: against the worker-cached ``z``
+        slots when resident, per-rank AXPYs otherwise."""
+        if self.engine.resident:
+            self.x = self.engine.axpy_update(self.x, ys[0])
+        else:
+            for i, yi in enumerate(ys[0]):
+                self.x = _axpy_parts(self.comm, self.x, float(yi), self.z[i])
+
+    def solutions(self):
+        system = self.system
+        u = np.zeros(system.n_global)
+        for o, xs, ds in zip(system.own, self.x, system.d):
+            u[o] = ds * xs
+        return [u]
+
+
+class _RDDBlockSpace:
+    """The :class:`~repro.solvers.krylov.KrylovSpace` of
+    :func:`rdd_fgmres_block`: per-rank ``(n_own, k)`` part blocks.  A
+    column that leaves a cycle is compacted out of every live Krylov
+    block, so finished columns stop charging flops and words."""
+
+    def __init__(self, system: RDDSystem, b_blk, precond, restart):
+        self.system = system
+        self.precond = precond
+        self.comm = system.comm
+        self.stats = system.comm.stats
+        self.b_blk = b_blk
+        self.k = b_blk[0].shape[1]
+        self.n_rows = sum(bb.shape[0] for bb in b_blk)
+        self.x_blk = [np.zeros((len(o), self.k)) for o in system.own]
+        self.engine = system.rank_engine()
+        self.partial_buf = np.empty((restart, system.n_parts, self.k))
+
+    def residual(self, cols):
+        system = self.system
+        idx = np.asarray(cols)
+        b_sub = _take_cols_parts(self.b_blk, idx)
+        ax = system.matvec_block(_take_cols_parts(self.x_blk, idx))
+        self.r_blk = _axpy_parts(self.comm, b_sub, -1.0, ax)
+        self.r_cols = list(cols)
+        return np.sqrt(system.dot_block(self.r_blk, self.r_blk))
+
+    def start_cycle(self, cols, betas):
+        r_blk = self.r_blk
+        sel = [self.r_cols.index(c) for c in cols]
+        if sel != list(range(len(self.r_cols))):
+            r_blk = _take_cols_parts(r_blk, sel)
+        self.v = [_scale_cols_parts(self.comm, 1.0 / betas, r_blk)]
+        self.z: list = []
+
+    def precondition(self, j):
+        self.z.append(_precondition_rdd(self.system, self.precond, self.v[j]))
+
+    def matvec(self, j):
+        self.w = self.system.matvec_block(self.z[j])
+
+    def orthogonalize(self, j):
+        hblk = np.empty((j + 2, self.w[0].shape[1]))
+        (self.w,) = self.engine.arnoldi_step_block(
+            j, hblk, (self.v,), (self.w,), self.partial_buf
         )
-
-    def __mul__(self, scalar):
-        return _RDDBlock(
-            _scale_parts_block(self.system.comm, float(scalar), self.parts),
-            self.system,
+        hblk[j + 1] = np.sqrt(
+            np.maximum(self.system.dot_block(self.w, self.w), 0.0)
         )
+        return hblk
 
-    __rmul__ = __mul__
+    def retire(self, pos, col, y):
+        if len(y):
+            x_blk, z = self.x_blk, self.z
+            comm = self.comm
+
+            def body(r: int) -> None:
+                xr = x_blk[r]
+                for i, yi in enumerate(y):
+                    xr[:, col] = xr[:, col] + float(yi) * z[i][r][:, pos]
+                comm.add_flops(r, 2 * len(y) * xr.shape[0])
+
+            comm.run_ranks(body, work=2 * len(y) * self.n_rows)
+        for blocks in (self.v, self.z):
+            for i, parts in enumerate(blocks):
+                blocks[i] = _drop_col_parts(parts, pos)
+
+    def commit(self, j, keep, h_next):
+        w = self.w if keep is None else _take_cols_parts(self.w, keep)
+        self.v.append(_scale_cols_parts(self.comm, 1.0 / h_next, w))
+
+    def update(self, cols, ys):
+        # All columns share the Krylov dimension: one batched update.
+        m = len(ys[0])
+        y_mat = np.array(ys)
+        idx = np.asarray(cols)
+        x_blk, z = self.x_blk, self.z
+        comm = self.comm
+
+        def body(r: int) -> None:
+            xr = x_blk[r]
+            for i in range(m):
+                xr[:, idx] = xr[:, idx] + z[i][r] * y_mat[:, i]
+            comm.add_flops(r, 2 * m * xr.shape[0] * len(idx))
+
+        comm.run_ranks(body, work=2 * m * self.n_rows * len(idx))
+
+    def solutions(self):
+        system = self.system
+        u_full = np.zeros((system.n_global, self.k))
+        for o, xs, ds in zip(system.own, self.x_blk, system.d):
+            u_full[o] = ds[:, None] * xs
+        return [np.ascontiguousarray(u_full[:, c]) for c in range(self.k)]
 
 
-def _precondition_rdd_block(system: RDDSystem, precond, v_parts: list) -> list:
-    """Batched preconditioner application on ``(n_own, k)`` part blocks:
-    polynomial recurrences run through the coalesced block matvec (one halo
-    exchange per degree for all ``k`` columns); block-Jacobi solves per
-    column locally."""
-    if precond is None:
-        return [p.copy() for p in v_parts]
-    if isinstance(precond, TwoLevelPreconditioner):
-        return precond.apply_rdd_block(system, v_parts)
-    if hasattr(precond, "apply_parts_block"):
-        return precond.apply_parts_block(v_parts)
-    if not isinstance(precond, PolynomialPreconditioner):
-        raise TypeError(
-            "rdd_fgmres applies polynomial preconditioners through the "
-            "halo-exchanging matvec; wrap other preconditioners yourself"
-        )
-    vec = _RDDBlock([p.copy() for p in v_parts], system)
-    out = precond.apply_linear(
-        lambda v: _RDDBlock(system.matvec_block(v.parts), system), vec
-    )
-    return out.parts
+def _configure(system, precond, restart, tol, max_iter, options):
+    """Fold ``options`` over the keyword arguments and validate; returns
+    ``(precond, restart, tol, max_iter)``."""
+    if options is not None:
+        restart = options.restart
+        tol = options.tol
+        max_iter = options.max_iter
+        if precond is None:
+            precond = _resolve_precond_rdd(system, options)
+    if restart < 1:
+        raise ValueError("restart must be >= 1")
+    return precond, restart, tol, max_iter
 
 
 def rdd_fgmres(
@@ -526,159 +646,13 @@ def rdd_fgmres(
     preconditioner parsed from ``options.precond`` (the same unified
     surface :func:`edd_fgmres` accepts).
     """
-    if options is not None:
-        restart = options.restart
-        tol = options.tol
-        max_iter = options.max_iter
-        if precond is None:
-            precond = _resolve_precond_rdd(system, options)
-    if restart < 1:
-        raise ValueError("restart must be >= 1")
-    comm = system.comm
-    engine = system.rank_engine()
-    p = system.n_parts
-    x = [np.zeros(len(o)) for o in system.own]
-    b = [bb.copy() for bb in system.b]
-
-    ax = system.matvec(x)
-    r = _axpy_parts(comm, b, -1.0, ax)
-    norm_b0 = np.sqrt(system.dot(r, r))
-    history = [1.0]
-    if norm_b0 == 0.0:
-        return SolveResult(np.zeros(system.n_global), True, 0, 0, history)
-    monitor = ConvergenceMonitor(tol)
-    if not monitor.check_finite(norm_b0, 0, "initial residual"):
-        return SolveResult(
-            np.zeros(system.n_global), False, 0, 0, history,
-            monitor.finalize(False, 0, 1.0),
-        )
-
-    total_iters = 0
-    restarts = 0
-    converged = False
-    beta = norm_b0
-    trc = tracer if tracer is not None else NULL_TRACER
-    traced = trc.enabled
-    if traced:
-        stats = comm.stats
-        last_msgs = stats.total_nbr_messages
-        last_words = stats.total_nbr_words
-        last_reds = stats.max_reductions
-    while not converged and total_iters < max_iter and not monitor.fatal:
-        restarts += 1
-        if traced:
-            trc.begin("cycle", "solver", cycle=restarts)
-        v = [_scale_parts(comm, 1.0 / beta, r)]
-        engine.seed_basis(v[0])
-        z_store: list = []
-        lsq = GivensLSQ(restart, beta)
-        broke_down = False
-        j = 0
-        while j < restart and total_iters < max_iter:
-            if traced:
-                trc.begin("arnoldi_step", "solver", j=j)
-                trc.begin("precond_apply", "solver")
-            z = _precondition_rdd(system, precond, v[j])
-            if traced:
-                trc.end()
-            z_store.append(z)
-            if traced:
-                trc.begin("matvec", "solver")
-            w = system.matvec(z, cache=j)
-            if traced:
-                trc.end()
-            h = np.empty(j + 2)
-            if traced:
-                trc.begin("orthogonalize", "solver")
-            # Fused CGS coefficient round mirroring edd_fgmres — partial
-            # dots, ONE allreduce of j+1 words, AXPY updates — which the
-            # engine runs inline or as a single worker dispatch.
-            w = engine.arnoldi_step(j, h, v, w)
-            h[j + 1] = np.sqrt(max(system.dot(w, w), 0.0))
-            if traced:
-                trc.end()  # orthogonalize
-            if not monitor.check_finite(h, total_iters + 1, "Hessenberg column"):
-                if traced:
-                    trc.end()  # arnoldi_step
-                break
-            if traced:
-                trc.begin("givens_update", "solver")
-            res = lsq.append_column(h)
-            if traced:
-                trc.end()
-            total_iters += 1
-            history.append(res / norm_b0)
-            if traced:
-                m_now = stats.total_nbr_messages
-                w_now = stats.total_nbr_words
-                r_now = stats.max_reductions
-                trc.metric(
-                    iteration=total_iters, rel_res=res / norm_b0,
-                    nbr_messages=m_now - last_msgs,
-                    nbr_words=w_now - last_words,
-                    reductions=r_now - last_reds,
-                )
-                last_msgs, last_words, last_reds = m_now, w_now, r_now
-            if not monitor.check_divergence(res / norm_b0, total_iters):
-                if traced:
-                    trc.end()
-                break
-            if res / norm_b0 <= tol:
-                converged = True
-                j += 1
-                if traced:
-                    trc.end()
-                break
-            if h[j + 1] <= breakdown_tol:
-                # Possible happy breakdown — confirmed by the recomputed
-                # true residual below, never trusted outright.
-                monitor.note_breakdown(float(h[j + 1]), total_iters)
-                broke_down = True
-                j += 1
-                if traced:
-                    trc.end()
-                break
-            v.append(_scale_parts(comm, 1.0 / h[j + 1], w))
-            engine.commit_basis(1.0 / h[j + 1])
-            j += 1
-            if traced:
-                trc.end()  # arnoldi_step
-        y = lsq.solve()
-        x = engine.axpy_update(x, y, z_store)
-        ax = system.matvec(x)
-        r = _axpy_parts(comm, b, -1.0, ax)
-        beta = np.sqrt(system.dot(r, r))
-        if not monitor.check_finite(beta, total_iters, "recomputed residual"):
-            if traced:
-                trc.end()  # cycle
-            break
-        true_rel = beta / norm_b0
-        if traced:
-            trc.metric(iteration=total_iters, true_rel=true_rel,
-                       cycle=restarts)
-        if true_rel <= tol:
-            converged = True
-        elif converged:
-            converged = monitor.confirm_convergence(true_rel, total_iters)
-        elif broke_down:
-            monitor.confirm_breakdown(true_rel, total_iters)
-        if not converged:
-            monitor.cycle_end(true_rel, total_iters)
-        if traced:
-            trc.end(true_rel=true_rel)  # cycle
-
-    u = np.zeros(system.n_global)
-    for o, xs, ds in zip(system.own, x, system.d):
-        u[o] = ds * xs
-    final_rel = history[-1] if history else float("nan")
-    return SolveResult(
-        u,
-        converged,
-        total_iters,
-        restarts,
-        history,
-        monitor.finalize(converged, total_iters, final_rel),
+    precond, restart, tol, max_iter = _configure(
+        system, precond, restart, tol, max_iter, options
     )
+    space = _RDDVectorSpace(system, precond, restart)
+    return restarted_fgmres(
+        space, restart, tol, max_iter, breakdown_tol, tracer
+    )[0]
 
 
 def rdd_fgmres_block(
@@ -704,266 +678,11 @@ def rdd_fgmres_block(
     and one allreduce per Arnoldi step serve all ``k`` columns, and
     finished columns are masked out of the Krylov blocks.
     """
-    if options is not None:
-        restart = options.restart
-        tol = options.tol
-        max_iter = options.max_iter
-        if precond is None:
-            precond = _resolve_precond_rdd(system, options)
-    if restart < 1:
-        raise ValueError("restart must be >= 1")
-    comm = system.comm
-    p = system.n_parts
-
-    if isinstance(b, np.ndarray):
-        b_blk = system.rhs_block(b)
-    else:
-        b_blk = list(b)
-    k = b_blk[0].shape[1]
-    if k == 0:
+    precond, restart, tol, max_iter = _configure(
+        system, precond, restart, tol, max_iter, options
+    )
+    b_blk = system.rhs_block(b) if isinstance(b, np.ndarray) else list(b)
+    if b_blk[0].shape[1] == 0:
         return []
-    n_rows = sum(bb.shape[0] for bb in b_blk)
-
-    x_blk = [np.zeros((len(o), k)) for o in system.own]
-    ax = system.matvec_block(x_blk)
-    r_blk = _axpy_parts_block(comm, b_blk, -1.0, ax)
-    norm_b0 = np.sqrt(system.dot_block(r_blk, r_blk))
-
-    histories = [[1.0] for _ in range(k)]
-    monitors = [ConvergenceMonitor(tol) for _ in range(k)]
-    iters = [0] * k
-    n_restarts = [0] * k
-    converged = [False] * k
-    zero_col = [False] * k
-    bad_init = [False] * k
-    active: list = []
-    for c in range(k):
-        if norm_b0[c] == 0.0:
-            zero_col[c] = True
-            converged[c] = True
-        elif not monitors[c].check_finite(
-            float(norm_b0[c]), 0, "initial residual"
-        ):
-            bad_init[c] = True
-        else:
-            active.append(c)
-
-    r_cols = list(range(k))
-    beta_arr = norm_b0
-    partial_buf = np.empty((restart, p, k))
-    trc = tracer if tracer is not None else NULL_TRACER
-    traced = trc.enabled
-    cycle_no = 0
-
-    while active:
-        cycle_no += 1
-        if traced:
-            trc.begin("cycle", "solver", cycle=cycle_no, k=len(active))
-        participants = list(active)
-        sel = [r_cols.index(c) for c in participants]
-        if sel != list(range(len(r_cols))):
-            rl = _take_cols_parts(r_blk, sel)
-            betas = beta_arr[np.asarray(sel)]
-        else:
-            rl = r_blk
-            betas = beta_arr
-        for c in participants:
-            n_restarts[c] += 1
-        v = [_scale_cols_parts(comm, 1.0 / betas, rl)]
-        z_store: list = []
-        lsqs = {c: GivensLSQ(restart, float(betas[i]))
-                for i, c in enumerate(participants)}
-        claimed = {c: False for c in participants}
-        broke = {c: False for c in participants}
-        cols = list(participants)
-
-        def exit_column(pos: int) -> None:
-            c = cols[pos]
-            y = lsqs[c].solve()
-            if len(y):
-
-                def body(r: int) -> None:
-                    xr = x_blk[r]
-                    for i, yi in enumerate(y):
-                        xr[:, c] = xr[:, c] + float(yi) * z_store[i][r][:, pos]
-                    comm.add_flops(r, 2 * len(y) * xr.shape[0])
-
-                comm.run_ranks(body, work=2 * len(y) * n_rows)
-            for i in range(len(v)):
-                v[i] = _drop_col_parts(v[i], pos)
-            for i in range(len(z_store)):
-                z_store[i] = _drop_col_parts(z_store[i], pos)
-            cols.pop(pos)
-
-        j = 0
-        while j < restart and cols:
-            over = [q for q in range(len(cols)) if iters[cols[q]] >= max_iter]
-            for q in reversed(over):
-                exit_column(q)
-            if not cols:
-                break
-            ka = len(cols)
-            if traced:
-                trc.begin("arnoldi_step", "solver", j=j, k=ka)
-                trc.begin("precond_apply", "solver")
-            z = _precondition_rdd_block(system, precond, v[j])
-            if traced:
-                trc.end()
-            z_store.append(z)
-            if traced:
-                trc.begin("matvec", "solver")
-            w = system.matvec_block(z)
-            if traced:
-                trc.end()
-
-            hblk = np.empty((j + 2, ka))
-            if traced:
-                trc.begin("orthogonalize", "solver")
-            partial = partial_buf[: j + 1, :, :ka]
-
-            def dots_body(r: int) -> None:
-                wr = w[r]
-                for i in range(j + 1):
-                    vp = v[i][r]
-                    for cc in range(ka):
-                        partial[i, r, cc] = vp[:, cc] @ wr[:, cc]
-                comm.add_flops(r, 2 * (j + 1) * wr.size)
-
-            comm.run_ranks(dots_body, work=2 * (j + 1) * n_rows * ka)
-            hblk[: j + 1] = comm.allreduce_sum(
-                list(partial.transpose(1, 0, 2)), words=(j + 1) * ka
-            )
-
-            new_w: list = [None] * p
-
-            def ortho_body(r: int) -> None:
-                wr = w[r]
-                for i in range(j + 1):
-                    wr = wr - hblk[i] * v[i][r]
-                new_w[r] = wr
-                comm.add_flops(r, 2 * (j + 1) * wr.size)
-
-            comm.run_ranks(ortho_body, work=2 * (j + 1) * n_rows * ka)
-            w = new_w
-            hblk[j + 1] = np.sqrt(np.maximum(system.dot_block(w, w), 0.0))
-            if traced:
-                trc.end()  # orthogonalize
-                trc.begin("givens_update", "solver")
-
-            exits: list = []
-            for pos in range(ka):
-                c = cols[pos]
-                mon = monitors[c]
-                hcol = hblk[:, pos]
-                if not mon.check_finite(hcol, iters[c] + 1, "Hessenberg column"):
-                    exits.append(pos)
-                    continue
-                res = lsqs[c].append_column(hcol)
-                iters[c] += 1
-                histories[c].append(res / norm_b0[c])
-                if not mon.check_divergence(res / norm_b0[c], iters[c]):
-                    exits.append(pos)
-                    continue
-                if res / norm_b0[c] <= tol:
-                    claimed[c] = True
-                    exits.append(pos)
-                    continue
-                if hblk[j + 1, pos] <= breakdown_tol:
-                    mon.note_breakdown(float(hblk[j + 1, pos]), iters[c])
-                    broke[c] = True
-                    exits.append(pos)
-            if traced:
-                trc.end()  # givens_update
-
-            if exits:
-                keep = [q for q in range(ka) if q not in exits]
-                for q in reversed(exits):
-                    exit_column(q)
-                if not cols:
-                    if traced:
-                        trc.end()  # arnoldi_step
-                    break
-                w = _take_cols_parts(w, keep)
-                h_next = hblk[j + 1, np.asarray(keep)]
-            else:
-                h_next = hblk[j + 1]
-            v.append(_scale_cols_parts(comm, 1.0 / h_next, w))
-            j += 1
-            if traced:
-                trc.end()  # arnoldi_step
-
-        if cols:
-            ys = [lsqs[c].solve() for c in cols]
-            m = len(ys[0])
-            if m:
-                y_mat = np.array(ys)
-                idx = np.asarray(cols)
-
-                def x_body(r: int) -> None:
-                    xr = x_blk[r]
-                    for i in range(m):
-                        xr[:, idx] = xr[:, idx] + z_store[i][r] * y_mat[:, i]
-                    comm.add_flops(r, 2 * m * xr.shape[0] * len(idx))
-
-                comm.run_ranks(x_body, work=2 * m * n_rows * len(idx))
-
-        idxp = np.asarray(participants)
-        b_sub = _take_cols_parts(b_blk, idxp)
-        x_sub = _take_cols_parts(x_blk, idxp)
-        ax = system.matvec_block(x_sub)
-        r_blk = _axpy_parts_block(comm, b_sub, -1.0, ax)
-        beta_arr = np.sqrt(system.dot_block(r_blk, r_blk))
-        r_cols = list(participants)
-
-        for p2, c in enumerate(participants):
-            mon = monitors[c]
-            beta_c = float(beta_arr[p2])
-            if not mon.check_finite(beta_c, iters[c], "recomputed residual"):
-                continue
-            true_rel = beta_c / norm_b0[c]
-            if true_rel <= tol:
-                converged[c] = True
-            elif claimed[c]:
-                converged[c] = mon.confirm_convergence(true_rel, iters[c])
-            elif broke[c]:
-                mon.confirm_breakdown(true_rel, iters[c])
-            if not converged[c]:
-                mon.cycle_end(true_rel, iters[c])
-
-        active = [
-            c for c in participants
-            if not (converged[c] or monitors[c].fatal or iters[c] >= max_iter)
-        ]
-        if traced:
-            trc.end()  # cycle
-
-    u_full = np.zeros((system.n_global, k))
-    for o, xs, ds in zip(system.own, x_blk, system.d):
-        u_full[o] = ds[:, None] * xs
-    results = []
-    for c in range(k):
-        if zero_col[c]:
-            results.append(
-                SolveResult(np.zeros(system.n_global), True, 0, 0, histories[c])
-            )
-            continue
-        if bad_init[c]:
-            results.append(
-                SolveResult(
-                    np.zeros(system.n_global), False, 0, 0, histories[c],
-                    monitors[c].finalize(False, 0, 1.0),
-                )
-            )
-            continue
-        final_rel = histories[c][-1] if histories[c] else float("nan")
-        results.append(
-            SolveResult(
-                np.ascontiguousarray(u_full[:, c]),
-                converged[c],
-                iters[c],
-                n_restarts[c],
-                histories[c],
-                monitors[c].finalize(converged[c], iters[c], final_rel),
-            )
-        )
-    return results
+    space = _RDDBlockSpace(system, b_blk, precond, restart)
+    return restarted_fgmres(space, restart, tol, max_iter, breakdown_tol, tracer)

@@ -616,37 +616,6 @@ def _do_rank_op(state, cmd, w, n_workers):  # pragma: no cover
                 e["bh"] = [np.array(view[p["hat"] + off:p["hat"] + off + n])]
             else:
                 e["bh"] = []
-        elif name == "dots":
-            j = p["j"]
-            wvec = np.array(view[off:off + n])
-            e["wh"] = wvec
-            bl = e["bl"]
-            out = np.empty(j + 1)
-            for i in range(j + 1):
-                out[i] = bl[i] @ wvec
-            o = p["out"] + r * (j + 1)
-            view[o:o + j + 1] = out
-        elif name == "ortho":
-            j = p["j"]
-            h = p["h"]
-            wh = e["wh"]
-            if p["two"]:
-                wl = e["wl"]
-                bl, bh = e["bl"], e["bh"]
-                for i in range(j + 1):
-                    hi = h[i]
-                    wl = wl - hi * bl[i]
-                    wh = wh - hi * bh[i]
-                e["wl"] = wl
-                e["wh"] = wh
-                view[off:off + n] = wl
-                view[p["hat"] + off:p["hat"] + off + n] = wh
-            else:
-                bl = e["bl"]
-                for i in range(j + 1):
-                    wh = wh - h[i] * bl[i]
-                e["wh"] = wh
-                view[off:off + n] = wh
         elif name == "commit":
             inv_h = p["inv_h"]
             if p["two"]:

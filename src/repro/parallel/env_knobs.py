@@ -2,8 +2,8 @@
 
 The concurrent ``Comm`` backends are tuned through environment variables
 (``REPRO_PROCESS_WORKERS``, ``REPRO_PROCESS_MIN_WORK``,
-``REPRO_PROCESS_TIMEOUT``, ``REPRO_THREAD_WORKERS``,
-``REPRO_THREAD_MIN_WORK``).  A malformed value used to surface as a raw
+``REPRO_PROCESS_TIMEOUT``, ``REPRO_PROCESS_RESIDENT``,
+``REPRO_THREAD_WORKERS``, ``REPRO_THREAD_MIN_WORK``).  A malformed value used to surface as a raw
 ``ValueError`` from ``int()`` deep inside backend construction, with no
 hint of *which* variable was wrong.  These helpers validate at read time
 and raise one named error that echoes the variable name and the
@@ -34,7 +34,7 @@ class EnvKnobError(ValueError):
         )
 
 
-def read_int_env(name: str, default: int) -> int:
+def read_int_env(name: str, default: int | None) -> int | None:
     """``int(os.environ[name])`` with a named error on malformed input.
 
     Unset or empty means ``default`` (matching the historical truthiness

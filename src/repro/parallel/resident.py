@@ -1,18 +1,25 @@
 """Rank-operation engines: inline execution vs. worker-resident execution.
 
-Every per-rank compute region of the FGMRES inner loops — subdomain
-matvecs, fused CGS partial dots, the fused orthogonalization update, the
-basis commit and the solution AXPY — is expressed as a **named rank op**
-dispatched through one of the engines below:
+The per-rank compute regions of the FGMRES Krylov spaces
+(:mod:`repro.core.edd`, :mod:`repro.core.rdd`) — subdomain matvecs and
+the fused CGS coefficient round — go through one of the engines below:
 
 * the *inline* engines run the original per-rank closures through
   :meth:`Comm.run_ranks` in the orchestrator process (virtual, thread and
   chaos backends, and process communicators below the dispatch
-  threshold);
+  threshold); the EDD and RDD ones differ only in their matvecs;
 * the *resident* engines ship each rank's CSR blocks to its owning
   worker process **once** (keyed by a generation id) and then dispatch
-  small command descriptors — only vectors cross the process boundary,
-  so the dominant flops run truly concurrently across cores.
+  small command descriptors — **named rank ops** — so only vectors cross
+  the process boundary and the dominant flops run truly concurrently
+  across cores.  They share one base (shipping, dispatch, the ops that
+  keep the workers' mirrored Krylov basis in step — ``seed`` /
+  ``commit`` / ``axpy`` — and the ``arn`` / ``coarse`` fused ops);
+  the subclasses add what depends on the decomposition: what to ship,
+  the matvecs, the polynomial ``chain`` and, for RDD, ``prec``.
+
+A caller that needs a resident-only op asks ``engine.resident`` first;
+inline, the same arithmetic is the caller's own code.
 
 Bit-identity contract
 ---------------------
@@ -58,11 +65,15 @@ import os
 
 import numpy as np
 
+from repro.parallel.env_knobs import EnvKnobError, read_int_env
+
 __all__ = [
     "engine_mode",
+    "RankEngine",
     "InlineEDDEngine",
-    "ResidentEDDEngine",
     "InlineRDDEngine",
+    "ResidentEngine",
+    "ResidentEDDEngine",
     "ResidentRDDEngine",
 ]
 
@@ -78,19 +89,32 @@ def engine_mode(comm, work_hint: int) -> str:
     (the chaos communicator extends :class:`Comm` directly and therefore
     always runs inline, keeping fault injection deterministic at the
     orchestrator).  ``REPRO_PROCESS_RESIDENT=0`` forces inline,
-    ``=1`` forces resident; unset defers to the communicator's dispatch
-    threshold with ``work_hint`` (one matvec's scalar-op estimate).
+    ``=1`` forces resident; unset or empty defers to the communicator's
+    dispatch threshold with ``work_hint`` (one matvec's scalar-op
+    estimate); anything else raises :class:`EnvKnobError`.
     """
     from repro.parallel.process_comm import ProcessComm
 
     if not isinstance(comm, ProcessComm) or comm._closed or comm.size <= 1:
         return "inline"
-    env = os.environ.get("REPRO_PROCESS_RESIDENT", "").strip()
-    if env == "0":
-        return "inline"
-    if env == "1":
-        return "resident"
-    return "resident" if comm._use_pool(int(work_hint)) else "inline"
+    forced = read_int_env("REPRO_PROCESS_RESIDENT", None)
+    if forced is None:
+        return "resident" if comm._use_pool(int(work_hint)) else "inline"
+    if forced not in (0, 1):
+        raise EnvKnobError(
+            "REPRO_PROCESS_RESIDENT", os.environ["REPRO_PROCESS_RESIDENT"],
+            "0, 1 or unset",
+        )
+    return "resident" if forced else "inline"
+
+
+def _layout(sizes: list) -> tuple:
+    """``(sizes, offsets, total)`` of per-rank segments laid end to end
+    in an arena region."""
+    offsets = [0]
+    for n in sizes:
+        offsets.append(offsets[-1] + n)
+    return sizes, offsets[:-1], offsets[-1]
 
 
 def _btimeout(comm) -> float:
@@ -175,18 +199,94 @@ def _replay_chain_charges(engine, precond, mode: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# EDD engines
+# Inline engines
 # ----------------------------------------------------------------------
-class InlineEDDEngine:
-    """Original per-rank closures through ``Comm.run_ranks`` (any backend)."""
+class RankEngine:
+    """What every engine can do in the orchestrator: the CGS Arnoldi
+    coefficient round as per-rank closures through ``Comm.run_ranks``.
+
+    ``basis`` and ``w`` hold one entry per vector format — EDD
+    ``(local, global)``, RDD one — as per-rank parts (``basis[f][i]`` is
+    basis vector ``i``).  The dots pair the first format's basis with
+    the last format's ``w``: the mixed-format inner product of Eq. 33
+    for EDD, the plain Eq. 47 one for RDD.  Both rounds return the
+    orthogonalized ``w``, one parts list per format.
+    """
 
     resident = False
 
     def __init__(self, system):
         self.system = system
 
-    def ensure_shipped(self) -> None:
-        """Nothing to ship: rank state lives in the orchestrator."""
+    def arnoldi_step(self, j, h, basis, w, partial_buf):
+        """One CGS round on vectors: fused partial dots, ONE allreduce of
+        ``j + 1`` words, fused orthogonalization."""
+        comm = self.system.comm
+        v_dot, w_dot = basis[0], w[-1]
+        partial = partial_buf[: j + 1]
+
+        def dots_body(r: int) -> None:
+            wr = w_dot[r]
+            for i in range(j + 1):
+                partial[i, r] = v_dot[i][r] @ wr
+            comm.add_flops(r, 2 * (j + 1) * len(wr))
+
+        comm.run_ranks(
+            dots_body, work=2 * (j + 1) * sum(len(p) for p in w_dot)
+        )
+        h[: j + 1] = comm.allreduce_sum(list(partial.T), words=j + 1)
+        return self._orthogonalize(j, h, basis, w)
+
+    def arnoldi_step_block(self, j, h, basis, w, partial_buf):
+        """One CGS round on ``(n, k)`` blocks: per-column partial dots
+        (each the contiguous ddot the vector round performs), ONE
+        allreduce of ``(j + 1) * k`` words for all columns, fused
+        orthogonalization.  Always orchestrator-side: block solves go
+        resident for the matvec only."""
+        comm = self.system.comm
+        v_dot, w_dot = basis[0], w[-1]
+        ka = w_dot[0].shape[1]
+        partial = partial_buf[: j + 1, :, :ka]
+
+        def dots_body(r: int) -> None:
+            wr = w_dot[r]
+            for i in range(j + 1):
+                vp = v_dot[i][r]
+                for cc in range(ka):
+                    partial[i, r, cc] = vp[:, cc] @ wr[:, cc]
+            comm.add_flops(r, 2 * (j + 1) * wr.size)
+
+        comm.run_ranks(
+            dots_body, work=2 * (j + 1) * sum(p.size for p in w_dot)
+        )
+        h[: j + 1] = comm.allreduce_sum(
+            list(partial.transpose(1, 0, 2)), words=(j + 1) * ka
+        )
+        return self._orthogonalize(j, h, basis, w)
+
+    def _orthogonalize(self, j, h, basis, w):
+        """``w[f] -= sum_i h[i] * basis[f][i]`` per rank and format (a
+        row of ``h`` broadcasts over a block's columns)."""
+        comm = self.system.comm
+        nf = len(w)
+        new_w = [[None] * len(w[0]) for _ in range(nf)]
+
+        def ortho_body(r: int) -> None:
+            for f in range(nf):
+                wr = w[f][r]
+                for i in range(j + 1):
+                    wr = wr - h[i] * basis[f][i][r]
+                new_w[f][r] = wr
+            comm.add_flops(r, 2 * nf * (j + 1) * w[0][r].size)
+
+        comm.run_ranks(
+            ortho_body, work=2 * nf * (j + 1) * sum(p.size for p in w[0])
+        )
+        return new_w
+
+
+class InlineEDDEngine(RankEngine):
+    """Original per-rank subdomain matvecs (Eq. 37), any backend."""
 
     def matvec_local(self, v, cache=None):
         """Per-rank subdomain matvec (Eq. 37); ``cache`` is ignored inline."""
@@ -225,89 +325,75 @@ class InlineEDDEngine:
         comm.run_ranks(body, work=2 * system.nnz_total * k)
         return DistBlock(parts, "local", comm)
 
-    def seed_basis(self, v_loc0, v_hat0) -> None:
-        """No worker mirror to seed."""
 
-    def dot_fused(self, j, v_loc, w_hat, partial) -> None:
-        """Fused CGS partial dots: ``partial[i, r] = <v_loc[i], w_hat>_r``."""
-        comm = self.system.comm
-        n_local = sum(len(p) for p in w_hat.parts)
+class InlineRDDEngine(RankEngine):
+    """Original per-rank row-block products (Eq. 48), any backend."""
 
-        def dots_body(r: int) -> None:
-            wr = w_hat.parts[r]
-            for i in range(j + 1):
-                partial[i, r] = v_loc[i].parts[r] @ wr
-            comm.add_flops(r, 2 * (j + 1) * len(wr))
-
-        comm.run_ranks(dots_body, work=2 * (j + 1) * n_local)
-
-    def ortho(self, j, h, v_loc, v_hat, w_loc, w_hat):
-        """Fused CGS update of the ``(w_loc, w_hat)`` pair against the basis."""
-        from repro.core.distributed import DistVector
-
+    def matvec(self, x_parts, ext_vals, cache=None):
+        """Per-rank Eq. 48 block products; ``cache`` is ignored inline."""
         system = self.system
         comm = system.comm
-        n_local = sum(len(p) for p in w_hat.parts)
-        new_loc: list = [None] * system.n_parts
-        new_hat: list = [None] * system.n_parts
+        a_loc = system.a_loc
+        a_ext = system.a_ext
+        out = [None] * len(a_loc)
 
-        def ortho_body(r: int) -> None:
-            wl = w_loc.parts[r]
-            wh = w_hat.parts[r]
-            for i in range(j + 1):
-                hi = h[i]
-                wl = wl - hi * v_loc[i].parts[r]
-                wh = wh - hi * v_hat[i].parts[r]
-            new_loc[r] = wl
-            new_hat[r] = wh
-            comm.add_flops(r, 4 * (j + 1) * len(wl))
+        def body(r: int) -> None:
+            y = a_loc[r].matvec(x_parts[r])
+            comm.add_flops(r, 2 * a_loc[r].nnz)
+            if a_ext[r].shape[1]:
+                y = y + a_ext[r].matvec(ext_vals[r])
+                comm.add_flops(r, 2 * a_ext[r].nnz + len(y))
+            out[r] = y
 
-        comm.run_ranks(ortho_body, work=4 * (j + 1) * n_local)
-        return (
-            DistVector(new_loc, "local", comm),
-            DistVector(new_hat, "global", comm),
-        )
+        comm.run_ranks(body, work=2 * system.nnz_total)
+        return out
 
-    def arnoldi_step(self, j, h, v_loc, v_hat, w_loc, w_hat, partial_buf):
-        """One CGS Arnoldi coefficient round: fused partial dots, ONE
-        allreduce of ``j + 1`` words (Eq. 33), fused orthogonalization."""
-        comm = self.system.comm
-        partial = partial_buf[: j + 1]
-        self.dot_fused(j, v_loc, w_hat, partial)
-        h[: j + 1] = comm.allreduce_sum(list(partial.T), words=j + 1)
-        return self.ortho(j, h, v_loc, v_hat, w_loc, w_hat)
+    def matvec_block(self, x_parts, ext_vals):
+        """Per-rank batched Eq. 48 SpMMs over all ``k`` columns."""
+        system = self.system
+        comm = system.comm
+        a_loc = system.a_loc
+        a_ext = system.a_ext
+        k = x_parts[0].shape[1]
+        out = [None] * len(a_loc)
 
-    def commit_basis(self, inv_h, hat_parts=None) -> None:
-        """No worker mirror to append to."""
+        def body(r: int) -> None:
+            y = a_loc[r].matmat(x_parts[r])
+            comm.add_flops(r, 2 * a_loc[r].nnz * k)
+            if a_ext[r].shape[1]:
+                y = y + a_ext[r].matmat(ext_vals[r])
+                comm.add_flops(r, 2 * a_ext[r].nnz * k + y.size)
+            out[r] = y
 
-    def axpy_update(self, x_hat, y, z_hat):
-        """Solution update ``x += sum_i y[i] * z_hat[i]`` via DistVector ops."""
-        for i, yi in enumerate(y):
-            x_hat = x_hat + float(yi) * z_hat[i]
-        return x_hat
+        comm.run_ranks(body, work=2 * system.nnz_total * k)
+        return out
 
 
-class ResidentEDDEngine:
-    """Named rank ops against worker-resident :math:`\\hat A^{(s)}` blocks.
+# ----------------------------------------------------------------------
+# Resident engines
+# ----------------------------------------------------------------------
+class ResidentEngine(RankEngine):
+    """What the EDD and RDD resident engines share: state shipping,
+    command dispatch and the Krylov-basis ops against the workers'
+    mirrored basis.
 
     The orchestrator keeps bitwise-identical copies of everything it
     needs for collectives and recurrences; workers cache the Arnoldi
-    slots (``z[j]`` and the matvec output from each ``cache=j`` matvec,
-    the dot input, the post-ortho pair) so the basis ops and the final
-    AXPY transfer only what genuinely changes.
+    slots (``z[j]`` and, for EDD, the matvec output from each ``cache=j``
+    matvec, the dot input, the post-ortho vectors) so the basis ops and
+    the final AXPY transfer only what genuinely changes.  Basis ops take
+    and return raw per-rank parts; ``formats`` is how many a vector has
+    (EDD carries each basis vector local- *and* global-distributed, RDD
+    vectors have one format).
     """
 
     resident = True
+    formats = 1
 
-    def __init__(self, system):
-        self.system = system
+    def __init__(self, system, sizes):
+        super().__init__(system)
         self.gen = next(_generations)
-        self.sizes = [len(p) for p in system.d_parts]
-        offsets = [0]
-        for n in self.sizes:
-            offsets.append(offsets[-1] + n)
-        self.offsets = offsets[:-1]
-        self.n_total = offsets[-1]
+        self.sizes, self.offsets, self.n_total = _layout(sizes)
         self._aux_sent: set = set()
 
     # -- shipping ------------------------------------------------------
@@ -339,22 +425,6 @@ class ResidentEDDEngine:
             comm.resident_ship_aux(self.gen, make_states())
         self._aux_sent.add(key)
 
-    def _ship(self) -> None:
-        system = self.system
-        rank_states = [
-            {
-                "kind": "edd",
-                "arrays": {
-                    "indptr": a.indptr,
-                    "indices": a.indices,
-                    "data": a.data,
-                },
-                "meta": {"shape": tuple(a.shape)},
-            }
-            for a in system.a_local
-        ]
-        system.comm.resident_ship(self.gen, rank_states)
-
     def _dispatch(self, payload, writes, reads, total_words):
         from repro.sparse.kernels import active_backend_name
 
@@ -384,181 +454,101 @@ class ResidentEDDEngine:
             (base + off, n) for off, n in zip(self.offsets, self.sizes)
         ]
 
-    # -- ops -----------------------------------------------------------
-    def matvec_local(self, v, cache=None):
-        """Worker-resident subdomain matvec; ``cache=j`` retains the
-        input slot ``z[j]`` and the output for later basis ops."""
-        from repro.core.distributed import DistVector
-
-        system = self.system
-        comm = system.comm
+    # -- Krylov-basis ops ----------------------------------------------
+    def seed_basis(self, *v0) -> None:
+        """Reset the workers' basis mirror to the cycle's first vector
+        (one parts list per format)."""
         n = self.n_total
-        payload = {
-            "name": "mv",
-            "cache": None if cache is None else int(cache),
-            "out": n,
-        }
-        parts = self._dispatch(
-            payload, self._vec_writes(v.parts), self._vec_reads(n), 2 * n
-        )
-        for r, a in enumerate(system.a_local):
-            comm.add_flops(r, 2 * a.nnz)
-        return DistVector(parts, "local", comm)
-
-    def matvec_local_block(self, v):
-        """Worker-resident batched SpMM over all ``k`` columns."""
-        from repro.core.distributed import DistBlock
-
-        system = self.system
-        comm = system.comm
-        k = v.k
-        n = self.n_total
-        writes = [
-            (off * k, p) for off, p in zip(self.offsets, v.parts)
-        ]
-        reads = [
-            (n * k + off * k, sz * k)
-            for off, sz in zip(self.offsets, self.sizes)
-        ]
-        payload = {"name": "mvb", "k": k, "out": n * k}
-        outs = self._dispatch(payload, writes, reads, 2 * n * k)
-        parts = [o.reshape(sz, k) for o, sz in zip(outs, self.sizes)]
-        for r, a in enumerate(system.a_local):
-            comm.add_flops(r, 2 * a.nnz * k)
-        return DistBlock(parts, "local", comm)
-
-    def seed_basis(self, v_loc0, v_hat0) -> None:
-        """Reset the workers' basis mirror to the cycle's first vector pair."""
-        n = self.n_total
-        writes = self._vec_writes(v_loc0.parts) + self._vec_writes(
-            v_hat0.parts, base=n
-        )
+        writes = []
+        for f, parts in enumerate(v0):
+            writes += self._vec_writes(parts, base=f * n)
         self._dispatch(
-            {"name": "seed", "two": True, "hat": n}, writes, [], 2 * n
+            {"name": "seed", "two": self.formats == 2, "hat": n},
+            writes,
+            [],
+            self.formats * n,
         )
 
-    def dot_fused(self, j, v_loc, w_hat, partial) -> None:
-        """Fused CGS partial dots against the worker-resident basis;
-        also caches ``w_hat`` worker-side for the ortho/commit ops."""
-        comm = self.system.comm
-        n = self.n_total
-        p = len(self.sizes)
-        reads = [(n + r * (j + 1), j + 1) for r in range(p)]
-        outs = self._dispatch(
-            {"name": "dots", "j": j, "out": n},
-            self._vec_writes(w_hat.parts),
-            reads,
-            n + p * (j + 1),
-        )
-        for r in range(p):
-            partial[:, r] = outs[r]
-            comm.add_flops(r, 2 * (j + 1) * self.sizes[r])
-
-    def ortho(self, j, h, v_loc, v_hat, w_loc, w_hat):
-        """Fused CGS update of the cached ``(w_loc, w_hat)`` pair; only
-        the ``j+1`` coefficients cross the process boundary in."""
-        from repro.core.distributed import DistVector
-
-        comm = self.system.comm
-        n = self.n_total
-        p = len(self.sizes)
-        payload = {
-            "name": "ortho",
-            "j": j,
-            "h": [float(h[i]) for i in range(j + 1)],
-            "two": True,
-            "hat": n,
-        }
-        outs = self._dispatch(
-            payload, [], self._vec_reads(0) + self._vec_reads(n), 2 * n
-        )
-        for r in range(p):
-            comm.add_flops(r, 4 * (j + 1) * self.sizes[r])
-        return (
-            DistVector(outs[:p], "local", comm),
-            DistVector(outs[p:], "global", comm),
-        )
-
-    def arnoldi_step(self, j, h, v_loc, v_hat, w_loc, w_hat, partial_buf):
+    def arnoldi_step(self, j, h, basis, w, partial_buf):
         """Fused dots + reduction + ortho in ONE dispatch (the inline
-        pair costs two).  Workers compute the partial dots, spin once on
-        the arena barrier, redundantly tree-reduce the ``(P, j+1)``
-        partial rows (same pairing as ``Comm._tree_reduce``, so the same
-        bits) and orthogonalize immediately.  The orchestrator re-runs
-        the *real* ``allreduce_sum`` on the partial rows it reads back —
-        identical result, and the reduction's charging, tracer span and
-        chaos call index stay exactly where the inline path puts them."""
-        from repro.core.distributed import DistVector
-
+        pair costs two).  Workers compute the partial dots of the last
+        format of ``w`` (the other is already cached worker-side), spin
+        once on the arena barrier, redundantly tree-reduce the
+        ``(P, j+1)`` partial rows (same pairing as ``Comm._tree_reduce``,
+        so the same bits) and orthogonalize immediately.  The
+        orchestrator re-runs the *real* ``allreduce_sum`` on the partial
+        rows it reads back — identical result, and the reduction's
+        charging, tracer span and chaos call index stay exactly where
+        the inline path puts them.  ``basis`` is unused: the workers
+        hold its mirror."""
         comm = self.system.comm
         n = self.n_total
         p = len(self.sizes)
-        pbase = 2 * n
+        nf = self.formats
+        pbase = nf * n
         nflags = comm.pool_width()
         flags = pbase + p * (j + 1)
         payload = {
             "name": "arn",
             "j": j,
-            "two": True,
+            "two": nf == 2,
             "hat": n,
             "partial": pbase,
             "flags": flags,
             "nflags": nflags,
             "btimeout": _btimeout(comm),
         }
-        writes = self._vec_writes(w_hat.parts) + [(flags, np.zeros(nflags))]
-        reads = (
-            self._vec_reads(0)
-            + self._vec_reads(n)
-            + [(pbase + r * (j + 1), j + 1) for r in range(p)]
-        )
+        writes = self._vec_writes(w[-1]) + [(flags, np.zeros(nflags))]
+        reads = []
+        for f in range(nf):
+            reads += self._vec_reads(f * n)
+        reads += [(pbase + r * (j + 1), j + 1) for r in range(p)]
         outs = self._dispatch(payload, writes, reads, flags + nflags)
         partial = partial_buf[: j + 1]
         for r in range(p):
-            partial[:, r] = outs[2 * p + r]
+            partial[:, r] = outs[nf * p + r]
             comm.add_flops(r, 2 * (j + 1) * self.sizes[r])
         h[: j + 1] = comm.allreduce_sum(list(partial.T), words=j + 1)
         for r in range(p):
-            comm.add_flops(r, 4 * (j + 1) * self.sizes[r])
-        return (
-            DistVector(outs[:p], "local", comm),
-            DistVector(outs[p : 2 * p], "global", comm),
+            comm.add_flops(r, 2 * nf * (j + 1) * self.sizes[r])
+        return tuple(outs[f * p:(f + 1) * p] for f in range(nf))
+
+    def commit_basis(self, inv_h, hat_parts=None) -> None:
+        """Append ``inv_h`` times the post-ortho vector to the worker
+        basis mirror from the cached slots; ``hat_parts`` overrides the
+        hat (EDD basic variant's re-assembled vector).  Charges nothing:
+        the orchestrator's own basis append does the charging."""
+        override = hat_parts is not None
+        self._dispatch(
+            {
+                "name": "commit",
+                "inv_h": float(inv_h),
+                "two": self.formats == 2,
+                "override": override,
+            },
+            self._vec_writes(hat_parts) if override else [],
+            [],
+            self.n_total if override else 1,
         )
 
-    def poly_chain(self, precond, terms, v_hat):
-        """One fused dispatch for a whole degree-``k`` polynomial apply.
-
-        Workers run the recurrence against their resident blocks,
-        replaying the ``⊕Σ∂Ω`` interface assembly redundantly from the
-        shared arena with one spin barrier per degree — O(1) pipe
-        round-trips instead of O(k).  The inline charging (matvec flops,
-        assembly messages/words, vector-op flops) is replayed afterwards
-        by :func:`_replay_chain_charges` over the real recurrence."""
-        from repro.core.distributed import DistVector
-
+    def axpy_update(self, x, y):
+        """Solution update against the worker-cached ``z`` slots; only
+        ``x`` and the ``y`` coefficients cross the boundary."""
+        if len(y) == 0:
+            return x
         comm = self.system.comm
         n = self.n_total
-        nflags = comm.pool_width()
-        kind, params = terms
         payload = {
-            "name": "chain",
-            "mode": "edd",
-            "kind": kind,
-            "params": params,
-            "n_global": int(comm.submap.n_global),
+            "name": "axpy",
+            "y": [float(yi) for yi in y],
             "out": n,
-            "slots": 2 * n,
-            "n_total": n,
-            "flags": 4 * n,
-            "nflags": nflags,
-            "btimeout": _btimeout(comm),
         }
-        writes = self._vec_writes(v_hat.parts) + [(4 * n, np.zeros(nflags))]
-        parts = self._dispatch(
-            payload, writes, self._vec_reads(n), 4 * n + nflags
+        out = self._dispatch(
+            payload, self._vec_writes(x), self._vec_reads(n), 2 * n
         )
-        _replay_chain_charges(self, precond, "edd")
-        return DistVector(parts, "global", comm)
+        for r, sz in enumerate(self.sizes):
+            comm.add_flops(r, 2 * len(y) * sz)
+        return out
 
     def coarse_correct(self, tl, v_parts):
         """One fused dispatch for the two-level coarse correction:
@@ -606,207 +596,115 @@ class ResidentEDDEngine:
             trc.end()
         return outs[p:]
 
-    def commit_basis(self, inv_h, hat_parts=None) -> None:
-        """Append ``inv_h`` times the post-ortho pair to the worker basis
-        mirror; ``hat_parts`` overrides the hat (the basic variant's
-        re-assembled vector).  Charges nothing: the orchestrator's
-        own basis append does the charging."""
-        override = hat_parts is not None
-        writes = self._vec_writes(hat_parts) if override else []
-        total = self.n_total if override else 1
-        self._dispatch(
-            {
-                "name": "commit",
-                "inv_h": float(inv_h),
-                "two": True,
-                "override": override,
-            },
-            writes,
-            [],
-            total,
-        )
 
-    def axpy_update(self, x_hat, y, z_hat):
-        """Solution update against the worker-cached ``z`` slots; only
-        ``x`` and the ``y`` coefficients cross the boundary."""
+class ResidentEDDEngine(ResidentEngine):
+    """Named rank ops against worker-resident :math:`\\hat A^{(s)}` blocks."""
+
+    formats = 2
+
+    def __init__(self, system):
+        super().__init__(system, [len(p) for p in system.d_parts])
+
+    def _ship(self) -> None:
+        system = self.system
+        rank_states = [
+            {
+                "kind": "edd",
+                "arrays": {
+                    "indptr": a.indptr,
+                    "indices": a.indices,
+                    "data": a.data,
+                },
+                "meta": {"shape": tuple(a.shape)},
+            }
+            for a in system.a_local
+        ]
+        system.comm.resident_ship(self.gen, rank_states)
+
+    def matvec_local(self, v, cache=None):
+        """Worker-resident subdomain matvec; ``cache=j`` retains the
+        input slot ``z[j]`` and the output for later basis ops."""
         from repro.core.distributed import DistVector
 
-        if len(y) == 0:
-            return x_hat
-        comm = self.system.comm
+        system = self.system
+        comm = system.comm
         n = self.n_total
         payload = {
-            "name": "axpy",
-            "y": [float(yi) for yi in y],
+            "name": "mv",
+            "cache": None if cache is None else int(cache),
             "out": n,
         }
         parts = self._dispatch(
-            payload, self._vec_writes(x_hat.parts), self._vec_reads(n), 2 * n
+            payload, self._vec_writes(v.parts), self._vec_reads(n), 2 * n
         )
-        for r, sz in enumerate(self.sizes):
-            comm.add_flops(r, 2 * len(y) * sz)
+        for r, a in enumerate(system.a_local):
+            comm.add_flops(r, 2 * a.nnz)
+        return DistVector(parts, "local", comm)
+
+    def matvec_local_block(self, v):
+        """Worker-resident batched SpMM over all ``k`` columns."""
+        from repro.core.distributed import DistBlock
+
+        system = self.system
+        comm = system.comm
+        k = v.k
+        n = self.n_total
+        writes = [
+            (off * k, p) for off, p in zip(self.offsets, v.parts)
+        ]
+        reads = [
+            (n * k + off * k, sz * k)
+            for off, sz in zip(self.offsets, self.sizes)
+        ]
+        payload = {"name": "mvb", "k": k, "out": n * k}
+        outs = self._dispatch(payload, writes, reads, 2 * n * k)
+        parts = [o.reshape(sz, k) for o, sz in zip(outs, self.sizes)]
+        for r, a in enumerate(system.a_local):
+            comm.add_flops(r, 2 * a.nnz * k)
+        return DistBlock(parts, "local", comm)
+
+    def poly_chain(self, precond, terms, v_hat):
+        """One fused dispatch for a whole degree-``k`` polynomial apply.
+
+        Workers run the recurrence against their resident blocks,
+        replaying the ``⊕Σ∂Ω`` interface assembly redundantly from the
+        shared arena with one spin barrier per degree — O(1) pipe
+        round-trips instead of O(k).  The inline charging (matvec flops,
+        assembly messages/words, vector-op flops) is replayed afterwards
+        by :func:`_replay_chain_charges` over the real recurrence."""
+        from repro.core.distributed import DistVector
+
+        comm = self.system.comm
+        n = self.n_total
+        nflags = comm.pool_width()
+        kind, params = terms
+        payload = {
+            "name": "chain",
+            "mode": "edd",
+            "kind": kind,
+            "params": params,
+            "n_global": int(comm.submap.n_global),
+            "out": n,
+            "slots": 2 * n,
+            "n_total": n,
+            "flags": 4 * n,
+            "nflags": nflags,
+            "btimeout": _btimeout(comm),
+        }
+        writes = self._vec_writes(v_hat.parts) + [(4 * n, np.zeros(nflags))]
+        parts = self._dispatch(
+            payload, writes, self._vec_reads(n), 4 * n + nflags
+        )
+        _replay_chain_charges(self, precond, "edd")
         return DistVector(parts, "global", comm)
 
 
-# ----------------------------------------------------------------------
-# RDD engines
-# ----------------------------------------------------------------------
-class InlineRDDEngine:
-    """Original per-rank closures through ``Comm.run_ranks`` (any backend)."""
-
-    resident = False
-
-    def __init__(self, system):
-        self.system = system
-
-    def ensure_shipped(self) -> None:
-        """Nothing to ship: rank state lives in the orchestrator."""
-
-    def matvec(self, x_parts, ext_vals, cache=None):
-        """Per-rank Eq. 48 block products; ``cache`` is ignored inline."""
-        system = self.system
-        comm = system.comm
-        a_loc = system.a_loc
-        a_ext = system.a_ext
-        out = [None] * len(a_loc)
-
-        def body(r: int) -> None:
-            y = a_loc[r].matvec(x_parts[r])
-            comm.add_flops(r, 2 * a_loc[r].nnz)
-            if a_ext[r].shape[1]:
-                y = y + a_ext[r].matvec(ext_vals[r])
-                comm.add_flops(r, 2 * a_ext[r].nnz + len(y))
-            out[r] = y
-
-        comm.run_ranks(body, work=2 * system.nnz_total)
-        return out
-
-    def matvec_block(self, x_parts, ext_vals):
-        """Per-rank batched Eq. 48 SpMMs over all ``k`` columns."""
-        system = self.system
-        comm = system.comm
-        a_loc = system.a_loc
-        a_ext = system.a_ext
-        k = x_parts[0].shape[1]
-        out = [None] * len(a_loc)
-
-        def body(r: int) -> None:
-            y = a_loc[r].matmat(x_parts[r])
-            comm.add_flops(r, 2 * a_loc[r].nnz * k)
-            if a_ext[r].shape[1]:
-                y = y + a_ext[r].matmat(ext_vals[r])
-                comm.add_flops(r, 2 * a_ext[r].nnz * k + y.size)
-            out[r] = y
-
-        comm.run_ranks(body, work=2 * system.nnz_total * k)
-        return out
-
-    def seed_basis(self, v0) -> None:
-        """No worker mirror to seed."""
-
-    def dot_fused(self, j, v, w, partial) -> None:
-        """Fused CGS partial dots: ``partial[i, r] = v[i][r] @ w[r]``."""
-        comm = self.system.comm
-        n_local = sum(len(wr) for wr in w)
-
-        def dots_body(r: int) -> None:
-            wr = w[r]
-            for i in range(j + 1):
-                partial[i, r] = v[i][r] @ wr
-            comm.add_flops(r, 2 * (j + 1) * len(wr))
-
-        comm.run_ranks(dots_body, work=2 * (j + 1) * n_local)
-
-    def ortho(self, j, h, v, w):
-        """Fused CGS update of ``w`` against the basis."""
-        comm = self.system.comm
-        n_local = sum(len(wr) for wr in w)
-        new_w: list = [None] * len(w)
-
-        def ortho_body(r: int) -> None:
-            wr = w[r]
-            for i in range(j + 1):
-                wr = wr - h[i] * v[i][r]
-            new_w[r] = wr
-            comm.add_flops(r, 2 * (j + 1) * len(wr))
-
-        comm.run_ranks(ortho_body, work=2 * (j + 1) * n_local)
-        return new_w
-
-    def arnoldi_step(self, j, h, v, w):
-        """One CGS Arnoldi coefficient round: fused partial dots, ONE
-        allreduce of ``j + 1`` words, fused orthogonalization."""
-        comm = self.system.comm
-        partial = np.zeros((j + 1, len(w)))
-        self.dot_fused(j, v, w, partial)
-        h[: j + 1] = comm.allreduce_sum(list(partial.T), words=j + 1)
-        return self.ortho(j, h, v, w)
-
-    def commit_basis(self, inv_h) -> None:
-        """No worker mirror to append to."""
-
-    def axpy_update(self, x, y, z_store):
-        """Solution update ``x += sum_i y[i] * z_store[i]`` per rank."""
-        comm = self.system.comm
-        for i, yi in enumerate(y):
-            alpha = float(yi)
-            z = z_store[i]
-            out = [None] * len(x)
-
-            def body(r: int) -> None:
-                out[r] = x[r] + alpha * z[r]
-                comm.add_flops(r, 2 * len(x[r]))
-
-            comm.run_ranks(body, work=2 * sum(len(p) for p in x))
-            x = out
-        return x
-
-
-class ResidentRDDEngine:
+class ResidentRDDEngine(ResidentEngine):
     """Named rank ops against worker-resident row blocks (Eq. 48)."""
 
-    resident = True
-
     def __init__(self, system):
-        self.system = system
-        self.gen = next(_generations)
-        self.sizes = [len(o) for o in system.own]
-        offsets = [0]
-        for n in self.sizes:
-            offsets.append(offsets[-1] + n)
-        self.offsets = offsets[:-1]
-        self.n_total = offsets[-1]
-        self._aux_sent: set = set()
+        super().__init__(system, [len(o) for o in system.own])
         self._ext_sizes: list | None = None
-
-    # -- shipping ------------------------------------------------------
-    def ensure_shipped(self) -> None:
-        """Ship the per-rank CSR block pairs unless the current pool
-        already holds this generation."""
-        comm = self.system.comm
-        if not comm.resident_ready(self.gen):
-            self._ship()
-            self._aux_sent.clear()
-
-    def ensure_aux(self, key: str, make_states) -> None:
-        """Ship a preconditioner's resident state (ILU factors, coarse
-        bases and the factorized Galerkin matrix) once per pool
-        generation; a pool respawn invalidates the generation, so the
-        next dispatch re-ships the base system *and* every aux state."""
-        self.ensure_shipped()
-        if key in self._aux_sent:
-            return
-        comm = self.system.comm
-        trc = comm.tracer
-        if trc.enabled:
-            trc.begin("resident_ship", "phase", aux=key)
-            try:
-                comm.resident_ship_aux(self.gen, make_states())
-            finally:
-                trc.end()
-        else:
-            comm.resident_ship_aux(self.gen, make_states())
-        self._aux_sent.add(key)
 
     def _halo_ext_sizes(self) -> list:
         """Per-rank external-buffer lengths, computed with the *exact*
@@ -845,48 +743,13 @@ class ResidentRDDEngine:
             )
         system.comm.resident_ship(self.gen, rank_states)
 
-    def _dispatch(self, payload, writes, reads, total_words):
-        from repro.sparse.kernels import active_backend_name
-
-        self.ensure_shipped()
-        comm = self.system.comm
-        payload = dict(payload)
-        payload["gen"] = self.gen
-        payload["backend"] = active_backend_name()
-        payload["offsets"] = self.offsets
-        payload["sizes"] = self.sizes
-        trc = comm.tracer
-        if trc.enabled:
-            trc.begin("rank_op", "comm", op=payload["name"])
-            try:
-                return comm.run_rank_op(payload, writes, reads, total_words)
-            finally:
-                trc.end()
-        return comm.run_rank_op(payload, writes, reads, total_words)
-
-    def _vec_writes(self, parts, base=0):
-        return [
-            (base + off, p) for off, p in zip(self.offsets, parts)
-        ]
-
-    def _vec_reads(self, base):
-        return [
-            (base + off, n) for off, n in zip(self.offsets, self.sizes)
-        ]
-
-    # -- ops -----------------------------------------------------------
     def matvec(self, x_parts, ext_vals, cache=None):
         """Worker-resident Eq. 48 products; ``cache=j`` retains the input
         slot ``z[j]`` for the final AXPY."""
         system = self.system
         comm = system.comm
         n = self.n_total
-        ext_sizes = [len(e) for e in ext_vals]
-        ext_offsets = [0]
-        for m in ext_sizes:
-            ext_offsets.append(ext_offsets[-1] + m)
-        e_total = ext_offsets[-1]
-        ext_offsets = ext_offsets[:-1]
+        ext_sizes, ext_offsets, e_total = _layout([len(e) for e in ext_vals])
         writes = self._vec_writes(x_parts) + [
             (n + eoff, e) for eoff, e in zip(ext_offsets, ext_vals)
         ]
@@ -913,12 +776,7 @@ class ResidentRDDEngine:
         comm = system.comm
         k = x_parts[0].shape[1]
         n = self.n_total
-        ext_sizes = [len(e) for e in ext_vals]
-        ext_offsets = [0]
-        for m in ext_sizes:
-            ext_offsets.append(ext_offsets[-1] + m)
-        e_total = ext_offsets[-1]
-        ext_offsets = ext_offsets[:-1]
+        ext_sizes, ext_offsets, e_total = _layout([len(e) for e in ext_vals])
         writes = [
             (off * k, p) for off, p in zip(self.offsets, x_parts)
         ] + [
@@ -946,82 +804,6 @@ class ResidentRDDEngine:
                     r, 2 * system.a_ext[r].nnz * k + self.sizes[r] * k
                 )
         return out
-
-    def seed_basis(self, v0) -> None:
-        """Reset the workers' basis mirror to the cycle's first vector."""
-        self._dispatch(
-            {"name": "seed", "two": False},
-            self._vec_writes(v0),
-            [],
-            self.n_total,
-        )
-
-    def dot_fused(self, j, v, w, partial) -> None:
-        """Fused CGS partial dots against the worker-resident basis;
-        also caches ``w`` worker-side for the ortho/commit ops."""
-        comm = self.system.comm
-        n = self.n_total
-        p = len(self.sizes)
-        reads = [(n + r * (j + 1), j + 1) for r in range(p)]
-        outs = self._dispatch(
-            {"name": "dots", "j": j, "out": n},
-            self._vec_writes(w),
-            reads,
-            n + p * (j + 1),
-        )
-        for r in range(p):
-            partial[:, r] = outs[r]
-            comm.add_flops(r, 2 * (j + 1) * self.sizes[r])
-
-    def ortho(self, j, h, v, w):
-        """Fused CGS update of the cached ``w``; only the coefficients
-        cross the process boundary in."""
-        comm = self.system.comm
-        payload = {
-            "name": "ortho",
-            "j": j,
-            "h": [float(h[i]) for i in range(j + 1)],
-            "two": False,
-        }
-        outs = self._dispatch(payload, [], self._vec_reads(0), self.n_total)
-        for r in range(len(self.sizes)):
-            comm.add_flops(r, 2 * (j + 1) * self.sizes[r])
-        return outs
-
-    def arnoldi_step(self, j, h, v, w):
-        """Fused dots + reduction + ortho in ONE dispatch; the
-        orchestrator re-runs the real ``allreduce_sum`` on the partial
-        rows it reads back (same tree pairing, same bits) so reduction
-        charging, tracer spans and chaos call indices stay exactly where
-        the inline path puts them."""
-        comm = self.system.comm
-        n = self.n_total
-        p = len(self.sizes)
-        pbase = n
-        nflags = comm.pool_width()
-        flags = pbase + p * (j + 1)
-        payload = {
-            "name": "arn",
-            "j": j,
-            "two": False,
-            "partial": pbase,
-            "flags": flags,
-            "nflags": nflags,
-            "btimeout": _btimeout(comm),
-        }
-        writes = self._vec_writes(w) + [(flags, np.zeros(nflags))]
-        reads = self._vec_reads(0) + [
-            (pbase + r * (j + 1), j + 1) for r in range(p)
-        ]
-        outs = self._dispatch(payload, writes, reads, flags + nflags)
-        partial = np.zeros((j + 1, p))
-        for r in range(p):
-            partial[:, r] = outs[p + r]
-            comm.add_flops(r, 2 * (j + 1) * self.sizes[r])
-        h[: j + 1] = comm.allreduce_sum(list(partial.T), words=j + 1)
-        for r in range(p):
-            comm.add_flops(r, 2 * (j + 1) * self.sizes[r])
-        return outs[:p]
 
     def poly_chain(self, precond, terms, v_parts):
         """One fused dispatch for a whole degree-``k`` polynomial apply.
@@ -1080,80 +862,4 @@ class ResidentRDDEngine:
         )
         for r in range(len(self.sizes)):
             comm.add_flops(r, 2 * self.system.a_loc[r].nnz)
-        return out
-
-    def coarse_correct(self, tl, v_parts):
-        """One fused dispatch for the two-level coarse correction (see
-        :meth:`ResidentEDDEngine.coarse_correct`); the real coarse
-        allreduce is replayed on the partial rows read back, so chaos
-        plans aimed at it keep firing."""
-        comm = self.system.comm
-        self.ensure_aux(tl._resident_key, tl._resident_states)
-        n = self.n_total
-        p = len(self.sizes)
-        nc = tl.n_coarse
-        pbase = n
-        obase = n + p * nc
-        nflags = comm.pool_width()
-        flags = obase + n
-        trc = comm.tracer
-        traced = trc.enabled
-        if traced:
-            trc.begin("coarse_solve", "solver", n_coarse=nc, k=1)
-        payload = {
-            "name": "coarse",
-            "nc": nc,
-            "key": tl._resident_key,
-            "partial": pbase,
-            "out": obase,
-            "flags": flags,
-            "nflags": nflags,
-            "btimeout": _btimeout(comm),
-        }
-        writes = self._vec_writes(v_parts) + [(flags, np.zeros(nflags))]
-        reads = [(pbase + r * nc, nc) for r in range(p)] + self._vec_reads(
-            obase
-        )
-        outs = self._dispatch(payload, writes, reads, flags + nflags)
-        for r in range(p):
-            comm.add_flops(r, 2 * tl._wl_parts[r].size)
-        comm.allreduce_sum(outs[:p], words=nc)
-        comm.add_flops_all([2 * nc * nc] * p)
-        for r in range(p):
-            comm.add_flops(r, 2 * tl._wg_parts[r].size)
-        if traced:
-            trc.end()
-        return outs[p:]
-
-    def commit_basis(self, inv_h) -> None:
-        """Append ``inv_h * w`` to the worker basis mirror from the cached
-        slot (zero transfer); the orchestrator's append charges."""
-        self._dispatch(
-            {
-                "name": "commit",
-                "inv_h": float(inv_h),
-                "two": False,
-                "override": False,
-            },
-            [],
-            [],
-            1,
-        )
-
-    def axpy_update(self, x, y, z_store):
-        """Solution update against the worker-cached ``z`` slots."""
-        if len(y) == 0:
-            return x
-        comm = self.system.comm
-        n = self.n_total
-        payload = {
-            "name": "axpy",
-            "y": [float(yi) for yi in y],
-            "out": n,
-        }
-        out = self._dispatch(
-            payload, self._vec_writes(x), self._vec_reads(n), 2 * n
-        )
-        for r, sz in enumerate(self.sizes):
-            comm.add_flops(r, 2 * len(y) * sz)
         return out

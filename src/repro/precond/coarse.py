@@ -446,11 +446,6 @@ class TwoLevelPreconditioner(Preconditioner):
 
         return _precondition_rdd(system, self._inner, v_parts)
 
-    def _inner_rdd_block(self, system, v_parts: list) -> list:
-        from repro.core.rdd import _precondition_rdd_block
-
-        return _precondition_rdd_block(system, self._inner, v_parts)
-
     def apply_rdd(self, system, v_parts: list) -> list:
         """``z = C_2L v`` on row-partitioned per-rank parts."""
         from repro.core.rdd import _axpy_parts
@@ -468,19 +463,19 @@ class TwoLevelPreconditioner(Preconditioner):
 
     def apply_rdd_block(self, system, v_parts: list) -> list:
         """Batched :meth:`apply_rdd` over ``(n_own, k)`` part blocks."""
-        from repro.core.rdd import _axpy_parts_block
+        from repro.core.rdd import _axpy_parts
 
         if self._trivial:
-            return self._inner_rdd_block(system, v_parts)
+            return self._inner_rdd(system, v_parts)
         comm = system.comm
         k = v_parts[0].shape[1]
         if self._spec.mode == "additive":
-            z = self._inner_rdd_block(system, v_parts)
+            z = self._inner_rdd(system, v_parts)
             q = self._coarse_correct(comm, v_parts, k)
-            return _axpy_parts_block(comm, z, 1.0, q)
+            return _axpy_parts(comm, z, 1.0, q)
         q = self._coarse_correct(comm, v_parts, k)
-        r = _axpy_parts_block(comm, v_parts, -1.0, system.matvec_block(q))
-        return _axpy_parts_block(comm, self._inner_rdd_block(system, r), 1.0, q)
+        r = _axpy_parts(comm, v_parts, -1.0, system.matvec_block(q))
+        return _axpy_parts(comm, self._inner_rdd(system, r), 1.0, q)
 
     # ------------------------------------------------------------------
     # Sequential / reporting interface

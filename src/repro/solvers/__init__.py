@@ -2,12 +2,18 @@
 
 :func:`fgmres` is the paper's Algorithm 1 — flexible GMRES with restart,
 where the preconditioner may change between iterations (which is what
-allows polynomial preconditioners to be applied as an inner iteration).
-Plain left-preconditioned :func:`gmres` and preconditioned :func:`cg` are
-included as baselines, plus the Givens-rotation least-squares machinery
-shared by the distributed implementations in :mod:`repro.core`.
+allows polynomial preconditioners to be applied as an inner iteration) —
+and :func:`fgmres_block` its multi-RHS form.  Both, and the distributed
+Algorithms 5, 6 and 8 in :mod:`repro.core`, are one restart cycle:
+:func:`repro.solvers.krylov.restarted_fgmres`, which owns the restart
+loop, the Givens least-squares problems, convergence monitoring, tracing
+and result assembly, and runs over a small
+:class:`~repro.solvers.krylov.KrylovSpace` that owns the vectors.  Plain
+left-preconditioned :func:`gmres` (kept apart on purpose: it is the
+independent reference FGMRES is validated against) and preconditioned
+:func:`cg` are included as baselines.
 
-All Krylov drivers are hardened through a shared
+All Krylov solvers are hardened through
 :class:`~repro.solvers.diagnostics.ConvergenceMonitor`: non-finite
 guards, divergence/stagnation detection and true-residual confirmation
 of claimed convergence, surfaced as structured

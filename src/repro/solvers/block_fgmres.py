@@ -4,9 +4,10 @@ The batched counterpart of :func:`repro.solvers.fgmres.fgmres`: all ``k``
 right-hand sides advance through one shared Arnoldi recurrence, so every
 matvec and preconditioner application is a single SpMM over the whole
 block — ``k`` solves cost ``k``-column kernel sweeps instead of ``k``
-Python-level iteration loops.  Each column keeps its own Givens
-least-squares problem, convergence monitor, and residual history, so the
-per-column numerics mirror a single-RHS solve (identical up to summation
+Python-level iteration loops.  The shared restart cycle
+(:func:`repro.solvers.krylov.restarted_fgmres`) keeps a Givens
+least-squares problem, convergence monitor, and residual history per
+column, so the per-column numerics mirror a single-RHS solve (identical up to summation
 order: the single-RHS path reduces dot products through BLAS ``dot``
 while the block path reduces per column over the block, so histories
 agree to rounding, not bitwise).
@@ -25,18 +26,81 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.obs.tracer import NULL_TRACER
-from repro.solvers.diagnostics import ConvergenceMonitor
-from repro.solvers.givens import GivensLSQ
-from repro.solvers.result import SolveResult
-from repro.sparse.kernels import accepts_out
+from repro.solvers.fgmres import _VectorSpace, _identity_precond
+from repro.solvers.krylov import restarted_fgmres
 
 
-def _identity_precond(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    if out is not None:
-        out[:] = v
-        return out
-    return v.copy()
+class _BlockSpace(_VectorSpace):
+    """The :class:`~repro.solvers.krylov.KrylovSpace` of
+    :func:`fgmres_block`: all ``k`` columns in fixed-size ``(n, k)``
+    workspace blocks.  Columns that leave a cycle are masked — their
+    basis columns are zeroed, so they ride along inert — rather than
+    compacted, which keeps the workspaces allocation-free."""
+
+    def __init__(self, matvec, b, precond, x, restart):
+        super().__init__(matvec, b, precond, x, restart)
+        n, self.k = b.shape
+        self.tmp_col = np.empty(n)
+        self.colsq = np.empty(self.k)
+        self.scale = np.empty(self.k)
+        self.live: list = []  # column ids still in the Arnoldi recurrence
+
+    def residual(self, cols):
+        """The whole block is recomputed (masked columns ride along);
+        returns the norms of columns ``cols``."""
+        self._recompute_r()
+        np.multiply(self.r, self.r, out=self.tmp)
+        np.sum(self.tmp, axis=0, out=self.colsq)
+        return np.sqrt(self.colsq)[cols]
+
+    def _normalize(self, src, norms, dst):
+        """``dst = src / norms`` on the live columns, zero elsewhere."""
+        self.scale[:] = 0.0
+        self.scale[self.live] = 1.0 / norms
+        np.multiply(src, self.scale, out=dst)
+
+    def start_cycle(self, cols, betas):
+        self.live = list(cols)
+        self._normalize(self.r, betas, self.v[0])
+
+    def orthogonalize(self, j):
+        v, w, tmp, colsq = self.v, self.w, self.tmp, self.colsq
+        h = self.hbuf[: j + 2]
+        # Classical Gram-Schmidt, per column: all coefficients off the
+        # unmodified w (ufunc reductions into the h rows — no BLAS, no
+        # allocations), then the batched correction sweep.
+        for i in range(j + 1):
+            np.multiply(v[i], w, out=tmp)
+            np.sum(tmp, axis=0, out=h[i])
+        for i in range(j + 1):
+            np.multiply(v[i], h[i], out=tmp)
+            np.subtract(w, tmp, out=w)
+        np.multiply(w, w, out=tmp)
+        np.sum(tmp, axis=0, out=colsq)
+        np.sqrt(np.maximum(colsq, 0.0, out=colsq), out=h[j + 1])
+        return h[:, self.live]
+
+    def retire(self, pos, col, y):
+        self.live.pop(pos)
+        self._add_solution(col, y)
+
+    def commit(self, j, keep, h_next):
+        # Retired columns get zero basis columns and ride along inert
+        # (their z and w columns stay exactly zero from here on).
+        self._normalize(self.w, h_next, self.v[j + 1])
+
+    def update(self, cols, ys):
+        for c, y in zip(cols, ys):
+            self._add_solution(c, y)
+
+    def _add_solution(self, c, y):
+        xcol = self.x[:, c]
+        for i, yi in enumerate(y):
+            np.multiply(self.z[i, :, c], yi, out=self.tmp_col)
+            np.add(xcol, self.tmp_col, out=xcol)
+
+    def solutions(self):
+        return [np.ascontiguousarray(self.x[:, c]) for c in range(self.k)]
 
 
 def fgmres_block(
@@ -74,212 +138,9 @@ def fgmres_block(
         return []
     if precond is None:
         precond = _identity_precond
-    mv_out = accepts_out(matvec)
-    pc_out = accepts_out(precond)
     if x0 is None:
         x = np.zeros((n, k))
     else:
         x = np.array(x0, dtype=np.float64).reshape(n, k)
-
-    # Per-solve workspace, reused across all restart cycles.
-    v = np.empty((restart + 1, n, k))
-    z = np.empty((restart, n, k))
-    w = np.empty((n, k))
-    tmp = np.empty((n, k))
-    r = np.empty((n, k))
-    tmp_col = np.empty(n)
-    hbuf = np.empty((restart + 1, k))
-    colsq = np.empty(k)
-    scale = np.empty(k)
-
-    def residual() -> None:
-        """r = b - A x, through the workspace when possible."""
-        if mv_out:
-            matvec(x, out=r)
-        else:
-            r[:] = matvec(x)
-        np.subtract(b, r, out=r)
-
-    residual()
-    np.multiply(r, r, out=tmp)
-    np.sum(tmp, axis=0, out=colsq)
-    norm_r0 = np.sqrt(colsq)  # one-time (k,) allocation
-
-    histories = [[1.0] for _ in range(k)]
-    monitors = [ConvergenceMonitor(tol) for _ in range(k)]
-    iters = [0] * k
-    n_restarts = [0] * k
-    converged = [False] * k
-    zero_col = [False] * k
-    bad_init = [False] * k
-    active: list = []
-    for c in range(k):
-        if norm_r0[c] == 0.0:
-            zero_col[c] = True
-            converged[c] = True
-        elif not monitors[c].check_finite(
-            float(norm_r0[c]), 0, "initial residual"
-        ):
-            bad_init[c] = True
-        else:
-            active.append(c)
-
-    beta = norm_r0.copy()
-    trc = tracer if tracer is not None else NULL_TRACER
-    traced = trc.enabled
-    cycle_no = 0
-    while active:
-        cycle_no += 1
-        if traced:
-            trc.begin("cycle", "solver", cycle=cycle_no, k=len(active))
-        participants = list(active)
-        for c in participants:
-            n_restarts[c] += 1
-        scale[:] = 0.0
-        for c in participants:
-            scale[c] = 1.0 / beta[c]
-        np.multiply(r, scale, out=v[0])
-        lsqs = {c: GivensLSQ(restart, float(beta[c])) for c in participants}
-        claimed = {c: False for c in participants}
-        broke = {c: False for c in participants}
-        cols = list(participants)
-        j = 0
-        while j < restart and cols:
-            cols = [c for c in cols if iters[c] < max_iter]
-            if not cols:
-                break
-            if traced:
-                trc.begin("arnoldi_step", "solver", j=j, k=len(cols))
-                trc.begin("precond_apply", "solver")
-            if pc_out:
-                precond(v[j], out=z[j])
-            else:
-                z[j][:] = precond(v[j])
-            if traced:
-                trc.end()
-                trc.begin("matvec", "solver")
-            if mv_out:
-                matvec(z[j], out=w)
-            else:
-                w[:] = matvec(z[j])
-            if traced:
-                trc.end()
-                trc.begin("orthogonalize", "solver")
-            h = hbuf[: j + 2]
-            # Classical Gram-Schmidt, per column: all coefficients off the
-            # unmodified w (ufunc reductions into the h rows — no BLAS, no
-            # allocations), then the batched correction sweep.
-            for i in range(j + 1):
-                np.multiply(v[i], w, out=tmp)
-                np.sum(tmp, axis=0, out=h[i])
-            for i in range(j + 1):
-                np.multiply(v[i], h[i], out=tmp)
-                np.subtract(w, tmp, out=w)
-            np.multiply(w, w, out=tmp)
-            np.sum(tmp, axis=0, out=colsq)
-            np.sqrt(np.maximum(colsq, 0.0, out=colsq), out=h[j + 1])
-            if traced:
-                trc.end()  # orthogonalize
-                trc.begin("givens_update", "solver")
-
-            for c in list(cols):
-                mon = monitors[c]
-                hcol = h[:, c]
-                if not mon.check_finite(hcol, iters[c] + 1, "Hessenberg column"):
-                    cols.remove(c)
-                    continue
-                res = lsqs[c].append_column(hcol)
-                iters[c] += 1
-                rel = res / norm_r0[c]
-                histories[c].append(rel)
-                if not mon.check_divergence(rel, iters[c]):
-                    cols.remove(c)
-                    continue
-                if rel <= tol:
-                    claimed[c] = True
-                    cols.remove(c)
-                    continue
-                if h[j + 1, c] <= breakdown_tol:
-                    # Possible happy breakdown — confirmed against the
-                    # recomputed true residual below, never trusted.
-                    mon.note_breakdown(float(h[j + 1, c]), iters[c])
-                    broke[c] = True
-                    cols.remove(c)
-
-            if traced:
-                trc.end()  # givens_update
-            # Normalize the still-iterating columns; finished columns get
-            # zero basis columns and ride along inert (their z and w
-            # columns stay exactly zero from here on).
-            scale[:] = 0.0
-            for c in cols:
-                scale[c] = 1.0 / h[j + 1, c]
-            np.multiply(w, scale, out=v[j + 1])
-            j += 1
-            if traced:
-                trc.end()  # arnoldi_step
-
-        # Solution update for every cycle participant from its own Givens
-        # problem (lengths differ when columns exited mid-cycle).
-        for c in participants:
-            y = lsqs[c].solve()
-            xcol = x[:, c]
-            for i, yi in enumerate(y):
-                np.multiply(z[i, :, c], yi, out=tmp_col)
-                np.add(xcol, tmp_col, out=xcol)
-
-        residual()
-        np.multiply(r, r, out=tmp)
-        np.sum(tmp, axis=0, out=colsq)
-        np.sqrt(colsq, out=beta)
-        for c in participants:
-            mon = monitors[c]
-            beta_c = float(beta[c])
-            if not mon.check_finite(beta_c, iters[c], "recomputed residual"):
-                continue
-            true_rel = beta_c / norm_r0[c]
-            if true_rel <= tol:
-                converged[c] = True
-            elif claimed[c]:
-                converged[c] = mon.confirm_convergence(true_rel, iters[c])
-            elif broke[c]:
-                mon.confirm_breakdown(true_rel, iters[c])
-            if not converged[c]:
-                mon.cycle_end(true_rel, iters[c])
-
-        active = [
-            c for c in participants
-            if not (converged[c] or monitors[c].fatal or iters[c] >= max_iter)
-        ]
-        if traced:
-            trc.end()  # cycle
-
-    results = []
-    for c in range(k):
-        if zero_col[c]:
-            results.append(
-                SolveResult(
-                    np.ascontiguousarray(x[:, c]), True, 0, 0, histories[c]
-                )
-            )
-            continue
-        if bad_init[c]:
-            results.append(
-                SolveResult(
-                    np.ascontiguousarray(x[:, c]), False, 0, 0, histories[c],
-                    monitors[c].finalize(False, 0, 1.0),
-                )
-            )
-            continue
-        final_rel = histories[c][-1] if histories[c] else float("nan")
-        results.append(
-            SolveResult(
-                np.ascontiguousarray(x[:, c]),
-                converged[c],
-                iters[c],
-                n_restarts[c],
-                histories[c],
-                monitors[c].finalize(converged[c], iters[c], final_rel),
-            )
-        )
-    return results
+    space = _BlockSpace(matvec, b, precond, x, restart)
+    return restarted_fgmres(space, restart, tol, max_iter, breakdown_tol, tracer)

@@ -13,22 +13,20 @@ write into workspace rows whenever they accept ``out=`` (detected via
 :func:`repro.sparse.kernels.accepts_out`; allocating callables still
 work, just without the zero-allocation guarantee).
 
-A :class:`repro.solvers.diagnostics.ConvergenceMonitor` guards every
-iteration: NaN/Inf in the Hessenberg column or residual norms aborts the
-solve, claimed convergence is verified against the true residual
-recomputed at the restart boundary (and demoted on gross mismatch),
-breakdowns are confirmed the same way instead of trusted, and stagnation
-or divergence across restart cycles terminates early — all reported as
-structured events in :attr:`SolveResult.diagnostics`.
+The restart cycle — Givens least squares, the
+:class:`repro.solvers.diagnostics.ConvergenceMonitor` guards (NaN/Inf,
+divergence, stagnation, claimed convergence and breakdowns confirmed
+against the recomputed residual, all reported in
+:attr:`SolveResult.diagnostics`) and tracing — is
+:func:`repro.solvers.krylov.restarted_fgmres`; this module is the
+workspace arithmetic it runs over for one dense right-hand side.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.obs.tracer import NULL_TRACER
-from repro.solvers.diagnostics import ConvergenceMonitor
-from repro.solvers.givens import GivensLSQ
+from repro.solvers.krylov import restarted_fgmres
 from repro.solvers.result import SolveResult
 from repro.sparse.kernels import accepts_out
 
@@ -38,6 +36,85 @@ def _identity_precond(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
         out[:] = v
         return out
     return v.copy()
+
+
+class _VectorSpace:
+    """The :class:`~repro.solvers.krylov.KrylovSpace` of :func:`fgmres`:
+    one column in preallocated workspace arrays, BLAS dots, in-place
+    AXPYs — nothing solution-length is allocated after construction."""
+
+    k = 1
+    stats = None
+
+    def __init__(self, matvec, b, precond, x, restart):
+        self._matvec = matvec
+        self._precond = precond
+        self._mv_out = accepts_out(matvec)
+        self._pc_out = accepts_out(precond)
+        self.b = b
+        self.x = x
+        # Per-solve workspace shaped like b (a vector here, an (n, k)
+        # block in the batched subclass), reused across restart cycles.
+        self.v = np.empty((restart + 1, *b.shape))
+        self.z = np.empty((restart, *b.shape))
+        self.w = np.empty(b.shape)
+        self.tmp = np.empty(b.shape)
+        self.r = np.empty(b.shape)
+        self.hbuf = np.empty((restart + 1, *b.shape[1:]))
+
+    def _recompute_r(self):
+        """r = b - A x, through the workspace when possible."""
+        r = self.r
+        if self._mv_out:
+            self._matvec(self.x, out=r)
+        else:
+            r[:] = self._matvec(self.x)
+        np.subtract(self.b, r, out=r)
+
+    def residual(self, cols):
+        self._recompute_r()
+        return np.array([np.linalg.norm(self.r)])
+
+    def start_cycle(self, cols, betas):
+        np.divide(self.r, betas[0], out=self.v[0])
+
+    def precondition(self, j):
+        if self._pc_out:
+            self._precond(self.v[j], out=self.z[j])
+        else:
+            self.z[j] = self._precond(self.v[j])
+
+    def matvec(self, j):
+        if self._mv_out:
+            self._matvec(self.z[j], out=self.w)
+        else:
+            self.w[:] = self._matvec(self.z[j])
+
+    def orthogonalize(self, j):
+        v, w, tmp = self.v, self.w, self.tmp
+        h = self.hbuf[: j + 2]
+        # Classical Gram-Schmidt: all projections off the unmodified w,
+        # matching the paper's listings (and its communication count).
+        np.dot(v[: j + 1], w, out=h[: j + 1])
+        np.dot(h[: j + 1], v[: j + 1], out=tmp)
+        w -= tmp
+        h[j + 1] = np.linalg.norm(w)
+        return h[:, None]
+
+    def commit(self, j, keep, h_next):
+        np.divide(self.w, h_next[0], out=self.v[j + 1])
+
+    def retire(self, pos, col, y):
+        self.update([col], [y])
+
+    def update(self, cols, ys):
+        y = ys[0]
+        if len(y):
+            np.dot(y, self.z[: len(y)], out=self.tmp)
+            self.x += self.tmp
+
+    def solutions(self):
+        return [self.x]
 
 
 def fgmres(
@@ -82,152 +159,12 @@ def fgmres(
     b = np.asarray(b, dtype=np.float64)
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side contains NaN or Inf")
-    n = len(b)
     if restart < 1:
         raise ValueError("restart must be >= 1")
     if precond is None:
         precond = _identity_precond
-    mv_out = accepts_out(matvec)
-    pc_out = accepts_out(precond)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-
-    # Per-solve workspace, reused across all restart cycles.
-    v = np.empty((restart + 1, n))
-    z = np.empty((restart, n))
-    w = np.empty(n)
-    tmp = np.empty(n)
-    r = np.empty(n)
-    hcol = np.empty(restart + 1)
-
-    def residual(into: np.ndarray) -> None:
-        """into = b - A x, through the workspace when possible."""
-        if mv_out:
-            matvec(x, out=into)
-        else:
-            into[:] = matvec(x)
-        np.subtract(b, into, out=into)
-
-    residual(r)
-    norm_r0 = float(np.linalg.norm(r))
-    history = [1.0]
-    if norm_r0 == 0.0:
-        return SolveResult(x, True, 0, 0, history)
-    monitor = ConvergenceMonitor(tol)
-    if not monitor.check_finite(norm_r0, 0, "initial residual"):
-        return SolveResult(x, False, 0, 0, history, monitor.finalize(False, 0, 1.0))
-
-    total_iters = 0
-    restarts = 0
-    converged = False
-    beta = norm_r0
-    trc = tracer if tracer is not None else NULL_TRACER
-    traced = trc.enabled
-    while not converged and total_iters < max_iter and not monitor.fatal:
-        restarts += 1
-        if traced:
-            trc.begin("cycle", "solver", cycle=restarts)
-        np.divide(r, beta, out=v[0])
-        lsq = GivensLSQ(restart, beta)
-        broke_down = False
-        j = 0
-        while j < restart and total_iters < max_iter:
-            if traced:
-                trc.begin("arnoldi_step", "solver", j=j)
-                trc.begin("precond_apply", "solver")
-            if pc_out:
-                precond(v[j], out=z[j])
-            else:
-                z[j] = precond(v[j])
-            if traced:
-                trc.end()
-                trc.begin("matvec", "solver")
-            if mv_out:
-                matvec(z[j], out=w)
-            else:
-                w[:] = matvec(z[j])
-            if traced:
-                trc.end()
-                trc.begin("orthogonalize", "solver")
-            h = hcol[: j + 2]
-            # Classical Gram-Schmidt: all projections off the unmodified w,
-            # matching the paper's listings (and its communication count).
-            np.dot(v[: j + 1], w, out=h[: j + 1])
-            np.dot(h[: j + 1], v[: j + 1], out=tmp)
-            w -= tmp
-            h[j + 1] = np.linalg.norm(w)
-            if traced:
-                trc.end()  # orthogonalize
-            if not monitor.check_finite(h, total_iters + 1, "Hessenberg column"):
-                if traced:
-                    trc.end()  # arnoldi_step
-                break
-            if traced:
-                trc.begin("givens_update", "solver")
-            res = lsq.append_column(h)
-            if traced:
-                trc.end()
-            total_iters += 1
-            history.append(res / norm_r0)
-            if traced:
-                trc.metric(iteration=total_iters, rel_res=res / norm_r0)
-            if not monitor.check_divergence(res / norm_r0, total_iters):
-                if traced:
-                    trc.end()
-                break
-            if res / norm_r0 <= tol:
-                converged = True
-                j += 1
-                if traced:
-                    trc.end()
-                break
-            if h[j + 1] <= breakdown_tol:
-                # Possible happy breakdown: the Krylov space looks
-                # invariant.  Do NOT trust the recurrence — update x and
-                # let the recomputed true residual below decide, so a
-                # corrupted "lucky" breakdown restarts instead of
-                # returning a wrong answer as converged.
-                monitor.note_breakdown(float(h[j + 1]), total_iters)
-                broke_down = True
-                j += 1
-                if traced:
-                    trc.end()
-                break
-            np.divide(w, h[j + 1], out=v[j + 1])
-            j += 1
-            if traced:
-                trc.end()  # arnoldi_step
-        y = lsq.solve()
-        if len(y):
-            np.dot(y, z[: len(y)], out=tmp)
-            x += tmp
-        residual(r)
-        beta = float(np.linalg.norm(r))
-        if not monitor.check_finite(beta, total_iters, "recomputed residual"):
-            if traced:
-                trc.end()  # cycle
-            break
-        true_rel = beta / norm_r0
-        if traced:
-            trc.metric(iteration=total_iters, true_rel=true_rel,
-                       cycle=restarts)
-        if true_rel <= tol:
-            converged = True
-        elif converged:
-            # The recurrence claimed convergence; verify it against the
-            # recomputed true residual and demote on gross disagreement.
-            converged = monitor.confirm_convergence(true_rel, total_iters)
-        elif broke_down:
-            monitor.confirm_breakdown(true_rel, total_iters)
-        if not converged:
-            monitor.cycle_end(true_rel, total_iters)
-        if traced:
-            trc.end(true_rel=true_rel)  # cycle
-    final_rel = history[-1] if history else float("nan")
-    return SolveResult(
-        x,
-        converged,
-        total_iters,
-        restarts,
-        history,
-        monitor.finalize(converged, total_iters, final_rel),
-    )
+    x = np.zeros(len(b)) if x0 is None else np.array(x0, dtype=np.float64)
+    space = _VectorSpace(matvec, b, precond, x, restart)
+    return restarted_fgmres(
+        space, restart, tol, max_iter, breakdown_tol, tracer
+    )[0]

@@ -9,7 +9,7 @@ factorization with triangular solves).
 ``COOMatrix`` is the assembly-friendly triplet format produced by the FEM
 layer; ``CSRMatrix`` is the compute format used by every solver kernel.
 :mod:`repro.sparse.kernels` hosts the pluggable matvec/SpMM backends
-(NumPy always; scipy/numba auto-detected; ``REPRO_KERNEL_BACKEND``
+(NumPy always; scipy auto-detected; ``REPRO_KERNEL_BACKEND``
 selects).  Matrices are immutable by convention so kernels may cache
 derived index arrays forever — see :mod:`repro.sparse.csr`.
 """

@@ -13,8 +13,6 @@ any caller:
   ``csc_matvec``, ``csr_matvecs``), registered when scipy is importable
   and its private kernels behave; accumulates directly into caller
   buffers.
-* ``"numba"`` — JIT row loop, registered only when numba is importable
-  (it is an optional dependency; nothing here imports it eagerly).
 
 Selection: ``set_backend(name)`` programmatically, or the environment
 variable ``REPRO_KERNEL_BACKEND`` (read at first use).  All backends
@@ -219,87 +217,6 @@ class ScipyBackend(NumpyBackend):
         return out
 
 
-class NumbaBackend(NumpyBackend):
-    """JIT-compiled row loops; registered only when numba is importable."""
-
-    name = "numba"
-
-    def __init__(self, numba):
-        njit = numba.njit
-
-        @njit(cache=True)
-        def _matvec(indptr, indices, data, x, out):  # pragma: no cover
-            for i in range(len(indptr) - 1):
-                acc = 0.0
-                for p in range(indptr[i], indptr[i + 1]):
-                    acc += data[p] * x[indices[p]]
-                out[i] = acc
-
-        @njit(cache=True)
-        def _rmatvec(indptr, indices, data, y, out):  # pragma: no cover
-            out[:] = 0.0
-            for i in range(len(indptr) - 1):
-                yi = y[i]
-                for p in range(indptr[i], indptr[i + 1]):
-                    out[indices[p]] += data[p] * yi
-
-        @njit(cache=True)
-        def _matmat(indptr, indices, data, x, out):  # pragma: no cover
-            out[:] = 0.0
-            for i in range(len(indptr) - 1):
-                for p in range(indptr[i], indptr[i + 1]):
-                    v = data[p]
-                    c = indices[p]
-                    for j in range(x.shape[1]):
-                        out[i, j] += v * x[c, j]
-
-        @njit(cache=True)
-        def _ilu0_solve(indptr, indices, data, diag_pos, split, z):  # pragma: no cover
-            n = len(indptr) - 1
-            for i in range(n):
-                acc = 0.0
-                for p in range(indptr[i], split[i]):
-                    acc += data[p] * z[indices[p]]
-                z[i] -= acc
-            for i in range(n - 1, -1, -1):
-                d = diag_pos[i]
-                s = z[i]
-                for p in range(d + 1, indptr[i + 1]):
-                    s -= data[p] * z[indices[p]]
-                z[i] = s / data[d]
-
-        self._matvec_jit = _matvec
-        self._rmatvec_jit = _rmatvec
-        self._matmat_jit = _matmat
-        self._ilu0_solve_jit = _ilu0_solve
-
-    def matvec(self, a, x, out):
-        """``out = A @ x`` through the JIT row loop."""
-        self._matvec_jit(a.indptr, a.indices, a.data, x, out)
-        return out
-
-    def rmatvec(self, a, y, out):
-        """``out = A.T @ y`` through the JIT scatter loop."""
-        self._rmatvec_jit(a.indptr, a.indices, a.data, y, out)
-        return out
-
-    def matmat(self, a, x, out):
-        """``out = A @ X`` through the JIT blocked row loop."""
-        x = np.ascontiguousarray(x)
-        if out.flags.c_contiguous:
-            self._matmat_jit(a.indptr, a.indices, a.data, x, out)
-            return out
-        buf = np.empty_like(out, order="C")
-        self._matmat_jit(a.indptr, a.indices, a.data, x, buf)
-        out[:] = buf
-        return out
-
-    def ilu0_solve(self, indptr, indices, data, diag_pos, split, z):
-        """In-place triangular solves through the JIT sequential row loop."""
-        self._ilu0_solve_jit(indptr, indices, data, diag_pos, split, z)
-        return z
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
@@ -321,12 +238,6 @@ def _register_available() -> None:
         if np.allclose(out, [2.0, 3.0]):
             _BACKENDS["scipy"] = ScipyBackend(_sparsetools)
     except Exception:  # pragma: no cover - scipy absent or API drift
-        pass
-    try:
-        import numba
-
-        _BACKENDS["numba"] = NumbaBackend(numba)
-    except Exception:
         pass
 
 

@@ -26,6 +26,7 @@ def test_defaults_match_paper_configuration():
     [
         {"method": "feti"},
         {"orthogonalization": "householder"},
+        {"method": "rdd", "orthogonalization": "mgs"},  # RDD is CGS-only
         {"restart": 0},
         {"max_iter": 0},
         {"tol": 0.0},

@@ -214,6 +214,49 @@ def test_batch_trace_attached_and_consistent():
     assert words == summary.stats.total_nbr_words
 
 
+@pytest.mark.parametrize("method", ["edd-enhanced", "rdd"])
+def test_batch_metric_stream_matches_single(method):
+    """One FGMRES driver, one metric stream: a traced ``solve_batch``
+    emits per-iteration records like ``solve`` does — for k = 1 the
+    very same records, for k > 1 one per live column (tagged ``column``)
+    with the per-step comm deltas riding on one record per step."""
+    from repro.fem.cantilever import cantilever_problem
+
+    load = cantilever_problem(MESH).load
+    # restart=5 forces several cycles, so boundary records are compared too
+    opts = SolverOptions(method=method, precond="gls(7)", restart=5)
+    ps = PreparedSystem.build(MESH, PARTS, opts)
+    try:
+        single, one, two = Tracer(), Tracer(), Tracer()
+        ps.solve(tracer=single)
+        ps.solve_batch(load[:, None], tracer=one)
+        batch = ps.solve_batch(load[:, None] * np.array([1.0, -2.5]), tracer=two)
+    finally:
+        ps.close()
+    assert single.metrics, "single solve emitted no metrics"
+    assert one.metrics == single.metrics
+
+    n_steps = sum(s["name"] == "arnoldi_step" for s in two.spans)
+    assert sum("nbr_words" in m for m in two.metrics) == n_steps
+    for c, res in enumerate(batch.results):
+        mine = [m for m in two.metrics if m["column"] == c]
+        per_iter = [m for m in mine if "rel_res" in m]
+        assert [m["iteration"] for m in per_iter] == list(
+            range(1, res.iterations + 1)
+        )
+        np.testing.assert_array_equal(
+            [m["rel_res"] for m in per_iter], res.residual_history[1:]
+        )
+        boundaries = [m for m in mine if "true_rel" in m]
+        assert [m["cycle"] for m in boundaries] == list(
+            range(1, res.restarts + 1)
+        )
+    deltas = [m for m in two.metrics if "nbr_words" in m]
+    assert 0 < sum(m["nbr_words"] for m in deltas) <= (
+        batch.stats.total_nbr_words
+    )
+
+
 def test_untraced_solve_result_has_no_trace():
     summary = _solve("edd-enhanced")
     assert summary.result.trace is None

@@ -104,3 +104,26 @@ def test_valid_knob_values_still_construct(name, make, monkeypatch):
         assert comm.size == 2
     finally:
         comm.close()
+
+
+# ----------------------------------------------------------------------
+# REPRO_PROCESS_RESIDENT is a 0/1 switch: anything else used to fall
+# through silently to the work-threshold default.
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("value", ["yes", "true", "2", "-1"])
+def test_resident_switch_rejects_everything_but_0_and_1(value, monkeypatch):
+    from repro.parallel.resident import engine_mode
+
+    monkeypatch.setenv("REPRO_PROCESS_MIN_WORK", "0")
+    comm = _make_process_comm()
+    try:
+        monkeypatch.setenv("REPRO_PROCESS_RESIDENT", value)
+        with pytest.raises(EnvKnobError) as exc:
+            engine_mode(comm, 10**9)
+        assert exc.value.name == "REPRO_PROCESS_RESIDENT"
+        assert exc.value.value == value
+        for ok, mode in (("", "resident"), ("0", "inline"), ("1", "resident")):
+            monkeypatch.setenv("REPRO_PROCESS_RESIDENT", ok)
+            assert engine_mode(comm, 10**9) == mode
+    finally:
+        comm.close()

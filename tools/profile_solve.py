@@ -21,7 +21,7 @@ def main() -> None:
     n_parts = int(sys.argv[2]) if len(sys.argv) > 2 else 8
 
     from repro.core.driver import solve_cantilever
-from repro.core.options import SolverOptions
+    from repro.core.options import SolverOptions
     from repro.fem.cantilever import cantilever_problem
 
     problem = cantilever_problem(mesh_id)
@@ -32,7 +32,9 @@ from repro.core.options import SolverOptions
 
     profiler = cProfile.Profile()
     profiler.enable()
-    summary = solve_cantilever(problem, n_parts=n_parts, options=SolverOptions(precond="gls(7)"))
+    summary = solve_cantilever(
+        problem, n_parts=n_parts, options=SolverOptions(precond="gls(7)")
+    )
     profiler.disable()
 
     assert summary.result.converged
