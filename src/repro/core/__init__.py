@@ -18,7 +18,6 @@
 """
 
 from repro.core.distributed import (
-    DistBlock,
     DistVector,
     EDDSystem,
     build_edd_system,
@@ -44,7 +43,6 @@ from repro.core.schur import SchurResult, schur_solve
 
 __all__ = [
     "SolverOptions",
-    "DistBlock",
     "DistVector",
     "EDDSystem",
     "build_edd_system",

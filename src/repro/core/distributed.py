@@ -32,17 +32,96 @@ from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 
 
-class DistVector:
-    """A distributed vector: one NumPy block per rank.
+def _as_cols(p: np.ndarray) -> np.ndarray:
+    """2-D view of a per-rank array: ``(n,)`` -> ``(n, 1)``, ``(n, k)``
+    as is — for code that walks columns whichever shape it was given."""
+    return p if p.ndim == 2 else p[:, None]
 
-    Supports the vector arithmetic the Krylov recurrences need (``+``,
-    ``-``, scalar ``*``, ``copy``) and charges the owning communicator one
-    flop per element per arithmetic operation — so the recorded flops of a
-    distributed run mirror what each MPI rank would execute.  Every
-    operation is expressed as a per-rank closure dispatched through
-    :meth:`Comm.run_ranks`, so the concurrent backends execute the P rank
-    bodies genuinely in parallel while the serial backend runs them in
-    rank order; results are identical either way.
+
+def _n_cols(p: np.ndarray) -> int:
+    """Columns a per-rank array carries: 1 for ``(n,)``, ``k`` for
+    ``(n, k)`` — the factor flop and word charges scale by."""
+    return p.shape[1] if p.ndim == 2 else 1
+
+
+def _take_cols(p: np.ndarray, idx) -> np.ndarray:
+    """Columns ``idx`` of a per-rank array as a new contiguous block (a
+    gather, for the per-column convergence masking); a vector is its own
+    only column and comes back as is."""
+    return p if p.ndim == 1 else np.ascontiguousarray(p[:, idx])
+
+
+def _rows(a: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """View of the per-row array ``a`` (``(n,)``) that broadcasts down
+    the columns of ``like`` — ``(n,)`` or ``(n, k)`` — so a row scaling
+    or row mask is one expression for either shape."""
+    return a.reshape(a.shape + (1,) * (like.ndim - 1))
+
+
+def col_dots(a: np.ndarray, b: np.ndarray):
+    """Inner product per column of two equally-shaped per-rank arrays:
+    one ``a @ b`` for ``(n,)`` vectors, a ``(k,)`` array of one ddot per
+    column for ``(n, k)`` blocks.  The only place the two dots are written.
+
+    A one-column block gives the vector product bit for bit (its column
+    is contiguous); at ``k > 1`` a column is read with stride ``k`` and
+    BLAS sums it in another order, so column ``c`` matches the vector
+    product of column ``c`` to rounding — the one kernel of the block
+    path that is not column-exact."""
+    if a.ndim == 1:
+        return a @ b
+    return np.array([a[:, c] @ b[:, c] for c in range(a.shape[1])])
+
+
+def _add_to_columns(comm: Comm, x_parts, z_parts, cols, sel, ys) -> None:
+    """The FGMRES solution update, in place and per rank:
+    ``x[:, cols] += sum_i z_parts[i][:, sel] * ys[:, i]`` — row ``c`` of
+    ``ys`` holds the coefficients of column ``cols[c]``, which sits at
+    position ``sel[c]`` of the live blocks ``z_parts[i]`` (``cols`` and
+    ``sel`` are index arrays, or two ints when ``ys`` has one row).  One
+    rank body over 2-D views, so vectors and blocks share it; charges the
+    two flops per element and term that a chain of AXPYs would."""
+    y_mat = np.array(ys)
+    n_cols, m = y_mat.shape
+    if m == 0:
+        return
+
+    def body(r: int) -> None:
+        xr = _as_cols(x_parts[r])
+        for i in range(m):
+            zr = _as_cols(z_parts[i][r])
+            xr[:, cols] = xr[:, cols] + zr[:, sel] * y_mat[:, i]
+        comm.add_flops(r, 2 * m * xr.shape[0] * n_cols)
+
+    comm.run_ranks(
+        body, work=2 * m * sum(len(p) for p in x_parts) * n_cols
+    )
+
+
+class DistVector:
+    """A distributed array: one NumPy array per rank, all ``(n_local,)``
+    (a vector) or all C-ordered ``(n_local, k)`` (a block of ``k``
+    right-hand-side columns).
+
+    "Vector or block" is the shape of the parts, nothing else: every
+    operation below is elementwise or per column, so column ``c`` of any
+    expression over blocks is bit-identical to the same expression over
+    the vectors of column ``c`` (inner products at ``k > 1``: to
+    rounding, see :func:`col_dots`).  Flop charging scales with ``size``
+    (``k`` columns cost ``k`` times one column), while communication done
+    through the collectives costs the *same message count* as a single
+    vector.  1-D parts are never promoted to ``(n, 1)``: they keep
+    running the vector kernels (``matvec``, one ``a @ b``).
+
+    Supports the arithmetic the Krylov recurrences need (``+``, ``-``,
+    ``*`` by a scalar or by one scalar per column, ``copy``) and charges
+    the owning communicator one flop per element per arithmetic
+    operation — so the recorded flops of a distributed run mirror what
+    each MPI rank would execute.  Every operation is expressed as a
+    per-rank closure dispatched through :meth:`Comm.run_ranks`, so the
+    concurrent backends execute the P rank bodies genuinely in parallel
+    while the serial backend runs them in rank order; results are
+    identical either way.
 
     ``kind`` tags the format (``"local"`` or ``"global"``); arithmetic
     requires operands of matching kind (adding mixed formats is the classic
@@ -58,12 +137,17 @@ class DistVector:
         self.kind = kind
         self.comm = comm
 
+    @property
+    def k(self) -> int:
+        """Number of columns (right-hand sides) carried: 1 for vectors."""
+        return _n_cols(self.parts[0])
+
     def copy(self) -> "DistVector":
         """Deep copy (same kind, same communicator)."""
         return DistVector([p.copy() for p in self.parts], self.kind, self.comm)
 
     def _total_size(self) -> int:
-        return sum(len(p) for p in self.parts)
+        return sum(p.size for p in self.parts)
 
     def _zip_map(self, other: "DistVector", op) -> "DistVector":
         """Elementwise binary op as a per-rank SPMD body (1 flop/element)."""
@@ -73,7 +157,7 @@ class DistVector:
 
         def body(r: int) -> None:
             out[r] = op(a[r], b[r])
-            comm.add_flops(r, len(out[r]))
+            comm.add_flops(r, out[r].size)
 
         comm.run_ranks(body, work=self._total_size())
         return DistVector(out, self.kind, comm)
@@ -86,15 +170,17 @@ class DistVector:
         self._require_same(other)
         return self._zip_map(other, np.subtract)
 
-    def __mul__(self, scalar) -> "DistVector":
-        scalar = float(scalar)
+    def __mul__(self, scale) -> "DistVector":
+        """``scale`` is one scalar, or one scalar per column (column
+        ``c`` of the result is ``scale[c] * column c``)."""
+        scale = np.asarray(scale, dtype=np.float64)
         comm = self.comm
         a = self.parts
         out = [None] * len(a)
 
         def body(r: int) -> None:
-            out[r] = scalar * a[r]
-            comm.add_flops(r, len(a[r]))
+            out[r] = scale * a[r]
+            comm.add_flops(r, a[r].size)
 
         comm.run_ranks(body, work=self._total_size())
         return DistVector(out, self.kind, comm)
@@ -110,153 +196,42 @@ class DistVector:
                 "vectors; assemble first (Definitions 1-2)"
             )
 
-    def local_dots(self, other: "DistVector") -> np.ndarray:
-        """Per-rank partial inner products (no communication, no format
-        check: Eq. 33 deliberately pairs a local with a global vector)."""
-        comm = self.comm
-        a, b = self.parts, other.parts
-        out = np.empty(len(a))
-
-        def body(r: int) -> None:
-            out[r] = a[r] @ b[r]
-            comm.add_flops(r, 2 * len(a[r]))
-
-        comm.run_ranks(body, work=2 * self._total_size())
-        return out
-
-
-class DistBlock:
-    """A distributed multi-vector: one C-ordered ``(n_local, k)`` NumPy
-    block per rank.
-
-    The batched counterpart of :class:`DistVector` for the multi-RHS solve
-    path.  Arithmetic is elementwise (``+``, ``-``, scalar ``*``, ``copy``)
-    so every column evolves exactly as the corresponding :class:`DistVector`
-    would — column ``c`` of any expression is bit-identical to the same
-    expression over single vectors.  Flop charging scales with ``size``
-    (``k`` columns cost ``k`` times one column), while communication done
-    through the block collectives costs the *same message count* as a
-    single vector.
-    """
-
-    __slots__ = ("parts", "kind", "comm")
-
-    def __init__(self, parts: list, kind: str, comm: Comm):
-        if kind not in ("local", "global"):
-            raise ValueError("kind must be 'local' or 'global'")
-        self.parts = parts
-        self.kind = kind
-        self.comm = comm
-
-    @property
-    def k(self) -> int:
-        """Number of columns (right-hand sides) carried by the block."""
-        return self.parts[0].shape[1]
-
-    def copy(self) -> "DistBlock":
-        """Deep copy (same kind, same communicator)."""
-        return DistBlock([p.copy() for p in self.parts], self.kind, self.comm)
-
-    def _total_size(self) -> int:
-        return sum(p.size for p in self.parts)
-
-    def _zip_map(self, other: "DistBlock", op) -> "DistBlock":
-        """Elementwise binary op as a per-rank SPMD body (1 flop/element)."""
-        comm = self.comm
-        a, b = self.parts, other.parts
-        out = [None] * len(a)
-
-        def body(r: int) -> None:
-            out[r] = op(a[r], b[r])
-            comm.add_flops(r, out[r].size)
-
-        comm.run_ranks(body, work=self._total_size())
-        return DistBlock(out, self.kind, comm)
-
-    def __add__(self, other: "DistBlock") -> "DistBlock":
-        self._require_same(other)
-        return self._zip_map(other, np.add)
-
-    def __sub__(self, other: "DistBlock") -> "DistBlock":
-        self._require_same(other)
-        return self._zip_map(other, np.subtract)
-
-    def __mul__(self, scalar) -> "DistBlock":
-        scalar = float(scalar)
-        comm = self.comm
-        a = self.parts
-        out = [None] * len(a)
-
-        def body(r: int) -> None:
-            out[r] = scalar * a[r]
-            comm.add_flops(r, a[r].size)
-
-        comm.run_ranks(body, work=self._total_size())
-        return DistBlock(out, self.kind, comm)
-
-    __rmul__ = __mul__
-
-    def _require_same(self, other: "DistBlock") -> None:
-        if not isinstance(other, DistBlock):
-            raise TypeError("DistBlock arithmetic needs DistBlock operands")
-        if other.kind != self.kind:
-            raise ValueError(
-                f"cannot combine {self.kind!r} and {other.kind!r} distributed "
-                "blocks; assemble first (Definitions 1-2)"
-            )
-
-    def scale_cols(self, scales: np.ndarray) -> "DistBlock":
-        """Per-column scalar multiply: column ``c`` of the result is
-        ``scales[c] * column c`` (the batched form of ``scalar * v``)."""
-        scales = np.asarray(scales, dtype=np.float64)
-        comm = self.comm
-        a = self.parts
-        out = [None] * len(a)
-
-        def body(r: int) -> None:
-            out[r] = a[r] * scales
-            comm.add_flops(r, a[r].size)
-
-        comm.run_ranks(body, work=self._total_size())
-        return DistBlock(out, self.kind, comm)
-
-    def take_cols(self, idx) -> "DistBlock":
+    def take_cols(self, idx) -> "DistVector":
         """New block holding columns ``idx`` (a gather; no flops charged —
-        pure data movement used by the per-column convergence masking)."""
+        pure data movement used by the per-column convergence masking).
+        A vector is its own only column: returned as is."""
+        if self.parts[0].ndim == 1:
+            return self
         idx = np.asarray(idx, dtype=np.int64)
         comm = self.comm
         a = self.parts
         out = [None] * len(a)
 
         def body(r: int) -> None:
-            out[r] = np.ascontiguousarray(a[r][:, idx])
+            out[r] = _take_cols(a[r], idx)
 
         comm.run_ranks(body, work=self._total_size())
-        return DistBlock(out, self.kind, comm)
+        return DistVector(out, self.kind, comm)
 
-    def drop_col(self, pos: int) -> "DistBlock":
+    def drop_col(self, pos: int) -> "DistVector":
         """New block without column position ``pos`` (convergence-masking
-        compaction when a column exits the Arnoldi loop)."""
-        a = self.parts
-        out = [np.delete(p, pos, axis=1) for p in a]
-        return DistBlock(out, self.kind, self.comm)
+        compaction when a column exits the Arnoldi loop while others stay;
+        blocks only — a vector's single column has nothing to stay for)."""
+        out = [np.delete(p, pos, axis=1) for p in self.parts]
+        return DistVector(out, self.kind, self.comm)
 
-    def local_dots(self, other: "DistBlock") -> np.ndarray:
-        """Per-rank, per-column partial inner products: ``(n_parts, k)``.
-
-        Each ``(r, c)`` entry is the same contiguous-stride ddot the
-        single-vector :meth:`DistVector.local_dots` performs, so column
-        ``c`` is bit-identical to the single-RHS partial products."""
+    def local_dots(self, other: "DistVector") -> np.ndarray:
+        """Per-rank partial inner products — ``(n_parts,)`` for vectors,
+        ``(n_parts, k)`` per column for blocks (no communication, no
+        format check: Eq. 33 deliberately pairs a local with a global
+        vector)."""
         comm = self.comm
         a, b = self.parts, other.parts
-        k = a[0].shape[1]
-        out = np.empty((len(a), k))
+        out = np.empty((len(a),) + a[0].shape[1:])
 
         def body(r: int) -> None:
-            ar, br = a[r], b[r]
-            for c in range(k):
-                out[r, c] = ar[:, c] @ br[:, c]
-            comm.add_flops(r, 2 * ar.size)
+            out[r] = col_dots(a[r], b[r])
+            comm.add_flops(r, 2 * a[r].size)
 
         comm.run_ranks(body, work=2 * self._total_size())
         return out
@@ -271,7 +246,8 @@ class EDDSystem:
     submap:
         DOF sharing structure.
     comm:
-        The virtual communicator (owns the counters).
+        The communicator (any backend of :func:`repro.parallel.comm.make_comm`;
+        owns the counters).
     a_local:
         Per rank, the scaled local-distributed matrix
         :math:`\\hat A^{(s)} = \\hat D^{(s)}\\hat K^{(s)}\\hat D^{(s)}` in
@@ -312,7 +288,7 @@ class EDDSystem:
         return self.submap.n_global
 
     # ------------------------------------------------------------------
-    # Vector constructors / converters
+    # Array constructors / converters (vectors and ``(n, k)`` blocks alike)
     # ------------------------------------------------------------------
     def zeros(self, kind: str = "global") -> DistVector:
         """A zero distributed vector in the requested format."""
@@ -324,18 +300,41 @@ class EDDSystem:
         """True global vector -> global-distributed (Definition 2)."""
         return DistVector(self.submap.restrict(x), "global", self.comm)
 
+    def rhs_block(self, b: np.ndarray) -> DistVector:
+        """Scaled local-distributed RHS block from an ``(n_free, k)`` array
+        of raw (unscaled, reduced) right-hand sides.
+
+        Column ``c`` is bit-identical to the ``b_local`` the system builder
+        would produce from ``b[:, c]`` — ownership split then ``D`` scaling.
+        """
+        b = np.asarray(b, dtype=np.float64)
+        if b.ndim == 1:
+            b = b.reshape(-1, 1)
+        if b.shape[0] != self.n_global:
+            raise ValueError(
+                f"RHS block has {b.shape[0]} rows, expected {self.n_global}"
+            )
+        parts = _ownership_split(self.submap, b)
+        return DistVector(
+            [_rows(d, p) * p for d, p in zip(self.d_parts, parts)],
+            "local",
+            self.comm,
+        )
+
     def localize(self, v: DistVector) -> DistVector:
-        """Global-distributed -> an equivalent local-distributed vector by
+        """Global-distributed -> an equivalent local-distributed array by
         ownership masking (each shared DOF kept on its lowest-rank owner).
         Value-preserving: assembling the result reproduces ``v``."""
         if v.kind != "global":
             raise ValueError("localize expects a global-distributed vector")
-        parts = [p * m for p, m in zip(v.parts, self.owner_mask)]
+        parts = [p * _rows(m, p) for p, m in zip(v.parts, self.owner_mask)]
         return DistVector(parts, "local", self.comm)
 
     def assemble(self, v: DistVector) -> DistVector:
         """The ``⊕Σ∂Ω`` nearest-neighbour interface assembly (Eq. 28):
-        local-distributed -> global-distributed.  Communicates."""
+        local-distributed -> global-distributed.  Communicates: one
+        message per neighbour pair, carrying all ``k`` columns of a block
+        (the coalesced exchange of the batched solve path)."""
         if v.kind != "local":
             raise ValueError("assemble expects a local-distributed vector")
         return DistVector(
@@ -343,14 +342,16 @@ class EDDSystem:
         )
 
     def to_global_vector(self, v: DistVector) -> np.ndarray:
-        """Collapse a distributed vector to one true global array (host-side
-        gather; used only for verification and output, never in the solver
-        loop)."""
-        if v.kind == "local":
-            return self.submap.assemble(v.parts)
-        out = np.zeros(self.n_global)
+        """Collapse a distributed array to one true global array —
+        ``(n_global,)``, or ``(n_global, k)`` for a block (host-side
+        gather; used only for verification and output, never in the
+        solver loop)."""
+        out = np.zeros((self.n_global,) + v.parts[0].shape[1:])
         for g, p in zip(self.submap.l2g, v.parts):
-            out[g] = p
+            if v.kind == "local":
+                np.add.at(out, g, p)
+            else:
+                out[g] = p
         return out
 
     # ------------------------------------------------------------------
@@ -379,13 +380,15 @@ class EDDSystem:
 
     def matvec_local(self, v: DistVector, cache=None) -> DistVector:
         """:math:`\\tilde y^{(s)} = \\hat A^{(s)} \\hat x^{(s)}` (Eq. 37):
-        global-distributed in, local-distributed out, zero communication.
-        The P subdomain matvecs are independent rank bodies — the solve's
+        global-distributed in, local-distributed out, zero communication;
+        per rank one matvec, or one SpMM over all ``k`` columns of a block.
+        The P subdomain products are independent rank bodies — the solve's
         dominant work, overlapped across cores by the thread backend and
         executed worker-resident under the process backend.  ``cache``
         labels an Arnoldi-step matvec so a resident engine retains the
         input (slot ``z[cache]``) and output for later basis operations;
-        inline engines ignore it."""
+        inline engines ignore it, and so do block products (the worker
+        slots hold vectors)."""
         if v.kind != "global":
             raise ValueError("matvec needs a global-distributed input")
         return self.rank_engine().matvec_local(v, cache)
@@ -395,124 +398,30 @@ class EDDSystem:
         This is the operator the polynomial recurrences iterate."""
         return self.assemble(self.matvec_local(v))
 
-    def dot(self, local: DistVector, glob: DistVector) -> float:
+    def dot(self, local: DistVector, glob: DistVector):
         """The mixed-format inner product of Eq. 33:
         :math:`\\langle x, y\\rangle = \\sum_s \\langle \\tilde x^{(s)},
-        \\hat y^{(s)}\\rangle` — one allreduce, no neighbour exchange."""
+        \\hat y^{(s)}\\rangle` — ONE allreduce, no neighbour exchange.  A
+        float for vectors; for blocks the ``(k,)`` per-column products,
+        the one allreduce carrying ``k`` words."""
         if local.kind != "local" or glob.kind != "global":
             raise ValueError("dot pairs a local with a global vector (Eq. 33)")
-        return float(self.comm.allreduce_sum(local.local_dots(glob)))
-
-    # ------------------------------------------------------------------
-    # Batched (multi-RHS) counterparts
-    # ------------------------------------------------------------------
-    def zeros_block(self, k: int, kind: str = "global") -> DistBlock:
-        """A zero distributed ``(n_local, k)`` block in the requested
-        format."""
-        return DistBlock(
-            [np.zeros((n, k)) for n in self.submap.local_sizes],
-            kind,
-            self.comm,
-        )
-
-    def rhs_block(self, b: np.ndarray) -> DistBlock:
-        """Scaled local-distributed RHS block from an ``(n_free, k)`` array
-        of raw (unscaled, reduced) right-hand sides.
-
-        Column ``c`` is bit-identical to the ``b_local`` the system builder
-        would produce from ``b[:, c]`` — ownership split then ``D`` scaling.
-        """
-        b = np.asarray(b, dtype=np.float64)
-        if b.ndim == 1:
-            b = b.reshape(-1, 1)
-        if b.shape[0] != self.n_global:
-            raise ValueError(
-                f"RHS block has {b.shape[0]} rows, expected {self.n_global}"
-            )
-        parts = _ownership_split_block(self.submap, b)
-        return DistBlock(
-            [d[:, None] * p for d, p in zip(self.d_parts, parts)],
-            "local",
-            self.comm,
-        )
-
-    def localize_block(self, v: DistBlock) -> DistBlock:
-        """Block form of :meth:`localize` (ownership masking)."""
-        if v.kind != "global":
-            raise ValueError("localize expects a global-distributed block")
-        parts = [p * m[:, None] for p, m in zip(v.parts, self.owner_mask)]
-        return DistBlock(parts, "local", self.comm)
-
-    def assemble_block(self, v: DistBlock) -> DistBlock:
-        """Batched ``⊕Σ∂Ω`` interface assembly: one message per neighbour
-        pair for all ``k`` columns (the coalesced exchange of the batched
-        solve path)."""
-        if v.kind != "local":
-            raise ValueError("assemble expects a local-distributed block")
-        return DistBlock(
-            self.comm.interface_assemble_block(v.parts), "global", self.comm
-        )
-
-    def to_global_block(self, v: DistBlock) -> np.ndarray:
-        """Collapse a distributed block to one ``(n_global, k)`` array
-        (verification/output only, never inside the solver loop)."""
-        out = np.zeros((self.n_global, v.k))
-        if v.kind == "local":
-            for g, p in zip(self.submap.l2g, v.parts):
-                np.add.at(out, g, p)
-        else:
-            for g, p in zip(self.submap.l2g, v.parts):
-                out[g] = p
-        return out
-
-    def matvec_local_block(self, v: DistBlock) -> DistBlock:
-        """Batched Eq. 37 matvec: per rank one SpMM
-        :math:`\\hat A^{(s)} \\hat X^{(s)}` over all ``k`` columns —
-        global-distributed in, local-distributed out, zero communication."""
-        if v.kind != "global":
-            raise ValueError("matvec needs a global-distributed input")
-        return self.rank_engine().matvec_local_block(v)
-
-    def matvec_assembled_block(self, v: DistBlock) -> DistBlock:
-        """Batched matvec followed by batched interface assembly — the
-        operator the block polynomial recurrences iterate."""
-        return self.assemble_block(self.matvec_local_block(v))
-
-    def dot_block(self, local: DistBlock, glob: DistBlock) -> np.ndarray:
-        """Per-column mixed-format inner products (Eq. 33): ``(k,)``
-        results from ONE allreduce carrying ``k`` words."""
-        if local.kind != "local" or glob.kind != "global":
-            raise ValueError("dot pairs a local with a global block (Eq. 33)")
         partial = local.local_dots(glob)
-        return self.comm.allreduce_sum(list(partial), words=local.k)
+        return self.comm.allreduce_sum(list(partial), words=partial[0].size)
 
 
 def _ownership_split(submap: SubdomainMap, x: np.ndarray) -> list:
-    """Split a true global vector into local-distributed parts by assigning
-    each DOF's full value to its lowest-rank owner."""
+    """Split a true global vector — or an ``(n_global, k)`` block of them —
+    into local-distributed parts by assigning each DOF's full value to its
+    lowest-rank owner."""
     owner = np.full(submap.n_global, -1, dtype=np.int64)
     for s in range(submap.n_parts - 1, -1, -1):
         owner[submap.l2g[s]] = s
     parts = []
     for s in range(submap.n_parts):
         g = submap.l2g[s]
-        mask = owner[g] == s
-        parts.append(np.where(mask, x[g], 0.0))
-    return parts
-
-
-def _ownership_split_block(submap: SubdomainMap, x: np.ndarray) -> list:
-    """Block form of :func:`_ownership_split`: split an ``(n_global, k)``
-    array into local-distributed ``(n_local, k)`` parts (column ``c`` is
-    bit-identical to ``_ownership_split`` of ``x[:, c]``)."""
-    owner = np.full(submap.n_global, -1, dtype=np.int64)
-    for s in range(submap.n_parts - 1, -1, -1):
-        owner[submap.l2g[s]] = s
-    parts = []
-    for s in range(submap.n_parts):
-        g = submap.l2g[s]
-        mask = owner[g] == s
-        parts.append(np.where(mask[:, None], x[g], 0.0))
+        xg = x[g]
+        parts.append(np.where(_rows(owner[g] == s, xg), xg, 0.0))
     return parts
 
 
@@ -536,9 +445,9 @@ def build_edd_system(
 
     ``mass_shift = (alpha, beta)`` builds the elastodynamics effective
     matrix :math:`\\alpha M + \\beta K` per subdomain instead (Eq. 52).
-    ``comm_backend`` selects the communicator backend (``"virtual"`` /
-    ``"thread"``; None uses the session default of
-    :func:`repro.parallel.comm.get_comm_backend`).
+    ``comm_backend`` selects the communicator backend (one of
+    :func:`repro.parallel.comm.available_comm_backends`; None uses the
+    session default of :func:`repro.parallel.comm.get_comm_backend`).
 
     Other PDEs plug in through :func:`build_edd_system_from_assembler`.
 

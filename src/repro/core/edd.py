@@ -17,20 +17,22 @@ The mixed-format inner product (Eq. 33) makes every Gram-Schmidt projection
 a single allreduce with no neighbour traffic.
 
 The restart cycle itself lives in :func:`repro.solvers.krylov.restarted_fgmres`;
-this module supplies the two Krylov spaces it runs over —
-:class:`_EDDVectorSpace` (:func:`edd_fgmres`: :class:`DistVector` pairs,
-per-rank compute through the rank engine, so it can run worker-resident)
-and :class:`_EDDBlockSpace` (:func:`edd_fgmres_block`: :class:`DistBlock`
-pairs with coalesced exchanges) — and with them everything that is
-specific to the element-based decomposition: which format each vector is
-in and where the ``⊕Σ∂Ω`` exchanges fall.
+this module supplies the Krylov space it runs over — :class:`_EDDSpace`,
+``(local, global)`` :class:`DistVector` pairs whose parts are vectors
+(:func:`edd_fgmres`) or ``(n, k)`` blocks with coalesced exchanges
+(:func:`edd_fgmres_block`), per-rank compute through the rank engine —
+and with it everything that is specific to the element-based
+decomposition: which format each vector is in and where the ``⊕Σ∂Ω``
+exchanges fall.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.distributed import DistBlock, DistVector, EDDSystem
+from repro.core.distributed import (
+    DistVector, EDDSystem, _add_to_columns, _as_cols, _rows,
+)
 from repro.precond.base import PolynomialPreconditioner
 from repro.precond.coarse import TwoLevelPreconditioner, TwoLevelSpec
 from repro.solvers.krylov import restarted_fgmres
@@ -52,92 +54,84 @@ def _precondition(system: EDDSystem, precond, v_hat):
     """Apply the polynomial preconditioner through the communicating
     operator: ``m`` matvecs, each followed by one interface assembly
     (the distributed Algorithm 7); a two-level preconditioner adds its
-    coarse correction around the same recurrence.  ``v_hat`` is a
-    :class:`DistVector`, or a :class:`DistBlock` for the batched path:
-    the same recurrence over an ``(n, k)`` block, each matvec one SpMM +
-    ONE batched interface assembly for all ``k`` columns."""
-    block = isinstance(v_hat, DistBlock)
+    coarse correction around the same recurrence.  For an ``(n, k)``
+    block ``v_hat`` it is the same recurrence, each matvec one SpMM + ONE
+    interface assembly for all ``k`` columns."""
     if precond is None:
         return v_hat.copy()
     if isinstance(precond, TwoLevelPreconditioner):
-        apply = precond.apply_edd_block if block else precond.apply_edd
-        return apply(system, v_hat)
+        return precond.apply_edd(system, v_hat)
     if not isinstance(precond, PolynomialPreconditioner):
         raise TypeError(
             "EDD-FGMRES requires a polynomial or two-level preconditioner "
             "(or None): factorization preconditioners cannot be applied to "
             "unassembled local-distributed matrices"
         )
-    if block:
-        return precond.apply_linear(system.matvec_assembled_block, v_hat)
     engine = system.rank_engine()
     if engine.resident:
         terms = precond.chain_terms()
         if terms is not None:
             # Fused resident path: the whole degree-m matvec/recurrence
-            # chain in ONE dispatch, bit-identical output and CommStats.
+            # chain in ONE dispatch, bit-identical output and CommStats;
+            # None (blocks) falls back to the inline recurrence.
             out = engine.poly_chain(precond, terms, v_hat)
             if out is not None:
                 return out
     return precond.apply_linear(system.matvec_assembled, v_hat)
 
 
-def _sub_scaled_block(w: DistBlock, v: DistBlock, scales) -> DistBlock:
-    """``w - v * diag(scales)`` (per-column AXPY), charging the same two
-    flops per element as the single-vector ``w - h_i * v`` expression."""
-    comm = w.comm
-    a, b = w.parts, v.parts
-    out = [None] * len(a)
-
-    def body(r: int) -> None:
-        out[r] = a[r] - b[r] * scales
-        comm.add_flops(r, 2 * a[r].size)
-
-    comm.run_ranks(body, work=2 * sum(p.size for p in a))
-    return DistBlock(out, w.kind, comm)
-
-
-class _EDDVectorSpace:
+class _EDDSpace:
     """The :class:`~repro.solvers.krylov.KrylovSpace` of
-    :func:`edd_fgmres`: one column of ``(local, global)``
-    :class:`DistVector` pairs, per-rank compute through the system's
-    rank engine (inline closures, or worker-resident rank ops whose
-    mirrored basis is kept in step by ``seed`` / ``commit``)."""
+    :func:`edd_fgmres` and :func:`edd_fgmres_block`: ``(local, global)``
+    :class:`DistVector` pairs shaped like the right-hand side ``b`` —
+    vector parts for one column, ``(n, k)`` parts for ``k``.  Per-rank
+    compute goes through the system's rank engine (inline closures, or
+    worker-resident rank ops).  A column that leaves a cycle while
+    others stay is compacted out of every live Krylov block, so finished
+    columns stop charging flops and words."""
 
-    k = 1
-
-    def __init__(self, system: EDDSystem, precond, restart, basic, cgs):
+    def __init__(self, system: EDDSystem, b: DistVector, precond, basic, cgs):
         self.system = system
         self.precond = precond
         self.basic = basic
         self.cgs = cgs
         self.comm = system.comm
         self.stats = system.comm.stats
-        self.b_loc = DistVector(
-            [p.copy() for p in system.b_local], "local", system.comm
+        self.b = b
+        self.k = b.k
+        self.x_hat = DistVector(
+            [np.zeros_like(p) for p in b.parts], "global", system.comm
         )
-        self.x_hat = system.zeros("global")
         self.engine = system.rank_engine()
+        # The workers' Arnoldi slots (cached ``z``, mirrored basis) hold
+        # vectors: a block solve goes resident for its matvecs only.
+        self.resident = self.engine.resident and b.parts[0].ndim == 1
         # Only the fused CGS round reads the workers' basis mirror.
-        self.mirrored = cgs and self.engine.resident
-        # Reusable CGS coefficient workspace (rank-partials per basis
-        # vector); sized once for the whole solve, not per Arnoldi step.
-        self.partial_buf = np.empty((restart, system.n_parts))
+        self.mirrored = cgs and self.resident
 
     def residual(self, cols):
         system = self.system
-        self.r_loc = self.b_loc - system.matvec_local(self.x_hat)
+        idx = np.asarray(cols)
+        self.r_loc = self.b.take_cols(idx) - system.matvec_local(
+            self.x_hat.take_cols(idx)
+        )
         self.r_hat = system.assemble(self.r_loc)
-        return np.array(
-            [np.sqrt(max(system.dot(self.r_loc, self.r_hat), 0.0))]
+        self.r_cols = list(cols)
+        return np.sqrt(
+            np.maximum(np.atleast_1d(system.dot(self.r_loc, self.r_hat)), 0.0)
         )
 
     def start_cycle(self, cols, betas):
-        self.v_loc = [(1.0 / betas[0]) * self.r_loc]
-        self.v_hat = [(1.0 / betas[0]) * self.r_hat]
+        r_loc, r_hat = self.r_loc, self.r_hat
+        sel = [self.r_cols.index(c) for c in cols]
+        if sel != list(range(len(self.r_cols))):
+            r_loc, r_hat = r_loc.take_cols(sel), r_hat.take_cols(sel)
+        self.v_loc = [r_loc * (1.0 / betas)]
+        self.v_hat = [r_hat * (1.0 / betas)]
         if self.mirrored:
             self.engine.seed_basis(self.v_loc[0].parts, self.v_hat[0].parts)
         self.z_hat: list = []
+        self.live = len(cols)
 
     def precondition(self, j):
         self.z_hat.append(_precondition(self.system, self.precond, self.v_hat[j]))
@@ -155,17 +149,17 @@ class _EDDVectorSpace:
     def orthogonalize(self, j):
         system = self.system
         v_loc, v_hat, w_loc, w_hat = self.v_loc, self.v_hat, self.w_loc, self.w_hat
-        h = np.empty(j + 2)
+        h = np.empty((j + 2,) + w_hat.parts[0].shape[1:])
         if self.cgs:
             # Classical Gram-Schmidt (the paper's listings): all
             # coefficients from the unmodified w via the mixed-format
-            # inner product, batched into ONE allreduce of j+1 words
-            # (Eq. 33).  The engine fuses the whole coefficient round
-            # — partial dots, reduction, AXPY pairs — into a single
-            # step (one worker dispatch in resident mode).
+            # inner product, batched into ONE allreduce of j+1 words per
+            # column (Eq. 33).  The engine fuses the whole coefficient
+            # round — partial dots, reduction, AXPY pairs — into a single
+            # step (one worker dispatch when the basis is mirrored).
             basis = [v.parts for v in v_loc], [v.parts for v in v_hat]
             wl, wh = self.engine.arnoldi_step(
-                j, h, basis, (w_loc.parts, w_hat.parts), self.partial_buf
+                j, h, basis, (w_loc.parts, w_hat.parts)
             )
             w_loc = DistVector(wl, "local", self.comm)
             w_hat = DistVector(wh, "global", self.comm)
@@ -176,178 +170,66 @@ class _EDDVectorSpace:
             # parallel GMRES implementations prefer CGS.
             for i in range(j + 1):
                 h[i] = system.dot(v_loc[i], w_hat)
-                w_loc = w_loc - h[i] * v_loc[i]
-                w_hat = w_hat - h[i] * v_hat[i]
+                w_loc = w_loc - v_loc[i] * h[i]
+                w_hat = w_hat - v_hat[i] * h[i]
         if self.basic:
             # Exchange 3 of 3: restore format consistency by
             # re-assembling the orthogonalized vector.
             w_hat = system.assemble(system.localize(w_hat))
-        h[j + 1] = np.sqrt(max(system.dot(w_loc, w_hat), 0.0))
+        h[j + 1] = np.sqrt(np.maximum(system.dot(w_loc, w_hat), 0.0))
         self.w_loc, self.w_hat = w_loc, w_hat
-        return h[:, None]
-
-    def commit(self, j, keep, h_next):
-        inv_h = 1.0 / h_next[0]
-        self.v_loc.append(inv_h * self.w_loc)
-        self.v_hat.append(inv_h * self.w_hat)
-        if self.mirrored:
-            # Workers mirror the append from their post-ortho slots;
-            # the basic variant overrides the hat part with the
-            # re-assembled vector computed in orthogonalize.
-            self.engine.commit_basis(
-                inv_h, hat_parts=self.w_hat.parts if self.basic else None
-            )
-
-    def retire(self, pos, col, y):
-        self.update([col], [y])
-
-    def update(self, cols, ys):
-        """``x += sum_i y[i] * z_hat[i]``: against the worker-cached ``z``
-        slots when resident, via DistVector ops otherwise."""
-        if self.engine.resident:
-            self.x_hat = DistVector(
-                self.engine.axpy_update(self.x_hat.parts, ys[0]),
-                "global", self.comm,
-            )
-        else:
-            for i, yi in enumerate(ys[0]):
-                self.x_hat = self.x_hat + float(yi) * self.z_hat[i]
-
-    def solutions(self):
-        # Unscale on the way out (Algorithm 4, step 5): u = D x.
-        u_hat = DistVector(
-            [d * p for d, p in zip(self.system.d_parts, self.x_hat.parts)],
-            "global",
-            self.comm,
-        )
-        return [self.system.to_global_vector(u_hat)]
-
-
-class _EDDBlockSpace:
-    """The :class:`~repro.solvers.krylov.KrylovSpace` of
-    :func:`edd_fgmres_block`: ``(local, global)`` :class:`DistBlock`
-    pairs.  A column that leaves a cycle is compacted out of every live
-    Krylov block, so finished columns stop charging flops and words."""
-
-    def __init__(self, system: EDDSystem, b_blk, precond, restart, basic, cgs):
-        self.system = system
-        self.precond = precond
-        self.basic = basic
-        self.cgs = cgs
-        self.comm = system.comm
-        self.stats = system.comm.stats
-        self.b_blk = b_blk
-        self.k = b_blk.k
-        self.n_rows = sum(p.shape[0] for p in b_blk.parts)
-        self.x_hat = system.zeros_block(self.k, "global")
-        self.engine = system.rank_engine()
-        # Reusable CGS coefficient workspace (basis vector x rank x column).
-        self.partial_buf = np.empty((restart, system.n_parts, self.k))
-
-    def residual(self, cols):
-        system = self.system
-        idx = np.asarray(cols)
-        self.r_loc = self.b_blk.take_cols(idx) - system.matvec_local_block(
-            self.x_hat.take_cols(idx)
-        )
-        self.r_hat = system.assemble_block(self.r_loc)
-        self.r_cols = list(cols)
-        return np.sqrt(
-            np.maximum(system.dot_block(self.r_loc, self.r_hat), 0.0)
-        )
-
-    def start_cycle(self, cols, betas):
-        r_loc, r_hat = self.r_loc, self.r_hat
-        sel = [self.r_cols.index(c) for c in cols]
-        if sel != list(range(len(self.r_cols))):
-            r_loc, r_hat = r_loc.take_cols(sel), r_hat.take_cols(sel)
-        self.v_loc = [r_loc.scale_cols(1.0 / betas)]
-        self.v_hat = [r_hat.scale_cols(1.0 / betas)]
-        self.z_blk: list = []
-
-    def precondition(self, j):
-        self.z_blk.append(_precondition(self.system, self.precond, self.v_hat[j]))
-
-    def matvec(self, j):
-        system = self.system
-        if self.basic:
-            self.z_blk[j] = system.assemble_block(
-                system.localize_block(self.z_blk[j])
-            )
-        self.w_loc = system.matvec_local_block(self.z_blk[j])
-        self.w_hat = system.assemble_block(self.w_loc)
-
-    def orthogonalize(self, j):
-        system, comm = self.system, self.comm
-        v_loc, v_hat, w_loc, w_hat = self.v_loc, self.v_hat, self.w_loc, self.w_hat
-        hblk = np.empty((j + 2, w_hat.k))
-        if self.cgs:
-            basis = [v.parts for v in v_loc], [v.parts for v in v_hat]
-            wl, wh = self.engine.arnoldi_step_block(
-                j, hblk, basis, (w_loc.parts, w_hat.parts), self.partial_buf
-            )
-            w_loc = DistBlock(wl, "local", comm)
-            w_hat = DistBlock(wh, "global", comm)
-        else:
-            for i in range(j + 1):
-                hi = system.dot_block(v_loc[i], w_hat)
-                hblk[i] = hi
-                w_loc = _sub_scaled_block(w_loc, v_loc[i], hi)
-                w_hat = _sub_scaled_block(w_hat, v_hat[i], hi)
-        if self.basic:
-            w_hat = system.assemble_block(system.localize_block(w_hat))
-        hblk[j + 1] = np.sqrt(np.maximum(system.dot_block(w_loc, w_hat), 0.0))
-        self.w_loc, self.w_hat = w_loc, w_hat
-        return hblk
-
-    def retire(self, pos, col, y):
-        if len(y):
-            x_parts, z_blk = self.x_hat.parts, self.z_blk
-            comm = self.comm
-
-            def body(r: int) -> None:
-                xr = x_parts[r]
-                for i, yi in enumerate(y):
-                    xr[:, col] = xr[:, col] + float(yi) * z_blk[i].parts[r][:, pos]
-                comm.add_flops(r, 2 * len(y) * xr.shape[0])
-
-            comm.run_ranks(body, work=2 * len(y) * self.n_rows)
-        for blocks in (self.v_loc, self.v_hat, self.z_blk):
-            for i, blk in enumerate(blocks):
-                blocks[i] = blk.drop_col(pos)
+        return h.reshape(j + 2, -1)
 
     def commit(self, j, keep, h_next):
         w_loc, w_hat = self.w_loc, self.w_hat
         if keep is not None:
             w_loc, w_hat = w_loc.take_cols(keep), w_hat.take_cols(keep)
-        self.v_loc.append(w_loc.scale_cols(1.0 / h_next))
-        self.v_hat.append(w_hat.scale_cols(1.0 / h_next))
+        inv_h = 1.0 / h_next
+        self.v_loc.append(w_loc * inv_h)
+        self.v_hat.append(w_hat * inv_h)
+        if self.mirrored:
+            # Workers mirror the append from their post-ortho slots;
+            # the basic variant overrides the hat part with the
+            # re-assembled vector computed in orthogonalize.
+            self.engine.commit_basis(
+                inv_h[0], hat_parts=self.w_hat.parts if self.basic else None
+            )
+
+    def _add_to_x(self, cols, sel, ys):
+        """``x += Z y`` for column ids ``cols`` at live positions ``sel``:
+        against the worker-cached ``z`` slots when resident."""
+        if self.resident:
+            self.x_hat = DistVector(
+                self.engine.axpy_update(self.x_hat.parts, ys[0]),
+                "global", self.comm,
+            )
+        else:
+            _add_to_columns(
+                self.comm, self.x_hat.parts,
+                [z.parts for z in self.z_hat], cols, sel, ys,
+            )
+
+    def retire(self, pos, col, y):
+        self._add_to_x(col, pos, [y])
+        self.live -= 1
+        if self.live:  # the last column out leaves nothing to compact
+            for blocks in (self.v_loc, self.v_hat, self.z_hat):
+                for i, blk in enumerate(blocks):
+                    blocks[i] = blk.drop_col(pos)
 
     def update(self, cols, ys):
         # All columns share the Krylov dimension: one batched update.
-        m = len(ys[0])
-        y_mat = np.array(ys)
-        idx = np.asarray(cols)
-        x_parts, z_blk = self.x_hat.parts, self.z_blk
-        comm = self.comm
-
-        def body(r: int) -> None:
-            xr = x_parts[r]
-            for i in range(m):
-                xr[:, idx] = xr[:, idx] + z_blk[i].parts[r] * y_mat[:, i]
-            comm.add_flops(r, 2 * m * xr.shape[0] * len(idx))
-
-        comm.run_ranks(body, work=2 * m * self.n_rows * len(idx))
+        self._add_to_x(np.asarray(cols), slice(None), ys)
 
     def solutions(self):
         # Unscale on the way out (Algorithm 4, step 5): u = D x, per column.
-        u_blk = DistBlock(
-            [d[:, None] * p for d, p in zip(self.system.d_parts, self.x_hat.parts)],
+        u_hat = DistVector(
+            [_rows(d, p) * p for d, p in zip(self.system.d_parts, self.x_hat.parts)],
             "global",
             self.comm,
         )
-        u_full = self.system.to_global_block(u_blk)
-        return [np.ascontiguousarray(u_full[:, c]) for c in range(self.k)]
+        u = _as_cols(self.system.to_global_vector(u_hat))
+        return [np.ascontiguousarray(u[:, c]) for c in range(self.k)]
 
 
 def _configure(system, precond, restart, tol, max_iter, variant,
@@ -411,7 +293,8 @@ def edd_fgmres(
         system, precond, restart, tol, max_iter, variant,
         orthogonalization, options,
     )
-    space = _EDDVectorSpace(system, precond, restart, basic, cgs)
+    b = DistVector([p.copy() for p in system.b_local], "local", system.comm)
+    space = _EDDSpace(system, b, precond, basic, cgs)
     return restarted_fgmres(
         space, restart, tol, max_iter, breakdown_tol, tracer
     )[0]
@@ -436,15 +319,17 @@ def edd_fgmres_block(
 
     ``b`` is an ``(n_free, k)`` array of raw right-hand sides (reduced,
     unscaled — what the driver feeds the system builder) or an equivalent
-    local-distributed :class:`DistBlock`.
+    local-distributed :class:`DistVector` of ``(n_local, k)`` parts.
 
-    Numerics are column-exact with the single-RHS solver: every kernel in
-    the loop (SpMM, batched assembly, per-column ddots, broadcast AXPYs)
-    applies per-column exactly the floating-point operations
+    Numerics follow the single-RHS solver column by column: every kernel
+    in the loop (SpMM, batched assembly, per-column ddots, broadcast
+    AXPYs) applies per-column the floating-point operations
     :func:`edd_fgmres` applies, so for ``k == 1`` the residual history is
     bit-identical, and each column of a ``k > 1`` solve follows its own
-    single-RHS trajectory (identical up to BLAS stride effects, which the
-    per-column kernels avoid by construction — so it is also exact).
+    single-RHS trajectory to rounding (the ddot of a stride-``k`` column
+    sums in another order than a contiguous vector's, see
+    :func:`repro.core.distributed.col_dots`; every other kernel is
+    column-exact).
 
     Communication is coalesced: one Arnoldi step costs ONE nearest-
     neighbour exchange and ONE allreduce for all ``k`` columns (message
@@ -461,7 +346,7 @@ def edd_fgmres_block(
         system, precond, restart, tol, max_iter, variant,
         orthogonalization, options,
     )
-    if isinstance(b, DistBlock):
+    if isinstance(b, DistVector):
         if b.kind != "local":
             raise ValueError("RHS block must be local-distributed")
         b_blk = b
@@ -469,5 +354,5 @@ def edd_fgmres_block(
         b_blk = system.rhs_block(b)
     if b_blk.k == 0:
         return []
-    space = _EDDBlockSpace(system, b_blk, precond, restart, basic, cgs)
+    space = _EDDSpace(system, b_blk, precond, basic, cgs)
     return restarted_fgmres(space, restart, tol, max_iter, breakdown_tol, tracer)

@@ -10,12 +10,11 @@ local/global format distinction disappears and inner products are plain
 local dots plus an allreduce (Eq. 47).
 
 The restart cycle lives in :func:`repro.solvers.krylov.restarted_fgmres`;
-this module supplies the system and the two Krylov spaces the driver
-runs over — :class:`_RDDVectorSpace` (:func:`rdd_fgmres`: per-rank parts
-through the rank engine, so it can run worker-resident) and
-:class:`_RDDBlockSpace` (:func:`rdd_fgmres_block`: ``(n_own, k)`` part
-blocks, one coalesced halo exchange per matvec).  Orthogonalization is
-classical Gram-Schmidt only.
+this module supplies the system and the Krylov space the driver runs
+over — :class:`_RDDSpace`, per-rank parts through the rank engine that
+are vectors (:func:`rdd_fgmres`) or ``(n_own, k)`` blocks with one
+coalesced halo exchange per matvec (:func:`rdd_fgmres_block`).
+Orthogonalization is classical Gram-Schmidt only.
 
 The structural costs the paper attributes to this approach are modeled
 faithfully: the system is built from the *assembled* global matrix (the
@@ -29,6 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.distributed import (
+    _add_to_columns, _as_cols, _n_cols, _rows, _take_cols, col_dots,
+)
 from repro.fem.bc import DirichletBC
 from repro.fem.mesh import Mesh
 from repro.parallel.comm import Comm, make_comm
@@ -106,12 +108,15 @@ class RDDSystem:
 
     def matvec(self, x_parts: list, cache=None) -> list:
         """Eq. 48: halo exchange then
-        ``y = K_loc x_loc + K_ext x_ext`` per rank.  The halo exchange is
-        a collective and always runs through the comm; the per-rank block
-        products are independent bodies the engine runs inline (thread
-        backend overlaps them across cores) or worker-resident.
-        ``cache`` labels an Arnoldi-step matvec for resident slot reuse;
-        inline engines ignore it."""
+        ``y = K_loc x_loc + K_ext x_ext`` per rank — on vectors, or on
+        ``(n_own, k)`` blocks with ONE coalesced halo exchange for all
+        ``k`` columns and per-rank SpMMs (column ``c`` bit-identical to
+        the matvec of column ``c``).  The halo exchange is a collective
+        and always runs through the comm; the per-rank block products
+        are independent bodies the engine runs inline (thread backend
+        overlaps them across cores) or worker-resident.  ``cache`` labels
+        an Arnoldi-step matvec of vectors for resident slot reuse; inline
+        engines ignore it."""
         ext_vals = self.comm.halo_exchange(x_parts, self.plan)
         return self.rank_engine().matvec(x_parts, ext_vals, cache)
 
@@ -126,13 +131,6 @@ class RDDSystem:
             )
             self.__dict__["_nnz_total"] = cached
         return cached
-
-    def matvec_block(self, x_parts: list) -> list:
-        """Batched Eq. 48 over ``(n_own, k)`` blocks: ONE coalesced halo
-        exchange for all ``k`` columns, then per-rank SpMMs.  Column ``c``
-        is bit-identical to :meth:`matvec` of column ``c``."""
-        ext_vals = self.comm.halo_exchange_block(x_parts, self.plan)
-        return self.rank_engine().matvec_block(x_parts, ext_vals)
 
     def rhs_block(self, b: np.ndarray) -> list:
         """Scaled row-partitioned RHS block from an ``(n_free, k)`` array
@@ -150,35 +148,18 @@ class RDDSystem:
             for ds, o in zip(self.d, self.own)
         ]
 
-    def dot_block(self, x_parts: list, y_parts: list) -> np.ndarray:
-        """Per-column Eq. 47 inner products: ``(k,)`` results from local
-        per-column ddots plus ONE allreduce of ``k`` words."""
+    def dot(self, x_parts: list, y_parts: list):
+        """Eq. 47: local dots + ONE allreduce — a float for vectors, the
+        ``(k,)`` per-column products (``k`` words) for blocks."""
         comm = self.comm
-        k = x_parts[0].shape[1]
-        partial = np.empty((self.n_parts, k))
+        partial = np.empty((self.n_parts,) + x_parts[0].shape[1:])
 
         def body(r: int) -> None:
-            xr, yr = x_parts[r], y_parts[r]
-            for c in range(k):
-                partial[r, c] = xr[:, c] @ yr[:, c]
-            comm.add_flops(r, 2 * xr.size)
+            partial[r] = col_dots(x_parts[r], y_parts[r])
+            comm.add_flops(r, 2 * x_parts[r].size)
 
         comm.run_ranks(body, work=2 * sum(x.size for x in x_parts))
-        return comm.allreduce_sum(list(partial), words=k)
-
-    def dot(self, x_parts: list, y_parts: list) -> float:
-        """Eq. 47: local dots + one allreduce."""
-        comm = self.comm
-        partial = np.empty(self.n_parts)
-
-        def body(r: int) -> None:
-            partial[r] = x_parts[r] @ y_parts[r]
-            comm.add_flops(r, 2 * len(x_parts[r]))
-
-        comm.run_ranks(
-            body, work=2 * sum(len(x) for x in x_parts)
-        )
-        return float(comm.allreduce_sum(list(partial)))
+        return comm.allreduce_sum(list(partial), words=partial[0].size)
 
     def replication_factor(self) -> float:
         """Total element copies over unique elements (Fig. 8 overhead);
@@ -215,8 +196,9 @@ def build_rdd_system(
     coupling) come first, boundary rows last, so a real implementation
     could overlap the interior matvec with the halo exchange.  Setup
     traffic is not charged — counters start at zero for the solve.
-    ``comm_backend`` selects the communicator implementation (``"virtual"``
-    / ``"thread"``; None uses the session default).
+    ``comm_backend`` selects the communicator implementation (one of
+    :func:`repro.parallel.comm.available_comm_backends`; None uses the
+    session default).
     """
     d = norm1_scaling(k_reduced)
     a = k_reduced.scale_sym(d, d)  # fused one-pass DKD
@@ -323,7 +305,8 @@ def _axpy_parts(comm, y_parts, alpha, x_parts):
 
 
 def _scale_parts(comm, alpha, x_parts):
-    """``alpha * x`` per rank, on vectors or ``(n_own, k)`` blocks."""
+    """``alpha * x`` per rank, on vectors or ``(n_own, k)`` blocks;
+    ``alpha`` is one scalar, or one scalar per column."""
     out = [None] * len(x_parts)
 
     def body(r: int) -> None:
@@ -389,92 +372,89 @@ def _precondition_rdd(system: RDDSystem, precond, v_parts: list) -> list:
     for the batched path: polynomial recurrences run through the
     (coalesced) halo-exchanging matvec, one exchange per degree for all
     ``k`` columns; block-Jacobi solves per rank (and column) locally."""
-    block = v_parts[0].ndim == 2
     if precond is None:
         return [p.copy() for p in v_parts]
     if isinstance(precond, TwoLevelPreconditioner):
-        apply = precond.apply_rdd_block if block else precond.apply_rdd
-        return apply(system, v_parts)
+        return precond.apply_rdd(system, v_parts)
     if hasattr(precond, "apply_parts"):
         # Block-Jacobi-style local preconditioner (Section 4.1.2): solve
         # per-rank with the diagonal block, no communication.
-        apply = precond.apply_parts_block if block else precond.apply_parts
-        return apply(v_parts)
+        return precond.apply_parts(v_parts)
     if not isinstance(precond, PolynomialPreconditioner):
         raise TypeError(
             "rdd_fgmres applies polynomial preconditioners through the "
             "halo-exchanging matvec; wrap other preconditioners yourself"
         )
     engine = system.rank_engine()
-    if engine.resident and not block:
+    if engine.resident:
         terms = precond.chain_terms()
         if terms is not None:
             # Fused resident path: the whole degree-m matvec/recurrence
             # chain in ONE dispatch (halos filled worker-side from the
-            # shipped plan); None falls back to the inline recurrence.
+            # shipped plan); None (blocks, or a plan that cannot ship)
+            # falls back to the inline recurrence.
             out = engine.poly_chain(precond, terms, v_parts)
             if out is not None:
                 return out
-    matvec = system.matvec_block if block else system.matvec
     vec = _RDDVector([p.copy() for p in v_parts], system)
     out = precond.apply_linear(
-        lambda v: _RDDVector(matvec(v.parts), system), vec
+        lambda v: _RDDVector(system.matvec(v.parts), system), vec
     )
     return out.parts
 
 
-def _scale_cols_parts(comm, scales, x_parts):
-    """Per-column scalar multiply (batched ``alpha * x``): column ``c`` of
-    the result is ``scales[c] * x[:, c]``."""
-    out = [None] * len(x_parts)
-
-    def body(r: int) -> None:
-        out[r] = x_parts[r] * scales
-        comm.add_flops(r, x_parts[r].size)
-
-    comm.run_ranks(body, work=sum(x.size for x in x_parts))
-    return out
-
-
 def _take_cols_parts(parts, idx):
     idx = np.asarray(idx, dtype=np.int64)
-    return [np.ascontiguousarray(p[:, idx]) for p in parts]
+    return [_take_cols(p, idx) for p in parts]
 
 
 def _drop_col_parts(parts, pos):
     return [np.delete(p, pos, axis=1) for p in parts]
 
 
-class _RDDVectorSpace:
+class _RDDSpace:
     """The :class:`~repro.solvers.krylov.KrylovSpace` of
-    :func:`rdd_fgmres`: one column of per-rank parts on disjoint DOF
-    sets, per-rank compute through the system's rank engine (inline
-    closures, or worker-resident rank ops whose mirrored basis is kept
-    in step by ``seed`` / ``commit``)."""
+    :func:`rdd_fgmres` and :func:`rdd_fgmres_block`: per-rank parts on
+    disjoint DOF sets shaped like the right-hand side ``b`` — vectors for
+    one column, ``(n_own, k)`` blocks for ``k``.  Per-rank compute goes
+    through the system's rank engine (inline closures, or worker-resident
+    rank ops).  A column that leaves a cycle while others stay is
+    compacted out of every live Krylov block, so finished columns stop
+    charging flops and words."""
 
-    k = 1
-
-    def __init__(self, system: RDDSystem, precond, restart):
+    def __init__(self, system: RDDSystem, b: list, precond):
         self.system = system
         self.precond = precond
         self.comm = system.comm
         self.stats = system.comm.stats
         self.engine = system.rank_engine()
-        self.x = [np.zeros(len(o)) for o in system.own]
-        self.b = [bb.copy() for bb in system.b]
-        self.partial_buf = np.empty((restart, system.n_parts))
+        self.b = b
+        self.k = _n_cols(b[0])
+        self.x = [np.zeros_like(bb) for bb in b]
+        # The workers' Arnoldi slots (cached ``z``, mirrored basis) hold
+        # vectors: a block solve goes resident for its matvecs only.
+        self.mirrored = self.engine.resident and b[0].ndim == 1
 
     def residual(self, cols):
         system = self.system
-        ax = system.matvec(self.x)
-        self.r = _axpy_parts(self.comm, self.b, -1.0, ax)
-        return np.array([np.sqrt(system.dot(self.r, self.r))])
+        idx = np.asarray(cols)
+        ax = system.matvec(_take_cols_parts(self.x, idx))
+        self.r = _axpy_parts(
+            self.comm, _take_cols_parts(self.b, idx), -1.0, ax
+        )
+        self.r_cols = list(cols)
+        return np.sqrt(np.atleast_1d(system.dot(self.r, self.r)))
 
     def start_cycle(self, cols, betas):
-        self.v = [_scale_parts(self.comm, 1.0 / betas[0], self.r)]
-        if self.engine.resident:
+        r = self.r
+        sel = [self.r_cols.index(c) for c in cols]
+        if sel != list(range(len(self.r_cols))):
+            r = _take_cols_parts(r, sel)
+        self.v = [_scale_parts(self.comm, 1.0 / betas, r)]
+        if self.mirrored:
             self.engine.seed_basis(self.v[0])
         self.z: list = []
+        self.live = len(cols)
 
     def precondition(self, j):
         self.z.append(_precondition_rdd(self.system, self.precond, self.v[j]))
@@ -483,135 +463,49 @@ class _RDDVectorSpace:
         self.w = self.system.matvec(self.z[j], cache=j)
 
     def orthogonalize(self, j):
-        h = np.empty(j + 2)
+        h = np.empty((j + 2,) + self.w[0].shape[1:])
         # Fused CGS coefficient round mirroring edd_fgmres — partial
-        # dots, ONE allreduce of j+1 words, AXPY updates — which the
-        # engine runs inline or as a single worker dispatch.
-        (self.w,) = self.engine.arnoldi_step(
-            j, h, (self.v,), (self.w,), self.partial_buf
-        )
-        h[j + 1] = np.sqrt(max(self.system.dot(self.w, self.w), 0.0))
-        return h[:, None]
-
-    def commit(self, j, keep, h_next):
-        inv_h = 1.0 / h_next[0]
-        self.v.append(_scale_parts(self.comm, inv_h, self.w))
-        if self.engine.resident:
-            self.engine.commit_basis(inv_h)
-
-    def retire(self, pos, col, y):
-        self.update([col], [y])
-
-    def update(self, cols, ys):
-        """``x += sum_i y[i] * z[i]``: against the worker-cached ``z``
-        slots when resident, per-rank AXPYs otherwise."""
-        if self.engine.resident:
-            self.x = self.engine.axpy_update(self.x, ys[0])
-        else:
-            for i, yi in enumerate(ys[0]):
-                self.x = _axpy_parts(self.comm, self.x, float(yi), self.z[i])
-
-    def solutions(self):
-        system = self.system
-        u = np.zeros(system.n_global)
-        for o, xs, ds in zip(system.own, self.x, system.d):
-            u[o] = ds * xs
-        return [u]
-
-
-class _RDDBlockSpace:
-    """The :class:`~repro.solvers.krylov.KrylovSpace` of
-    :func:`rdd_fgmres_block`: per-rank ``(n_own, k)`` part blocks.  A
-    column that leaves a cycle is compacted out of every live Krylov
-    block, so finished columns stop charging flops and words."""
-
-    def __init__(self, system: RDDSystem, b_blk, precond, restart):
-        self.system = system
-        self.precond = precond
-        self.comm = system.comm
-        self.stats = system.comm.stats
-        self.b_blk = b_blk
-        self.k = b_blk[0].shape[1]
-        self.n_rows = sum(bb.shape[0] for bb in b_blk)
-        self.x_blk = [np.zeros((len(o), self.k)) for o in system.own]
-        self.engine = system.rank_engine()
-        self.partial_buf = np.empty((restart, system.n_parts, self.k))
-
-    def residual(self, cols):
-        system = self.system
-        idx = np.asarray(cols)
-        b_sub = _take_cols_parts(self.b_blk, idx)
-        ax = system.matvec_block(_take_cols_parts(self.x_blk, idx))
-        self.r_blk = _axpy_parts(self.comm, b_sub, -1.0, ax)
-        self.r_cols = list(cols)
-        return np.sqrt(system.dot_block(self.r_blk, self.r_blk))
-
-    def start_cycle(self, cols, betas):
-        r_blk = self.r_blk
-        sel = [self.r_cols.index(c) for c in cols]
-        if sel != list(range(len(self.r_cols))):
-            r_blk = _take_cols_parts(r_blk, sel)
-        self.v = [_scale_cols_parts(self.comm, 1.0 / betas, r_blk)]
-        self.z: list = []
-
-    def precondition(self, j):
-        self.z.append(_precondition_rdd(self.system, self.precond, self.v[j]))
-
-    def matvec(self, j):
-        self.w = self.system.matvec_block(self.z[j])
-
-    def orthogonalize(self, j):
-        hblk = np.empty((j + 2, self.w[0].shape[1]))
-        (self.w,) = self.engine.arnoldi_step_block(
-            j, hblk, (self.v,), (self.w,), self.partial_buf
-        )
-        hblk[j + 1] = np.sqrt(
-            np.maximum(self.system.dot_block(self.w, self.w), 0.0)
-        )
-        return hblk
-
-    def retire(self, pos, col, y):
-        if len(y):
-            x_blk, z = self.x_blk, self.z
-            comm = self.comm
-
-            def body(r: int) -> None:
-                xr = x_blk[r]
-                for i, yi in enumerate(y):
-                    xr[:, col] = xr[:, col] + float(yi) * z[i][r][:, pos]
-                comm.add_flops(r, 2 * len(y) * xr.shape[0])
-
-            comm.run_ranks(body, work=2 * len(y) * self.n_rows)
-        for blocks in (self.v, self.z):
-            for i, parts in enumerate(blocks):
-                blocks[i] = _drop_col_parts(parts, pos)
+        # dots, ONE allreduce of j+1 words per column, AXPY updates —
+        # which the engine runs inline or, when the basis is mirrored,
+        # as a single worker dispatch.
+        (self.w,) = self.engine.arnoldi_step(j, h, (self.v,), (self.w,))
+        h[j + 1] = np.sqrt(np.maximum(self.system.dot(self.w, self.w), 0.0))
+        return h.reshape(j + 2, -1)
 
     def commit(self, j, keep, h_next):
         w = self.w if keep is None else _take_cols_parts(self.w, keep)
-        self.v.append(_scale_cols_parts(self.comm, 1.0 / h_next, w))
+        inv_h = 1.0 / h_next
+        self.v.append(_scale_parts(self.comm, inv_h, w))
+        if self.mirrored:
+            self.engine.commit_basis(inv_h[0])
+
+    def _add_to_x(self, cols, sel, ys):
+        """``x += Z y`` for column ids ``cols`` at live positions ``sel``:
+        against the worker-cached ``z`` slots when mirrored."""
+        if self.mirrored:
+            self.x = self.engine.axpy_update(self.x, ys[0])
+        else:
+            _add_to_columns(self.comm, self.x, self.z, cols, sel, ys)
+
+    def retire(self, pos, col, y):
+        self._add_to_x(col, pos, [y])
+        self.live -= 1
+        if self.live:  # the last column out leaves nothing to compact
+            for blocks in (self.v, self.z):
+                for i, parts in enumerate(blocks):
+                    blocks[i] = _drop_col_parts(parts, pos)
 
     def update(self, cols, ys):
         # All columns share the Krylov dimension: one batched update.
-        m = len(ys[0])
-        y_mat = np.array(ys)
-        idx = np.asarray(cols)
-        x_blk, z = self.x_blk, self.z
-        comm = self.comm
-
-        def body(r: int) -> None:
-            xr = x_blk[r]
-            for i in range(m):
-                xr[:, idx] = xr[:, idx] + z[i][r] * y_mat[:, i]
-            comm.add_flops(r, 2 * m * xr.shape[0] * len(idx))
-
-        comm.run_ranks(body, work=2 * m * self.n_rows * len(idx))
+        self._add_to_x(np.asarray(cols), slice(None), ys)
 
     def solutions(self):
         system = self.system
-        u_full = np.zeros((system.n_global, self.k))
-        for o, xs, ds in zip(system.own, self.x_blk, system.d):
-            u_full[o] = ds[:, None] * xs
-        return [np.ascontiguousarray(u_full[:, c]) for c in range(self.k)]
+        u = np.zeros((system.n_global,) + self.x[0].shape[1:])
+        for o, xs, ds in zip(system.own, self.x, system.d):
+            u[o] = _rows(ds, xs) * xs
+        u = _as_cols(u)
+        return [np.ascontiguousarray(u[:, c]) for c in range(self.k)]
 
 
 def _configure(system, precond, restart, tol, max_iter, options):
@@ -649,7 +543,7 @@ def rdd_fgmres(
     precond, restart, tol, max_iter = _configure(
         system, precond, restart, tol, max_iter, options
     )
-    space = _RDDVectorSpace(system, precond, restart)
+    space = _RDDSpace(system, [bb.copy() for bb in system.b], precond)
     return restarted_fgmres(
         space, restart, tol, max_iter, breakdown_tol, tracer
     )[0]
@@ -670,8 +564,10 @@ def rdd_fgmres_block(
     simultaneously; returns one :class:`SolveResult` per column (unscaled
     global solutions).
 
-    ``b`` is an ``(n_free, k)`` array of raw right-hand sides or a
-    pre-scaled per-rank part-block list (``(n_own, k)`` arrays).  The same
+    ``b`` is an ``(n_free, k)`` array (or array-like) of raw right-hand
+    sides, or a pre-scaled per-rank part-block list — ``n_parts`` ndarrays
+    of shapes ``(n_own, k)``; a list of ndarrays of any other shapes is
+    rejected with a ValueError.  The same
     guarantees as :func:`repro.core.edd.edd_fgmres_block` hold: column
     ``c`` runs exactly the single-RHS floating-point trajectory of
     :func:`rdd_fgmres` (bit-identical residual history), one halo exchange
@@ -681,8 +577,21 @@ def rdd_fgmres_block(
     precond, restart, tol, max_iter = _configure(
         system, precond, restart, tol, max_iter, options
     )
-    b_blk = system.rhs_block(b) if isinstance(b, np.ndarray) else list(b)
+    if isinstance(b, (list, tuple)) and all(
+        isinstance(p, np.ndarray) for p in b
+    ):
+        b_blk = list(b)
+        rows = [len(o) for o in system.own]
+        k = b_blk[0].shape[1] if b_blk and b_blk[0].ndim == 2 else None
+        if k is None or [p.shape for p in b_blk] != [(n, k) for n in rows]:
+            raise ValueError(
+                f"a per-rank RHS part list needs {system.n_parts} arrays of "
+                f"shapes {[(n, 'k') for n in rows]} with one common k; got "
+                f"{[p.shape for p in b_blk]}"
+            )
+    else:
+        b_blk = system.rhs_block(b)
     if b_blk[0].shape[1] == 0:
         return []
-    space = _RDDBlockSpace(system, b_blk, precond, restart)
+    space = _RDDSpace(system, b_blk, precond)
     return restarted_fgmres(space, restart, tol, max_iter, breakdown_tol, tracer)

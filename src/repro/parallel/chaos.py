@@ -319,8 +319,8 @@ class ChaosComm(Comm):
     # backend genuinely moves the (pre-injection) payloads through its
     # worker processes: faults land on top of the real exchange path
     # rather than a shortcut through the orchestrator.
-    def _gather_back(self, glob, k):
-        return self.inner._gather_back(glob, k)
+    def _gather_back(self, glob):
+        return self.inner._gather_back(glob)
 
     def _halo_fill(self, x_parts, plan, ext, total_words):
         return self.inner._halo_fill(x_parts, plan, ext, total_words)
@@ -401,7 +401,14 @@ class ChaosComm(Comm):
     def interface_assemble(self, parts: list) -> list:
         """The shared ``⊕Σ∂Ω`` assembly, then plan-driven injection on
         the assembled per-rank outputs (value faults, dropped/duplicated/
-        permuted neighbour contributions, stalls)."""
+        permuted neighbour contributions, stalls).
+
+        A batched exchange *is* this collective, just k words wide: it
+        counts against the same call index, so a fault plan hits a k-RHS
+        solve at the same call positions it hits a single-RHS solve.
+        Value faults corrupt one word of the flattened part;
+        drop/duplicate/reorder act on a neighbour's full k-column
+        contribution, as a lost/duplicated/permuted message would."""
         name = "interface_assemble"
         call_idx = self._calls[name]
         self._calls[name] += 1
@@ -413,7 +420,7 @@ class ChaosComm(Comm):
             if kind == "stall":
                 detail = self._stall(rule)
             elif kind in ("sign_flip", "nan", "inf", "zero_word"):
-                detail = self._corrupt_word(out[s], kind, rng)
+                detail = self._corrupt_word(out[s].reshape(-1), kind, rng)
             else:
                 nbrs = sorted(self.submap.shared[s])
                 if not nbrs:
@@ -442,7 +449,8 @@ class ChaosComm(Comm):
     def halo_exchange(self, x_parts: list, plan: dict) -> list:
         """The shared halo scatter/gather, then plan-driven injection on
         the received external buffers (value faults, dropped payloads,
-        stale duplicates, permuted slots, stalls)."""
+        stale duplicates, permuted slots, stalls); payload faults hit a
+        neighbour's full k-column message when the parts are blocks."""
         name = "halo_exchange"
         call_idx = self._calls[name]
         self._calls[name] += 1
@@ -455,7 +463,7 @@ class ChaosComm(Comm):
             if kind == "stall":
                 detail = self._stall(rule)
             elif kind in ("sign_flip", "nan", "inf", "zero_word"):
-                detail = self._corrupt_word(ext[s], kind, rng)
+                detail = self._corrupt_word(ext[s].reshape(-1), kind, rng)
             else:
                 nbrs = sorted(
                     t for t, (_, slots) in plan[s].items() if len(slots)
@@ -475,104 +483,6 @@ class ChaosComm(Comm):
                     # A stale duplicate of the *previous* exchange's
                     # payload overwrites the fresh values.
                     stale = self._halo_last.get((s, t))
-                    if stale is not None and len(stale) == len(recv_slots):
-                        ext[s][recv_slots] = stale
-                        detail = f"stale duplicate payload from rank {t}"
-                    else:
-                        detail = (
-                            f"no previous payload from rank {t}; no-op"
-                        )
-                else:  # reorder_payload
-                    perm = rng.permutation(len(recv_slots))
-                    ext[s][recv_slots] = ext[s][recv_slots][perm]
-                    detail = f"payload from rank {t} reordered"
-            self._log(i, rule, name, call_idx, s, detail)
-        # Remember the true payloads for stale-duplicate injection; only
-        # pay this cost when the plan can ever ask for it.
-        if any(r.kind == "duplicate_payload" and
-               r.collective in (name, "*") for r in self.plan.rules):
-            for s in range(self.size):
-                for t, (send_idx, _) in plan[s].items():
-                    self._halo_last[(t, s)] = x_parts[s][send_idx].copy()
-        return ext
-
-    def interface_assemble_block(self, parts: list) -> list:
-        """Batched ``⊕Σ∂Ω``, faulted like :meth:`interface_assemble`.
-
-        Counts against the same ``interface_assemble`` call index (a
-        batched exchange *is* that collective, just k words wide), so an
-        existing fault plan hits a k-RHS solve at the same call positions
-        it hits a single-RHS solve.  Value faults corrupt one word of the
-        flattened block; drop/duplicate/reorder act on a neighbour's full
-        k-column contribution, as a lost/duplicated/permuted message
-        would.
-        """
-        name = "interface_assemble"
-        call_idx = self._calls[name]
-        self._calls[name] += 1
-        out = super().interface_assemble_block(parts)
-        for i, rule in self._matches(name, call_idx):
-            rng = self._rng(i, call_idx)
-            s = self._target_rank(rule, rng)
-            kind = rule.kind
-            if kind == "stall":
-                detail = self._stall(rule)
-            elif kind in ("sign_flip", "nan", "inf", "zero_word"):
-                detail = self._corrupt_word(out[s].reshape(-1), kind, rng)
-            else:
-                nbrs = sorted(self.submap.shared[s])
-                if not nbrs:
-                    detail = f"rank {s} has no neighbours; no-op"
-                    self._log(i, rule, name, call_idx, s, detail)
-                    continue
-                t = int(nbrs[int(rng.integers(len(nbrs)))])
-                shared_idx = self.submap.shared[s][t]
-                g = self.submap.l2g[s][shared_idx]
-                contrib = parts[t][self._g2l_for(t)[g]]
-                if kind == "drop_contribution":
-                    out[s][shared_idx] -= contrib
-                    detail = f"dropped contribution of rank {t}"
-                elif kind == "duplicate_payload":
-                    out[s][shared_idx] += contrib
-                    detail = f"contribution of rank {t} applied twice"
-                else:  # reorder_payload
-                    perm = rng.permutation(len(shared_idx))
-                    out[s][shared_idx] += contrib[perm] - contrib
-                    detail = f"contribution of rank {t} permuted"
-            self._log(i, rule, name, call_idx, s, detail)
-        return out
-
-    def halo_exchange_block(self, x_parts: list, plan: dict) -> list:
-        """Batched halo exchange, faulted like :meth:`halo_exchange`
-        (same ``halo_exchange`` call counter; payload faults hit a
-        neighbour's full k-column message)."""
-        name = "halo_exchange"
-        call_idx = self._calls[name]
-        self._calls[name] += 1
-        ext = super().halo_exchange_block(x_parts, plan)
-        for i, rule in self._matches(name, call_idx):
-            rng = self._rng(i, call_idx)
-            s = self._target_rank(rule, rng)
-            kind = rule.kind
-            if kind == "stall":
-                detail = self._stall(rule)
-            elif kind in ("sign_flip", "nan", "inf", "zero_word"):
-                detail = self._corrupt_word(ext[s].reshape(-1), kind, rng)
-            else:
-                nbrs = sorted(
-                    t for t, (_, slots) in plan[s].items() if len(slots)
-                )
-                if not nbrs:
-                    detail = f"rank {s} receives no halo; no-op"
-                    self._log(i, rule, name, call_idx, s, detail)
-                    continue
-                t = int(nbrs[int(rng.integers(len(nbrs)))])
-                _, recv_slots = plan[s][t]
-                if kind == "drop_contribution":
-                    ext[s][recv_slots] = 0.0
-                    detail = f"payload from rank {t} dropped"
-                elif kind == "duplicate_payload":
-                    stale = self._halo_last.get((s, t))
                     if (
                         stale is not None
                         and stale.shape == ext[s][recv_slots].shape
@@ -588,6 +498,8 @@ class ChaosComm(Comm):
                     ext[s][recv_slots] = ext[s][recv_slots][perm]
                     detail = f"payload from rank {t} reordered"
             self._log(i, rule, name, call_idx, s, detail)
+        # Remember the true payloads for stale-duplicate injection; only
+        # pay this cost when the plan can ever ask for it.
         if any(r.kind == "duplicate_payload" and
                r.collective in (name, "*") for r in self.plan.rules):
             for s in range(self.size):

@@ -202,13 +202,13 @@ class Comm:
     # ------------------------------------------------------------------
     # Data-movement hooks (the only backend-overridable numerics-free part)
     # ------------------------------------------------------------------
-    def _gather_back(self, glob: np.ndarray, k: int | None) -> list:
-        """Gather the scatter-added global vector back per rank.
+    def _gather_back(self, glob: np.ndarray) -> list:
+        """Gather the scatter-added global array back per rank.
 
         The second half of ``⊕Σ∂Ω``: ``out[s] = glob[l2g[s]]`` — a pure
         permutation copy, so a backend may execute it anywhere (worker
         thread, worker process via shared memory) without perturbing a
-        single bit.  ``k`` is the block width (None for vectors).
+        single bit.  ``glob`` is ``(n_global,)`` or ``(n_global, k)``.
         """
         submap = self.submap
         out = [None] * self.size
@@ -216,8 +216,7 @@ class Comm:
         def gather(s: int) -> None:
             out[s] = glob[submap.l2g[s]].copy()
 
-        work = submap.n_global * (1 if k is None else k)
-        self.run_ranks(gather, work=work)
+        self.run_ranks(gather, work=glob.size)
         return out
 
     def _halo_fill(
@@ -268,63 +267,49 @@ class Comm:
         charged per neighbouring pair: one message of ``len(shared)``
         words each way.  Interface-DOF additions are also charged as
         flops.
-        """
-        submap = self.submap
-        if len(parts) != self.size:
-            raise ValueError("one part per rank required")
-        trc = self.tracer
-        if trc.enabled:
-            messages, words = self._iface_counts()
-            trc.begin("interface_assemble", "exchange",
-                      messages=messages, words=words)
-        glob = np.zeros(submap.n_global)
-        for g, p in zip(submap.l2g, parts):
-            np.add.at(glob, g, p)
-        out = self._gather_back(glob, k=None)
-        for s in range(self.size):
-            rs = self.stats.ranks[s]
-            for t, local_idx in submap.shared[s].items():
-                rs.nbr_messages += 1
-                rs.nbr_words += len(local_idx)
-                rs.flops += len(local_idx)  # one add per received word
-                if self.trace:
-                    self.message_log.append((s, t, len(local_idx)))
-        if trc.enabled:
-            trc.end()
-        return out
 
-    def interface_assemble_block(self, parts: list) -> list:
-        """Batched ``⊕Σ∂Ω`` over ``(n_local, k)`` blocks — the k-RHS form.
-
-        One call assembles all ``k`` columns at once, which is the point:
-        a k-RHS Arnoldi step still costs **one** message per neighbouring
-        pair (Algorithm 6's invariant holds per step, not per column),
-        with the payload simply ``k`` times wider.  Charging reflects
-        exactly that — ``nbr_messages`` counts as a single exchange while
-        ``nbr_words``/``flops`` scale with ``k`` — so the coalescing win
+        ``parts`` are all ``(n_local,)`` vectors or all ``(n_local, k)``
+        blocks.  One call assembles all ``k`` columns at once, which is
+        the point: a k-RHS Arnoldi step still costs **one** message per
+        neighbouring pair (Algorithm 6's invariant holds per step, not
+        per column), with the payload simply ``k`` times wider —
+        ``nbr_messages`` counts as a single exchange while
+        ``nbr_words``/``flops`` scale with ``k``, so the coalescing win
         is visible in the modeled latency term.  Column ``c`` of the
-        result is bit-identical to ``interface_assemble`` of column ``c``
+        result is bit-identical to the assembly of column ``c`` alone
         (same scatter-add order).
         """
         submap = self.submap
         if len(parts) != self.size:
             raise ValueError("one part per rank required")
-        k = parts[0].shape[1]
+        tail = parts[0].shape[1:]
+
+        def move() -> list:
+            glob = np.zeros((submap.n_global,) + tail)
+            for g, p in zip(submap.l2g, parts):
+                np.add.at(glob, g, p)
+            return self._gather_back(glob)
+
+        return self._charge_interface(tail, move)
+
+    def _charge_interface(self, tail: tuple, move=None):
+        """Everything one ``⊕Σ∂Ω`` over parts of trailing shape ``tail``
+        (``()`` or ``(k,)``) records — tracer span (``k`` among its args
+        exactly for blocks), per-pair message/word/flop charges, message
+        log — around the data movement ``move()`` when there is one."""
+        k = tail[0] if tail else 1
         trc = self.tracer
         if trc.enabled:
             messages, words = self._iface_counts()
-            trc.begin("interface_assemble", "exchange",
-                      messages=messages, words=words * k, k=k)
-        glob = np.zeros((submap.n_global, k))
-        for g, p in zip(submap.l2g, parts):
-            np.add.at(glob, g, p)
-        out = self._gather_back(glob, k=k)
+            trc.begin("interface_assemble", "exchange", messages=messages,
+                      words=words * k, **({"k": k} if tail else {}))
+        out = None if move is None else move()
         for s in range(self.size):
             rs = self.stats.ranks[s]
-            for t, local_idx in submap.shared[s].items():
+            for t, local_idx in self.submap.shared[s].items():
                 rs.nbr_messages += 1
                 rs.nbr_words += len(local_idx) * k
-                rs.flops += len(local_idx) * k
+                rs.flops += len(local_idx) * k  # one add per received word
                 if self.trace:
                     self.message_log.append((s, t, len(local_idx) * k))
         if trc.enabled:
@@ -332,54 +317,54 @@ class Comm:
         return out
 
     def charge_interface_assemble(self) -> None:
-        """Record exactly what :meth:`interface_assemble` records — tracer
-        span, per-pair message/word/flop charges, message log — without
-        moving any data.
+        """Record exactly what :meth:`interface_assemble` of a vector
+        records — tracer span, per-pair message/word/flop charges,
+        message log — without moving any data.
 
         Resident fused rank ops (``repro.parallel.resident``) perform the
         ``⊕Σ∂Ω`` assembly at the workers; this keeps the *modeled*
         communication bit-identical to inline execution by running the
-        same charging loops the real collective runs.
+        same charging loop the real collective runs.
         """
-        submap = self.submap
-        trc = self.tracer
-        if trc.enabled:
-            messages, words = self._iface_counts()
-            trc.begin("interface_assemble", "exchange",
-                      messages=messages, words=words)
-        for s in range(self.size):
-            rs = self.stats.ranks[s]
-            for t, local_idx in submap.shared[s].items():
-                rs.nbr_messages += 1
-                rs.nbr_words += len(local_idx)
-                rs.flops += len(local_idx)  # one add per received word
-                if self.trace:
-                    self.message_log.append((s, t, len(local_idx)))
-        if trc.enabled:
-            trc.end()
+        self._charge_interface(())
 
-    def charge_halo_exchange(self, plan: dict) -> None:
-        """Record exactly what :meth:`halo_exchange` records — tracer
-        span, sender-side message/word charges, message log — without the
-        data movement (resident fused ops fill halos worker-side)."""
+    def _charge_halo(self, plan: dict, tail: tuple, words=None, fill=None):
+        """Everything one halo exchange of parts with trailing shape
+        ``tail`` records — tracer span, sender-side message/word charges,
+        message log — around the data movement ``fill()`` when there is
+        one.  ``words`` is the receiver-side total when the caller already
+        has it (== the sender-side charged total: the exchange is a
+        permutation of the same payloads)."""
+        k = tail[0] if tail else 1
         trc = self.tracer
         if trc.enabled:
-            total_words = 0
-            for s in range(self.size):
-                for t, (_, recv_slots) in plan[s].items():
-                    total_words += len(recv_slots)
+            if words is None:
+                words = k * sum(
+                    len(recv_slots)
+                    for s in range(self.size)
+                    for _, recv_slots in plan[s].values()
+                )
             trc.begin("halo_exchange", "exchange",
                       messages=sum(len(plan[s]) for s in range(self.size)),
-                      words=total_words)
+                      words=words, **({"k": k} if tail else {}))
+        if fill is not None:
+            fill()
         for s in range(self.size):
             rs = self.stats.ranks[s]
             for t, (send_idx, _) in plan[s].items():
                 rs.nbr_messages += 1
-                rs.nbr_words += len(send_idx)
+                rs.nbr_words += len(send_idx) * k
                 if self.trace:
-                    self.message_log.append((s, t, len(send_idx)))
+                    self.message_log.append((s, t, len(send_idx) * k))
         if trc.enabled:
             trc.end()
+
+    def charge_halo_exchange(self, plan: dict) -> None:
+        """Record exactly what :meth:`halo_exchange` of a vector records —
+        tracer span, sender-side message/word charges, message log —
+        without the data movement (resident fused ops fill halos
+        worker-side)."""
+        self._charge_halo(plan, ())
 
     def allreduce_sum(self, values, words: int = 1):
         """Global sum reduction across ranks.
@@ -410,12 +395,19 @@ class Comm:
         recv_slots)``: rank ``s`` sends ``x_parts[s][send_local_idx]`` to
         ``t``; the values rank ``s`` *receives* from ``t`` land in its
         external buffer at positions ``recv_slots``.  Returns the per-rank
-        external vectors.  Data movement is receiver-centric — each rank
+        external buffers.  Data movement is receiver-centric — each rank
         fills only its own external buffer — so the gather dispatches
         through :meth:`run_ranks`; sender-side charging stays serial.
+
+        ``x_parts`` are all ``(n_own,)`` vectors or all ``(n_own, k)``
+        blocks; for a block every neighbour message carries all ``k``
+        columns — one message per ordered pair per call, ``k`` times the
+        words — and column ``c`` of each external buffer is bit-identical
+        to a per-column exchange.
         """
         if len(x_parts) != self.size:
             raise ValueError("one part per rank required")
+        tail = x_parts[0].shape[1:]
         ext_sizes = [0] * self.size
         total_words = 0
         for s in range(self.size):
@@ -424,62 +416,12 @@ class Comm:
                     ext_sizes[s], (int(recv_slots.max()) + 1) if len(recv_slots) else 0
                 )
                 total_words += len(recv_slots)
-        trc = self.tracer
-        if trc.enabled:
-            # Receiver-side word total == sender-side charged total (the
-            # exchange is a permutation of the same payloads).
-            trc.begin("halo_exchange", "exchange",
-                      messages=sum(len(plan[s]) for s in range(self.size)),
-                      words=total_words)
-        ext = [np.zeros(n) for n in ext_sizes]
-        self._halo_fill(x_parts, plan, ext, total_words)
-        for s in range(self.size):
-            rs = self.stats.ranks[s]
-            for t, (send_idx, _) in plan[s].items():
-                rs.nbr_messages += 1
-                rs.nbr_words += len(send_idx)
-                if self.trace:
-                    self.message_log.append((s, t, len(send_idx)))
-        if trc.enabled:
-            trc.end()
-        return ext
-
-    def halo_exchange_block(self, x_parts: list, plan: dict) -> list:
-        """Batched halo scatter/gather over ``(n_own, k)`` blocks.
-
-        Same plan and data movement as :meth:`halo_exchange`, but every
-        neighbour message carries all ``k`` columns: one message per
-        ordered pair per call, ``k`` times the words.  Column ``c`` of
-        each returned external buffer is bit-identical to a per-column
-        exchange.
-        """
-        if len(x_parts) != self.size:
-            raise ValueError("one part per rank required")
-        k = x_parts[0].shape[1]
-        ext_sizes = [0] * self.size
-        total_words = 0
-        for s in range(self.size):
-            for t, (_, recv_slots) in plan[s].items():
-                ext_sizes[s] = max(
-                    ext_sizes[s], (int(recv_slots.max()) + 1) if len(recv_slots) else 0
-                )
-                total_words += len(recv_slots) * k
-        trc = self.tracer
-        if trc.enabled:
-            trc.begin("halo_exchange", "exchange",
-                      messages=sum(len(plan[s]) for s in range(self.size)),
-                      words=total_words, k=k)
-        ext = [np.zeros((n, k)) for n in ext_sizes]
-        self._halo_fill(x_parts, plan, ext, total_words)
-        for s in range(self.size):
-            rs = self.stats.ranks[s]
-            for t, (send_idx, _) in plan[s].items():
-                rs.nbr_messages += 1
-                rs.nbr_words += len(send_idx) * k
-                if self.trace:
-                    self.message_log.append((s, t, len(send_idx) * k))
-        if trc.enabled:
-            trc.end()
+        total_words *= tail[0] if tail else 1
+        ext = [np.zeros((n,) + tail) for n in ext_sizes]
+        self._charge_halo(
+            plan, tail, total_words,
+            lambda: self._halo_fill(x_parts, plan, ext, total_words),
+        )
         return ext
 
     def reset_stats(self) -> None:

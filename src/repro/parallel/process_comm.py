@@ -497,13 +497,14 @@ class ProcessComm(Comm):
     # ------------------------------------------------------------------
     # Data-movement hooks: shared-memory fan-out
     # ------------------------------------------------------------------
-    def _gather_back(self, glob: np.ndarray, k: int | None) -> list:
+    def _gather_back(self, glob: np.ndarray) -> list:
+        k = None if glob.ndim == 1 else glob.shape[1]
         kk = 1 if k is None else int(k)
         n_global = self.submap.n_global
         sizes = self.submap.local_sizes
         work = n_global * kk
         if not self._use_pool(work):
-            return super()._gather_back(glob, k)
+            return super()._gather_back(glob)
         in_words = n_global * kk
         total_words = in_words + sum(sizes) * kk
         pool = self._ensure_pool()

@@ -65,6 +65,7 @@ import os
 
 import numpy as np
 
+from repro.core.distributed import DistVector, _n_cols, col_dots
 from repro.parallel.env_knobs import EnvKnobError, read_int_env
 
 __all__ = [
@@ -207,10 +208,11 @@ class RankEngine:
 
     ``basis`` and ``w`` hold one entry per vector format — EDD
     ``(local, global)``, RDD one — as per-rank parts (``basis[f][i]`` is
-    basis vector ``i``).  The dots pair the first format's basis with
-    the last format's ``w``: the mixed-format inner product of Eq. 33
-    for EDD, the plain Eq. 47 one for RDD.  Both rounds return the
-    orthogonalized ``w``, one parts list per format.
+    basis vector ``i``), all ``(n,)`` vectors or all ``(n, k)`` blocks.
+    The dots pair the first format's basis with the last format's ``w``:
+    the mixed-format inner product of Eq. 33 for EDD, the plain Eq. 47
+    one for RDD.  The round returns the orthogonalized ``w``, one parts
+    list per format.
     """
 
     resident = False
@@ -218,50 +220,24 @@ class RankEngine:
     def __init__(self, system):
         self.system = system
 
-    def arnoldi_step(self, j, h, basis, w, partial_buf):
-        """One CGS round on vectors: fused partial dots, ONE allreduce of
-        ``j + 1`` words, fused orthogonalization."""
+    def arnoldi_step(self, j, h, basis, w):
+        """One CGS round: fused partial dots (per column for blocks, each
+        the ddot the vector round performs), ONE allreduce of ``j + 1``
+        words per column for all columns, fused orthogonalization."""
         comm = self.system.comm
         v_dot, w_dot = basis[0], w[-1]
-        partial = partial_buf[: j + 1]
+        partial = np.empty((comm.size, j + 1) + w_dot[0].shape[1:])
 
         def dots_body(r: int) -> None:
             wr = w_dot[r]
             for i in range(j + 1):
-                partial[i, r] = v_dot[i][r] @ wr
-            comm.add_flops(r, 2 * (j + 1) * len(wr))
-
-        comm.run_ranks(
-            dots_body, work=2 * (j + 1) * sum(len(p) for p in w_dot)
-        )
-        h[: j + 1] = comm.allreduce_sum(list(partial.T), words=j + 1)
-        return self._orthogonalize(j, h, basis, w)
-
-    def arnoldi_step_block(self, j, h, basis, w, partial_buf):
-        """One CGS round on ``(n, k)`` blocks: per-column partial dots
-        (each the contiguous ddot the vector round performs), ONE
-        allreduce of ``(j + 1) * k`` words for all columns, fused
-        orthogonalization.  Always orchestrator-side: block solves go
-        resident for the matvec only."""
-        comm = self.system.comm
-        v_dot, w_dot = basis[0], w[-1]
-        ka = w_dot[0].shape[1]
-        partial = partial_buf[: j + 1, :, :ka]
-
-        def dots_body(r: int) -> None:
-            wr = w_dot[r]
-            for i in range(j + 1):
-                vp = v_dot[i][r]
-                for cc in range(ka):
-                    partial[i, r, cc] = vp[:, cc] @ wr[:, cc]
+                partial[r, i] = col_dots(v_dot[i][r], wr)
             comm.add_flops(r, 2 * (j + 1) * wr.size)
 
         comm.run_ranks(
             dots_body, work=2 * (j + 1) * sum(p.size for p in w_dot)
         )
-        h[: j + 1] = comm.allreduce_sum(
-            list(partial.transpose(1, 0, 2)), words=(j + 1) * ka
-        )
+        h[: j + 1] = comm.allreduce_sum(list(partial), words=partial[0].size)
         return self._orthogonalize(j, h, basis, w)
 
     def _orthogonalize(self, j, h, basis, w):
@@ -289,27 +265,8 @@ class InlineEDDEngine(RankEngine):
     """Original per-rank subdomain matvecs (Eq. 37), any backend."""
 
     def matvec_local(self, v, cache=None):
-        """Per-rank subdomain matvec (Eq. 37); ``cache`` is ignored inline."""
-        from repro.core.distributed import DistVector
-
-        system = self.system
-        comm = system.comm
-        a_local = system.a_local
-        x_parts = v.parts
-        parts = [None] * len(a_local)
-
-        def body(r: int) -> None:
-            a = a_local[r]
-            parts[r] = a.matvec(x_parts[r])
-            comm.add_flops(r, 2 * a.nnz)
-
-        comm.run_ranks(body, work=2 * system.nnz_total)
-        return DistVector(parts, "local", comm)
-
-    def matvec_local_block(self, v):
-        """Per-rank batched subdomain SpMM over all ``k`` columns."""
-        from repro.core.distributed import DistBlock
-
+        """Per-rank subdomain product (Eq. 37) — a matvec, or one SpMM
+        over all ``k`` columns of a block; ``cache`` is ignored inline."""
         system = self.system
         comm = system.comm
         a_local = system.a_local
@@ -319,50 +276,33 @@ class InlineEDDEngine(RankEngine):
 
         def body(r: int) -> None:
             a = a_local[r]
-            parts[r] = a.matmat(x_parts[r])
+            parts[r] = a @ x_parts[r]
             comm.add_flops(r, 2 * a.nnz * k)
 
         comm.run_ranks(body, work=2 * system.nnz_total * k)
-        return DistBlock(parts, "local", comm)
+        return DistVector(parts, "local", comm)
 
 
 class InlineRDDEngine(RankEngine):
     """Original per-rank row-block products (Eq. 48), any backend."""
 
     def matvec(self, x_parts, ext_vals, cache=None):
-        """Per-rank Eq. 48 block products; ``cache`` is ignored inline."""
+        """Per-rank Eq. 48 block products — matvecs, or SpMMs over all
+        ``k`` columns of a block; ``cache`` is ignored inline."""
         system = self.system
         comm = system.comm
         a_loc = system.a_loc
         a_ext = system.a_ext
+        k = _n_cols(x_parts[0])
         out = [None] * len(a_loc)
 
         def body(r: int) -> None:
-            y = a_loc[r].matvec(x_parts[r])
-            comm.add_flops(r, 2 * a_loc[r].nnz)
-            if a_ext[r].shape[1]:
-                y = y + a_ext[r].matvec(ext_vals[r])
-                comm.add_flops(r, 2 * a_ext[r].nnz + len(y))
-            out[r] = y
-
-        comm.run_ranks(body, work=2 * system.nnz_total)
-        return out
-
-    def matvec_block(self, x_parts, ext_vals):
-        """Per-rank batched Eq. 48 SpMMs over all ``k`` columns."""
-        system = self.system
-        comm = system.comm
-        a_loc = system.a_loc
-        a_ext = system.a_ext
-        k = x_parts[0].shape[1]
-        out = [None] * len(a_loc)
-
-        def body(r: int) -> None:
-            y = a_loc[r].matmat(x_parts[r])
-            comm.add_flops(r, 2 * a_loc[r].nnz * k)
-            if a_ext[r].shape[1]:
-                y = y + a_ext[r].matmat(ext_vals[r])
-                comm.add_flops(r, 2 * a_ext[r].nnz * k + y.size)
+            loc, ext = a_loc[r], a_ext[r]
+            y = loc @ x_parts[r]
+            comm.add_flops(r, 2 * loc.nnz * k)
+            if ext.shape[1]:
+                y = y + ext @ ext_vals[r]
+                comm.add_flops(r, 2 * ext.nnz * k + y.size)
             out[r] = y
 
         comm.run_ranks(body, work=2 * system.nnz_total * k)
@@ -385,6 +325,14 @@ class ResidentEngine(RankEngine):
     and return raw per-rank parts; ``formats`` is how many a vector has
     (EDD carries each basis vector local- *and* global-distributed, RDD
     vectors have one format).
+
+    The worker slots hold vectors, so this is where a part's shape picks
+    the wire op: ``(n, k)`` blocks go resident for the matvec only
+    (``mvb`` / ``mvb_rdd``); handed a block, the fused ops fall back to
+    the orchestrator-side round (``arnoldi_step``) or return None so the
+    caller stays on its generic path (``poly_chain``, ``coarse_correct``).
+    The mirror ops (``seed`` / ``commit`` / ``axpy``) are only ever
+    called by a space whose parts are vectors.
     """
 
     resident = True
@@ -444,14 +392,15 @@ class ResidentEngine(RankEngine):
                 trc.end()
         return comm.run_rank_op(payload, writes, reads, total_words)
 
-    def _vec_writes(self, parts, base=0):
+    def _vec_writes(self, parts, base=0, k=1):
         return [
-            (base + off, p) for off, p in zip(self.offsets, parts)
+            (base + off * k, p) for off, p in zip(self.offsets, parts)
         ]
 
-    def _vec_reads(self, base):
+    def _vec_reads(self, base, k=1):
         return [
-            (base + off, n) for off, n in zip(self.offsets, self.sizes)
+            (base + off * k, n * k)
+            for off, n in zip(self.offsets, self.sizes)
         ]
 
     # -- Krylov-basis ops ----------------------------------------------
@@ -469,7 +418,7 @@ class ResidentEngine(RankEngine):
             self.formats * n,
         )
 
-    def arnoldi_step(self, j, h, basis, w, partial_buf):
+    def arnoldi_step(self, j, h, basis, w):
         """Fused dots + reduction + ortho in ONE dispatch (the inline
         pair costs two).  Workers compute the partial dots of the last
         format of ``w`` (the other is already cached worker-side), spin
@@ -481,6 +430,8 @@ class ResidentEngine(RankEngine):
         charging, tracer span and chaos call index stay exactly where
         the inline path puts them.  ``basis`` is unused: the workers
         hold its mirror."""
+        if w[-1][0].ndim == 2:
+            return super().arnoldi_step(j, h, basis, w)
         comm = self.system.comm
         n = self.n_total
         p = len(self.sizes)
@@ -504,11 +455,9 @@ class ResidentEngine(RankEngine):
             reads += self._vec_reads(f * n)
         reads += [(pbase + r * (j + 1), j + 1) for r in range(p)]
         outs = self._dispatch(payload, writes, reads, flags + nflags)
-        partial = partial_buf[: j + 1]
         for r in range(p):
-            partial[:, r] = outs[nf * p + r]
             comm.add_flops(r, 2 * (j + 1) * self.sizes[r])
-        h[: j + 1] = comm.allreduce_sum(list(partial.T), words=j + 1)
+        h[: j + 1] = comm.allreduce_sum(outs[nf * p:], words=j + 1)
         for r in range(p):
             comm.add_flops(r, 2 * nf * (j + 1) * self.sizes[r])
         return tuple(outs[f * p:(f + 1) * p] for f in range(nf))
@@ -557,7 +506,10 @@ class ResidentEngine(RankEngine):
         rank-local prolongation.  The orchestrator replays the real
         coarse allreduce on the partial rows it reads back, so the
         correction still costs exactly ONE reduction of ``n_coarse``
-        words — and chaos plans aimed at it keep firing."""
+        words — and chaos plans aimed at it keep firing.  None for
+        blocks."""
+        if v_parts[0].ndim == 2:
+            return None
         comm = self.system.comm
         self.ensure_aux(tl._resident_key, tl._resident_states)
         n = self.n_total
@@ -622,46 +574,33 @@ class ResidentEDDEngine(ResidentEngine):
         system.comm.resident_ship(self.gen, rank_states)
 
     def matvec_local(self, v, cache=None):
-        """Worker-resident subdomain matvec; ``cache=j`` retains the
-        input slot ``z[j]`` and the output for later basis ops."""
-        from repro.core.distributed import DistVector
-
+        """Worker-resident subdomain product: ``mv`` for vectors —
+        ``cache=j`` retains the input slot ``z[j]`` and the output for
+        later basis ops — or ``mvb``, one SpMM over all ``k`` columns of
+        a block (nothing cached)."""
         system = self.system
         comm = system.comm
-        n = self.n_total
-        payload = {
-            "name": "mv",
-            "cache": None if cache is None else int(cache),
-            "out": n,
-        }
-        parts = self._dispatch(
-            payload, self._vec_writes(v.parts), self._vec_reads(n), 2 * n
-        )
-        for r, a in enumerate(system.a_local):
-            comm.add_flops(r, 2 * a.nnz)
-        return DistVector(parts, "local", comm)
-
-    def matvec_local_block(self, v):
-        """Worker-resident batched SpMM over all ``k`` columns."""
-        from repro.core.distributed import DistBlock
-
-        system = self.system
-        comm = system.comm
+        x_parts = v.parts
         k = v.k
-        n = self.n_total
-        writes = [
-            (off * k, p) for off, p in zip(self.offsets, v.parts)
-        ]
-        reads = [
-            (n * k + off * k, sz * k)
-            for off, sz in zip(self.offsets, self.sizes)
-        ]
-        payload = {"name": "mvb", "k": k, "out": n * k}
-        outs = self._dispatch(payload, writes, reads, 2 * n * k)
-        parts = [o.reshape(sz, k) for o, sz in zip(outs, self.sizes)]
+        out = self.n_total * k
+        if x_parts[0].ndim == 1:
+            payload = {
+                "name": "mv",
+                "cache": None if cache is None else int(cache),
+                "out": out,
+            }
+        else:
+            payload = {"name": "mvb", "k": k, "out": out}
+        outs = self._dispatch(
+            payload,
+            self._vec_writes(x_parts, k=k),
+            self._vec_reads(out, k),
+            2 * out,
+        )
+        parts = [o.reshape(x.shape) for o, x in zip(outs, x_parts)]
         for r, a in enumerate(system.a_local):
             comm.add_flops(r, 2 * a.nnz * k)
-        return DistBlock(parts, "local", comm)
+        return DistVector(parts, "local", comm)
 
     def poly_chain(self, precond, terms, v_hat):
         """One fused dispatch for a whole degree-``k`` polynomial apply.
@@ -671,9 +610,10 @@ class ResidentEDDEngine(ResidentEngine):
         shared arena with one spin barrier per degree — O(1) pipe
         round-trips instead of O(k).  The inline charging (matvec flops,
         assembly messages/words, vector-op flops) is replayed afterwards
-        by :func:`_replay_chain_charges` over the real recurrence."""
-        from repro.core.distributed import DistVector
-
+        by :func:`_replay_chain_charges` over the real recurrence.
+        Returns None (caller stays inline) for blocks."""
+        if v_hat.parts[0].ndim == 2:
+            return None
         comm = self.system.comm
         n = self.n_total
         nflags = comm.pool_width()
@@ -744,59 +684,36 @@ class ResidentRDDEngine(ResidentEngine):
         system.comm.resident_ship(self.gen, rank_states)
 
     def matvec(self, x_parts, ext_vals, cache=None):
-        """Worker-resident Eq. 48 products; ``cache=j`` retains the input
-        slot ``z[j]`` for the final AXPY."""
+        """Worker-resident Eq. 48 products: ``mv_rdd`` for vectors —
+        ``cache=j`` retains the input slot ``z[j]`` for the final AXPY —
+        or ``mvb_rdd``, SpMMs over all ``k`` columns of a block."""
         system = self.system
         comm = system.comm
+        k = _n_cols(x_parts[0])
         n = self.n_total
         ext_sizes, ext_offsets, e_total = _layout([len(e) for e in ext_vals])
-        writes = self._vec_writes(x_parts) + [
-            (n + eoff, e) for eoff, e in zip(ext_offsets, ext_vals)
+        writes = self._vec_writes(x_parts, k=k) + [
+            (n * k + eoff * k, e) for eoff, e in zip(ext_offsets, ext_vals)
         ]
         payload = {
-            "name": "mv_rdd",
-            "cache": None if cache is None else int(cache),
-            "ext": n,
-            "ext_offsets": ext_offsets,
-            "ext_sizes": ext_sizes,
-            "out": n + e_total,
-        }
-        out = self._dispatch(
-            payload, writes, self._vec_reads(n + e_total), 2 * n + e_total
-        )
-        for r in range(len(self.sizes)):
-            comm.add_flops(r, 2 * system.a_loc[r].nnz)
-            if system.a_ext[r].shape[1]:
-                comm.add_flops(r, 2 * system.a_ext[r].nnz + self.sizes[r])
-        return out
-
-    def matvec_block(self, x_parts, ext_vals):
-        """Worker-resident batched Eq. 48 SpMMs over all ``k`` columns."""
-        system = self.system
-        comm = system.comm
-        k = x_parts[0].shape[1]
-        n = self.n_total
-        ext_sizes, ext_offsets, e_total = _layout([len(e) for e in ext_vals])
-        writes = [
-            (off * k, p) for off, p in zip(self.offsets, x_parts)
-        ] + [
-            (n * k + eoff * k, e)
-            for eoff, e in zip(ext_offsets, ext_vals)
-        ]
-        reads = [
-            ((n + e_total) * k + off * k, sz * k)
-            for off, sz in zip(self.offsets, self.sizes)
-        ]
-        payload = {
-            "name": "mvb_rdd",
-            "k": k,
             "ext": n * k,
             "ext_offsets": ext_offsets,
             "ext_sizes": ext_sizes,
             "out": (n + e_total) * k,
         }
-        outs = self._dispatch(payload, writes, reads, (2 * n + e_total) * k)
-        out = [o.reshape(sz, k) for o, sz in zip(outs, self.sizes)]
+        if x_parts[0].ndim == 1:
+            payload.update(
+                name="mv_rdd", cache=None if cache is None else int(cache)
+            )
+        else:
+            payload.update(name="mvb_rdd", k=k)
+        outs = self._dispatch(
+            payload,
+            writes,
+            self._vec_reads((n + e_total) * k, k),
+            (2 * n + e_total) * k,
+        )
+        out = [o.reshape(x.shape) for o, x in zip(outs, x_parts)]
         for r in range(len(self.sizes)):
             comm.add_flops(r, 2 * system.a_loc[r].nnz * k)
             if system.a_ext[r].shape[1]:
@@ -811,9 +728,12 @@ class ResidentRDDEngine(ResidentEngine):
         Workers run the recurrence against their resident block pairs,
         filling their halo buffers straight from the shared arena using
         the shipped exchange plan — O(1) pipe round-trips instead of
-        O(k).  Returns None (caller stays inline) when the communicator
-        cannot ship this plan; the inline charging is replayed afterwards
-        by :func:`_replay_chain_charges` over the real recurrence."""
+        O(k).  Returns None (caller stays inline) for blocks and when the
+        communicator cannot ship this plan; the inline charging is
+        replayed afterwards by :func:`_replay_chain_charges` over the
+        real recurrence."""
+        if v_parts[0].ndim == 2:
+            return None
         comm = self.system.comm
         self.ensure_shipped()
         token = comm.resident_ship_plan(

@@ -69,7 +69,21 @@ class BlockJacobiILU(Preconditioner):
         communication (the defining property of block Jacobi).  Charges
         each rank the triangular-solve flops (~2 nnz).  Under a resident
         engine the factors live worker-side and the P solves run as ONE
-        ``prec`` dispatch, bit-identical to the inline loop."""
+        ``prec`` dispatch, bit-identical to the inline loop.
+
+        The triangular solves are inherently per-column, so ``(n_own, k)``
+        blocks loop their columns through the vector apply; column ``c``
+        of the result is bit-identical to the apply of column ``c``.
+        """
+        if v_parts[0].ndim == 2:
+            out = [np.empty_like(v) for v in v_parts]
+            for c in range(v_parts[0].shape[1]):
+                cols = self.apply_parts(
+                    [np.ascontiguousarray(v[:, c]) for v in v_parts]
+                )
+                for o, z in zip(out, cols):
+                    o[:, c] = z
+            return out
         engine = self._system.rank_engine()
         if engine.resident:
             return engine.prec_apply(self, v_parts)
@@ -77,21 +91,6 @@ class BlockJacobiILU(Preconditioner):
         for r, (ilu, v) in enumerate(zip(self._local, v_parts)):
             out.append(ilu.apply(v))
             self._system.comm.add_flops(r, 2 * self._system.a_loc[r].nnz)
-        return out
-
-    def apply_parts_block(self, v_parts: list) -> list:
-        """Batched per-rank application over ``(n_own, k)`` blocks.
-
-        The triangular solves are inherently per-column, so this loops
-        columns through :meth:`apply_parts` column views; column ``c`` of
-        the result is bit-identical to ``apply_parts`` of column ``c``.
-        """
-        k = v_parts[0].shape[1]
-        out = [np.empty_like(v) for v in v_parts]
-        for c in range(k):
-            cols = self.apply_parts([np.ascontiguousarray(v[:, c]) for v in v_parts])
-            for o, z in zip(out, cols):
-                o[:, c] = z
         return out
 
     def apply(self, v: np.ndarray) -> np.ndarray:

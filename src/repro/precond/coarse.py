@@ -154,9 +154,9 @@ class TwoLevelPreconditioner(Preconditioner):
     bound to a built EDD or RDD system.
 
     Build through :meth:`build`; apply through the solver-facing
-    ``apply_edd`` / ``apply_edd_block`` / ``apply_rdd`` /
-    ``apply_rdd_block`` entry points (the EDD/RDD ``_precondition``
-    dispatchers call these).
+    ``apply_edd`` / ``apply_rdd`` entry points (the EDD/RDD
+    ``_precondition`` dispatchers call these), on vectors or ``(n, k)``
+    blocks alike.
     """
 
     def __init__(self, system, inner, spec, *, is_edd, wg_parts, wl_parts,
@@ -320,61 +320,53 @@ class TwoLevelPreconditioner(Preconditioner):
             )
         return states
 
-    def _coarse_correct(self, comm, v_parts: list, k: int | None):
-        """The coarse correction ``W E^-1 W^T v`` on raw per-rank parts.
+    def _coarse_correct(self, comm, v_parts: list) -> list:
+        """The coarse correction ``W E^-1 W^T v`` on raw per-rank parts —
+        vectors, or ``(n, k)`` blocks (column-exact).
 
-        ``k`` is None for single vectors, the column count for blocks.
         Returns the corrected per-rank parts list.  Cost model: rank-local
         restriction dots, ONE allreduce of ``n_coarse * k`` words, a
         redundant ``O(n_coarse^2)`` dense solve per rank (charged to every
         rank), rank-local prolongation — traced as one ``coarse_solve``
         span so its reductions reconcile with the CommStats charges.
         """
-        if k is None:
-            engine = self._system.rank_engine()
-            if engine.resident:
-                # Fused resident correction: restriction bases and the
-                # factorized Galerkin matrix live worker-side; ONE
-                # dispatch plus the same single coarse allreduce.
-                return engine.coarse_correct(self, v_parts)
+        engine = self._system.rank_engine()
+        if engine.resident:
+            # Fused resident correction: restriction bases and the
+            # factorized Galerkin matrix live worker-side; ONE
+            # dispatch plus the same single coarse allreduce.
+            out = engine.coarse_correct(self, v_parts)
+            if out is not None:
+                return out
+        from repro.core.distributed import _n_cols
+
         nc = self.n_coarse
+        k = _n_cols(v_parts[0])
         wl, wg = self._wl_parts, self._wg_parts
         n_parts = len(wl)
         trc = comm.tracer
         traced = trc.enabled
         if traced:
-            trc.begin("coarse_solve", "solver", n_coarse=nc,
-                      k=1 if k is None else k)
-        shape = (n_parts, nc) if k is None else (n_parts, nc, k)
-        partial = np.zeros(shape)
+            trc.begin("coarse_solve", "solver", n_coarse=nc, k=k)
+        partial = np.zeros((n_parts, nc) + v_parts[0].shape[1:])
 
         def restrict_body(r: int) -> None:
             partial[r] = wl[r].T @ v_parts[r]
-            comm.add_flops(r, 2 * wl[r].size * (1 if k is None else k))
+            comm.add_flops(r, 2 * wl[r].size * k)
 
-        comm.run_ranks(
-            restrict_body,
-            work=2 * sum(p.size for p in wl) * (1 if k is None else k),
-        )
-        rhs = comm.allreduce_sum(
-            list(partial), words=nc * (1 if k is None else k)
-        )
+        comm.run_ranks(restrict_body, work=2 * sum(p.size for p in wl) * k)
+        rhs = comm.allreduce_sum(list(partial), words=nc * k)
         y = self._solve_coarse(rhs)
         # Redundant dense solve: every rank performs the same ~2 nc^2
         # triangular-solve flops (times k columns).
-        comm.add_flops_all(
-            [2 * nc * nc * (1 if k is None else k)] * n_parts
-        )
+        comm.add_flops_all([2 * nc * nc * k] * n_parts)
         out = [None] * n_parts
 
         def prolong_body(r: int) -> None:
             out[r] = wg[r] @ y
-            comm.add_flops(r, 2 * wg[r].size * (1 if k is None else k))
+            comm.add_flops(r, 2 * wg[r].size * k)
 
-        comm.run_ranks(
-            prolong_body,
-            work=2 * sum(p.size for p in wg) * (1 if k is None else k),
-        )
+        comm.run_ranks(prolong_body, work=2 * sum(p.size for p in wg) * k)
         if traced:
             trc.end()
         return out
@@ -382,7 +374,7 @@ class TwoLevelPreconditioner(Preconditioner):
     # ------------------------------------------------------------------
     # EDD application
     # ------------------------------------------------------------------
-    def _inner_edd(self, system, v_hat: DistVector) -> DistVector:
+    def _inner_edd(self, system, v_hat):
         if self._inner is None:
             return v_hat.copy()
         # Route through the EDD dispatcher so a polynomial inner gets the
@@ -392,13 +384,10 @@ class TwoLevelPreconditioner(Preconditioner):
 
         return _precondition(system, self._inner, v_hat)
 
-    def _inner_edd_block(self, system, v_hat: DistBlock) -> DistBlock:
-        if self._inner is None:
-            return v_hat.copy()
-        return self._inner.apply_linear(system.matvec_assembled_block, v_hat)
-
     def apply_edd(self, system, v_hat):
-        """``z = C_2L v`` on a global-distributed :class:`DistVector`."""
+        """``z = C_2L v`` on a global-distributed :class:`DistVector` —
+        a vector, or an ``(n, k)`` block (column-exact, one coalesced
+        coarse allreduce of ``n_coarse * k`` words)."""
         from repro.core.distributed import DistVector
 
         if self._trivial:
@@ -407,36 +396,12 @@ class TwoLevelPreconditioner(Preconditioner):
         if self._spec.mode == "additive":
             z = self._inner_edd(system, v_hat)
             q = DistVector(
-                self._coarse_correct(comm, v_hat.parts, None), "global", comm
+                self._coarse_correct(comm, v_hat.parts), "global", comm
             )
             return z + q
-        q = DistVector(
-            self._coarse_correct(comm, v_hat.parts, None), "global", comm
-        )
+        q = DistVector(self._coarse_correct(comm, v_hat.parts), "global", comm)
         r = v_hat - system.matvec_assembled(q)
         return self._inner_edd(system, r) + q
-
-    def apply_edd_block(self, system, v_hat):
-        """Batched :meth:`apply_edd` over ``(n, k)`` :class:`DistBlock`
-        inputs — column-exact, one coalesced coarse allreduce of
-        ``n_coarse * k`` words."""
-        from repro.core.distributed import DistBlock
-
-        if self._trivial:
-            return self._inner_edd_block(system, v_hat)
-        comm = system.comm
-        if self._spec.mode == "additive":
-            z = self._inner_edd_block(system, v_hat)
-            q = DistBlock(
-                self._coarse_correct(comm, v_hat.parts, v_hat.k),
-                "global", comm,
-            )
-            return z + q
-        q = DistBlock(
-            self._coarse_correct(comm, v_hat.parts, v_hat.k), "global", comm
-        )
-        r = v_hat - system.matvec_assembled_block(q)
-        return self._inner_edd_block(system, r) + q
 
     # ------------------------------------------------------------------
     # RDD application
@@ -447,7 +412,8 @@ class TwoLevelPreconditioner(Preconditioner):
         return _precondition_rdd(system, self._inner, v_parts)
 
     def apply_rdd(self, system, v_parts: list) -> list:
-        """``z = C_2L v`` on row-partitioned per-rank parts."""
+        """``z = C_2L v`` on row-partitioned per-rank parts — vectors, or
+        ``(n_own, k)`` part blocks."""
         from repro.core.rdd import _axpy_parts
 
         if self._trivial:
@@ -455,26 +421,10 @@ class TwoLevelPreconditioner(Preconditioner):
         comm = system.comm
         if self._spec.mode == "additive":
             z = self._inner_rdd(system, v_parts)
-            q = self._coarse_correct(comm, v_parts, None)
+            q = self._coarse_correct(comm, v_parts)
             return _axpy_parts(comm, z, 1.0, q)
-        q = self._coarse_correct(comm, v_parts, None)
+        q = self._coarse_correct(comm, v_parts)
         r = _axpy_parts(comm, v_parts, -1.0, system.matvec(q))
-        return _axpy_parts(comm, self._inner_rdd(system, r), 1.0, q)
-
-    def apply_rdd_block(self, system, v_parts: list) -> list:
-        """Batched :meth:`apply_rdd` over ``(n_own, k)`` part blocks."""
-        from repro.core.rdd import _axpy_parts
-
-        if self._trivial:
-            return self._inner_rdd(system, v_parts)
-        comm = system.comm
-        k = v_parts[0].shape[1]
-        if self._spec.mode == "additive":
-            z = self._inner_rdd(system, v_parts)
-            q = self._coarse_correct(comm, v_parts, k)
-            return _axpy_parts(comm, z, 1.0, q)
-        q = self._coarse_correct(comm, v_parts, k)
-        r = _axpy_parts(comm, v_parts, -1.0, system.matvec_block(q))
         return _axpy_parts(comm, self._inner_rdd(system, r), 1.0, q)
 
     # ------------------------------------------------------------------

@@ -189,7 +189,9 @@ class CSRMatrix:
         return kernels.get_backend().matvec(self, x, out)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.matvec(x)
+        # The kernel follows the operand: a vector stays on ``matvec``
+        # (never promoted to a one-column SpMM, which is slower).
+        return self.matmat(x) if np.ndim(x) == 2 else self.matvec(x)
 
     def rmatvec(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``x = A.T @ y`` via scatter-add (backend-dispatched).

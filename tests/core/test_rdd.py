@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.rdd import build_rdd_system, rdd_fgmres
+from repro.core.rdd import build_rdd_system, rdd_fgmres, rdd_fgmres_block
 from repro.partition.node_partition import NodePartition
 from repro.precond.gls import GLSPolynomial
 from repro.precond.neumann import NeumannPolynomial
@@ -160,3 +160,39 @@ def test_interior_fraction_grows_with_fewer_ranks(mesh2_problem):
         system = _build(mesh2_problem, p)
         fracs.append(system.interior_fraction())
     assert fracs[1] > fracs[0]  # fewer ranks -> relatively less boundary
+
+
+def _two_rhs(problem):
+    return np.column_stack([problem.load, 2.0 * problem.load[::-1]])
+
+
+def test_block_rhs_accepts_array_like(tiny_problem):
+    """An array-like RHS goes through ``rhs_block`` exactly like an
+    ndarray (and like ``edd_fgmres_block`` has always accepted)."""
+    b = _two_rhs(tiny_problem)
+    pre = GLSPolynomial.unit_interval(5, eps=1e-6)
+    ref = rdd_fgmres_block(_build(tiny_problem, 3), b, pre, tol=1e-9)
+    got = rdd_fgmres_block(_build(tiny_problem, 3), b.tolist(), pre, tol=1e-9)
+    assert [r.converged for r in got] == [True, True]
+    for r, g in zip(ref, got):
+        assert np.array_equal(r.x, g.x)
+
+
+@pytest.mark.parametrize("damage", ["missing-rank", "wrong-rows", "mixed-k", "1-d"])
+def test_block_rhs_rejects_malformed_part_list(tiny_problem, damage):
+    """A per-rank part list is taken only with ``n_parts`` arrays of shapes
+    ``(n_own, k)``; anything else names the shapes it needed."""
+    system = _build(tiny_problem, 3)
+    good = system.rhs_block(_two_rhs(tiny_problem))
+    bad = {
+        "missing-rank": good[:-1],
+        "wrong-rows": [good[0][:-1]] + good[1:],
+        "mixed-k": good[:-1] + [good[-1][:, :1]],
+        "1-d": [p[:, 0] for p in good],
+    }[damage]
+    expected = str([(len(o), "k") for o in system.own])
+    with pytest.raises(ValueError) as err:
+        rdd_fgmres_block(system, bad)
+    assert expected in str(err.value)
+    # the well-formed list is still taken as is
+    assert all(r.converged for r in rdd_fgmres_block(system, good, tol=1e-8, restart=60))

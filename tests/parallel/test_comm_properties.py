@@ -115,7 +115,7 @@ def test_interface_assemble_parity(nx, ny, n_parts, k, seed):
             vec_results[name] = comm.interface_assemble(
                 [p[:, 0].copy() for p in base]
             )
-            blk_results[name] = comm.interface_assemble_block(
+            blk_results[name] = comm.interface_assemble(
                 [p.copy() for p in base]
             )
         _assert_bitwise(vec_results)
@@ -236,7 +236,7 @@ def test_halo_exchange_parity(nx, n_parts, k, density, seed):
             vec_results[name] = comm.halo_exchange(
                 [p[:, 0].copy() for p in base], plan
             )
-            blk_results[name] = comm.halo_exchange_block(
+            blk_results[name] = comm.halo_exchange(
                 [p.copy() for p in base], plan
             )
         _assert_bitwise(vec_results)

@@ -86,11 +86,11 @@ def test_interface_assemble_bitwise(submap4):
 
 def test_interface_assemble_block_bitwise(submap4):
     parts = _rank_parts(submap4, seed=1, k=3)
-    ref = VirtualComm(submap4).interface_assemble_block(
+    ref = VirtualComm(submap4).interface_assemble(
         [p.copy() for p in parts]
     )
     with _process_comm(submap4) as comm:
-        got = comm.interface_assemble_block(parts)
+        got = comm.interface_assemble(parts)
     for a, b in zip(ref, got):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -123,11 +123,11 @@ def test_halo_exchange_bitwise(submap4):
 def test_halo_exchange_block_bitwise(submap4):
     plan = _ring_plan(submap4.local_sizes)
     parts = _rank_parts(submap4, seed=3, k=2)
-    ref = VirtualComm(submap4).halo_exchange_block(
+    ref = VirtualComm(submap4).halo_exchange(
         [p.copy() for p in parts], plan
     )
     with _process_comm(submap4) as comm:
-        got = comm.halo_exchange_block(parts, plan)
+        got = comm.halo_exchange(parts, plan)
     for a, b in zip(ref, got):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 

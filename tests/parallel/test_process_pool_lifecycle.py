@@ -124,7 +124,7 @@ def test_arena_regrowth_unlinks_old_generation(submap4):
         # A k-wide block forces a larger arena: new generation, old gone.
         k = 600
         parts = [np.ones((n, k)) for n in comm.submap.local_sizes]
-        comm.interface_assemble_block(parts)
+        comm.interface_assemble(parts)
         second = _shm_segments(base)
         assert len(second) == 1 and second != first
     assert _shm_segments(base) == set()

@@ -63,3 +63,30 @@ def test_api_reference_up_to_date(tmp_path):
     )
     regenerated = (repo / "docs" / "API.md").read_text()
     assert current == regenerated
+
+
+def test_no_vector_block_method_twins():
+    """k is a shape, not a type: under the distributed data plane no
+    public class offers both ``name`` and ``name_block`` — one method
+    takes ``(n,)`` and ``(n, k)`` parts alike."""
+    twins = []
+    for modname in MODULES:
+        if not modname.startswith(
+            ("repro.core", "repro.parallel", "repro.precond")
+        ):
+            continue
+        mod = importlib.import_module(modname)
+        for cname, cls in vars(mod).items():
+            if (
+                cname.startswith("_")
+                or not inspect.isclass(cls)
+                or cls.__module__ != modname
+            ):
+                continue
+            names = set(dir(cls))
+            twins += [
+                f"{modname}.{cname}.{n}"
+                for n in sorted(names)
+                if n.endswith("_block") and n[: -len("_block")] in names
+            ]
+    assert not twins, f"vector/block method twins: {twins}"
