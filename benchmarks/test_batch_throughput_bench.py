@@ -1,8 +1,8 @@
 """Batched multi-RHS throughput benchmark -> BENCH_batch.json.
 
 Measures RHS/s of ``PreparedSystem.solve_batch`` as the batch width k
-grows, for {EDD enhanced, RDD} x {GLS(7), Neumann(20)} x both comm
-backends on Mesh 2.  Setup (partition + system + scaling + precondi-
+grows, for {EDD enhanced, RDD} x {GLS(7), Neumann(20)} x {virtual,
+process} on Mesh 2.  Setup (partition + system + scaling + precondi-
 tioner) is done once per configuration through a ``PreparedSystem`` and
 excluded from the timed region — the benchmark isolates exactly what the
 batched path amortizes: Python/dispatch overhead per Krylov step, SpMM
@@ -46,7 +46,7 @@ K_VALUES = tuple(
 )
 METHODS = ("edd-enhanced", "rdd")
 PRECONDS = ("gls(7)", "neumann(20)")
-COMM_BACKENDS = ("virtual", "thread", "process")
+COMM_BACKENDS = ("virtual", "process")
 
 
 def _kernel_backend() -> str | None:

@@ -4,7 +4,7 @@ The ``chaos`` backend is meant to be left on in stress rigs, so its
 no-fault cost matters: with an empty :class:`FaultPlan` every collective
 does one extra rule scan and otherwise delegates to the shared base-class
 implementation.  This harness measures full solves on Mesh2 through the
-virtual backend and through an idle chaos proxy wrapping it, asserts the
+virtual backend and through an idle chaos communicator, asserts the
 results stay bit-identical, and bounds the wall-clock overhead.
 """
 
@@ -37,7 +37,7 @@ def test_bench_idle_chaos_overhead(benchmark):
 
     def run():
         base, ref = _best_wall(problem, "virtual")
-        with use_fault_plan(FaultPlan.empty(), inner="virtual"):
+        with use_fault_plan(FaultPlan.empty()):
             chaos, got = _best_wall(problem, "chaos")
         return base, ref, chaos, got
 

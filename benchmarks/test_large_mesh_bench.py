@@ -8,10 +8,10 @@ wall time:
 * ``streamed`` — :func:`repro.fem.cantilever.cantilever_inputs` (no
   verification assembly) + :func:`build_edd_system_streamed` (chunked
   per-rank assembly, no global CSR ever materialized) solved under the
-  ``process`` comm backend with ``REPRO_PROCESS_RESIDENT=0``: the
-  collective data plane fans out over the shared-memory pool but the
-  rank bodies stay inline.
-* ``resident`` — same construction with ``REPRO_PROCESS_RESIDENT=1``:
+  ``process`` comm backend with the residency threshold
+  (``REPRO_PROCESS_MIN_WORK``) out of reach: rank bodies and collectives
+  run inline and the worker pool is never spawned.
+* ``resident`` — same construction with ``REPRO_PROCESS_MIN_WORK=0``:
   per-rank CSR blocks ship to the worker pool once and the solver's
   matvec/dot/ortho/axpy regions execute worker-resident.
 * ``serial`` — :func:`cantilever_problem` (global COO + CSR assembly)
@@ -62,7 +62,6 @@ importable and side-effect free.
 """
 
 import json
-import os
 import resource
 import sys
 import time
@@ -77,9 +76,6 @@ def run(mode, mesh_id, n_parts):
     options = SolverOptions(precond="gls(7)")
     pool_processes = 0
     if mode in ("streamed", "resident"):
-        os.environ["REPRO_PROCESS_RESIDENT"] = (
-            "1" if mode == "resident" else "0"
-        )
         from repro.core.distributed import build_edd_system_streamed
         from repro.fem.cantilever import cantilever_inputs
         from repro.parallel.process_comm import (
@@ -154,9 +150,10 @@ def _run_child(script: Path, mode: str) -> dict:
     """Run one variant in a fresh interpreter; return its JSON report."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    # Force the collective fan-out onto the worker pool regardless of
-    # problem size — the point is to exercise the real process path.
-    env["REPRO_PROCESS_MIN_WORK"] = "0"
+    # The residency threshold selects the mode regardless of problem
+    # size: zero forces worker-resident rank ops, an unreachable one
+    # keeps everything inline.
+    env["REPRO_PROCESS_MIN_WORK"] = "0" if mode == "resident" else str(2**62)
     env["REPRO_PROCESS_WORKERS"] = "2"
     # Large tiers need the fastest kernels available; backends are
     # bit-identical so this changes wall time only.
@@ -200,8 +197,9 @@ def validate_schema(report: dict) -> None:
     # engine must not change a single iterate.
     iters = {r["iterations"] for r in report["runs"]}
     assert len(iters) == 1, f"iteration counts diverge: {by_mode}"
-    # The pool-backed children really dispatched through worker processes.
-    assert by_mode["streamed"]["pool_processes"] >= 1
+    # The resident child really dispatched through worker processes;
+    # the inline one never spawned them.
+    assert by_mode["streamed"]["pool_processes"] == 0
     assert by_mode["resident"]["pool_processes"] >= 1
     assert report["rss_ratio"] > 0.0
 

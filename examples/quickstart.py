@@ -23,8 +23,9 @@ def main() -> None:
         f"{problem.mesh.n_nodes} nodes, {problem.n_eqn} equations"
     )
 
-    # comm_backend="thread" runs the 8 rank programs concurrently on a
-    # worker pool — bit-identical to the default serial "virtual" backend.
+    # comm_backend="process" runs the rank ops of large systems resident
+    # in a pool of worker processes — bit-identical to the default serial
+    # "virtual" backend.
     options = SolverOptions(precond="gls(7)")
     summary = solve_cantilever(problem, n_parts=8, options=options)
     res = summary.result

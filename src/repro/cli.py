@@ -20,6 +20,7 @@ import numpy as np
 from repro.core.driver import solve_cantilever
 from repro.core.options import SolverOptions
 from repro.fem.cantilever import PAPER_MESHES, cantilever_problem
+from repro.parallel.comm import available_comm_backends
 from repro.parallel.machine import MACHINES, modeled_time
 from repro.reporting.convergence import convergence_table
 from repro.reporting.tables import format_table
@@ -57,13 +58,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--dynamic", action="store_true")
     solve.add_argument(
         "--comm-backend",
-        choices=["virtual", "thread", "process", "chaos"],
+        choices=list(available_comm_backends()),
         default=None,
         help=(
             "communicator backend executing the rank loops (default: "
-            "REPRO_COMM_BACKEND or 'virtual'); 'process' fans collectives "
-            "out to spawned worker processes over shared memory; 'chaos' "
-            "wraps an inner backend with deterministic fault injection"
+            "REPRO_COMM_BACKEND or 'virtual'); 'process' runs the rank "
+            "ops of large systems resident in spawned worker processes "
+            "over shared memory; 'chaos' is 'virtual' with deterministic "
+            "fault injection"
         ),
     )
     solve.add_argument(
@@ -248,8 +250,7 @@ def cmd_solve(args) -> int:
         if raw.endswith(".json") and os.path.exists(raw):
             with open(raw, encoding="utf-8") as fh:
                 raw = fh.read()
-        inner = comm_backend if comm_backend not in (None, "chaos") else "virtual"
-        chaos_ctx = use_fault_plan(FaultPlan.from_json(raw), inner=inner)
+        chaos_ctx = use_fault_plan(FaultPlan.from_json(raw))
         comm_backend = "chaos"
     options = SolverOptions(
         method=args.method,

@@ -93,9 +93,7 @@ def _add_to_columns(comm: Comm, x_parts, z_parts, cols, sel, ys) -> None:
             xr[:, cols] = xr[:, cols] + zr[:, sel] * y_mat[:, i]
         comm.add_flops(r, 2 * m * xr.shape[0] * n_cols)
 
-    comm.run_ranks(
-        body, work=2 * m * sum(len(p) for p in x_parts) * n_cols
-    )
+    comm.run_ranks(body)
 
 
 class DistVector:
@@ -146,9 +144,6 @@ class DistVector:
         """Deep copy (same kind, same communicator)."""
         return DistVector([p.copy() for p in self.parts], self.kind, self.comm)
 
-    def _total_size(self) -> int:
-        return sum(p.size for p in self.parts)
-
     def _zip_map(self, other: "DistVector", op) -> "DistVector":
         """Elementwise binary op as a per-rank SPMD body (1 flop/element)."""
         comm = self.comm
@@ -159,7 +154,7 @@ class DistVector:
             out[r] = op(a[r], b[r])
             comm.add_flops(r, out[r].size)
 
-        comm.run_ranks(body, work=self._total_size())
+        comm.run_ranks(body)
         return DistVector(out, self.kind, comm)
 
     def __add__(self, other: "DistVector") -> "DistVector":
@@ -182,7 +177,7 @@ class DistVector:
             out[r] = scale * a[r]
             comm.add_flops(r, a[r].size)
 
-        comm.run_ranks(body, work=self._total_size())
+        comm.run_ranks(body)
         return DistVector(out, self.kind, comm)
 
     __rmul__ = __mul__
@@ -210,7 +205,7 @@ class DistVector:
         def body(r: int) -> None:
             out[r] = _take_cols(a[r], idx)
 
-        comm.run_ranks(body, work=self._total_size())
+        comm.run_ranks(body)
         return DistVector(out, self.kind, comm)
 
     def drop_col(self, pos: int) -> "DistVector":
@@ -233,7 +228,7 @@ class DistVector:
             out[r] = col_dots(a[r], b[r])
             comm.add_flops(r, 2 * a[r].size)
 
-        comm.run_ranks(body, work=2 * self._total_size())
+        comm.run_ranks(body)
         return out
 
 
@@ -276,7 +271,7 @@ class EDDSystem:
     @property
     def nnz_total(self) -> int:
         """Total stored entries across subdomain matrices (cached); the
-        per-matvec work estimate handed to ``run_ranks``."""
+        per-matvec work estimate behind :meth:`rank_engine`'s mode gate."""
         cached = self.__dict__.get("_nnz_total")
         if cached is None:
             cached = sum(a.nnz for a in self.a_local)
@@ -359,11 +354,11 @@ class EDDSystem:
     # ------------------------------------------------------------------
     def rank_engine(self):
         """The rank-operation engine executing this system's per-rank
-        compute: inline (virtual/thread/chaos, and small process systems)
-        or resident in the worker-process pool.  The mode gate is
-        re-evaluated on every call — a cheap env read — so tests can flip
-        ``REPRO_PROCESS_RESIDENT`` between solves; the engine instance is
-        cached per mode so resident state ships once per system."""
+        compute: inline (virtual/chaos, and small process systems) or
+        resident in the worker-process pool.  The mode gate is
+        re-evaluated on every call (a closed communicator falls back to
+        inline); the engine instance is cached per mode so resident state
+        ships once per system."""
         from repro.parallel import resident
 
         mode = resident.engine_mode(self.comm, 2 * self.nnz_total)
@@ -383,8 +378,7 @@ class EDDSystem:
         global-distributed in, local-distributed out, zero communication;
         per rank one matvec, or one SpMM over all ``k`` columns of a block.
         The P subdomain products are independent rank bodies — the solve's
-        dominant work, overlapped across cores by the thread backend and
-        executed worker-resident under the process backend.  ``cache``
+        dominant work, executed worker-resident under the process backend.  ``cache``
         labels an Arnoldi-step matvec so a resident engine retains the
         input (slot ``z[cache]``) and output for later basis operations;
         inline engines ignore it, and so do block products (the worker

@@ -57,7 +57,7 @@ class ParallelSolveSummary:
         The resolved :class:`SolverOptions` the solve ran with.
     comm_backend:
         Name of the communicator backend that executed the rank loops
-        (``"virtual"``, ``"thread"``, ``"process"`` or ``"chaos"``).
+        (``"virtual"``, ``"process"`` or ``"chaos"``).
     wall_time:
         Measured wall-clock seconds of the solve phase (system build
         excluded) — complements :meth:`modeled_time`.

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 
+from repro.parallel.comm import _resolve as _resolve_comm_backend
+
 _METHODS = ("edd-enhanced", "edd-basic", "rdd")
 _ORTHO = ("cgs", "mgs")
 
@@ -42,8 +44,7 @@ class SolverOptions:
         the session default.
     comm_backend:
         Communicator backend (:mod:`repro.parallel.comm`: ``"virtual"``,
-        ``"thread"``, ``"process"`` or ``"chaos"``); None keeps the
-        session default.
+        ``"process"`` or ``"chaos"``); None keeps the session default.
     orthogonalization:
         Gram-Schmidt flavour (``"cgs"`` or ``"mgs"``); ``"mgs"`` is
         available for the EDD methods only.
@@ -84,6 +85,8 @@ class SolverOptions:
                 "available with method='rdd' (Algorithm 8 is classical "
                 "Gram-Schmidt only; 'mgs' applies to the EDD methods)"
             )
+        if self.comm_backend is not None:
+            _resolve_comm_backend(self.comm_backend)  # raises on unknown
         if self.restart < 1:
             raise ValueError("restart must be >= 1")
         if self.max_iter < 1:

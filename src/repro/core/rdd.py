@@ -113,17 +113,16 @@ class RDDSystem:
         ``k`` columns and per-rank SpMMs (column ``c`` bit-identical to
         the matvec of column ``c``).  The halo exchange is a collective
         and always runs through the comm; the per-rank block products
-        are independent bodies the engine runs inline (thread backend
-        overlaps them across cores) or worker-resident.  ``cache`` labels
-        an Arnoldi-step matvec of vectors for resident slot reuse; inline
-        engines ignore it."""
+        are independent bodies the engine runs inline or worker-resident.
+        ``cache`` labels an Arnoldi-step matvec of vectors for resident
+        slot reuse; inline engines ignore it."""
         ext_vals = self.comm.halo_exchange(x_parts, self.plan)
         return self.rank_engine().matvec(x_parts, ext_vals, cache)
 
     @property
     def nnz_total(self) -> int:
         """Total stored entries across rank blocks (cached); the
-        per-matvec work estimate handed to ``run_ranks``."""
+        per-matvec work estimate behind :meth:`rank_engine`'s mode gate."""
         cached = self.__dict__.get("_nnz_total")
         if cached is None:
             cached = sum(a.nnz for a in self.a_loc) + sum(
@@ -158,7 +157,7 @@ class RDDSystem:
             partial[r] = col_dots(x_parts[r], y_parts[r])
             comm.add_flops(r, 2 * x_parts[r].size)
 
-        comm.run_ranks(body, work=2 * sum(x.size for x in x_parts))
+        comm.run_ranks(body)
         return comm.allreduce_sum(list(partial), words=partial[0].size)
 
     def replication_factor(self) -> float:
@@ -300,7 +299,7 @@ def _axpy_parts(comm, y_parts, alpha, x_parts):
         out[r] = y_parts[r] + alpha * x_parts[r]
         comm.add_flops(r, 2 * y_parts[r].size)
 
-    comm.run_ranks(body, work=2 * sum(y.size for y in y_parts))
+    comm.run_ranks(body)
     return out
 
 
@@ -313,7 +312,7 @@ def _scale_parts(comm, alpha, x_parts):
         out[r] = alpha * x_parts[r]
         comm.add_flops(r, x_parts[r].size)
 
-    comm.run_ranks(body, work=sum(x.size for x in x_parts))
+    comm.run_ranks(body)
     return out
 
 

@@ -109,7 +109,7 @@ class Tracer:
 
     Not thread-safe for concurrent ``begin``/``end`` (spans are emitted
     from the orchestrator thread only); ``add_rank_time`` writes are
-    per-rank-disjoint so ThreadComm workers may call it concurrently.
+    per-rank-disjoint.
     """
 
     enabled = True
@@ -291,8 +291,7 @@ def chrome_trace_from_dict(trace):
 def timed_rank_body(tracer, body):
     """Wrap a per-rank closure so its wall time lands in ``tracer``.
 
-    Per-rank writes are disjoint (rank r only touches slot r), so the
-    wrapper is safe under ThreadComm's worker pool without locking.
+    Per-rank writes are disjoint (rank r only touches slot r).
     """
     def timed(rank):
         start = time.perf_counter()

@@ -10,18 +10,16 @@ then converts those counters into modeled wall-clock time on calibrated
 SP2/Origin machine models, from which the speedup studies (Table 3,
 Figs. 15-17) are regenerated.
 
-Four interchangeable :class:`Comm` backends execute the SPMD rank loops:
+Three interchangeable :class:`Comm` backends execute the SPMD rank loops:
 the deterministic single-thread :class:`VirtualComm` (default), the
-shared-memory :class:`~repro.parallel.thread_comm.ThreadComm`, which runs
-rank bodies on a persistent worker pool, the GIL-escaping
-:class:`~repro.parallel.process_comm.ProcessComm`, which fans the
-collective data plane out to spawned worker processes over
-``multiprocessing.shared_memory``, and the fault-injecting
-:class:`~repro.parallel.chaos.ChaosComm` proxy, which wraps any of the
-others under a seeded :class:`~repro.parallel.chaos.FaultPlan`.  All
-share the collective implementations of the :class:`Comm` base class, so
-results are bit-identical (the chaos proxy with an empty plan included);
-select with :func:`make_comm` / :func:`set_comm_backend` / the
+GIL-escaping :class:`~repro.parallel.process_comm.ProcessComm`, which is
+``VirtualComm`` plus a pool of spawned worker processes executing
+resident rank ops over ``multiprocessing.shared_memory``, and the
+fault-injecting :class:`~repro.parallel.chaos.ChaosComm`, which is
+``VirtualComm`` under a seeded :class:`~repro.parallel.chaos.FaultPlan`.
+All share the collective implementations of the :class:`Comm` base class,
+so results are bit-identical (chaos with an empty plan included); select
+with :func:`make_comm` / :func:`set_comm_backend` / the
 ``REPRO_COMM_BACKEND`` environment variable.
 """
 
@@ -36,11 +34,6 @@ from repro.parallel.comm import (
     make_comm,
     set_comm_backend,
     use_comm_backend,
-)
-from repro.parallel.thread_comm import (
-    ThreadComm,
-    pool_thread_count,
-    shutdown_pool,
 )
 from repro.parallel.process_comm import (
     ProcessComm,
@@ -74,7 +67,6 @@ __all__ = [
     "CommStats",
     "Comm",
     "VirtualComm",
-    "ThreadComm",
     "ProcessComm",
     "ChaosComm",
     "NestedCommError",
@@ -87,9 +79,7 @@ __all__ = [
     "set_fault_plan",
     "use_fault_plan",
     "get_fault_plan",
-    "shutdown_pool",
     "shutdown_process_pool",
-    "pool_thread_count",
     "pool_process_count",
     "current_worker_backend",
     "make_comm",

@@ -17,8 +17,7 @@ word** (the orchestrator stamps it immediately before dispatching): a
 mismatch means the worker is looking at a stale or swapped segment and is
 reported as an error instead of silently permuting the wrong bytes.
 
-Rank striding matches :class:`~repro.parallel.thread_comm._WorkerPool`:
-worker ``w`` of ``n`` owns ranks ``w, w + n, w + 2n, ...``.
+Rank striding: worker ``w`` of ``n`` owns ranks ``w, w + n, w + 2n, ...``.
 
 Coverage note: everything below executes in spawned children, outside the
 coverage tracer — hence the module-wide ``pragma: no cover``.
@@ -76,101 +75,20 @@ def _owned(w, n_workers, size):  # pragma: no cover
     return range(w, size, n_workers)
 
 
-def _do_gather(state, cmd, w, n_workers):  # pragma: no cover
-    """``out[s] = glob[l2g[s]]`` for this worker's ranks (⊕Σ∂Ω gather)."""
-    _op, seq, _cid, arena, k, n_global, total_words = cmd
-    view = _arena_view(state, arena, total_words, seq)
-    l2g = state["l2g"]
-    sizes = state["sizes"]
-    in_words = n_global * k
-    glob = view[:in_words]
-    if k > 1:
-        glob = glob.reshape(n_global, k)
-    offsets = state["gather_offsets"]
-    times = []
-    for s in _owned(w, n_workers, len(sizes)):
-        t0 = time.perf_counter()
-        off = in_words + offsets[s] * k
-        dst = view[off:off + sizes[s] * k]
-        if k > 1:
-            dst = dst.reshape(sizes[s], k)
-        dst[...] = glob[l2g[s]]
-        times.append((s, time.perf_counter() - t0))
-    return times
-
-
-def _do_halo(state, cmd, w, n_workers):  # pragma: no cover
-    """Receiver-centric halo fill for this worker's ranks."""
-    _op, seq, _cid, arena, plan_id, k, total_words = cmd
-    view = _arena_view(state, arena, total_words, seq)
-    plan = state["plans"][plan_id]
-    xsizes, ext_sizes = plan["xsizes"], plan["ext_sizes"]
-    x_offsets, ext_offsets = plan["x_offsets"], plan["ext_offsets"]
-    in_words = sum(xsizes) * k
-
-    def x_part(t):
-        off = x_offsets[t] * k
-        part = view[off:off + xsizes[t] * k]
-        return part.reshape(xsizes[t], k) if k > 1 else part
-
-    times = []
-    for s in _owned(w, n_workers, len(xsizes)):
-        t0 = time.perf_counter()
-        off = in_words + ext_offsets[s] * k
-        buf = view[off:off + ext_sizes[s] * k]
-        if k > 1:
-            buf = buf.reshape(ext_sizes[s], k)
-        buf[...] = 0.0
-        for t, send_idx, recv_slots in plan["ranks"][s]:
-            buf[recv_slots] = x_part(t)[send_idx]
-        times.append((s, time.perf_counter() - t0))
-    return times
-
-
-def _do_reduce(state, cmd, w, n_workers):  # pragma: no cover
-    """Fixed binary-tree reduction over the (P, m) rows in the arena.
-
-    Worker 0 performs the whole tree (the reduction is a dependency
-    chain, not a fan-out); other workers acknowledge immediately.  The
-    pairing ``(v0+v1)+(v2+v3)...`` matches ``Comm._tree_reduce`` exactly,
-    so the float64 result is bit-identical to the inline path.
-    """
-    _op, seq, _cid, arena, p_rows, m, total_words = cmd
-    if w != 0:
-        return []
-    view = _arena_view(state, arena, total_words, seq)
-    t0 = time.perf_counter()
-    rows = view[:p_rows * m].reshape(p_rows, m)
-    vals = [rows[i] for i in range(p_rows)]
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    view[p_rows * m:(p_rows + 1) * m] = vals[0]
-    return [(0, time.perf_counter() - t0)]
-
-
 def _do_register(state, cmd):  # pragma: no cover
-    payload = pickle.loads(cmd[3])
-    state["l2g"] = payload["l2g"]
-    state["sizes"] = payload["sizes"]
-    offsets = [0]
-    for n in payload["sizes"]:
-        offsets.append(offsets[-1] + n)
-    state["gather_offsets"] = offsets
+    """Per-rank local->global maps, for the fused chain's ``⊕Σ∂Ω``."""
+    state["l2g"] = pickle.loads(cmd[3])
     return []
 
 
 def _do_plan(state, cmd):  # pragma: no cover
+    """A halo plan, for the fused chain's worker-side halo fills."""
     plan_id = cmd[3]
     plan = pickle.loads(cmd[4])
-    for key in ("x_offsets", "ext_offsets"):
-        sizes = plan["xsizes" if key == "x_offsets" else "ext_sizes"]
-        offsets = [0]
-        for n in sizes:
-            offsets.append(offsets[-1] + n)
-        plan[key] = offsets
+    offsets = [0]
+    for n in plan["xsizes"]:
+        offsets.append(offsets[-1] + n)
+    plan["x_offsets"] = offsets
     state.setdefault("plans", {})[plan_id] = plan
     return []
 
@@ -690,12 +608,6 @@ def worker_main(w: int, n_workers: int, conn) -> None:  # pragma: no cover
                         result = _do_register(state, cmd)
                     elif op == "plan":
                         result = _do_plan(state, cmd)
-                    elif op == "gather":
-                        result = _do_gather(state, cmd, w, n_workers)
-                    elif op == "halo":
-                        result = _do_halo(state, cmd, w, n_workers)
-                    elif op == "reduce":
-                        result = _do_reduce(state, cmd, w, n_workers)
                     elif op == "resident":
                         result = _do_resident(state, cmd, w, n_workers)
                     elif op == "rankop":

@@ -1,28 +1,26 @@
 """Deterministic chaos-injection communicator backend.
 
-:class:`ChaosComm` is a proxy :class:`~repro.parallel.comm.Comm` that
-wraps any inner backend (``virtual``, ``thread`` or ``process``) and injects
-message-level faults into the three collectives — the interface assembly
-``⊕Σ∂Ω``, the halo exchange, and the tree allreduce — under the control of
-a seeded, declarative :class:`FaultPlan`.  It exists to prove the
-ROADMAP's "no silently wrong answer" property: a solve whose exchanges
-misbehave must either still converge with a verified true residual or
-report a structured diagnostic naming the anomaly
+:class:`ChaosComm` is a :class:`~repro.parallel.comm.VirtualComm` that
+injects message-level faults into the three collectives — the interface
+assembly ``⊕Σ∂Ω``, the halo exchange, and the tree allreduce — under the
+control of a seeded, declarative :class:`FaultPlan`.  It exists to prove
+the ROADMAP's "no silently wrong answer" property: a solve whose
+exchanges misbehave must either still converge with a verified true
+residual or report a structured diagnostic naming the anomaly
 (:mod:`repro.solvers.diagnostics`).
 
 Design rules:
 
-* **Deterministic.**  Injection happens orchestrator-side, after the
-  inner backend's ``run_ranks`` dispatch returns, so results are
-  bit-identical for a given plan regardless of thread scheduling.  All
-  randomness (which word to corrupt, which neighbour to drop) comes from
-  ``np.random.default_rng`` seeded by ``(plan.seed, rule index, call
-  index)``.
+* **Deterministic.**  Injection happens orchestrator-side, on the
+  output of the inherited collective, so results are bit-identical for a
+  given plan.  All randomness (which word to corrupt, which neighbour to
+  drop) comes from ``np.random.default_rng`` seeded by ``(plan.seed, rule
+  index, call index)``.
 * **Round-trippable.**  ``FaultPlan.to_json()`` / ``from_json()`` are
   exact inverses; any chaos failure reproduces from its printed plan
   string (see docs/TESTING.md).
 * **Transparent when idle.**  With an empty plan, every collective
-  returns exactly what the inner backend would — the parity tests pin
+  returns exactly what ``VirtualComm`` would — the parity tests pin
   this bit-for-bit.
 
 Fault kinds (:data:`FAULT_KINDS`):
@@ -51,9 +49,7 @@ Fault kinds (:data:`FAULT_KINDS`):
 Backend registration: ``"chaos"`` in :func:`repro.parallel.comm.make_comm`.
 The active plan is taken from :func:`set_fault_plan` /
 :func:`use_fault_plan`, falling back to the ``REPRO_CHAOS_PLAN``
-environment variable (a JSON plan string, or a path to a ``.json`` file)
-with ``REPRO_CHAOS_INNER`` selecting the wrapped backend (default
-``"virtual"``).
+environment variable (a JSON plan string, or a path to a ``.json`` file).
 """
 
 from __future__ import annotations
@@ -66,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.parallel.comm import Comm, make_comm
+from repro.parallel.comm import VirtualComm
 from repro.partition.interface import SubdomainMap
 
 #: Collectives a rule may target (``"*"`` matches every collective).
@@ -203,60 +199,55 @@ class FaultPlan:
 # ----------------------------------------------------------------------
 # Active-plan registry (consulted by make_comm for backend "chaos")
 # ----------------------------------------------------------------------
-_active: list = [None]  # (FaultPlan, inner_name) or None
+_active: list = [None]  # FaultPlan or None
 
 
-def set_fault_plan(plan: FaultPlan | None, inner: str = "virtual"):
+def set_fault_plan(plan: FaultPlan | None):
     """Select the plan new ``"chaos"`` communicators run; returns the
-    previous (plan, inner) pair.  ``None`` reverts to the environment."""
+    previous one.  ``None`` reverts to the environment."""
     prev = _active[0]
-    _active[0] = None if plan is None else (plan, inner)
+    _active[0] = plan
     return prev
 
 
 @contextmanager
-def use_fault_plan(plan: FaultPlan, inner: str = "virtual"):
+def use_fault_plan(plan: FaultPlan):
     """Context manager: build ``"chaos"`` communicators from ``plan``
-    (wrapping the ``inner`` backend) inside the block."""
-    prev = _active[0]
-    _active[0] = (plan, inner)
+    inside the block."""
+    prev = set_fault_plan(plan)
     try:
         yield plan
     finally:
-        _active[0] = prev
+        set_fault_plan(prev)
 
 
-def get_fault_plan() -> tuple:
-    """The (plan, inner backend name) a new chaos communicator will use:
-    the :func:`set_fault_plan` value, else ``REPRO_CHAOS_PLAN`` /
-    ``REPRO_CHAOS_INNER`` from the environment, else an empty plan over
-    the virtual backend."""
+def get_fault_plan() -> FaultPlan:
+    """The plan a new chaos communicator will use: the
+    :func:`set_fault_plan` value, else ``REPRO_CHAOS_PLAN`` from the
+    environment, else an empty plan."""
     if _active[0] is not None:
         return _active[0]
-    inner = os.environ.get("REPRO_CHAOS_INNER", "virtual")
     raw = os.environ.get("REPRO_CHAOS_PLAN")
     if not raw:
-        return FaultPlan.empty(), inner
+        return FaultPlan.empty()
     if raw.endswith(".json") and os.path.exists(raw):
         with open(raw, encoding="utf-8") as fh:
             raw = fh.read()
-    return FaultPlan.from_json(raw), inner
+    return FaultPlan.from_json(raw)
 
 
-class ChaosComm(Comm):
-    """Fault-injecting proxy communicator (``"chaos"``).
+class ChaosComm(VirtualComm):
+    """Fault-injecting communicator (``"chaos"``).
 
     Collectives run the shared base-class implementations (so counters
-    and tracing behave exactly like any other backend), dispatching rank
-    bodies through the wrapped inner communicator; the fault plan is then
-    applied to the collective's *output*, deterministically.
+    and tracing behave exactly like any other backend) and rank bodies
+    run inline as on :class:`VirtualComm`; the fault plan is then applied
+    to the collective's *output*, deterministically.
 
     Attributes
     ----------
     plan:
         The :class:`FaultPlan` driving injection.
-    inner:
-        The wrapped :class:`Comm` executing ``run_ranks`` / ``barrier``.
     injected:
         One dict per performed injection — ``{collective, call_index,
         rank, kind, detail}`` — the ground truth chaos tests assert
@@ -270,63 +261,16 @@ class ChaosComm(Comm):
         submap: SubdomainMap,
         trace: bool = False,
         plan: FaultPlan | None = None,
-        inner: str | Comm = "virtual",
     ):
         super().__init__(submap, trace=trace)
         if plan is None:
             plan = FaultPlan.empty()
         self.plan = plan
-        if isinstance(inner, Comm):
-            if inner.backend_name == "chaos":
-                raise ValueError("chaos cannot wrap another chaos backend")
-            self.inner = inner
-        else:
-            if inner == "chaos":
-                raise ValueError("chaos cannot wrap another chaos backend")
-            self.inner = make_comm(submap, backend=inner)
         self.injected: list = []
         self._calls = {c: 0 for c in COLLECTIVES if c != "*"}
         self._fired = [0] * len(plan.rules)
         self._g2l: dict = {}  # rank -> global->local index map (lazy)
         self._halo_last: dict = {}  # (s, t) -> previous payload
-
-    # ------------------------------------------------------------------
-    # Delegated primitives
-    # ------------------------------------------------------------------
-    def set_tracer(self, tracer) -> None:
-        """Attach the tracer here *and* on the inner backend.
-
-        Collective spans are emitted by the base-class implementations
-        running on this proxy; the inner comm only contributes per-rank
-        body timing from its ``run_ranks``, so nothing is double-counted.
-        """
-        super().set_tracer(tracer)
-        self.inner.set_tracer(tracer)
-
-    def run_ranks(self, body, work: int | None = None) -> list:
-        """Dispatch rank bodies through the wrapped inner backend."""
-        return self.inner.run_ranks(body, work=work)
-
-    def barrier(self) -> None:
-        """Delegate to the inner backend's barrier."""
-        self.inner.barrier()
-
-    def close(self) -> None:
-        """Release the inner backend's resources; idempotent."""
-        self.inner.close()
-
-    # The data-movement hooks delegate too, so an inner ``process``
-    # backend genuinely moves the (pre-injection) payloads through its
-    # worker processes: faults land on top of the real exchange path
-    # rather than a shortcut through the orchestrator.
-    def _gather_back(self, glob):
-        return self.inner._gather_back(glob)
-
-    def _halo_fill(self, x_parts, plan, ext, total_words):
-        return self.inner._halo_fill(x_parts, plan, ext, total_words)
-
-    def _tree_reduce(self, vals, words):
-        return self.inner._tree_reduce(vals, words)
 
     # ------------------------------------------------------------------
     # Injection machinery

@@ -3,46 +3,39 @@
 The SPMD algorithms in :mod:`repro.core` are written exactly as the paper's
 listings — per-rank local arrays, nearest-neighbour interface assemblies
 ``⊕Σ∂Ω``, halo scatter/gathers and allreduces — against the abstract
-:class:`Comm` interface defined here.  Two backends implement it:
+:class:`Comm` interface defined here.  Three backends implement it:
 
 * :class:`VirtualComm` (``"virtual"``, the default) plays the role MPI
   plays in the paper's C implementation: all ranks live in one process and
   every rank body runs serially, which keeps execution deterministic while
   recording, per rank, precisely the traffic a real MPI run would generate.
-* :class:`~repro.parallel.thread_comm.ThreadComm` (``"thread"``) dispatches
-  the same per-rank bodies onto a persistent pool of worker threads with a
-  real cross-thread barrier, so the P subdomain kernels genuinely run
-  concurrently whenever the sparse kernel backend releases the GIL
-  (scipy's C loops and numpy's ufunc inner loops both do).
-* :class:`~repro.parallel.process_comm.ProcessComm` (``"process"``) escapes
-  the GIL entirely: a persistent pool of spawned worker *processes* moves
-  the collective payloads through ``multiprocessing.shared_memory``
-  segments, while the per-rank closures (which cannot cross a process
-  boundary) keep running in the orchestrator.
-* :class:`~repro.parallel.chaos.ChaosComm` (``"chaos"``) proxies any of
-  the above and injects deterministic message-level faults from a seeded
-  :class:`~repro.parallel.chaos.FaultPlan` — the test seam proving the
-  solvers never return a silently wrong answer when an exchange
+* :class:`~repro.parallel.process_comm.ProcessComm` (``"process"``) is
+  ``VirtualComm`` plus a persistent pool of spawned worker *processes*
+  that execute **resident rank ops** (:mod:`repro.parallel.resident`):
+  each rank's CSR blocks ship to its worker once, and the solver hot
+  loops dispatch named operations against them.  Collectives and rank
+  closures (which cannot cross a process boundary) run in the
+  orchestrator, exactly as on ``virtual``.
+* :class:`~repro.parallel.chaos.ChaosComm` (``"chaos"``) is
+  ``VirtualComm`` plus deterministic message-level faults injected from a
+  seeded :class:`~repro.parallel.chaos.FaultPlan` — the test seam proving
+  the solvers never return a silently wrong answer when an exchange
   misbehaves.
 
-All backends share the collective implementations in :class:`Comm` —
-including the fixed-topology binary-tree allreduce — so a solve is
-**bit-identical** across backends: same iteration counts, same residual
-histories, same recorded counters.  The backend-specific part is isolated
-in three overridable *data-movement hooks* (:meth:`Comm._gather_back`,
-:meth:`Comm._halo_fill`, :meth:`Comm._tree_reduce`); the defaults express
-the movement as :meth:`Comm.run_ranks` closures, and ``ProcessComm``
-replaces them with shared-memory fan-out of exactly the same permutation
-and reduction, so identity holds by construction.  Selection:
-``make_comm(submap)`` consults ``set_comm_backend(name)`` / the
-``REPRO_COMM_BACKEND`` environment variable (read at first use),
-mirroring the kernel-backend registry in :mod:`repro.sparse.kernels`.
+So "how do rank bodies and collectives execute" has two answers: inline
+in the orchestrator, or as resident rank ops in the process pool.  All
+backends run the collective implementations in :class:`Comm` — including
+the fixed-topology binary-tree allreduce — so a solve is **bit-identical**
+across backends: same iteration counts, same residual histories, same
+recorded counters.  Selection: ``make_comm(submap)`` consults
+``set_comm_backend(name)`` / the ``REPRO_COMM_BACKEND`` environment
+variable (read at first use), mirroring the kernel-backend registry in
+:mod:`repro.sparse.kernels`.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -55,26 +48,20 @@ from repro.partition.interface import SubdomainMap
 class NestedCommError(RuntimeError):
     """Constructing a communicator inside a worker of another communicator.
 
-    A rank body that builds its own :class:`ThreadComm`/``ProcessComm``
+    Code running in a pool worker that builds its own ``ProcessComm``
     would recursively enter the shared worker pool — a region that is
     already executing — which used to surface as an opaque hang.  The
-    registry (:func:`make_comm`) and the pooled-backend constructors now
+    registry (:func:`make_comm`) and the ``ProcessComm`` constructor
     detect the nesting and raise this named error instead.
     """
 
 
-#: Thread-local marker set while a comm worker executes a rank body; the
-#: ``backend`` attribute names the owning backend.  Worker *processes*
-#: advertise themselves through the ``REPRO_COMM_WORKER`` environment
-#: variable instead (set in the spawned child before any user code runs).
-_WORKER_CTX = threading.local()
-
-
 def current_worker_backend() -> str | None:
-    """Backend name of the comm worker the caller runs inside, or None."""
-    backend = getattr(_WORKER_CTX, "backend", None)
-    if backend is not None:
-        return backend
+    """Backend name of the comm worker the caller runs inside, or None.
+
+    Worker processes advertise themselves through the
+    ``REPRO_COMM_WORKER`` environment variable, set in the spawned child
+    before any user code runs."""
     return os.environ.get("REPRO_COMM_WORKER") or None
 
 
@@ -87,18 +74,17 @@ def guard_nested_comm(backend_name: str) -> None:
             f"cannot construct a {backend_name!r} communicator inside a "
             f"{inside!r} comm worker: nested pools would re-enter a "
             "parallel region that is already executing.  Build the "
-            "communicator in the orchestrator (outside run_ranks bodies) "
-            "and close over it instead."
+            "communicator in the orchestrator instead."
         )
 
 
 class Comm:
     """Abstract P-rank communicator bound to a subdomain map.
 
-    Subclasses supply the execution strategy through :meth:`run_ranks`
-    (and optionally :meth:`barrier`); every collective defined here is
-    expressed in terms of it plus deterministic orchestrator-side data
-    movement, which is what guarantees backend-independent numerics.
+    Subclasses supply the execution strategy through :meth:`run_ranks`;
+    every collective defined here is expressed in terms of it plus
+    deterministic orchestrator-side data movement, which is what
+    guarantees backend-independent numerics.
 
     Parameters
     ----------
@@ -113,7 +99,7 @@ class Comm:
         exchange must have.
     """
 
-    #: Registry name of the backend (``"virtual"``, ``"thread"``, ...).
+    #: Registry name of the backend (``"virtual"``, ``"process"``, ...).
     backend_name = "abstract"
 
     def __init__(self, submap: SubdomainMap, trace: bool = False):
@@ -158,28 +144,18 @@ class Comm:
     # ------------------------------------------------------------------
     # Backend primitives
     # ------------------------------------------------------------------
-    def run_ranks(self, body, work: int | None = None) -> list:
+    def run_ranks(self, body) -> list:
         """Execute ``body(rank)`` once per rank; return the P results.
 
         This is the SPMD dispatch point: solver loops hand each rank's
         loop body to the backend as a closure.  Bodies MUST only touch
         rank-``r`` state (their slice of the part lists and
-        ``stats.ranks[r]``) so that a concurrent backend needs no locks.
-        ``work`` is an optional estimate of the total scalar operations
-        across ranks; backends may run tiny bodies inline to avoid
-        dispatch overhead (the results are identical either way).
+        ``stats.ranks[r]``), as the code of one MPI rank would.
         """
         raise NotImplementedError
 
-    def barrier(self) -> None:
-        """Synchronize all ranks.
-
-        The serial backend is trivially synchronized; concurrent backends
-        override this with a real cross-thread barrier.
-        """
-
     def close(self) -> None:
-        """Release backend resources (worker threads); idempotent."""
+        """Release backend resources; idempotent."""
 
     def __enter__(self) -> "Comm":
         return self
@@ -200,15 +176,14 @@ class Comm:
             self.stats.ranks[r].flops += int(n)
 
     # ------------------------------------------------------------------
-    # Data-movement hooks (the only backend-overridable numerics-free part)
+    # Data movement of the collectives (numerics-free except the tree sum)
     # ------------------------------------------------------------------
     def _gather_back(self, glob: np.ndarray) -> list:
         """Gather the scatter-added global array back per rank.
 
         The second half of ``⊕Σ∂Ω``: ``out[s] = glob[l2g[s]]`` — a pure
-        permutation copy, so a backend may execute it anywhere (worker
-        thread, worker process via shared memory) without perturbing a
-        single bit.  ``glob`` is ``(n_global,)`` or ``(n_global, k)``.
+        permutation copy.  ``glob`` is ``(n_global,)`` or
+        ``(n_global, k)``.
         """
         submap = self.submap
         out = [None] * self.size
@@ -216,19 +191,16 @@ class Comm:
         def gather(s: int) -> None:
             out[s] = glob[submap.l2g[s]].copy()
 
-        self.run_ranks(gather, work=glob.size)
+        self.run_ranks(gather)
         return out
 
-    def _halo_fill(
-        self, x_parts: list, plan: dict, ext: list, total_words: int
-    ) -> None:
+    def _halo_fill(self, x_parts: list, plan: dict, ext: list) -> None:
         """Fill the preallocated external buffers of a halo exchange.
 
         Receiver-centric permutation copy: rank ``s`` writes
         ``ext[s][recv_slots] = x_parts[t][send_idx]`` for each neighbour.
         Handles vectors and ``(n, k)`` blocks alike (fancy indexing is
-        row-wise either way).  Backends may relocate the copies freely —
-        no arithmetic happens here.
+        row-wise either way).
         """
 
         def receive(s: int) -> None:
@@ -237,15 +209,16 @@ class Comm:
                 send_idx, _ = plan[t][s]
                 buf[recv_slots] = x_parts[t][send_idx]
 
-        self.run_ranks(receive, work=total_words)
+        self.run_ranks(receive)
 
-    def _tree_reduce(self, vals: list, words: int):
+    @staticmethod
+    def _tree_reduce(vals: list):
         """Combine per-rank values in fixed binary-tree order.
 
         The pairing ``(v0+v1)+(v2+v3)...`` a recursive-doubling MPI
-        allreduce performs; every backend must reproduce this exact
-        association (float addition is not associative) for results to
-        stay bit-reproducible.
+        allreduce performs; the resident workers' ``_tree_rows`` repeats
+        this exact association (float addition is not associative) so
+        results stay bit-reproducible.
         """
         while len(vals) > 1:
             nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
@@ -382,7 +355,7 @@ class Comm:
         trc = self.tracer
         if trc.enabled:
             trc.begin("allreduce_sum", "reduction", words=int(words))
-        result = self._tree_reduce(list(values), words=int(words))
+        result = self._tree_reduce(list(values))
         self.stats.charge_all_ranks(reductions=1, reduction_words=int(words))
         if trc.enabled:
             trc.end()
@@ -420,7 +393,7 @@ class Comm:
         ext = [np.zeros((n,) + tail) for n in ext_sizes]
         self._charge_halo(
             plan, tail, total_words,
-            lambda: self._halo_fill(x_parts, plan, ext, total_words),
+            lambda: self._halo_fill(x_parts, plan, ext),
         )
         return ext
 
@@ -434,12 +407,12 @@ class VirtualComm(Comm):
 
     Rank bodies execute one after another in the calling thread — the
     behaviour every prior version of this codebase had — so it is also the
-    reference implementation the concurrent backends are tested against.
+    reference implementation resident execution is tested against.
     """
 
     backend_name = "virtual"
 
-    def run_ranks(self, body, work: int | None = None) -> list:
+    def run_ranks(self, body) -> list:
         """Run ``body(rank)`` serially, in rank order."""
         if self.tracer.enabled:
             body = timed_rank_body(self.tracer, body)
@@ -449,7 +422,7 @@ class VirtualComm(Comm):
 # ----------------------------------------------------------------------
 # Backend registry (mirrors repro.sparse.kernels)
 # ----------------------------------------------------------------------
-_COMM_BACKENDS = ("virtual", "thread", "process", "chaos")
+_COMM_BACKENDS = ("virtual", "process", "chaos")
 _current: list = [None]  # resolved lazily so the env var wins at first use
 
 
@@ -485,24 +458,20 @@ def set_comm_backend(name: str) -> str | None:
 def use_comm_backend(name: str):
     """Context manager: run a block under a specific comm backend.
 
-    Leaving a ``"thread"`` (or ``"process"``) block also drains the
-    backend's shared worker pool when no live communicator still borrows
-    it, so tests (and short-lived sessions) don't leak parked threads or
-    worker processes.
+    Leaving a ``"process"`` block also drains the shared worker pool
+    when no live communicator still borrows it, so tests (and short-lived
+    sessions) don't leak parked worker processes.
     """
-    prev = _current[0]
-    set_comm_backend(name)
+    prev = set_comm_backend(name)
     resolved = _current[0]
     try:
         yield
     finally:
         _current[0] = prev
-        if resolved in ("thread", "process"):
-            import sys
+        if resolved == "process":
+            from repro.parallel.process_comm import shutdown_pool
 
-            mod = sys.modules.get(f"repro.parallel.{resolved}_comm")
-            if mod is not None:
-                mod.shutdown_pool()
+            shutdown_pool()
 
 
 def make_comm(
@@ -512,19 +481,14 @@ def make_comm(
 
     ``backend=None`` uses the session default (``set_comm_backend`` /
     ``REPRO_COMM_BACKEND``, falling back to ``"virtual"``).  The
-    ``"chaos"`` backend wraps the inner backend and fault plan selected
-    via :func:`repro.parallel.chaos.set_fault_plan` /
-    ``REPRO_CHAOS_PLAN``.
+    ``"chaos"`` backend runs the fault plan selected via
+    :func:`repro.parallel.chaos.set_fault_plan` / ``REPRO_CHAOS_PLAN``.
 
     Raises :class:`NestedCommError` when called from inside a comm
     worker — a communicator must be built in the orchestrator.
     """
     name = _resolve(backend) if backend is not None else get_comm_backend()
     guard_nested_comm(name)
-    if name == "thread":
-        from repro.parallel.thread_comm import ThreadComm
-
-        return ThreadComm(submap, trace=trace)
     if name == "process":
         from repro.parallel.process_comm import ProcessComm
 
@@ -532,6 +496,5 @@ def make_comm(
     if name == "chaos":
         from repro.parallel.chaos import ChaosComm, get_fault_plan
 
-        plan, inner = get_fault_plan()
-        return ChaosComm(submap, trace=trace, plan=plan, inner=inner)
+        return ChaosComm(submap, trace=trace, plan=get_fault_plan())
     return VirtualComm(submap, trace=trace)

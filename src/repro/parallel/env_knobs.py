@@ -1,13 +1,13 @@
-"""Validated reads of the parallel-backend environment knobs.
+"""Validated reads of the ``REPRO_*`` environment knobs.
 
-The concurrent ``Comm`` backends are tuned through environment variables
+The process backend is tuned through environment variables
 (``REPRO_PROCESS_WORKERS``, ``REPRO_PROCESS_MIN_WORK``,
-``REPRO_PROCESS_TIMEOUT``, ``REPRO_PROCESS_RESIDENT``,
-``REPRO_THREAD_WORKERS``, ``REPRO_THREAD_MIN_WORK``).  A malformed value used to surface as a raw
+``REPRO_PROCESS_TIMEOUT``).  A malformed value used to surface as a raw
 ``ValueError`` from ``int()`` deep inside backend construction, with no
 hint of *which* variable was wrong.  These helpers validate at read time
 and raise one named error that echoes the variable name and the
-offending value.
+offending value; ``REPRO_KERNEL_BACKEND`` raises the same error for a
+name that is not a registered kernel backend.
 """
 
 from __future__ import annotations

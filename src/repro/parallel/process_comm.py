@@ -1,35 +1,27 @@
 """Process-parallel communicator backend (``"process"``): escape the GIL.
 
-:class:`ProcessComm` keeps the :class:`~repro.parallel.comm.Comm` contract
-— bit-identical numerics, identical :class:`~repro.parallel.stats.CommStats`
-— while moving the collective *data plane* onto a persistent pool of
-spawned worker **processes**.  The division of labour follows from one
-hard constraint: the per-rank closures solvers hand to ``run_ranks`` close
-over rank-local numpy/CSR state and cannot cross a process boundary, so
+:class:`ProcessComm` is :class:`~repro.parallel.comm.VirtualComm` — the
+same inline ``run_ranks`` and collectives, hence bit-identical numerics
+and identical :class:`~repro.parallel.stats.CommStats` — plus a
+persistent pool of spawned worker **processes** that execute *resident
+rank ops* (:mod:`repro.parallel.resident`).  The per-rank closures
+solvers hand to ``run_ranks`` close over rank-local numpy/CSR state and
+cannot cross a process boundary; resident execution escapes that
+constraint for the solver hot loops: :meth:`resident_ship` streams each
+rank's CSR blocks to its owning worker once (keyed by a generation id,
+invalidated on pool respawn) and :meth:`run_rank_op` dispatches named
+operations — matvec, fused Arnoldi round, polynomial chain, axpy batches
+— as small command descriptors that workers execute against the resident
+state through a ``multiprocessing.shared_memory`` arena, so only vectors
+cross process boundaries while all charging stays with the orchestrator.
 
-* ``run_ranks`` bodies execute inline in the orchestrator (exactly like
-  :class:`~repro.parallel.comm.VirtualComm` — same order, same bits),
-* the backend-overridable data-movement hooks (``_gather_back``,
-  ``_halo_fill``, ``_tree_reduce``) fan out to the workers through
-  ``multiprocessing.shared_memory`` arenas: pure permutation copies and
-  the fixed binary-tree reduction, zero-copy on the payload path, and
-* *resident rank execution* (:mod:`repro.parallel.resident`) escapes the
-  closure constraint for the solver hot loops: :meth:`resident_ship`
-  streams each rank's CSR blocks to its owning worker once (keyed by a
-  generation id, invalidated on pool respawn) and :meth:`run_rank_op`
-  dispatches named operations — matvec, fused dots, orthogonalization,
-  axpy batches — as small command descriptors that workers execute
-  against the resident state, so only vectors cross process boundaries
-  while all charging stays with the orchestrator.
-
-Because the hooks move bytes but never change an arithmetic association,
-and all charging/tracing stays in the shared base-class collectives,
-results and counters are bit-identical to ``VirtualComm`` by
-construction — the property suite in ``tests/parallel`` asserts it.
+Collectives never touch the pool: a communicator whose systems stay
+below the residency threshold never spawns a worker and is, literally,
+``VirtualComm``.
 
 Pool lifecycle
 --------------
-The pool is **lazy** (first eligible dispatch spawns it) and **persistent**
+The pool is **lazy** (the first resident ship spawns it) and **persistent**
 (``ProcessComm.close()`` releases the comm's worker-side registration and
 unlinks its shared-memory arena, but parks the processes for the next
 communicator — spawning costs ~1 s, a per-solve price short-lived sessions
@@ -51,11 +43,11 @@ detect out-of-phase workers.
 Tuning environment variables (read at construction):
 
 * ``REPRO_PROCESS_WORKERS`` — worker count cap (default: CPU count, at
-  least 2 so the fan-out paths are exercised on single-core runners).
-* ``REPRO_PROCESS_MIN_WORK`` — estimated scalar-op threshold below which
-  a collective's data movement runs inline (default 32768; identical
-  results either way, this only avoids paying a pipe round-trip on tiny
-  vectors).
+  least 2 so the multi-worker paths are exercised on single-core runners).
+* ``REPRO_PROCESS_MIN_WORK`` — residency threshold: a system whose
+  matvec costs at least this many scalar operations runs its rank ops
+  worker-resident, a smaller one inline (default 32768; identical results
+  either way, ``0`` forces residency).
 * ``REPRO_PROCESS_TIMEOUT`` — per-dispatch timeout in seconds (default
   120) after which a silent pool raises :class:`WorkerTimeoutError`.
 """
@@ -74,9 +66,8 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.obs.tracer import timed_rank_body
 from repro.parallel._process_worker import HEADER_BYTES, worker_main
-from repro.parallel.comm import Comm, guard_nested_comm
+from repro.parallel.comm import VirtualComm, guard_nested_comm
 from repro.parallel.env_knobs import read_float_env, read_int_env
 from repro.partition.interface import SubdomainMap
 
@@ -143,8 +134,7 @@ class _ProcessPool:
     one reply per worker under a deadline, polling liveness so a killed
     worker is detected in ~50 ms rather than at the timeout.  ``lock``
     serializes whole dispatches (arena write + command + replies), so
-    concurrent communicators sharing the pool take turns exactly like
-    they do on the thread backend's ``_run_lock``.
+    concurrent communicators sharing the pool take turns.
     """
 
     def __init__(self, n_workers: int):
@@ -249,9 +239,9 @@ class _ProcessPool:
                 pass
 
 
-# One shared pool per orchestrator process (mirrors thread_comm).  A
-# ProcessComm only borrows it; live borrowers are tracked in a WeakSet so
-# shutdown_pool() can refuse to pull workers out from under an open comm.
+# One shared pool per orchestrator process.  A ProcessComm only borrows
+# it; live borrowers are tracked in a WeakSet so shutdown_pool() can
+# refuse to pull workers out from under an open comm.
 _pool_lock = threading.Lock()
 _shared_pool: list = [None]
 _live_comms: "weakref.WeakSet" = weakref.WeakSet()
@@ -277,11 +267,11 @@ def shutdown_pool(force: bool = False) -> bool:
     """Drain the shared worker-process pool; idempotent.
 
     Without ``force`` the pool survives while any live (unclosed)
-    :class:`ProcessComm` still borrows it.  Unlike the thread backend,
-    ``ProcessComm.close()`` does **not** call this: spawning costs ~1 s
-    per worker, so parked processes are reused across solves and drained
-    here (``use_comm_backend`` exit, tests, atexit).  Returns True when
-    the pool is down.
+    :class:`ProcessComm` still borrows it.  ``ProcessComm.close()`` does
+    **not** call this: spawning costs ~1 s per worker, so parked
+    processes are reused across solves and drained here
+    (``use_comm_backend`` exit, tests, atexit).  Returns True when the
+    pool is down.
     """
     with _pool_lock:
         if not force and len(_live_comms):
@@ -323,8 +313,9 @@ def _atexit_cleanup() -> None:  # pragma: no cover - interpreter shutdown
 atexit.register(_atexit_cleanup)
 
 
-class ProcessComm(Comm):
-    """Shared-memory process-parallel backend (``"process"``).
+class ProcessComm(VirtualComm):
+    """``VirtualComm`` plus a worker-process pool for resident rank ops
+    (``"process"``).
 
     Parameters
     ----------
@@ -336,9 +327,11 @@ class ProcessComm(Comm):
         Worker-process cap; defaults to ``REPRO_PROCESS_WORKERS`` or the
         CPU count.  Ranks beyond the cap are strided over the workers.
     min_dispatch_work:
-        Estimated scalar-op threshold below which a collective's data
-        movement runs inline (identical results, no pipe latency);
-        defaults to ``REPRO_PROCESS_MIN_WORK`` or 32768.
+        Residency threshold (:func:`repro.parallel.resident.engine_mode`):
+        systems whose matvec costs at least this many scalar operations
+        run their rank ops in the workers, smaller ones inline (identical
+        results, no pipe latency); defaults to ``REPRO_PROCESS_MIN_WORK``
+        or 32768.
     call_timeout:
         Seconds a dispatch may wait for worker replies before raising
         :class:`WorkerTimeoutError`; defaults to ``REPRO_PROCESS_TIMEOUT``
@@ -379,8 +372,8 @@ class ProcessComm(Comm):
         self._arena_name = None
         self._arena_words = 0
         self._arena_gen = 0
-        #: plan id -> (token, pinned plan, xsizes, ext_sizes); pinning the
-        #: dict keeps ``id(plan)`` from being recycled under us.
+        #: plan id -> shipped halo plan; pinning the plan dict keeps
+        #: ``id(plan)`` from being recycled under us.
         self._plans: dict = {}
         #: resident-state generation ids the current pool has received;
         #: cleared on pool respawn so engines re-ship transparently.
@@ -388,38 +381,8 @@ class ProcessComm(Comm):
         _live_comms.add(self)
 
     # ------------------------------------------------------------------
-    # Rank bodies: inline (closures cannot cross a process boundary)
-    # ------------------------------------------------------------------
-    def run_ranks(self, body, work: int | None = None) -> list:
-        """Run ``body(rank)`` serially in the orchestrator, rank order.
-
-        Identical to :class:`VirtualComm`: solver closures capture
-        rank-local state that cannot be shipped to another process, so
-        only the collectives' data plane (the hooks below) fans out.
-        """
-        if self.tracer.enabled:
-            body = timed_rank_body(self.tracer, body)
-        return [body(r) for r in range(self.size)]
-
-    def barrier(self) -> None:
-        """Synchronize the data plane: one ping round across the pool
-        (no-op while the pool has not been started)."""
-        if self._closed or self._pool is None or self._pool.broken:
-            return
-        with self._pool.lock:
-            self._seq += 1
-            self._pool.run_cmd(("ping", self._seq), self.call_timeout)
-
-    # ------------------------------------------------------------------
     # Pool / arena plumbing
     # ------------------------------------------------------------------
-    def _use_pool(self, work: int) -> bool:
-        return (
-            not self._closed
-            and self.size > 1
-            and work >= self.min_dispatch_work
-        )
-
     def _ensure_pool(self) -> _ProcessPool:
         pool = _acquire_pool(self.n_workers)
         if pool is not self._pool:
@@ -474,12 +437,7 @@ class ProcessComm(Comm):
     def _register(self, pool: _ProcessPool) -> None:
         if self._registered:
             return
-        blob = pickle.dumps(
-            {
-                "l2g": [np.asarray(g) for g in self.submap.l2g],
-                "sizes": [int(n) for n in self.submap.local_sizes],
-            }
-        )
+        blob = pickle.dumps([np.asarray(g) for g in self.submap.l2g])
         self._control(pool, "register", blob)
         self._registered = True
 
@@ -495,148 +453,6 @@ class ProcessComm(Comm):
                 self.tracer.add_worker_time(int(r) % n_workers, float(dt))
 
     # ------------------------------------------------------------------
-    # Data-movement hooks: shared-memory fan-out
-    # ------------------------------------------------------------------
-    def _gather_back(self, glob: np.ndarray) -> list:
-        k = None if glob.ndim == 1 else glob.shape[1]
-        kk = 1 if k is None else int(k)
-        n_global = self.submap.n_global
-        sizes = self.submap.local_sizes
-        work = n_global * kk
-        if not self._use_pool(work):
-            return super()._gather_back(glob)
-        in_words = n_global * kk
-        total_words = in_words + sum(sizes) * kk
-        pool = self._ensure_pool()
-        with pool.lock:
-            self._register(pool)
-            view = self._ensure_arena(total_words)
-            view[:in_words] = glob.ravel()
-            seq = self._stamp()
-            payloads = pool.run_cmd(
-                (
-                    "gather", seq, self._comm_id, self._arena_name,
-                    kk, n_global, total_words,
-                ),
-                self.call_timeout,
-            )
-            out = []
-            off = in_words
-            for n in sizes:
-                part = np.array(view[off:off + n * kk])
-                out.append(part.reshape(n, kk) if k is not None else part)
-                off += n * kk
-        self._charge_times(payloads)
-        return out
-
-    def _halo_fill(
-        self, x_parts: list, plan: dict, ext: list, total_words: int
-    ) -> None:
-        kk = ext[0].shape[1] if ext and ext[0].ndim == 2 else 1
-        if not self._use_pool(total_words):
-            return super()._halo_fill(x_parts, plan, ext, total_words)
-        entry = self._plan_entry(
-            plan,
-            [int(np.shape(p)[0]) for p in x_parts],
-            [int(np.shape(e)[0]) for e in ext],
-        )
-        if entry is None:  # shapes changed under a cached plan: stay inline
-            return super()._halo_fill(x_parts, plan, ext, total_words)
-        xsizes, ext_sizes = entry["xsizes"], entry["ext_sizes"]
-        in_words = sum(xsizes) * kk
-        arena_words = in_words + sum(ext_sizes) * kk
-        pool = self._ensure_pool()
-        with pool.lock:
-            self._register(pool)
-            view = self._ensure_arena(arena_words)
-            if not entry["sent"]:
-                self._control(
-                    pool, "plan", entry["token"], entry["blob"]
-                )
-                entry["sent"] = True
-            off = 0
-            for p in x_parts:
-                view[off:off + p.size] = p.ravel()
-                off += p.size
-            seq = self._stamp()
-            payloads = pool.run_cmd(
-                (
-                    "halo", seq, self._comm_id, self._arena_name,
-                    entry["token"], kk, arena_words,
-                ),
-                self.call_timeout,
-            )
-            off = in_words
-            for buf in ext:
-                flat = view[off:off + buf.size]
-                buf[...] = flat.reshape(buf.shape)
-                off += buf.size
-        self._charge_times(payloads)
-
-    def _tree_reduce(self, vals: list, words: int):
-        arr = np.asarray(vals)
-        if (
-            arr.dtype != np.float64
-            or arr.ndim not in (1, 2)
-            or arr.shape[0] != self.size
-        ):
-            return super()._tree_reduce(vals, words)
-        m = 1 if arr.ndim == 1 else arr.shape[1]
-        if not self._use_pool(self.size * m):
-            return super()._tree_reduce(vals, words)
-        total_words = (self.size + 1) * m
-        pool = self._ensure_pool()
-        with pool.lock:
-            self._register(pool)
-            view = self._ensure_arena(total_words)
-            view[:self.size * m] = arr.ravel()
-            seq = self._stamp()
-            payloads = pool.run_cmd(
-                (
-                    "reduce", seq, self._comm_id, self._arena_name,
-                    self.size, m, total_words,
-                ),
-                self.call_timeout,
-            )
-            result = np.array(view[self.size * m:(self.size + 1) * m])
-        self._charge_times(payloads)
-        return result[0] if arr.ndim == 1 else result
-
-    def _plan_entry(self, plan: dict, xsizes: list, ext_sizes: list):
-        """Worker-shippable form of a halo plan, cached and pinned by
-        ``id(plan)`` (plans are immutable for a system's lifetime).
-        Returns None when the cached shapes no longer match the call."""
-        entry = self._plans.get(id(plan))
-        if entry is not None:
-            if entry["xsizes"] != xsizes or entry["ext_sizes"] != ext_sizes:
-                return None
-            return entry
-        ranks = []
-        for s in range(self.size):
-            ranks.append(
-                [
-                    (
-                        int(t),
-                        np.asarray(plan[t][s][0]),
-                        np.asarray(recv_slots),
-                    )
-                    for t, (_, recv_slots) in plan[s].items()
-                ]
-            )
-        entry = {
-            "token": len(self._plans) + 1,
-            "plan": plan,  # pin, so id(plan) stays unique while cached
-            "xsizes": xsizes,
-            "ext_sizes": ext_sizes,
-            "blob": pickle.dumps(
-                {"ranks": ranks, "xsizes": xsizes, "ext_sizes": ext_sizes}
-            ),
-            "sent": False,
-        }
-        self._plans[id(plan)] = entry
-        return entry
-
-    # ------------------------------------------------------------------
     # Resident rank execution (see repro.parallel.resident)
     # ------------------------------------------------------------------
     def resident_ship(self, gen: int, rank_states: list) -> None:
@@ -647,8 +463,7 @@ class ProcessComm(Comm):
         as raw float64 bytes via ``.view``) and described by a typed field
         table in the command, one dispatch per rank so the arena stays
         bounded by a single rank's footprint.  Shipping charges no
-        CommStats: like the collective hooks it is transport, not
-        modelled communication.
+        CommStats: it is transport, not modelled communication.
         """
         pool = self._ensure_pool()
         with pool.lock:
@@ -710,18 +525,37 @@ class ProcessComm(Comm):
 
     def resident_ship_plan(self, plan: dict, xsizes: list, ext_sizes: list):
         """Ship a halo plan for worker-side halo fills inside fused rank
-        ops; returns the plan token, or None when a cached entry for this
-        plan no longer matches the given sizes (caller stays inline)."""
+        ops (once per pool); returns the plan token.  Entries are cached
+        and pinned by ``id(plan)`` — plans, and so their sizes, are
+        immutable for a system's lifetime."""
+        entry = self._plans.get(id(plan))
+        if entry is None:
+            ranks = [
+                [
+                    (int(t), np.asarray(plan[t][s][0]), np.asarray(recv_slots))
+                    for t, (_, recv_slots) in plan[s].items()
+                ]
+                for s in range(self.size)
+            ]
+            entry = self._plans[id(plan)] = {
+                "token": len(self._plans) + 1,
+                "plan": plan,  # pin, so id(plan) stays unique while cached
+                "blob": pickle.dumps(
+                    {
+                        "ranks": ranks,
+                        "xsizes": list(xsizes),
+                        "ext_sizes": list(ext_sizes),
+                    }
+                ),
+                "sent": False,
+            }
         pool = self._ensure_pool()
         with pool.lock:
             self._register(pool)
-            entry = self._plan_entry(plan, list(xsizes), list(ext_sizes))
-            if entry is None:
-                return None
             if not entry["sent"]:
                 self._control(pool, "plan", entry["token"], entry["blob"])
                 entry["sent"] = True
-            return entry["token"]
+        return entry["token"]
 
     def pool_width(self) -> int:
         """Worker count of the acquired pool (>= ``n_workers``: an

@@ -5,9 +5,9 @@ The per-rank compute regions of the FGMRES Krylov spaces
 the fused CGS coefficient round — go through one of the engines below:
 
 * the *inline* engines run the original per-rank closures through
-  :meth:`Comm.run_ranks` in the orchestrator process (virtual, thread and
-  chaos backends, and process communicators below the dispatch
-  threshold); the EDD and RDD ones differ only in their matvecs;
+  :meth:`Comm.run_ranks` in the orchestrator process (virtual and chaos
+  backends, and process communicators below the residency threshold);
+  the EDD and RDD ones differ only in their matvecs;
 * the *resident* engines ship each rank's CSR blocks to its owning
   worker process **once** (keyed by a generation id) and then dispatch
   small command descriptors — **named rank ops** — so only vectors cross
@@ -61,12 +61,10 @@ spans and chaos call indices are exactly the inline ones.
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
 
 from repro.core.distributed import DistVector, _n_cols, col_dots
-from repro.parallel.env_knobs import EnvKnobError, read_int_env
 
 __all__ = [
     "engine_mode",
@@ -86,27 +84,23 @@ _generations = itertools.count(1)
 def engine_mode(comm, work_hint: int) -> str:
     """``"inline"`` or ``"resident"`` for this communicator.
 
-    Resident execution requires a live multi-rank :class:`ProcessComm`
-    (the chaos communicator extends :class:`Comm` directly and therefore
-    always runs inline, keeping fault injection deterministic at the
-    orchestrator).  ``REPRO_PROCESS_RESIDENT=0`` forces inline,
-    ``=1`` forces resident; unset or empty defers to the communicator's
-    dispatch threshold with ``work_hint`` (one matvec's scalar-op
-    estimate); anything else raises :class:`EnvKnobError`.
+    Resident iff ``comm`` is a live multi-rank :class:`ProcessComm` and
+    ``work_hint`` (one matvec's scalar-op estimate) reaches its
+    ``min_dispatch_work`` (``REPRO_PROCESS_MIN_WORK``; ``0`` forces
+    residency).  The chaos communicator is not a ``ProcessComm`` and
+    therefore always runs inline, keeping fault injection deterministic
+    at the orchestrator.
     """
     from repro.parallel.process_comm import ProcessComm
 
-    if not isinstance(comm, ProcessComm) or comm._closed or comm.size <= 1:
-        return "inline"
-    forced = read_int_env("REPRO_PROCESS_RESIDENT", None)
-    if forced is None:
-        return "resident" if comm._use_pool(int(work_hint)) else "inline"
-    if forced not in (0, 1):
-        raise EnvKnobError(
-            "REPRO_PROCESS_RESIDENT", os.environ["REPRO_PROCESS_RESIDENT"],
-            "0, 1 or unset",
-        )
-    return "resident" if forced else "inline"
+    if (
+        isinstance(comm, ProcessComm)
+        and not comm._closed
+        and comm.size > 1
+        and int(work_hint) >= comm.min_dispatch_work
+    ):
+        return "resident"
+    return "inline"
 
 
 def _layout(sizes: list) -> tuple:
@@ -234,9 +228,7 @@ class RankEngine:
                 partial[r, i] = col_dots(v_dot[i][r], wr)
             comm.add_flops(r, 2 * (j + 1) * wr.size)
 
-        comm.run_ranks(
-            dots_body, work=2 * (j + 1) * sum(p.size for p in w_dot)
-        )
+        comm.run_ranks(dots_body)
         h[: j + 1] = comm.allreduce_sum(list(partial), words=partial[0].size)
         return self._orthogonalize(j, h, basis, w)
 
@@ -255,9 +247,7 @@ class RankEngine:
                 new_w[f][r] = wr
             comm.add_flops(r, 2 * nf * (j + 1) * w[0][r].size)
 
-        comm.run_ranks(
-            ortho_body, work=2 * nf * (j + 1) * sum(p.size for p in w[0])
-        )
+        comm.run_ranks(ortho_body)
         return new_w
 
 
@@ -279,7 +269,7 @@ class InlineEDDEngine(RankEngine):
             parts[r] = a @ x_parts[r]
             comm.add_flops(r, 2 * a.nnz * k)
 
-        comm.run_ranks(body, work=2 * system.nnz_total * k)
+        comm.run_ranks(body)
         return DistVector(parts, "local", comm)
 
 
@@ -305,7 +295,7 @@ class InlineRDDEngine(RankEngine):
                 comm.add_flops(r, 2 * ext.nnz * k + y.size)
             out[r] = y
 
-        comm.run_ranks(body, work=2 * system.nnz_total * k)
+        comm.run_ranks(body)
         return out
 
 
@@ -728,10 +718,9 @@ class ResidentRDDEngine(ResidentEngine):
         Workers run the recurrence against their resident block pairs,
         filling their halo buffers straight from the shared arena using
         the shipped exchange plan — O(1) pipe round-trips instead of
-        O(k).  Returns None (caller stays inline) for blocks and when the
-        communicator cannot ship this plan; the inline charging is
-        replayed afterwards by :func:`_replay_chain_charges` over the
-        real recurrence."""
+        O(k).  Returns None (caller stays inline) for blocks; the inline
+        charging is replayed afterwards by :func:`_replay_chain_charges`
+        over the real recurrence."""
         if v_parts[0].ndim == 2:
             return None
         comm = self.system.comm
@@ -739,8 +728,6 @@ class ResidentRDDEngine(ResidentEngine):
         token = comm.resident_ship_plan(
             self.system.plan, self.sizes, self._halo_ext_sizes()
         )
-        if token is None:
-            return None
         n = self.n_total
         nflags = comm.pool_width()
         kind, params = terms

@@ -5,12 +5,12 @@ flops it performed and every collective reports the messages it moved, per
 rank.  The machine models consume them; the Table 1 complexity tests assert
 against them.
 
-Thread-safety contract (the :class:`~repro.parallel.thread_comm.ThreadComm`
-backend runs rank bodies concurrently):
+Thread-safety contract (a communicator is driven by one solve at a
+time, but the service's executor threads may read its counters while a
+solve charges them):
 
 * **Per-rank updates are disjoint** — rank ``r``'s body only ever touches
-  ``stats.ranks[r]``, so plain ``+=`` on a single :class:`RankStats` from
-  its own worker thread needs no lock.
+  ``stats.ranks[r]``, a plain ``+=`` on a single :class:`RankStats`.
 * **Cross-rank updates** (reductions charge *every* rank, snapshots read
   all ranks at once) go through :meth:`CommStats.charge_all_ranks`, which
   holds the stats lock so a concurrent hammer of chargers and readers
@@ -61,8 +61,8 @@ class CommStats:
     """Counters for all ranks of a communicator.
 
     A single :class:`threading.Lock` guards every operation that spans
-    ranks; per-rank increments from the owning rank's thread are lock-free
-    by the disjointness contract documented in the module docstring.
+    ranks; per-rank increments are lock-free by the disjointness contract
+    documented in the module docstring.
     """
 
     n_ranks: int
@@ -87,8 +87,8 @@ class CommStats:
     ) -> None:
         """Atomically add the same increments to *every* rank.
 
-        This is the collective-side charging path (allreduces and barriers
-        hit all ranks symmetrically); holding the lock makes it safe to
+        This is the collective-side charging path (allreduces hit all
+        ranks symmetrically); holding the lock makes it safe to
         call concurrently with itself and with :meth:`snapshot`.
         """
         with self._lock:

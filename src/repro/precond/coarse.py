@@ -354,7 +354,7 @@ class TwoLevelPreconditioner(Preconditioner):
             partial[r] = wl[r].T @ v_parts[r]
             comm.add_flops(r, 2 * wl[r].size * k)
 
-        comm.run_ranks(restrict_body, work=2 * sum(p.size for p in wl) * k)
+        comm.run_ranks(restrict_body)
         rhs = comm.allreduce_sum(list(partial), words=nc * k)
         y = self._solve_coarse(rhs)
         # Redundant dense solve: every rank performs the same ~2 nc^2
@@ -366,7 +366,7 @@ class TwoLevelPreconditioner(Preconditioner):
             out[r] = wg[r] @ y
             comm.add_flops(r, 2 * wg[r].size * k)
 
-        comm.run_ranks(prolong_body, work=2 * sum(p.size for p in wg) * k)
+        comm.run_ranks(prolong_body)
         if traced:
             trc.end()
         return out

@@ -254,9 +254,13 @@ def get_backend():
     if _current[0] is None:
         name = os.environ.get("REPRO_KERNEL_BACKEND", "numpy").strip().lower()
         if name not in _BACKENDS:
-            raise ValueError(
-                f"REPRO_KERNEL_BACKEND={name!r} is not available; "
-                f"choose from {available_backends()}"
+            # Imported here: repro.parallel's package import reaches back
+            # into this module.
+            from repro.parallel.env_knobs import EnvKnobError
+
+            raise EnvKnobError(
+                "REPRO_KERNEL_BACKEND", name,
+                f"one of {available_backends()}",
             )
         _current[0] = _BACKENDS[name]
     return _current[0]

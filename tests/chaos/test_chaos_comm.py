@@ -9,7 +9,6 @@ from repro.fem.bc import clamp_edge_dofs
 from repro.fem.mesh import structured_quad_mesh
 from repro.parallel.chaos import ChaosComm, FaultPlan, FaultRule, use_fault_plan
 from repro.parallel.comm import VirtualComm, make_comm, use_comm_backend
-from repro.parallel.thread_comm import ThreadComm
 from repro.partition.element_partition import ElementPartition
 from repro.partition.interface import SubdomainMap, build_subdomain_map
 
@@ -44,27 +43,22 @@ def _halo_plan():
     }
 
 
-def _chaos(submap, *rules, seed=0, inner="virtual") -> ChaosComm:
-    return ChaosComm(submap, plan=FaultPlan(rules=tuple(rules), seed=seed),
-                     inner=inner)
+def _chaos(submap, *rules, seed=0) -> ChaosComm:
+    return ChaosComm(submap, plan=FaultPlan(rules=tuple(rules), seed=seed))
 
 
 # ----------------------------------------------------------------------
-# Passthrough parity (empty plan == inner backend, bit for bit)
+# Passthrough parity (empty plan == VirtualComm, bit for bit)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("inner", ["virtual", "thread"])
-def test_empty_plan_is_bit_identical(submap4, parts4, inner):
+def test_empty_plan_is_bit_identical(submap4, parts4):
     ref = VirtualComm(submap4)
-    chaos = _chaos(submap4, inner=inner)
-    try:
-        for a, b in zip(ref.interface_assemble(parts4),
-                        chaos.interface_assemble(parts4)):
-            assert np.array_equal(a, b)
-        vals = [float(p[0]) for p in parts4]
-        assert ref.allreduce_sum(vals) == chaos.allreduce_sum(vals)
-        assert chaos.injected == []
-    finally:
-        chaos.close()
+    chaos = _chaos(submap4)
+    for a, b in zip(ref.interface_assemble(parts4),
+                    chaos.interface_assemble(parts4)):
+        assert np.array_equal(a, b)
+    vals = [float(p[0]) for p in parts4]
+    assert ref.allreduce_sum(vals) == chaos.allreduce_sum(vals)
+    assert chaos.injected == []
 
 
 def test_empty_plan_halo_parity():
@@ -76,45 +70,16 @@ def test_empty_plan_halo_parity():
         assert np.array_equal(a, b)
 
 
-def test_stats_charged_once_not_through_inner(submap4, parts4):
-    """The proxy's own counters see the traffic; the wrapped comm is a
-    pure dispatch engine, so nothing is double-counted."""
-    chaos = _chaos(submap4)
-    chaos.interface_assemble(parts4)
-    assert sum(r.nbr_messages for r in chaos.stats.ranks) > 0
-    assert sum(r.nbr_messages for r in chaos.inner.stats.ranks) == 0
-
-
 # ----------------------------------------------------------------------
 # Construction rules
 # ----------------------------------------------------------------------
-def test_chaos_cannot_wrap_chaos(submap4):
-    with pytest.raises(ValueError, match="chaos"):
-        ChaosComm(submap4, inner="chaos")
-    with pytest.raises(ValueError, match="chaos"):
-        ChaosComm(submap4, inner=ChaosComm(submap4))
-
-
-def test_wraps_existing_comm_instance(submap4, parts4):
-    inner = ThreadComm(submap4, n_workers=2, min_parallel_work=0)
-    chaos = ChaosComm(submap4, inner=inner)
-    try:
-        ref = VirtualComm(submap4).interface_assemble(parts4)
-        for a, b in zip(ref, chaos.interface_assemble(parts4)):
-            assert np.array_equal(a, b)
-        assert chaos.inner is inner
-    finally:
-        chaos.close()
-
-
 def test_make_comm_builds_chaos_from_active_plan(submap4):
     plan = FaultPlan(rules=(FaultRule("allreduce_sum", "nan"),), seed=3)
-    with use_fault_plan(plan, inner="virtual"):
+    with use_fault_plan(plan):
         with use_comm_backend("chaos"):
             comm = make_comm(submap4)
-    assert isinstance(comm, ChaosComm)
+    assert isinstance(comm, ChaosComm) and isinstance(comm, VirtualComm)
     assert comm.plan == plan
-    assert comm.inner.backend_name == "virtual"
 
 
 # ----------------------------------------------------------------------

@@ -66,8 +66,8 @@ CONFIGS = [
     ("rdd", "bj-ilu0"),
 ]
 
-#: The reduced matrix the CI chaos smoke job runs under both inner
-#: backends (select with ``-k smoke``).
+#: The reduced matrix the CI chaos smoke job runs (select with
+#: ``-k smoke``).
 SMOKE = [
     ("assemble-nan", "edd-enhanced", "gls(7)"),
     ("assemble-drop", "edd-enhanced", "neumann(20)"),
@@ -76,17 +76,17 @@ SMOKE = [
 ]
 
 
-def _check_invariant(problem, plan, method, precond, inner):
+def _check_invariant(problem, plan, method, precond):
     """Run one chaos solve and assert the invariant; returns the summary."""
     options = SolverOptions(
         method=method, precond=precond, tol=TOL, comm_backend="chaos"
     )
-    with use_fault_plan(plan, inner=inner):
+    with use_fault_plan(plan):
         summary = solve_cantilever(problem, n_parts=2, options=options)
     result = summary.result
     replay = (
         f"replay with REPRO_CHAOS_PLAN='{plan.to_json()}' "
-        f"REPRO_CHAOS_INNER={inner} ({method}, {precond})"
+        f"({method}, {precond})"
     )
     if result.converged:
         # Independent ground truth: residual against the serial operator.
@@ -113,21 +113,18 @@ def _check_invariant(problem, plan, method, precond, inner):
                          ids=[f"{m}-{p}" for m, p in CONFIGS])
 @pytest.mark.parametrize("plan_name", sorted(PLANS))
 def test_no_silent_wrong_answer(tiny_problem, plan_name, method, precond):
-    """The full fault matrix over the serial inner backend."""
+    """The full fault matrix."""
     plan = FaultPlan(rules=(PLANS[plan_name],), seed=20060815)
-    _check_invariant(tiny_problem, plan, method, precond, "virtual")
+    _check_invariant(tiny_problem, plan, method, precond)
 
 
-@pytest.mark.parametrize("inner", ["virtual", "thread", "process"])
 @pytest.mark.parametrize("plan_name,method,precond", SMOKE,
                          ids=[f"{n}-{m}-{p}" for n, m, p in SMOKE])
-def test_no_silent_wrong_answer_smoke(
-    tiny_problem, plan_name, method, precond, inner
-):
-    """The reduced sweep, under every inner execution backend — this is
-    what the CI chaos job runs (``-k smoke``)."""
+def test_no_silent_wrong_answer_smoke(tiny_problem, plan_name, method, precond):
+    """The reduced sweep — this is what the CI chaos job runs
+    (``-k smoke``)."""
     plan = FaultPlan(rules=(PLANS[plan_name],), seed=20060815)
-    _check_invariant(tiny_problem, plan, method, precond, inner)
+    _check_invariant(tiny_problem, plan, method, precond)
 
 
 #: Two-level sweep: faults aimed at the *coarse* allreduce.  On the tiny
@@ -147,20 +144,18 @@ TWO_LEVEL_PLANS = {
 }
 
 
-@pytest.mark.parametrize("inner", ["virtual", "thread", "process"])
 @pytest.mark.parametrize("method,precond", TWO_LEVEL_CONFIGS,
                          ids=[f"{m}-{p}" for m, p in TWO_LEVEL_CONFIGS])
 @pytest.mark.parametrize("plan_name", sorted(TWO_LEVEL_PLANS))
 def test_no_silent_wrong_answer_two_level(
-    tiny_problem, plan_name, method, precond, inner
+    tiny_problem, plan_name, method, precond
 ):
     """A corrupted coarse correction must never produce a silently wrong
     answer: the redundant dense solve amplifies whatever the faulted
     allreduce delivered to every rank, so the downstream hardening
-    (finite-residual checks, verification slack) has to catch it — under
-    both inner execution backends."""
+    (finite-residual checks, verification slack) has to catch it."""
     plan = FaultPlan(rules=(TWO_LEVEL_PLANS[plan_name],), seed=20060815)
-    _check_invariant(tiny_problem, plan, method, precond, inner)
+    _check_invariant(tiny_problem, plan, method, precond)
 
 
 #: Batched-path sweep: every fault site, over one EDD and one RDD config.
@@ -188,7 +183,7 @@ def test_no_silent_wrong_answer_batched(tiny_problem, plan_name, method,
     b_block = np.column_stack(
         [(1.0 + 0.25 * c) * tiny_problem.load for c in range(k)]
     )
-    with use_fault_plan(plan, inner="virtual"):
+    with use_fault_plan(plan):
         summary = solve_cantilever_batch(tiny_problem, b_block, 2, options)
     replay = (
         f"replay with REPRO_CHAOS_PLAN='{plan.to_json()}' "
@@ -226,7 +221,7 @@ def test_random_rank_fault_sweep(tiny_problem, seed):
                FaultRule("allreduce_sum", "zero_word", call_index=5)),
         seed=seed,
     )
-    _check_invariant(tiny_problem, plan, "edd-enhanced", "gls(7)", "virtual")
+    _check_invariant(tiny_problem, plan, "edd-enhanced", "gls(7)")
 
 
 def test_chaos_run_is_reproducible(tiny_problem):
@@ -239,7 +234,7 @@ def test_chaos_run_is_reproducible(tiny_problem):
     )
     runs = []
     for _ in range(2):
-        with use_fault_plan(plan, inner="virtual"):
+        with use_fault_plan(plan):
             runs.append(solve_cantilever(tiny_problem, 2, options=options))
     a, b = (s.result for s in runs)
     assert a.converged == b.converged
@@ -258,26 +253,22 @@ def test_transient_fault_then_recovery(tiny_problem):
     plan = FaultPlan(
         rules=(FaultRule("allreduce_sum", "nan", call_index=1),), seed=5
     )
-    summary = _check_invariant(
-        tiny_problem, plan, "edd-enhanced", "gls(7)", "virtual"
-    )
+    summary = _check_invariant(tiny_problem, plan, "edd-enhanced", "gls(7)")
     # Whatever the outcome, the record must tell the story.
     d = summary.to_dict()
     assert d["result"]["converged"] or d["result"]["diagnostics"]
 
 
-@pytest.mark.parametrize("inner", ["virtual", "process"])
-def test_stall_only_plan_converges_identically(tiny_problem, inner):
+def test_stall_only_plan_converges_identically(tiny_problem):
     """Stalls perturb latency, never numerics: the solve must match the
-    healthy run bit for bit — including when the chaos proxy wraps the
-    process backend (``REPRO_CHAOS_INNER=process`` composition)."""
+    healthy run bit for bit."""
     healthy = solve_cantilever(
         tiny_problem, 2,
         options=SolverOptions(precond="gls(7)", tol=TOL,
                               comm_backend="virtual"),
     )
     plan = FaultPlan(rules=(PLANS["any-stall"],), seed=0)
-    with use_fault_plan(plan, inner=inner):
+    with use_fault_plan(plan):
         stalled = solve_cantilever(
             tiny_problem, 2,
             options=SolverOptions(precond="gls(7)", tol=TOL,
@@ -291,8 +282,7 @@ def test_stall_only_plan_converges_identically(tiny_problem, inner):
 def test_stalled_process_worker_times_out_not_deadlocks(tiny_problem):
     """A *worker-side* stall (a hung process, not a chaos latency fault)
     must surface as :class:`WorkerTimeoutError` within the per-call
-    timeout instead of deadlocking the pool — the structured-failure
-    contract chaos plans rely on when composed over ``inner=process``."""
+    timeout instead of deadlocking the pool."""
     import time
 
     from repro.core.session import PreparedSystem
@@ -307,8 +297,7 @@ def test_stalled_process_worker_times_out_not_deadlocks(tiny_problem):
     try:
         comm = prepared.system.comm
         assert isinstance(comm, ProcessComm)
-        comm.min_dispatch_work = 0
-        comm.allreduce_sum([1.0, 1.0])  # warm the pool
+        comm._debug_stall(0.0)  # warm the pool
         comm.call_timeout = 0.4
         t0 = time.monotonic()
         with pytest.raises(WorkerTimeoutError, match="did not reply"):

@@ -107,30 +107,25 @@ def test_empty_plan():
 def test_use_fault_plan_scopes_and_restores():
     plan = _sample_plan()
     before = get_fault_plan()
-    with use_fault_plan(plan, inner="thread") as active:
+    with use_fault_plan(plan) as active:
         assert active is plan
-        assert get_fault_plan() == (plan, "thread")
+        assert get_fault_plan() is plan
     assert get_fault_plan() == before
 
 
 def test_set_fault_plan_returns_previous():
     plan = _sample_plan()
-    prev = set_fault_plan(plan, inner="virtual")
+    prev = set_fault_plan(plan)
     try:
-        assert get_fault_plan() == (plan, "virtual")
+        assert get_fault_plan() is plan
     finally:
-        set_fault_plan(None)
-        if prev is not None:  # pragma: no cover - clean test session
-            set_fault_plan(*prev)
+        set_fault_plan(prev)
 
 
 def test_env_plan_json_string(monkeypatch):
     plan = _sample_plan()
     monkeypatch.setenv("REPRO_CHAOS_PLAN", plan.to_json())
-    monkeypatch.setenv("REPRO_CHAOS_INNER", "thread")
-    got, inner = get_fault_plan()
-    assert got == plan
-    assert inner == "thread"
+    assert get_fault_plan() == plan
 
 
 def test_env_plan_json_file(tmp_path, monkeypatch):
@@ -138,12 +133,9 @@ def test_env_plan_json_file(tmp_path, monkeypatch):
     path = tmp_path / "plan.json"
     path.write_text(plan.to_json())
     monkeypatch.setenv("REPRO_CHAOS_PLAN", str(path))
-    got, inner = get_fault_plan()
-    assert got == plan
-    assert inner == "virtual"
+    assert get_fault_plan() == plan
 
 
 def test_env_default_is_empty_plan(monkeypatch):
     monkeypatch.delenv("REPRO_CHAOS_PLAN", raising=False)
-    monkeypatch.delenv("REPRO_CHAOS_INNER", raising=False)
-    assert get_fault_plan() == (FaultPlan.empty(), "virtual")
+    assert get_fault_plan() == FaultPlan.empty()

@@ -62,19 +62,20 @@ def rng():
 
 
 @pytest.fixture(
-    params=["virtual", "thread", "process"],
-    ids=["comm-virtual", "comm-thread", "comm-process"],
+    params=["virtual", "process"],
+    ids=["comm-virtual", "comm-process"],
 )
-def comm_backend(request):
-    """Parameterize a test over the executable communicator backends.
+def comm_backend(request, monkeypatch):
+    """Parameterize a test over the two execution strategies: inline in
+    the orchestrator (``virtual``) and worker-resident rank ops
+    (``process`` with the residency threshold forced to zero).
 
-    Results must be bit-identical across all of them (the Comm contract);
-    solver tests taking this fixture therefore run once per backend and
-    assert the same numbers each time.  (The ``process`` runs stay inline
-    for these tiny systems — the dispatch threshold keeps the pool cold —
-    which is itself the contract: thresholds change costs, never bits.)
+    Results must be bit-identical across both (the Comm contract); solver
+    tests taking this fixture therefore run once per strategy and assert
+    the same numbers each time.
     """
     from repro.parallel.comm import use_comm_backend
 
+    monkeypatch.setenv("REPRO_PROCESS_MIN_WORK", "0")
     with use_comm_backend(request.param):
         yield request.param

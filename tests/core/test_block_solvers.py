@@ -6,7 +6,7 @@ The contract of ``edd_fgmres_block`` / ``rdd_fgmres_block`` /
 * **k=1 is the single solver, bitwise.**  A one-column block solve takes
   the exact same floating-point path as the single-RHS solver — residual
   histories and solutions are compared with ``==``, not ``allclose``,
-  across {EDD basic/enhanced, RDD} x {virtual, thread} x {GLS(7),
+  across {EDD basic/enhanced, RDD} x {virtual, process} x {GLS(7),
   Neumann(20)}.
 * **Columns are independent.**  In a mixed batch each column tracks its
   own convergence; per-column iteration counts equal the corresponding

@@ -1,4 +1,4 @@
-"""Backend parity: virtual, thread and process comms must be bit-identical.
+"""Backend parity: virtual and process comms must be bit-identical.
 
 The Comm contract (shared collectives, disjoint rank bodies, fixed
 binary-tree allreduce) guarantees a solve produces the same floats on
@@ -12,7 +12,7 @@ import pytest
 from repro.core.driver import solve_cantilever
 from repro.core.options import SolverOptions
 
-OTHER_BACKENDS = ("thread", "process")
+OTHER_BACKENDS = ("process",)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -62,32 +62,9 @@ def test_counters_identical_across_backends(tiny_problem, other):
         assert rv == rt
 
 
-def test_mgs_orthogonalization_parity(tiny_problem):
-    sv = _solve(tiny_problem, "virtual", orthogonalization="mgs")
-    st = _solve(tiny_problem, "thread", orthogonalization="mgs")
-    assert sv.result.residual_history == st.result.residual_history
-
-
-def test_dynamic_solve_parity(tiny_dynamic_problem):
-    sv = _solve(tiny_dynamic_problem, "virtual", dynamic=True)
-    st = _solve(tiny_dynamic_problem, "thread", dynamic=True)
-    assert sv.result.residual_history == st.result.residual_history
-    assert np.array_equal(sv.result.x, st.result.x)
-
-
-def test_forced_pool_path_parity(tiny_problem, monkeypatch):
-    """Zero inline threshold: every region goes through the worker pool."""
-    monkeypatch.setenv("REPRO_THREAD_MIN_WORK", "0")
-    sv = _solve(tiny_problem, "virtual")
-    st = _solve(tiny_problem, "thread")
-    assert sv.result.residual_history == st.result.residual_history
-    assert np.array_equal(sv.result.x, st.result.x)
-
-
 def _force_resident(monkeypatch):
-    """Worker-resident rank execution with everything pooled: resident
-    engines forced on, zero dispatch threshold, two real workers."""
-    monkeypatch.setenv("REPRO_PROCESS_RESIDENT", "1")
+    """Worker-resident rank execution: zero residency threshold, two
+    real workers."""
     monkeypatch.setenv("REPRO_PROCESS_MIN_WORK", "0")
     monkeypatch.setenv("REPRO_PROCESS_WORKERS", "2")
 
@@ -139,20 +116,6 @@ def test_resident_dynamic_parity(tiny_dynamic_problem, monkeypatch):
         assert rv == rp
 
 
-def test_forced_process_pool_path_parity(tiny_problem, monkeypatch):
-    """Zero dispatch threshold: every collective rides the shared-memory
-    arena through real worker processes — and still matches virtual
-    bitwise, solution and counters alike."""
-    monkeypatch.setenv("REPRO_PROCESS_MIN_WORK", "0")
-    monkeypatch.setenv("REPRO_PROCESS_WORKERS", "2")
-    sv = _solve(tiny_problem, "virtual")
-    sp = _solve(tiny_problem, "process")
-    assert sv.result.residual_history == sp.result.residual_history
-    assert np.array_equal(sv.result.x, sp.result.x)
-    for rv, rp in zip(sv.stats.ranks, sp.stats.ranks):
-        assert rv == rp
-
-
 # ----------------------------------------------------------------------
 # Worker-resident preconditioner state (factor shipping + fused chains)
 # ----------------------------------------------------------------------
@@ -161,7 +124,7 @@ def test_forced_process_pool_path_parity(tiny_problem, monkeypatch):
 # factors, the two-level restriction basis and factorized Galerkin
 # matrix) to the worker pool and fuse polynomial-apply matvec chains and
 # the Arnoldi ortho+dots pair into single dispatches.  None of that may
-# be observable in the numbers: virtual / thread / inline-process /
+# be observable in the numbers: virtual / inline-process /
 # resident-process must stay bitwise identical in x, residual history
 # and per-rank CommStats, and the resident path really is one dispatch
 # per preconditioner apply (read off the ``rank_op`` span vocabulary).
@@ -178,15 +141,16 @@ from repro.parallel.chaos import FaultPlan, FaultRule, use_fault_plan
 
 @contextlib.contextmanager
 def _resident_env(resident):
-    """Set REPRO_PROCESS_RESIDENT/WORKERS without monkeypatch (usable
-    inside hypothesis examples); ``resident=None`` means unset."""
-    keys = ("REPRO_PROCESS_RESIDENT", "REPRO_PROCESS_WORKERS")
+    """Set REPRO_PROCESS_MIN_WORK/WORKERS without monkeypatch (usable
+    inside hypothesis examples): threshold 0 forces residency, the unset
+    default keeps these tiny systems inline."""
+    keys = ("REPRO_PROCESS_MIN_WORK", "REPRO_PROCESS_WORKERS")
     saved = {k: os.environ.get(k) for k in keys}
     try:
-        if resident is None:
-            os.environ.pop("REPRO_PROCESS_RESIDENT", None)
+        if resident:
+            os.environ["REPRO_PROCESS_MIN_WORK"] = "0"
         else:
-            os.environ["REPRO_PROCESS_RESIDENT"] = "1" if resident else "0"
+            os.environ.pop("REPRO_PROCESS_MIN_WORK", None)
         os.environ["REPRO_PROCESS_WORKERS"] = "2"
         yield
     finally:
@@ -225,10 +189,8 @@ def test_factor_state_preconditioners_bitwise_across_backends(
     tiny_problem, method, precond
 ):
     """x, residual history and per-rank CommStats are bitwise equal on
-    virtual, thread, inline-process and resident-process backends."""
+    virtual, inline-process and resident-process backends."""
     base = _solve(tiny_problem, "virtual", method=method, precond=precond)
-    with _resident_env(None):
-        thread = _solve(tiny_problem, "thread", method=method, precond=precond)
     with _resident_env(False):
         inline = _solve(
             tiny_problem, "process", method=method, precond=precond
@@ -238,7 +200,6 @@ def test_factor_state_preconditioners_bitwise_across_backends(
             tiny_problem, "process", method=method, precond=precond
         )
     for name, summary in (
-        ("thread", thread),
         ("process-inline", inline),
         ("process-resident", resident),
     ):
@@ -342,7 +303,7 @@ def test_resident_env_does_not_perturb_coarse_allreduce_faults(
     tiny_problem,
 ):
     """A fault plan aimed at the coarse allreduce fires identically with
-    and without the resident env knob: chaos communicators always run
+    and without forced residency: chaos communicators always run
     inline, so the injected corruption and every downstream float match
     bitwise."""
     plan = FaultPlan(
@@ -356,10 +317,10 @@ def test_resident_env_does_not_perturb_coarse_allreduce_faults(
             precond="2l(gls(7),deflate)",
             comm_backend="chaos",
         )
-        with _resident_env(resident), use_fault_plan(plan, inner="process"):
+        with _resident_env(resident), use_fault_plan(plan):
             return solve_cantilever(tiny_problem, n_parts=4, options=opts)
 
-    base = run(None)
+    base = run(False)
     forced = run(True)
     assert base.result.converged == forced.result.converged
     assert base.result.residual_history == forced.result.residual_history

@@ -30,8 +30,8 @@ def _system(seed_parts=2):
     bc = clamp_edge_dofs(mesh, "left")
     part = ElementPartition.build(mesh, seed_parts)
     # This system lives for the whole session (module constant), so pin
-    # it to the virtual backend: under REPRO_COMM_BACKEND=thread it
-    # would otherwise hold a pool borrow open and leak worker threads.
+    # it to the virtual backend: under REPRO_COMM_BACKEND=process it
+    # would otherwise hold a pool borrow open and leak worker processes.
     with use_comm_backend("virtual"):
         return build_edd_system(mesh, MAT, bc, part, np.zeros(mesh.n_dofs))
 

@@ -95,7 +95,7 @@ def test_claim3_exchange_invariant_with_two_level():
     verify_exchange_invariant(trc.to_dict(), "enhanced")
 
 
-@pytest.mark.parametrize("backend", ["virtual", "thread"])
+@pytest.mark.parametrize("backend", ["virtual"])
 @pytest.mark.parametrize("method", ["edd-enhanced", "rdd"])
 def test_two_level_bitwise_parity_traced_vs_untraced(method, backend):
     plain = _solve("2l(gls(3),deflate)", method=method, comm_backend=backend)

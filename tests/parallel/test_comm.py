@@ -1,11 +1,18 @@
-"""Virtual communicator collectives."""
+"""Virtual communicator collectives and the backend registry."""
 
 import numpy as np
 import pytest
 
 from repro.fem.bc import clamp_edge_dofs
 from repro.fem.mesh import structured_quad_mesh
-from repro.parallel.comm import VirtualComm
+from repro.parallel.comm import (
+    VirtualComm,
+    available_comm_backends,
+    get_comm_backend,
+    make_comm,
+    set_comm_backend,
+    use_comm_backend,
+)
 from repro.partition.element_partition import ElementPartition
 from repro.partition.interface import build_subdomain_map
 
@@ -87,3 +94,35 @@ def test_reset_stats(comm2):
     comm.reset_stats()
     assert comm.stats.total_flops == 0
     assert comm.stats.total_nbr_messages == 0
+
+
+# ----------------------------------------------------------------------
+# Registry
+# ----------------------------------------------------------------------
+def test_registry_roundtrip():
+    assert available_comm_backends() == ("virtual", "process", "chaos")
+    prev = get_comm_backend()
+    try:
+        set_comm_backend("chaos")
+        assert get_comm_backend() == "chaos"
+        with use_comm_backend("virtual"):
+            assert get_comm_backend() == "virtual"
+        assert get_comm_backend() == "chaos"
+    finally:
+        set_comm_backend(prev)
+
+
+def test_registry_rejects_unknown():
+    with pytest.raises(ValueError, match="unknown comm backend"):
+        set_comm_backend("mpi")
+
+
+def test_make_comm_selects_backend(comm2):
+    _, submap, _ = comm2
+    for name in available_comm_backends():
+        comm = make_comm(submap, backend=name)
+        assert comm.backend_name == name
+        assert isinstance(comm, VirtualComm)  # one implementation of collectives
+        comm.close()
+    with use_comm_backend("chaos"):
+        assert make_comm(submap).backend_name == "chaos"

@@ -1,4 +1,4 @@
-"""Property-based cross-backend parity: virtual, thread and process
+"""Property-based cross-backend parity: virtual and process
 communicators must produce bitwise-equal collective results and exactly
 equal counters on seeded random topologies and payloads.
 
@@ -10,7 +10,7 @@ contract promises bit-identity, not closeness, and these tests are the
 fence that keeps backend-specific data-plane tricks (worker pools, shared
 memory) from ever perturbing an association.
 
-The worker pools are shared across examples (spawning processes per
+The worker pool is shared across examples (spawning processes per
 example would dominate runtime) and drained once at module teardown.
 """
 
@@ -24,15 +24,12 @@ from repro.fem.mesh import structured_quad_mesh
 from repro.parallel.comm import VirtualComm
 from repro.parallel.process_comm import ProcessComm
 from repro.parallel.process_comm import shutdown_pool as shutdown_processes
-from repro.parallel.thread_comm import ThreadComm
-from repro.parallel.thread_comm import shutdown_pool as shutdown_threads
 from repro.partition.element_partition import ElementPartition
 from repro.partition.interface import build_subdomain_map
 
 @pytest.fixture(scope="module", autouse=True)
 def _drain_pools_at_end():
     yield
-    shutdown_threads(force=True)
     shutdown_processes(force=True)
 
 
@@ -44,17 +41,15 @@ def _submap(nx, ny, n_parts):
 
 
 def _backends(submap):
-    """One communicator per backend, pool paths forced for any payload."""
+    """One communicator per backend."""
     return {
         "virtual": VirtualComm(submap),
-        "thread": ThreadComm(submap, n_workers=2, min_parallel_work=0),
         "process": ProcessComm(submap, n_workers=2, min_dispatch_work=0),
     }
 
 
 def _close_all(comms):
-    # ThreadComm.close drains its own pool (last-borrower contract); the
-    # process pool stays parked until the module fixture drains it.
+    # The process pool stays parked until the module fixture drains it.
     for comm in comms.values():
         comm.close()
 
@@ -84,12 +79,11 @@ def _random_plan(rng, sizes, density):
 
 def _assert_bitwise(results):
     ref = results["virtual"]
-    for name in ("thread", "process"):
-        got = results[name]
-        assert len(got) == len(ref)
-        for a, b in zip(ref, got):
-            assert np.shape(a) == np.shape(b)
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+    got = results["process"]
+    assert len(got) == len(ref)
+    for a, b in zip(ref, got):
+        assert np.shape(a) == np.shape(b)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -124,7 +118,6 @@ def test_interface_assemble_parity(nx, ny, n_parts, k, seed):
         for a, b in zip(vec_results["process"], blk_results["process"]):
             assert a.tobytes() == np.ascontiguousarray(b[:, 0]).tobytes()
         ref_ranks = comms["virtual"].stats.ranks
-        assert comms["thread"].stats.ranks == ref_ranks
         assert comms["process"].stats.ranks == ref_ranks
     finally:
         _close_all(comms)
@@ -157,7 +150,6 @@ def test_allreduce_parity(n_parts, words, seed):
         _assert_bitwise(arr_results)
         _assert_bitwise(sca_results)
         ref_ranks = comms["virtual"].stats.ranks
-        assert comms["thread"].stats.ranks == ref_ranks
         assert comms["process"].stats.ranks == ref_ranks
     finally:
         _close_all(comms)
@@ -191,10 +183,8 @@ def test_resident_solver_parity(method, degree, restart, n_parts):
 
     saved = {
         k: os.environ.get(k)
-        for k in ("REPRO_PROCESS_RESIDENT", "REPRO_PROCESS_MIN_WORK",
-                  "REPRO_PROCESS_WORKERS")
+        for k in ("REPRO_PROCESS_MIN_WORK", "REPRO_PROCESS_WORKERS")
     }
-    os.environ["REPRO_PROCESS_RESIDENT"] = "1"
     os.environ["REPRO_PROCESS_MIN_WORK"] = "0"
     os.environ["REPRO_PROCESS_WORKERS"] = "2"
     try:
@@ -242,7 +232,6 @@ def test_halo_exchange_parity(nx, n_parts, k, density, seed):
         _assert_bitwise(vec_results)
         _assert_bitwise(blk_results)
         ref_ranks = comms["virtual"].stats.ranks
-        assert comms["thread"].stats.ranks == ref_ranks
         assert comms["process"].stats.ranks == ref_ranks
     finally:
         _close_all(comms)

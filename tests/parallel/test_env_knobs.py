@@ -68,18 +68,10 @@ def _make_process_comm():
     return ProcessComm(_submap())
 
 
-def _make_thread_comm():
-    from repro.parallel.thread_comm import ThreadComm
-
-    return ThreadComm(_submap())
-
-
 KNOBS = [
     ("REPRO_PROCESS_WORKERS", _make_process_comm),
     ("REPRO_PROCESS_MIN_WORK", _make_process_comm),
     ("REPRO_PROCESS_TIMEOUT", _make_process_comm),
-    ("REPRO_THREAD_WORKERS", _make_thread_comm),
-    ("REPRO_THREAD_MIN_WORK", _make_thread_comm),
 ]
 
 
@@ -107,23 +99,18 @@ def test_valid_knob_values_still_construct(name, make, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# REPRO_PROCESS_RESIDENT is a 0/1 switch: anything else used to fall
-# through silently to the work-threshold default.
+# REPRO_KERNEL_BACKEND names a registered kernel backend: it goes through
+# the same named error (it used to be a bare ValueError).
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("value", ["yes", "true", "2", "-1"])
-def test_resident_switch_rejects_everything_but_0_and_1(value, monkeypatch):
-    from repro.parallel.resident import engine_mode
+def test_unknown_kernel_backend_raises_named_error(monkeypatch):
+    from repro.sparse import kernels
 
-    monkeypatch.setenv("REPRO_PROCESS_MIN_WORK", "0")
-    comm = _make_process_comm()
-    try:
-        monkeypatch.setenv("REPRO_PROCESS_RESIDENT", value)
-        with pytest.raises(EnvKnobError) as exc:
-            engine_mode(comm, 10**9)
-        assert exc.value.name == "REPRO_PROCESS_RESIDENT"
-        assert exc.value.value == value
-        for ok, mode in (("", "resident"), ("0", "inline"), ("1", "resident")):
-            monkeypatch.setenv("REPRO_PROCESS_RESIDENT", ok)
-            assert engine_mode(comm, 10**9) == mode
-    finally:
-        comm.close()
+    monkeypatch.setattr(kernels, "_current", [None])  # force the env read
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
+    with pytest.raises(EnvKnobError) as exc:
+        kernels.get_backend()
+    assert exc.value.name == "REPRO_KERNEL_BACKEND"
+    assert exc.value.value == "numba"
+    assert str(kernels.available_backends()) in str(exc.value)
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", " NumPy ")
+    assert kernels.get_backend().name == "numpy"

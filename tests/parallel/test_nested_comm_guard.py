@@ -1,12 +1,11 @@
 """Registry-level guard against constructing a communicator inside a
 worker of another communicator (the nested-pool footgun).
 
-A rank body that builds its own ThreadComm/ProcessComm would recurse into
-the shared pools — at best serializing everything, at worst deadlocking on
-the pool locks.  The guard lives in shared registry state
-(``repro.parallel.comm``), so every pooled backend recognizes workers of
-every other backend, including spawned process-pool children (which
-advertise themselves through ``REPRO_COMM_WORKER``).
+Code in a pool worker that builds its own ProcessComm would recurse into
+the shared pool — at best serializing everything, at worst deadlocking on
+the pool lock.  The guard lives in the registry (``repro.parallel.comm``):
+spawned process-pool children advertise themselves through
+``REPRO_COMM_WORKER`` and every construction path checks it.
 """
 
 import numpy as np
@@ -20,8 +19,7 @@ from repro.parallel.comm import (
     current_worker_backend,
     make_comm,
 )
-from repro.parallel.process_comm import ProcessComm, shutdown_pool
-from repro.parallel.thread_comm import ThreadComm
+from repro.parallel.process_comm import ProcessComm
 from repro.partition.element_partition import ElementPartition
 from repro.partition.interface import build_subdomain_map
 
@@ -35,42 +33,6 @@ def submap4():
     return build_subdomain_map(mesh, part, bc)
 
 
-def test_make_comm_inside_thread_worker_raises(submap4):
-    outer = ThreadComm(submap4, n_workers=4, min_parallel_work=0)
-    try:
-        caught = [None] * 4
-
-        def body(r):
-            try:
-                make_comm(submap4, backend="virtual")
-            except NestedCommError as exc:
-                caught[r] = str(exc)
-
-        outer.run_ranks(body)
-        assert all(c and "thread" in c for c in caught)
-    finally:
-        outer.close()
-
-
-def test_direct_construction_inside_worker_raises(submap4):
-    outer = ThreadComm(submap4, n_workers=4, min_parallel_work=0)
-    try:
-        hits = []
-
-        def body(r):
-            for ctor in (ThreadComm, ProcessComm):
-                try:
-                    ctor(submap4)
-                except NestedCommError:
-                    hits.append(r)
-
-        outer.run_ranks(body)
-        assert len(hits) == 8  # both constructors refused on all 4 ranks
-    finally:
-        outer.close()
-        shutdown_pool(force=True)
-
-
 def test_process_worker_env_marker_raises(submap4, monkeypatch):
     """Spawned process-pool children set ``REPRO_COMM_WORKER``; any comm
     construction there must be refused the same way."""
@@ -79,31 +41,8 @@ def test_process_worker_env_marker_raises(submap4, monkeypatch):
     with pytest.raises(NestedCommError, match="process"):
         make_comm(submap4, backend="virtual")
     with pytest.raises(NestedCommError):
-        ThreadComm(submap4)
-    with pytest.raises(NestedCommError):
         ProcessComm(submap4)
-
-
-def test_guard_clears_after_region(submap4):
-    outer = ThreadComm(submap4, n_workers=4, min_parallel_work=0)
-    try:
-        outer.run_ranks(lambda r: r)
-        assert current_worker_backend() is None
-        # Construction on the orchestrator thread is unaffected.
-        comm = make_comm(submap4, backend="virtual")
-        assert isinstance(comm, VirtualComm)
-    finally:
-        outer.close()
-
-
-def test_nested_run_ranks_still_inlines(submap4):
-    """The guard rejects nested *construction*; nested run_ranks on the
-    same communicator stays legal (inline fallback, no deadlock)."""
-    comm = ThreadComm(submap4, n_workers=4, min_parallel_work=0)
-    try:
-        def outer(r):
-            return comm.run_ranks(lambda q: (r, q))[r]
-
-        assert comm.run_ranks(outer) == [(r, r) for r in range(4)]
-    finally:
-        comm.close()
+    # Back in the orchestrator, construction is unaffected.
+    monkeypatch.delenv("REPRO_COMM_WORKER")
+    assert current_worker_backend() is None
+    assert isinstance(make_comm(submap4, backend="virtual"), VirtualComm)

@@ -1,12 +1,16 @@
-"""ProcessComm backend: shared-memory collectives parity, dispatch
-thresholds, registry wiring, error taxonomy.
+"""ProcessComm backend: VirtualComm collectives, the rank-op data plane,
+registry wiring, error taxonomy.
 
-Every test forces ``min_dispatch_work=0`` so even tiny payloads travel
-through the worker processes — the point is to exercise the shared-memory
-fan-out, not the inline fallback (which is literally ``VirtualComm``'s
-code).  The pool is shared across tests and force-drained once at module
-teardown so no worker processes leak into the rest of the session.
+``ProcessComm`` is ``VirtualComm`` plus a worker pool that executes
+resident rank ops, so there are two things to pin here: collectives never
+touch the pool whatever their size, and the pool's safety protocol
+(sequence words, named errors) holds when driven through
+``resident_ship`` / ``run_rank_op``.  The pool is shared across tests and
+force-drained once at module teardown so no worker processes leak into
+the rest of the session.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from repro.fem.mesh import structured_quad_mesh
 from repro.parallel.comm import VirtualComm, make_comm, use_comm_backend
 from repro.parallel.process_comm import (
     ProcessComm,
+    ProcessPoolError,
     ProcessWorkerError,
     pool_process_count,
     shutdown_pool,
@@ -41,9 +46,49 @@ def submap4():
 
 
 def _process_comm(submap, **kw):
-    kw.setdefault("min_dispatch_work", 0)
     kw.setdefault("n_workers", 2)
     return ProcessComm(submap, **kw)
+
+
+_generations = itertools.count(10**6)
+
+
+def exercise_pool(comm, seed=7):
+    """Drive the pool end to end: ship an identity block per rank with
+    ``resident_ship`` and run one ``mv`` rank op on random vectors with
+    ``run_rank_op``.  Returns ``(inputs, products)`` per rank — equal
+    bit for bit when the data plane is healthy."""
+    sizes = [int(n) for n in comm.submap.local_sizes]
+    gen = next(_generations)
+    comm.resident_ship(
+        gen,
+        [
+            {
+                "kind": "edd",
+                "arrays": {
+                    "indptr": np.arange(n + 1, dtype=np.int64),
+                    "indices": np.arange(n, dtype=np.int64),
+                    "data": np.ones(n),
+                },
+                "meta": {"shape": (n, n)},
+            }
+            for n in sizes
+        ],
+    )
+    offsets = [int(o) for o in np.cumsum([0] + sizes[:-1])]
+    total = sum(sizes)
+    rng = np.random.default_rng(seed)
+    x = [rng.standard_normal(n) for n in sizes]
+    y = comm.run_rank_op(
+        {
+            "name": "mv", "gen": gen, "backend": "numpy", "cache": None,
+            "offsets": offsets, "sizes": sizes, "out": total,
+        },
+        list(zip(offsets, x)),
+        [(total + off, n) for off, n in zip(offsets, sizes)],
+        2 * total,
+    )
+    return x, y
 
 
 def _ring_plan(sizes):
@@ -66,89 +111,36 @@ def _ring_plan(sizes):
     return plan
 
 
-def _rank_parts(submap, seed=0, k=None):
-    rng = np.random.default_rng(seed)
-    shape = lambda n: (n,) if k is None else (n, k)
-    return [rng.standard_normal(shape(n)) for n in submap.local_sizes]
-
-
 # ----------------------------------------------------------------------
-# Collective parity (bitwise) against VirtualComm
+# Collectives are VirtualComm's, at every size
 # ----------------------------------------------------------------------
-def test_interface_assemble_bitwise(submap4):
-    parts = _rank_parts(submap4)
-    ref = VirtualComm(submap4).interface_assemble([p.copy() for p in parts])
-    with _process_comm(submap4) as comm:
-        got = comm.interface_assemble(parts)
-    for a, b in zip(ref, got):
-        assert a.tobytes() == b.tobytes()
-
-
-def test_interface_assemble_block_bitwise(submap4):
-    parts = _rank_parts(submap4, seed=1, k=3)
-    ref = VirtualComm(submap4).interface_assemble(
-        [p.copy() for p in parts]
-    )
-    with _process_comm(submap4) as comm:
-        got = comm.interface_assemble(parts)
-    for a, b in zip(ref, got):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def test_allreduce_scalar_and_array_bitwise(submap4):
-    vals = [0.1 * (r + 1) ** 3 for r in range(4)]
-    arrs = [np.linspace(r, r + 1, 5) for r in range(4)]
-    ref_s = VirtualComm(submap4).allreduce_sum(list(vals))
-    ref_a = VirtualComm(submap4).allreduce_sum([a.copy() for a in arrs], words=5)
-    with _process_comm(submap4) as comm:
-        got_s = comm.allreduce_sum(vals)
-        got_a = comm.allreduce_sum(arrs, words=5)
-    assert np.float64(ref_s).tobytes() == np.float64(got_s).tobytes()
-    assert ref_a.tobytes() == got_a.tobytes()
-
-
-def test_halo_exchange_bitwise(submap4):
-    sizes = submap4.local_sizes
-    plan = _ring_plan(sizes)
-    parts = _rank_parts(submap4, seed=2)
-    ref = VirtualComm(submap4).halo_exchange([p.copy() for p in parts], plan)
-    with _process_comm(submap4) as comm:
-        got = comm.halo_exchange(parts, plan)
-        # Cached-plan second round must agree too.
-        got2 = comm.halo_exchange(parts, plan)
-    for a, b, c in zip(ref, got, got2):
-        assert a.tobytes() == b.tobytes() == c.tobytes()
-
-
-def test_halo_exchange_block_bitwise(submap4):
+def test_collectives_never_spawn_the_pool(submap4, monkeypatch):
+    """Collectives far above the default residency threshold (32768
+    words) return VirtualComm's bits and counters and leave the pool
+    cold: the threshold gates resident rank ops and nothing else."""
+    monkeypatch.delenv("REPRO_PROCESS_MIN_WORK", raising=False)
+    shutdown_pool(force=True)
+    k = 8192  # 48 * k assembled words, 12 * k halo words: all >= 32768
+    rng = np.random.default_rng(5)
+    parts = [rng.standard_normal((n, k)) for n in submap4.local_sizes]
     plan = _ring_plan(submap4.local_sizes)
-    parts = _rank_parts(submap4, seed=3, k=2)
-    ref = VirtualComm(submap4).halo_exchange(
-        [p.copy() for p in parts], plan
-    )
-    with _process_comm(submap4) as comm:
-        got = comm.halo_exchange(parts, plan)
-    for a, b in zip(ref, got):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    rows = [rng.standard_normal(32768) for _ in range(4)]
 
+    def collectives(comm):
+        out = comm.interface_assemble([p.copy() for p in parts])
+        out += comm.halo_exchange([p.copy() for p in parts], plan)
+        out.append(comm.allreduce_sum([r.copy() for r in rows], words=32768))
+        return out
 
-def test_stats_identical_to_virtual(submap4):
-    parts = _rank_parts(submap4, seed=4)
-    plan = _ring_plan(submap4.local_sizes)
     ref = VirtualComm(submap4)
-    ref.interface_assemble([p.copy() for p in parts])
-    ref.allreduce_sum([1.0, 2.0, 3.0, 4.0])
-    ref.halo_exchange([p.copy() for p in parts], plan)
     with _process_comm(submap4) as comm:
-        comm.interface_assemble(parts)
-        comm.allreduce_sum([1.0, 2.0, 3.0, 4.0])
-        comm.halo_exchange(parts, plan)
+        assert comm.min_dispatch_work == 32768
+        for a, b in zip(collectives(ref), collectives(comm)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert comm.stats.ranks == ref.stats.ranks
+        assert pool_process_count() == 0
 
 
-# ----------------------------------------------------------------------
-# Dispatch behaviour
-# ----------------------------------------------------------------------
 def test_run_ranks_inline_in_orchestrator(submap4):
     import os
 
@@ -157,23 +149,15 @@ def test_run_ranks_inline_in_orchestrator(submap4):
         assert pids == [os.getpid()] * 4
 
 
-def test_small_work_never_starts_pool(submap4):
-    shutdown_pool(force=True)
-    with ProcessComm(submap4, n_workers=2, min_dispatch_work=10**9) as comm:
-        parts = _rank_parts(submap4, seed=5)
-        ref = VirtualComm(submap4).interface_assemble(
-            [p.copy() for p in parts]
-        )
-        got = comm.interface_assemble(parts)
-        for a, b in zip(ref, got):
-            assert a.tobytes() == b.tobytes()
-        assert pool_process_count() == 0  # inline path, pool stayed cold
-
-
-def test_non_float64_reduce_falls_back_inline(submap4):
+# ----------------------------------------------------------------------
+# The rank-op data plane and its safety protocol
+# ----------------------------------------------------------------------
+def test_rank_op_round_trip_bitwise(submap4):
     with _process_comm(submap4) as comm:
-        got = comm.allreduce_sum([1, 2, 3, 4])  # python ints
-        assert got == VirtualComm(submap4).allreduce_sum([1, 2, 3, 4])
+        x, y = exercise_pool(comm)
+        assert pool_process_count() == 2
+    for a, b in zip(x, y):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_worker_error_carries_remote_traceback(submap4):
@@ -185,7 +169,44 @@ def test_worker_error_carries_remote_traceback(submap4):
                 comm._control(pool, "no-such-op")
         # The pool survives a worker-level error (only crashes break it).
         assert not pool.broken
-        assert comm.allreduce_sum([1.0, 1.0, 1.0, 1.0]) == 4.0
+        x, y = exercise_pool(comm)
+        assert all(np.array_equal(a, b) for a, b in zip(x, y))
+
+
+def test_stale_arena_header_word_is_refused(submap4, monkeypatch):
+    """A command whose sequence number is not the one stamped in the
+    arena header means the worker would read a stale or swapped segment:
+    it must refuse, not permute the wrong bytes."""
+    with _process_comm(submap4) as comm:
+        exercise_pool(comm)
+
+        def stamp_nothing():
+            comm._seq += 1
+            return comm._seq
+
+        monkeypatch.setattr(comm, "_stamp", stamp_nothing)
+        with pytest.raises(ProcessWorkerError, match="stale arena"):
+            exercise_pool(comm)
+        monkeypatch.undo()
+        assert not comm._pool.broken
+        x, y = exercise_pool(comm)
+        assert all(np.array_equal(a, b) for a, b in zip(x, y))
+
+
+def test_out_of_sequence_reply_breaks_the_pool(submap4):
+    """A reply that does not echo the command's sequence number means a
+    worker is out of phase: the dispatch raises the named pool error and
+    the next one gets a fresh pool."""
+    with _process_comm(submap4) as comm:
+        exercise_pool(comm)
+        pool = comm._pool
+        pool._conns[0].send(("ping", 10**9))  # an undrained stray reply
+        with pytest.raises(ProcessPoolError, match="out of sequence"):
+            exercise_pool(comm)
+        assert pool.broken
+        x, y = exercise_pool(comm)  # respawns and re-registers
+        assert comm._pool is not pool
+        assert all(np.array_equal(a, b) for a, b in zip(x, y))
 
 
 # ----------------------------------------------------------------------
@@ -203,6 +224,6 @@ def test_make_comm_selects_process(submap4):
 def test_use_comm_backend_process_drains_pool(submap4):
     with use_comm_backend("process"):
         with _process_comm(submap4) as comm:
-            comm.interface_assemble(_rank_parts(submap4, seed=6))
+            exercise_pool(comm)
         assert pool_process_count() > 0  # parked for the next comm
     assert pool_process_count() == 0  # context exit drained it

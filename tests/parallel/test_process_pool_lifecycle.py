@@ -1,12 +1,12 @@
 """ProcessComm pool lifecycle: no leaked processes, no leaked shared
 memory, structured (never hanging) failure on crashed or stalled workers.
 
-Mirrors ``test_pool_lifecycle.py`` for the thread backend, with the two
-deliberate differences of the process pool pinned down explicitly:
+Two properties of the process pool are pinned down explicitly:
 ``close()`` *parks* the workers instead of draining them (spawn costs
 ~1 s, paid once per session instead of once per solve), and a killed or
 silent worker raises a named error within the per-call timeout instead of
-deadlocking the orchestrator.
+deadlocking the orchestrator.  Every case drives the pool through
+``resident_ship`` / ``run_rank_op`` — the only traffic it carries.
 """
 
 import glob
@@ -31,6 +31,7 @@ from repro.parallel.process_comm import (
 )
 from repro.partition.element_partition import ElementPartition
 from repro.partition.interface import build_subdomain_map
+from tests.parallel.test_process_comm import exercise_pool as _exercise
 
 
 @pytest.fixture(autouse=True)
@@ -51,7 +52,6 @@ def submap4():
 
 
 def _comm(submap, **kw):
-    kw.setdefault("min_dispatch_work", 0)
     kw.setdefault("n_workers", 2)
     return ProcessComm(submap, **kw)
 
@@ -60,12 +60,6 @@ def _shm_segments(base=frozenset()):
     """Segments created since ``base`` — delta-based so a leak from an
     unrelated earlier failure cannot cascade into these assertions."""
     return set(glob.glob("/dev/shm/repro-pc-*")) - set(base)
-
-
-def _exercise(comm):
-    rng = np.random.default_rng(7)
-    parts = [rng.standard_normal(n) for n in comm.submap.local_sizes]
-    return comm.interface_assemble(parts)
 
 
 # ----------------------------------------------------------------------
@@ -118,24 +112,26 @@ def test_parked_pool_reused_across_comms(submap4):
 def test_arena_regrowth_unlinks_old_generation(submap4):
     base = _shm_segments()
     with _comm(submap4) as comm:
-        comm.allreduce_sum([1.0, 2.0, 3.0, 4.0])
+        _exercise(comm)
         first = _shm_segments(base)
         assert len(first) == 1
-        # A k-wide block forces a larger arena: new generation, old gone.
-        k = 600
-        parts = [np.ones((n, k)) for n in comm.submap.local_sizes]
-        comm.interface_assemble(parts)
+        # A larger payload forces a larger arena: new generation, old gone.
+        comm.run_rank_op(
+            {"name": "stall", "seconds": 0.0}, [(0, np.ones(40000))], [], 40000
+        )
         second = _shm_segments(base)
         assert len(second) == 1 and second != first
     assert _shm_segments(base) == set()
 
 
-def test_use_comm_backend_exit_drains_processes(tiny_problem):
+def test_use_comm_backend_exit_drains_processes(tiny_problem, monkeypatch):
+    monkeypatch.setenv("REPRO_PROCESS_MIN_WORK", "0")
     with use_comm_backend("process"):
         summary = solve_cantilever(
             tiny_problem, 2, options=SolverOptions(precond="gls(7)")
         )
         assert summary.result.converged
+        assert pool_process_count() > 0
     assert pool_process_count() == 0
 
 

@@ -32,7 +32,6 @@ from repro.parallel.process_comm import (
     shutdown_pool,
 )
 from repro.parallel.resident import engine_mode
-from repro.parallel.thread_comm import ThreadComm
 from repro.partition.element_partition import ElementPartition
 from repro.partition.interface import build_subdomain_map
 
@@ -46,9 +45,9 @@ def _drain_pool():
 
 
 @pytest.fixture(autouse=True)
-def _no_resident_env(monkeypatch):
+def _default_threshold_env(monkeypatch):
     """Start every test from the unset-env default."""
-    monkeypatch.delenv("REPRO_PROCESS_RESIDENT", raising=False)
+    monkeypatch.delenv("REPRO_PROCESS_MIN_WORK", raising=False)
 
 
 def _submap(n_parts=4):
@@ -67,15 +66,11 @@ def _solve(problem, backend, **changes):
 # Mode gating
 # ----------------------------------------------------------------------
 def test_non_process_backends_always_inline(monkeypatch):
-    """Virtual, thread and chaos comms run inline even when the env
-    forces resident — only a live multi-rank ProcessComm qualifies."""
-    monkeypatch.setenv("REPRO_PROCESS_RESIDENT", "1")
+    """Virtual and chaos comms run inline even when the env forces
+    resident — only a live multi-rank ProcessComm qualifies."""
+    monkeypatch.setenv("REPRO_PROCESS_MIN_WORK", "0")
     submap = _submap()
-    for comm in (
-        VirtualComm(submap),
-        ThreadComm(submap, n_workers=2, min_parallel_work=0),
-        ChaosComm(submap),
-    ):
+    for comm in (VirtualComm(submap), ChaosComm(submap)):
         try:
             assert engine_mode(comm, 10**9) == "inline", comm.backend_name
         finally:
@@ -83,12 +78,10 @@ def test_non_process_backends_always_inline(monkeypatch):
 
 
 def test_env_overrides_and_closed_comm(monkeypatch):
-    comm = ProcessComm(_submap(), n_workers=2, min_dispatch_work=0)
+    monkeypatch.setenv("REPRO_PROCESS_MIN_WORK", "0")
+    comm = ProcessComm(_submap(), n_workers=2)
     try:
-        monkeypatch.setenv("REPRO_PROCESS_RESIDENT", "0")
-        assert engine_mode(comm, 10**9) == "inline"
-        monkeypatch.setenv("REPRO_PROCESS_RESIDENT", "1")
-        assert engine_mode(comm, 1) == "resident"
+        assert engine_mode(comm, 0) == "resident"
     finally:
         comm.close()
     # A closed comm can never host resident state.
@@ -104,8 +97,7 @@ def test_unset_env_defers_to_dispatch_threshold():
         comm.close()
 
 
-def test_single_rank_is_inline(monkeypatch):
-    monkeypatch.setenv("REPRO_PROCESS_RESIDENT", "1")
+def test_single_rank_is_inline():
     comm = ProcessComm(_submap(n_parts=1), n_workers=2, min_dispatch_work=0)
     try:
         assert engine_mode(comm, 10**9) == "inline"
@@ -120,7 +112,7 @@ def test_forced_pool_shutdown_reships_next_solve(tiny_problem, monkeypatch):
     """A drained pool loses the resident state; the next solve re-ships
     transparently and still matches virtual bitwise."""
     sv = _solve(tiny_problem, "virtual")
-    monkeypatch.setenv("REPRO_PROCESS_RESIDENT", "1")
+    monkeypatch.setenv("REPRO_PROCESS_MIN_WORK", "0")
     monkeypatch.setenv("REPRO_PROCESS_WORKERS", "2")
     s1 = _solve(tiny_problem, "process")
     shutdown_pool(force=True)
@@ -139,7 +131,7 @@ def test_killed_worker_named_error_then_bitwise_recovery(
     error (never a hang or wrong floats); the solve after that respawns,
     re-ships and matches virtual bitwise again."""
     sv = _solve(tiny_problem, "virtual")
-    monkeypatch.setenv("REPRO_PROCESS_RESIDENT", "1")
+    monkeypatch.setenv("REPRO_PROCESS_MIN_WORK", "0")
     monkeypatch.setenv("REPRO_PROCESS_WORKERS", "2")
     s1 = _solve(tiny_problem, "process")
     assert np.array_equal(sv.result.x, s1.result.x)
@@ -161,7 +153,7 @@ def test_killed_worker_named_error_then_bitwise_recovery(
 def test_stalled_rank_op_times_out_not_deadlocks():
     comm = ProcessComm(_submap(), n_workers=2, min_dispatch_work=0)
     try:
-        comm.allreduce_sum([1.0] * comm.size)  # spawn + warm up
+        comm._debug_stall(0.0)  # spawn + warm up
         comm.call_timeout = 0.4
         with pytest.raises(WorkerTimeoutError, match="did not reply"):
             comm.run_rank_op({"name": "stall", "seconds": 3.0}, [], [], 1)
@@ -175,7 +167,6 @@ def test_unshipped_generation_is_a_named_error():
     the structured worker error naming the re-ship contract."""
     comm = ProcessComm(_submap(), n_workers=2, min_dispatch_work=0)
     try:
-        comm.allreduce_sum([1.0] * comm.size)
         with pytest.raises(ProcessWorkerError, match="not shipped"):
             comm.run_rank_op({"name": "mv", "gen": 10**9}, [], [], 1)
     finally:
@@ -188,7 +179,7 @@ def test_unshipped_generation_is_a_named_error():
 def test_trace_has_worker_busy_seconds_and_rank_op_spans(
     tiny_problem, monkeypatch
 ):
-    monkeypatch.setenv("REPRO_PROCESS_RESIDENT", "1")
+    monkeypatch.setenv("REPRO_PROCESS_MIN_WORK", "0")
     monkeypatch.setenv("REPRO_PROCESS_WORKERS", "2")
     trc = Tracer()
     opts = SolverOptions(precond="gls(3)", comm_backend="process")

@@ -1,5 +1,7 @@
 """Counter plumbing."""
 
+import threading
+
 import pytest
 
 from repro.parallel.stats import CommStats, RankStats
@@ -59,3 +61,52 @@ def test_reset():
 def test_rank_count_validated():
     with pytest.raises(ValueError):
         CommStats(2, ranks=[RankStats()])
+
+
+# ----------------------------------------------------------------------
+# Thread-safe counters (service executor threads read while solves charge)
+# ----------------------------------------------------------------------
+def test_commstats_concurrent_hammer():
+    """Concurrent per-rank increments + cross-rank charges stay exact."""
+    stats = CommStats(8)
+    n_iter = 2000
+
+    def per_rank(r):
+        for _ in range(n_iter):
+            stats.ranks[r].flops += 3
+
+    def collective():
+        for _ in range(n_iter):
+            stats.charge_all_ranks(reductions=1, reduction_words=2)
+
+    threads = [threading.Thread(target=per_rank, args=(r,)) for r in range(8)]
+    threads += [threading.Thread(target=collective) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for r in stats.ranks:
+        assert r.flops == 3 * n_iter
+        assert r.reductions == 4 * n_iter
+        assert r.reduction_words == 8 * n_iter
+
+
+def test_commstats_snapshot_during_charges():
+    """Snapshots taken mid-hammer see a consistent cross-rank state."""
+    stats = CommStats(4)
+    stop = threading.Event()
+
+    def charger():
+        while not stop.is_set():
+            stats.charge_all_ranks(flops=1)
+
+    t = threading.Thread(target=charger)
+    t.start()
+    try:
+        for _ in range(200):
+            snap = stats.snapshot()
+            flops = [r.flops for r in snap.ranks]
+            assert len(set(flops)) == 1  # all ranks charged atomically
+    finally:
+        stop.set()
+        t.join()

@@ -54,7 +54,7 @@ def _assert_response_invariant(resp, problem, rhs_scale, replay):
             assert event["kind"] in EVENT_KINDS, replay
 
 
-def _run_service_under_plan(plan_name, method, inner="virtual"):
+def _run_service_under_plan(plan_name, method):
     """Three coalescing requests against a chaos-backed solve."""
     plan = FaultPlan(rules=(PLANS[plan_name],), seed=20060815)
     options = SolverOptions(
@@ -73,7 +73,7 @@ def _run_service_under_plan(plan_name, method, inner="virtual"):
             ]
             return await asyncio.gather(*(svc.submit(r) for r in reqs))
 
-    with use_fault_plan(plan, inner=inner):
+    with use_fault_plan(plan):
         resps = asyncio.run(scenario())
     return plan, resps
 
@@ -94,19 +94,12 @@ def test_service_no_silent_wrong_answer(mesh1_problem, plan_name, method):
         )
 
 
-@pytest.mark.parametrize("inner", ["virtual", "process"])
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("plan_name", SMOKE_PLANS)
-def test_service_no_silent_wrong_answer_smoke(
-    mesh1_problem, plan_name, method, inner
-):
-    """The reduced sweep the CI service job runs — the ``process`` rows
-    compose the chaos proxy over the process backend, the
-    ``REPRO_CHAOS_INNER=process`` deployment shape."""
-    plan, resps = _run_service_under_plan(plan_name, method, inner=inner)
-    replay = (
-        f"plan={plan.to_json()} ({method}, inner={inner}, via SolverService)"
-    )
+def test_service_no_silent_wrong_answer_smoke(mesh1_problem, plan_name, method):
+    """The reduced sweep the CI service job runs."""
+    plan, resps = _run_service_under_plan(plan_name, method)
+    replay = f"plan={plan.to_json()} ({method}, via SolverService)"
     for i, resp in enumerate(resps):
         _assert_response_invariant(
             resp, mesh1_problem, 1.0 + 0.5 * i, f"column {i}: {replay}"

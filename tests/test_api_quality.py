@@ -90,3 +90,23 @@ def test_no_vector_block_method_twins():
                 if n.endswith("_block") and n[: -len("_block")] in names
             ]
     assert not twins, f"vector/block method twins: {twins}"
+
+
+def test_three_comm_backends_and_thread_is_rejected(capsys):
+    """Two data planes — inline and worker-resident — behind three
+    registry names; the removed ``thread`` backend is refused on every
+    surface with a message listing what exists."""
+    from repro.api import SolverOptions
+    from repro.cli import main
+    from repro.parallel.comm import Comm, available_comm_backends
+
+    backends = ("virtual", "process", "chaos")
+    assert available_comm_backends() == backends
+    with pytest.raises(ValueError) as exc:
+        SolverOptions(comm_backend="thread")
+    assert all(name in str(exc.value) for name in backends)
+    with pytest.raises(SystemExit):
+        main(["solve", "--mesh", "1", "--comm-backend", "thread"])
+    err = capsys.readouterr().err
+    assert "thread" in err and all(name in err for name in backends)
+    assert "work" not in inspect.signature(Comm.run_ranks).parameters
