@@ -58,10 +58,33 @@ def _rows(a: np.ndarray, like: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape + (1,) * (like.ndim - 1))
 
 
+#: Most elements one BLAS ddot is ever handed.  OpenBLAS threads ddot
+#: above 10000 elements, and a threaded ddot sums in an order that
+#: depends on the thread count; below the block a ddot is one thread's
+#: work whatever the pool size, so the bits are the same everywhere.
+DOT_BLOCK = 8192
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """``a @ b`` of two vectors, taken in blocks of :data:`DOT_BLOCK`
+    summed left to right (one plain ddot when they fit in a block)."""
+    n = a.shape[0]
+    if n <= DOT_BLOCK:
+        return a @ b
+    s = a[:DOT_BLOCK] @ b[:DOT_BLOCK]
+    for lo in range(DOT_BLOCK, n, DOT_BLOCK):
+        s += a[lo:lo + DOT_BLOCK] @ b[lo:lo + DOT_BLOCK]
+    return s
+
+
 def col_dots(a: np.ndarray, b: np.ndarray):
     """Inner product per column of two equally-shaped per-rank arrays:
-    one ``a @ b`` for ``(n,)`` vectors, a ``(k,)`` array of one ddot per
-    column for ``(n, k)`` blocks.  The only place the two dots are written.
+    a scalar for ``(n,)`` vectors, a ``(k,)`` array of one product per
+    column for ``(n, k)`` blocks.  The only place an inner product is
+    written — the orchestrator's rank bodies and the pool workers both
+    call it — and it never hands BLAS more than :data:`DOT_BLOCK`
+    elements, so its bits do not depend on the BLAS thread count of the
+    process that runs it.
 
     A one-column block gives the vector product bit for bit (its column
     is contiguous); at ``k > 1`` a column is read with stride ``k`` and
@@ -69,8 +92,8 @@ def col_dots(a: np.ndarray, b: np.ndarray):
     product of column ``c`` to rounding — the one kernel of the block
     path that is not column-exact."""
     if a.ndim == 1:
-        return a @ b
-    return np.array([a[:, c] @ b[:, c] for c in range(a.shape[1])])
+        return _dot(a, b)
+    return np.array([_dot(a[:, c], b[:, c]) for c in range(a.shape[1])])
 
 
 def _add_to_columns(comm: Comm, x_parts, z_parts, cols, sel, ys) -> None:
@@ -109,7 +132,7 @@ class DistVector:
     (``k`` columns cost ``k`` times one column), while communication done
     through the collectives costs the *same message count* as a single
     vector.  1-D parts are never promoted to ``(n, 1)``: they keep
-    running the vector kernels (``matvec``, one ``a @ b``).
+    running the vector kernels (``matvec``, a scalar inner product).
 
     Supports the arithmetic the Krylov recurrences need (``+``, ``-``,
     ``*`` by a scalar or by one scalar per column, ``copy``) and charges
@@ -373,19 +396,15 @@ class EDDSystem:
         self.__dict__["_engine"] = (mode, engine)
         return engine
 
-    def matvec_local(self, v: DistVector, cache=None) -> DistVector:
+    def matvec_local(self, v: DistVector) -> DistVector:
         """:math:`\\tilde y^{(s)} = \\hat A^{(s)} \\hat x^{(s)}` (Eq. 37):
         global-distributed in, local-distributed out, zero communication;
         per rank one matvec, or one SpMM over all ``k`` columns of a block.
         The P subdomain products are independent rank bodies — the solve's
-        dominant work, executed worker-resident under the process backend.  ``cache``
-        labels an Arnoldi-step matvec so a resident engine retains the
-        input (slot ``z[cache]``) and output for later basis operations;
-        inline engines ignore it, and so do block products (the worker
-        slots hold vectors)."""
+        dominant work, executed worker-resident under the process backend."""
         if v.kind != "global":
             raise ValueError("matvec needs a global-distributed input")
-        return self.rank_engine().matvec_local(v, cache)
+        return self.rank_engine().matvec_local(v)
 
     def matvec_assembled(self, v: DistVector) -> DistVector:
         """Matvec followed by interface assembly: global in, global out.

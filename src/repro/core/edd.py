@@ -33,6 +33,7 @@ import numpy as np
 from repro.core.distributed import (
     DistVector, EDDSystem, _add_to_columns, _as_cols, _rows,
 )
+from repro.parallel.resident import ResidentCycle, step_program
 from repro.precond.base import PolynomialPreconditioner
 from repro.precond.coarse import TwoLevelPreconditioner, TwoLevelSpec
 from repro.solvers.krylov import restarted_fgmres
@@ -103,11 +104,6 @@ class _EDDSpace:
             [np.zeros_like(p) for p in b.parts], "global", system.comm
         )
         self.engine = system.rank_engine()
-        # The workers' Arnoldi slots (cached ``z``, mirrored basis) hold
-        # vectors: a block solve goes resident for its matvecs only.
-        self.resident = self.engine.resident and b.parts[0].ndim == 1
-        # Only the fused CGS round reads the workers' basis mirror.
-        self.mirrored = cgs and self.resident
 
     def residual(self, cols):
         system = self.system
@@ -121,15 +117,18 @@ class _EDDSpace:
             np.maximum(np.atleast_1d(system.dot(self.r_loc, self.r_hat)), 0.0)
         )
 
-    def start_cycle(self, cols, betas):
+    def _first_vectors(self, cols, betas):
+        """``v_0 = r / beta`` in both formats, for column ids ``cols``."""
         r_loc, r_hat = self.r_loc, self.r_hat
         sel = [self.r_cols.index(c) for c in cols]
         if sel != list(range(len(self.r_cols))):
             r_loc, r_hat = r_loc.take_cols(sel), r_hat.take_cols(sel)
-        self.v_loc = [r_loc * (1.0 / betas)]
-        self.v_hat = [r_hat * (1.0 / betas)]
-        if self.mirrored:
-            self.engine.seed_basis(self.v_loc[0].parts, self.v_hat[0].parts)
+        return r_loc * (1.0 / betas), r_hat * (1.0 / betas)
+
+    def start_cycle(self, cols, betas):
+        v_loc, v_hat = self._first_vectors(cols, betas)
+        self.v_loc = [v_loc]
+        self.v_hat = [v_hat]
         self.z_hat: list = []
         self.live = len(cols)
 
@@ -143,7 +142,7 @@ class _EDDSpace:
             # the preconditioned vector (Algorithm 6 keeps it in global
             # distributed format and skips this).
             self.z_hat[j] = system.assemble(system.localize(self.z_hat[j]))
-        self.w_loc = system.matvec_local(self.z_hat[j], cache=j)
+        self.w_loc = system.matvec_local(self.z_hat[j])
         self.w_hat = system.assemble(self.w_loc)  # the enhanced variant's only exchange
 
     def orthogonalize(self, j):
@@ -154,9 +153,8 @@ class _EDDSpace:
             # Classical Gram-Schmidt (the paper's listings): all
             # coefficients from the unmodified w via the mixed-format
             # inner product, batched into ONE allreduce of j+1 words per
-            # column (Eq. 33).  The engine fuses the whole coefficient
-            # round — partial dots, reduction, AXPY pairs — into a single
-            # step (one worker dispatch when the basis is mirrored).
+            # column (Eq. 33), the whole coefficient round — partial
+            # dots, reduction, AXPY pairs — fused into a single step.
             basis = [v.parts for v in v_loc], [v.parts for v in v_hat]
             wl, wh = self.engine.arnoldi_step(
                 j, h, basis, (w_loc.parts, w_hat.parts)
@@ -187,27 +185,13 @@ class _EDDSpace:
         inv_h = 1.0 / h_next
         self.v_loc.append(w_loc * inv_h)
         self.v_hat.append(w_hat * inv_h)
-        if self.mirrored:
-            # Workers mirror the append from their post-ortho slots;
-            # the basic variant overrides the hat part with the
-            # re-assembled vector computed in orthogonalize.
-            self.engine.commit_basis(
-                inv_h[0], hat_parts=self.w_hat.parts if self.basic else None
-            )
 
     def _add_to_x(self, cols, sel, ys):
-        """``x += Z y`` for column ids ``cols`` at live positions ``sel``:
-        against the worker-cached ``z`` slots when resident."""
-        if self.resident:
-            self.x_hat = DistVector(
-                self.engine.axpy_update(self.x_hat.parts, ys[0]),
-                "global", self.comm,
-            )
-        else:
-            _add_to_columns(
-                self.comm, self.x_hat.parts,
-                [z.parts for z in self.z_hat], cols, sel, ys,
-            )
+        """``x += Z y`` for column ids ``cols`` at live positions ``sel``."""
+        _add_to_columns(
+            self.comm, self.x_hat.parts,
+            [z.parts for z in self.z_hat], cols, sel, ys,
+        )
 
     def retire(self, pos, col, y):
         self._add_to_x(col, pos, [y])
@@ -230,6 +214,43 @@ class _EDDSpace:
         )
         u = _as_cols(self.system.to_global_vector(u_hat))
         return [np.ascontiguousarray(u[:, c]) for c in range(self.k)]
+
+
+class _ResidentEDDSpace(ResidentCycle, _EDDSpace):
+    """Single-RHS CGS on a resident engine: the Krylov cycle lives in
+    the workers, one dispatch per Arnoldi step
+    (:class:`repro.parallel.resident.ResidentCycle`).  The orchestrator
+    keeps ``x`` and the residual; ``v_0`` goes out at the head of a
+    cycle and ``x`` comes back at its end."""
+
+    def __init__(self, system, b, precond, basic, restart, plan):
+        super().__init__(system, b, precond, basic, True)
+        self.restart = restart
+        self.plan = plan
+
+    def start_cycle(self, cols, betas):
+        v_loc, v_hat = self._first_vectors(cols, betas)
+        self._seed(v_loc.parts, v_hat.parts)
+        self.live = len(cols)
+
+    def _add_to_x(self, cols, sel, ys):
+        self.x_hat = DistVector(
+            self.engine.axpy_update(self.x_hat.parts, ys[0]),
+            "global", self.comm,
+        )
+
+
+def _make_space(system, b, precond, basic, cgs, restart):
+    """The Krylov space of one solve: resident when the engine is, the
+    right-hand side is one vector, the orthogonalization is CGS and the
+    preconditioner has a worker-side program; generic otherwise (blocks
+    and MGS go resident for their matvecs and preconditioner applies)."""
+    engine = system.rank_engine()
+    if engine.resident and cgs and b.parts[0].ndim == 1:
+        plan = step_program(precond)
+        if plan is not None:
+            return _ResidentEDDSpace(system, b, precond, basic, restart, plan)
+    return _EDDSpace(system, b, precond, basic, cgs)
 
 
 def _configure(system, precond, restart, tol, max_iter, variant,
@@ -294,7 +315,7 @@ def edd_fgmres(
         orthogonalization, options,
     )
     b = DistVector([p.copy() for p in system.b_local], "local", system.comm)
-    space = _EDDSpace(system, b, precond, basic, cgs)
+    space = _make_space(system, b, precond, basic, cgs, restart)
     return restarted_fgmres(
         space, restart, tol, max_iter, breakdown_tol, tracer
     )[0]
@@ -354,5 +375,5 @@ def edd_fgmres_block(
         b_blk = system.rhs_block(b)
     if b_blk.k == 0:
         return []
-    space = _EDDSpace(system, b_blk, precond, basic, cgs)
+    space = _make_space(system, b_blk, precond, basic, cgs, restart)
     return restarted_fgmres(space, restart, tol, max_iter, breakdown_tol, tracer)

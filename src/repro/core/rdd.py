@@ -34,6 +34,7 @@ from repro.core.distributed import (
 from repro.fem.bc import DirichletBC
 from repro.fem.mesh import Mesh
 from repro.parallel.comm import Comm, make_comm
+from repro.parallel.resident import ResidentCycle, step_program
 from repro.partition.interface import SubdomainMap
 from repro.partition.node_partition import NodePartition
 from repro.precond.base import PolynomialPreconditioner
@@ -106,18 +107,16 @@ class RDDSystem:
         self.__dict__["_engine"] = (mode, engine)
         return engine
 
-    def matvec(self, x_parts: list, cache=None) -> list:
+    def matvec(self, x_parts: list) -> list:
         """Eq. 48: halo exchange then
         ``y = K_loc x_loc + K_ext x_ext`` per rank — on vectors, or on
         ``(n_own, k)`` blocks with ONE coalesced halo exchange for all
         ``k`` columns and per-rank SpMMs (column ``c`` bit-identical to
         the matvec of column ``c``).  The halo exchange is a collective
         and always runs through the comm; the per-rank block products
-        are independent bodies the engine runs inline or worker-resident.
-        ``cache`` labels an Arnoldi-step matvec of vectors for resident
-        slot reuse; inline engines ignore it."""
+        are independent bodies the engine runs inline or worker-resident."""
         ext_vals = self.comm.halo_exchange(x_parts, self.plan)
-        return self.rank_engine().matvec(x_parts, ext_vals, cache)
+        return self.rank_engine().matvec(x_parts, ext_vals)
 
     @property
     def nnz_total(self) -> int:
@@ -430,9 +429,6 @@ class _RDDSpace:
         self.b = b
         self.k = _n_cols(b[0])
         self.x = [np.zeros_like(bb) for bb in b]
-        # The workers' Arnoldi slots (cached ``z``, mirrored basis) hold
-        # vectors: a block solve goes resident for its matvecs only.
-        self.mirrored = self.engine.resident and b[0].ndim == 1
 
     def residual(self, cols):
         system = self.system
@@ -444,14 +440,16 @@ class _RDDSpace:
         self.r_cols = list(cols)
         return np.sqrt(np.atleast_1d(system.dot(self.r, self.r)))
 
-    def start_cycle(self, cols, betas):
+    def _first_vector(self, cols, betas):
+        """``v_0 = r / beta`` for column ids ``cols``."""
         r = self.r
         sel = [self.r_cols.index(c) for c in cols]
         if sel != list(range(len(self.r_cols))):
             r = _take_cols_parts(r, sel)
-        self.v = [_scale_parts(self.comm, 1.0 / betas, r)]
-        if self.mirrored:
-            self.engine.seed_basis(self.v[0])
+        return _scale_parts(self.comm, 1.0 / betas, r)
+
+    def start_cycle(self, cols, betas):
+        self.v = [self._first_vector(cols, betas)]
         self.z: list = []
         self.live = len(cols)
 
@@ -459,32 +457,23 @@ class _RDDSpace:
         self.z.append(_precondition_rdd(self.system, self.precond, self.v[j]))
 
     def matvec(self, j):
-        self.w = self.system.matvec(self.z[j], cache=j)
+        self.w = self.system.matvec(self.z[j])
 
     def orthogonalize(self, j):
         h = np.empty((j + 2,) + self.w[0].shape[1:])
         # Fused CGS coefficient round mirroring edd_fgmres — partial
-        # dots, ONE allreduce of j+1 words per column, AXPY updates —
-        # which the engine runs inline or, when the basis is mirrored,
-        # as a single worker dispatch.
+        # dots, ONE allreduce of j+1 words per column, AXPY updates.
         (self.w,) = self.engine.arnoldi_step(j, h, (self.v,), (self.w,))
         h[j + 1] = np.sqrt(np.maximum(self.system.dot(self.w, self.w), 0.0))
         return h.reshape(j + 2, -1)
 
     def commit(self, j, keep, h_next):
         w = self.w if keep is None else _take_cols_parts(self.w, keep)
-        inv_h = 1.0 / h_next
-        self.v.append(_scale_parts(self.comm, inv_h, w))
-        if self.mirrored:
-            self.engine.commit_basis(inv_h[0])
+        self.v.append(_scale_parts(self.comm, 1.0 / h_next, w))
 
     def _add_to_x(self, cols, sel, ys):
-        """``x += Z y`` for column ids ``cols`` at live positions ``sel``:
-        against the worker-cached ``z`` slots when mirrored."""
-        if self.mirrored:
-            self.x = self.engine.axpy_update(self.x, ys[0])
-        else:
-            _add_to_columns(self.comm, self.x, self.z, cols, sel, ys)
+        """``x += Z y`` for column ids ``cols`` at live positions ``sel``."""
+        _add_to_columns(self.comm, self.x, self.z, cols, sel, ys)
 
     def retire(self, pos, col, y):
         self._add_to_x(col, pos, [y])
@@ -505,6 +494,38 @@ class _RDDSpace:
             u[o] = _rows(ds, xs) * xs
         u = _as_cols(u)
         return [np.ascontiguousarray(u[:, c]) for c in range(self.k)]
+
+
+class _ResidentRDDSpace(ResidentCycle, _RDDSpace):
+    """A single right-hand side on a resident engine: the Krylov cycle
+    lives in the workers, one dispatch per Arnoldi step
+    (:class:`repro.parallel.resident.ResidentCycle`) — the row-based
+    twin of :class:`repro.core.edd._ResidentEDDSpace`."""
+
+    def __init__(self, system, b, precond, restart, plan):
+        super().__init__(system, b, precond)
+        self.restart = restart
+        self.plan = plan
+
+    def start_cycle(self, cols, betas):
+        self._seed(self._first_vector(cols, betas))
+        self.live = len(cols)
+
+    def _add_to_x(self, cols, sel, ys):
+        self.x = self.engine.axpy_update(self.x, ys[0])
+
+
+def _make_space(system, b, precond, restart):
+    """The Krylov space of one solve: resident when the engine is, the
+    right-hand side is one vector and the preconditioner has a
+    worker-side program; generic otherwise (blocks go resident for
+    their matvecs and preconditioner applies)."""
+    engine = system.rank_engine()
+    if engine.resident and b[0].ndim == 1:
+        plan = step_program(precond)
+        if plan is not None:
+            return _ResidentRDDSpace(system, b, precond, restart, plan)
+    return _RDDSpace(system, b, precond)
 
 
 def _configure(system, precond, restart, tol, max_iter, options):
@@ -542,7 +563,9 @@ def rdd_fgmres(
     precond, restart, tol, max_iter = _configure(
         system, precond, restart, tol, max_iter, options
     )
-    space = _RDDSpace(system, [bb.copy() for bb in system.b], precond)
+    space = _make_space(
+        system, [bb.copy() for bb in system.b], precond, restart
+    )
     return restarted_fgmres(
         space, restart, tol, max_iter, breakdown_tol, tracer
     )[0]
@@ -592,5 +615,5 @@ def rdd_fgmres_block(
         b_blk = system.rhs_block(b)
     if b_blk[0].shape[1] == 0:
         return []
-    space = _RDDSpace(system, b_blk, precond)
+    space = _make_space(system, b_blk, precond, restart)
     return restarted_fgmres(space, restart, tol, max_iter, breakdown_tol, tracer)

@@ -357,9 +357,7 @@ class PreparedSystem:
                     if pc is not None and hasattr(pc, "_resident_states"):
                         # Preconditioner factor state (ILU factors, coarse
                         # bases) ships eagerly too, for the same reason.
-                        engine.ensure_aux(
-                            pc._resident_key, pc._resident_states
-                        )
+                        engine.ensure_aux(pc)
             finally:
                 if traced:
                     trc.end()  # setup

@@ -3,10 +3,13 @@ worker processes.
 
 This module is deliberately light — numpy plus stdlib at import time, so
 a spawned child never pays for the solver stack up front; the sparse CSR
-layer is imported lazily on the first ``resident`` command.  The
-orchestrator sends small pickled command tuples over a per-worker pipe;
-bulk payloads travel through a per-communicator
-``multiprocessing.shared_memory`` arena.
+layer is imported lazily on the first ``resident`` command and the one
+inner-product function (:func:`repro.core.distributed.col_dots`, shared
+with the orchestrator so both sides sum in the same order) on the first
+``step``.  The orchestrator sends small pickled command tuples over a
+per-worker pipe; bulk payloads travel through a per-communicator
+``multiprocessing.shared_memory`` arena, which is also where the workers
+of a fused rank op meet each other.
 
 Protocol
 --------
@@ -76,13 +79,14 @@ def _owned(w, n_workers, size):  # pragma: no cover
 
 
 def _do_register(state, cmd):  # pragma: no cover
-    """Per-rank local->global maps, for the fused chain's ``⊕Σ∂Ω``."""
-    state["l2g"] = pickle.loads(cmd[3])
+    """Per-rank interface plans, for the worker-side ``⊕Σ∂Ω``
+    (:meth:`_Fused.assemble`; built by ``ProcessComm.interface_plan``)."""
+    state["iface"] = pickle.loads(cmd[3])
     return []
 
 
 def _do_plan(state, cmd):  # pragma: no cover
-    """A halo plan, for the fused chain's worker-side halo fills."""
+    """A halo plan, for the worker-side halo fills of fused rank ops."""
     plan_id = cmd[3]
     plan = pickle.loads(cmd[4])
     offsets = [0]
@@ -153,11 +157,12 @@ def _do_resident(state, cmd, w, n_workers):  # pragma: no cover
     arrays = _read_fields(view, meta["fields"])
     from repro.sparse.csr import CSRMatrix
 
-    entry = {"z": {}, "wl": None, "wh": None, "bl": [], "bh": []}
+    entry = {}
     if kind == "edd":
         entry["a"] = CSRMatrix(
             meta["shape"], arrays["indptr"], arrays["indices"], arrays["data"]
         )
+        entry["mask"] = arrays.get("owner_mask")
     else:
         entry["a_loc"] = CSRMatrix(
             meta["loc_shape"],
@@ -173,35 +178,6 @@ def _do_resident(state, cmd, w, n_workers):  # pragma: no cover
         )
     res["ranks"][r] = entry
     return []
-
-
-def _barrier(view, flags_off, nflags, w, phase, deadline):  # pragma: no cover
-    """Arena spin barrier for fused rank ops.
-
-    Each pool worker owns one float64 flag word; a worker signals phase
-    ``p`` by storing ``p`` into its word (an aligned 8-byte store, atomic
-    on every supported platform) and then spins until every peer's word
-    has reached ``p``.  A relative ``deadline`` bounds the spin so a dead
-    or stuck peer surfaces as this worker's error reply instead of a
-    deadlock — the orchestrator drains every reply and raises the first
-    error through its named taxonomy.
-    """
-    flags = view[flags_off:flags_off + nflags]
-    flags[w] = float(phase)
-    while True:
-        done = True
-        for i in range(nflags):
-            if flags[i] < phase:
-                done = False
-                break
-        if done:
-            return
-        if time.monotonic() > deadline:
-            raise RuntimeError(
-                f"worker {w} timed out waiting for peers at fused-op "
-                f"barrier phase {phase}"
-            )
-        time.sleep(0)
 
 
 def _tree_rows(view, off, p_rows, m):  # pragma: no cover
@@ -221,39 +197,193 @@ def _tree_rows(view, off, p_rows, m):  # pragma: no cover
     return vals[0]
 
 
-def _do_chain(state, res, view, p, w, n_workers):  # pragma: no cover
-    """Fused degree-``k`` polynomial apply: the whole matvec/recurrence
-    chain runs worker-side with one barrier per degree.
+class _Fused:  # pragma: no cover
+    """One fused rank op in flight at one worker: the arena view, the
+    rank layout, the peer synchronisation and the phase clock.
 
-    Arena layout: ``[0, n)`` input, ``[n, 2n)`` output, ``[2n, 3n)`` and
-    ``[3n, 4n)`` ping-pong exchange slots, flag words after.  Each degree
-    publishes into slot ``d % 2``; the ping-pong is safe because a worker
-    can only overwrite slot ``d % 2`` at degree ``d + 2`` after passing
-    barrier ``d + 2``, which peers only signal once they finished reading
-    slot ``d``.  EDD workers redundantly replay the interface assembly
-    (same zeros + ordered ``np.add.at`` as ``Comm.interface_assemble``);
-    RDD workers fill their halo buffers straight from the slot using the
-    resident exchange plan.  Recurrence bodies mirror the generic
-    ``apply_linear`` paths of the polynomial preconditioners token for
-    token.
+    A fused op (``chain``, ``coarse``, ``step``) runs several phases
+    back to back and meets its peers in the arena where a phase needs
+    their data.  Every worker executes the same sequence of barriers and
+    exchanges whether or not it owns a rank, so the counters below agree
+    across the pool.
+
+    Arena regions come from the command: ``flags`` (one barrier word per
+    pool worker, zeroed by the orchestrator before the dispatch), two
+    ping-pong exchange ``slots`` of ``slot_words`` each, and the partial
+    rows of the reductions.  Exchange ``e`` publishes into slot
+    ``e % 2``; that is safe because a worker can only reach exchange
+    ``e + 2`` after passing barrier ``e + 1``, which its peers signal
+    only once they finished reading slot ``e``.
+
+    The phase clock splits the worker's wall time inside the op into
+    named laps (``precondition`` / ``matvec`` / ``exchange`` /
+    ``orthogonalize``) that add up to it exactly; time spent waiting
+    for peers counts towards the phase that waits.
     """
-    offsets, sizes = p["offsets"], p["sizes"]
-    size = len(sizes)
-    mode = p["mode"]
-    kind = p["kind"]
-    prm = p["params"]
-    out_base = p["out"]
-    slot_base = p["slots"]
-    n_total = p["n_total"]
-    deadline = time.monotonic() + p["btimeout"]
-    owned = list(_owned(w, n_workers, size))
-    rank_t = dict.fromkeys(owned, 0.0)
 
-    def part(base, r):
-        off = offsets[r]
-        return view[base + off:base + off + sizes[r]]
+    def __init__(self, state, res, view, p, w, n_workers):
+        self.ranks = res["ranks"]
+        self.shared = res["shared"]
+        self.view = view
+        self.p = p
+        self.w = w
+        self.offsets, self.sizes = p["offsets"], p["sizes"]
+        self.size = len(self.sizes)
+        self.owned = list(_owned(w, n_workers, self.size))
+        self.edd = p["mode"] == "edd"
+        self.iface = state.get("iface")
+        self.plan = state.get("plans", {}).get(p.get("plan"))
+        self.flags = view[p["flags"]:p["flags"] + p["nflags"]]
+        self.deadline = time.monotonic() + p["btimeout"]
+        self.barriers = 0
+        self.exchanges = 0
+        self.laps: dict = {}
+        #: While set, every lap counts towards this phase (an exchange
+        #: inside the preconditioner is preconditioning time).
+        self.within = None
+        self.clock = time.perf_counter()
 
-    v = {r: np.array(part(0, r)) for r in owned}
+    def part(self, base, r):
+        """Rank ``r``'s segment of the per-rank region at ``base``."""
+        off = self.offsets[r]
+        return self.view[base + off:base + off + self.sizes[r]]
+
+    def lap(self, phase):
+        """Charge the time since the previous lap to ``phase``."""
+        now = time.perf_counter()
+        key = self.within or phase
+        self.laps[key] = self.laps.get(key, 0.0) + now - self.clock
+        self.clock = now
+
+    def times(self):
+        """The op's reply: per owned rank, its share of this worker's
+        wall inside the op and of every phase (a worker's ranks run
+        interleaved, so they share it evenly)."""
+        n = len(self.owned)
+        total = sum(self.laps.values())
+        return [
+            (r, total / n, {k: v / n for k, v in self.laps.items()})
+            for r in self.owned
+        ]
+
+    def barrier(self):
+        """Arena spin barrier.
+
+        Each pool worker owns one float64 flag word; a worker signals
+        its ``k``-th barrier by storing ``k`` into its word (an aligned
+        8-byte store, atomic on every supported platform) and then spins
+        until every peer's word has reached ``k``.  The op's deadline
+        bounds the spin so a dead or stuck peer surfaces as this
+        worker's error reply instead of a deadlock — the orchestrator
+        drains every reply and raises the first error through its named
+        taxonomy.
+        """
+        self.barriers += 1
+        k = self.barriers
+        stall = self.p.get("stall")
+        if stall is not None and stall[0] == self.w and stall[1] == k:
+            # Test-only fault: this worker never reaches barrier ``k``
+            # in time (see the barrier-deadline drill).
+            time.sleep(float(stall[2]))
+        flags = self.flags
+        flags[self.w] = float(k)
+        while True:
+            if all(f >= k for f in flags):
+                return
+            if time.monotonic() > self.deadline:
+                raise RuntimeError(
+                    f"worker {self.w} timed out waiting for peers at "
+                    f"fused-op barrier phase {k}"
+                )
+            time.sleep(0)
+
+    def _slot(self):
+        words = self.p["slot_words"]
+        base = self.p["slots"] + (self.exchanges % 2) * words
+        self.exchanges += 1
+        return self.view[base:base + words]
+
+    def assemble(self, loc):
+        """The ``⊕Σ∂Ω`` of EDD (Eq. 28), peer to peer: every rank
+        publishes the values of its interface DOFs, and after one
+        barrier sums each shared DOF's contributions from 0.0 in
+        ascending rank order — the order ``Comm.interface_assemble``'s
+        scatter-add runs in, so the result is that collective's bits
+        (``+ 0.0`` on the interior DOFs included: it turns a ``-0.0``
+        into the ``0.0`` the scatter-add onto zeros produces).  Level
+        ``k`` of a rank's plan holds, for its DOFs with more than ``k``
+        sharers, where the ``k``-th lowest-ranked sharer published."""
+        seg = self._slot()
+        for r in self.owned:
+            idx, pub, _ = self.iface[r]
+            seg[pub:pub + len(idx)] = loc[r][idx]
+        self.barrier()
+        out = {}
+        for r in self.owned:
+            idx, _, levels = self.iface[r]
+            hat = loc[r] + 0.0
+            if len(idx):
+                acc = np.zeros(len(idx))
+                for sel, src in levels:
+                    if sel is None:
+                        acc = acc + seg[src]
+                    else:
+                        acc[sel] = acc[sel] + seg[src]
+                hat[idx] = acc
+            out[r] = hat
+        return out
+
+    def operator(self, x):
+        """The communicating operator both decompositions iterate, on
+        this worker's ranks: EDD — subdomain product (Eq. 37), then
+        ``⊕Σ∂Ω``; RDD — halo fill from the peers' published operands
+        through the shipped plan, then the Eq. 48 block products."""
+        ranks = self.ranks
+        if self.edd:
+            loc = {r: ranks[r]["a"].matvec(x[r]) for r in self.owned}
+            self.lap("matvec")
+            out = self.assemble(loc)
+            self.lap("exchange")
+            return out
+        plan = self.plan
+        xsizes, x_offsets = plan["xsizes"], plan["x_offsets"]
+        seg = self._slot()
+        for r in self.owned:
+            off = self.offsets[r]
+            seg[off:off + self.sizes[r]] = x[r]
+        self.barrier()
+        bufs = {}
+        for r in self.owned:
+            buf = np.zeros(plan["ext_sizes"][r])
+            for t, send_idx, recv_slots in plan["ranks"][r]:
+                xoff = x_offsets[t]
+                buf[recv_slots] = seg[xoff:xoff + xsizes[t]][send_idx]
+            bufs[r] = buf
+        self.lap("exchange")
+        out = {}
+        for r in self.owned:
+            e = ranks[r]
+            y = e["a_loc"].matvec(x[r])
+            if e["a_ext"].shape[1]:
+                y = y + e["a_ext"].matvec(bufs[r])
+            out[r] = y
+        self.lap("matvec")
+        return out
+
+    def reduce(self, base, m):
+        """Meet the peers, then tree-reduce the ``(P, m)`` partial rows
+        at ``base`` redundantly (every worker gets the same bits)."""
+        self.barrier()
+        return _tree_rows(self.view, base, self.size, m)
+
+
+def _chain(f, kind, prm, v):  # pragma: no cover
+    """Degree-``k`` polynomial apply ``z = P(A) v`` through the
+    communicating operator, one exchange per degree.  Recurrence bodies
+    mirror the generic ``apply_linear`` paths of the polynomial
+    preconditioners token for token (``x - y`` is bitwise the
+    ``x + (-1.0) * y`` the RDD vector wrapper computes)."""
+    owned = f.owned
     if kind == "neumann":
         degree = prm["degree"]
         omega = prm["omega"]
@@ -272,47 +402,8 @@ def _do_chain(state, res, view, p, w, n_workers):  # pragma: no cover
         phi_prev = None
         z = {r: mu[0] * phi[r] for r in owned}
         cur = phi
-
-    plan = state["plans"][p["plan"]] if mode == "rdd" else None
-
     for d in range(degree):
-        slot = slot_base + (d % 2) * n_total
-        for r in owned:
-            t0 = time.perf_counter()
-            if mode == "edd":
-                # Publish the matvec result; assembly follows the barrier.
-                part(slot, r)[...] = res["ranks"][r]["a"].matvec(cur[r])
-            else:
-                # Publish the operand; peers read it for their halos.
-                part(slot, r)[...] = cur[r]
-            rank_t[r] += time.perf_counter() - t0
-        _barrier(view, p["flags"], p["nflags"], w, d + 1, deadline)
-        g = {}
-        if mode == "edd":
-            l2g = state["l2g"]
-            glob = np.zeros(p["n_global"])
-            for t in range(size):
-                np.add.at(glob, l2g[t], part(slot, t))
-            for r in owned:
-                g[r] = glob[l2g[r]]
-        else:
-            xsizes = plan["xsizes"]
-            x_offsets = plan["x_offsets"]
-            for r in owned:
-                t0 = time.perf_counter()
-                buf = np.zeros(plan["ext_sizes"][r])
-                for t, send_idx, recv_slots in plan["ranks"][r]:
-                    xoff = x_offsets[t]
-                    buf[recv_slots] = view[
-                        slot + xoff:slot + xoff + xsizes[t]
-                    ][send_idx]
-                e = res["ranks"][r]
-                y = e["a_loc"].matvec(cur[r])
-                if e["a_ext"].shape[1]:
-                    y = y + e["a_ext"].matvec(buf)
-                g[r] = y
-                rank_t[r] += time.perf_counter() - t0
-        t0 = time.perf_counter()
+        g = f.operator(cur)
         if kind == "neumann":
             for r in owned:
                 s[r] = s[r] - omega * g[r]
@@ -333,106 +424,24 @@ def _do_chain(state, res, view, p, w, n_workers):  # pragma: no cover
                 z[r] = z[r] + mu[d + 1] * nxt[r]
             phi_prev, phi = phi, nxt
             cur = phi
-        if owned:
-            dt = (time.perf_counter() - t0) / len(owned)
-            for r in owned:
-                rank_t[r] += dt
-    for r in owned:
-        if kind == "neumann":
-            part(out_base, r)[...] = omega * z[r]
-        else:
-            part(out_base, r)[...] = z[r]
-    return [(r, t) for r, t in rank_t.items()]
+    if kind == "neumann":
+        z = {r: omega * z[r] for r in owned}
+    return z
 
 
-def _do_arn(res, view, p, w, n_workers):  # pragma: no cover
-    """Fused Arnoldi step: partial dots, redundant tree reduction of the
-    ``(P, j+1)`` rows, and the CGS orthogonalization update — one
-    dispatch, one barrier.
-
-    The orchestrator re-runs the *real* ``allreduce_sum`` on the partial
-    rows it reads back (identical tree pairing, so identical bits) to
-    keep reduction charging, tracer spans and chaos targeting exactly
-    where the inline path puts them.
-    """
-    offsets, sizes = p["offsets"], p["sizes"]
-    size = len(sizes)
-    j = p["j"]
-    two = p["two"]
-    pbase = p["partial"]
-    deadline = time.monotonic() + p["btimeout"]
-    owned = list(_owned(w, n_workers, size))
-    rank_t = dict.fromkeys(owned, 0.0)
-    for r in owned:
-        t0 = time.perf_counter()
-        e = res["ranks"][r]
-        off, n = offsets[r], sizes[r]
-        wvec = np.array(view[off:off + n])
-        e["wh"] = wvec
-        bl = e["bl"]
-        out = np.empty(j + 1)
-        for i in range(j + 1):
-            out[i] = bl[i] @ wvec
-        o = pbase + r * (j + 1)
-        view[o:o + j + 1] = out
-        rank_t[r] += time.perf_counter() - t0
-    _barrier(view, p["flags"], p["nflags"], w, 1, deadline)
-    h = _tree_rows(view, pbase, size, j + 1)
-    for r in owned:
-        t0 = time.perf_counter()
-        e = res["ranks"][r]
-        off, n = offsets[r], sizes[r]
-        wh = e["wh"]
-        if two:
-            wl = e["wl"]
-            bl, bh = e["bl"], e["bh"]
-            for i in range(j + 1):
-                hi = h[i]
-                wl = wl - hi * bl[i]
-                wh = wh - hi * bh[i]
-            e["wl"] = wl
-            e["wh"] = wh
-            view[off:off + n] = wl
-            view[p["hat"] + off:p["hat"] + off + n] = wh
-        else:
-            bl = e["bl"]
-            for i in range(j + 1):
-                wh = wh - h[i] * bl[i]
-            e["wh"] = wh
-            view[off:off + n] = wh
-        rank_t[r] += time.perf_counter() - t0
-    return [(r, t) for r, t in rank_t.items()]
-
-
-def _do_coarse(res, view, p, w, n_workers):  # pragma: no cover
-    """Fused two-level coarse correction: restriction, redundant tree
-    reduction, redundant (small, dense) coarse solve and prolongation —
-    one dispatch, one barrier.
-
-    Every worker solves the redundantly-stored factorized Galerkin
-    system itself (``nc`` is tiny), so no second exchange is needed; the
-    orchestrator replays the real ``allreduce_sum`` on the partial rows
-    for charging/chaos exactly as :func:`_do_arn` does.
-    """
-    offsets, sizes = p["offsets"], p["sizes"]
-    size = len(sizes)
-    nc = p["nc"]
-    key = p["key"]
-    pbase = p["partial"]
-    obase = p["out"]
-    deadline = time.monotonic() + p["btimeout"]
-    owned = list(_owned(w, n_workers, size))
-    rank_t = dict.fromkeys(owned, 0.0)
-    for r in owned:
-        t0 = time.perf_counter()
-        aux = res["ranks"][r]["aux"][key]["arrays"]
-        off, n = offsets[r], sizes[r]
-        vr = np.array(view[off:off + n])
-        view[pbase + r * nc:pbase + (r + 1) * nc] = aux["wl"].T @ vr
-        rank_t[r] += time.perf_counter() - t0
-    _barrier(view, p["flags"], p["nflags"], w, 1, deadline)
-    rhs = _tree_rows(view, pbase, size, nc)
-    shared = res["shared"][key]
+def _coarse(f, key, nc, v):  # pragma: no cover
+    """Two-level coarse correction ``W E^-1 W^T v``: rank-local
+    restriction, one reduction of ``nc`` words, a redundant solve of the
+    shipped factorized Galerkin matrix (``nc`` is tiny, so no second
+    exchange is needed) and rank-local prolongation.  The orchestrator
+    replays the real ``allreduce_sum`` on the partial rows it reads
+    back, for charging and chaos targeting."""
+    base = f.p["coarse_rows"]
+    for r in f.owned:
+        aux = f.ranks[r]["aux"][key]["arrays"]
+        f.view[base + r * nc:base + (r + 1) * nc] = aux["wl"].T @ v[r]
+    rhs = f.reduce(base, nc)
+    shared = f.shared[key]
     smeta = shared["meta"]
     fmat = shared["arrays"]["fmat"]
     if smeta["fkind"] == "cho":
@@ -444,13 +453,148 @@ def _do_coarse(res, view, p, w, n_workers):  # pragma: no cover
 
         piv = shared["arrays"]["piv"].astype(np.int32)
         y = lu_solve((fmat, piv), rhs)
+    return {r: f.ranks[r]["aux"][key]["arrays"]["wg"] @ y for r in f.owned}
+
+
+def _ilu0_apply(e, key, v):  # pragma: no cover
+    """Block-Jacobi ILU0 apply against the shipped factors: the copy
+    mirrors the inline ``z = v.copy()`` and the backend solve is the
+    kernel the inline path runs."""
+    from repro.sparse import kernels
+
+    aux = e["aux"][key]["arrays"]
+    zv = np.array(v)
+    kernels.get_backend().ilu0_solve(
+        aux["indptr"], aux["indices"], aux["data"],
+        aux["diag_pos"], aux["split"], zv,
+    )
+    return zv
+
+
+def _precondition(f, prog, v):  # pragma: no cover
+    """Run a preconditioner program (``resident.step_program``) on this
+    worker's ranks: ``z = C v`` (the caller holds ``f.within`` at
+    ``"precondition"``, so the exchanges in here count as that).  The
+    two-level composites follow
+    ``TwoLevelPreconditioner.apply_edd`` / ``apply_rdd`` (whose
+    ``y + 1.0 * x`` / ``y + (-1.0) * x`` are bitwise ``y + x`` /
+    ``y - x``)."""
+    owned = f.owned
+    kind = prog[0]
+    if kind == "copy":
+        return {r: v[r].copy() for r in owned}
+    if kind == "chain":
+        return _chain(f, prog[1], prog[2], v)
+    if kind == "prec":
+        return {r: _ilu0_apply(f.ranks[r], prog[1], v[r]) for r in owned}
+    _, mode, key, nc, inner = prog
+    if mode == "additive":
+        z = _precondition(f, inner, v)
+        q = _coarse(f, key, nc, v)
+    else:
+        q = _coarse(f, key, nc, v)
+        aq = f.operator(q)
+        z = _precondition(f, inner, {r: v[r] - aq[r] for r in owned})
+    return {r: z[r] + q[r] for r in owned}
+
+
+def _op_apply(f):  # pragma: no cover
+    """A preconditioner piece as a rank op of its own — ``chain`` (a
+    polynomial apply) or ``coarse`` (a coarse correction): ``[0, n)``
+    in, ``out`` out."""
+    p = f.p
+    f.within = "precondition"
+    v = {r: np.array(f.part(0, r)) for r in f.owned}
+    if p["name"] == "chain":
+        z = _chain(f, p["kind"], p["params"], v)
+    else:
+        z = _coarse(f, p["key"], p["nc"], v)
+    for r in f.owned:
+        f.part(p["out"], r)[...] = z[r]
+    f.lap("precondition")
+    return f.times()
+
+
+def _op_step(f):  # pragma: no cover
+    """One whole Arnoldi step of single-RHS CGS FGMRES (Algorithms 5, 6
+    and 8) against this worker's resident Krylov state.
+
+    Phases, back to back: append the previous step's normalised vector
+    to the basis (``commit``); ``z_j = C v_j``; ``w = A z_j`` with its
+    exchange (the basic EDD variant re-assembles ``z_j`` first and ``w``
+    after the orthogonalization — its three exchanges per step); the CGS
+    coefficients ``<v_i, w>`` (one reduction of ``j + 1`` words) and the
+    orthogonalization; the partial ``<w, w>``.  Nothing but the partial
+    rows of the two reductions leaves the workers: the orchestrator
+    reads them from the arena and replays the real ``allreduce_sum``.
+    """
+    from repro.core.distributed import col_dots
+
+    p, view, ranks, owned = f.p, f.view, f.ranks, f.owned
+    j, inv_h, basic = p["j"], p["commit"], p["basic"]
     for r in owned:
-        t0 = time.perf_counter()
-        aux = res["ranks"][r]["aux"][key]["arrays"]
-        off, n = offsets[r], sizes[r]
-        view[obase + off:obase + off + n] = aux["wg"] @ y
-        rank_t[r] += time.perf_counter() - t0
-    return [(r, t) for r, t in rank_t.items()]
+        e = ranks[r]
+        if e.get("filled") != (j + 1 if inv_h is None else j):
+            raise RuntimeError(
+                f"worker {f.w} holds {e.get('filled')} Krylov basis "
+                f"vectors of rank {r}, step {j} needs {j + 1} (respawned "
+                "pool mid-cycle?); the orchestrator must re-seed"
+            )
+        if inv_h is not None:
+            for basis, w_f in zip(e["basis"], e["w"]):
+                np.multiply(w_f, inv_h, out=basis[j])
+            e["filled"] = j + 1
+    f.lap("orthogonalize")  # normalising v_j closes the previous round
+
+    f.within = "precondition"
+    z = _precondition(
+        f, p["prec"], {r: ranks[r]["basis"][-1][j] for r in owned}
+    )
+    f.lap("precondition")
+    f.within = None
+    if basic:
+        z = f.assemble({r: z[r] * ranks[r]["mask"] for r in owned})
+        f.lap("exchange")
+    for r in owned:
+        ranks[r]["zs"][j] = z[r]
+    # ``w`` per rank: one array per format, the exchanged one last.
+    if f.edd:
+        wl = {r: ranks[r]["a"].matvec(z[r]) for r in owned}
+        f.lap("matvec")
+        wh = f.assemble(wl)
+        f.lap("exchange")
+        ws = {r: [wl[r], wh[r]] for r in owned}
+    else:
+        ws = {r: [y] for r, y in f.operator(z).items()}
+
+    rows = p["arn_rows"]
+    for r in owned:
+        first = ranks[r]["basis"][0]
+        out = np.empty(j + 1)
+        for i in range(j + 1):
+            out[i] = col_dots(first[i], ws[r][-1])
+        view[rows + r * (j + 1):rows + (r + 1) * (j + 1)] = out
+    h = f.reduce(rows, j + 1)
+    for r in owned:
+        for k, basis in enumerate(ranks[r]["basis"]):
+            w_f = ws[r][k]
+            for i in range(j + 1):
+                w_f = w_f - h[i] * basis[i]
+            ws[r][k] = w_f
+    if basic:
+        f.lap("orthogonalize")
+        wh = f.assemble({r: ws[r][1] * ranks[r]["mask"] for r in owned})
+        f.lap("exchange")
+        for r in owned:
+            ws[r][1] = wh[r]
+    for r in owned:
+        ranks[r]["w"] = ws[r]
+        view[p["norm_rows"] + r] = col_dots(ws[r][0], ws[r][-1])
+    f.lap("orthogonalize")
+    return f.times()
+
+
+_FUSED_OPS = {"chain": _op_apply, "coarse": _op_apply, "step": _op_step}
 
 
 def _do_rank_op(state, cmd, w, n_workers):  # pragma: no cover
@@ -459,6 +603,8 @@ def _do_rank_op(state, cmd, w, n_workers):  # pragma: no cover
     Every arithmetic expression below mirrors the orchestrator's inline
     engine token for token (same numpy calls, same association order), so
     the floats written back are bit-identical to inline execution.
+    Replies list ``(rank, seconds)`` per owned rank — fused ops add the
+    per-phase split as a third field.
     """
     _op, seq, _cid, arena, total_words, p = cmd
     name = p["name"]
@@ -476,12 +622,8 @@ def _do_rank_op(state, cmd, w, n_workers):  # pragma: no cover
 
     kernels.set_backend(p["backend"])
     view = _arena_view(state, arena, total_words, seq)
-    if name == "chain":
-        return _do_chain(state, res, view, p, w, n_workers)
-    if name == "arn":
-        return _do_arn(res, view, p, w, n_workers)
-    if name == "coarse":
-        return _do_coarse(res, view, p, w, n_workers)
+    if name in _FUSED_OPS:
+        return _FUSED_OPS[name](_Fused(state, res, view, p, w, n_workers))
     offsets = p["offsets"]
     sizes = p["sizes"]
     times = []
@@ -490,79 +632,51 @@ def _do_rank_op(state, cmd, w, n_workers):  # pragma: no cover
         e = res["ranks"][r]
         off = offsets[r]
         n = sizes[r]
-        if name == "mv":
-            x = np.array(view[off:off + n])
-            y = e["a"].matvec(x)
-            if p["cache"] is not None:
-                e["z"][p["cache"]] = x
-                e["wl"] = y
-            view[p["out"] + off:p["out"] + off + n] = y
-        elif name == "mvb":
-            k = p["k"]
-            x = np.array(view[off * k:(off + n) * k]).reshape(n, k)
-            y = e["a"].matmat(x)
-            view[p["out"] + off * k:p["out"] + (off + n) * k] = y.ravel()
-        elif name == "mv_rdd":
-            eoff = p["ext_offsets"][r]
-            en = p["ext_sizes"][r]
-            x = np.array(view[off:off + n])
-            y = e["a_loc"].matvec(x)
-            if e["a_ext"].shape[1]:
-                ext = np.array(view[p["ext"] + eoff:p["ext"] + eoff + en])
-                y = y + e["a_ext"].matvec(ext)
-            if p["cache"] is not None:
-                e["z"][p["cache"]] = x
-            view[p["out"] + off:p["out"] + off + n] = y
-        elif name == "mvb_rdd":
-            k = p["k"]
-            eoff = p["ext_offsets"][r]
-            en = p["ext_sizes"][r]
-            x = np.array(view[off * k:(off + n) * k]).reshape(n, k)
-            y = e["a_loc"].matmat(x)
-            if e["a_ext"].shape[1]:
-                ext = np.array(
-                    view[p["ext"] + eoff * k:p["ext"] + (eoff + en) * k]
-                ).reshape(en, k)
-                y = y + e["a_ext"].matmat(ext)
+        if name in ("mv", "mvb", "mv_rdd", "mvb_rdd"):
+            # Subdomain product (EDD, Eq. 37), or the Eq. 48 block
+            # products on an operand plus its halo values (RDD); the
+            # ``mvb`` ops carry ``(n, k)`` blocks, row-major in the arena.
+            k = p.get("k", 1)
+            tail = (k,) if name.startswith("mvb") else ()
+            x = np.array(view[off * k:(off + n) * k]).reshape((n,) + tail)
+            if name.endswith("rdd"):
+                y = e["a_loc"] @ x
+                if e["a_ext"].shape[1]:
+                    eoff = p["ext"] + p["ext_offsets"][r] * k
+                    en = p["ext_sizes"][r]
+                    ext = np.array(view[eoff:eoff + en * k])
+                    y = y + e["a_ext"] @ ext.reshape((en,) + tail)
+            else:
+                y = e["a"] @ x
             view[p["out"] + off * k:p["out"] + (off + n) * k] = y.ravel()
         elif name == "seed":
-            e["z"] = {}
-            e["wl"] = None
-            e["wh"] = None
-            e["bl"] = [np.array(view[off:off + n])]
-            if p["two"]:
-                e["bh"] = [np.array(view[p["hat"] + off:p["hat"] + off + n])]
-            else:
-                e["bh"] = []
-        elif name == "commit":
-            inv_h = p["inv_h"]
-            if p["two"]:
-                e["bl"].append(inv_h * e["wl"])
-                hat = np.array(view[off:off + n]) if p["override"] else e["wh"]
-                e["bh"].append(inv_h * hat)
-            else:
-                e["bl"].append(inv_h * e["wh"])
+            # Open a cycle: (re)use the rank's Krylov buffers — basis
+            # vectors per format, ``z`` slots — sized once for this
+            # system and restart length, and store ``v_0``.
+            m = p["restart"]
+            bases = [off + f_ * p["n_total"] for f_ in range(p["formats"])]
+            basis = e.get("basis")
+            if (
+                basis is None
+                or len(basis) != len(bases)
+                or basis[0].shape != (m + 1, n)
+            ):
+                e["basis"] = basis = [np.empty((m + 1, n)) for _ in bases]
+                e["zs"] = np.empty((m, n))
+            for b_f, base in zip(basis, bases):
+                b_f[0] = view[base:base + n]
+            e["filled"] = 1
+            e["w"] = None
         elif name == "axpy":
             x = np.array(view[off:off + n])
-            z = e["z"]
+            zs = e["zs"]
             for i, yi in enumerate(p["y"]):
-                x = x + yi * z[i]
+                x = x + yi * zs[i]
             view[p["out"] + off:p["out"] + off + n] = x
         elif name == "prec":
-            # Block-Jacobi ILU0 apply against the shipped factors; the
-            # arena copy mirrors the inline ``z = v.copy()`` and the
-            # backend solve is the same kernel the inline path runs.
-            aux = e["aux"][p["key"]]["arrays"]
-            zv = np.array(view[off:off + n])
-            kernels.get_backend().ilu0_solve(
-                aux["indptr"],
-                aux["indices"],
-                aux["data"],
-                aux["diag_pos"],
-                aux["split"],
-                zv,
+            view[p["out"] + off:p["out"] + off + n] = _ilu0_apply(
+                e, p["key"], view[off:off + n]
             )
-            view[p["out"] + off:p["out"] + off + n] = zv
         else:
             raise ValueError(f"unknown rank op {name!r}")
         times.append((r, time.perf_counter() - t0))

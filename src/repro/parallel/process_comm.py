@@ -10,10 +10,13 @@ cannot cross a process boundary; resident execution escapes that
 constraint for the solver hot loops: :meth:`resident_ship` streams each
 rank's CSR blocks to its owning worker once (keyed by a generation id,
 invalidated on pool respawn) and :meth:`run_rank_op` dispatches named
-operations — matvec, fused Arnoldi round, polynomial chain, axpy batches
-— as small command descriptors that workers execute against the resident
-state through a ``multiprocessing.shared_memory`` arena, so only vectors
-cross process boundaries while all charging stays with the orchestrator.
+operations — matvec, polynomial chain, a whole fused Arnoldi step — as
+small command descriptors that workers execute against the resident
+state, meeting each other through a ``multiprocessing.shared_memory``
+arena where an operation needs its peers' data (:meth:`interface_plan`
+is what their ``⊕Σ∂Ω`` runs on), so at most vectors — inside a resident
+Krylov cycle only reduction scalars — cross process boundaries while all
+charging stays with the orchestrator.
 
 Collectives never touch the pool: a communicator whose systems stay
 below the residency threshold never spawns a worker and is, literally,
@@ -32,6 +35,17 @@ surfaces as a structured :class:`WorkerCrashedError` /
 :class:`WorkerTimeoutError` within the per-call timeout instead of a hang,
 and marks the pool broken; the next dispatch transparently respawns it.
 
+BLAS threading
+--------------
+Workers are spawned with ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` /
+``MKL_NUM_THREADS`` at ``max(1, usable_cores // n_workers)`` (a lower
+value the user set wins; the orchestrator's own environment is restored
+after the spawn), so a pool never asks for more BLAS threads than there
+are cores — and nothing a solve computes depends on that count: the only
+BLAS call whose bits vary with it, a ddot above OpenBLAS's 10000-element
+threading threshold, is never issued
+(:func:`repro.core.distributed.col_dots` works in blocks of 8192).
+
 Sequence protocol
 -----------------
 Every arena starts with a ``uint64`` sequence word.  The orchestrator
@@ -42,7 +56,7 @@ detect out-of-phase workers.
 
 Tuning environment variables (read at construction):
 
-* ``REPRO_PROCESS_WORKERS`` — worker count cap (default: CPU count, at
+* ``REPRO_PROCESS_WORKERS`` — worker count cap (default: usable cores, at
   least 2 so the multi-worker paths are exercised on single-core runners).
 * ``REPRO_PROCESS_MIN_WORK`` — residency threshold: a system whose
   matvec costs at least this many scalar operations runs its rank ops
@@ -62,6 +76,7 @@ import pickle
 import threading
 import time
 import weakref
+from contextlib import contextmanager
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -119,12 +134,55 @@ class ProcessWorkerError(ProcessPoolError):
         )
 
 
+def usable_cores() -> int:
+    """Cores this process may run on: the scheduler affinity mask where
+    the platform has one (a cpuset-limited container sees its share, not
+    the host's core count), else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _default_workers() -> int:
-    """Worker cap from ``REPRO_PROCESS_WORKERS`` or the CPU count (min 2)."""
+    """Worker cap from ``REPRO_PROCESS_WORKERS`` or the usable cores (min 2)."""
     env = os.environ.get("REPRO_PROCESS_WORKERS")
     if env and env.strip():
         return max(1, read_int_env("REPRO_PROCESS_WORKERS", 1))
-    return max(2, os.cpu_count() or 1)
+    return max(2, usable_cores())
+
+
+#: What sizes a worker's BLAS thread pool when its library loads.
+_BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+)
+
+
+@contextmanager
+def _blas_capped_environ(n_workers: int):
+    """The environment pool workers are spawned with: every BLAS
+    thread-count variable at ``max(1, usable_cores // n_workers)``, so
+    ``n_workers`` workers never ask for more threads than there are
+    cores; a lower value the user already set is passed through.  The
+    orchestrator's own ``os.environ`` is restored on exit (the caller
+    holds ``_pool_lock``, so no other spawn sees the patched values)."""
+    cap = max(1, usable_cores() // n_workers)
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    try:
+        for name, value in saved.items():
+            try:
+                keep = value is not None and 1 <= int(value) <= cap
+            except ValueError:
+                keep = False
+            if not keep:
+                os.environ[name] = str(cap)
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 class _ProcessPool:
@@ -145,18 +203,19 @@ class _ProcessPool:
         ctx = multiprocessing.get_context("spawn")
         self._conns = []
         self._procs = []
-        for w in range(n_workers):
-            parent, child = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=worker_main,
-                args=(w, n_workers, child),
-                name=f"repro-comm-proc-{w}",
-                daemon=True,
-            )
-            proc.start()
-            child.close()
-            self._conns.append(parent)
-            self._procs.append(proc)
+        with _blas_capped_environ(n_workers):
+            for w in range(n_workers):
+                parent, child = ctx.Pipe(duplex=True)
+                proc = ctx.Process(
+                    target=worker_main,
+                    args=(w, n_workers, child),
+                    name=f"repro-comm-proc-{w}",
+                    daemon=True,
+                )
+                proc.start()
+                child.close()
+                self._conns.append(parent)
+                self._procs.append(proc)
 
     def run_cmd(self, cmd: tuple, timeout: float) -> list:
         """Broadcast ``cmd`` and gather all replies (caller holds ``lock``).
@@ -325,7 +384,7 @@ class ProcessComm(VirtualComm):
         Record per-message tuples in :attr:`message_log`.
     n_workers:
         Worker-process cap; defaults to ``REPRO_PROCESS_WORKERS`` or the
-        CPU count.  Ranks beyond the cap are strided over the workers.
+        usable cores.  Ranks beyond the cap are strided over the workers.
     min_dispatch_work:
         Residency threshold (:func:`repro.parallel.resident.engine_mode`):
         systems whose matvec costs at least this many scalar operations
@@ -375,6 +434,7 @@ class ProcessComm(VirtualComm):
         #: plan id -> shipped halo plan; pinning the plan dict keeps
         #: ``id(plan)`` from being recycled under us.
         self._plans: dict = {}
+        self._iface_plan = None
         #: resident-state generation ids the current pool has received;
         #: cleared on pool respawn so engines re-ship transparently.
         self._resident_sent: set = set()
@@ -434,23 +494,66 @@ class ProcessComm(VirtualComm):
             (op, self._seq, self._comm_id) + args, self.call_timeout
         )
 
+    def interface_plan(self) -> dict:
+        """What the workers' peer-to-peer ``⊕Σ∂Ω`` runs on (cached; the
+        subdomain map is immutable): ``words``, the length of one
+        exchange slot — every rank's interface DOFs packed end to end —
+        and per rank ``(idx, pub, levels)``: the local indices of its
+        interface DOFs, where it publishes their values in a slot, and
+        per level ``k`` a pair ``(sel, src)`` — ``src`` the slot
+        positions holding the ``k``-th lowest-ranked sharer's value for
+        the DOFs ``idx[sel]`` that have more than ``k`` sharers (``sel``
+        None: all of them).  Summing the levels in order from 0.0 is the
+        ascending-rank order :meth:`interface_assemble` adds in."""
+        if self._iface_plan is None:
+            shared = self.submap.shared
+            idx = [
+                np.unique(np.concatenate(list(sh.values())))
+                if sh else np.zeros(0, dtype=np.int64)
+                for sh in shared
+            ]
+            pub = np.concatenate([[0], np.cumsum([len(i) for i in idx])])
+            ranks = []
+            for s in range(self.size):
+                # pos[t, c]: where rank t published DOF idx[s][c], or -1.
+                pos = np.full((self.size, len(idx[s])), -1, dtype=np.int64)
+                pos[s] = pub[s] + np.arange(len(idx[s]))
+                for t, local in shared[s].items():
+                    theirs = np.searchsorted(idx[t], shared[t][s])
+                    pos[t, np.searchsorted(idx[s], local)] = pub[t] + theirs
+                # Sharers first, in ascending rank order, per column.
+                order = np.argsort(pos < 0, axis=0, kind="stable")
+                pos = np.take_along_axis(pos, order, axis=0)
+                sharers = (pos >= 0).sum(axis=0)
+                levels = []
+                for k in range(int(sharers.max()) if len(sharers) else 0):
+                    sel = np.flatnonzero(sharers > k)
+                    full = len(sel) == len(sharers)
+                    levels.append((None if full else sel, pos[k, sel]))
+                ranks.append((idx[s], int(pub[s]), levels))
+            self._iface_plan = {"words": int(pub[-1]), "ranks": ranks}
+        return self._iface_plan
+
     def _register(self, pool: _ProcessPool) -> None:
         if self._registered:
             return
-        blob = pickle.dumps([np.asarray(g) for g in self.submap.l2g])
+        blob = pickle.dumps(self.interface_plan()["ranks"])
         self._control(pool, "register", blob)
         self._registered = True
 
-    def _charge_times(self, payloads: list) -> None:
-        if not self.tracer.enabled:
-            return
-        pool = self._pool
-        n_workers = pool.n_workers if pool is not None else 1
+    def _charge_times(self, payloads: list) -> dict:
+        """Feed the workers' busy seconds to the tracer; returns the
+        per-phase totals a fused op reported (empty otherwise)."""
+        phases: dict = {}
+        n_workers = self._pool.n_workers
         for times in payloads:
-            for r, dt in times:
+            for r, dt, *split in times:
                 self.tracer.add_rank_time(int(r), float(dt))
                 # Rank striding maps rank -> owning worker process.
                 self.tracer.add_worker_time(int(r) % n_workers, float(dt))
+                for phase, seconds in (split[0] if split else {}).items():
+                    phases[phase] = phases.get(phase, 0.0) + seconds
+        return phases
 
     # ------------------------------------------------------------------
     # Resident rank execution (see repro.parallel.resident)
@@ -578,25 +681,37 @@ class ProcessComm(VirtualComm):
         arena before the command; ``reads`` are ``(offset_words, n_words)``
         output segments copied back out after every worker replied.
         Pure transport — flops charging is the calling engine's job, so
-        CommStats stay exactly equal to inline execution.
+        CommStats stay exactly equal to inline execution.  Traced, the
+        dispatch is one ``rank_op`` span naming the op, the phases a
+        fused op carried and the worker seconds each phase took.
         """
-        pool = self._ensure_pool()
-        with pool.lock:
-            self._register(pool)
-            view = self._ensure_arena(max(total_words, 1))
-            for off, arr in writes:
-                flat = np.asarray(arr).reshape(-1)
-                view[off:off + flat.size] = flat
-            seq = self._stamp()
-            payloads = pool.run_cmd(
-                (
-                    "rankop", seq, self._comm_id, self._arena_name,
-                    max(total_words, 1), payload,
-                ),
-                self.call_timeout,
-            )
-            outs = [np.array(view[off:off + n]) for off, n in reads]
-        self._charge_times(payloads)
+        trc = self.tracer
+        traced = trc.enabled
+        if traced:
+            trc.begin("rank_op", "comm", op=payload["name"])
+        phases: dict = {}
+        try:
+            pool = self._ensure_pool()
+            with pool.lock:
+                self._register(pool)
+                view = self._ensure_arena(max(total_words, 1))
+                for off, arr in writes:
+                    flat = np.asarray(arr).reshape(-1)
+                    view[off:off + flat.size] = flat
+                seq = self._stamp()
+                payloads = pool.run_cmd(
+                    (
+                        "rankop", seq, self._comm_id, self._arena_name,
+                        max(total_words, 1), payload,
+                    ),
+                    self.call_timeout,
+                )
+                outs = [np.array(view[off:off + n]) for off, n in reads]
+            if traced:
+                phases = self._charge_times(payloads)
+        finally:
+            if traced:
+                trc.end(**({"phases": phases} if phases else {}))
         return outs
 
     # ------------------------------------------------------------------

@@ -10,27 +10,46 @@ the fused CGS coefficient round — go through one of the engines below:
   the EDD and RDD ones differ only in their matvecs;
 * the *resident* engines ship each rank's CSR blocks to its owning
   worker process **once** (keyed by a generation id) and then dispatch
-  small command descriptors — **named rank ops** — so only vectors cross
-  the process boundary and the dominant flops run truly concurrently
-  across cores.  They share one base (shipping, dispatch, the ops that
-  keep the workers' mirrored Krylov basis in step — ``seed`` /
-  ``commit`` / ``axpy`` — and the ``arn`` / ``coarse`` fused ops);
-  the subclasses add what depends on the decomposition: what to ship,
-  the matvecs, the polynomial ``chain`` and, for RDD, ``prec``.
+  small command descriptors — **named rank ops** — so the dominant flops
+  run truly concurrently across cores.  They share one base (shipping,
+  dispatch, charge replay, the worker-resident Krylov cycle ``seed`` /
+  ``step`` / ``axpy`` and the single-op dispatches ``chain`` /
+  ``coarse``); the subclasses add what depends on the decomposition:
+  what to ship, the matvecs, what one operator application charges and,
+  for RDD, ``prec``.
 
 A caller that needs a resident-only op asks ``engine.resident`` first;
 inline, the same arithmetic is the caller's own code.
 
+One dispatch per Arnoldi step
+-----------------------------
+A single right-hand side under CGS — Algorithms 5, 6 and 8 as the paper
+lists them — runs its whole restart cycle in the workers
+(``_ResidentEDDSpace`` / ``_ResidentRDDSpace``): basis, ``z`` slots and
+work vectors never leave them, a step is ONE ``step`` dispatch in which
+the workers precondition, multiply, exchange peer to peer through the
+arena, orthogonalize and take the norm dot back to back, and only the
+partial rows of the step's reductions come back.  :func:`step_program`
+turns the preconditioner into the program that dispatch carries.  Blocks
+(``k > 1``), MGS and preconditioners without a worker-side form keep
+their Krylov vectors in the orchestrator and go resident per operation:
+``mv`` / ``mvb``, ``chain``, ``coarse``, ``prec``.
+
 Bit-identity contract
 ---------------------
 Worker-side arithmetic mirrors the inline bodies token for token (same
-numpy expressions, same association order), and **all flop charging stays
-orchestrator-side** using the exact inline formulas — so ``CommStats``
-of a resident solve are *exactly equal* to an inline solve, and the
-returned floats are bitwise identical.  Collectives (interface assembly,
-halo exchange, allreduce) are untouched: they always run through the
-communicator, which keeps chaos injection and message counting at the
-orchestrator.
+numpy expressions, same association order, the same
+:func:`~repro.core.distributed.col_dots`), the workers' ``⊕Σ∂Ω`` sums
+each shared DOF in the order :meth:`Comm.interface_assemble` does, and
+**all charging stays orchestrator-side** using the exact inline
+formulas: after a dispatch the orchestrator *replays* the inline
+charging — the real ``allreduce_sum`` on the partial rows it reads back,
+and :meth:`Comm.charge_interface_assemble` /
+:meth:`Comm.charge_halo_exchange` driven by the actual polynomial
+recurrence over charge-only ghost vectors.  So the returned floats are
+bitwise identical and ``CommStats``, tracer exchange/reduction spans and
+message logs *exactly equal* to an inline solve.  The chaos communicator
+is never resident, which keeps fault injection at the orchestrator.
 
 State lifecycle
 ---------------
@@ -38,29 +57,18 @@ A resident engine draws a fresh generation id per system.  Before every
 dispatch it checks :meth:`ProcessComm.resident_ready` — which acquires
 the pool first, so a respawn (crash recovery, forced shutdown) honestly
 invalidates the generation and the engine re-ships transparently.  A
-worker that receives a rank op for an unknown generation raises, which
-surfaces as the pool's named error taxonomy rather than silent garbage.
-
-Preconditioner note: preconditioner state ships to the workers alongside
-the CSR blocks.  Block-Jacobi ILU0 factors and coarse restriction bases
-travel as per-rank ``aux`` state (the small factorized Galerkin matrix as
-redundant ``aux_shared`` state), so BJ-ILU0 applies run as a single
-``prec`` dispatch and the two-level coarse correction as a single
-``coarse`` dispatch.  Polynomial applies fuse the whole degree-``k``
-matvec/recurrence chain into one ``chain`` dispatch (one arena spin
-barrier per degree instead of one pipe round-trip per matvec), and the
-Arnoldi dots+ortho pair fuses into one ``arn`` dispatch.  The modeled
-communication stays exact: after a fused dispatch the orchestrator
-*replays* the inline charging — the real ``allreduce_sum`` on the partial
-rows it reads back, and :meth:`Comm.charge_interface_assemble` /
-:meth:`Comm.charge_halo_exchange` driven by the actual polynomial
-recurrence over charge-only ghost vectors — so CommStats, tracer exchange
-spans and chaos call indices are exactly the inline ones.
+worker that receives a rank op for an unknown generation, or a ``step``
+for a cycle it holds no basis of, raises, which surfaces as the pool's
+named error taxonomy rather than silent garbage.  Preconditioner state
+ships alongside the CSR blocks: Block-Jacobi ILU0 factors and coarse
+restriction bases as per-rank ``aux`` state, the small factorized
+Galerkin matrix as redundant ``aux_shared`` state.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +76,9 @@ from repro.core.distributed import DistVector, _n_cols, col_dots
 
 __all__ = [
     "engine_mode",
+    "step_program",
+    "StepRows",
+    "ResidentCycle",
     "RankEngine",
     "InlineEDDEngine",
     "InlineRDDEngine",
@@ -158,41 +169,6 @@ class _ChargeVec:
     __rmul__ = __mul__
 
 
-def _replay_chain_charges(engine, precond, mode: str) -> None:
-    """Replay the inline charging of one polynomial application.
-
-    Drives ``precond.apply_linear`` over charge-only ghosts with a ghost
-    matvec that charges the inline engine's exact flop formulas and
-    records the collective through ``charge_interface_assemble`` /
-    ``charge_halo_exchange`` — identical CommStats, tracer exchange spans
-    and message logs to the inline path, with zero data movement.
-    """
-    system = engine.system
-    comm = system.comm
-    sizes = engine.sizes
-    if mode == "edd":
-        vec = _ChargeVec(comm, sizes, 1)
-
-        def matvec(_v):
-            for r, a in enumerate(system.a_local):
-                comm.add_flops(r, 2 * a.nnz)
-            comm.charge_interface_assemble()
-            return vec
-
-    else:
-        vec = _ChargeVec(comm, sizes, 2)
-
-        def matvec(_v):
-            comm.charge_halo_exchange(system.plan)
-            for r in range(len(sizes)):
-                comm.add_flops(r, 2 * system.a_loc[r].nnz)
-                if system.a_ext[r].shape[1]:
-                    comm.add_flops(r, 2 * system.a_ext[r].nnz + sizes[r])
-            return vec
-
-    precond.apply_linear(matvec, vec)
-
-
 # ----------------------------------------------------------------------
 # Inline engines
 # ----------------------------------------------------------------------
@@ -254,9 +230,9 @@ class RankEngine:
 class InlineEDDEngine(RankEngine):
     """Original per-rank subdomain matvecs (Eq. 37), any backend."""
 
-    def matvec_local(self, v, cache=None):
+    def matvec_local(self, v):
         """Per-rank subdomain product (Eq. 37) — a matvec, or one SpMM
-        over all ``k`` columns of a block; ``cache`` is ignored inline."""
+        over all ``k`` columns of a block."""
         system = self.system
         comm = system.comm
         a_local = system.a_local
@@ -276,9 +252,9 @@ class InlineEDDEngine(RankEngine):
 class InlineRDDEngine(RankEngine):
     """Original per-rank row-block products (Eq. 48), any backend."""
 
-    def matvec(self, x_parts, ext_vals, cache=None):
+    def matvec(self, x_parts, ext_vals):
         """Per-rank Eq. 48 block products — matvecs, or SpMMs over all
-        ``k`` columns of a block; ``cache`` is ignored inline."""
+        ``k`` columns of a block."""
         system = self.system
         comm = system.comm
         a_loc = system.a_loc
@@ -302,36 +278,131 @@ class InlineRDDEngine(RankEngine):
 # ----------------------------------------------------------------------
 # Resident engines
 # ----------------------------------------------------------------------
+class StepRows(NamedTuple):
+    """What one fused ``step`` dispatch hands back: the partial rows of
+    its reductions, one entry per rank."""
+
+    #: ``n_coarse`` words each (empty without a two-level preconditioner).
+    coarse: list
+    #: The ``j + 1`` CGS coefficients ``<v_i, w>``.
+    arn: list
+    #: ``<w, w>`` after the orthogonalization, one word per rank.
+    norm: np.ndarray
+
+
+def step_program(precond):
+    """The preconditioner as a program the workers' ``step`` op runs —
+    nested tuples ``("copy",)``, ``("chain", kind, params)``,
+    ``("prec", key)``, ``("2l", mode, key, n_coarse, inner)`` — plus
+    the preconditioners whose resident state it reads (shipped with
+    :meth:`ResidentEngine.ensure_aux`) and the coarse dimension.  None
+    when some part has no worker-side form (a polynomial family without
+    ``chain_terms``, a user-supplied object): such a solve keeps its
+    Krylov vectors in the orchestrator."""
+    from repro.precond.base import PolynomialPreconditioner
+    from repro.precond.coarse import TwoLevelPreconditioner
+
+    aux: list = []
+    n_coarse = 0
+
+    def build(pc):
+        nonlocal n_coarse
+        if pc is None:
+            return ("copy",)
+        if isinstance(pc, TwoLevelPreconditioner):
+            inner = build(pc._inner)
+            if inner is None or pc._trivial:
+                return inner
+            aux.append(pc)
+            n_coarse = pc.n_coarse
+            return ("2l", pc._spec.mode, pc._resident_key, n_coarse, inner)
+        if hasattr(pc, "apply_parts"):
+            aux.append(pc)
+            return ("prec", pc._resident_key)
+        if isinstance(pc, PolynomialPreconditioner):
+            terms = pc.chain_terms()
+            return None if terms is None else ("chain",) + terms
+        return None
+
+    program = build(precond)
+    return None if program is None else (program, aux, n_coarse)
+
+
+class ResidentCycle:
+    """The per-step half of a Krylov space whose restart cycle lives in
+    the workers (mixed into ``_ResidentEDDSpace`` / ``_ResidentRDDSpace``,
+    which supply ``engine``, ``precond``, ``restart``, ``plan`` and, for
+    Algorithm 5, ``basic``).  One Arnoldi step is ONE ``step`` dispatch,
+    issued by :meth:`precondition` — so its wall time lands in the
+    driver's ``precond_apply`` span — and the three driver calls of a
+    step replay, each inside its own span, what their inline
+    counterparts charge and reduce."""
+
+    basic = False
+
+    def _seed(self, *v0) -> None:
+        self.engine.seed_basis(self.restart, *v0)
+        self.inv_h = None
+
+    def precondition(self, j):
+        """Dispatch step ``j`` — all of it — and replay what
+        ``z_j = C v_j`` charges inline."""
+        self.rows = self.engine.step(j, self.inv_h, self.plan, self.basic)
+        self.engine.replay_precondition(self.precond, self.rows.coarse)
+
+    def matvec(self, j):
+        """Replay what ``w = A z_j`` and its exchange charge inline."""
+        self.engine.replay_matvec(self.basic)
+
+    def orthogonalize(self, j):
+        """The step's two reductions on the workers' partial rows;
+        returns the ``(j + 2, 1)`` Hessenberg column."""
+        return self.engine.replay_orthogonalize(j, self.rows, self.basic)
+
+    def commit(self, j, keep, h_next):
+        """``v_{j+1} = w / h_next``: the workers do it at the head of
+        the next step's dispatch, which carries the scalar."""
+        self.inv_h = 1.0 / h_next[0]
+        self.engine.charge_commit()
+
+
 class ResidentEngine(RankEngine):
     """What the EDD and RDD resident engines share: state shipping,
-    command dispatch and the Krylov-basis ops against the workers'
-    mirrored basis.
+    command dispatch, the single-op dispatches (matvecs, ``chain``,
+    ``coarse``) any solve may use, and the worker-resident Krylov cycle
+    of single-RHS CGS FGMRES — ``seed`` / ``step`` / ``axpy``.
 
-    The orchestrator keeps bitwise-identical copies of everything it
-    needs for collectives and recurrences; workers cache the Arnoldi
-    slots (``z[j]`` and, for EDD, the matvec output from each ``cache=j``
-    matvec, the dot input, the post-ortho vectors) so the basis ops and
-    the final AXPY transfer only what genuinely changes.  Basis ops take
-    and return raw per-rank parts; ``formats`` is how many a vector has
-    (EDD carries each basis vector local- *and* global-distributed, RDD
-    vectors have one format).
+    In a resident cycle the basis, the ``z`` slots and the work vectors
+    live in the workers (allocated at the first ``seed`` of a system,
+    reused afterwards) and one Arnoldi step is ONE ``step`` dispatch.
+    The orchestrator keeps the iterate and the residual, nothing else;
+    per step only the partial rows of the step's reductions come back,
+    and it replays on them — in the driver's ``precond_apply`` /
+    ``matvec`` / ``orthogonalize`` order — the real ``allreduce_sum``
+    and the charge-only collectives, so ``CommStats``, exchange and
+    reduction spans and the per-iteration metric deltas are the inline
+    ones.  ``formats`` is how many parts lists a vector has (EDD carries
+    each basis vector local- *and* global-distributed, RDD vectors have
+    one format); ``axpy_flops`` what ``y + x`` charges per element.
 
-    The worker slots hold vectors, so this is where a part's shape picks
-    the wire op: ``(n, k)`` blocks go resident for the matvec only
-    (``mvb`` / ``mvb_rdd``); handed a block, the fused ops fall back to
-    the orchestrator-side round (``arnoldi_step``) or return None so the
-    caller stays on its generic path (``poly_chain``, ``coarse_correct``).
-    The mirror ops (``seed`` / ``commit`` / ``axpy``) are only ever
-    called by a space whose parts are vectors.
+    The worker slots hold vectors: ``(n, k)`` blocks go resident for the
+    matvec only (``mvb`` / ``mvb_rdd``); handed a block, ``poly_chain``
+    and ``coarse_correct`` return None so the caller stays on its
+    generic path.
     """
 
     resident = True
     formats = 1
+    axpy_flops = 2
+    mode = "rdd"
 
-    def __init__(self, system, sizes):
+    def __init__(self, system, sizes, slot_words):
         super().__init__(system)
         self.gen = next(_generations)
         self.sizes, self.offsets, self.n_total = _layout(sizes)
+        #: Words of one exchange slot of a fused op: what the ranks
+        #: publish for their peers in one exchange.
+        self.slot_words = slot_words
         self._aux_sent: set = set()
 
     # -- shipping ------------------------------------------------------
@@ -343,44 +414,55 @@ class ResidentEngine(RankEngine):
             self._ship()
             self._aux_sent.clear()
 
-    def ensure_aux(self, key: str, make_states) -> None:
+    def ensure_aux(self, precond) -> None:
         """Ship a preconditioner's resident state (ILU factors, coarse
         bases and the factorized Galerkin matrix) once per pool
         generation; a pool respawn invalidates the generation, so the
         next dispatch re-ships the base system *and* every aux state."""
         self.ensure_shipped()
+        key = precond._resident_key
         if key in self._aux_sent:
             return
         comm = self.system.comm
         trc = comm.tracer
         if trc.enabled:
             trc.begin("resident_ship", "phase", aux=key)
-            try:
-                comm.resident_ship_aux(self.gen, make_states())
-            finally:
+        try:
+            comm.resident_ship_aux(self.gen, precond._resident_states())
+        finally:
+            if trc.enabled:
                 trc.end()
-        else:
-            comm.resident_ship_aux(self.gen, make_states())
         self._aux_sent.add(key)
 
     def _dispatch(self, payload, writes, reads, total_words):
         from repro.sparse.kernels import active_backend_name
 
         self.ensure_shipped()
+        payload = dict(
+            payload,
+            gen=self.gen,
+            backend=active_backend_name(),
+            mode=self.mode,
+            offsets=self.offsets,
+            sizes=self.sizes,
+        )
+        return self.system.comm.run_rank_op(payload, writes, reads, total_words)
+
+    def _fused(self, payload, words, writes, reads):
+        """Dispatch a fused op: ``words`` are the arena words its own
+        regions take; the barrier flags (zeroed here) follow them."""
         comm = self.system.comm
-        payload = dict(payload)
-        payload["gen"] = self.gen
-        payload["backend"] = active_backend_name()
-        payload["offsets"] = self.offsets
-        payload["sizes"] = self.sizes
-        trc = comm.tracer
-        if trc.enabled:
-            trc.begin("rank_op", "comm", op=payload["name"])
-            try:
-                return comm.run_rank_op(payload, writes, reads, total_words)
-            finally:
-                trc.end()
-        return comm.run_rank_op(payload, writes, reads, total_words)
+        nflags = comm.pool_width()
+        payload = dict(
+            payload, flags=words, nflags=nflags, btimeout=_btimeout(comm),
+            slot_words=self.slot_words, **self._peer_args(),
+        )
+        writes = writes + [(words, np.zeros(nflags))]
+        return self._dispatch(payload, writes, reads, words + nflags)
+
+    def _peer_args(self) -> dict:
+        """What a fused op needs, beyond the slots, to read its peers."""
+        return {}
 
     def _vec_writes(self, parts, base=0, k=1):
         return [
@@ -393,89 +475,164 @@ class ResidentEngine(RankEngine):
             for off, n in zip(self.offsets, self.sizes)
         ]
 
-    # -- Krylov-basis ops ----------------------------------------------
-    def seed_basis(self, *v0) -> None:
-        """Reset the workers' basis mirror to the cycle's first vector
-        (one parts list per format)."""
+    def _row_reads(self, base, m):
+        """Reads of ``(P, m)`` partial rows laid end to end at ``base``."""
+        return [(base + r * m, m) for r in range(len(self.sizes))]
+
+    # -- charge replay -------------------------------------------------
+    def _charge_all(self, per_elem: int) -> None:
+        comm = self.system.comm
+        for r, n in enumerate(self.sizes):
+            comm.add_flops(r, per_elem * n)
+
+    def _replay_chain(self, precond) -> None:
+        """Replay the inline charging of one polynomial application:
+        drive ``precond.apply_linear`` over charge-only ghosts with a
+        ghost operator — identical CommStats, tracer exchange spans and
+        message logs to the inline path, with zero data movement."""
+        vec = _ChargeVec(self.system.comm, self.sizes, self.axpy_flops)
+
+        def matvec(_v):
+            self.charge_operator()
+            return vec
+
+        precond.apply_linear(matvec, vec)
+
+    def _replay_coarse(self, tl, rows) -> None:
+        """Replay the inline charging of one coarse correction around
+        the real coarse allreduce on the workers' partial ``rows`` — the
+        correction still costs exactly ONE reduction of ``n_coarse``
+        words, and chaos plans aimed at it keep firing."""
+        comm = self.system.comm
+        p = len(self.sizes)
+        nc = tl.n_coarse
+        trc = comm.tracer
+        if trc.enabled:
+            trc.begin("coarse_solve", "solver", n_coarse=nc, k=1)
+        for r in range(p):
+            comm.add_flops(r, 2 * tl._wl_parts[r].size)
+        comm.allreduce_sum(rows, words=nc)
+        comm.add_flops_all([2 * nc * nc] * p)
+        for r in range(p):
+            comm.add_flops(r, 2 * tl._wg_parts[r].size)
+        if trc.enabled:
+            trc.end()
+
+    def replay_precondition(self, precond, rows) -> None:
+        """What a step's ``z_j = C v_j`` charges inline, in the order the
+        ``_precondition`` dispatchers and ``TwoLevelPreconditioner.
+        apply_edd`` / ``apply_rdd`` charge it; ``rows`` are the coarse
+        partial rows of the step (:attr:`StepRows.coarse`)."""
+        from repro.precond.coarse import TwoLevelPreconditioner
+
+        if precond is None:
+            return
+        if not isinstance(precond, TwoLevelPreconditioner):
+            if hasattr(precond, "apply_parts"):
+                self.charge_ilu0()
+            else:
+                self._replay_chain(precond)
+        elif precond._trivial:
+            self.replay_precondition(precond._inner, rows)
+        elif precond._spec.mode == "additive":
+            self.replay_precondition(precond._inner, rows)
+            self._replay_coarse(precond, rows)
+            self._charge_all(self.axpy_flops)
+        else:
+            self._replay_coarse(precond, rows)
+            self.charge_operator()
+            self._charge_all(self.axpy_flops)
+            self.replay_precondition(precond._inner, rows)
+            self._charge_all(self.axpy_flops)
+
+    # -- the resident Krylov cycle -------------------------------------
+    def seed_basis(self, restart, *v0) -> None:
+        """Open a cycle of at most ``restart`` steps in the workers:
+        their basis becomes the cycle's first vector (one parts list per
+        format)."""
         n = self.n_total
         writes = []
         for f, parts in enumerate(v0):
             writes += self._vec_writes(parts, base=f * n)
         self._dispatch(
-            {"name": "seed", "two": self.formats == 2, "hat": n},
+            {
+                "name": "seed", "restart": int(restart),
+                "formats": self.formats, "n_total": n,
+            },
             writes,
             [],
             self.formats * n,
         )
 
-    def arnoldi_step(self, j, h, basis, w):
-        """Fused dots + reduction + ortho in ONE dispatch (the inline
-        pair costs two).  Workers compute the partial dots of the last
-        format of ``w`` (the other is already cached worker-side), spin
-        once on the arena barrier, redundantly tree-reduce the
-        ``(P, j+1)`` partial rows (same pairing as ``Comm._tree_reduce``,
-        so the same bits) and orthogonalize immediately.  The
-        orchestrator re-runs the *real* ``allreduce_sum`` on the partial
-        rows it reads back — identical result, and the reduction's
-        charging, tracer span and chaos call index stay exactly where
-        the inline path puts them.  ``basis`` is unused: the workers
-        hold its mirror."""
-        if w[-1][0].ndim == 2:
-            return super().arnoldi_step(j, h, basis, w)
-        comm = self.system.comm
-        n = self.n_total
+    def step(self, j, inv_h, plan, basic=False) -> StepRows:
+        """Arnoldi step ``j`` as ONE dispatch: the workers append
+        ``inv_h`` times the previous step's vector to the basis (None at
+        ``j == 0``), apply the preconditioner program, multiply,
+        exchange, orthogonalize and take the norm dot, meeting in the
+        arena where they need each other.  ``plan`` is this solve's
+        :func:`step_program` result."""
+        program, aux, nc = plan
+        for precond in aux:
+            self.ensure_aux(precond)
         p = len(self.sizes)
-        nf = self.formats
-        pbase = nf * n
-        nflags = comm.pool_width()
-        flags = pbase + p * (j + 1)
+        arn = 2 * self.slot_words
+        norm = arn + p * (j + 1)
+        coarse = norm + p
         payload = {
-            "name": "arn",
-            "j": j,
-            "two": nf == 2,
-            "hat": n,
-            "partial": pbase,
-            "flags": flags,
-            "nflags": nflags,
-            "btimeout": _btimeout(comm),
+            "name": "step",
+            "j": int(j),
+            "commit": None if inv_h is None else float(inv_h),
+            "basic": bool(basic),
+            "prec": program,
+            "slots": 0,
+            "arn_rows": arn,
+            "norm_rows": norm,
+            "coarse_rows": coarse,
         }
-        writes = self._vec_writes(w[-1]) + [(flags, np.zeros(nflags))]
-        reads = []
-        for f in range(nf):
-            reads += self._vec_reads(f * n)
-        reads += [(pbase + r * (j + 1), j + 1) for r in range(p)]
-        outs = self._dispatch(payload, writes, reads, flags + nflags)
-        for r in range(p):
-            comm.add_flops(r, 2 * (j + 1) * self.sizes[r])
-        h[: j + 1] = comm.allreduce_sum(outs[nf * p:], words=j + 1)
-        for r in range(p):
-            comm.add_flops(r, 2 * nf * (j + 1) * self.sizes[r])
-        return tuple(outs[f * p:(f + 1) * p] for f in range(nf))
-
-    def commit_basis(self, inv_h, hat_parts=None) -> None:
-        """Append ``inv_h`` times the post-ortho vector to the worker
-        basis mirror from the cached slots; ``hat_parts`` overrides the
-        hat (EDD basic variant's re-assembled vector).  Charges nothing:
-        the orchestrator's own basis append does the charging."""
-        override = hat_parts is not None
-        self._dispatch(
-            {
-                "name": "commit",
-                "inv_h": float(inv_h),
-                "two": self.formats == 2,
-                "override": override,
-            },
-            self._vec_writes(hat_parts) if override else [],
-            [],
-            self.n_total if override else 1,
+        reads = (
+            self._row_reads(coarse, nc) + self._row_reads(arn, j + 1)
+            + [(norm, p)]
         )
+        outs = self._fused(payload, coarse + p * nc, [], reads)
+        return StepRows(outs[:p], outs[p:2 * p], outs[2 * p])
+
+    def replay_matvec(self, basic=False) -> None:
+        """What the step's ``w = A z_j`` and its exchange charge inline
+        (Algorithm 5 re-assembles ``z_j`` first: exchange 1 of 3)."""
+        if basic:
+            self.system.comm.charge_interface_assemble()
+        self.charge_operator()
+
+    def replay_orthogonalize(self, j, rows: StepRows, basic=False):
+        """The step's two reductions, for real, on the workers' partial
+        rows — identical tree pairing, so identical bits to the ``h``
+        the workers orthogonalized with — between the flop (and, for
+        Algorithm 5, exchange 3 of 3) charges of the inline round;
+        returns the ``(j + 2, 1)`` Hessenberg column."""
+        comm = self.system.comm
+        h = np.empty(j + 2)
+        self._charge_all(2 * (j + 1))
+        h[: j + 1] = comm.allreduce_sum(rows.arn, words=j + 1)
+        self._charge_all(2 * self.formats * (j + 1))
+        if basic:
+            comm.charge_interface_assemble()
+        self._charge_all(2)
+        h[j + 1] = np.sqrt(
+            np.maximum(comm.allreduce_sum(list(rows.norm), words=1), 0.0)
+        )
+        return h.reshape(j + 2, 1)
+
+    def charge_commit(self) -> None:
+        """What normalising ``w`` into ``v_{j+1}`` charges inline: one
+        flop per element and format (the workers do it at the head of
+        the next ``step``)."""
+        self._charge_all(self.formats)
 
     def axpy_update(self, x, y):
-        """Solution update against the worker-cached ``z`` slots; only
-        ``x`` and the ``y`` coefficients cross the boundary."""
+        """Solution update against the workers' ``z`` slots; only ``x``
+        and the ``y`` coefficients cross the boundary."""
         if len(y) == 0:
             return x
-        comm = self.system.comm
         n = self.n_total
         payload = {
             "name": "axpy",
@@ -485,57 +642,49 @@ class ResidentEngine(RankEngine):
         out = self._dispatch(
             payload, self._vec_writes(x), self._vec_reads(n), 2 * n
         )
-        for r, sz in enumerate(self.sizes):
-            comm.add_flops(r, 2 * len(y) * sz)
+        self._charge_all(2 * len(y))
+        return out
+
+    # -- single-op dispatches ------------------------------------------
+    def _poly_chain(self, precond, terms, v_parts):
+        """One fused dispatch for a whole degree-``k`` polynomial apply
+        on vector parts: the workers run the recurrence against their
+        resident blocks, exchanging peer to peer with one spin barrier
+        per degree — O(1) pipe round-trips instead of O(k); the inline
+        charging is replayed afterwards over the real recurrence."""
+        n = self.n_total
+        kind, params = terms
+        payload = {
+            "name": "chain", "kind": kind, "params": params,
+            "out": n, "slots": 2 * n,
+        }
+        out = self._fused(
+            payload, 2 * n + 2 * self.slot_words,
+            self._vec_writes(v_parts), self._vec_reads(n),
+        )
+        self._replay_chain(precond)
         return out
 
     def coarse_correct(self, tl, v_parts):
         """One fused dispatch for the two-level coarse correction:
         rank-local restriction, redundant tree reduction, redundant
         dense solve of the shipped factorized Galerkin matrix and
-        rank-local prolongation.  The orchestrator replays the real
-        coarse allreduce on the partial rows it reads back, so the
-        correction still costs exactly ONE reduction of ``n_coarse``
-        words — and chaos plans aimed at it keep firing.  None for
-        blocks."""
+        rank-local prolongation.  None for blocks."""
         if v_parts[0].ndim == 2:
             return None
-        comm = self.system.comm
-        self.ensure_aux(tl._resident_key, tl._resident_states)
+        self.ensure_aux(tl)
         n = self.n_total
         p = len(self.sizes)
         nc = tl.n_coarse
-        pbase = n
-        obase = n + p * nc
-        nflags = comm.pool_width()
-        flags = obase + n
-        trc = comm.tracer
-        traced = trc.enabled
-        if traced:
-            trc.begin("coarse_solve", "solver", n_coarse=nc, k=1)
         payload = {
-            "name": "coarse",
-            "nc": nc,
-            "key": tl._resident_key,
-            "partial": pbase,
-            "out": obase,
-            "flags": flags,
-            "nflags": nflags,
-            "btimeout": _btimeout(comm),
+            "name": "coarse", "nc": nc, "key": tl._resident_key,
+            "coarse_rows": n, "out": n + p * nc,
         }
-        writes = self._vec_writes(v_parts) + [(flags, np.zeros(nflags))]
-        reads = [(pbase + r * nc, nc) for r in range(p)] + self._vec_reads(
-            obase
+        outs = self._fused(
+            payload, 2 * n + p * nc, self._vec_writes(v_parts),
+            self._row_reads(n, nc) + self._vec_reads(n + p * nc),
         )
-        outs = self._dispatch(payload, writes, reads, flags + nflags)
-        for r in range(p):
-            comm.add_flops(r, 2 * tl._wl_parts[r].size)
-        comm.allreduce_sum(outs[:p], words=nc)
-        comm.add_flops_all([2 * nc * nc] * p)
-        for r in range(p):
-            comm.add_flops(r, 2 * tl._wg_parts[r].size)
-        if traced:
-            trc.end()
+        self._replay_coarse(tl, outs[:p])
         return outs[p:]
 
 
@@ -543,9 +692,15 @@ class ResidentEDDEngine(ResidentEngine):
     """Named rank ops against worker-resident :math:`\\hat A^{(s)}` blocks."""
 
     formats = 2
+    axpy_flops = 1
+    mode = "edd"
 
     def __init__(self, system):
-        super().__init__(system, [len(p) for p in system.d_parts])
+        # One exchange publishes every rank's interface DOFs, packed.
+        super().__init__(
+            system, [len(p) for p in system.d_parts],
+            system.comm.interface_plan()["words"],
+        )
 
     def _ship(self) -> None:
         system = self.system
@@ -556,29 +711,31 @@ class ResidentEDDEngine(ResidentEngine):
                     "indptr": a.indptr,
                     "indices": a.indices,
                     "data": a.data,
+                    "owner_mask": mask,
                 },
                 "meta": {"shape": tuple(a.shape)},
             }
-            for a in system.a_local
+            for a, mask in zip(system.a_local, system.owner_mask)
         ]
         system.comm.resident_ship(self.gen, rank_states)
 
-    def matvec_local(self, v, cache=None):
-        """Worker-resident subdomain product: ``mv`` for vectors —
-        ``cache=j`` retains the input slot ``z[j]`` and the output for
-        later basis ops — or ``mvb``, one SpMM over all ``k`` columns of
-        a block (nothing cached)."""
+    def charge_operator(self) -> None:
+        """What one ``matvec_assembled`` charges inline."""
+        comm = self.system.comm
+        for r, a in enumerate(self.system.a_local):
+            comm.add_flops(r, 2 * a.nnz)
+        comm.charge_interface_assemble()
+
+    def matvec_local(self, v):
+        """Worker-resident subdomain product: ``mv`` for vectors, or
+        ``mvb``, one SpMM over all ``k`` columns of a block."""
         system = self.system
         comm = system.comm
         x_parts = v.parts
         k = v.k
         out = self.n_total * k
         if x_parts[0].ndim == 1:
-            payload = {
-                "name": "mv",
-                "cache": None if cache is None else int(cache),
-                "out": out,
-            }
+            payload = {"name": "mv", "out": out}
         else:
             payload = {"name": "mvb", "k": k, "out": out}
         outs = self._dispatch(
@@ -593,47 +750,21 @@ class ResidentEDDEngine(ResidentEngine):
         return DistVector(parts, "local", comm)
 
     def poly_chain(self, precond, terms, v_hat):
-        """One fused dispatch for a whole degree-``k`` polynomial apply.
-
-        Workers run the recurrence against their resident blocks,
-        replaying the ``⊕Σ∂Ω`` interface assembly redundantly from the
-        shared arena with one spin barrier per degree — O(1) pipe
-        round-trips instead of O(k).  The inline charging (matvec flops,
-        assembly messages/words, vector-op flops) is replayed afterwards
-        by :func:`_replay_chain_charges` over the real recurrence.
-        Returns None (caller stays inline) for blocks."""
+        """:meth:`ResidentEngine._poly_chain` on a global-distributed
+        vector; None (caller stays inline) for blocks."""
         if v_hat.parts[0].ndim == 2:
             return None
-        comm = self.system.comm
-        n = self.n_total
-        nflags = comm.pool_width()
-        kind, params = terms
-        payload = {
-            "name": "chain",
-            "mode": "edd",
-            "kind": kind,
-            "params": params,
-            "n_global": int(comm.submap.n_global),
-            "out": n,
-            "slots": 2 * n,
-            "n_total": n,
-            "flags": 4 * n,
-            "nflags": nflags,
-            "btimeout": _btimeout(comm),
-        }
-        writes = self._vec_writes(v_hat.parts) + [(4 * n, np.zeros(nflags))]
-        parts = self._dispatch(
-            payload, writes, self._vec_reads(n), 4 * n + nflags
-        )
-        _replay_chain_charges(self, precond, "edd")
-        return DistVector(parts, "global", comm)
+        parts = self._poly_chain(precond, terms, v_hat.parts)
+        return DistVector(parts, "global", self.system.comm)
 
 
 class ResidentRDDEngine(ResidentEngine):
     """Named rank ops against worker-resident row blocks (Eq. 48)."""
 
     def __init__(self, system):
-        super().__init__(system, [len(o) for o in system.own])
+        # One exchange publishes every rank's whole operand.
+        sizes = [len(o) for o in system.own]
+        super().__init__(system, sizes, sum(sizes))
         self._ext_sizes: list | None = None
 
     def _halo_ext_sizes(self) -> list:
@@ -673,10 +804,28 @@ class ResidentRDDEngine(ResidentEngine):
             )
         system.comm.resident_ship(self.gen, rank_states)
 
-    def matvec(self, x_parts, ext_vals, cache=None):
-        """Worker-resident Eq. 48 products: ``mv_rdd`` for vectors —
-        ``cache=j`` retains the input slot ``z[j]`` for the final AXPY —
-        or ``mvb_rdd``, SpMMs over all ``k`` columns of a block."""
+    def _peer_args(self) -> dict:
+        """Workers fill their halos from the peers' published operands
+        through the exchange plan, shipped once per pool."""
+        self.ensure_shipped()
+        token = self.system.comm.resident_ship_plan(
+            self.system.plan, self.sizes, self._halo_ext_sizes()
+        )
+        return {"plan": token}
+
+    def charge_operator(self) -> None:
+        """What one ``RDDSystem.matvec`` charges inline."""
+        system = self.system
+        comm = system.comm
+        comm.charge_halo_exchange(system.plan)
+        for r, n in enumerate(self.sizes):
+            comm.add_flops(r, 2 * system.a_loc[r].nnz)
+            if system.a_ext[r].shape[1]:
+                comm.add_flops(r, 2 * system.a_ext[r].nnz + n)
+
+    def matvec(self, x_parts, ext_vals):
+        """Worker-resident Eq. 48 products: ``mv_rdd`` for vectors, or
+        ``mvb_rdd``, SpMMs over all ``k`` columns of a block."""
         system = self.system
         comm = system.comm
         k = _n_cols(x_parts[0])
@@ -692,9 +841,7 @@ class ResidentRDDEngine(ResidentEngine):
             "out": (n + e_total) * k,
         }
         if x_parts[0].ndim == 1:
-            payload.update(
-                name="mv_rdd", cache=None if cache is None else int(cache)
-            )
+            payload.update(name="mv_rdd")
         else:
             payload.update(name="mvb_rdd", k=k)
         outs = self._dispatch(
@@ -713,51 +860,18 @@ class ResidentRDDEngine(ResidentEngine):
         return out
 
     def poly_chain(self, precond, terms, v_parts):
-        """One fused dispatch for a whole degree-``k`` polynomial apply.
-
-        Workers run the recurrence against their resident block pairs,
-        filling their halo buffers straight from the shared arena using
-        the shipped exchange plan — O(1) pipe round-trips instead of
-        O(k).  Returns None (caller stays inline) for blocks; the inline
-        charging is replayed afterwards by :func:`_replay_chain_charges`
-        over the real recurrence."""
+        """:meth:`ResidentEngine._poly_chain` on row-partitioned parts;
+        None (caller stays inline) for blocks."""
         if v_parts[0].ndim == 2:
             return None
-        comm = self.system.comm
-        self.ensure_shipped()
-        token = comm.resident_ship_plan(
-            self.system.plan, self.sizes, self._halo_ext_sizes()
-        )
-        n = self.n_total
-        nflags = comm.pool_width()
-        kind, params = terms
-        payload = {
-            "name": "chain",
-            "mode": "rdd",
-            "kind": kind,
-            "params": params,
-            "plan": token,
-            "out": n,
-            "slots": 2 * n,
-            "n_total": n,
-            "flags": 4 * n,
-            "nflags": nflags,
-            "btimeout": _btimeout(comm),
-        }
-        writes = self._vec_writes(v_parts) + [(4 * n, np.zeros(nflags))]
-        out = self._dispatch(
-            payload, writes, self._vec_reads(n), 4 * n + nflags
-        )
-        _replay_chain_charges(self, precond, "rdd")
-        return out
+        return self._poly_chain(precond, terms, v_parts)
 
     def prec_apply(self, precond, v_parts):
         """Block-Jacobi ILU0 apply against worker-resident factors: ONE
         dispatch instead of an orchestrator-side loop over rank solves.
         Factors ship once per generation through :meth:`ensure_aux`;
         charging mirrors the inline ``apply_parts`` exactly."""
-        comm = self.system.comm
-        self.ensure_aux(precond._resident_key, precond._resident_states)
+        self.ensure_aux(precond)
         n = self.n_total
         payload = {
             "name": "prec",
@@ -767,6 +881,11 @@ class ResidentRDDEngine(ResidentEngine):
         out = self._dispatch(
             payload, self._vec_writes(v_parts), self._vec_reads(n), 2 * n
         )
-        for r in range(len(self.sizes)):
-            comm.add_flops(r, 2 * self.system.a_loc[r].nnz)
+        self.charge_ilu0()
         return out
+
+    def charge_ilu0(self) -> None:
+        """What one ``BlockJacobiILU.apply_parts`` charges inline."""
+        comm = self.system.comm
+        for r, a in enumerate(self.system.a_loc):
+            comm.add_flops(r, 2 * a.nnz)

@@ -226,3 +226,90 @@ def test_copy_is_deep():
         w.parts[0][0] = 1e9
         assert np.all(w0.parts[0][0] != 1e9)
         assert w.parts[0].shape == w0.parts[0].shape
+
+
+# ----------------------------------------------------------------------
+# Inner products do not depend on the BLAS thread count
+# ----------------------------------------------------------------------
+#
+# OpenBLAS threads a ddot above 10000 elements and a threaded ddot sums
+# in an order set by the thread count, so ``a @ b`` at n = 10100 has
+# other bits in a 1-thread pool worker than in a 2-thread orchestrator —
+# which is what the resident-vs-virtual contract must not see.
+# ``col_dots`` never hands BLAS more than ``DOT_BLOCK`` elements; the
+# child interpreters below evaluate it (and the coarse
+# restriction/prolongation gemvs, the other BLAS calls of a solve) with
+# the pool pinned to 1 thread, to 2, and left at its default.
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from repro.core.distributed import DOT_BLOCK, col_dots
+
+DOT_SIZES = (8192, 8193, 10001, 10100, 20200, 103040)
+
+_CHILD = r"""
+import json, sys
+import numpy as np
+from repro.core.distributed import col_dots
+
+out = {}
+for n in json.loads(sys.argv[1]):
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal((2, n))
+    a3, b3 = rng.standard_normal((2, n, 3))
+    out[str(n)] = [float(col_dots(a, b)).hex(), float(a @ b).hex()] + [
+        float(d).hex() for d in col_dots(a3, b3)
+    ]
+rng = np.random.default_rng(6)
+w, v, y = rng.standard_normal((10100, 6)), rng.standard_normal(10100), \
+    rng.standard_normal(6)
+out["coarse"] = [float(x).hex() for x in w.T @ v] + [
+    float(x).hex() for x in (w @ y)[::1000]
+]
+print(json.dumps(out))
+"""
+
+
+def _dots_in_child(threads):
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps(DOT_SIZES)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_inner_product_bits_do_not_depend_on_blas_threads():
+    one, two, default = (_dots_in_child(t) for t in (1, 2, None))
+    for n in DOT_SIZES:
+        blocked, plain, *cols = one[str(n)]
+        assert two[str(n)][0] == default[str(n)][0] == blocked, n
+        assert two[str(n)][2:] == default[str(n)][2:] == cols, n
+        if n <= DOT_BLOCK:
+            # One block: exactly the ddot it has always been.
+            assert blocked == plain
+    # The coarse restriction/prolongation at 10100 x 6: gemv keeps its
+    # bits across thread counts, so they stay plain ``@``.
+    assert one["coarse"] == two["coarse"] == default["coarse"]
+
+
+def test_col_dots_is_a_left_to_right_sum_of_block_dots():
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((2, 2 * DOT_BLOCK + 5))
+    expected = a[:DOT_BLOCK] @ b[:DOT_BLOCK]
+    expected += a[DOT_BLOCK:2 * DOT_BLOCK] @ b[DOT_BLOCK:2 * DOT_BLOCK]
+    expected += a[2 * DOT_BLOCK:] @ b[2 * DOT_BLOCK:]
+    assert col_dots(a, b) == expected
+    blk = np.ascontiguousarray(np.column_stack([a, b]))
+    assert col_dots(blk, blk).tolist() == [
+        col_dots(blk[:, 0], blk[:, 0]), col_dots(blk[:, 1], blk[:, 1]),
+    ]

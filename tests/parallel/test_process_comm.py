@@ -227,3 +227,44 @@ def test_use_comm_backend_process_drains_pool(submap4):
             exercise_pool(comm)
         assert pool_process_count() > 0  # parked for the next comm
     assert pool_process_count() == 0  # context exit drained it
+
+
+# ----------------------------------------------------------------------
+# The workers' peer-to-peer ⊕Σ∂Ω
+# ----------------------------------------------------------------------
+def test_worker_side_interface_assembly_is_the_collective_bitwise():
+    """``_Fused.assemble`` — run here in-process, as one worker owning
+    every rank — returns ``Comm.interface_assemble``'s bits: same
+    ascending-rank summation from 0.0 on DOFs shared by up to four
+    ranks, and the same ``-0.0 -> 0.0`` on the others."""
+    from repro.parallel._process_worker import _Fused
+
+    mesh = structured_quad_mesh(4, 3)
+    bc = clamp_edge_dofs(mesh, "left")
+    submap = build_subdomain_map(mesh, ElementPartition.build(mesh, 8), bc)
+    assert submap.multiplicity.max() == 4
+    sizes = [int(n) for n in submap.local_sizes]
+    workers = pool_process_count()
+    with _process_comm(submap) as comm:
+        plan = comm.interface_plan()
+        assert plan["words"] == sum(len(idx) for idx, _, _ in plan["ranks"])
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            parts = [rng.standard_normal(n) for n in sizes]
+            for p in parts:
+                p[rng.integers(0, len(p), 3)] = -0.0
+            fused = _Fused(
+                {"iface": plan["ranks"]}, {"ranks": {}, "shared": {}},
+                np.zeros(2 * plan["words"] + 1),
+                {
+                    "mode": "edd", "sizes": sizes,
+                    "offsets": list(np.cumsum([0] + sizes[:-1])),
+                    "slots": 0, "slot_words": plan["words"],
+                    "flags": 2 * plan["words"], "nflags": 1, "btimeout": 1.0,
+                },
+                0, 1,
+            )
+            mine = fused.assemble(dict(enumerate(parts)))
+            for r, ref in enumerate(comm.interface_assemble(parts)):
+                assert mine[r].tobytes() == ref.tobytes()
+        assert pool_process_count() == workers  # no worker was needed

@@ -175,3 +175,73 @@ def test_crashed_pool_close_still_unlinks_segments(submap4):
         os.kill(pid, signal.SIGKILL)
     comm.close()
     assert _shm_segments(base) == set()
+
+
+# ----------------------------------------------------------------------
+# Worker BLAS pools are capped through the spawn environment
+# ----------------------------------------------------------------------
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _worker_environ(pid):
+    with open(f"/proc/{pid}/environ", "rb") as fh:
+        pairs = (item.split(b"=", 1) for item in fh.read().split(b"\0") if item)
+        return {k.decode(): v.decode() for k, v in pairs}
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/environ"), reason="needs procfs"
+)
+def test_workers_spawn_with_capped_blas_pools(submap4, monkeypatch):
+    """Every worker starts with its BLAS thread variables at the cap
+    ``max(1, usable_cores // n_workers)``, the orchestrator's own
+    environment is byte for byte what it was, and a lower value the user
+    set is passed through unchanged."""
+    from repro.parallel.process_comm import usable_cores
+
+    monkeypatch.delenv("REPRO_PROCESS_WORKERS", raising=False)
+    for name in _BLAS_VARS:
+        monkeypatch.delenv(name, raising=False)
+    before = dict(os.environ)
+    with _comm(submap4) as comm:
+        _exercise(comm)
+        cap = str(max(1, usable_cores() // comm._pool.n_workers))
+        for pid in comm._pool.process_ids():
+            env = _worker_environ(pid)
+            assert [env[name] for name in _BLAS_VARS] == [cap] * 3
+    assert dict(os.environ) == before
+
+    # Respawn as if on 8 cores (cap 4) with a user setting below the cap
+    # (passed through) and one above it (lowered to it).
+    from repro.parallel import process_comm
+
+    shutdown_pool(force=True)
+    monkeypatch.setattr(process_comm, "usable_cores", lambda: 8)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setenv("OMP_NUM_THREADS", "4096")
+    before = dict(os.environ)
+    with _comm(submap4) as comm:
+        _exercise(comm)
+        for pid in comm._pool.process_ids():
+            env = _worker_environ(pid)
+            assert env["OPENBLAS_NUM_THREADS"] == "2"
+            assert env["OMP_NUM_THREADS"] == "4"
+            assert env["MKL_NUM_THREADS"] == "4"
+    assert dict(os.environ) == before
+
+
+def test_pool_is_sized_from_usable_cores(monkeypatch):
+    """The default worker count and the BLAS cap read the affinity mask,
+    not the host's core count: a cpuset-limited container sizes its pool
+    from its own share."""
+    from repro.parallel import process_comm
+
+    monkeypatch.delenv("REPRO_PROCESS_WORKERS", raising=False)
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert process_comm.usable_cores() == 3
+    assert process_comm._default_workers() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert process_comm.usable_cores() == 64

@@ -196,12 +196,235 @@ def test_trace_has_worker_busy_seconds_and_rank_op_spans(
     rank_ops = [s for s in trace["spans"] if s["name"] == "rank_op"]
     assert rank_ops and all(s["cat"] == "comm" for s in rank_ops)
     ops = {s["args"]["op"] for s in rank_ops}
-    # Fused vocabulary: polynomial applies are ONE "chain" dispatch and
-    # each CGS coefficient round ONE "arn" dispatch — the per-piece
-    # "dots"/"ortho" pair never appears on this path.
-    assert {"mv", "chain", "arn"} <= ops
+    # Fused vocabulary: a whole Arnoldi step — polynomial apply, matvec,
+    # exchange, CGS round — is ONE "step" dispatch between the cycle's
+    # "seed" and "axpy"; the per-piece "dots"/"ortho" pair never appears
+    # on this path.
+    assert {"mv", "seed", "step", "axpy"} <= ops
     assert "dots" not in ops and "ortho" not in ops
     # Chrome export renders one busy track per worker process.
     chrome = chrome_trace_from_dict(trace)
     chrome_names = {e["name"] for e in chrome["traceEvents"]}
     assert "worker0 busy" in chrome_names
+
+
+# ----------------------------------------------------------------------
+# One dispatch per Arnoldi step
+# ----------------------------------------------------------------------
+import glob
+import time
+
+from repro.obs import exchanges_per_step, verify_exchange_invariant
+from repro.parallel.process_comm import WorkerCrashedError
+from repro.parallel.resident import ResidentEngine
+
+FUSED_CONFIGS = [
+    ("edd-enhanced", "gls(7)"),
+    ("edd-basic", "gls(3)"),
+    ("rdd", "gls(3)"),
+    ("rdd", "bj-ilu0"),
+    ("edd-enhanced", "2l(gls(3),deflate)"),
+]
+PHASES = {"precondition", "matvec", "exchange", "orthogonalize"}
+
+
+def _force_resident(monkeypatch):
+    monkeypatch.setenv("REPRO_PROCESS_MIN_WORK", "0")
+    monkeypatch.setenv("REPRO_PROCESS_WORKERS", "2")
+
+
+@pytest.mark.parametrize(
+    "method,precond", FUSED_CONFIGS,
+    ids=[f"{m}-{p}" for m, p in FUSED_CONFIGS],
+)
+def test_one_rank_op_per_arnoldi_step(tiny_problem, monkeypatch, method, precond):
+    """A resident single-RHS CGS solve dispatches once per Arnoldi step
+    plus a constant per cycle (residual matvec, ``seed``, ``axpy``),
+    whatever the preconditioner, and the replayed exchange spans still
+    read the paper's 1 (Algorithm 6, RDD) / 3 (Algorithm 5) per step."""
+    _force_resident(monkeypatch)
+    trc = Tracer()
+    summary = solve_cantilever(
+        tiny_problem, n_parts=4, tracer=trc,
+        options=SolverOptions(
+            method=method, precond=precond, comm_backend="process"
+        ),
+    )
+    result, trace = summary.result, summary.result.trace
+    assert result.converged
+    rank_ops = [s for s in trace["spans"] if s["name"] == "rank_op"]
+    ops = [s["args"]["op"] for s in rank_ops]
+    assert ops.count("step") == result.iterations
+    assert len(ops) <= result.iterations + 4 * result.restarts + 4
+    assert set(ops) <= {"step", "seed", "axpy", "mv", "mv_rdd"}
+    if method.startswith("edd-"):
+        verify_exchange_invariant(trace, method[len("edd-"):])
+    else:
+        assert set(exchanges_per_step(trace).values()) == {1}
+    # Every step names its phases; their worker seconds add up to the
+    # workers' wall inside the op, which the dispatch's own wall bounds.
+    n_workers = len(trace["worker_seconds"])
+    stepped = 0.0
+    for span in rank_ops:
+        if span["args"]["op"] == "step":
+            phases = span["args"]["phases"]
+            assert set(phases) == PHASES
+            assert 0.0 < sum(phases.values()) <= n_workers * span["dur"]
+            stepped += sum(phases.values())
+    # ... and all of it reached Tracer.add_worker_time.
+    assert stepped <= sum(trace["worker_seconds"]) * (1.0 + 1e-9)
+
+
+def test_mgs_and_blocks_keep_their_vectors_in_the_orchestrator(
+    tiny_problem, monkeypatch
+):
+    """Only single-RHS CGS runs its cycle in the workers: MGS and block
+    solves go resident per operation and never seed a worker basis."""
+    _force_resident(monkeypatch)
+    trc = Tracer()
+    solve_cantilever(
+        tiny_problem, n_parts=4, tracer=trc,
+        options=SolverOptions(
+            precond="gls(3)", orthogonalization="mgs", comm_backend="process"
+        ),
+    )
+    ops = {s["args"]["op"] for s in trc.spans if s["name"] == "rank_op"}
+    assert ops == {"mv", "chain"}
+
+
+# ----------------------------------------------------------------------
+# Faults inside a fused step
+# ----------------------------------------------------------------------
+def _assert_same(sv, sp):
+    assert sv.result.residual_history == sp.result.residual_history
+    assert sv.result.x.tobytes() == sp.result.x.tobytes()
+    for rv, rp in zip(sv.stats.ranks, sp.stats.ranks):
+        assert rv == rp
+
+
+def _before_third_step(monkeypatch, action, target="run_rank_op"):
+    """Run ``action(comm, payload)`` once, right before the ``step``
+    dispatch of Arnoldi step 2 of the next resident solve: either inside
+    the dispatch (``run_rank_op``: the generation check already passed)
+    or ahead of it (``step``: the engine re-checks what is shipped)."""
+    fired = []
+    if target == "run_rank_op":
+        real = ProcessComm.run_rank_op
+
+        def wrapped(self, payload, *args):
+            if payload["name"] == "step" and payload["j"] == 2 and not fired:
+                fired.append(True)
+                action(self, payload)
+            return real(self, payload, *args)
+
+        monkeypatch.setattr(ProcessComm, "run_rank_op", wrapped)
+    else:
+        real = ResidentEngine.step
+
+        def wrapped(self, j, *args):
+            if j == 2 and not fired:
+                fired.append(True)
+                action(self.system.comm, None)
+            return real(self, j, *args)
+
+        monkeypatch.setattr(ResidentEngine, "step", wrapped)
+    return fired
+
+
+@pytest.fixture
+def no_new_shm():
+    """Fails the test if it leaves a shared-memory segment behind
+    (delta-based: a comm another module still holds open is not ours)."""
+    base = set(glob.glob("/dev/shm/repro-pc-*"))
+    yield
+    assert set(glob.glob("/dev/shm/repro-pc-*")) - base == set()
+
+
+def test_worker_killed_inside_a_cycle_named_error_then_recovery(
+    tiny_problem, monkeypatch, no_new_shm
+):
+    sv = _solve(tiny_problem, "virtual")
+    _force_resident(monkeypatch)
+    monkeypatch.setenv("REPRO_PROCESS_TIMEOUT", "5")
+    fired = _before_third_step(
+        monkeypatch,
+        lambda comm, payload: os.kill(
+            comm._pool.process_ids()[1], signal.SIGKILL
+        ),
+    )
+    t0 = time.monotonic()
+    with pytest.raises(WorkerCrashedError, match="worker 1 died"):
+        _solve(tiny_problem, "process")
+    assert fired and time.monotonic() - t0 < 5.0
+    # Respawn, re-ship, bitwise again.
+    _assert_same(sv, _solve(tiny_problem, "process"))
+
+
+def test_worker_stalled_inside_a_step_times_out(
+    tiny_problem, monkeypatch, no_new_shm
+):
+    """A worker that hangs between two barriers of a step is the
+    orchestrator's timeout, not a deadlock."""
+    sv = _solve(tiny_problem, "virtual")
+    _force_resident(monkeypatch)
+    _solve(tiny_problem, "process")  # spawn under the default timeout
+    monkeypatch.setenv("REPRO_PROCESS_TIMEOUT", "0.4")
+    fired = _before_third_step(
+        monkeypatch,
+        lambda comm, payload: payload.update(stall=[1, 2, 1.5]),
+    )
+    t0 = time.monotonic()
+    with pytest.raises(WorkerTimeoutError, match="did not reply"):
+        _solve(tiny_problem, "process")
+    assert fired and time.monotonic() - t0 < 1.4
+    monkeypatch.setenv("REPRO_PROCESS_TIMEOUT", "30")
+    _assert_same(sv, _solve(tiny_problem, "process"))
+
+
+def test_barrier_deadline_when_a_peer_never_reaches_the_second_barrier(
+    tiny_problem, monkeypatch, no_new_shm
+):
+    """Below the pipe timeout the barrier deadline speaks first: the
+    waiting worker reports which barrier its peer missed, the pool
+    survives (a worker-level error) and the next solve is bitwise."""
+    sv = _solve(tiny_problem, "virtual")
+    _force_resident(monkeypatch)
+    monkeypatch.setenv("REPRO_PROCESS_TIMEOUT", "2.4")  # barrier: 1.2 s
+    _solve(tiny_problem, "process")  # spawn outside the timed drill
+    from repro.parallel.process_comm import _shared_pool
+
+    pids = _shared_pool[0].process_ids()
+    fired = _before_third_step(
+        monkeypatch,
+        lambda comm, payload: payload.update(stall=[1, 2, 1.8]),
+    )
+    with pytest.raises(ProcessWorkerError, match="barrier phase 2"):
+        _solve(tiny_problem, "process")
+    assert fired
+    _assert_same(sv, _solve(tiny_problem, "process"))
+    assert _shared_pool[0].process_ids() == pids
+
+
+def test_step_after_the_pool_was_lost_is_a_named_error(
+    tiny_problem, monkeypatch, no_new_shm
+):
+    """A pool drained mid-cycle takes the workers' Krylov state with
+    it.  Drained inside the dispatch, the step meets a generation the
+    fresh workers never received; drained ahead of it, the engine
+    re-ships the blocks and the step meets a cycle nobody seeded.  Both
+    are named worker errors, and the solve after is bitwise."""
+    sv = _solve(tiny_problem, "virtual")
+    _force_resident(monkeypatch)
+    for target, message in (
+        ("run_rank_op", "not shipped"),
+        ("step", "must re-seed"),
+    ):
+        with monkeypatch.context() as patch:
+            fired = _before_third_step(
+                patch, lambda comm, payload: shutdown_pool(force=True),
+                target,
+            )
+            with pytest.raises(ProcessWorkerError, match=message):
+                _solve(tiny_problem, "process")
+            assert fired
+        _assert_same(sv, _solve(tiny_problem, "process"))

@@ -39,3 +39,25 @@ def test_profile_solve_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "profiling: Mesh1" in proc.stdout
+
+
+def test_resident_speedup_runs(tmp_path):
+    """The Table 3 measurement script end to end on a small mesh (forced
+    resident: Mesh2 sits below the default threshold)."""
+    out = tmp_path / "rows.json"
+    env = dict(
+        os.environ, PYTHONPATH=str(REPO / "src"),
+        REPRO_PROCESS_MIN_WORK="0", REPRO_PROCESS_WORKERS="2",
+    )
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "resident_speedup.py"),
+         "--mesh", "2", "--degree", "3", "--solves", "1",
+         "--json", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    import json
+
+    (row,) = json.loads(out.read_text())["rows"]
+    assert row["resident"] and row["bitwise_vs_virtual"]
+    assert row["iterations"]["resident"] == row["iterations"]["virtual"]
