@@ -96,25 +96,33 @@ def col_dots(a: np.ndarray, b: np.ndarray):
     return np.array([_dot(a[:, c], b[:, c]) for c in range(a.shape[1])])
 
 
-def _add_to_columns(comm: Comm, x_parts, z_parts, cols, sel, ys) -> None:
-    """The FGMRES solution update, in place and per rank:
-    ``x[:, cols] += sum_i z_parts[i][:, sel] * ys[:, i]`` — row ``c`` of
+def add_columns(x: np.ndarray, zs, cols, sel, ys) -> None:
+    """One rank's FGMRES solution update, in place:
+    ``x[:, cols] += sum_i zs[i][:, sel] * ys[:, i]`` — row ``c`` of
     ``ys`` holds the coefficients of column ``cols[c]``, which sits at
-    position ``sel[c]`` of the live blocks ``z_parts[i]`` (``cols`` and
-    ``sel`` are index arrays, or two ints when ``ys`` has one row).  One
-    rank body over 2-D views, so vectors and blocks share it; charges the
-    two flops per element and term that a chain of AXPYs would."""
+    position ``sel[c]`` of the live blocks ``zs[i]`` (``cols`` and
+    ``sel`` are index arrays, or two ints when ``ys`` has one row).  Works
+    on 2-D views, so vectors and blocks share it.  The only place the
+    update is written — the orchestrator's rank bodies and the pool
+    workers' ``axpy`` both call it."""
     y_mat = np.array(ys)
-    n_cols, m = y_mat.shape
+    xr = _as_cols(x)
+    for i in range(y_mat.shape[1]):
+        zr = _as_cols(zs[i])
+        xr[:, cols] = xr[:, cols] + zr[:, sel] * y_mat[:, i]
+
+
+def _add_to_columns(comm: Comm, x_parts, z_parts, cols, sel, ys) -> None:
+    """:func:`add_columns` on every rank (``z_parts[i]`` is the parts
+    list of ``z_i``); charges the two flops per element and term that a
+    chain of AXPYs would."""
+    n_cols, m = np.shape(ys)
     if m == 0:
         return
 
     def body(r: int) -> None:
-        xr = _as_cols(x_parts[r])
-        for i in range(m):
-            zr = _as_cols(z_parts[i][r])
-            xr[:, cols] = xr[:, cols] + zr[:, sel] * y_mat[:, i]
-        comm.add_flops(r, 2 * m * xr.shape[0] * n_cols)
+        add_columns(x_parts[r], [z[r] for z in z_parts], cols, sel, ys)
+        comm.add_flops(r, 2 * m * x_parts[r].shape[0] * n_cols)
 
     comm.run_ranks(body)
 
@@ -376,12 +384,15 @@ class EDDSystem:
     # Kernels
     # ------------------------------------------------------------------
     def rank_engine(self):
-        """The rank-operation engine executing this system's per-rank
-        compute: inline (virtual/chaos, and small process systems) or
-        resident in the worker-process pool.  The mode gate is
-        re-evaluated on every call (a closed communicator falls back to
-        inline); the engine instance is cached per mode so resident state
-        ships once per system."""
+        """The rank-operation engine of this system: the inline
+        :class:`~repro.parallel.resident.RankEngine` (virtual/chaos, and
+        small process systems) or a
+        :class:`~repro.parallel.resident.ResidentEDDEngine` whose state
+        lives in the worker-process pool.  The mode gate is re-evaluated
+        on every call (a closed communicator falls back to inline); the
+        engine instance is cached per mode so resident state ships once
+        per system.  Besides the solver, ``bench/probes.py`` reads the
+        engine's ``resident`` flag (and its ``poly_chain``)."""
         from repro.parallel import resident
 
         mode = resident.engine_mode(self.comm, 2 * self.nnz_total)
@@ -391,7 +402,7 @@ class EDDSystem:
         engine = (
             resident.ResidentEDDEngine(self)
             if mode == "resident"
-            else resident.InlineEDDEngine(self)
+            else resident.RankEngine(self)
         )
         self.__dict__["_engine"] = (mode, engine)
         return engine
@@ -399,12 +410,24 @@ class EDDSystem:
     def matvec_local(self, v: DistVector) -> DistVector:
         """:math:`\\tilde y^{(s)} = \\hat A^{(s)} \\hat x^{(s)}` (Eq. 37):
         global-distributed in, local-distributed out, zero communication;
-        per rank one matvec, or one SpMM over all ``k`` columns of a block.
-        The P subdomain products are independent rank bodies — the solve's
-        dominant work, executed worker-resident under the process backend."""
+        per rank one matvec, or one SpMM over all ``k`` columns of a block,
+        in the orchestrator.  (A resident Krylov cycle multiplies inside
+        its worker-side ``step``; this is every other product.)"""
         if v.kind != "global":
             raise ValueError("matvec needs a global-distributed input")
-        return self.rank_engine().matvec_local(v)
+        comm = self.comm
+        a_local = self.a_local
+        x_parts = v.parts
+        k = v.k
+        parts = [None] * len(a_local)
+
+        def body(r: int) -> None:
+            a = a_local[r]
+            parts[r] = a @ x_parts[r]
+            comm.add_flops(r, 2 * a.nnz * k)
+
+        comm.run_ranks(body)
+        return DistVector(parts, "local", comm)
 
     def matvec_assembled(self, v: DistVector) -> DistVector:
         """Matvec followed by interface assembly: global in, global out.

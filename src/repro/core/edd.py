@@ -68,16 +68,6 @@ def _precondition(system: EDDSystem, precond, v_hat):
             "(or None): factorization preconditioners cannot be applied to "
             "unassembled local-distributed matrices"
         )
-    engine = system.rank_engine()
-    if engine.resident:
-        terms = precond.chain_terms()
-        if terms is not None:
-            # Fused resident path: the whole degree-m matvec/recurrence
-            # chain in ONE dispatch, bit-identical output and CommStats;
-            # None (blocks) falls back to the inline recurrence.
-            out = engine.poly_chain(precond, terms, v_hat)
-            if out is not None:
-                return out
     return precond.apply_linear(system.matvec_assembled, v_hat)
 
 
@@ -85,11 +75,11 @@ class _EDDSpace:
     """The :class:`~repro.solvers.krylov.KrylovSpace` of
     :func:`edd_fgmres` and :func:`edd_fgmres_block`: ``(local, global)``
     :class:`DistVector` pairs shaped like the right-hand side ``b`` —
-    vector parts for one column, ``(n, k)`` parts for ``k``.  Per-rank
-    compute goes through the system's rank engine (inline closures, or
-    worker-resident rank ops).  A column that leaves a cycle while
-    others stay is compacted out of every live Krylov block, so finished
-    columns stop charging flops and words."""
+    vector parts for one column, ``(n, k)`` parts for ``k``.  Every rank
+    body runs in the orchestrator, through ``Comm.run_ranks`` (the CGS
+    round through the system's rank engine).  A column that leaves a
+    cycle while others stay is compacted out of every live Krylov block,
+    so finished columns stop charging flops and words."""
 
     def __init__(self, system: EDDSystem, b: DistVector, precond, basic, cgs):
         self.system = system
@@ -217,36 +207,36 @@ class _EDDSpace:
 
 
 class _ResidentEDDSpace(ResidentCycle, _EDDSpace):
-    """Single-RHS CGS on a resident engine: the Krylov cycle lives in
-    the workers, one dispatch per Arnoldi step
+    """CGS on a resident engine, any number of columns: the Krylov cycle
+    lives in the workers, one dispatch per Arnoldi step
     (:class:`repro.parallel.resident.ResidentCycle`).  The orchestrator
-    keeps ``x`` and the residual; ``v_0`` goes out at the head of a
-    cycle and ``x`` comes back at its end."""
+    keeps ``x`` and computes the residual; ``v_0`` goes out at the head
+    of a cycle and ``x`` comes back at its end."""
 
     def __init__(self, system, b, precond, basic, restart, plan):
         super().__init__(system, b, precond, basic, True)
         self.restart = restart
         self.plan = plan
 
+    def residual(self, cols):
+        self.x_hat = DistVector(
+            self._flush(self.x_hat.parts), "global", self.comm
+        )
+        return super().residual(cols)
+
     def start_cycle(self, cols, betas):
         v_loc, v_hat = self._first_vectors(cols, betas)
-        self._seed(v_loc.parts, v_hat.parts)
-        self.live = len(cols)
-
-    def _add_to_x(self, cols, sel, ys):
-        self.x_hat = DistVector(
-            self.engine.axpy_update(self.x_hat.parts, ys[0]),
-            "global", self.comm,
-        )
+        self._seed(cols, v_loc.parts, v_hat.parts)
 
 
 def _make_space(system, b, precond, basic, cgs, restart):
-    """The Krylov space of one solve: resident when the engine is, the
-    right-hand side is one vector, the orthogonalization is CGS and the
-    preconditioner has a worker-side program; generic otherwise (blocks
-    and MGS go resident for their matvecs and preconditioner applies)."""
+    """The Krylov space of one solve, vectors or blocks alike: its cycle
+    runs in the pool workers when the engine is resident, the
+    orthogonalization is CGS and the preconditioner has a worker-side
+    program (:func:`~repro.parallel.resident.step_program`); everything
+    else — MGS, a preconditioner without a program — runs inline."""
     engine = system.rank_engine()
-    if engine.resident and cgs and b.parts[0].ndim == 1:
+    if engine.resident and cgs:
         plan = step_program(precond)
         if plan is not None:
             return _ResidentEDDSpace(system, b, precond, basic, restart, plan)

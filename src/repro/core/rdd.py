@@ -90,9 +90,11 @@ class RDDSystem:
         return len(self.own)
 
     def rank_engine(self):
-        """The rank-operation engine executing this system's per-rank
-        compute (inline everywhere except process-resident mode); the
-        mode gate re-evaluates per call, the instance caches per mode."""
+        """The rank-operation engine of this system: the inline
+        :class:`~repro.parallel.resident.RankEngine` everywhere except
+        process-resident mode, where a
+        :class:`~repro.parallel.resident.ResidentRDDEngine`; the mode gate
+        re-evaluates per call, the instance caches per mode."""
         from repro.parallel import resident
 
         mode = resident.engine_mode(self.comm, 2 * self.nnz_total)
@@ -102,7 +104,7 @@ class RDDSystem:
         engine = (
             resident.ResidentRDDEngine(self)
             if mode == "resident"
-            else resident.InlineRDDEngine(self)
+            else resident.RankEngine(self)
         )
         self.__dict__["_engine"] = (mode, engine)
         return engine
@@ -112,11 +114,25 @@ class RDDSystem:
         ``y = K_loc x_loc + K_ext x_ext`` per rank — on vectors, or on
         ``(n_own, k)`` blocks with ONE coalesced halo exchange for all
         ``k`` columns and per-rank SpMMs (column ``c`` bit-identical to
-        the matvec of column ``c``).  The halo exchange is a collective
-        and always runs through the comm; the per-rank block products
-        are independent bodies the engine runs inline or worker-resident."""
-        ext_vals = self.comm.halo_exchange(x_parts, self.plan)
-        return self.rank_engine().matvec(x_parts, ext_vals)
+        the matvec of column ``c``), in the orchestrator.  (A resident
+        Krylov cycle multiplies inside its worker-side ``step``; this is
+        every other product.)"""
+        comm = self.comm
+        ext_vals = comm.halo_exchange(x_parts, self.plan)
+        k = _n_cols(x_parts[0])
+        out = [None] * len(self.a_loc)
+
+        def body(r: int) -> None:
+            loc, ext = self.a_loc[r], self.a_ext[r]
+            y = loc @ x_parts[r]
+            comm.add_flops(r, 2 * loc.nnz * k)
+            if ext.shape[1]:
+                y = y + ext @ ext_vals[r]
+                comm.add_flops(r, 2 * ext.nnz * k + y.size)
+            out[r] = y
+
+        comm.run_ranks(body)
+        return out
 
     @property
     def nnz_total(self) -> int:
@@ -383,17 +399,6 @@ def _precondition_rdd(system: RDDSystem, precond, v_parts: list) -> list:
             "rdd_fgmres applies polynomial preconditioners through the "
             "halo-exchanging matvec; wrap other preconditioners yourself"
         )
-    engine = system.rank_engine()
-    if engine.resident:
-        terms = precond.chain_terms()
-        if terms is not None:
-            # Fused resident path: the whole degree-m matvec/recurrence
-            # chain in ONE dispatch (halos filled worker-side from the
-            # shipped plan); None (blocks, or a plan that cannot ship)
-            # falls back to the inline recurrence.
-            out = engine.poly_chain(precond, terms, v_parts)
-            if out is not None:
-                return out
     vec = _RDDVector([p.copy() for p in v_parts], system)
     out = precond.apply_linear(
         lambda v: _RDDVector(system.matvec(v.parts), system), vec
@@ -414,11 +419,11 @@ class _RDDSpace:
     """The :class:`~repro.solvers.krylov.KrylovSpace` of
     :func:`rdd_fgmres` and :func:`rdd_fgmres_block`: per-rank parts on
     disjoint DOF sets shaped like the right-hand side ``b`` — vectors for
-    one column, ``(n_own, k)`` blocks for ``k``.  Per-rank compute goes
-    through the system's rank engine (inline closures, or worker-resident
-    rank ops).  A column that leaves a cycle while others stay is
-    compacted out of every live Krylov block, so finished columns stop
-    charging flops and words."""
+    one column, ``(n_own, k)`` blocks for ``k``.  Every rank body runs in
+    the orchestrator, through ``Comm.run_ranks`` (the CGS round through
+    the system's rank engine).  A column that leaves a cycle while others
+    stay is compacted out of every live Krylov block, so finished columns
+    stop charging flops and words."""
 
     def __init__(self, system: RDDSystem, b: list, precond):
         self.system = system
@@ -497,8 +502,8 @@ class _RDDSpace:
 
 
 class _ResidentRDDSpace(ResidentCycle, _RDDSpace):
-    """A single right-hand side on a resident engine: the Krylov cycle
-    lives in the workers, one dispatch per Arnoldi step
+    """A resident engine, any number of columns: the Krylov cycle lives
+    in the workers, one dispatch per Arnoldi step
     (:class:`repro.parallel.resident.ResidentCycle`) — the row-based
     twin of :class:`repro.core.edd._ResidentEDDSpace`."""
 
@@ -507,21 +512,21 @@ class _ResidentRDDSpace(ResidentCycle, _RDDSpace):
         self.restart = restart
         self.plan = plan
 
-    def start_cycle(self, cols, betas):
-        self._seed(self._first_vector(cols, betas))
-        self.live = len(cols)
+    def residual(self, cols):
+        self.x = self._flush(self.x)
+        return super().residual(cols)
 
-    def _add_to_x(self, cols, sel, ys):
-        self.x = self.engine.axpy_update(self.x, ys[0])
+    def start_cycle(self, cols, betas):
+        self._seed(cols, self._first_vector(cols, betas))
 
 
 def _make_space(system, b, precond, restart):
-    """The Krylov space of one solve: resident when the engine is, the
-    right-hand side is one vector and the preconditioner has a
-    worker-side program; generic otherwise (blocks go resident for
-    their matvecs and preconditioner applies)."""
+    """The Krylov space of one solve, vectors or blocks alike: its cycle
+    runs in the pool workers when the engine is resident and the
+    preconditioner has a worker-side program
+    (:func:`~repro.parallel.resident.step_program`); inline otherwise."""
     engine = system.rank_engine()
-    if engine.resident and b[0].ndim == 1:
+    if engine.resident:
         plan = step_program(precond)
         if plan is not None:
             return _ResidentRDDSpace(system, b, precond, restart, plan)

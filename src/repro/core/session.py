@@ -354,10 +354,9 @@ class PreparedSystem:
                     engine.ensure_shipped()
                     if traced:
                         trc.end()
-                    if pc is not None and hasattr(pc, "_resident_states"):
-                        # Preconditioner factor state (ILU factors, coarse
-                        # bases) ships eagerly too, for the same reason.
-                        engine.ensure_aux(pc)
+                    # Preconditioner factor state (ILU factors, coarse
+                    # bases) ships eagerly too, for the same reason.
+                    engine.ship_precond(pc)
             finally:
                 if traced:
                     trc.end()  # setup

@@ -3,13 +3,16 @@ worker processes.
 
 This module is deliberately light — numpy plus stdlib at import time, so
 a spawned child never pays for the solver stack up front; the sparse CSR
-layer is imported lazily on the first ``resident`` command and the one
-inner-product function (:func:`repro.core.distributed.col_dots`, shared
-with the orchestrator so both sides sum in the same order) on the first
-``step``.  The orchestrator sends small pickled command tuples over a
-per-worker pipe; bulk payloads travel through a per-communicator
+layer is imported lazily on the first ``resident`` command, and the
+inner product and the solution update it shares with the orchestrator
+(:func:`repro.core.distributed.col_dots` / ``add_columns``, so both
+sides sum in the same order) on the first ``step`` / ``axpy``.  The
+orchestrator sends small pickled command tuples over a per-worker pipe;
+bulk payloads travel through a per-communicator
 ``multiprocessing.shared_memory`` arena, which is also where the workers
-of a fused rank op meet each other.
+of a fused rank op meet each other.  The rank ops are the resident
+Krylov cycle's ``seed`` / ``step`` / ``axpy``, the ``chain`` a benchmark
+probe issues, and the test-only ``stall``.
 
 Protocol
 --------
@@ -201,16 +204,17 @@ class _Fused:  # pragma: no cover
     """One fused rank op in flight at one worker: the arena view, the
     rank layout, the peer synchronisation and the phase clock.
 
-    A fused op (``chain``, ``coarse``, ``step``) runs several phases
-    back to back and meets its peers in the arena where a phase needs
-    their data.  Every worker executes the same sequence of barriers and
-    exchanges whether or not it owns a rank, so the counters below agree
-    across the pool.
+    A fused op (``step``, ``chain``) runs several phases back to back and
+    meets its peers in the arena where a phase needs their data.  Every
+    worker executes the same sequence of barriers and exchanges whether
+    or not it owns a rank, so the counters below agree across the pool.
+    The op's vectors are ``(n,)`` parts, or ``(n, k)`` blocks when the
+    command carries ``k`` (a column is ``k`` words wide in every region).
 
     Arena regions come from the command: ``flags`` (one barrier word per
     pool worker, zeroed by the orchestrator before the dispatch), two
-    ping-pong exchange ``slots`` of ``slot_words`` each, and the partial
-    rows of the reductions.  Exchange ``e`` publishes into slot
+    ping-pong exchange ``slots`` of ``slot_words`` rows each, and the
+    partial rows of the reductions.  Exchange ``e`` publishes into slot
     ``e % 2``; that is safe because a worker can only reach exchange
     ``e + 2`` after passing barrier ``e + 1``, which its peers signal
     only once they finished reading slot ``e``.
@@ -231,6 +235,9 @@ class _Fused:  # pragma: no cover
         self.size = len(self.sizes)
         self.owned = list(_owned(w, n_workers, self.size))
         self.edd = p["mode"] == "edd"
+        k = p.get("k")
+        self.width = k or 1
+        self.tail = () if k is None else (k,)
         self.iface = state.get("iface")
         self.plan = state.get("plans", {}).get(p.get("plan"))
         self.flags = view[p["flags"]:p["flags"] + p["nflags"]]
@@ -244,7 +251,7 @@ class _Fused:  # pragma: no cover
         self.clock = time.perf_counter()
 
     def part(self, base, r):
-        """Rank ``r``'s segment of the per-rank region at ``base``."""
+        """Rank ``r``'s segment of the per-rank vector region at ``base``."""
         off = self.offsets[r]
         return self.view[base + off:base + off + self.sizes[r]]
 
@@ -298,10 +305,10 @@ class _Fused:  # pragma: no cover
             time.sleep(0)
 
     def _slot(self):
-        words = self.p["slot_words"]
+        words = self.p["slot_words"] * self.width
         base = self.p["slots"] + (self.exchanges % 2) * words
         self.exchanges += 1
-        return self.view[base:base + words]
+        return self.view[base:base + words].reshape((-1,) + self.tail)
 
     def assemble(self, loc):
         """The ``⊕Σ∂Ω`` of EDD (Eq. 28), peer to peer: every rank
@@ -323,7 +330,7 @@ class _Fused:  # pragma: no cover
             idx, _, levels = self.iface[r]
             hat = loc[r] + 0.0
             if len(idx):
-                acc = np.zeros(len(idx))
+                acc = np.zeros((len(idx),) + self.tail)
                 for sel, src in levels:
                     if sel is None:
                         acc = acc + seg[src]
@@ -340,7 +347,7 @@ class _Fused:  # pragma: no cover
         through the shipped plan, then the Eq. 48 block products."""
         ranks = self.ranks
         if self.edd:
-            loc = {r: ranks[r]["a"].matvec(x[r]) for r in self.owned}
+            loc = {r: ranks[r]["a"] @ x[r] for r in self.owned}
             self.lap("matvec")
             out = self.assemble(loc)
             self.lap("exchange")
@@ -354,7 +361,7 @@ class _Fused:  # pragma: no cover
         self.barrier()
         bufs = {}
         for r in self.owned:
-            buf = np.zeros(plan["ext_sizes"][r])
+            buf = np.zeros((plan["ext_sizes"][r],) + self.tail)
             for t, send_idx, recv_slots in plan["ranks"][r]:
                 xoff = x_offsets[t]
                 buf[recv_slots] = seg[xoff:xoff + xsizes[t]][send_idx]
@@ -363,9 +370,9 @@ class _Fused:  # pragma: no cover
         out = {}
         for r in self.owned:
             e = ranks[r]
-            y = e["a_loc"].matvec(x[r])
+            y = e["a_loc"] @ x[r]
             if e["a_ext"].shape[1]:
-                y = y + e["a_ext"].matvec(bufs[r])
+                y = y + e["a_ext"] @ bufs[r]
             out[r] = y
         self.lap("matvec")
         return out
@@ -431,16 +438,19 @@ def _chain(f, kind, prm, v):  # pragma: no cover
 
 def _coarse(f, key, nc, v):  # pragma: no cover
     """Two-level coarse correction ``W E^-1 W^T v``: rank-local
-    restriction, one reduction of ``nc`` words, a redundant solve of the
-    shipped factorized Galerkin matrix (``nc`` is tiny, so no second
-    exchange is needed) and rank-local prolongation.  The orchestrator
-    replays the real ``allreduce_sum`` on the partial rows it reads
-    back, for charging and chaos targeting."""
+    restriction, one reduction of ``nc`` words per column, a redundant
+    solve of the shipped factorized Galerkin matrix (``nc`` is tiny, so
+    no second exchange is needed) and rank-local prolongation.  The
+    orchestrator replays the real ``allreduce_sum`` on the partial rows
+    it reads back, for charging and chaos targeting."""
     base = f.p["coarse_rows"]
+    m = nc * f.width
     for r in f.owned:
         aux = f.ranks[r]["aux"][key]["arrays"]
-        f.view[base + r * nc:base + (r + 1) * nc] = aux["wl"].T @ v[r]
-    rhs = f.reduce(base, nc)
+        f.view[base + r * m:base + (r + 1) * m] = (
+            aux["wl"].T @ v[r]
+        ).reshape(-1)
+    rhs = f.reduce(base, m).reshape((nc,) + f.tail)
     shared = f.shared[key]
     smeta = shared["meta"]
     fmat = shared["arrays"]["fmat"]
@@ -459,7 +469,13 @@ def _coarse(f, key, nc, v):  # pragma: no cover
 def _ilu0_apply(e, key, v):  # pragma: no cover
     """Block-Jacobi ILU0 apply against the shipped factors: the copy
     mirrors the inline ``z = v.copy()`` and the backend solve is the
-    kernel the inline path runs."""
+    kernel the inline path runs; a block is solved column by column, as
+    ``BlockJacobiILU.apply_parts`` does."""
+    if v.ndim == 2:
+        out = np.empty_like(v)
+        for c in range(v.shape[1]):
+            out[:, c] = _ilu0_apply(e, key, np.ascontiguousarray(v[:, c]))
+        return out
     from repro.sparse import kernels
 
     aux = e["aux"][key]["arrays"]
@@ -485,7 +501,7 @@ def _precondition(f, prog, v):  # pragma: no cover
         return {r: v[r].copy() for r in owned}
     if kind == "chain":
         return _chain(f, prog[1], prog[2], v)
-    if kind == "prec":
+    if kind == "ilu0":
         return {r: _ilu0_apply(f.ranks[r], prog[1], v[r]) for r in owned}
     _, mode, key, nc, inner = prog
     if mode == "additive":
@@ -498,49 +514,70 @@ def _precondition(f, prog, v):  # pragma: no cover
     return {r: z[r] + q[r] for r in owned}
 
 
-def _op_apply(f):  # pragma: no cover
-    """A preconditioner piece as a rank op of its own — ``chain`` (a
-    polynomial apply) or ``coarse`` (a coarse correction): ``[0, n)``
-    in, ``out`` out."""
+def _op_chain(f):  # pragma: no cover
+    """One polynomial apply as a rank op of its own: ``[0, n)`` in,
+    ``out`` out.  No solve issues it — ``bench/probes.py`` times the
+    preconditioner through ``ResidentEDDEngine.poly_chain``, which
+    does."""
     p = f.p
     f.within = "precondition"
     v = {r: np.array(f.part(0, r)) for r in f.owned}
-    if p["name"] == "chain":
-        z = _chain(f, p["kind"], p["params"], v)
-    else:
-        z = _coarse(f, p["key"], p["nc"], v)
+    z = _chain(f, p["kind"], p["params"], v)
     for r in f.owned:
         f.part(p["out"], r)[...] = z[r]
     f.lap("precondition")
     return f.times()
 
 
+def _reseed_error(w, r, held, need):  # pragma: no cover
+    return RuntimeError(
+        f"worker {w} holds {held} Krylov basis vectors of rank {r}, the "
+        f"op needs {need} (respawned pool mid-cycle?); the orchestrator "
+        "must re-seed"
+    )
+
+
+def _compact(e, j, keep):  # pragma: no cover
+    """Drop the columns not at positions ``keep`` from a rank's Krylov
+    blocks — the ``np.delete`` of the inline spaces' retirement, so every
+    later ``col_dots`` reads the same strides — and set each dropped
+    column's ``z_0 .. z_{j-1}`` aside for the cycle's ``axpy``."""
+    zs = e["zs"]
+    gone = [c for c in range(zs.shape[-1]) if c not in keep]
+    e["saved"] += [np.array(zs[:j, :, c]) for c in gone]
+    e["basis"] = [np.delete(b, gone, axis=-1) for b in e["basis"]]
+    e["zs"] = np.delete(zs, gone, axis=-1)
+    e["w"] = [w_f[:, keep] for w_f in e["w"]]
+
+
 def _op_step(f):  # pragma: no cover
-    """One whole Arnoldi step of single-RHS CGS FGMRES (Algorithms 5, 6
-    and 8) against this worker's resident Krylov state.
+    """One whole Arnoldi step of CGS FGMRES (Algorithms 5, 6 and 8)
+    against this worker's resident Krylov state, for ``(n,)`` parts or a
+    block of ``k`` live columns.
 
-    Phases, back to back: append the previous step's normalised vector
-    to the basis (``commit``); ``z_j = C v_j``; ``w = A z_j`` with its
-    exchange (the basic EDD variant re-assembles ``z_j`` first and ``w``
-    after the orthogonalization — its three exchanges per step); the CGS
-    coefficients ``<v_i, w>`` (one reduction of ``j + 1`` words) and the
-    orthogonalization; the partial ``<w, w>``.  Nothing but the partial
-    rows of the two reductions leaves the workers: the orchestrator
-    reads them from the arena and replays the real ``allreduce_sum``.
+    Phases, back to back: drop the columns retired since the last step
+    (``keep``) and append the previous step's normalised vector to the
+    basis (``commit``: one ``1 / h`` per column); ``z_j = C v_j``;
+    ``w = A z_j`` with its exchange (the basic EDD variant re-assembles
+    ``z_j`` first and ``w`` after the orthogonalization — its three
+    exchanges per step); the CGS coefficients ``<v_i, w>`` (one reduction
+    of ``j + 1`` words per column) and the orthogonalization; the partial
+    ``<w, w>``.  Nothing but the partial rows of the two reductions
+    leaves the workers: the orchestrator reads them from the arena and
+    replays the real ``allreduce_sum``.
     """
-    from repro.core.distributed import col_dots
+    from repro.core.distributed import _rows, col_dots
 
-    p, view, ranks, owned = f.p, f.view, f.ranks, f.owned
+    p, view, ranks, owned, tail = f.p, f.view, f.ranks, f.owned, f.tail
     j, inv_h, basic = p["j"], p["commit"], p["basic"]
     for r in owned:
         e = ranks[r]
-        if e.get("filled") != (j + 1 if inv_h is None else j):
-            raise RuntimeError(
-                f"worker {f.w} holds {e.get('filled')} Krylov basis "
-                f"vectors of rank {r}, step {j} needs {j + 1} (respawned "
-                "pool mid-cycle?); the orchestrator must re-seed"
-            )
+        need = j + 1 if inv_h is None else j
+        if e.get("filled") != need:
+            raise _reseed_error(f.w, r, e.get("filled"), need)
         if inv_h is not None:
+            if p["keep"] is not None:
+                _compact(e, j, p["keep"])
             for basis, w_f in zip(e["basis"], e["w"]):
                 np.multiply(w_f, inv_h, out=basis[j])
             e["filled"] = j + 1
@@ -548,18 +585,20 @@ def _op_step(f):  # pragma: no cover
 
     f.within = "precondition"
     z = _precondition(
-        f, p["prec"], {r: ranks[r]["basis"][-1][j] for r in owned}
+        f, p["program"], {r: ranks[r]["basis"][-1][j] for r in owned}
     )
     f.lap("precondition")
     f.within = None
     if basic:
-        z = f.assemble({r: z[r] * ranks[r]["mask"] for r in owned})
+        z = f.assemble(
+            {r: z[r] * _rows(ranks[r]["mask"], z[r]) for r in owned}
+        )
         f.lap("exchange")
     for r in owned:
         ranks[r]["zs"][j] = z[r]
     # ``w`` per rank: one array per format, the exchanged one last.
     if f.edd:
-        wl = {r: ranks[r]["a"].matvec(z[r]) for r in owned}
+        wl = {r: ranks[r]["a"] @ z[r] for r in owned}
         f.lap("matvec")
         wh = f.assemble(wl)
         f.lap("exchange")
@@ -567,14 +606,14 @@ def _op_step(f):  # pragma: no cover
     else:
         ws = {r: [y] for r, y in f.operator(z).items()}
 
-    rows = p["arn_rows"]
+    rows, m = p["arn_rows"], (j + 1) * f.width
     for r in owned:
         first = ranks[r]["basis"][0]
-        out = np.empty(j + 1)
+        out = np.empty((j + 1,) + tail)
         for i in range(j + 1):
             out[i] = col_dots(first[i], ws[r][-1])
-        view[rows + r * (j + 1):rows + (r + 1) * (j + 1)] = out
-    h = f.reduce(rows, j + 1)
+        view[rows + r * m:rows + (r + 1) * m] = out.reshape(-1)
+    h = f.reduce(rows, m).reshape((j + 1,) + tail)
     for r in owned:
         for k, basis in enumerate(ranks[r]["basis"]):
             w_f = ws[r][k]
@@ -583,18 +622,91 @@ def _op_step(f):  # pragma: no cover
             ws[r][k] = w_f
     if basic:
         f.lap("orthogonalize")
-        wh = f.assemble({r: ws[r][1] * ranks[r]["mask"] for r in owned})
+        wh = f.assemble(
+            {r: ws[r][1] * _rows(ranks[r]["mask"], ws[r][1]) for r in owned}
+        )
         f.lap("exchange")
         for r in owned:
             ws[r][1] = wh[r]
+    norm, c = p["norm_rows"], f.width
     for r in owned:
         ranks[r]["w"] = ws[r]
-        view[p["norm_rows"] + r] = col_dots(ws[r][0], ws[r][-1])
+        view[norm + r * c:norm + (r + 1) * c] = col_dots(ws[r][0], ws[r][-1])
     f.lap("orthogonalize")
     return f.times()
 
 
-_FUSED_OPS = {"chain": _op_apply, "coarse": _op_apply, "step": _op_step}
+def _per_rank(owned, body):  # pragma: no cover
+    """Run ``body(r)`` for each owned rank; ``(rank, seconds)`` each."""
+    times = []
+    for r in owned:
+        t0 = time.perf_counter()
+        body(r)
+        times.append((r, time.perf_counter() - t0))
+    return times
+
+
+def _op_seed(ranks, view, p, owned, w):  # pragma: no cover
+    """Open a cycle: store ``v_0`` (one region per format) as the first
+    basis vector of each owned rank.  The Krylov buffers — per format
+    ``(restart + 1, n)``, ``z`` slots ``(restart, n)``, ``(..., n, k)``
+    for ``k`` columns — are allocated once and reused while that shape
+    holds."""
+    m, formats, k = p["restart"], p["formats"], p["k"]
+    c = k or 1
+    n_total = sum(p["sizes"])
+
+    def body(r):
+        e = ranks[r]
+        off, n = p["offsets"][r], p["sizes"][r]
+        shape = (n,) if k is None else (n, k)
+        basis = e.get("basis")
+        if (
+            basis is None
+            or len(basis) != formats
+            or basis[0].shape != (m + 1,) + shape
+        ):
+            e["basis"] = basis = [
+                np.empty((m + 1,) + shape) for _ in range(formats)
+            ]
+            e["zs"] = np.empty((m,) + shape)
+        for f_, b_f in enumerate(basis):
+            base = (f_ * n_total + off) * c
+            b_f[0] = view[base:base + n * c].reshape(shape)
+        e.update(filled=1, w=None, saved=[])
+
+    return _per_rank(owned, body)
+
+
+def _op_axpy(ranks, view, p, owned, w):  # pragma: no cover
+    """The cycle's solution update, in place on ``x`` in the arena:
+    ``terms`` are :func:`repro.core.distributed.add_columns` argument
+    tuples ``(cols, sel, ys, saved)`` against the rank's live ``z``
+    slots, or — ``saved`` an index — against the slots of a column
+    compacted out mid-cycle."""
+    from repro.core.distributed import add_columns
+
+    k = p["k"]
+    c = k or 1
+
+    def body(r):
+        e = ranks[r]
+        off, n = p["offsets"][r], p["sizes"][r]
+        x = view[off * c:(off + n) * c].reshape((n,) if k is None else (n, k))
+        for cols, sel, ys, saved in p["terms"]:
+            if "zs" not in e:
+                raise _reseed_error(w, r, 0, len(ys[0]))
+            zs = e["zs"] if saved is None else e["saved"][saved]
+            add_columns(x, zs, cols, sel, ys)
+
+    return _per_rank(owned, body)
+
+
+#: The rank ops a worker accepts (besides the test-only ``stall``):
+#: fused ops meet their peers in the arena, the others touch only
+#: their own ranks.
+_FUSED_OPS = {"step": _op_step, "chain": _op_chain}
+_RANK_OPS = {"seed": _op_seed, "axpy": _op_axpy}
 
 
 def _do_rank_op(state, cmd, w, n_workers):  # pragma: no cover
@@ -612,6 +724,8 @@ def _do_rank_op(state, cmd, w, n_workers):  # pragma: no cover
         # Test-only fault: a worker that hangs mid-rank-op.
         time.sleep(float(p["seconds"]))
         return []
+    if name not in _FUSED_OPS and name not in _RANK_OPS:
+        raise ValueError(f"unknown rank op {name!r}")
     res = state.get("resident")
     if res is None or res.get("gen") != p["gen"]:
         raise RuntimeError(
@@ -624,63 +738,8 @@ def _do_rank_op(state, cmd, w, n_workers):  # pragma: no cover
     view = _arena_view(state, arena, total_words, seq)
     if name in _FUSED_OPS:
         return _FUSED_OPS[name](_Fused(state, res, view, p, w, n_workers))
-    offsets = p["offsets"]
-    sizes = p["sizes"]
-    times = []
-    for r in _owned(w, n_workers, len(sizes)):
-        t0 = time.perf_counter()
-        e = res["ranks"][r]
-        off = offsets[r]
-        n = sizes[r]
-        if name in ("mv", "mvb", "mv_rdd", "mvb_rdd"):
-            # Subdomain product (EDD, Eq. 37), or the Eq. 48 block
-            # products on an operand plus its halo values (RDD); the
-            # ``mvb`` ops carry ``(n, k)`` blocks, row-major in the arena.
-            k = p.get("k", 1)
-            tail = (k,) if name.startswith("mvb") else ()
-            x = np.array(view[off * k:(off + n) * k]).reshape((n,) + tail)
-            if name.endswith("rdd"):
-                y = e["a_loc"] @ x
-                if e["a_ext"].shape[1]:
-                    eoff = p["ext"] + p["ext_offsets"][r] * k
-                    en = p["ext_sizes"][r]
-                    ext = np.array(view[eoff:eoff + en * k])
-                    y = y + e["a_ext"] @ ext.reshape((en,) + tail)
-            else:
-                y = e["a"] @ x
-            view[p["out"] + off * k:p["out"] + (off + n) * k] = y.ravel()
-        elif name == "seed":
-            # Open a cycle: (re)use the rank's Krylov buffers — basis
-            # vectors per format, ``z`` slots — sized once for this
-            # system and restart length, and store ``v_0``.
-            m = p["restart"]
-            bases = [off + f_ * p["n_total"] for f_ in range(p["formats"])]
-            basis = e.get("basis")
-            if (
-                basis is None
-                or len(basis) != len(bases)
-                or basis[0].shape != (m + 1, n)
-            ):
-                e["basis"] = basis = [np.empty((m + 1, n)) for _ in bases]
-                e["zs"] = np.empty((m, n))
-            for b_f, base in zip(basis, bases):
-                b_f[0] = view[base:base + n]
-            e["filled"] = 1
-            e["w"] = None
-        elif name == "axpy":
-            x = np.array(view[off:off + n])
-            zs = e["zs"]
-            for i, yi in enumerate(p["y"]):
-                x = x + yi * zs[i]
-            view[p["out"] + off:p["out"] + off + n] = x
-        elif name == "prec":
-            view[p["out"] + off:p["out"] + off + n] = _ilu0_apply(
-                e, p["key"], view[off:off + n]
-            )
-        else:
-            raise ValueError(f"unknown rank op {name!r}")
-        times.append((r, time.perf_counter() - t0))
-    return times
+    owned = list(_owned(w, n_workers, len(p["sizes"])))
+    return _RANK_OPS[name](res["ranks"], view, p, owned, w)
 
 
 def _release(state):  # pragma: no cover

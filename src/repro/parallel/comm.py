@@ -289,17 +289,18 @@ class Comm:
             trc.end()
         return out
 
-    def charge_interface_assemble(self) -> None:
-        """Record exactly what :meth:`interface_assemble` of a vector
-        records — tracer span, per-pair message/word/flop charges,
-        message log — without moving any data.
+    def charge_interface_assemble(self, tail: tuple = ()) -> None:
+        """Record exactly what :meth:`interface_assemble` of parts with
+        trailing shape ``tail`` (``()`` for vectors, ``(k,)`` for
+        blocks) records — tracer span, per-pair message/word/flop
+        charges, message log — without moving any data.
 
         Resident fused rank ops (``repro.parallel.resident``) perform the
         ``⊕Σ∂Ω`` assembly at the workers; this keeps the *modeled*
         communication bit-identical to inline execution by running the
         same charging loop the real collective runs.
         """
-        self._charge_interface(())
+        self._charge_interface(tail)
 
     def _charge_halo(self, plan: dict, tail: tuple, words=None, fill=None):
         """Everything one halo exchange of parts with trailing shape
@@ -332,12 +333,12 @@ class Comm:
         if trc.enabled:
             trc.end()
 
-    def charge_halo_exchange(self, plan: dict) -> None:
-        """Record exactly what :meth:`halo_exchange` of a vector records —
-        tracer span, sender-side message/word charges, message log —
-        without the data movement (resident fused ops fill halos
-        worker-side)."""
-        self._charge_halo(plan, ())
+    def charge_halo_exchange(self, plan: dict, tail: tuple = ()) -> None:
+        """Record exactly what :meth:`halo_exchange` of parts with
+        trailing shape ``tail`` records — tracer span, sender-side
+        message/word charges, message log — without the data movement
+        (resident fused ops fill halos worker-side)."""
+        self._charge_halo(plan, tail)
 
     def allreduce_sum(self, values, words: int = 1):
         """Global sum reduction across ranks.

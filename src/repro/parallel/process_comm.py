@@ -9,13 +9,13 @@ solvers hand to ``run_ranks`` close over rank-local numpy/CSR state and
 cannot cross a process boundary; resident execution escapes that
 constraint for the solver hot loops: :meth:`resident_ship` streams each
 rank's CSR blocks to its owning worker once (keyed by a generation id,
-invalidated on pool respawn) and :meth:`run_rank_op` dispatches named
-operations — matvec, polynomial chain, a whole fused Arnoldi step — as
-small command descriptors that workers execute against the resident
-state, meeting each other through a ``multiprocessing.shared_memory``
-arena where an operation needs its peers' data (:meth:`interface_plan`
-is what their ``⊕Σ∂Ω`` runs on), so at most vectors — inside a resident
-Krylov cycle only reduction scalars — cross process boundaries while all
+invalidated on pool respawn) and :meth:`run_rank_op` dispatches the
+named operations of a resident Krylov cycle — ``seed``, one fused
+``step`` per Arnoldi step, ``axpy`` — as small command descriptors that
+workers execute against the resident state, meeting each other through
+a ``multiprocessing.shared_memory`` arena where an operation needs its
+peers' data (:meth:`interface_plan` is what their ``⊕Σ∂Ω`` runs on), so
+inside a cycle only reduction scalars cross process boundaries while all
 charging stays with the orchestrator.
 
 Collectives never touch the pool: a communicator whose systems stay

@@ -1,50 +1,47 @@
 """Rank-operation engines: inline execution vs. worker-resident execution.
 
-The per-rank compute regions of the FGMRES Krylov spaces
-(:mod:`repro.core.edd`, :mod:`repro.core.rdd`) — subdomain matvecs and
-the fused CGS coefficient round — go through one of the engines below:
+A distributed Krylov solve (:mod:`repro.core.edd`, :mod:`repro.core.rdd`)
+runs its per-rank arithmetic in one of two places:
 
-* the *inline* engines run the original per-rank closures through
-  :meth:`Comm.run_ranks` in the orchestrator process (virtual and chaos
-  backends, and process communicators below the residency threshold);
-  the EDD and RDD ones differ only in their matvecs;
-* the *resident* engines ship each rank's CSR blocks to its owning
-  worker process **once** (keyed by a generation id) and then dispatch
-  small command descriptors — **named rank ops** — so the dominant flops
-  run truly concurrently across cores.  They share one base (shipping,
-  dispatch, charge replay, the worker-resident Krylov cycle ``seed`` /
-  ``step`` / ``axpy`` and the single-op dispatches ``chain`` /
-  ``coarse``); the subclasses add what depends on the decomposition:
-  what to ship, the matvecs, what one operator application charges and,
-  for RDD, ``prec``.
+* *inline*, in the orchestrator through :meth:`Comm.run_ranks` (virtual
+  and chaos backends, and process communicators below the residency
+  threshold) — :class:`RankEngine` holds the CGS coefficient round;
+* *resident*: :class:`ResidentEDDEngine` / :class:`ResidentRDDEngine`
+  ship each rank's CSR blocks and the preconditioner's factor state to
+  its owning worker process **once** (keyed by a generation id) and run
+  the restart cycle there as three **named rank ops** — ``seed`` opens a
+  cycle, one ``step`` per Arnoldi step does all of the step's arithmetic,
+  ``axpy`` updates ``x`` at the cycle's end.  Their base
+  :class:`ResidentEngine` carries shipping, dispatch and charge replay;
+  the subclasses what to ship and what one operator application
+  charges.
 
-A caller that needs a resident-only op asks ``engine.resident`` first;
-inline, the same arithmetic is the caller's own code.
-
-One dispatch per Arnoldi step
------------------------------
-A single right-hand side under CGS — Algorithms 5, 6 and 8 as the paper
-lists them — runs its whole restart cycle in the workers
-(``_ResidentEDDSpace`` / ``_ResidentRDDSpace``): basis, ``z`` slots and
-work vectors never leave them, a step is ONE ``step`` dispatch in which
-the workers precondition, multiply, exchange peer to peer through the
-arena, orthogonalize and take the norm dot back to back, and only the
-partial rows of the step's reductions come back.  :func:`step_program`
-turns the preconditioner into the program that dispatch carries.  Blocks
-(``k > 1``), MGS and preconditioners without a worker-side form keep
-their Krylov vectors in the orchestrator and go resident per operation:
-``mv`` / ``mvb``, ``chain``, ``coarse``, ``prec``.
+A CGS solve — Algorithms 5, 6 and 8 as the paper lists them, one
+right-hand side or a block — whose preconditioner :func:`step_program`
+can express runs resident (:class:`ResidentCycle`): basis, ``z`` slots
+and work vectors never leave the workers, 1-D parts stay 1-D, and the
+workers precondition, multiply, exchange peer to peer through the arena,
+orthogonalize and take the norm dot back to back; only the partial rows
+of the step's reductions come back.  A block column that leaves
+mid-cycle is compacted out at the head of the next step and its ``x``
+update rides in the cycle's ``axpy``.  Everything else — MGS, a
+preconditioner without a program, every residual — runs inline.  Outside
+this package only ``_make_space`` and ``PreparedSystem.build`` ask
+whether an engine is ``resident``; the ``chain`` op (one polynomial
+apply) is issued by no solve and stays for ``bench/probes.py``.
 
 Bit-identity contract
 ---------------------
 Worker-side arithmetic mirrors the inline bodies token for token (same
 numpy expressions, same association order, the same
-:func:`~repro.core.distributed.col_dots`), the workers' ``⊕Σ∂Ω`` sums
-each shared DOF in the order :meth:`Comm.interface_assemble` does, and
-**all charging stays orchestrator-side** using the exact inline
-formulas: after a dispatch the orchestrator *replays* the inline
-charging — the real ``allreduce_sum`` on the partial rows it reads back,
-and :meth:`Comm.charge_interface_assemble` /
+:func:`~repro.core.distributed.col_dots` and
+:func:`~repro.core.distributed.add_columns`), the workers' ``⊕Σ∂Ω`` sums
+each shared DOF in the order :meth:`Comm.interface_assemble` does, a
+retired column is dropped with the inline ``np.delete`` (so later column
+dots read the same strides), and **all charging stays
+orchestrator-side**: after a dispatch the orchestrator *replays* the
+inline charging — the real ``allreduce_sum`` on the partial rows it
+reads back, and :meth:`Comm.charge_interface_assemble` /
 :meth:`Comm.charge_halo_exchange` driven by the actual polynomial
 recurrence over charge-only ghost vectors.  So the returned floats are
 bitwise identical and ``CommStats``, tracer exchange/reduction spans and
@@ -58,21 +55,19 @@ dispatch it checks :meth:`ProcessComm.resident_ready` — which acquires
 the pool first, so a respawn (crash recovery, forced shutdown) honestly
 invalidates the generation and the engine re-ships transparently.  A
 worker that receives a rank op for an unknown generation, or a ``step``
-for a cycle it holds no basis of, raises, which surfaces as the pool's
-named error taxonomy rather than silent garbage.  Preconditioner state
-ships alongside the CSR blocks: Block-Jacobi ILU0 factors and coarse
-restriction bases as per-rank ``aux`` state, the small factorized
-Galerkin matrix as redundant ``aux_shared`` state.
+or ``axpy`` for a cycle it holds no basis of, raises, which surfaces as
+the pool's named error taxonomy rather than silent garbage.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.distributed import DistVector, _n_cols, col_dots
+from repro.core.distributed import DistVector, col_dots
 
 __all__ = [
     "engine_mode",
@@ -80,8 +75,6 @@ __all__ = [
     "StepRows",
     "ResidentCycle",
     "RankEngine",
-    "InlineEDDEngine",
-    "InlineRDDEngine",
     "ResidentEngine",
     "ResidentEDDEngine",
     "ResidentRDDEngine",
@@ -90,6 +83,24 @@ __all__ = [
 #: Generation ids for resident system state; unique per engine instance
 #: so a worker can never confuse two systems' CSR blocks.
 _generations = itertools.count(1)
+
+#: Worker-side keys of preconditioner state, one per preconditioner
+#: object (held weakly): a preconditioner built where a dead one lived
+#: never inherits its shipped factors.
+_aux_keys: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_aux_ids = itertools.count(1)
+
+
+def _aux_key(precond) -> str:
+    key = _aux_keys.get(precond)
+    if key is None:
+        key = _aux_keys[precond] = f"aux-{next(_aux_ids)}"
+    return key
+
+
+def _width(tail: tuple) -> int:
+    """Columns of parts with trailing shape ``tail``: 1 for ``()``."""
+    return tail[0] if tail else 1
 
 
 def engine_mode(comm, work_hint: int) -> str:
@@ -130,16 +141,66 @@ def _btimeout(comm) -> float:
     return max(1.0, 0.5 * float(comm.call_timeout))
 
 
+def _aux_states(precond) -> list:
+    """What of a factor-state preconditioner ships to the workers.
+    Block-Jacobi ILU0: each rank's combined L/U CSR factor plus the
+    diagonal-position/split tables the backend ``ilu0_solve`` reads
+    (``aux``, kept by the owning worker).  Two-level: the small
+    factorized Galerkin matrix, broadcast to every worker
+    (``aux_shared`` — the redundant-solve trade the inline path makes),
+    plus each rank's restriction/prolongation basis blocks (both ship
+    even where RDD aliases them, so worker-side keys stay uniform)."""
+    from repro.precond.coarse import TwoLevelPreconditioner
+
+    key = _aux_key(precond)
+    if not isinstance(precond, TwoLevelPreconditioner):
+        return [
+            {
+                "kind": "aux",
+                "arrays": {
+                    "indptr": ilu._lu.indptr,
+                    "indices": ilu._lu.indices,
+                    "data": ilu._lu.data,
+                    "diag_pos": ilu._diag_pos,
+                    "split": ilu._split,
+                },
+                "meta": {"rank": r, "key": key},
+            }
+            for r, ilu in enumerate(precond._local)
+        ]
+    kind, factor = precond._factor
+    if kind == "cho":
+        c, lower = factor
+        arrays = {"fmat": c}
+        meta = {"key": key, "fkind": "cho", "lower": bool(lower)}
+    else:
+        lu, piv = factor
+        arrays = {"fmat": lu, "piv": piv.astype(np.int64)}
+        meta = {"key": key, "fkind": "lu"}
+    return [{"kind": "aux_shared", "arrays": arrays, "meta": meta}] + [
+        {
+            "kind": "aux",
+            "arrays": {"wl": wl, "wg": wg},
+            "meta": {"rank": r, "key": key},
+        }
+        for r, (wl, wg) in enumerate(
+            zip(precond._wl_parts, precond._wg_parts)
+        )
+    ]
+
+
 class _ChargeVec:
     """Charge-only ghost vector for replaying a polynomial recurrence.
 
-    After a fused ``chain`` dispatch the orchestrator re-runs the *exact*
-    preconditioner recurrence (`apply_linear` itself) on one of these:
-    every vector op charges precisely what the inline distributed vector
-    charges per rank — ``axpy`` flops per element for ``+``/``-`` (1 for
-    EDD :class:`DistVector`, 2 for the RDD axpy parts), one per element
-    for scalar ``*``, nothing for ``copy`` — so CommStats can never drift
-    from the inline path, even if a recurrence changes shape.
+    After a ``step`` (or ``chain``) dispatch the orchestrator re-runs
+    the *exact* preconditioner recurrence (`apply_linear` itself) on one
+    of these: every vector op charges precisely what the inline
+    distributed vector charges per rank — ``axpy`` flops per element for
+    ``+``/``-`` (1 for EDD :class:`DistVector`, 2 for the RDD axpy
+    parts), one per element for scalar ``*``, nothing for ``copy`` — so
+    CommStats can never drift from the inline path, even if a recurrence
+    changes shape.  ``sizes`` are per-rank element counts (rows times
+    columns for a block).
     """
 
     __slots__ = ("comm", "sizes", "axpy")
@@ -170,19 +231,19 @@ class _ChargeVec:
 
 
 # ----------------------------------------------------------------------
-# Inline engines
+# The inline engine
 # ----------------------------------------------------------------------
 class RankEngine:
-    """What every engine can do in the orchestrator: the CGS Arnoldi
-    coefficient round as per-rank closures through ``Comm.run_ranks``.
+    """The inline engine — what ``rank_engine()`` returns unless the
+    system is resident: the CGS Arnoldi coefficient round as per-rank
+    closures through ``Comm.run_ranks``, in the orchestrator.
 
     ``basis`` and ``w`` hold one entry per vector format — EDD
     ``(local, global)``, RDD one — as per-rank parts (``basis[f][i]`` is
     basis vector ``i``), all ``(n,)`` vectors or all ``(n, k)`` blocks.
     The dots pair the first format's basis with the last format's ``w``:
     the mixed-format inner product of Eq. 33 for EDD, the plain Eq. 47
-    one for RDD.  The round returns the orthogonalized ``w``, one parts
-    list per format.
+    one for RDD.
     """
 
     resident = False
@@ -193,7 +254,10 @@ class RankEngine:
     def arnoldi_step(self, j, h, basis, w):
         """One CGS round: fused partial dots (per column for blocks, each
         the ddot the vector round performs), ONE allreduce of ``j + 1``
-        words per column for all columns, fused orthogonalization."""
+        words per column for all columns, then ``w[f] -= sum_i h[i] *
+        basis[f][i]`` per rank and format (a row of ``h`` broadcasts over
+        a block's columns).  Returns the orthogonalized ``w``, one parts
+        list per format."""
         comm = self.system.comm
         v_dot, w_dot = basis[0], w[-1]
         partial = np.empty((comm.size, j + 1) + w_dot[0].shape[1:])
@@ -206,12 +270,6 @@ class RankEngine:
 
         comm.run_ranks(dots_body)
         h[: j + 1] = comm.allreduce_sum(list(partial), words=partial[0].size)
-        return self._orthogonalize(j, h, basis, w)
-
-    def _orthogonalize(self, j, h, basis, w):
-        """``w[f] -= sum_i h[i] * basis[f][i]`` per rank and format (a
-        row of ``h`` broadcasts over a block's columns)."""
-        comm = self.system.comm
         nf = len(w)
         new_w = [[None] * len(w[0]) for _ in range(nf)]
 
@@ -227,79 +285,34 @@ class RankEngine:
         return new_w
 
 
-class InlineEDDEngine(RankEngine):
-    """Original per-rank subdomain matvecs (Eq. 37), any backend."""
-
-    def matvec_local(self, v):
-        """Per-rank subdomain product (Eq. 37) — a matvec, or one SpMM
-        over all ``k`` columns of a block."""
-        system = self.system
-        comm = system.comm
-        a_local = system.a_local
-        x_parts = v.parts
-        k = v.k
-        parts = [None] * len(a_local)
-
-        def body(r: int) -> None:
-            a = a_local[r]
-            parts[r] = a @ x_parts[r]
-            comm.add_flops(r, 2 * a.nnz * k)
-
-        comm.run_ranks(body)
-        return DistVector(parts, "local", comm)
-
-
-class InlineRDDEngine(RankEngine):
-    """Original per-rank row-block products (Eq. 48), any backend."""
-
-    def matvec(self, x_parts, ext_vals):
-        """Per-rank Eq. 48 block products — matvecs, or SpMMs over all
-        ``k`` columns of a block."""
-        system = self.system
-        comm = system.comm
-        a_loc = system.a_loc
-        a_ext = system.a_ext
-        k = _n_cols(x_parts[0])
-        out = [None] * len(a_loc)
-
-        def body(r: int) -> None:
-            loc, ext = a_loc[r], a_ext[r]
-            y = loc @ x_parts[r]
-            comm.add_flops(r, 2 * loc.nnz * k)
-            if ext.shape[1]:
-                y = y + ext @ ext_vals[r]
-                comm.add_flops(r, 2 * ext.nnz * k + y.size)
-            out[r] = y
-
-        comm.run_ranks(body)
-        return out
-
-
 # ----------------------------------------------------------------------
-# Resident engines
+# The resident cycle
 # ----------------------------------------------------------------------
 class StepRows(NamedTuple):
     """What one fused ``step`` dispatch hands back: the partial rows of
     its reductions, one entry per rank."""
 
-    #: ``n_coarse`` words each (empty without a two-level preconditioner).
+    #: ``n_coarse`` words per column (empty without a two-level
+    #: preconditioner).
     coarse: list
-    #: The ``j + 1`` CGS coefficients ``<v_i, w>``.
+    #: The ``j + 1`` CGS coefficients ``<v_i, w>`` per column.
     arn: list
-    #: ``<w, w>`` after the orthogonalization, one word per rank.
-    norm: np.ndarray
+    #: ``<w, w>`` after the orthogonalization: a scalar per rank, or a
+    #: ``(k,)`` row for a block.
+    norm: list
 
 
 def step_program(precond):
     """The preconditioner as a program the workers' ``step`` op runs —
     nested tuples ``("copy",)``, ``("chain", kind, params)``,
-    ``("prec", key)``, ``("2l", mode, key, n_coarse, inner)`` — plus
+    ``("ilu0", key)``, ``("2l", mode, key, n_coarse, inner)`` — plus
     the preconditioners whose resident state it reads (shipped with
     :meth:`ResidentEngine.ensure_aux`) and the coarse dimension.  None
     when some part has no worker-side form (a polynomial family without
-    ``chain_terms``, a user-supplied object): such a solve keeps its
-    Krylov vectors in the orchestrator."""
+    ``chain_terms``, a user-supplied object): such a solve runs
+    inline."""
     from repro.precond.base import PolynomialPreconditioner
+    from repro.precond.block_jacobi import BlockJacobiILU
     from repro.precond.coarse import TwoLevelPreconditioner
 
     aux: list = []
@@ -315,10 +328,10 @@ def step_program(precond):
                 return inner
             aux.append(pc)
             n_coarse = pc.n_coarse
-            return ("2l", pc._spec.mode, pc._resident_key, n_coarse, inner)
-        if hasattr(pc, "apply_parts"):
+            return ("2l", pc._spec.mode, _aux_key(pc), n_coarse, inner)
+        if isinstance(pc, BlockJacobiILU):
             aux.append(pc)
-            return ("prec", pc._resident_key)
+            return ("ilu0", _aux_key(pc))
         if isinstance(pc, PolynomialPreconditioner):
             terms = pc.chain_terms()
             return None if terms is None else ("chain",) + terms
@@ -329,66 +342,125 @@ def step_program(precond):
 
 
 class ResidentCycle:
-    """The per-step half of a Krylov space whose restart cycle lives in
-    the workers (mixed into ``_ResidentEDDSpace`` / ``_ResidentRDDSpace``,
+    """The half of a Krylov space whose restart cycle lives in the
+    workers (mixed into ``_ResidentEDDSpace`` / ``_ResidentRDDSpace``,
     which supply ``engine``, ``precond``, ``restart``, ``plan`` and, for
-    Algorithm 5, ``basic``).  One Arnoldi step is ONE ``step`` dispatch,
-    issued by :meth:`precondition` — so its wall time lands in the
-    driver's ``precond_apply`` span — and the three driver calls of a
-    step replay, each inside its own span, what their inline
-    counterparts charge and reduce."""
+    Algorithm 5, ``basic``, and call :meth:`_seed` from ``start_cycle``
+    and :meth:`_flush` from ``residual``).  One Arnoldi step is ONE
+    ``step`` dispatch, issued by :meth:`precondition` — so its wall time
+    lands in the driver's ``precond_apply`` span — and the three driver
+    calls of a step replay, each inside its own span, what their inline
+    counterparts charge and reduce.
+
+    Columns are tracked by id: ``cols`` are the live ones in the
+    driver's position order, ``layout`` the order the workers' blocks
+    hold them in.  The two differ from a retirement until the next
+    step, whose dispatch carries the positions to keep; the workers set
+    the retired columns' ``z`` slots aside (``saved``) for the cycle's
+    one ``axpy``, which applies every ``x`` update the cycle owes
+    (``pending``)."""
 
     basic = False
+    pending: tuple | list = ()
 
-    def _seed(self, *v0) -> None:
+    def _seed(self, cols, *v0) -> None:
         self.engine.seed_basis(self.restart, *v0)
-        self.inv_h = None
+        self.block = v0[0][0].ndim == 2
+        self.cols = list(cols)
+        self.layout = list(cols)
+        self.saved: list = []
+        self.pending = []
 
     def precondition(self, j):
         """Dispatch step ``j`` — all of it — and replay what
         ``z_j = C v_j`` charges inline."""
-        self.rows = self.engine.step(j, self.inv_h, self.plan, self.basic)
-        self.engine.replay_precondition(self.precond, self.rows.coarse)
+        keep = inv_h = None
+        if self.layout != self.cols:
+            keep = [self.layout.index(c) for c in self.cols]
+            self.saved += [c for c in self.layout if c not in self.cols]
+            self.layout = list(self.cols)
+        if j:
+            inv_h = [self.inv_h[c] for c in self.cols]
+            if not self.block:
+                inv_h = inv_h[0]
+        self.tail = (len(self.cols),) if self.block else ()
+        self.rows = self.engine.step(
+            j, inv_h, keep, self.plan, self.basic, self.tail
+        )
+        self.engine.replay_precondition(
+            self.precond, self.rows.coarse, self.tail
+        )
 
     def matvec(self, j):
         """Replay what ``w = A z_j`` and its exchange charge inline."""
-        self.engine.replay_matvec(self.basic)
+        self.engine.replay_matvec(self.basic, self.tail)
 
     def orthogonalize(self, j):
         """The step's two reductions on the workers' partial rows;
-        returns the ``(j + 2, 1)`` Hessenberg column."""
-        return self.engine.replay_orthogonalize(j, self.rows, self.basic)
+        returns the ``(j + 2, live)`` Hessenberg columns."""
+        return self.engine.replay_orthogonalize(
+            j, self.rows, self.basic, self.tail
+        )
+
+    def retire(self, pos, col, y):
+        """Column ``col`` leaves at live position ``pos``: its update
+        waits for the cycle's ``axpy``, its slots for the next step."""
+        self.pending.append((col, [y]))
+        del self.cols[pos]
 
     def commit(self, j, keep, h_next):
         """``v_{j+1} = w / h_next``: the workers do it at the head of
-        the next step's dispatch, which carries the scalar."""
-        self.inv_h = 1.0 / h_next[0]
-        self.engine.charge_commit()
+        the next step's dispatch, which carries the scalars (and the
+        positions ``w`` keeps)."""
+        self.inv_h = dict(zip(self.cols, (1.0 / h_next).tolist()))
+        self.engine.charge_commit(len(self.cols))
+
+    def update(self, cols, ys):
+        """The columns that rode out the cycle: one batched term of the
+        cycle's ``axpy``."""
+        self.pending.append((list(cols), ys))
+
+    def _flush(self, x_parts):
+        """Apply every ``x`` update the cycle owes in ONE ``axpy``, each
+        with the ``(cols, sel)`` arguments of the inline update (a
+        retired column: its id and live position, or its set-aside
+        slots); returns the updated parts."""
+        terms = []
+        for cols, ys in self.pending:
+            if isinstance(cols, list):
+                sel = [self.layout.index(c) for c in cols]
+                terms.append((np.asarray(cols), sel, ys, None))
+            elif cols in self.saved:
+                terms.append((cols, 0, ys, self.saved.index(cols)))
+            else:
+                terms.append((cols, self.layout.index(cols), ys, None))
+        self.pending = []
+        return self.engine.axpy_update(x_parts, terms)
 
 
+# ----------------------------------------------------------------------
+# Resident engines
+# ----------------------------------------------------------------------
 class ResidentEngine(RankEngine):
     """What the EDD and RDD resident engines share: state shipping,
-    command dispatch, the single-op dispatches (matvecs, ``chain``,
-    ``coarse``) any solve may use, and the worker-resident Krylov cycle
-    of single-RHS CGS FGMRES — ``seed`` / ``step`` / ``axpy``.
+    command dispatch, charge replay and the worker-resident Krylov
+    cycle of CGS FGMRES — ``seed`` / ``step`` / ``axpy``.
 
     In a resident cycle the basis, the ``z`` slots and the work vectors
     live in the workers (allocated at the first ``seed`` of a system,
     reused afterwards) and one Arnoldi step is ONE ``step`` dispatch.
-    The orchestrator keeps the iterate and the residual, nothing else;
-    per step only the partial rows of the step's reductions come back,
-    and it replays on them — in the driver's ``precond_apply`` /
-    ``matvec`` / ``orthogonalize`` order — the real ``allreduce_sum``
-    and the charge-only collectives, so ``CommStats``, exchange and
-    reduction spans and the per-iteration metric deltas are the inline
-    ones.  ``formats`` is how many parts lists a vector has (EDD carries
-    each basis vector local- *and* global-distributed, RDD vectors have
-    one format); ``axpy_flops`` what ``y + x`` charges per element.
-
-    The worker slots hold vectors: ``(n, k)`` blocks go resident for the
-    matvec only (``mvb`` / ``mvb_rdd``); handed a block, ``poly_chain``
-    and ``coarse_correct`` return None so the caller stays on its
-    generic path.
+    The orchestrator keeps the iterate and computes the residual,
+    nothing else; per step only the partial rows of the step's
+    reductions come back, and it replays on them — in the driver's
+    ``precond_apply`` / ``matvec`` / ``orthogonalize`` order — the real
+    ``allreduce_sum`` and the charge-only collectives, so ``CommStats``,
+    exchange and reduction spans and the per-iteration metric deltas are
+    the inline ones.  The replay methods take ``tail``, the trailing
+    shape of the step's parts (``()``, or ``(k,)`` for ``k`` live
+    columns).  ``formats`` is how many parts lists a vector has (EDD
+    carries each basis vector local- *and* global-distributed, RDD
+    vectors have one format); ``axpy_flops`` what ``y + x`` charges per
+    element.
     """
 
     resident = True
@@ -400,8 +472,8 @@ class ResidentEngine(RankEngine):
         super().__init__(system)
         self.gen = next(_generations)
         self.sizes, self.offsets, self.n_total = _layout(sizes)
-        #: Words of one exchange slot of a fused op: what the ranks
-        #: publish for their peers in one exchange.
+        #: Words of one exchange slot of a fused op (per column): what
+        #: the ranks publish for their peers in one exchange.
         self.slot_words = slot_words
         self._aux_sent: set = set()
 
@@ -420,7 +492,7 @@ class ResidentEngine(RankEngine):
         generation; a pool respawn invalidates the generation, so the
         next dispatch re-ships the base system *and* every aux state."""
         self.ensure_shipped()
-        key = precond._resident_key
+        key = _aux_key(precond)
         if key in self._aux_sent:
             return
         comm = self.system.comm
@@ -428,11 +500,19 @@ class ResidentEngine(RankEngine):
         if trc.enabled:
             trc.begin("resident_ship", "phase", aux=key)
         try:
-            comm.resident_ship_aux(self.gen, precond._resident_states())
+            comm.resident_ship_aux(self.gen, _aux_states(precond))
         finally:
             if trc.enabled:
                 trc.end()
         self._aux_sent.add(key)
+
+    def ship_precond(self, precond) -> None:
+        """Ship the state every part of ``precond``'s step program reads
+        (nothing for a preconditioner without a program: its solves run
+        inline)."""
+        plan = step_program(precond)
+        for pc in plan[1] if plan is not None else ():
+            self.ensure_aux(pc)
 
     def _dispatch(self, payload, writes, reads, total_words):
         from repro.sparse.kernels import active_backend_name
@@ -485,207 +565,184 @@ class ResidentEngine(RankEngine):
         for r, n in enumerate(self.sizes):
             comm.add_flops(r, per_elem * n)
 
-    def _replay_chain(self, precond) -> None:
+    def _replay_chain(self, precond, tail=()) -> None:
         """Replay the inline charging of one polynomial application:
         drive ``precond.apply_linear`` over charge-only ghosts with a
         ghost operator — identical CommStats, tracer exchange spans and
         message logs to the inline path, with zero data movement."""
-        vec = _ChargeVec(self.system.comm, self.sizes, self.axpy_flops)
+        c = _width(tail)
+        vec = _ChargeVec(
+            self.system.comm, [n * c for n in self.sizes], self.axpy_flops
+        )
 
         def matvec(_v):
-            self.charge_operator()
+            self.charge_operator(tail)
             return vec
 
         precond.apply_linear(matvec, vec)
 
-    def _replay_coarse(self, tl, rows) -> None:
+    def _replay_coarse(self, tl, rows, tail) -> None:
         """Replay the inline charging of one coarse correction around
         the real coarse allreduce on the workers' partial ``rows`` — the
         correction still costs exactly ONE reduction of ``n_coarse``
-        words, and chaos plans aimed at it keep firing."""
+        words per column, and chaos plans aimed at it keep firing."""
         comm = self.system.comm
         p = len(self.sizes)
-        nc = tl.n_coarse
+        nc, c = tl.n_coarse, _width(tail)
         trc = comm.tracer
         if trc.enabled:
-            trc.begin("coarse_solve", "solver", n_coarse=nc, k=1)
+            trc.begin("coarse_solve", "solver", n_coarse=nc, k=c)
         for r in range(p):
-            comm.add_flops(r, 2 * tl._wl_parts[r].size)
-        comm.allreduce_sum(rows, words=nc)
-        comm.add_flops_all([2 * nc * nc] * p)
+            comm.add_flops(r, 2 * tl._wl_parts[r].size * c)
+        comm.allreduce_sum(rows, words=nc * c)
+        comm.add_flops_all([2 * nc * nc * c] * p)
         for r in range(p):
-            comm.add_flops(r, 2 * tl._wg_parts[r].size)
+            comm.add_flops(r, 2 * tl._wg_parts[r].size * c)
         if trc.enabled:
             trc.end()
 
-    def replay_precondition(self, precond, rows) -> None:
+    def replay_precondition(self, precond, rows, tail=()) -> None:
         """What a step's ``z_j = C v_j`` charges inline, in the order the
         ``_precondition`` dispatchers and ``TwoLevelPreconditioner.
         apply_edd`` / ``apply_rdd`` charge it; ``rows`` are the coarse
         partial rows of the step (:attr:`StepRows.coarse`)."""
+        from repro.precond.block_jacobi import BlockJacobiILU
         from repro.precond.coarse import TwoLevelPreconditioner
 
+        axpy = self.axpy_flops * _width(tail)
         if precond is None:
             return
-        if not isinstance(precond, TwoLevelPreconditioner):
-            if hasattr(precond, "apply_parts"):
-                self.charge_ilu0()
-            else:
-                self._replay_chain(precond)
+        if isinstance(precond, BlockJacobiILU):
+            self.charge_ilu0(tail)
+        elif not isinstance(precond, TwoLevelPreconditioner):
+            self._replay_chain(precond, tail)
         elif precond._trivial:
-            self.replay_precondition(precond._inner, rows)
+            self.replay_precondition(precond._inner, rows, tail)
         elif precond._spec.mode == "additive":
-            self.replay_precondition(precond._inner, rows)
-            self._replay_coarse(precond, rows)
-            self._charge_all(self.axpy_flops)
+            self.replay_precondition(precond._inner, rows, tail)
+            self._replay_coarse(precond, rows, tail)
+            self._charge_all(axpy)
         else:
-            self._replay_coarse(precond, rows)
-            self.charge_operator()
-            self._charge_all(self.axpy_flops)
-            self.replay_precondition(precond._inner, rows)
-            self._charge_all(self.axpy_flops)
+            self._replay_coarse(precond, rows, tail)
+            self.charge_operator(tail)
+            self._charge_all(axpy)
+            self.replay_precondition(precond._inner, rows, tail)
+            self._charge_all(axpy)
+
+    def replay_matvec(self, basic=False, tail=()) -> None:
+        """What the step's ``w = A z_j`` and its exchange charge inline
+        (Algorithm 5 re-assembles ``z_j`` first: exchange 1 of 3)."""
+        if basic:
+            self.system.comm.charge_interface_assemble(tail)
+        self.charge_operator(tail)
+
+    def replay_orthogonalize(self, j, rows: StepRows, basic=False, tail=()):
+        """The step's two reductions, for real, on the workers' partial
+        rows — identical tree pairing, so identical bits to the ``h``
+        the workers orthogonalized with — between the flop (and, for
+        Algorithm 5, exchange 3 of 3) charges of the inline round;
+        returns the ``(j + 2, live)`` Hessenberg columns."""
+        comm = self.system.comm
+        c = _width(tail)
+        h = np.empty((j + 2,) + tail)
+        self._charge_all(2 * (j + 1) * c)
+        h[: j + 1] = comm.allreduce_sum(
+            rows.arn, words=(j + 1) * c
+        ).reshape((j + 1,) + tail)
+        self._charge_all(2 * self.formats * (j + 1) * c)
+        if basic:
+            comm.charge_interface_assemble(tail)
+        self._charge_all(2 * c)
+        h[j + 1] = np.sqrt(
+            np.maximum(comm.allreduce_sum(rows.norm, words=c), 0.0)
+        )
+        return h.reshape(j + 2, -1)
+
+    def charge_commit(self, live: int) -> None:
+        """What normalising ``live`` columns of ``w`` into ``v_{j+1}``
+        charges inline: one flop per element and format (the workers do
+        it at the head of the next ``step``)."""
+        self._charge_all(self.formats * live)
 
     # -- the resident Krylov cycle -------------------------------------
     def seed_basis(self, restart, *v0) -> None:
         """Open a cycle of at most ``restart`` steps in the workers:
         their basis becomes the cycle's first vector (one parts list per
-        format)."""
-        n = self.n_total
+        format; ``(n, k)`` parts open a block of ``k`` columns)."""
+        k = v0[0][0].shape[1] if v0[0][0].ndim == 2 else None
+        c = k or 1
+        n = self.n_total * c
         writes = []
         for f, parts in enumerate(v0):
-            writes += self._vec_writes(parts, base=f * n)
+            writes += self._vec_writes(parts, base=f * n, k=c)
         self._dispatch(
             {
                 "name": "seed", "restart": int(restart),
-                "formats": self.formats, "n_total": n,
+                "formats": self.formats, "k": k,
             },
             writes,
             [],
             self.formats * n,
         )
 
-    def step(self, j, inv_h, plan, basic=False) -> StepRows:
-        """Arnoldi step ``j`` as ONE dispatch: the workers append
-        ``inv_h`` times the previous step's vector to the basis (None at
-        ``j == 0``), apply the preconditioner program, multiply,
+    def step(self, j, inv_h, keep, plan, basic=False, tail=()) -> StepRows:
+        """Arnoldi step ``j`` as ONE dispatch: the workers keep the
+        columns at positions ``keep`` (None: all), append ``inv_h`` (one
+        scalar per column; None at ``j == 0``) times the previous step's
+        vector to the basis, apply the preconditioner program, multiply,
         exchange, orthogonalize and take the norm dot, meeting in the
         arena where they need each other.  ``plan`` is this solve's
-        :func:`step_program` result."""
+        :func:`step_program` result, ``tail`` the trailing shape of the
+        step's parts."""
         program, aux, nc = plan
         for precond in aux:
             self.ensure_aux(precond)
-        p = len(self.sizes)
-        arn = 2 * self.slot_words
-        norm = arn + p * (j + 1)
-        coarse = norm + p
+        p, c = len(self.sizes), _width(tail)
+        m = (j + 1) * c
+        arn = 2 * self.slot_words * c
+        norm = arn + p * m
+        coarse = norm + p * c
         payload = {
             "name": "step",
             "j": int(j),
-            "commit": None if inv_h is None else float(inv_h),
+            "k": tail[0] if tail else None,
+            "keep": keep,
+            "commit": inv_h,
             "basic": bool(basic),
-            "prec": program,
+            "program": program,
             "slots": 0,
             "arn_rows": arn,
             "norm_rows": norm,
             "coarse_rows": coarse,
         }
         reads = (
-            self._row_reads(coarse, nc) + self._row_reads(arn, j + 1)
-            + [(norm, p)]
+            self._row_reads(coarse, nc * c) + self._row_reads(arn, m)
+            + [(norm, p * c)]
         )
-        outs = self._fused(payload, coarse + p * nc, [], reads)
-        return StepRows(outs[:p], outs[p:2 * p], outs[2 * p])
-
-    def replay_matvec(self, basic=False) -> None:
-        """What the step's ``w = A z_j`` and its exchange charge inline
-        (Algorithm 5 re-assembles ``z_j`` first: exchange 1 of 3)."""
-        if basic:
-            self.system.comm.charge_interface_assemble()
-        self.charge_operator()
-
-    def replay_orthogonalize(self, j, rows: StepRows, basic=False):
-        """The step's two reductions, for real, on the workers' partial
-        rows — identical tree pairing, so identical bits to the ``h``
-        the workers orthogonalized with — between the flop (and, for
-        Algorithm 5, exchange 3 of 3) charges of the inline round;
-        returns the ``(j + 2, 1)`` Hessenberg column."""
-        comm = self.system.comm
-        h = np.empty(j + 2)
-        self._charge_all(2 * (j + 1))
-        h[: j + 1] = comm.allreduce_sum(rows.arn, words=j + 1)
-        self._charge_all(2 * self.formats * (j + 1))
-        if basic:
-            comm.charge_interface_assemble()
-        self._charge_all(2)
-        h[j + 1] = np.sqrt(
-            np.maximum(comm.allreduce_sum(list(rows.norm), words=1), 0.0)
+        outs = self._fused(payload, coarse + p * nc * c, [], reads)
+        return StepRows(
+            outs[:p], outs[p:2 * p], list(outs[2 * p].reshape((p,) + tail))
         )
-        return h.reshape(j + 2, 1)
 
-    def charge_commit(self) -> None:
-        """What normalising ``w`` into ``v_{j+1}`` charges inline: one
-        flop per element and format (the workers do it at the head of
-        the next ``step``)."""
-        self._charge_all(self.formats)
-
-    def axpy_update(self, x, y):
-        """Solution update against the workers' ``z`` slots; only ``x``
-        and the ``y`` coefficients cross the boundary."""
-        if len(y) == 0:
+    def axpy_update(self, x, terms):
+        """The cycle's solution update against the workers' ``z``
+        slots: one :func:`~repro.core.distributed.add_columns` per term
+        ``(cols, sel, ys, saved)``, all in ONE dispatch; only ``x`` and
+        the coefficients cross the boundary.  Charges what the inline
+        updates charge; returns the new ``x`` parts."""
+        terms = [t for t in terms if np.shape(t[2])[1]]
+        if not terms:
             return x
-        n = self.n_total
-        payload = {
-            "name": "axpy",
-            "y": [float(yi) for yi in y],
-            "out": n,
-        }
+        k = x[0].shape[1] if x[0].ndim == 2 else None
+        c = k or 1
         out = self._dispatch(
-            payload, self._vec_writes(x), self._vec_reads(n), 2 * n
+            {"name": "axpy", "k": k, "terms": terms},
+            self._vec_writes(x, k=c), self._vec_reads(0, c), self.n_total * c,
         )
-        self._charge_all(2 * len(y))
-        return out
-
-    # -- single-op dispatches ------------------------------------------
-    def _poly_chain(self, precond, terms, v_parts):
-        """One fused dispatch for a whole degree-``k`` polynomial apply
-        on vector parts: the workers run the recurrence against their
-        resident blocks, exchanging peer to peer with one spin barrier
-        per degree — O(1) pipe round-trips instead of O(k); the inline
-        charging is replayed afterwards over the real recurrence."""
-        n = self.n_total
-        kind, params = terms
-        payload = {
-            "name": "chain", "kind": kind, "params": params,
-            "out": n, "slots": 2 * n,
-        }
-        out = self._fused(
-            payload, 2 * n + 2 * self.slot_words,
-            self._vec_writes(v_parts), self._vec_reads(n),
-        )
-        self._replay_chain(precond)
-        return out
-
-    def coarse_correct(self, tl, v_parts):
-        """One fused dispatch for the two-level coarse correction:
-        rank-local restriction, redundant tree reduction, redundant
-        dense solve of the shipped factorized Galerkin matrix and
-        rank-local prolongation.  None for blocks."""
-        if v_parts[0].ndim == 2:
-            return None
-        self.ensure_aux(tl)
-        n = self.n_total
-        p = len(self.sizes)
-        nc = tl.n_coarse
-        payload = {
-            "name": "coarse", "nc": nc, "key": tl._resident_key,
-            "coarse_rows": n, "out": n + p * nc,
-        }
-        outs = self._fused(
-            payload, 2 * n + p * nc, self._vec_writes(v_parts),
-            self._row_reads(n, nc) + self._vec_reads(n + p * nc),
-        )
-        self._replay_coarse(tl, outs[:p])
-        return outs[p:]
+        for _cols, _sel, ys, _saved in terms:
+            n_cols, m = np.shape(ys)
+            self._charge_all(2 * m * n_cols)
+        return [o.reshape(xp.shape) for o, xp in zip(out, x)]
 
 
 class ResidentEDDEngine(ResidentEngine):
@@ -719,43 +776,34 @@ class ResidentEDDEngine(ResidentEngine):
         ]
         system.comm.resident_ship(self.gen, rank_states)
 
-    def charge_operator(self) -> None:
+    def charge_operator(self, tail=()) -> None:
         """What one ``matvec_assembled`` charges inline."""
         comm = self.system.comm
+        c = _width(tail)
         for r, a in enumerate(self.system.a_local):
-            comm.add_flops(r, 2 * a.nnz)
-        comm.charge_interface_assemble()
-
-    def matvec_local(self, v):
-        """Worker-resident subdomain product: ``mv`` for vectors, or
-        ``mvb``, one SpMM over all ``k`` columns of a block."""
-        system = self.system
-        comm = system.comm
-        x_parts = v.parts
-        k = v.k
-        out = self.n_total * k
-        if x_parts[0].ndim == 1:
-            payload = {"name": "mv", "out": out}
-        else:
-            payload = {"name": "mvb", "k": k, "out": out}
-        outs = self._dispatch(
-            payload,
-            self._vec_writes(x_parts, k=k),
-            self._vec_reads(out, k),
-            2 * out,
-        )
-        parts = [o.reshape(x.shape) for o, x in zip(outs, x_parts)]
-        for r, a in enumerate(system.a_local):
-            comm.add_flops(r, 2 * a.nnz * k)
-        return DistVector(parts, "local", comm)
+            comm.add_flops(r, 2 * a.nnz * c)
+        comm.charge_interface_assemble(tail)
 
     def poly_chain(self, precond, terms, v_hat):
-        """:meth:`ResidentEngine._poly_chain` on a global-distributed
-        vector; None (caller stays inline) for blocks."""
-        if v_hat.parts[0].ndim == 2:
-            return None
-        parts = self._poly_chain(precond, terms, v_hat.parts)
-        return DistVector(parts, "global", self.system.comm)
+        """One polynomial apply ``z = P(A) v_hat`` on a global-distributed
+        vector as ONE ``chain`` dispatch: the workers run the recurrence
+        (``terms`` is ``precond.chain_terms()``) against their resident
+        blocks, exchanging peer to peer once per degree; the inline
+        charging is replayed afterwards.  No solve calls this:
+        ``bench/probes.py`` times the preconditioner through it, so it
+        keeps this signature until that probe is re-pointed."""
+        n = self.n_total
+        kind, params = terms
+        payload = {
+            "name": "chain", "kind": kind, "params": params,
+            "out": n, "slots": 2 * n,
+        }
+        out = self._fused(
+            payload, 2 * n + 2 * self.slot_words,
+            self._vec_writes(v_hat.parts), self._vec_reads(n),
+        )
+        self._replay_chain(precond)
+        return DistVector(out, "global", self.system.comm)
 
 
 class ResidentRDDEngine(ResidentEngine):
@@ -813,79 +861,20 @@ class ResidentRDDEngine(ResidentEngine):
         )
         return {"plan": token}
 
-    def charge_operator(self) -> None:
+    def charge_operator(self, tail=()) -> None:
         """What one ``RDDSystem.matvec`` charges inline."""
         system = self.system
         comm = system.comm
-        comm.charge_halo_exchange(system.plan)
+        c = _width(tail)
+        comm.charge_halo_exchange(system.plan, tail)
         for r, n in enumerate(self.sizes):
-            comm.add_flops(r, 2 * system.a_loc[r].nnz)
+            comm.add_flops(r, 2 * system.a_loc[r].nnz * c)
             if system.a_ext[r].shape[1]:
-                comm.add_flops(r, 2 * system.a_ext[r].nnz + n)
+                comm.add_flops(r, 2 * system.a_ext[r].nnz * c + n * c)
 
-    def matvec(self, x_parts, ext_vals):
-        """Worker-resident Eq. 48 products: ``mv_rdd`` for vectors, or
-        ``mvb_rdd``, SpMMs over all ``k`` columns of a block."""
-        system = self.system
-        comm = system.comm
-        k = _n_cols(x_parts[0])
-        n = self.n_total
-        ext_sizes, ext_offsets, e_total = _layout([len(e) for e in ext_vals])
-        writes = self._vec_writes(x_parts, k=k) + [
-            (n * k + eoff * k, e) for eoff, e in zip(ext_offsets, ext_vals)
-        ]
-        payload = {
-            "ext": n * k,
-            "ext_offsets": ext_offsets,
-            "ext_sizes": ext_sizes,
-            "out": (n + e_total) * k,
-        }
-        if x_parts[0].ndim == 1:
-            payload.update(name="mv_rdd")
-        else:
-            payload.update(name="mvb_rdd", k=k)
-        outs = self._dispatch(
-            payload,
-            writes,
-            self._vec_reads((n + e_total) * k, k),
-            (2 * n + e_total) * k,
-        )
-        out = [o.reshape(x.shape) for o, x in zip(outs, x_parts)]
-        for r in range(len(self.sizes)):
-            comm.add_flops(r, 2 * system.a_loc[r].nnz * k)
-            if system.a_ext[r].shape[1]:
-                comm.add_flops(
-                    r, 2 * system.a_ext[r].nnz * k + self.sizes[r] * k
-                )
-        return out
-
-    def poly_chain(self, precond, terms, v_parts):
-        """:meth:`ResidentEngine._poly_chain` on row-partitioned parts;
-        None (caller stays inline) for blocks."""
-        if v_parts[0].ndim == 2:
-            return None
-        return self._poly_chain(precond, terms, v_parts)
-
-    def prec_apply(self, precond, v_parts):
-        """Block-Jacobi ILU0 apply against worker-resident factors: ONE
-        dispatch instead of an orchestrator-side loop over rank solves.
-        Factors ship once per generation through :meth:`ensure_aux`;
-        charging mirrors the inline ``apply_parts`` exactly."""
-        self.ensure_aux(precond)
-        n = self.n_total
-        payload = {
-            "name": "prec",
-            "key": precond._resident_key,
-            "out": n,
-        }
-        out = self._dispatch(
-            payload, self._vec_writes(v_parts), self._vec_reads(n), 2 * n
-        )
-        self.charge_ilu0()
-        return out
-
-    def charge_ilu0(self) -> None:
+    def charge_ilu0(self, tail=()) -> None:
         """What one ``BlockJacobiILU.apply_parts`` charges inline."""
         comm = self.system.comm
+        c = _width(tail)
         for r, a in enumerate(self.system.a_loc):
-            comm.add_flops(r, 2 * a.nnz)
+            comm.add_flops(r, 2 * a.nnz * c)

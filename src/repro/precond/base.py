@@ -149,13 +149,13 @@ class PolynomialPreconditioner(Preconditioner):
         return z
 
     def chain_terms(self):
-        """Picklable recurrence descriptor for resident fused dispatch.
+        """Picklable recurrence descriptor for the pool workers.
 
         Returns ``(kind, params)`` when the family's generic-path
         recurrence can be mirrored worker-side from plain coefficients
-        (``repro.parallel.resident`` ships it in a single ``chain`` rank
-        op, cutting per-apply round-trips from O(degree) to O(1)), or
-        None to keep the per-matvec dispatch path.  The worker recurrence
+        (:func:`repro.parallel.resident.step_program` puts it into the
+        program every resident Arnoldi ``step`` runs), or None: a solve
+        preconditioned by it then runs inline.  The worker recurrence
         must stay token-identical to :meth:`apply_linear`'s generic path.
         """
         return None

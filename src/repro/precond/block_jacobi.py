@@ -15,16 +15,10 @@ local matrices.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from repro.precond.base import Preconditioner
 from repro.precond.ilu import ILU0Preconditioner
-
-#: Resident-state keys; a fresh key per instance so worker-side aux
-#: caches can never confuse two preconditioners' factors.
-_RESIDENT_KEYS = itertools.count(1)
 
 
 class BlockJacobiILU(Preconditioner):
@@ -40,36 +34,11 @@ class BlockJacobiILU(Preconditioner):
     def __init__(self, system):
         self._system = system
         self._local = [ILU0Preconditioner(a) for a in system.a_loc]
-        self._resident_key = f"bj-ilu0-{next(_RESIDENT_KEYS)}"
-
-    def _resident_states(self) -> list:
-        """Per-rank ILU0 factor state for worker-resident execution: the
-        combined L/U CSR factor plus the diagonal-position/split tables
-        the backend triangular-solve kernel consumes."""
-        states = []
-        for r, ilu in enumerate(self._local):
-            lu = ilu._lu
-            states.append(
-                {
-                    "kind": "aux",
-                    "arrays": {
-                        "indptr": lu.indptr,
-                        "indices": lu.indices,
-                        "data": lu.data,
-                        "diag_pos": ilu._diag_pos,
-                        "split": ilu._split,
-                    },
-                    "meta": {"rank": r, "key": self._resident_key},
-                }
-            )
-        return states
 
     def apply_parts(self, v_parts: list) -> list:
         """Apply per rank: ``z^(s) = ILU0(K_loc^(s)) v^(s)`` — zero
         communication (the defining property of block Jacobi).  Charges
-        each rank the triangular-solve flops (~2 nnz).  Under a resident
-        engine the factors live worker-side and the P solves run as ONE
-        ``prec`` dispatch, bit-identical to the inline loop.
+        each rank the triangular-solve flops (~2 nnz).
 
         The triangular solves are inherently per-column, so ``(n_own, k)``
         blocks loop their columns through the vector apply; column ``c``
@@ -84,9 +53,6 @@ class BlockJacobiILU(Preconditioner):
                 for o, z in zip(out, cols):
                     o[:, c] = z
             return out
-        engine = self._system.rank_engine()
-        if engine.resident:
-            return engine.prec_apply(self, v_parts)
         out = []
         for r, (ilu, v) in enumerate(zip(self._local, v_parts)):
             out.append(ilu.apply(v))

@@ -51,7 +51,6 @@ preconditioner (the parity the golden tests pin).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +59,6 @@ from repro.precond.base import Preconditioner
 
 #: Accepted application modes of a two-level spec.
 TWO_LEVEL_MODES = ("additive", "deflate")
-
-#: Resident-state keys; a fresh key per instance so worker-side aux
-#: caches can never confuse two preconditioners' coarse state.
-_RESIDENT_KEYS = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -174,7 +169,6 @@ class TwoLevelPreconditioner(Preconditioner):
         self._factor = factor
         self.n_coarse = n_coarse
         self._trivial = trivial
-        self._resident_key = f"2l-{next(_RESIDENT_KEYS)}"
 
     # ------------------------------------------------------------------
     # Construction
@@ -283,43 +277,6 @@ class TwoLevelPreconditioner(Preconditioner):
             return scipy.linalg.cho_solve(factor, rhs)
         return scipy.linalg.lu_solve(factor, rhs)
 
-    def _resident_states(self) -> list:
-        """Resident coarse state: the (small) factorized Galerkin matrix
-        broadcast redundantly to every worker (``aux_shared`` — the same
-        redundant-solve trade the inline path makes), plus each rank's
-        restriction/prolongation basis blocks (``aux``).  Both blocks
-        ship even when RDD aliases them: worker-side keys stay uniform
-        and the transfer is a one-time setup cost."""
-        kind, factor = self._factor
-        if kind == "cho":
-            c, lower = factor
-            shared = {
-                "kind": "aux_shared",
-                "arrays": {"fmat": c},
-                "meta": {
-                    "key": self._resident_key,
-                    "fkind": "cho",
-                    "lower": bool(lower),
-                },
-            }
-        else:
-            lu, piv = factor
-            shared = {
-                "kind": "aux_shared",
-                "arrays": {"fmat": lu, "piv": piv.astype(np.int64)},
-                "meta": {"key": self._resident_key, "fkind": "lu"},
-            }
-        states = [shared]
-        for r, (wl, wg) in enumerate(zip(self._wl_parts, self._wg_parts)):
-            states.append(
-                {
-                    "kind": "aux",
-                    "arrays": {"wl": wl, "wg": wg},
-                    "meta": {"rank": r, "key": self._resident_key},
-                }
-            )
-        return states
-
     def _coarse_correct(self, comm, v_parts: list) -> list:
         """The coarse correction ``W E^-1 W^T v`` on raw per-rank parts —
         vectors, or ``(n, k)`` blocks (column-exact).
@@ -330,14 +287,6 @@ class TwoLevelPreconditioner(Preconditioner):
         rank), rank-local prolongation — traced as one ``coarse_solve``
         span so its reductions reconcile with the CommStats charges.
         """
-        engine = self._system.rank_engine()
-        if engine.resident:
-            # Fused resident correction: restriction bases and the
-            # factorized Galerkin matrix live worker-side; ONE
-            # dispatch plus the same single coarse allreduce.
-            out = engine.coarse_correct(self, v_parts)
-            if out is not None:
-                return out
         from repro.core.distributed import _n_cols
 
         nc = self.n_coarse
@@ -377,9 +326,8 @@ class TwoLevelPreconditioner(Preconditioner):
     def _inner_edd(self, system, v_hat):
         if self._inner is None:
             return v_hat.copy()
-        # Route through the EDD dispatcher so a polynomial inner gets the
-        # fused resident chain path; never recursive (the inner spec is
-        # non-composite by the grammar).
+        # Route through the EDD dispatcher; never recursive (the inner
+        # spec is non-composite by the grammar).
         from repro.core.edd import _precondition
 
         return _precondition(system, self._inner, v_hat)

@@ -362,3 +362,126 @@ def test_resident_env_does_not_perturb_coarse_allreduce_faults(
     ]
     for ra, rb in zip(base.stats.ranks, forced.stats.ranks):
         assert ra == rb
+
+
+# ----------------------------------------------------------------------
+# One resident protocol for every CGS solve shape
+# ----------------------------------------------------------------------
+#
+# A resident CGS solve runs its restart cycle in the workers whatever
+# its width: ``seed``, one ``step`` per Arnoldi step, ``axpy`` — with
+# retired block columns compacted worker-side and their x updates riding
+# in the cycle's ``axpy``.  Everything else runs inline and dispatches
+# nothing.
+
+from repro.core.session import PreparedSystem
+from repro.obs import exchanges_per_step, verify_exchange_invariant
+from repro.parallel.process_comm import ProcessComm
+
+PROTOCOL_CONFIGS = [
+    (method, precond)
+    for method in ("edd-enhanced", "edd-basic", "rdd")
+    for precond in ("gls(3)", "2l(gls(3),deflate)")
+] + [("rdd", "bj-ilu0"), ("rdd", "2l(bj-ilu0,deflate)")]
+
+
+def _protocol_runs(problem, method, precond, backend):
+    """The three shapes on one prepared system, each traced: one
+    right-hand side; three columns that leave the block at different
+    steps (a zero column, the load, a random load); the same three capped
+    by ``max_iter`` in the middle of the second cycle."""
+    rng = np.random.default_rng(17)
+    block = np.column_stack([
+        np.zeros(problem.n_eqn), problem.load,
+        rng.standard_normal(problem.n_eqn),
+    ])
+    options = SolverOptions(
+        method=method, precond=precond, comm_backend=backend, restart=5
+    )
+    runs = []
+    with PreparedSystem.build(problem, 4, options) as ps:
+        assert ps.system.rank_engine().resident == (backend == "process")
+        for solve in (
+            lambda t: ps.solve(tracer=t),
+            lambda t: ps.solve_batch(block, tracer=t),
+            lambda t: ps.solve_batch(
+                block, options.replace(max_iter=7), tracer=t
+            ),
+        ):
+            trc = Tracer()
+            out = solve(trc)
+            results = getattr(out, "results", None) or [out.result]
+            runs.append((results, trc.to_dict(), out.stats.ranks))
+    return runs
+
+
+@pytest.mark.parametrize(
+    "method,precond", PROTOCOL_CONFIGS,
+    ids=[f"{m}-{p}" for m, p in PROTOCOL_CONFIGS],
+)
+def test_every_cgs_shape_is_one_step_per_arnoldi_step_and_bitwise(
+    tiny_problem, method, precond, monkeypatch
+):
+    """Forced-resident vs virtual at k = 1 and k = 3: x, residual
+    histories and per-rank CommStats exactly equal; one ``step`` per
+    Arnoldi step and two more rank ops per cycle; the exchange
+    invariant of the method holds."""
+    base = _protocol_runs(tiny_problem, method, precond, "virtual")
+    _force_resident(monkeypatch)
+    resident = _protocol_runs(tiny_problem, method, precond, "process")
+    iterations = []
+    for (rv, _, sv), (rp, trace, sp) in zip(base, resident):
+        iterations.append([r.iterations for r in rp])
+        for a, b in zip(rv, rp):
+            assert a.residual_history == b.residual_history
+            assert a.x.tobytes() == b.x.tobytes()
+        assert sv == sp
+        spans = trace["spans"]
+        ops = [s["args"]["op"] for s in spans if s["name"] == "rank_op"]
+        steps = sum(s["name"] == "arnoldi_step" for s in spans)
+        cycles = sum(s["name"] == "cycle" for s in spans)
+        assert ops.count("step") == steps
+        assert len(ops) == steps + 2 * cycles
+        if method == "rdd":
+            assert set(exchanges_per_step(trace).values()) == {1}
+        else:
+            verify_exchange_invariant(trace, method[len("edd-"):])
+    # The batch really is mixed: the zero column never iterates and the
+    # other two leave at different steps; the capped batch stops at 7.
+    assert iterations[1][0] == 0 and iterations[1][1] != iterations[1][2]
+    assert iterations[2] == [0, 7, 7]
+
+
+def test_mgs_and_a_preconditioner_without_a_program_dispatch_nothing(
+    tiny_problem, monkeypatch
+):
+    """MGS and a polynomial family with no worker form run inline on a
+    resident engine — zero rank ops — and match virtual bitwise."""
+    from repro.core.edd import edd_fgmres
+    from repro.precond.least_squares import LeastSquaresPolynomial
+    from repro.spectrum.intervals import SpectrumIntervals
+
+    dispatched = []
+    real = ProcessComm.run_rank_op
+
+    def counting(self, payload, *args):
+        dispatched.append(payload["name"])
+        return real(self, payload, *args)
+
+    monkeypatch.setattr(ProcessComm, "run_rank_op", counting)
+    ls = LeastSquaresPolynomial(SpectrumIntervals.single(1e-6, 1.0), 3)
+    results = {}
+    for backend in ("virtual", "process"):
+        if backend == "process":
+            _force_resident(monkeypatch)
+        options = SolverOptions(precond="gls(3)", comm_backend=backend)
+        with PreparedSystem.build(tiny_problem, 4, options) as ps:
+            assert ps.system.rank_engine().resident == (backend == "process")
+            results[backend] = (
+                ps.solve(options.replace(orthogonalization="mgs")).result,
+                edd_fgmres(ps.system, precond=ls),
+            )
+    assert dispatched == []
+    for a, b in zip(results["virtual"], results["process"]):
+        assert a.residual_history == b.residual_history
+        assert a.x.tobytes() == b.x.tobytes()

@@ -55,9 +55,10 @@ _generations = itertools.count(10**6)
 
 def exercise_pool(comm, seed=7):
     """Drive the pool end to end: ship an identity block per rank with
-    ``resident_ship`` and run one ``mv`` rank op on random vectors with
-    ``run_rank_op``.  Returns ``(inputs, products)`` per rank — equal
-    bit for bit when the data plane is healthy."""
+    ``resident_ship``, then ``run_rank_op`` a ``seed`` of random vectors
+    and an ``axpy`` of them with no coefficients, which hands its input
+    back.  Returns ``(inputs, outputs)`` per rank — equal bit for bit
+    when the data plane is healthy."""
     sizes = [int(n) for n in comm.submap.local_sizes]
     gen = next(_generations)
     comm.resident_ship(
@@ -79,14 +80,19 @@ def exercise_pool(comm, seed=7):
     total = sum(sizes)
     rng = np.random.default_rng(seed)
     x = [rng.standard_normal(n) for n in sizes]
+    common = {
+        "gen": gen, "backend": "numpy", "offsets": offsets, "sizes": sizes,
+        "k": None,
+    }
+    comm.run_rank_op(
+        dict(common, name="seed", restart=1, formats=1),
+        list(zip(offsets, x)), [], total,
+    )
     y = comm.run_rank_op(
-        {
-            "name": "mv", "gen": gen, "backend": "numpy", "cache": None,
-            "offsets": offsets, "sizes": sizes, "out": total,
-        },
+        dict(common, name="axpy", terms=[]),
         list(zip(offsets, x)),
-        [(total + off, n) for off, n in zip(offsets, sizes)],
-        2 * total,
+        [(off, n) for off, n in zip(offsets, sizes)],
+        total,
     )
     return x, y
 

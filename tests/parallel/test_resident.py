@@ -1,12 +1,16 @@
-"""Resident rank execution: gating, parity, fault recovery, observability.
+"""Resident rank execution: gating, the protocol, fault recovery,
+observability.
 
-The resident engines (``repro.parallel.resident``) move per-rank solver
-arithmetic into the worker-process pool while keeping every collective,
-counter and chaos hook at the orchestrator.  These tests pin the parts
-the solver-level parity suites cannot see directly: the inline/resident
-mode decision, generation invalidation across pool respawns, the named
-error taxonomy for crashed/stalled/unshipped workers, and the per-worker
-busy-seconds observability contract.
+The resident engines (``repro.parallel.resident``) run the restart cycle
+of every CGS solve shape — one right-hand side or a block — inside the
+worker-process pool as ``seed`` / one ``step`` per Arnoldi step /
+``axpy``, while every collective, counter and chaos hook stays at the
+orchestrator.  These tests pin the parts the solver-level parity suites
+cannot see directly: the inline/resident mode decision, the rank-op
+vocabulary and its dispatch count, generation invalidation across pool
+respawns, the named error taxonomy for crashed/stalled/unshipped
+workers, the per-worker busy-seconds observability contract, and the
+engine surface ``bench/probes.py`` reads.
 """
 
 import os
@@ -168,7 +172,7 @@ def test_unshipped_generation_is_a_named_error():
     comm = ProcessComm(_submap(), n_workers=2, min_dispatch_work=0)
     try:
         with pytest.raises(ProcessWorkerError, match="not shipped"):
-            comm.run_rank_op({"name": "mv", "gen": 10**9}, [], [], 1)
+            comm.run_rank_op({"name": "axpy", "gen": 10**9}, [], [], 1)
     finally:
         comm.close()
 
@@ -200,7 +204,7 @@ def test_trace_has_worker_busy_seconds_and_rank_op_spans(
     # exchange, CGS round — is ONE "step" dispatch between the cycle's
     # "seed" and "axpy"; the per-piece "dots"/"ortho" pair never appears
     # on this path.
-    assert {"mv", "seed", "step", "axpy"} <= ops
+    assert {"seed", "step", "axpy"} <= ops
     assert "dots" not in ops and "ortho" not in ops
     # Chrome export renders one busy track per worker process.
     chrome = chrome_trace_from_dict(trace)
@@ -239,7 +243,7 @@ def _force_resident(monkeypatch):
 )
 def test_one_rank_op_per_arnoldi_step(tiny_problem, monkeypatch, method, precond):
     """A resident single-RHS CGS solve dispatches once per Arnoldi step
-    plus a constant per cycle (residual matvec, ``seed``, ``axpy``),
+    plus two per cycle (``seed``, ``axpy``; the residual runs inline),
     whatever the preconditioner, and the replayed exchange spans still
     read the paper's 1 (Algorithm 6, RDD) / 3 (Algorithm 5) per step."""
     _force_resident(monkeypatch)
@@ -255,8 +259,8 @@ def test_one_rank_op_per_arnoldi_step(tiny_problem, monkeypatch, method, precond
     rank_ops = [s for s in trace["spans"] if s["name"] == "rank_op"]
     ops = [s["args"]["op"] for s in rank_ops]
     assert ops.count("step") == result.iterations
-    assert len(ops) <= result.iterations + 4 * result.restarts + 4
-    assert set(ops) <= {"step", "seed", "axpy", "mv", "mv_rdd"}
+    assert len(ops) == result.iterations + 2 * result.restarts
+    assert set(ops) == {"step", "seed", "axpy"}
     if method.startswith("edd-"):
         verify_exchange_invariant(trace, method[len("edd-"):])
     else:
@@ -275,11 +279,9 @@ def test_one_rank_op_per_arnoldi_step(tiny_problem, monkeypatch, method, precond
     assert stepped <= sum(trace["worker_seconds"]) * (1.0 + 1e-9)
 
 
-def test_mgs_and_blocks_keep_their_vectors_in_the_orchestrator(
-    tiny_problem, monkeypatch
-):
-    """Only single-RHS CGS runs its cycle in the workers: MGS and block
-    solves go resident per operation and never seed a worker basis."""
+def test_mgs_issues_no_rank_op(tiny_problem, monkeypatch):
+    """MGS has no worker form: it runs inline, so a resident engine
+    dispatches nothing for it."""
     _force_resident(monkeypatch)
     trc = Tracer()
     solve_cantilever(
@@ -288,8 +290,68 @@ def test_mgs_and_blocks_keep_their_vectors_in_the_orchestrator(
             precond="gls(3)", orthogonalization="mgs", comm_backend="process"
         ),
     )
+    assert [s for s in trc.spans if s["name"] == "rank_op"] == []
+
+
+def test_blocks_run_the_one_resident_protocol(mesh2_problem, monkeypatch):
+    """A k=3 block solve runs its cycles in the workers like one column
+    does: ``seed``, one ``step`` per Arnoldi step, ``axpy`` — nothing
+    else."""
+    from repro.core.session import PreparedSystem
+
+    _force_resident(monkeypatch)
+    trc = Tracer()
+    load = mesh2_problem.load
+    block = np.column_stack([load, 2.0 * load, load[::-1].copy()])
+    options = SolverOptions(precond="gls(3)", comm_backend="process")
+    with PreparedSystem.build(mesh2_problem, 4, options) as ps:
+        assert ps.system.rank_engine().resident
+        ps.solve_batch(block, tracer=trc)
     ops = {s["args"]["op"] for s in trc.spans if s["name"] == "rank_op"}
-    assert ops == {"mv", "chain"}
+    assert ops == {"seed", "step", "axpy"}
+
+
+#: The per-operation rank ops the one resident protocol replaced.
+DELETED_OPS = ("mv", "mvb", "mv_rdd", "mvb_rdd", "coarse", "prec")
+
+
+@pytest.mark.parametrize("name", DELETED_OPS)
+def test_deleted_rank_ops_are_unknown(name):
+    """A worker accepts ``seed`` / ``step`` / ``axpy`` / ``chain`` (and
+    the test-only ``stall``); the per-operation vocabulary is gone."""
+    comm = ProcessComm(_submap(), n_workers=2, min_dispatch_work=0)
+    try:
+        with pytest.raises(ProcessWorkerError, match="unknown rank op"):
+            comm.run_rank_op({"name": name, "gen": 10**9}, [], [], 1)
+    finally:
+        comm.close()
+
+
+def test_bench_probe_surface_resident_and_inline(mesh2_problem, monkeypatch):
+    """``bench/probes.py`` times the preconditioner through
+    ``rank_engine().resident`` and ``ResidentEDDEngine.poly_chain``:
+    both must keep working, resident and inline, with the same bits."""
+    import sys
+    from pathlib import Path
+
+    from repro.core.session import PreparedSystem
+
+    root = str(Path(__file__).resolve().parents[2])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from bench.probes import _precond_entry
+
+    out = {}
+    for backend in ("virtual", "process"):
+        if backend == "process":
+            _force_resident(monkeypatch)
+        options = SolverOptions(precond="gls(7)", comm_backend=backend)
+        with PreparedSystem.build(mesh2_problem, 4, options) as ps:
+            resident = ps.system.rank_engine().resident
+            z = _precond_entry(ps, np.random.default_rng(5))()
+            out[backend] = (resident, ps.system.to_global_vector(z))
+    assert [r for r, _ in out.values()] == [False, True]
+    assert out["virtual"][1].tobytes() == out["process"][1].tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -61,3 +61,23 @@ def test_resident_speedup_runs(tmp_path):
     (row,) = json.loads(out.read_text())["rows"]
     assert row["resident"] and row["bitwise_vs_virtual"]
     assert row["iterations"]["resident"] == row["iterations"]["virtual"]
+
+
+def test_resident_speedup_block_rows(tmp_path):
+    """``--nrhs`` times a block solve and checks every column bitwise."""
+    out = tmp_path / "rows.json"
+    env = dict(
+        os.environ, PYTHONPATH=str(REPO / "src"),
+        REPRO_PROCESS_MIN_WORK="0", REPRO_PROCESS_WORKERS="2",
+    )
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "resident_speedup.py"),
+         "--mesh", "2", "--degree", "3", "--solves", "1", "--nrhs", "3",
+         "--json", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    import json
+
+    (row,) = json.loads(out.read_text())["rows"]
+    assert row["nrhs"] == 3 and row["resident"] and row["bitwise_vs_virtual"]
