@@ -32,29 +32,7 @@ Package layout:
   below are its re-exports and follow its compatibility contract.
 """
 
-from repro.api import (
-    API_VERSION,
-    SCHEMA_VERSION,
-    BatchSolveSummary,
-    ParallelSolveSummary,
-    PreparedSystem,
-    ServiceConfig,
-    SolveOutcome,
-    SolveRequest,
-    SolveResponse,
-    SolverOptions,
-    SolverService,
-    SolveResult,
-    SolveSession,
-    Tracer,
-    cantilever_problem,
-    make_preconditioner,
-    serve_jsonl,
-    solve_cantilever,
-    solve_cantilever_batch,
-    spec_of,
-)
-from repro.solvers import cg, fgmres, gmres
+import importlib
 
 __version__ = "1.0.0"
 
@@ -84,3 +62,24 @@ __all__ = [
     "cg",
     "__version__",
 ]
+
+#: Where each re-export lives.  They resolve on first access (PEP 562),
+#: so importing a light submodule — a spawned pool worker imports
+#: ``repro.parallel._process_worker`` — does not import the solver
+#: stack and the service behind the facade.
+_HOMES = {name: "repro.api" for name in __all__}
+_HOMES.update(dict.fromkeys(("cg", "fgmres", "gmres"), "repro.solvers"))
+del _HOMES["__version__"]
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(home), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

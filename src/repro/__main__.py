@@ -1,14 +1,15 @@
 """``python -m repro`` entry point.
 
-The ``__main__`` guard is load-bearing: the ``process`` comm backend
-spawns workers with the ``spawn`` start method, whose children re-import
-the parent's main module — without the guard every worker would re-run
-the CLI instead of parking on its command pipe.
+Everything sits under the ``__main__`` guard, the import of the CLI
+included: the ``process`` comm backend spawns workers with the ``spawn``
+start method, which can re-run the parent's main module in the child as
+``__mp_main__``.  Guarded, that costs the child nothing — it neither
+re-runs the CLI nor imports it before parking on its command pipe.
 """
 
-import sys
-
-from repro.cli import main
-
 if __name__ == "__main__":
+    import sys
+
+    from repro.cli import main
+
     sys.exit(main())

@@ -23,44 +23,7 @@ with :func:`make_comm` / :func:`set_comm_backend` / the
 ``REPRO_COMM_BACKEND`` environment variable.
 """
 
-from repro.parallel.stats import CommStats, RankStats
-from repro.parallel.comm import (
-    Comm,
-    NestedCommError,
-    VirtualComm,
-    available_comm_backends,
-    current_worker_backend,
-    get_comm_backend,
-    make_comm,
-    set_comm_backend,
-    use_comm_backend,
-)
-from repro.parallel.process_comm import (
-    ProcessComm,
-    ProcessPoolError,
-    ProcessWorkerError,
-    WorkerCrashedError,
-    WorkerTimeoutError,
-    pool_process_count,
-)
-from repro.parallel.process_comm import shutdown_pool as shutdown_process_pool
-from repro.parallel.chaos import (
-    ChaosComm,
-    FaultPlan,
-    FaultRule,
-    get_fault_plan,
-    set_fault_plan,
-    use_fault_plan,
-)
-from repro.parallel.machine import (
-    IBM_SP2,
-    MACHINES,
-    SGI_ORIGIN,
-    MachineModel,
-    modeled_time,
-    speedup,
-    time_breakdown,
-)
+import importlib
 
 __all__ = [
     "RankStats",
@@ -95,3 +58,47 @@ __all__ = [
     "speedup",
     "time_breakdown",
 ]
+
+#: The module each re-export lives in.  They resolve on first access
+#: (PEP 562): a spawned pool worker imports
+#: ``repro.parallel._process_worker`` through this package and must not
+#: pay for the communicators, the tracer and the partition layer.
+_MODULES = {
+    "stats": ("RankStats", "CommStats"),
+    "comm": (
+        "Comm", "NestedCommError", "VirtualComm", "available_comm_backends",
+        "current_worker_backend", "get_comm_backend", "make_comm",
+        "set_comm_backend", "use_comm_backend",
+    ),
+    "process_comm": (
+        "ProcessComm", "ProcessPoolError", "ProcessWorkerError",
+        "WorkerCrashedError", "WorkerTimeoutError", "pool_process_count",
+    ),
+    "chaos": (
+        "ChaosComm", "FaultPlan", "FaultRule", "get_fault_plan",
+        "set_fault_plan", "use_fault_plan",
+    ),
+    "machine": (
+        "IBM_SP2", "MACHINES", "SGI_ORIGIN", "MachineModel", "modeled_time",
+        "speedup", "time_breakdown",
+    ),
+}
+#: ``name: (module, attribute)``; one re-export is renamed.
+_HOMES = {
+    name: (mod, name) for mod, names in _MODULES.items() for name in names
+}
+_HOMES["shutdown_process_pool"] = ("process_comm", "shutdown_pool")
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home[0]}")
+    value = getattr(module, home[1])
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

@@ -1,12 +1,16 @@
 """Spawn entry point for :class:`~repro.parallel.process_comm.ProcessComm`
 worker processes.
 
-This module is deliberately light — numpy plus stdlib at import time, so
-a spawned child never pays for the solver stack up front; the sparse CSR
-layer is imported lazily on the first ``resident`` command, and the
-inner product and the solution update it shares with the orchestrator
-(:func:`repro.core.distributed.col_dots` / ``add_columns``, so both
-sides sum in the same order) on the first ``step`` / ``axpy``.  The
+This module is deliberately light: a spawned child imports numpy, the
+stdlib, this module and the numpy-only :mod:`repro.sparse` kernels it
+runs — the CSR matrix, the kernel registry (scipy only if a command
+names the ``scipy`` backend) and the column arithmetic it shares with
+the orchestrator (:func:`repro.sparse.dense.col_dots` /
+``add_columns``, so both sides sum in the same order) — and never the
+solver stack, the service or scipy up front.  The package roots
+``repro`` and ``repro.parallel`` resolve their re-exports lazily, so
+reaching this module costs nothing else.
+``tests/parallel/test_worker_imports.py`` enforces the diet.  The
 orchestrator sends small pickled command tuples over a per-worker pipe;
 bulk payloads travel through a per-communicator
 ``multiprocessing.shared_memory`` arena, which is also where the workers
@@ -38,6 +42,10 @@ import traceback
 from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
+
+from repro.sparse import kernels
+from repro.sparse.csr import CSRMatrix
+from repro.sparse.dense import _rows, add_columns, col_dots
 
 #: Bytes reserved at the start of every arena: ``uint64 seq`` plus one
 #: padding word (keeps the float64 payload 16-byte aligned).
@@ -127,8 +135,7 @@ def _do_resident(state, cmd, w, n_workers):  # pragma: no cover
     rank (ILU factors, coarse restriction bases), ``aux_shared`` kept by
     every worker (the small redundant factorized coarse matrix).  Aux
     arriving for an unknown generation raises — the orchestrator must
-    ship the base system first.  Imports of the sparse layer are lazy so
-    spawned children stay light until a resident system actually arrives.
+    ship the base system first.
     """
     _op, seq, _cid, arena, total_words, meta = cmd
     res = state.get("resident")
@@ -158,8 +165,6 @@ def _do_resident(state, cmd, w, n_workers):  # pragma: no cover
         return []
     view = _arena_view(state, arena, total_words, seq)
     arrays = _read_fields(view, meta["fields"])
-    from repro.sparse.csr import CSRMatrix
-
     entry = {}
     if kind == "edd":
         entry["a"] = CSRMatrix(
@@ -476,8 +481,6 @@ def _ilu0_apply(e, key, v):  # pragma: no cover
         for c in range(v.shape[1]):
             out[:, c] = _ilu0_apply(e, key, np.ascontiguousarray(v[:, c]))
         return out
-    from repro.sparse import kernels
-
     aux = e["aux"][key]["arrays"]
     zv = np.array(v)
     kernels.get_backend().ilu0_solve(
@@ -566,8 +569,6 @@ def _op_step(f):  # pragma: no cover
     leaves the workers: the orchestrator reads them from the arena and
     replays the real ``allreduce_sum``.
     """
-    from repro.core.distributed import _rows, col_dots
-
     p, view, ranks, owned, tail = f.p, f.view, f.ranks, f.owned, f.tail
     j, inv_h, basic = p["j"], p["commit"], p["basic"]
     for r in owned:
@@ -680,12 +681,10 @@ def _op_seed(ranks, view, p, owned, w):  # pragma: no cover
 
 def _op_axpy(ranks, view, p, owned, w):  # pragma: no cover
     """The cycle's solution update, in place on ``x`` in the arena:
-    ``terms`` are :func:`repro.core.distributed.add_columns` argument
+    ``terms`` are :func:`repro.sparse.dense.add_columns` argument
     tuples ``(cols, sel, ys, saved)`` against the rank's live ``z``
     slots, or — ``saved`` an index — against the slots of a column
     compacted out mid-cycle."""
-    from repro.core.distributed import add_columns
-
     k = p["k"]
     c = k or 1
 
@@ -732,8 +731,6 @@ def _do_rank_op(state, cmd, w, n_workers):  # pragma: no cover
             f"resident generation {p.get('gen')!r} is not shipped to "
             f"worker {w} (respawned pool?); the orchestrator must re-ship"
         )
-    from repro.sparse import kernels
-
     kernels.set_backend(p["backend"])
     view = _arena_view(state, arena, total_words, seq)
     if name in _FUSED_OPS:

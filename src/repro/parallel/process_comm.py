@@ -27,8 +27,10 @@ Pool lifecycle
 The pool is **lazy** (the first resident ship spawns it) and **persistent**
 (``ProcessComm.close()`` releases the comm's worker-side registration and
 unlinks its shared-memory arena, but parks the processes for the next
-communicator — spawning costs ~1 s, a per-solve price short-lived sessions
-cannot pay).  ``shutdown_pool()`` drains the processes once no live
+communicator — spawning two workers and getting their first reply takes
+0.13–0.18 s on a 2-vCPU Xeon, mostly each child's numpy import, a
+per-solve price short-lived sessions should not pay).  Every spawn and
+respawn is one INFO record on the ``repro.parallel`` logger.  ``shutdown_pool()`` drains the processes once no live
 communicator borrows them; ``use_comm_backend("process")`` drains on exit,
 and an ``atexit`` hook is the backstop.  A crashed or stalled worker
 surfaces as a structured :class:`WorkerCrashedError` /
@@ -70,6 +72,7 @@ from __future__ import annotations
 
 import atexit
 import itertools
+import logging
 import multiprocessing
 import os
 import pickle
@@ -88,6 +91,8 @@ from repro.partition.interface import SubdomainMap
 
 _DEFAULT_MIN_WORK = 32768
 _DEFAULT_TIMEOUT = 120.0
+
+_log = logging.getLogger("repro.parallel")
 
 
 class ProcessPoolError(RuntimeError):
@@ -311,14 +316,27 @@ _segments: dict = {}
 
 
 def _acquire_pool(n_workers: int) -> _ProcessPool:
-    """The process-wide pool, respawned when broken or too small."""
+    """The process-wide pool, respawned when broken or too small; every
+    spawn is one INFO record on the ``repro.parallel`` logger naming the
+    reason and the worker pids."""
     with _pool_lock:
         pool = _shared_pool[0]
-        if pool is None or pool.broken or pool.n_workers < n_workers:
-            if pool is not None:
-                pool.close()
-            pool = _ProcessPool(n_workers)
-            _shared_pool[0] = pool
+        if pool is None:
+            reason = "first use"
+        elif pool.broken:
+            reason = "broken"
+        elif pool.n_workers < n_workers:
+            reason = "grown"
+        else:
+            return pool
+        if pool is not None:
+            pool.close()
+        pool = _ProcessPool(n_workers)
+        _shared_pool[0] = pool
+        _log.info(
+            "process pool spawned (%s): %d workers, pids %s",
+            reason, n_workers, pool.process_ids(),
+        )
         return pool
 
 
@@ -327,7 +345,8 @@ def shutdown_pool(force: bool = False) -> bool:
 
     Without ``force`` the pool survives while any live (unclosed)
     :class:`ProcessComm` still borrows it.  ``ProcessComm.close()`` does
-    **not** call this: spawning costs ~1 s per worker, so parked
+    **not** call this: a spawn costs a child interpreter and its numpy
+    import per worker (0.13–0.18 s for two on a 2-vCPU Xeon), so parked
     processes are reused across solves and drained here
     (``use_comm_backend`` exit, tests, atexit).  Returns True when the
     pool is down.

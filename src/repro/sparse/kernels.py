@@ -12,7 +12,7 @@ any caller:
 * ``"scipy"`` — ``scipy.sparse._sparsetools`` C kernels (``csr_matvec``,
   ``csc_matvec``, ``csr_matvecs``), registered when scipy is importable
   and its private kernels behave; accumulates directly into caller
-  buffers.
+  buffers.  Probed on first request, not at import (see ``_known``).
 
 Selection: ``set_backend(name)`` programmatically, or the environment
 variable ``REPRO_KERNEL_BACKEND`` (read at first use).  All backends
@@ -220,32 +220,41 @@ class ScipyBackend(NumpyBackend):
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-_BACKENDS: dict = {}
+#: ``numpy`` is registered at import; scipy's kernels are probed on the
+#: first request for a name not registered yet, so a process that only
+#: ever computes on ``numpy`` — a pool worker on the default backend —
+#: never imports scipy.
+_BACKENDS: dict = {"numpy": NumpyBackend()}
 _current: list = [None]  # resolved lazily so the env var wins at first use
+_probed: list = [False]
 
 
-def _register_available() -> None:
-    _BACKENDS["numpy"] = NumpyBackend()
-    try:
-        from scipy.sparse import _sparsetools
+def _known(name: str) -> bool:
+    """True when ``name`` is a usable backend, probing scipy's kernels
+    (once per process) the first time an unregistered name is asked for."""
+    if name not in _BACKENDS and not _probed[0]:
+        _probed[0] = True
+        try:
+            from scipy.sparse import _sparsetools
 
-        # Smoke-test the private kernels on a 2x2 before trusting them.
-        indptr = np.array([0, 1, 2], dtype=np.int64)
-        indices = np.array([0, 1], dtype=np.int64)
-        data = np.array([2.0, 3.0])
-        out = np.zeros(2)
-        _sparsetools.csr_matvec(2, 2, indptr, indices, data, np.ones(2), out)
-        if np.allclose(out, [2.0, 3.0]):
-            _BACKENDS["scipy"] = ScipyBackend(_sparsetools)
-    except Exception:  # pragma: no cover - scipy absent or API drift
-        pass
-
-
-_register_available()
+            # Smoke-test the private kernels on a 2x2 before trusting them.
+            indptr = np.array([0, 1, 2], dtype=np.int64)
+            indices = np.array([0, 1], dtype=np.int64)
+            data = np.array([2.0, 3.0])
+            out = np.zeros(2)
+            _sparsetools.csr_matvec(
+                2, 2, indptr, indices, data, np.ones(2), out
+            )
+            if np.allclose(out, [2.0, 3.0]):
+                _BACKENDS["scipy"] = ScipyBackend(_sparsetools)
+        except Exception:  # pragma: no cover - scipy absent or API drift
+            pass
+    return name in _BACKENDS
 
 
 def available_backends() -> tuple:
     """Names of the backends usable in this environment."""
+    _known("scipy")
     return tuple(sorted(_BACKENDS))
 
 
@@ -253,7 +262,7 @@ def get_backend():
     """The active backend (env var ``REPRO_KERNEL_BACKEND`` on first use)."""
     if _current[0] is None:
         name = os.environ.get("REPRO_KERNEL_BACKEND", "numpy").strip().lower()
-        if name not in _BACKENDS:
+        if not _known(name):
             # Imported here: repro.parallel's package import reaches back
             # into this module.
             from repro.parallel.env_knobs import EnvKnobError
@@ -277,7 +286,7 @@ def active_backend_name() -> str:
 
 def set_backend(name: str):
     """Select the kernel backend by name; returns the previous backend."""
-    if name not in _BACKENDS:
+    if not _known(name):
         raise ValueError(
             f"unknown kernel backend {name!r}; available: {available_backends()}"
         )

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.fem.cantilever import cantilever_problem
 from repro.fem.material import Material
 
@@ -59,6 +65,38 @@ def soft_material():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def child_python():
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    ``repro``; returns its stdout.  ``env`` entries override the
+    inherited environment (``None`` unsets).  For checks on what an
+    import pulls in, which the test process itself has long since
+    imported."""
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+
+    def run(code: str, **env) -> str:
+        child_env = dict(os.environ)
+        child_env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, child_env.get("PYTHONPATH")])
+        )
+        for name, value in env.items():
+            if value is None:
+                child_env.pop(name, None)
+            else:
+                child_env[name] = value
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=child_env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run
 
 
 @pytest.fixture(

@@ -2,14 +2,15 @@
 memory, structured (never hanging) failure on crashed or stalled workers.
 
 Two properties of the process pool are pinned down explicitly:
-``close()`` *parks* the workers instead of draining them (spawn costs
-~1 s, paid once per session instead of once per solve), and a killed or
+``close()`` *parks* the workers instead of draining them (a spawn is
+paid once per session instead of once per solve), and a killed or
 silent worker raises a named error within the per-call timeout instead of
 deadlocking the orchestrator.  Every case drives the pool through
 ``resident_ship`` / ``run_rank_op`` — the only traffic it carries.
 """
 
 import glob
+import logging
 import os
 import signal
 import time
@@ -152,6 +153,37 @@ def test_killed_worker_raises_named_error(submap4):
     ref = _exercise(_comm(submap4))
     assert ref is not None
     comm.close()
+
+
+def test_every_spawn_is_logged_with_reason_and_pids(submap4, caplog):
+    """One INFO record on ``repro.parallel`` per pool spawn, naming why
+    and the worker pids: the first use, the respawn after a SIGKILL
+    broke the pool, and a wider comm growing it; a parked pool is reused
+    without a record."""
+    caplog.set_level(logging.INFO, logger="repro.parallel")
+    pids = []
+    with _comm(submap4) as comm:
+        _exercise(comm)
+        pids.append(comm._pool.process_ids())
+        _exercise(comm)
+        os.kill(pids[0][0], signal.SIGKILL)
+        deadline = time.monotonic() + 5.0
+        with pytest.raises(WorkerCrashedError):
+            while time.monotonic() < deadline:
+                _exercise(comm)
+        _exercise(comm)
+        pids.append(comm._pool.process_ids())
+    with _comm(submap4, n_workers=3) as comm:
+        _exercise(comm)
+        pids.append(comm._pool.process_ids())
+    records = [r for r in caplog.records if r.name == "repro.parallel"]
+    assert [r.levelno for r in records] == [logging.INFO] * 3
+    for record, reason, n, p in zip(
+        records, ("first use", "broken", "grown"), (2, 2, 3), pids
+    ):
+        assert record.getMessage() == (
+            f"process pool spawned ({reason}): {n} workers, pids {p}"
+        )
 
 
 def test_stalled_worker_raises_timeout_not_deadlock(submap4):

@@ -53,6 +53,70 @@ def test_use_backend_restores_previous():
     assert get_backend() is before
 
 
+# scipy's kernels are probed on the first request for a name the
+# registry does not know yet, never at import: each check below runs in a
+# fresh interpreter, whose registry has not probed anything.
+_PROBE = """
+import sys
+from repro.sparse import kernels
+{body}
+print(any(m.split(".")[0] == "scipy" for m in sys.modules))
+"""
+
+
+def test_import_probes_no_scipy(child_python):
+    out = child_python(
+        _PROBE.format(body="assert kernels.get_backend().name == 'numpy'"),
+        REPRO_KERNEL_BACKEND=None,
+    )
+    assert out.split() == ["False"]
+
+
+@pytest.mark.parametrize(
+    "body, env, expected",
+    [
+        ("print(kernels.available_backends())", None, "('numpy', 'scipy')"),
+        ("print(kernels.get_backend().name)", "scipy", "scipy"),
+        (
+            "kernels.set_backend('scipy')\nprint(kernels.get_backend().name)",
+            None,
+            "scipy",
+        ),
+        (
+            "with kernels.use_backend('scipy') as b:\n    print(b.name)",
+            None,
+            "scipy",
+        ),
+    ],
+    ids=["available", "env", "set", "use"],
+)
+def test_every_lookup_probes_scipy(child_python, body, env, expected):
+    out = child_python(_PROBE.format(body=body), REPRO_KERNEL_BACKEND=env)
+    assert out.splitlines() == [expected, "True"]
+
+
+@pytest.mark.parametrize(
+    "call, env, error",
+    [
+        ("kernels.get_backend()", "bogus", "EnvKnobError"),
+        ("kernels.set_backend('bogus')", None, "ValueError"),
+    ],
+    ids=["env", "set"],
+)
+def test_unknown_name_still_raises_after_the_probe(
+    child_python, call, env, error
+):
+    body = (
+        f"try:\n    {call}\n"
+        "except ValueError as e:\n    print(type(e).__name__, e)"
+    )
+    out = child_python(_PROBE.format(body=body), REPRO_KERNEL_BACKEND=env)
+    message, probed = out.splitlines()
+    assert message.startswith(error) and "bogus" in message
+    assert "('numpy', 'scipy')" in message
+    assert probed == "True"
+
+
 def test_accepts_out_detection():
     a = CSRMatrix.eye(3)
     assert accepts_out(a.matvec)
