@@ -16,12 +16,19 @@ bulk payloads travel through a per-communicator
 ``multiprocessing.shared_memory`` arena, which is also where the workers
 of a fused rank op meet each other.  The rank ops are the resident
 Krylov cycle's ``seed`` / ``step`` / ``axpy``, the ``chain`` a benchmark
-probe issues, and the test-only ``stall``.
+probe issues, and the test-only ``stall``.  The preconditioner a ``step``
+applies is a program run by :func:`repro.sparse.recurrences.run_program`
+— the code the inline solves run — over this worker's parts.
 
 Protocol
 --------
-Commands are ``(op, seq, ...)`` tuples; every reply echoes the sequence
-number: ``(seq, "ok", payload)`` or ``(seq, "err", traceback_text)``.
+Commands are ``(op, seq, ...)`` tuples — ``ping``, ``sleep``, ``ship``,
+``rankop``, ``release`` and ``shutdown`` — and every reply echoes the
+sequence number: ``(seq, "ok", payload)`` or ``(seq, "err",
+traceback_text)``.  A worker keeps per communicator one keyed store of
+what ``ship`` brought: ``held[key][rank]`` for a state of one rank (kept
+only by the worker owning it), ``held[key][None]`` for one every worker
+keeps.
 Data-plane commands additionally validate the arena's **header sequence
 word** (the orchestrator stamps it immediately before dispatching): a
 mismatch means the worker is looking at a stale or swapped segment and is
@@ -36,7 +43,6 @@ coverage tracer — hence the module-wide ``pragma: no cover``.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 import traceback
 from multiprocessing import resource_tracker, shared_memory
@@ -46,6 +52,7 @@ import numpy as np
 from repro.sparse import kernels
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.dense import _rows, add_columns, col_dots
+from repro.sparse.recurrences import run_program
 
 #: Bytes reserved at the start of every arena: ``uint64 seq`` plus one
 #: padding word (keeps the float64 payload 16-byte aligned).
@@ -89,27 +96,8 @@ def _owned(w, n_workers, size):  # pragma: no cover
     return range(w, size, n_workers)
 
 
-def _do_register(state, cmd):  # pragma: no cover
-    """Per-rank interface plans, for the worker-side ``⊕Σ∂Ω``
-    (:meth:`_Fused.assemble`; built by ``ProcessComm.interface_plan``)."""
-    state["iface"] = pickle.loads(cmd[3])
-    return []
-
-
-def _do_plan(state, cmd):  # pragma: no cover
-    """A halo plan, for the worker-side halo fills of fused rank ops."""
-    plan_id = cmd[3]
-    plan = pickle.loads(cmd[4])
-    offsets = [0]
-    for n in plan["xsizes"]:
-        offsets.append(offsets[-1] + n)
-    plan["x_offsets"] = offsets
-    state.setdefault("plans", {})[plan_id] = plan
-    return []
-
-
 def _read_fields(view, fields):  # pragma: no cover
-    """Rebuild typed arrays from a ``resident`` command's field table.
+    """Rebuild typed arrays from a ``ship`` command's field table.
 
     8-byte integer arrays crossed the float64 arena as raw bytes and are
     re-viewed here; every shipped array is float64 or int64 by contract.
@@ -125,66 +113,28 @@ def _read_fields(view, fields):  # pragma: no cover
     return arrays
 
 
-def _do_resident(state, cmd, w, n_workers):  # pragma: no cover
-    """Install resident solver state from the arena.
-
-    Base kinds (``edd``/``rdd``) install one rank's CSR blocks; a new
-    generation id drops every older generation first and only the owning
-    worker (rank striding) keeps the state.  Aux kinds attach
-    preconditioner state to an existing generation: ``aux`` per owning
-    rank (ILU factors, coarse restriction bases), ``aux_shared`` kept by
-    every worker (the small redundant factorized coarse matrix).  Aux
-    arriving for an unknown generation raises — the orchestrator must
-    ship the base system first.
+def _do_ship(state, cmd, w, n_workers):  # pragma: no cover
+    """Keep one shipped state under its key: a rank's state at the worker
+    owning that rank (rank striding), a rank-less one at every worker.
+    The entry is the state's metadata plus its arrays; each matrix the
+    metadata lists under ``csr`` (name -> shape) is rebuilt from the
+    arrays ``<name>_indptr`` / ``_indices`` / ``_data``.  Every worker
+    records the key, so a rank op finds it even where no rank is owned.
     """
     _op, seq, _cid, arena, total_words, meta = cmd
-    res = state.get("resident")
-    kind = meta["kind"]
-    if kind in ("aux", "aux_shared"):
-        if res is None or res.get("gen") != meta["gen"]:
-            raise RuntimeError(
-                f"aux resident state for generation {meta.get('gen')!r} "
-                f"arrived at worker {w} before its base system"
-            )
-        if kind == "aux":
-            r = meta["rank"]
-            if r % n_workers != w:
-                return []
-        view = _arena_view(state, arena, total_words, seq)
-        box = {"arrays": _read_fields(view, meta["fields"]), "meta": meta}
-        if kind == "aux_shared":
-            res["shared"][meta["key"]] = box
-        else:
-            res["ranks"][r].setdefault("aux", {})[meta["key"]] = box
-        return []
-    if res is None or res.get("gen") != meta["gen"]:
-        res = {"gen": meta["gen"], "ranks": {}, "shared": {}}
-        state["resident"] = res
-    r = meta["rank"]
-    if r % n_workers != w:
+    rank = meta["rank"]
+    held = state.setdefault("held", {}).setdefault(meta["key"], {})
+    if rank is not None and rank % n_workers != w:
         return []
     view = _arena_view(state, arena, total_words, seq)
-    arrays = _read_fields(view, meta["fields"])
-    entry = {}
-    if kind == "edd":
-        entry["a"] = CSRMatrix(
-            meta["shape"], arrays["indptr"], arrays["indices"], arrays["data"]
+    entry = dict(meta["meta"])
+    entry.update(_read_fields(view, meta["fields"]))
+    for name, shape in entry.pop("csr", {}).items():
+        entry[name] = CSRMatrix(
+            shape, entry.pop(f"{name}_indptr"), entry.pop(f"{name}_indices"),
+            entry.pop(f"{name}_data"),
         )
-        entry["mask"] = arrays.get("owner_mask")
-    else:
-        entry["a_loc"] = CSRMatrix(
-            meta["loc_shape"],
-            arrays["loc_indptr"],
-            arrays["loc_indices"],
-            arrays["loc_data"],
-        )
-        entry["a_ext"] = CSRMatrix(
-            meta["ext_shape"],
-            arrays["ext_indptr"],
-            arrays["ext_indices"],
-            arrays["ext_data"],
-        )
-    res["ranks"][r] = entry
+    held[rank] = entry
     return []
 
 
@@ -228,11 +178,15 @@ class _Fused:  # pragma: no cover
     named laps (``precondition`` / ``matvec`` / ``exchange`` /
     ``orthogonalize``) that add up to it exactly; time spent waiting
     for peers counts towards the phase that waits.
+
+    ``held`` is the worker's keyed store; the op's own ranks are the
+    states shipped under its ``gen``, each carrying its part of the
+    exchange plan (``iface`` for EDD; ``halo`` and ``ext`` for RDD).
     """
 
-    def __init__(self, state, res, view, p, w, n_workers):
-        self.ranks = res["ranks"]
-        self.shared = res["shared"]
+    def __init__(self, held, view, p, w, n_workers):
+        self.held = held
+        self.ranks = held[p["gen"]]
         self.view = view
         self.p = p
         self.w = w
@@ -243,8 +197,6 @@ class _Fused:  # pragma: no cover
         k = p.get("k")
         self.width = k or 1
         self.tail = () if k is None else (k,)
-        self.iface = state.get("iface")
-        self.plan = state.get("plans", {}).get(p.get("plan"))
         self.flags = view[p["flags"]:p["flags"] + p["nflags"]]
         self.deadline = time.monotonic() + p["btimeout"]
         self.barriers = 0
@@ -327,12 +279,12 @@ class _Fused:  # pragma: no cover
         sharers, where the ``k``-th lowest-ranked sharer published."""
         seg = self._slot()
         for r in self.owned:
-            idx, pub, _ = self.iface[r]
+            idx, pub, _ = self.ranks[r]["iface"]
             seg[pub:pub + len(idx)] = loc[r][idx]
         self.barrier()
         out = {}
         for r in self.owned:
-            idx, _, levels = self.iface[r]
+            idx, _, levels = self.ranks[r]["iface"]
             hat = loc[r] + 0.0
             if len(idx):
                 acc = np.zeros((len(idx),) + self.tail)
@@ -349,7 +301,8 @@ class _Fused:  # pragma: no cover
         """The communicating operator both decompositions iterate, on
         this worker's ranks: EDD — subdomain product (Eq. 37), then
         ``⊕Σ∂Ω``; RDD — halo fill from the peers' published operands
-        through the shipped plan, then the Eq. 48 block products."""
+        (each rank publishes its whole operand at its offset) through the
+        shipped plan, then the Eq. 48 block products."""
         ranks = self.ranks
         if self.edd:
             loc = {r: ranks[r]["a"] @ x[r] for r in self.owned}
@@ -357,19 +310,17 @@ class _Fused:  # pragma: no cover
             out = self.assemble(loc)
             self.lap("exchange")
             return out
-        plan = self.plan
-        xsizes, x_offsets = plan["xsizes"], plan["x_offsets"]
+        offsets, sizes = self.offsets, self.sizes
         seg = self._slot()
         for r in self.owned:
-            off = self.offsets[r]
-            seg[off:off + self.sizes[r]] = x[r]
+            seg[offsets[r]:offsets[r] + sizes[r]] = x[r]
         self.barrier()
         bufs = {}
         for r in self.owned:
-            buf = np.zeros((plan["ext_sizes"][r],) + self.tail)
-            for t, send_idx, recv_slots in plan["ranks"][r]:
-                xoff = x_offsets[t]
-                buf[recv_slots] = seg[xoff:xoff + xsizes[t]][send_idx]
+            buf = np.zeros((ranks[r]["ext"],) + self.tail)
+            for t, send_idx, recv_slots in ranks[r]["halo"]:
+                peer = seg[offsets[t]:offsets[t] + sizes[t]]
+                buf[recv_slots] = peer[send_idx]
             bufs[r] = buf
         self.lap("exchange")
         out = {}
@@ -389,99 +340,71 @@ class _Fused:  # pragma: no cover
         return _tree_rows(self.view, base, self.size, m)
 
 
-def _chain(f, kind, prm, v):  # pragma: no cover
-    """Degree-``k`` polynomial apply ``z = P(A) v`` through the
-    communicating operator, one exchange per degree.  Recurrence bodies
-    mirror the generic ``apply_linear`` paths of the polynomial
-    preconditioners token for token (``x - y`` is bitwise the
-    ``x + (-1.0) * y`` the RDD vector wrapper computes)."""
-    owned = f.owned
-    if kind == "neumann":
-        degree = prm["degree"]
-        omega = prm["omega"]
-        s = dict(v)
-        z = dict(v)
-        cur = s
-    elif kind == "cheb":
-        coef = prm["coef"]
-        degree = len(coef) - 1
-        z = {r: coef[-1] * v[r] for r in owned}
-        cur = z
-    else:  # gls
-        a, b, mu = prm["a"], prm["b"], prm["mu"]
-        degree = prm["degree"]
-        phi = {r: (1.0 / b[0]) * v[r] for r in owned}
-        phi_prev = None
-        z = {r: mu[0] * phi[r] for r in owned}
-        cur = phi
-    for d in range(degree):
-        g = f.operator(cur)
-        if kind == "neumann":
-            for r in owned:
-                s[r] = s[r] - omega * g[r]
-                z[r] = z[r] + s[r]
-            cur = s
-        elif kind == "cheb":
-            c = coef[len(coef) - 2 - d]
-            for r in owned:
-                z[r] = g[r] + c * v[r]
-            cur = z
-        else:
-            nxt = {}
-            for r in owned:
-                t_ = g[r] - a[d] * phi[r]
-                if phi_prev is not None:
-                    t_ = t_ - b[d] * phi_prev[r]
-                nxt[r] = (1.0 / b[d + 1]) * t_
-                z[r] = z[r] + mu[d + 1] * nxt[r]
-            phi_prev, phi = phi, nxt
-            cur = phi
-    if kind == "neumann":
-        z = {r: omega * z[r] for r in owned}
-    return z
+class _Parts:  # pragma: no cover
+    """This worker's parts of one distributed vector (rank -> array) with
+    the arithmetic :mod:`repro.sparse.recurrences` runs on: per owned
+    rank, the numpy expression the inline vector types evaluate (their
+    ``y + 1.0 * x`` / ``y + (-1.0) * x`` are bitwise ``y + x`` /
+    ``y - x``)."""
+
+    __slots__ = ("d",)
+
+    def __init__(self, d):
+        self.d = d
+
+    def copy(self):
+        return _Parts({r: a.copy() for r, a in self.d.items()})
+
+    def __add__(self, other):
+        return _Parts({r: a + other.d[r] for r, a in self.d.items()})
+
+    def __sub__(self, other):
+        return _Parts({r: a - other.d[r] for r, a in self.d.items()})
+
+    def __mul__(self, scalar):
+        return _Parts({r: scalar * a for r, a in self.d.items()})
+
+    __rmul__ = __mul__
 
 
-def _coarse(f, key, nc, v):  # pragma: no cover
+def _coarse(f, key, v):  # pragma: no cover
     """Two-level coarse correction ``W E^-1 W^T v``: rank-local
-    restriction, one reduction of ``nc`` words per column, a redundant
-    solve of the shipped factorized Galerkin matrix (``nc`` is tiny, so
-    no second exchange is needed) and rank-local prolongation.  The
-    orchestrator replays the real ``allreduce_sum`` on the partial rows
-    it reads back, for charging and chaos targeting."""
+    restriction, one reduction of ``n_coarse`` words per column, a
+    redundant solve of the shipped factorized Galerkin matrix (it is
+    tiny, so no second exchange is needed) and rank-local prolongation.
+    The orchestrator replays the real ``allreduce_sum`` on the partial
+    rows it reads back, for charging and chaos targeting."""
+    held = f.held[key]
+    shared = held[None]
+    fmat = shared["fmat"]
+    m = fmat.shape[0] * f.width
     base = f.p["coarse_rows"]
-    m = nc * f.width
     for r in f.owned:
-        aux = f.ranks[r]["aux"][key]["arrays"]
         f.view[base + r * m:base + (r + 1) * m] = (
-            aux["wl"].T @ v[r]
+            held[r]["wl"].T @ v[r]
         ).reshape(-1)
-    rhs = f.reduce(base, m).reshape((nc,) + f.tail)
-    shared = f.shared[key]
-    smeta = shared["meta"]
-    fmat = shared["arrays"]["fmat"]
-    if smeta["fkind"] == "cho":
+    rhs = f.reduce(base, m).reshape(fmat.shape[:1] + f.tail)
+    if shared["fkind"] == "cho":
         from scipy.linalg import cho_solve
 
-        y = cho_solve((fmat, smeta["lower"]), rhs)
+        y = cho_solve((fmat, shared["lower"]), rhs)
     else:
         from scipy.linalg import lu_solve
 
-        piv = shared["arrays"]["piv"].astype(np.int32)
-        y = lu_solve((fmat, piv), rhs)
-    return {r: f.ranks[r]["aux"][key]["arrays"]["wg"] @ y for r in f.owned}
+        y = lu_solve((fmat, shared["piv"].astype(np.int32)), rhs)
+    return {r: held[r]["wg"] @ y for r in f.owned}
 
 
-def _ilu0_apply(e, key, v):  # pragma: no cover
-    """Block-Jacobi ILU0 apply against the shipped factors: the copy
-    mirrors the inline ``z = v.copy()`` and the backend solve is the
-    kernel the inline path runs; a block is solved column by column, as
+def _ilu0_apply(aux, v):  # pragma: no cover
+    """Block-Jacobi ILU0 apply against one rank's shipped factors: the
+    copy the inline ``z = v.copy()`` makes, then the backend solve the
+    inline path runs; a block is solved column by column, as
     ``BlockJacobiILU.apply_parts`` does."""
     if v.ndim == 2:
         out = np.empty_like(v)
         for c in range(v.shape[1]):
-            out[:, c] = _ilu0_apply(e, key, np.ascontiguousarray(v[:, c]))
+            out[:, c] = _ilu0_apply(aux, np.ascontiguousarray(v[:, c]))
         return out
-    aux = e["aux"][key]["arrays"]
     zv = np.array(v)
     kernels.get_backend().ilu0_solve(
         aux["indptr"], aux["indices"], aux["data"],
@@ -490,31 +413,21 @@ def _ilu0_apply(e, key, v):  # pragma: no cover
     return zv
 
 
-def _precondition(f, prog, v):  # pragma: no cover
-    """Run a preconditioner program (``resident.step_program``) on this
-    worker's ranks: ``z = C v`` (the caller holds ``f.within`` at
-    ``"precondition"``, so the exchanges in here count as that).  The
-    two-level composites follow
-    ``TwoLevelPreconditioner.apply_edd`` / ``apply_rdd`` (whose
-    ``y + 1.0 * x`` / ``y + (-1.0) * x`` are bitwise ``y + x`` /
-    ``y - x``)."""
-    owned = f.owned
-    kind = prog[0]
-    if kind == "copy":
-        return {r: v[r].copy() for r in owned}
-    if kind == "chain":
-        return _chain(f, prog[1], prog[2], v)
-    if kind == "ilu0":
-        return {r: _ilu0_apply(f.ranks[r], prog[1], v[r]) for r in owned}
-    _, mode, key, nc, inner = prog
-    if mode == "additive":
-        z = _precondition(f, inner, v)
-        q = _coarse(f, key, nc, v)
-    else:
-        q = _coarse(f, key, nc, v)
-        aq = f.operator(q)
-        z = _precondition(f, inner, {r: v[r] - aq[r] for r in owned})
-    return {r: z[r] + q[r] for r in owned}
+def _precondition(f, program, v):  # pragma: no cover
+    """``z = C v`` on this worker's ranks: the preconditioner program
+    (``resident.step_program``) run by the shared interpreter, with this
+    worker's operator, coarse solve and ILU0 solves as its callables
+    (the caller holds ``f.within`` at ``"precondition"``, so the
+    exchanges in here count as that)."""
+    z = run_program(
+        program, _Parts(v),
+        lambda u: _Parts(f.operator(u.d)),
+        lambda key, u: _Parts(_coarse(f, key, u.d)),
+        lambda key, u: _Parts(
+            {r: _ilu0_apply(f.held[key][r], a) for r, a in u.d.items()}
+        ),
+    )
+    return z.d
 
 
 def _op_chain(f):  # pragma: no cover
@@ -525,7 +438,7 @@ def _op_chain(f):  # pragma: no cover
     p = f.p
     f.within = "precondition"
     v = {r: np.array(f.part(0, r)) for r in f.owned}
-    z = _chain(f, p["kind"], p["params"], v)
+    z = _precondition(f, ("chain", p["kind"], p["params"]), v)
     for r in f.owned:
         f.part(p["out"], r)[...] = z[r]
     f.lap("precondition")
@@ -709,13 +622,15 @@ _RANK_OPS = {"seed": _op_seed, "axpy": _op_axpy}
 
 
 def _do_rank_op(state, cmd, w, n_workers):  # pragma: no cover
-    """Execute one named rank operation against resident state.
+    """Execute one named rank operation against the state shipped under
+    the op's ``gen``.
 
-    Every arithmetic expression below mirrors the orchestrator's inline
-    engine token for token (same numpy calls, same association order), so
-    the floats written back are bit-identical to inline execution.
-    Replies list ``(rank, seconds)`` per owned rank — fused ops add the
-    per-phase split as a third field.
+    The arithmetic is the orchestrator's inline arithmetic — the shared
+    :mod:`repro.sparse.dense` column kernels and
+    :mod:`repro.sparse.recurrences` bodies, the inline association order
+    everywhere else — so the floats written back are bit-identical to
+    inline execution.  Replies list ``(rank, seconds)`` per owned rank —
+    fused ops add the per-phase split as a third field.
     """
     _op, seq, _cid, arena, total_words, p = cmd
     name = p["name"]
@@ -725,8 +640,8 @@ def _do_rank_op(state, cmd, w, n_workers):  # pragma: no cover
         return []
     if name not in _FUSED_OPS and name not in _RANK_OPS:
         raise ValueError(f"unknown rank op {name!r}")
-    res = state.get("resident")
-    if res is None or res.get("gen") != p["gen"]:
+    held = state.get("held", {})
+    if p["gen"] not in held:
         raise RuntimeError(
             f"resident generation {p.get('gen')!r} is not shipped to "
             f"worker {w} (respawned pool?); the orchestrator must re-ship"
@@ -734,9 +649,9 @@ def _do_rank_op(state, cmd, w, n_workers):  # pragma: no cover
     kernels.set_backend(p["backend"])
     view = _arena_view(state, arena, total_words, seq)
     if name in _FUSED_OPS:
-        return _FUSED_OPS[name](_Fused(state, res, view, p, w, n_workers))
+        return _FUSED_OPS[name](_Fused(held, view, p, w, n_workers))
     owned = list(_owned(w, n_workers, len(p["sizes"])))
-    return _RANK_OPS[name](res["ranks"], view, p, owned, w)
+    return _RANK_OPS[name](held[p["gen"]], view, p, owned, w)
 
 
 def _release(state):  # pragma: no cover
@@ -774,12 +689,8 @@ def worker_main(w: int, n_workers: int, conn) -> None:  # pragma: no cover
                     result = []
                 else:
                     state = comms.setdefault(cmd[2], {})
-                    if op == "register":
-                        result = _do_register(state, cmd)
-                    elif op == "plan":
-                        result = _do_plan(state, cmd)
-                    elif op == "resident":
-                        result = _do_resident(state, cmd, w, n_workers)
+                    if op == "ship":
+                        result = _do_ship(state, cmd, w, n_workers)
                     elif op == "rankop":
                         result = _do_rank_op(state, cmd, w, n_workers)
                     elif op == "release":

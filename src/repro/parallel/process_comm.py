@@ -7,16 +7,17 @@ persistent pool of spawned worker **processes** that execute *resident
 rank ops* (:mod:`repro.parallel.resident`).  The per-rank closures
 solvers hand to ``run_ranks`` close over rank-local numpy/CSR state and
 cannot cross a process boundary; resident execution escapes that
-constraint for the solver hot loops: :meth:`resident_ship` streams each
-rank's CSR blocks to its owning worker once (keyed by a generation id,
-invalidated on pool respawn) and :meth:`run_rank_op` dispatches the
-named operations of a resident Krylov cycle — ``seed``, one fused
-``step`` per Arnoldi step, ``axpy`` — as small command descriptors that
-workers execute against the resident state, meeting each other through
-a ``multiprocessing.shared_memory`` arena where an operation needs its
-peers' data (:meth:`interface_plan` is what their ``⊕Σ∂Ω`` runs on), so
-inside a cycle only reduction scalars cross process boundaries while all
-charging stays with the orchestrator.
+constraint for the solver hot loops: :meth:`ship` streams each piece of
+resident state — a rank's CSR blocks with its part of the exchange plan,
+a preconditioner's factors — to the workers that keep it, once per key
+and pool (a respawn forgets every key), and :meth:`run_rank_op`
+dispatches the named operations of a resident Krylov cycle — ``seed``,
+one fused ``step`` per Arnoldi step, ``axpy`` — as small command
+descriptors that workers execute against the resident state, meeting
+each other through a ``multiprocessing.shared_memory`` arena where an
+operation needs its peers' data (:meth:`interface_plan` is what their
+``⊕Σ∂Ω`` runs on), so inside a cycle only reduction scalars cross
+process boundaries while all charging stays with the orchestrator.
 
 Collectives never touch the pool: a communicator whose systems stay
 below the residency threshold never spawns a worker and is, literally,
@@ -25,7 +26,7 @@ below the residency threshold never spawns a worker and is, literally,
 Pool lifecycle
 --------------
 The pool is **lazy** (the first resident ship spawns it) and **persistent**
-(``ProcessComm.close()`` releases the comm's worker-side registration and
+(``ProcessComm.close()`` releases the comm's worker-side state and
 unlinks its shared-memory arena, but parks the processes for the next
 communicator — spawning two workers and getting their first reply takes
 0.13–0.18 s on a 2-vCPU Xeon, mostly each child's numpy import, a
@@ -34,8 +35,11 @@ respawn is one INFO record on the ``repro.parallel`` logger.  ``shutdown_pool()`
 communicator borrows them; ``use_comm_backend("process")`` drains on exit,
 and an ``atexit`` hook is the backstop.  A crashed or stalled worker
 surfaces as a structured :class:`WorkerCrashedError` /
-:class:`WorkerTimeoutError` within the per-call timeout instead of a hang,
-and marks the pool broken; the next dispatch transparently respawns it.
+:class:`WorkerTimeoutError` within the per-call timeout instead of a hang
+(one WARNING record naming the worker, the op and the exit code or
+timeout), and marks the pool broken; the next dispatch transparently
+respawns it, and the comm that meets the new pool logs at INFO how many
+held keys it lost.
 
 BLAS threading
 --------------
@@ -75,7 +79,6 @@ import itertools
 import logging
 import multiprocessing
 import os
-import pickle
 import threading
 import time
 import weakref
@@ -93,6 +96,10 @@ _DEFAULT_MIN_WORK = 32768
 _DEFAULT_TIMEOUT = 120.0
 
 _log = logging.getLogger("repro.parallel")
+#: Pool-loss and invalidation records: a child of ``repro.parallel``, so
+#: they reach its handlers while the spawn records keep the parent's name
+#: to themselves.
+_events = logging.getLogger(__name__)
 
 
 class ProcessPoolError(RuntimeError):
@@ -242,24 +249,20 @@ class _ProcessPool:
                 # A worker that died since the last dispatch breaks the
                 # pipe on send; surface it as the same named error the
                 # receive path raises instead of a raw BrokenPipeError.
-                self.broken = True
-                raise WorkerCrashedError(w, self._procs[w].exitcode, op)
+                raise self._lost(w, op)
         deadline = time.monotonic() + timeout
         payloads = []
         errors = []
         for w, conn in enumerate(self._conns):
             while not conn.poll(0.05):
                 if not self._procs[w].is_alive():
-                    self.broken = True
-                    raise WorkerCrashedError(w, self._procs[w].exitcode, op)
+                    raise self._lost(w, op)
                 if time.monotonic() > deadline:
-                    self.broken = True
-                    raise WorkerTimeoutError(w, timeout, op)
+                    raise self._lost(w, op, timeout)
             try:
                 reply = conn.recv()
             except (EOFError, OSError):
-                self.broken = True
-                raise WorkerCrashedError(w, self._procs[w].exitcode, op)
+                raise self._lost(w, op)
             if reply[0] != seq:
                 self.broken = True
                 raise ProcessPoolError(
@@ -276,6 +279,25 @@ class _ProcessPool:
         if errors:
             raise errors[0]
         return payloads
+
+    def _lost(self, w: int, op: str, timeout: float | None = None):
+        """Mark the pool broken and log a WARNING for worker ``w``: dead
+        (its exit code) or silent past ``timeout``; returns the named
+        error to raise."""
+        self.broken = True
+        if timeout is None:
+            err = WorkerCrashedError(w, self._procs[w].exitcode, op)
+            _events.warning(
+                "comm worker %d died during %r (exitcode %s)",
+                w, op, err.exitcode,
+            )
+        else:
+            err = WorkerTimeoutError(w, timeout, op)
+            _events.warning(
+                "comm worker %d did not reply to %r within %gs",
+                w, op, timeout,
+            )
+        return err
 
     def process_ids(self) -> list:
         return [p.pid for p in self._procs]
@@ -444,33 +466,32 @@ class ProcessComm(VirtualComm):
         self._comm_id = next(_comm_ids)
         self._closed = False
         self._pool = None
-        self._registered = False
         self._seq = 0
         self._arena = None
         self._arena_name = None
         self._arena_words = 0
         self._arena_gen = 0
-        #: plan id -> shipped halo plan; pinning the plan dict keeps
-        #: ``id(plan)`` from being recycled under us.
-        self._plans: dict = {}
         self._iface_plan = None
-        #: resident-state generation ids the current pool has received;
-        #: cleared on pool respawn so engines re-ship transparently.
-        self._resident_sent: set = set()
+        #: Keys of the states the current pool holds (:meth:`ship`).
+        self._held: set = set()
         _live_comms.add(self)
 
     # ------------------------------------------------------------------
     # Pool / arena plumbing
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> _ProcessPool:
+        """The shared pool; the one place held keys are forgotten — a
+        fresh (or respawned) pool holds no worker-side state, and a
+        respawn says so in one INFO record."""
         pool = _acquire_pool(self.n_workers)
         if pool is not self._pool:
-            # Fresh (or respawned) pool: worker-side state is gone.
+            if self._pool is not None:
+                _events.info(
+                    "comm %d met a respawned pool: %d held keys invalidated",
+                    self._comm_id, len(self._held),
+                )
             self._pool = pool
-            self._registered = False
-            self._resident_sent.clear()
-            for entry in self._plans.values():
-                entry["sent"] = False
+            self._held.clear()
         return pool
 
     def _ensure_arena(self, total_words: int) -> np.ndarray:
@@ -553,13 +574,6 @@ class ProcessComm(VirtualComm):
             self._iface_plan = {"words": int(pub[-1]), "ranks": ranks}
         return self._iface_plan
 
-    def _register(self, pool: _ProcessPool) -> None:
-        if self._registered:
-            return
-        blob = pickle.dumps(self.interface_plan()["ranks"])
-        self._control(pool, "register", blob)
-        self._registered = True
-
     def _charge_times(self, payloads: list) -> dict:
         """Feed the workers' busy seconds to the tracer; returns the
         per-phase totals a fused op reported (empty otherwise)."""
@@ -577,119 +591,67 @@ class ProcessComm(VirtualComm):
     # ------------------------------------------------------------------
     # Resident rank execution (see repro.parallel.resident)
     # ------------------------------------------------------------------
-    def resident_ship(self, gen: int, rank_states: list) -> None:
-        """Stream per-rank resident solver state to its owning worker.
+    def ship(self, key, states, **span) -> None:
+        """Ship resident state under ``key`` unless the current pool
+        holds it (a respawned pool holds nothing, so it ships again).
 
-        ``rank_states[r]`` is ``{"kind", "arrays", "meta"}``; each array
-        is laid into the shared-memory arena (8-byte integer arrays cross
-        as raw float64 bytes via ``.view``) and described by a typed field
-        table in the command, one dispatch per rank so the arena stays
-        bounded by a single rank's footprint.  Shipping charges no
-        CommStats: it is transport, not modelled communication.
+        ``states()`` lists the states, each ``{"rank", "arrays",
+        "meta"}``: a state with a ``rank`` is kept by the worker owning
+        that rank, one whose ``rank`` is None by every worker.  Each
+        state is one dispatch: its arrays are laid into the
+        shared-memory arena (8-byte integer arrays cross as raw float64
+        bytes via ``.view``) and described by a typed field table in the
+        command, its small ``meta`` rides in the command, so the arena
+        stays bounded by one state's footprint.  Traced, an actual ship
+        is one ``resident_ship`` span carrying ``span`` as its
+        arguments.  Shipping charges no CommStats: it is transport, not
+        modelled communication.
         """
         pool = self._ensure_pool()
-        with pool.lock:
-            self._register(pool)
-            for rank, st in enumerate(rank_states):
-                self._ship_state(pool, st, {"gen": int(gen), "rank": rank})
-        self._resident_sent.add(int(gen))
+        if key in self._held:
+            return
+        trc = self.tracer
+        if trc.enabled:
+            trc.begin("resident_ship", "phase", **span)
+        try:
+            with pool.lock:
+                for st in states():
+                    self._ship_state(pool, key, st)
+            self._held.add(key)
+        finally:
+            if trc.enabled:
+                trc.end()
 
-    def _ship_state(self, pool, st: dict, extra_meta: dict) -> None:
-        """Lay one state's typed arrays into the arena and dispatch a
-        ``resident`` command describing them (caller holds the pool lock)."""
-        arrays = list(st["arrays"].items())
+    def _ship_state(self, pool, key, st: dict) -> None:
+        """Lay one state's typed arrays into the arena and dispatch the
+        ``ship`` command describing them (caller holds the pool lock)."""
         fields = []
         off = 0
-        for name, arr in arrays:
-            fields.append(
-                (name, str(arr.dtype), tuple(arr.shape), off)
-            )
+        for name, arr in st["arrays"].items():
+            fields.append((name, str(arr.dtype), tuple(arr.shape), off))
             off += int(arr.size)
         total_words = max(off, 1)
         view = self._ensure_arena(total_words)
-        for (_nm, _dt, _shape, foff), (_name, arr) in zip(
-            fields, arrays
-        ):
+        for (*_, foff), arr in zip(fields, st["arrays"].values()):
             flat = np.ascontiguousarray(arr).reshape(-1)
             if flat.dtype != np.float64:
                 flat = flat.view(np.float64)
             view[foff:foff + flat.size] = flat
-        meta = dict(st.get("meta", {}))
-        meta.update(extra_meta)
-        meta.update(kind=st["kind"], fields=fields)
+        meta = {
+            "key": key, "rank": st["rank"], "fields": fields,
+            "meta": st.get("meta", {}),
+        }
         seq = self._stamp()
         pool.run_cmd(
-            (
-                "resident", seq, self._comm_id, self._arena_name,
-                total_words, meta,
-            ),
+            ("ship", seq, self._comm_id, self._arena_name, total_words, meta),
             self.call_timeout,
         )
-
-    def resident_ship_aux(self, gen: int, states: list) -> None:
-        """Attach auxiliary solver state (preconditioner factors, coarse
-        bases) to an already-shipped generation.
-
-        Each state is ``{"kind": "aux"|"aux_shared", "arrays", "meta"}``;
-        ``aux`` metas name an owning ``rank`` (only that rank's worker
-        keeps it, under ``meta["key"]``), ``aux_shared`` metas broadcast
-        to every worker (small redundant state such as a factorized
-        coarse matrix).  A worker that has not seen the base generation
-        raises, surfacing as the pool's named error taxonomy.  Like
-        :meth:`resident_ship` this charges no CommStats: transport, not
-        modelled communication.
-        """
-        pool = self._ensure_pool()
-        with pool.lock:
-            self._register(pool)
-            for st in states:
-                self._ship_state(pool, st, {"gen": int(gen)})
-
-    def resident_ship_plan(self, plan: dict, xsizes: list, ext_sizes: list):
-        """Ship a halo plan for worker-side halo fills inside fused rank
-        ops (once per pool); returns the plan token.  Entries are cached
-        and pinned by ``id(plan)`` — plans, and so their sizes, are
-        immutable for a system's lifetime."""
-        entry = self._plans.get(id(plan))
-        if entry is None:
-            ranks = [
-                [
-                    (int(t), np.asarray(plan[t][s][0]), np.asarray(recv_slots))
-                    for t, (_, recv_slots) in plan[s].items()
-                ]
-                for s in range(self.size)
-            ]
-            entry = self._plans[id(plan)] = {
-                "token": len(self._plans) + 1,
-                "plan": plan,  # pin, so id(plan) stays unique while cached
-                "blob": pickle.dumps(
-                    {
-                        "ranks": ranks,
-                        "xsizes": list(xsizes),
-                        "ext_sizes": list(ext_sizes),
-                    }
-                ),
-                "sent": False,
-            }
-        pool = self._ensure_pool()
-        with pool.lock:
-            self._register(pool)
-            if not entry["sent"]:
-                self._control(pool, "plan", entry["token"], entry["blob"])
-                entry["sent"] = True
-        return entry["token"]
 
     def pool_width(self) -> int:
         """Worker count of the acquired pool (>= ``n_workers``: an
         existing wider pool is reused as-is).  Fused rank ops size their
         barrier flag region with this."""
         return self._ensure_pool().n_workers
-
-    def resident_ready(self, gen: int) -> bool:
-        """True when generation ``gen`` is resident in the current pool
-        (acquiring the pool first, so a respawn invalidates honestly)."""
-        self._ensure_pool()
-        return int(gen) in self._resident_sent
 
     def run_rank_op(
         self, payload: dict, writes: list, reads: list, total_words: int
@@ -712,7 +674,6 @@ class ProcessComm(VirtualComm):
         try:
             pool = self._ensure_pool()
             with pool.lock:
-                self._register(pool)
                 view = self._ensure_arena(max(total_words, 1))
                 for off, arr in writes:
                     flat = np.asarray(arr).reshape(-1)
@@ -745,7 +706,9 @@ class ProcessComm(VirtualComm):
         self._closed = True
         _live_comms.discard(self)
         pool = self._pool
-        if pool is not None and self._registered and not pool.broken:
+        if pool is not None and self._arena is not None and not pool.broken:
+            # Workers hold state for this comm only once its arena
+            # carried a command: release it.
             try:
                 with pool.lock:
                     self._control(pool, "release")
@@ -756,8 +719,6 @@ class ProcessComm(VirtualComm):
             self._arena = None
             self._arena_name = None
             self._arena_words = 0
-        self._plans.clear()
-        self._resident_sent.clear()
         self._pool = None
 
     # Test hook: force a worker-side stall so the per-call timeout path

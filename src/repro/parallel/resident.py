@@ -7,8 +7,9 @@ runs its per-rank arithmetic in one of two places:
   and chaos backends, and process communicators below the residency
   threshold) — :class:`RankEngine` holds the CGS coefficient round;
 * *resident*: :class:`ResidentEDDEngine` / :class:`ResidentRDDEngine`
-  ship each rank's CSR blocks and the preconditioner's factor state to
-  its owning worker process **once** (keyed by a generation id) and run
+  ship each rank's CSR blocks with its part of the exchange plan, and
+  the preconditioner's factor state, to the worker processes **once**
+  (:meth:`ProcessComm.ship`, keyed by a generation id) and run
   the restart cycle there as three **named rank ops** — ``seed`` opens a
   cycle, one ``step`` per Arnoldi step does all of the step's arithmetic,
   ``axpy`` updates ``x`` at the cycle's end.  Their base
@@ -32,31 +33,35 @@ apply) is issued by no solve and stays for ``bench/probes.py``.
 
 Bit-identity contract
 ---------------------
-Worker-side arithmetic mirrors the inline bodies token for token (same
-numpy expressions, same association order, the same
-:func:`~repro.core.distributed.col_dots` and
-:func:`~repro.core.distributed.add_columns`), the workers' ``⊕Σ∂Ω`` sums
-each shared DOF in the order :meth:`Comm.interface_assemble` does, a
-retired column is dropped with the inline ``np.delete`` (so later column
-dots read the same strides), and **all charging stays
+Workers run the inline code, not a copy of it: the column kernels of
+:mod:`repro.sparse.dense` (:func:`~repro.core.distributed.col_dots`,
+:func:`~repro.core.distributed.add_columns`) and the preconditioner
+bodies of :mod:`repro.sparse.recurrences`, whose program interpreter
+also drives the orchestrator's charge replay.  The rest of a ``step``
+keeps the inline association order, the workers' ``⊕Σ∂Ω`` sums each
+shared DOF in the order :meth:`Comm.interface_assemble` does, and a
+retired column is dropped with the inline ``np.delete`` (so later
+column dots read the same strides).  **All charging stays
 orchestrator-side**: after a dispatch the orchestrator *replays* the
 inline charging — the real ``allreduce_sum`` on the partial rows it
 reads back, and :meth:`Comm.charge_interface_assemble` /
-:meth:`Comm.charge_halo_exchange` driven by the actual polynomial
-recurrence over charge-only ghost vectors.  So the returned floats are
+:meth:`Comm.charge_halo_exchange` driven by the same preconditioner
+program over charge-only ghost vectors.  So the returned floats are
 bitwise identical and ``CommStats``, tracer exchange/reduction spans and
 message logs *exactly equal* to an inline solve.  The chaos communicator
 is never resident, which keeps fault injection at the orchestrator.
 
 State lifecycle
 ---------------
-A resident engine draws a fresh generation id per system.  Before every
-dispatch it checks :meth:`ProcessComm.resident_ready` — which acquires
-the pool first, so a respawn (crash recovery, forced shutdown) honestly
-invalidates the generation and the engine re-ships transparently.  A
-worker that receives a rank op for an unknown generation, or a ``step``
-or ``axpy`` for a cycle it holds no basis of, raises, which surfaces as
-the pool's named error taxonomy rather than silent garbage.
+A resident engine draws a fresh generation id per system; its states
+ship under that key, a preconditioner's under a key of its own.  Before
+every dispatch the engine asks :meth:`ProcessComm.ship` for each key it
+needs, which ships only what the current pool does not hold — a respawn
+(crash recovery, forced shutdown) forgets every key, so the engine
+re-ships transparently.  A worker that receives a rank op for a
+generation it does not hold, or a ``step`` or ``axpy`` for a cycle it
+holds no basis of, raises, which surfaces as the pool's named error
+taxonomy rather than silent garbage.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.distributed import DistVector, col_dots
+from repro.sparse.recurrences import run_program
 
 __all__ = [
     "engine_mode",
@@ -144,19 +150,18 @@ def _btimeout(comm) -> float:
 def _aux_states(precond) -> list:
     """What of a factor-state preconditioner ships to the workers.
     Block-Jacobi ILU0: each rank's combined L/U CSR factor plus the
-    diagonal-position/split tables the backend ``ilu0_solve`` reads
-    (``aux``, kept by the owning worker).  Two-level: the small
-    factorized Galerkin matrix, broadcast to every worker
-    (``aux_shared`` — the redundant-solve trade the inline path makes),
-    plus each rank's restriction/prolongation basis blocks (both ship
-    even where RDD aliases them, so worker-side keys stay uniform)."""
+    diagonal-position/split tables the backend ``ilu0_solve`` reads.
+    Two-level: the small factorized Galerkin matrix, kept by every
+    worker (rank None — the redundant-solve trade the inline path
+    makes), plus each rank's restriction/prolongation basis blocks (both
+    ship even where RDD aliases them, so worker-side entries stay
+    uniform)."""
     from repro.precond.coarse import TwoLevelPreconditioner
 
-    key = _aux_key(precond)
     if not isinstance(precond, TwoLevelPreconditioner):
         return [
             {
-                "kind": "aux",
+                "rank": r,
                 "arrays": {
                     "indptr": ilu._lu.indptr,
                     "indices": ilu._lu.indices,
@@ -164,37 +169,47 @@ def _aux_states(precond) -> list:
                     "diag_pos": ilu._diag_pos,
                     "split": ilu._split,
                 },
-                "meta": {"rank": r, "key": key},
             }
             for r, ilu in enumerate(precond._local)
         ]
     kind, factor = precond._factor
     if kind == "cho":
         c, lower = factor
-        arrays = {"fmat": c}
-        meta = {"key": key, "fkind": "cho", "lower": bool(lower)}
+        shared = {
+            "rank": None, "arrays": {"fmat": c},
+            "meta": {"fkind": "cho", "lower": bool(lower)},
+        }
     else:
         lu, piv = factor
-        arrays = {"fmat": lu, "piv": piv.astype(np.int64)}
-        meta = {"key": key, "fkind": "lu"}
-    return [{"kind": "aux_shared", "arrays": arrays, "meta": meta}] + [
-        {
-            "kind": "aux",
-            "arrays": {"wl": wl, "wg": wg},
-            "meta": {"rank": r, "key": key},
+        shared = {
+            "rank": None, "arrays": {"fmat": lu, "piv": piv.astype(np.int64)},
+            "meta": {"fkind": "lu"},
         }
+    return [shared] + [
+        {"rank": r, "arrays": {"wl": wl, "wg": wg}}
         for r, (wl, wg) in enumerate(
             zip(precond._wl_parts, precond._wg_parts)
         )
     ]
 
 
-class _ChargeVec:
-    """Charge-only ghost vector for replaying a polynomial recurrence.
+def _csr_arrays(name: str, a) -> dict:
+    """The arrays of CSR matrix ``a`` as a worker rebuilds it under
+    ``name`` (see the ``csr`` entry of a state's metadata)."""
+    return {
+        f"{name}_indptr": a.indptr,
+        f"{name}_indices": a.indices,
+        f"{name}_data": a.data,
+    }
 
-    After a ``step`` (or ``chain``) dispatch the orchestrator re-runs
-    the *exact* preconditioner recurrence (`apply_linear` itself) on one
-    of these: every vector op charges precisely what the inline
+
+class _ChargeVec:
+    """Charge-only ghost vector for replaying a preconditioner program.
+
+    After a ``step`` (or ``chain``) dispatch the orchestrator runs the
+    dispatched program through the shared interpreter
+    (:func:`repro.sparse.recurrences.run_program`) on one of these:
+    every vector op charges precisely what the inline
     distributed vector charges per rank — ``axpy`` flops per element for
     ``+``/``-`` (1 for EDD :class:`DistVector`, 2 for the RDD axpy
     parts), one per element for scalar ``*``, nothing for ``copy`` — so
@@ -307,7 +322,9 @@ def step_program(precond):
     nested tuples ``("copy",)``, ``("chain", kind, params)``,
     ``("ilu0", key)``, ``("2l", mode, key, n_coarse, inner)`` — plus
     the preconditioners whose resident state it reads (shipped with
-    :meth:`ResidentEngine.ensure_aux`) and the coarse dimension.  None
+    :meth:`ResidentEngine.ensure_aux`) and the coarse dimension.  The
+    workers and the charge replay both run it through
+    :func:`repro.sparse.recurrences.run_program`.  None
     when some part has no worker-side form (a polynomial family without
     ``chain_terms``, a user-supplied object): such a solve runs
     inline."""
@@ -344,7 +361,7 @@ def step_program(precond):
 class ResidentCycle:
     """The half of a Krylov space whose restart cycle lives in the
     workers (mixed into ``_ResidentEDDSpace`` / ``_ResidentRDDSpace``,
-    which supply ``engine``, ``precond``, ``restart``, ``plan`` and, for
+    which supply ``engine``, ``restart``, ``plan`` and, for
     Algorithm 5, ``basic``, and call :meth:`_seed` from ``start_cycle``
     and :meth:`_flush` from ``residual``).  One Arnoldi step is ONE
     ``step`` dispatch, issued by :meth:`precondition` — so its wall time
@@ -388,7 +405,7 @@ class ResidentCycle:
             j, inv_h, keep, self.plan, self.basic, self.tail
         )
         self.engine.replay_precondition(
-            self.precond, self.rows.coarse, self.tail
+            self.plan, self.rows.coarse, self.tail
         )
 
     def matvec(self, j):
@@ -475,36 +492,20 @@ class ResidentEngine(RankEngine):
         #: Words of one exchange slot of a fused op (per column): what
         #: the ranks publish for their peers in one exchange.
         self.slot_words = slot_words
-        self._aux_sent: set = set()
 
     # -- shipping ------------------------------------------------------
     def ensure_shipped(self) -> None:
-        """Ship the per-rank CSR blocks unless the current pool already
-        holds this generation (a respawned pool re-ships here)."""
-        comm = self.system.comm
-        if not comm.resident_ready(self.gen):
-            self._ship()
-            self._aux_sent.clear()
+        """Ship each rank's system state — its CSR blocks and its part
+        of the exchange plan — unless the current pool holds this
+        generation (a respawned pool re-ships here)."""
+        self.system.comm.ship(self.gen, self._base_states)
 
     def ensure_aux(self, precond) -> None:
         """Ship a preconditioner's resident state (ILU factors, coarse
-        bases and the factorized Galerkin matrix) once per pool
-        generation; a pool respawn invalidates the generation, so the
-        next dispatch re-ships the base system *and* every aux state."""
-        self.ensure_shipped()
+        bases and the factorized Galerkin matrix) unless the current
+        pool holds it."""
         key = _aux_key(precond)
-        if key in self._aux_sent:
-            return
-        comm = self.system.comm
-        trc = comm.tracer
-        if trc.enabled:
-            trc.begin("resident_ship", "phase", aux=key)
-        try:
-            comm.resident_ship_aux(self.gen, _aux_states(precond))
-        finally:
-            if trc.enabled:
-                trc.end()
-        self._aux_sent.add(key)
+        self.system.comm.ship(key, lambda: _aux_states(precond), aux=key)
 
     def ship_precond(self, precond) -> None:
         """Ship the state every part of ``precond``'s step program reads
@@ -535,14 +536,10 @@ class ResidentEngine(RankEngine):
         nflags = comm.pool_width()
         payload = dict(
             payload, flags=words, nflags=nflags, btimeout=_btimeout(comm),
-            slot_words=self.slot_words, **self._peer_args(),
+            slot_words=self.slot_words,
         )
         writes = writes + [(words, np.zeros(nflags))]
         return self._dispatch(payload, writes, reads, words + nflags)
-
-    def _peer_args(self) -> dict:
-        """What a fused op needs, beyond the slots, to read its peers."""
-        return {}
 
     def _vec_writes(self, parts, base=0, k=1):
         return [
@@ -565,22 +562,6 @@ class ResidentEngine(RankEngine):
         for r, n in enumerate(self.sizes):
             comm.add_flops(r, per_elem * n)
 
-    def _replay_chain(self, precond, tail=()) -> None:
-        """Replay the inline charging of one polynomial application:
-        drive ``precond.apply_linear`` over charge-only ghosts with a
-        ghost operator — identical CommStats, tracer exchange spans and
-        message logs to the inline path, with zero data movement."""
-        c = _width(tail)
-        vec = _ChargeVec(
-            self.system.comm, [n * c for n in self.sizes], self.axpy_flops
-        )
-
-        def matvec(_v):
-            self.charge_operator(tail)
-            return vec
-
-        precond.apply_linear(matvec, vec)
-
     def _replay_coarse(self, tl, rows, tail) -> None:
         """Replay the inline charging of one coarse correction around
         the real coarse allreduce on the workers' partial ``rows`` — the
@@ -601,33 +582,33 @@ class ResidentEngine(RankEngine):
         if trc.enabled:
             trc.end()
 
-    def replay_precondition(self, precond, rows, tail=()) -> None:
-        """What a step's ``z_j = C v_j`` charges inline, in the order the
-        ``_precondition`` dispatchers and ``TwoLevelPreconditioner.
-        apply_edd`` / ``apply_rdd`` charge it; ``rows`` are the coarse
-        partial rows of the step (:attr:`StepRows.coarse`)."""
-        from repro.precond.block_jacobi import BlockJacobiILU
-        from repro.precond.coarse import TwoLevelPreconditioner
+    def replay_precondition(self, plan, rows, tail=()) -> None:
+        """What a step's ``z_j = C v_j`` charges inline: the step's
+        program (``plan`` is its :func:`step_program` result) run by the
+        shared interpreter over a charge-only ghost, with an operator, a
+        coarse solve and ILU0 solves that only charge — the coarse one
+        around the real allreduce of ``rows``, the step's coarse partial
+        rows (:attr:`StepRows.coarse`)."""
+        program, aux, _nc = plan
+        levels = {_aux_key(pc): pc for pc in aux}
+        c = _width(tail)
+        vec = _ChargeVec(
+            self.system.comm, [n * c for n in self.sizes], self.axpy_flops
+        )
 
-        axpy = self.axpy_flops * _width(tail)
-        if precond is None:
-            return
-        if isinstance(precond, BlockJacobiILU):
-            self.charge_ilu0(tail)
-        elif not isinstance(precond, TwoLevelPreconditioner):
-            self._replay_chain(precond, tail)
-        elif precond._trivial:
-            self.replay_precondition(precond._inner, rows, tail)
-        elif precond._spec.mode == "additive":
-            self.replay_precondition(precond._inner, rows, tail)
-            self._replay_coarse(precond, rows, tail)
-            self._charge_all(axpy)
-        else:
-            self._replay_coarse(precond, rows, tail)
+        def operator(u):
             self.charge_operator(tail)
-            self._charge_all(axpy)
-            self.replay_precondition(precond._inner, rows, tail)
-            self._charge_all(axpy)
+            return u
+
+        def coarse(key, u):
+            self._replay_coarse(levels[key], rows, tail)
+            return u
+
+        def ilu0(_key, u):
+            self.charge_ilu0(tail)
+            return u
+
+        run_program(program, vec, operator, coarse, ilu0)
 
     def replay_matvec(self, basic=False, tail=()) -> None:
         """What the step's ``w = A z_j`` and its exchange charge inline
@@ -759,22 +740,21 @@ class ResidentEDDEngine(ResidentEngine):
             system.comm.interface_plan()["words"],
         )
 
-    def _ship(self) -> None:
+    def _base_states(self) -> list:
+        """Per rank: :math:`\\hat A^{(s)}`, the owner mask and the rank's
+        part of the interface plan its ``⊕Σ∂Ω`` runs on."""
         system = self.system
-        rank_states = [
+        iface = system.comm.interface_plan()["ranks"]
+        return [
             {
-                "kind": "edd",
-                "arrays": {
-                    "indptr": a.indptr,
-                    "indices": a.indices,
-                    "data": a.data,
-                    "owner_mask": mask,
-                },
-                "meta": {"shape": tuple(a.shape)},
+                "rank": r,
+                "arrays": dict(_csr_arrays("a", a), mask=mask),
+                "meta": {"csr": {"a": tuple(a.shape)}, "iface": iface[r]},
             }
-            for a, mask in zip(system.a_local, system.owner_mask)
+            for r, (a, mask) in enumerate(
+                zip(system.a_local, system.owner_mask)
+            )
         ]
-        system.comm.resident_ship(self.gen, rank_states)
 
     def charge_operator(self, tail=()) -> None:
         """What one ``matvec_assembled`` charges inline."""
@@ -802,7 +782,7 @@ class ResidentEDDEngine(ResidentEngine):
             payload, 2 * n + 2 * self.slot_words,
             self._vec_writes(v_hat.parts), self._vec_reads(n),
         )
-        self._replay_chain(precond)
+        self.replay_precondition((("chain",) + tuple(terms), [], 0), None)
         return DistVector(out, "global", self.system.comm)
 
 
@@ -813,53 +793,40 @@ class ResidentRDDEngine(ResidentEngine):
         # One exchange publishes every rank's whole operand.
         sizes = [len(o) for o in system.own]
         super().__init__(system, sizes, sum(sizes))
-        self._ext_sizes: list | None = None
 
-    def _halo_ext_sizes(self) -> list:
-        """Per-rank external-buffer lengths, computed with the *exact*
-        sizing rule of :meth:`Comm.halo_exchange` (max referenced recv
-        slot + 1) so worker-side halo fills allocate identical buffers."""
-        if self._ext_sizes is None:
-            plan = self.system.plan
-            sizes = [0] * len(self.sizes)
-            for s in range(len(sizes)):
-                for _t, (_send, recv_slots) in plan[s].items():
-                    if len(recv_slots):
-                        sizes[s] = max(sizes[s], int(recv_slots.max()) + 1)
-            self._ext_sizes = sizes
-        return self._ext_sizes
-
-    def _ship(self) -> None:
+    def _base_states(self) -> list:
+        """Per rank: the Eq. 48 blocks and the rank's part of the halo
+        plan — per neighbour ``t`` the indices ``t`` sends and the slots
+        they land in — plus its external-buffer length, sized by the
+        rule of :meth:`Comm.halo_exchange` (max referenced slot + 1) so
+        worker-side halo fills allocate identical buffers."""
         system = self.system
-        rank_states = []
-        for a_loc, a_ext in zip(system.a_loc, system.a_ext):
-            rank_states.append(
-                {
-                    "kind": "rdd",
-                    "arrays": {
-                        "loc_indptr": a_loc.indptr,
-                        "loc_indices": a_loc.indices,
-                        "loc_data": a_loc.data,
-                        "ext_indptr": a_ext.indptr,
-                        "ext_indices": a_ext.indices,
-                        "ext_data": a_ext.data,
-                    },
-                    "meta": {
-                        "loc_shape": tuple(a_loc.shape),
-                        "ext_shape": tuple(a_ext.shape),
-                    },
-                }
+        plan = system.plan
+        states = []
+        for s, (a_loc, a_ext) in enumerate(zip(system.a_loc, system.a_ext)):
+            halo = [
+                (int(t), np.asarray(plan[t][s][0]), np.asarray(recv))
+                for t, (_, recv) in plan[s].items()
+            ]
+            ext = max(
+                (int(recv.max()) + 1 for _, _, recv in halo if len(recv)),
+                default=0,
             )
-        system.comm.resident_ship(self.gen, rank_states)
-
-    def _peer_args(self) -> dict:
-        """Workers fill their halos from the peers' published operands
-        through the exchange plan, shipped once per pool."""
-        self.ensure_shipped()
-        token = self.system.comm.resident_ship_plan(
-            self.system.plan, self.sizes, self._halo_ext_sizes()
-        )
-        return {"plan": token}
+            states.append({
+                "rank": s,
+                "arrays": dict(
+                    _csr_arrays("a_loc", a_loc), **_csr_arrays("a_ext", a_ext)
+                ),
+                "meta": {
+                    "csr": {
+                        "a_loc": tuple(a_loc.shape),
+                        "a_ext": tuple(a_ext.shape),
+                    },
+                    "halo": halo,
+                    "ext": ext,
+                },
+            })
+        return states
 
     def charge_operator(self, tail=()) -> None:
         """What one ``RDDSystem.matvec`` charges inline."""

@@ -5,9 +5,10 @@ NumPy fast path of ``apply_linear`` performs **zero array allocations per
 degree**: the recurrences run over preallocated ping-pong buffers and the
 matvec writes into a workspace via ``out=`` whenever the supplied matvec
 supports it (detected with :func:`repro.sparse.kernels.accepts_out`).
-Distributed vector types (``DistVector``, ``_RDDVector``) keep using the
-generic arithmetic recurrence unchanged, so the per-application exchange
-counts of the EDD/RDD drivers (Table 1) are untouched.
+Distributed vector types (``DistVector``, ``_RDDVector``) run the generic
+recurrence of :mod:`repro.sparse.recurrences` — the one the pool workers
+run too — so the per-application exchange counts of the EDD/RDD drivers
+(Table 1) are untouched.
 """
 
 from __future__ import annotations
@@ -151,44 +152,15 @@ class PolynomialPreconditioner(Preconditioner):
     def chain_terms(self):
         """Picklable recurrence descriptor for the pool workers.
 
-        Returns ``(kind, params)`` when the family's generic-path
-        recurrence can be mirrored worker-side from plain coefficients
+        Returns ``(kind, params)`` — ``kind`` names the
+        :data:`repro.sparse.recurrences.CHAINS` recurrence this family's
+        generic path runs, ``params`` its keyword arguments —
         (:func:`repro.parallel.resident.step_program` puts it into the
         program every resident Arnoldi ``step`` runs), or None: a solve
-        preconditioned by it then runs inline.  The worker recurrence
-        must stay token-identical to :meth:`apply_linear`'s generic path.
+        preconditioned by it then runs inline.  Workers and the generic
+        path run the same function, so their results agree bitwise.
         """
         return None
-
-    def _three_term_apply(self, matvec, v, out, alphas, betas, mus, degree):
-        """Workspace Stieltjes recurrence ``z = sum_i mu_i phi_i(A) v``.
-
-        Shared by the GLS and plain least-squares polynomials.  Four
-        ping-pong buffers; every step is one ``matvec`` into a workspace
-        plus in-place AXPY-style updates — zero allocations per degree.
-        Safe when ``out`` aliases ``v`` (``v`` is consumed before ``out``
-        is first written).  ``v`` may be 1-D or an ``(n, k)`` block (the
-        recurrence is elementwise apart from the matvec, so each column
-        evolves exactly as a separate 1-D application would).
-        """
-        ws = self._workspace(v.shape, 4)
-        phi_prev, phi, w, tmp = ws[0], ws[1], ws[2], ws[3]
-        np.multiply(v, 1.0 / betas[0], out=phi)
-        if out is None:
-            out = np.empty(v.shape)
-        np.multiply(phi, mus[0], out=out)
-        phi_prev[:] = 0.0
-        for i in range(degree):
-            matvec(phi, out=w)
-            np.multiply(phi, alphas[i], out=tmp)
-            np.subtract(w, tmp, out=w)
-            np.multiply(phi_prev, betas[i], out=tmp)
-            np.subtract(w, tmp, out=w)
-            np.multiply(w, 1.0 / betas[i + 1], out=w)
-            np.multiply(w, mus[i + 1], out=tmp)
-            np.add(out, tmp, out=out)
-            phi_prev, phi, w = phi, w, phi_prev
-        return out
 
     def evaluate(self, lam) -> np.ndarray:
         """Evaluate the scalar polynomial ``P_m`` on an array of points

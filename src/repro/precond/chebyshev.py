@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.precond.base import PolynomialPreconditioner
+from repro.sparse.recurrences import horner
 from repro.spectrum.intervals import SpectrumIntervals
 
 
@@ -81,15 +82,12 @@ class ChebyshevPolynomial(PolynomialPreconditioner):
                 np.multiply(vv, c, out=out)
                 np.add(out, t, out=out)
             return out
-        z = coef[-1] * v
-        for c in coef[-2::-1]:
-            z = matvec(z) + c * v
-        return self._finish(z, out)
+        return self._finish(horner(matvec, v, coef), out)
 
     def chain_terms(self):
         """Resident fused-dispatch descriptor (see base class): the
-        worker replays the Horner sweep ``z <- Az + c*v``."""
-        return ("cheb", {"coef": [float(c) for c in self._coef]})
+        Horner sweep over the power-basis coefficients."""
+        return ("horner", {"coef": [float(c) for c in self._coef]})
 
     def power_coefficients(self) -> np.ndarray:
         """Power-basis coefficients of ``P`` (already stored that way)."""

@@ -56,6 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.precond.base import Preconditioner
+from repro.sparse.recurrences import two_level
 
 #: Accepted application modes of a two-level spec.
 TWO_LEVEL_MODES = ("additive", "deflate")
@@ -341,15 +342,14 @@ class TwoLevelPreconditioner(Preconditioner):
         if self._trivial:
             return self._inner_edd(system, v_hat)
         comm = system.comm
-        if self._spec.mode == "additive":
-            z = self._inner_edd(system, v_hat)
-            q = DistVector(
-                self._coarse_correct(comm, v_hat.parts), "global", comm
-            )
-            return z + q
-        q = DistVector(self._coarse_correct(comm, v_hat.parts), "global", comm)
-        r = v_hat - system.matvec_assembled(q)
-        return self._inner_edd(system, r) + q
+        return two_level(
+            self._spec.mode, v_hat,
+            lambda u: self._inner_edd(system, u),
+            lambda u: DistVector(
+                self._coarse_correct(comm, u.parts), "global", comm
+            ),
+            system.matvec_assembled,
+        )
 
     # ------------------------------------------------------------------
     # RDD application
@@ -362,18 +362,18 @@ class TwoLevelPreconditioner(Preconditioner):
     def apply_rdd(self, system, v_parts: list) -> list:
         """``z = C_2L v`` on row-partitioned per-rank parts — vectors, or
         ``(n_own, k)`` part blocks."""
-        from repro.core.rdd import _axpy_parts
+        from repro.core.rdd import _RDDVector
 
         if self._trivial:
             return self._inner_rdd(system, v_parts)
         comm = system.comm
-        if self._spec.mode == "additive":
-            z = self._inner_rdd(system, v_parts)
-            q = self._coarse_correct(comm, v_parts)
-            return _axpy_parts(comm, z, 1.0, q)
-        q = self._coarse_correct(comm, v_parts)
-        r = _axpy_parts(comm, v_parts, -1.0, system.matvec(q))
-        return _axpy_parts(comm, self._inner_rdd(system, r), 1.0, q)
+        z = two_level(
+            self._spec.mode, _RDDVector(v_parts, system),
+            lambda u: _RDDVector(self._inner_rdd(system, u.parts), system),
+            lambda u: _RDDVector(self._coarse_correct(comm, u.parts), system),
+            lambda u: _RDDVector(system.matvec(u.parts), system),
+        )
+        return z.parts
 
     # ------------------------------------------------------------------
     # Sequential / reporting interface

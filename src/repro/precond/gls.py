@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.fem.quadrature import gauss_chebyshev
 from repro.precond.base import PolynomialPreconditioner
+from repro.sparse.recurrences import three_term
 from repro.spectrum.intervals import SpectrumIntervals
 
 
@@ -83,7 +84,80 @@ def _stieltjes(nodes, weights, m):
     return alphas, betas
 
 
-class GLSPolynomial(PolynomialPreconditioner):
+class _ThreeTermPolynomial(PolynomialPreconditioner):
+    """What the GLS and classical least-squares polynomials share:
+    ``z = sum_i mu_i phi_i(A) v`` with ``phi_i`` orthonormal under the
+    modified weight ``lambda^2 w`` of a discrete measure, fitted by
+    :meth:`_fit`; the subclass picks the measure."""
+
+    def _fit(self, nodes, weights) -> None:
+        """Stieltjes coefficients of the ``phi_i`` under ``lambda^2 w``
+        (so ``lambda phi_i`` is orthonormal under ``w``) and the
+        expansion ``mu_i = <1, lambda phi_i>_w`` of the constant 1."""
+        degree = self.degree
+        self._alphas, self._betas = _stieltjes(
+            nodes, weights * nodes * nodes, degree
+        )
+        mus = np.zeros(degree + 1)
+        phi_prev = np.zeros_like(nodes)
+        phi = np.ones_like(nodes) / self._betas[0]
+        for i in range(degree + 1):
+            mus[i] = float(np.sum(weights * nodes * phi))
+            if i < degree:
+                nxt = (
+                    (nodes - self._alphas[i]) * phi - self._betas[i] * phi_prev
+                ) / self._betas[i + 1]
+                phi_prev, phi = phi, nxt
+        self._mus = mus
+
+    def apply_linear(self, matvec, v, out=None):
+        """``z = sum_i mu_i phi_i(A) v`` via the three-term recurrence —
+        exactly ``degree`` matvecs.
+
+        NumPy inputs with an ``out=``-capable matvec run a workspace
+        recurrence over four ping-pong buffers: zero allocations per
+        degree, safe when ``out`` aliases ``v``, and for an ``(n, k)``
+        block each column evolves exactly as a separate 1-D application
+        would.  Other inputs run :func:`repro.sparse.recurrences.three_term`.
+        """
+        a, b, mu = self._alphas, self._betas, self._mus
+        if not self._use_fast_path(matvec, v):
+            return self._finish(
+                three_term(matvec, v, a, b, mu, self.degree), out
+            )
+        ws = self._workspace(v.shape, 4)
+        phi_prev, phi, w, tmp = ws[0], ws[1], ws[2], ws[3]
+        np.multiply(v, 1.0 / b[0], out=phi)
+        if out is None:
+            out = np.empty(v.shape)
+        np.multiply(phi, mu[0], out=out)
+        phi_prev[:] = 0.0
+        for i in range(self.degree):
+            matvec(phi, out=w)
+            np.multiply(phi, a[i], out=tmp)
+            np.subtract(w, tmp, out=w)
+            np.multiply(phi_prev, b[i], out=tmp)
+            np.subtract(w, tmp, out=w)
+            np.multiply(w, 1.0 / b[i + 1], out=w)
+            np.multiply(w, mu[i + 1], out=tmp)
+            np.add(out, tmp, out=out)
+            phi_prev, phi, w = phi, w, phi_prev
+        return out
+
+    def power_coefficients(self) -> np.ndarray:
+        """Power-basis coefficients of ``P_m`` (the recurrence run on
+        ``numpy`` polynomial objects); feeds the Eq. 24 stability bound."""
+        lam = np.polynomial.Polynomial([0.0, 1.0])
+        total = three_term(
+            lambda p: lam * p, np.polynomial.Polynomial([1.0]),
+            self._alphas, self._betas, self._mus, self.degree,
+        )
+        out = np.zeros(self.degree + 1)
+        out[: len(total.coef)] = total.coef
+        return out
+
+
+class GLSPolynomial(_ThreeTermPolynomial):
     """Degree-``m`` generalized least-squares polynomial preconditioner.
 
     Parameters
@@ -113,22 +187,7 @@ class GLSPolynomial(PolynomialPreconditioner):
         if n_quad < degree + 2:
             raise ValueError("n_quad must exceed degree + 1")
         nodes, weights = _discrete_measure(theta, n_quad)
-        # Orthonormal basis under lambda^2 * w: modified discrete weights.
-        self._alphas, self._betas = _stieltjes(
-            nodes, weights * nodes * nodes, degree
-        )
-        # mu_i = <1, lambda phi_i>_w  (original weight w).
-        mus = np.zeros(degree + 1)
-        phi_prev = np.zeros_like(nodes)
-        phi = np.ones_like(nodes) / self._betas[0]
-        for i in range(degree + 1):
-            mus[i] = float(np.sum(weights * nodes * phi))
-            if i < degree:
-                nxt = (
-                    (nodes - self._alphas[i]) * phi - self._betas[i] * phi_prev
-                ) / self._betas[i + 1]
-                phi_prev, phi = phi, nxt
-        self._mus = mus
+        self._fit(nodes, weights)
         self._nodes = nodes
         self._weights = weights
 
@@ -140,61 +199,18 @@ class GLSPolynomial(PolynomialPreconditioner):
         norm-1 diagonal scaling."""
         return cls(SpectrumIntervals.single(eps, 1.0), degree, matvec=matvec)
 
-    def apply_linear(self, matvec, v, out=None):
-        """``z = sum_i mu_i phi_i(A) v`` via the three-term recurrence —
-        exactly ``degree`` matvecs.
-
-        NumPy inputs with an ``out=``-capable matvec run the workspace
-        recurrence of :meth:`PolynomialPreconditioner._three_term_apply`:
-        zero allocations per degree.
-        """
-        if self._use_fast_path(matvec, v):
-            return self._three_term_apply(
-                matvec, v, out, self._alphas, self._betas, self._mus,
-                self.degree,
-            )
-        a, b, mu = self._alphas, self._betas, self._mus
-        phi_prev = None
-        phi = (1.0 / b[0]) * v
-        z = mu[0] * phi
-        for i in range(self.degree):
-            nxt = matvec(phi) - a[i] * phi
-            if phi_prev is not None:
-                nxt = nxt - b[i] * phi_prev
-            nxt = (1.0 / b[i + 1]) * nxt
-            z = z + mu[i + 1] * nxt
-            phi_prev, phi = phi, nxt
-        return self._finish(z, out)
-
     def chain_terms(self):
         """Resident fused-dispatch descriptor (see base class): the
-        worker replays the three-term Stieltjes recurrence from the
-        shipped ``alpha``/``beta``/``mu`` tables."""
+        three-term recurrence with the Stieltjes and expansion tables."""
         return (
-            "gls",
+            "three_term",
             {
-                "a": [float(x) for x in self._alphas],
-                "b": [float(x) for x in self._betas],
-                "mu": [float(x) for x in self._mus],
+                "alphas": [float(x) for x in self._alphas],
+                "betas": [float(x) for x in self._betas],
+                "mus": [float(x) for x in self._mus],
                 "degree": self.degree,
             },
         )
-
-    def power_coefficients(self) -> np.ndarray:
-        """Power-basis coefficients of ``P_m`` (via the recurrence on
-        ``numpy`` polynomial objects); feeds the Eq. 24 stability bound."""
-        a, b, mu = self._alphas, self._betas, self._mus
-        lam = np.polynomial.Polynomial([0.0, 1.0])
-        phi_prev = np.polynomial.Polynomial([0.0])
-        phi = np.polynomial.Polynomial([1.0 / b[0]])
-        total = mu[0] * phi
-        for i in range(self.degree):
-            nxt = ((lam - a[i]) * phi - b[i] * phi_prev) / b[i + 1]
-            total = total + mu[i + 1] * nxt
-            phi_prev, phi = phi, nxt
-        out = np.zeros(self.degree + 1)
-        out[: len(total.coef)] = total.coef
-        return out
 
     def residual_sup_norm(self, per_interval: int = 400) -> float:
         """``max |1 - lambda P(lambda)|`` over a fine grid in Theta."""

@@ -16,15 +16,13 @@ machinery of :mod:`repro.precond.gls` on a Gauss-Jacobi discrete measure.
 
 from __future__ import annotations
 
-import numpy as np
 from scipy.special import roots_jacobi
 
-from repro.precond.base import PolynomialPreconditioner
-from repro.precond.gls import _stieltjes
+from repro.precond.gls import _ThreeTermPolynomial
 from repro.spectrum.intervals import SpectrumIntervals
 
 
-class LeastSquaresPolynomial(PolynomialPreconditioner):
+class LeastSquaresPolynomial(_ThreeTermPolynomial):
     """Degree-``m`` least-squares polynomial on one interval ``(lo, hi)``.
 
     Parameters
@@ -66,57 +64,7 @@ class LeastSquaresPolynomial(PolynomialPreconditioner):
         # lambda->lo end and alpha the lambda->hi end.
         t, w = roots_jacobi(n_quad, alpha, beta)
         nodes = lo + (hi - lo) * (t + 1.0) / 2.0
-        weights = w
-        self._alphas, self._betas = _stieltjes(
-            nodes, weights * nodes * nodes, degree
-        )
-        mus = np.zeros(degree + 1)
-        phi_prev = np.zeros_like(nodes)
-        phi = np.ones_like(nodes) / self._betas[0]
-        for i in range(degree + 1):
-            mus[i] = float(np.sum(weights * nodes * phi))
-            if i < degree:
-                nxt = (
-                    (nodes - self._alphas[i]) * phi - self._betas[i] * phi_prev
-                ) / self._betas[i + 1]
-                phi_prev, phi = phi, nxt
-        self._mus = mus
-
-    def apply_linear(self, matvec, v, out=None):
-        """Same three-term recurrence as GLS — ``degree`` matvecs; shares
-        the zero-allocation workspace fast path."""
-        if self._use_fast_path(matvec, v):
-            return self._three_term_apply(
-                matvec, v, out, self._alphas, self._betas, self._mus,
-                self.degree,
-            )
-        a, b, mu = self._alphas, self._betas, self._mus
-        phi_prev = None
-        phi = (1.0 / b[0]) * v
-        z = mu[0] * phi
-        for i in range(self.degree):
-            nxt = matvec(phi) - a[i] * phi
-            if phi_prev is not None:
-                nxt = nxt - b[i] * phi_prev
-            nxt = (1.0 / b[i + 1]) * nxt
-            z = z + mu[i + 1] * nxt
-            phi_prev, phi = phi, nxt
-        return self._finish(z, out)
-
-    def power_coefficients(self) -> np.ndarray:
-        """Power-basis coefficients via the recurrence on polynomials."""
-        a, b, mu = self._alphas, self._betas, self._mus
-        lam = np.polynomial.Polynomial([0.0, 1.0])
-        phi_prev = np.polynomial.Polynomial([0.0])
-        phi = np.polynomial.Polynomial([1.0 / b[0]])
-        total = mu[0] * phi
-        for i in range(self.degree):
-            nxt = ((lam - a[i]) * phi - b[i] * phi_prev) / b[i + 1]
-            total = total + mu[i + 1] * nxt
-            phi_prev, phi = phi, nxt
-        out = np.zeros(self.degree + 1)
-        out[: len(total.coef)] = total.coef
-        return out
+        self._fit(nodes, w)
 
     @property
     def name(self) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.precond.base import PolynomialPreconditioner
+from repro.sparse.recurrences import neumann
 from repro.spectrum.intervals import SpectrumIntervals
 
 
@@ -73,28 +74,22 @@ class NeumannPolynomial(PolynomialPreconditioner):
                 np.add(out, s, out=out)
             np.multiply(out, self.omega, out=out)
             return out
-        s = v.copy()
-        z = v.copy()
-        for _ in range(self.degree):
-            s = s - self.omega * matvec(s)
-            z = z + s
-        return self._finish(self.omega * z, out)
+        return self._finish(neumann(matvec, v, self.omega, self.degree), out)
 
     def chain_terms(self):
         """Resident fused-dispatch descriptor (see base class): the
-        worker replays ``s <- s - omega*As; z <- z + s`` then scales."""
+        Neumann recurrence with its damping and degree."""
         return ("neumann", {"omega": self.omega, "degree": self.degree})
 
     def power_coefficients(self) -> np.ndarray:
         """Coefficients of :math:`\\omega\\sum_{i\\le m} (1-\\omega\\lambda)^i`
-        in the power basis."""
-        poly = np.polynomial.Polynomial([0.0])
-        g = np.polynomial.Polynomial([1.0, -self.omega])
-        term = np.polynomial.Polynomial([1.0])
-        for _ in range(self.degree + 1):
-            poly = poly + term
-            term = term * g
-        coef = self.omega * poly.coef
+        in the power basis (the recurrence run on ``numpy`` polynomial
+        objects)."""
+        lam = np.polynomial.Polynomial([0.0, 1.0])
+        coef = neumann(
+            lambda p: lam * p, np.polynomial.Polynomial([1.0]), self.omega,
+            self.degree,
+        ).coef
         out = np.zeros(self.degree + 1)
         out[: len(coef)] = coef
         return out

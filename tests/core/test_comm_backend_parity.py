@@ -237,6 +237,32 @@ def test_factor_state_preconditioners_bitwise_across_backends(
         _assert_same_solve(base, summary, f"virtual vs {name} ({precond})")
 
 
+#: RDD polynomial rows: resident RDD solves run the shared Neumann and
+#: Horner bodies in the workers.  ``max_iter`` caps the slow ones (rdd
+#: cheb(4) takes thousands of iterations on Mesh2).
+RDD_CHAIN_CONFIGS = [("rdd", "neumann(10)"), ("rdd", "cheb(4)")]
+
+
+@pytest.mark.parametrize(
+    "method,precond", RDD_CHAIN_CONFIGS,
+    ids=[f"{m}-{p}" for m, p in RDD_CHAIN_CONFIGS],
+)
+def test_rdd_chains_bitwise_across_backends(tiny_problem, method, precond):
+    """x, residual history and per-rank CommStats are bitwise equal on
+    virtual, inline-process and resident-process backends."""
+    opts = {"method": method, "precond": precond, "max_iter": 200}
+    base = _solve(tiny_problem, "virtual", **opts)
+    with _resident_env(False):
+        inline = _solve(tiny_problem, "process", **opts)
+    with _resident_env(True):
+        resident = _solve(tiny_problem, "process", **opts)
+    for name, summary in (
+        ("process-inline", inline),
+        ("process-resident", resident),
+    ):
+        _assert_same_solve(base, summary, f"virtual vs {name} ({precond})")
+
+
 def _rank_ops_under_precond_apply(trc):
     """Map precond_apply span index -> list of rank_op ops beneath it."""
     spans = trc.spans

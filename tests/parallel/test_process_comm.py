@@ -5,7 +5,7 @@ registry wiring, error taxonomy.
 resident rank ops, so there are two things to pin here: collectives never
 touch the pool whatever their size, and the pool's safety protocol
 (sequence words, named errors) holds when driven through
-``resident_ship`` / ``run_rank_op``.  The pool is shared across tests and
+``ship`` / ``run_rank_op``.  The pool is shared across tests and
 force-drained once at module teardown so no worker processes leak into
 the rest of the session.
 """
@@ -55,25 +55,25 @@ _generations = itertools.count(10**6)
 
 def exercise_pool(comm, seed=7):
     """Drive the pool end to end: ship an identity block per rank with
-    ``resident_ship``, then ``run_rank_op`` a ``seed`` of random vectors
+    ``ship``, then ``run_rank_op`` a ``seed`` of random vectors
     and an ``axpy`` of them with no coefficients, which hands its input
     back.  Returns ``(inputs, outputs)`` per rank — equal bit for bit
     when the data plane is healthy."""
     sizes = [int(n) for n in comm.submap.local_sizes]
     gen = next(_generations)
-    comm.resident_ship(
+    comm.ship(
         gen,
-        [
+        lambda: [
             {
-                "kind": "edd",
+                "rank": r,
                 "arrays": {
-                    "indptr": np.arange(n + 1, dtype=np.int64),
-                    "indices": np.arange(n, dtype=np.int64),
-                    "data": np.ones(n),
+                    "a_indptr": np.arange(n + 1, dtype=np.int64),
+                    "a_indices": np.arange(n, dtype=np.int64),
+                    "a_data": np.ones(n),
                 },
-                "meta": {"shape": (n, n)},
+                "meta": {"csr": {"a": (n, n)}},
             }
-            for n in sizes
+            for r, n in enumerate(sizes)
         ],
     )
     offsets = [int(o) for o in np.cumsum([0] + sizes[:-1])]
@@ -260,10 +260,10 @@ def test_worker_side_interface_assembly_is_the_collective_bitwise():
             for p in parts:
                 p[rng.integers(0, len(p), 3)] = -0.0
             fused = _Fused(
-                {"iface": plan["ranks"]}, {"ranks": {}, "shared": {}},
+                {0: {r: {"iface": rp} for r, rp in enumerate(plan["ranks"])}},
                 np.zeros(2 * plan["words"] + 1),
                 {
-                    "mode": "edd", "sizes": sizes,
+                    "gen": 0, "mode": "edd", "sizes": sizes,
                     "offsets": list(np.cumsum([0] + sizes[:-1])),
                     "slots": 0, "slot_words": plan["words"],
                     "flags": 2 * plan["words"], "nflags": 1, "btimeout": 1.0,

@@ -6,7 +6,7 @@ Two properties of the process pool are pinned down explicitly:
 paid once per session instead of once per solve), and a killed or
 silent worker raises a named error within the per-call timeout instead of
 deadlocking the orchestrator.  Every case drives the pool through
-``resident_ship`` / ``run_rank_op`` — the only traffic it carries.
+``ship`` / ``run_rank_op`` — the only traffic it carries.
 """
 
 import glob
