@@ -38,24 +38,8 @@ from repro.sparse.dense import (  # noqa: F401
     _n_cols,
     _rows,
     _take_cols,
-    add_columns,
     col_dots,
 )
-
-
-def _add_to_columns(comm: Comm, x_parts, z_parts, cols, sel, ys) -> None:
-    """:func:`add_columns` on every rank (``z_parts[i]`` is the parts
-    list of ``z_i``); charges the two flops per element and term that a
-    chain of AXPYs would."""
-    n_cols, m = np.shape(ys)
-    if m == 0:
-        return
-
-    def body(r: int) -> None:
-        add_columns(x_parts[r], [z[r] for z in z_parts], cols, sel, ys)
-        comm.add_flops(r, 2 * m * x_parts[r].shape[0] * n_cols)
-
-    comm.run_ranks(body)
 
 
 class DistVector:
@@ -169,13 +153,6 @@ class DistVector:
 
         comm.run_ranks(body)
         return DistVector(out, self.kind, comm)
-
-    def drop_col(self, pos: int) -> "DistVector":
-        """New block without column position ``pos`` (convergence-masking
-        compaction when a column exits the Arnoldi loop while others stay;
-        blocks only — a vector's single column has nothing to stay for)."""
-        out = [np.delete(p, pos, axis=1) for p in self.parts]
-        return DistVector(out, self.kind, self.comm)
 
     def local_dots(self, other: "DistVector") -> np.ndarray:
         """Per-rank partial inner products — ``(n_parts,)`` for vectors,
@@ -315,28 +292,12 @@ class EDDSystem:
     # Kernels
     # ------------------------------------------------------------------
     def rank_engine(self):
-        """The rank-operation engine of this system: the inline
-        :class:`~repro.parallel.resident.RankEngine` (virtual/chaos, and
-        small process systems) or a
-        :class:`~repro.parallel.resident.ResidentEDDEngine` whose state
-        lives in the worker-process pool.  The mode gate is re-evaluated
-        on every call (a closed communicator falls back to inline); the
-        engine instance is cached per mode so resident state ships once
-        per system.  Besides the solver, ``bench/probes.py`` reads the
-        engine's ``resident`` flag (and its ``poly_chain``)."""
+        """This system's :func:`~repro.parallel.resident.rank_engine`.
+        Besides the solver, ``bench/probes.py`` reads the engine's
+        ``resident`` flag (and its ``poly_chain``)."""
         from repro.parallel import resident
 
-        mode = resident.engine_mode(self.comm, 2 * self.nnz_total)
-        cached = self.__dict__.get("_engine")
-        if cached is not None and cached[0] == mode:
-            return cached[1]
-        engine = (
-            resident.ResidentEDDEngine(self)
-            if mode == "resident"
-            else resident.RankEngine(self)
-        )
-        self.__dict__["_engine"] = (mode, engine)
-        return engine
+        return resident.rank_engine(self)
 
     def matvec_local(self, v: DistVector) -> DistVector:
         """:math:`\\tilde y^{(s)} = \\hat A^{(s)} \\hat x^{(s)}` (Eq. 37):

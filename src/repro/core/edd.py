@@ -17,11 +17,11 @@ The mixed-format inner product (Eq. 33) makes every Gram-Schmidt projection
 a single allreduce with no neighbour traffic.
 
 The restart cycle itself lives in :func:`repro.solvers.krylov.restarted_fgmres`;
-this module supplies the Krylov space it runs over — :class:`_EDDSpace`,
-``(local, global)`` :class:`DistVector` pairs whose parts are vectors
-(:func:`edd_fgmres`) or ``(n, k)`` blocks with coalesced exchanges
-(:func:`edd_fgmres_block`), per-rank compute through the rank engine —
-and with it everything that is specific to the element-based
+the Arnoldi step in :mod:`repro.sparse.arnoldi`; this module supplies the
+Krylov space they run over — :class:`_EDDSpace`, ``(local, global)``
+:class:`DistVector` pairs whose parts are vectors (:func:`edd_fgmres`)
+or ``(n, k)`` blocks with coalesced exchanges (:func:`edd_fgmres_block`)
+— and with it everything that is specific to the element-based
 decomposition: which format each vector is in and where the ``⊕Σ∂Ω``
 exchanges fall.
 """
@@ -30,10 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.distributed import (
-    DistVector, EDDSystem, _add_to_columns, _as_cols, _rows,
-)
-from repro.parallel.resident import ResidentCycle, step_program
+from repro.core.distributed import DistVector, EDDSystem, _as_cols, _rows
+from repro.parallel.resident import KrylovCycle, step_program
 from repro.precond.base import PolynomialPreconditioner
 from repro.precond.coarse import TwoLevelPreconditioner, TwoLevelSpec
 from repro.solvers.krylov import restarted_fgmres
@@ -71,32 +69,50 @@ def _precondition(system: EDDSystem, precond, v_hat):
     return precond.apply_linear(system.matvec_assembled, v_hat)
 
 
-class _EDDSpace:
+class _EDDSpace(KrylovCycle):
     """The :class:`~repro.solvers.krylov.KrylovSpace` of
     :func:`edd_fgmres` and :func:`edd_fgmres_block`: ``(local, global)``
     :class:`DistVector` pairs shaped like the right-hand side ``b`` —
-    vector parts for one column, ``(n, k)`` parts for ``k``.  Every rank
-    body runs in the orchestrator, through ``Comm.run_ranks`` (the CGS
-    round through the system's rank engine).  A column that leaves a
-    cycle while others stay is compacted out of every live Krylov block,
-    so finished columns stop charging flops and words."""
+    vector parts for one column, ``(n, k)`` parts for ``k``.  Its cycle
+    (:class:`~repro.parallel.resident.KrylovCycle`) runs inline through
+    ``Comm.run_ranks``, or in the pool workers given a step ``plan``; the
+    orchestrator keeps ``x`` and computes the residual either way."""
 
-    def __init__(self, system: EDDSystem, b: DistVector, precond, basic, cgs):
-        self.system = system
-        self.precond = precond
+    formats = 2
+
+    def __init__(self, system: EDDSystem, b: DistVector, precond, basic,
+                 cgs, restart, plan):
+        super().__init__(
+            system, precond, restart, plan, [len(p) for p in b.parts]
+        )
         self.basic = basic
         self.cgs = cgs
-        self.comm = system.comm
-        self.stats = system.comm.stats
         self.b = b
         self.k = b.k
-        self.x_hat = DistVector(
-            [np.zeros_like(p) for p in b.parts], "global", system.comm
+        self.x_hat = self._vec([np.zeros_like(p) for p in b.parts], "global")
+
+        # The local product, the ``⊕Σ∂Ω`` and Algorithm 5's re-assembly
+        # (its exchanges 1 and 3 of 3).  They close over the system, not
+        # the space: a cycle would keep the Krylov buffers alive.
+        comm = system.comm
+
+        def product(p):
+            return system.matvec_local(DistVector(p, "global", comm)).parts
+
+        def reassemble(p):
+            hat = DistVector(p, "global", comm)
+            return system.assemble(system.localize(hat)).parts
+
+        self.ops = (
+            product, comm.interface_assemble, reassemble if basic else None
         )
-        self.engine = system.rank_engine()
+
+    def _vec(self, parts, kind) -> DistVector:
+        return DistVector(parts, kind, self.comm)
 
     def residual(self, cols):
         system = self.system
+        self.x_hat = self._vec(self._flush(self.x_hat.parts), "global")
         idx = np.asarray(cols)
         self.r_loc = self.b.take_cols(idx) - system.matvec_local(
             self.x_hat.take_cols(idx)
@@ -107,126 +123,55 @@ class _EDDSpace:
             np.maximum(np.atleast_1d(system.dot(self.r_loc, self.r_hat)), 0.0)
         )
 
-    def _first_vectors(self, cols, betas):
+    def start_cycle(self, cols, betas):
         """``v_0 = r / beta`` in both formats, for column ids ``cols``."""
         r_loc, r_hat = self.r_loc, self.r_hat
         sel = [self.r_cols.index(c) for c in cols]
         if sel != list(range(len(self.r_cols))):
             r_loc, r_hat = r_loc.take_cols(sel), r_hat.take_cols(sel)
-        return r_loc * (1.0 / betas), r_hat * (1.0 / betas)
+        self._open(cols, [(r_loc * (1.0 / betas)).parts,
+                          (r_hat * (1.0 / betas)).parts])
 
-    def start_cycle(self, cols, betas):
-        v_loc, v_hat = self._first_vectors(cols, betas)
-        self.v_loc = [v_loc]
-        self.v_hat = [v_hat]
-        self.z_hat: list = []
-        self.live = len(cols)
+    def _apply(self, v):
+        return _precondition(
+            self.system, self.precond, self._vec(v, "global")
+        ).parts
 
-    def precondition(self, j):
-        self.z_hat.append(_precondition(self.system, self.precond, self.v_hat[j]))
-
-    def matvec(self, j):
-        system = self.system
+    def _mgs(self, j):
+        """Modified Gram-Schmidt: numerically sturdier, but each
+        projection needs the *updated* w — j+1 sequential allreduces per
+        step, the communication cost that makes parallel GMRES
+        implementations prefer CGS."""
+        system, ranks = self.system, self.ranks
+        v_loc, v_hat = (
+            [self._vec([e["basis"][f][i] for e in ranks], kind)
+             for i in range(j + 1)]
+            for f, kind in enumerate(("local", "global"))
+        )
+        w_loc = self._vec(self.w[0], "local")
+        w_hat = self._vec(self.w[1], "global")
+        h = np.empty((j + 2,) + self.tail)
+        for i in range(j + 1):
+            h[i] = system.dot(v_loc[i], w_hat)
+            w_loc = w_loc - v_loc[i] * h[i]
+            w_hat = w_hat - v_hat[i] * h[i]
         if self.basic:
-            # Exchange 1 of 3: Algorithm 5's statement 14 re-assembles
-            # the preconditioned vector (Algorithm 6 keeps it in global
-            # distributed format and skips this).
-            self.z_hat[j] = system.assemble(system.localize(self.z_hat[j]))
-        self.w_loc = system.matvec_local(self.z_hat[j])
-        self.w_hat = system.assemble(self.w_loc)  # the enhanced variant's only exchange
-
-    def orthogonalize(self, j):
-        system = self.system
-        v_loc, v_hat, w_loc, w_hat = self.v_loc, self.v_hat, self.w_loc, self.w_hat
-        h = np.empty((j + 2,) + w_hat.parts[0].shape[1:])
-        if self.cgs:
-            # Classical Gram-Schmidt (the paper's listings): all
-            # coefficients from the unmodified w via the mixed-format
-            # inner product, batched into ONE allreduce of j+1 words per
-            # column (Eq. 33), the whole coefficient round — partial
-            # dots, reduction, AXPY pairs — fused into a single step.
-            basis = [v.parts for v in v_loc], [v.parts for v in v_hat]
-            wl, wh = self.engine.arnoldi_step(
-                j, h, basis, (w_loc.parts, w_hat.parts)
-            )
-            w_loc = DistVector(wl, "local", self.comm)
-            w_hat = DistVector(wh, "global", self.comm)
-        else:
-            # Modified Gram-Schmidt: numerically sturdier, but each
-            # projection needs the *updated* w — j+1 sequential
-            # allreduces per step, the communication cost that makes
-            # parallel GMRES implementations prefer CGS.
-            for i in range(j + 1):
-                h[i] = system.dot(v_loc[i], w_hat)
-                w_loc = w_loc - v_loc[i] * h[i]
-                w_hat = w_hat - v_hat[i] * h[i]
-        if self.basic:
-            # Exchange 3 of 3: restore format consistency by
-            # re-assembling the orthogonalized vector.
             w_hat = system.assemble(system.localize(w_hat))
         h[j + 1] = np.sqrt(np.maximum(system.dot(w_loc, w_hat), 0.0))
-        self.w_loc, self.w_hat = w_loc, w_hat
+        for r, e in enumerate(ranks):
+            e["zs"][j] = self.z[r]
+            e["w"] = [w_loc.parts[r], w_hat.parts[r]]
         return h.reshape(j + 2, -1)
-
-    def commit(self, j, keep, h_next):
-        w_loc, w_hat = self.w_loc, self.w_hat
-        if keep is not None:
-            w_loc, w_hat = w_loc.take_cols(keep), w_hat.take_cols(keep)
-        inv_h = 1.0 / h_next
-        self.v_loc.append(w_loc * inv_h)
-        self.v_hat.append(w_hat * inv_h)
-
-    def _add_to_x(self, cols, sel, ys):
-        """``x += Z y`` for column ids ``cols`` at live positions ``sel``."""
-        _add_to_columns(
-            self.comm, self.x_hat.parts,
-            [z.parts for z in self.z_hat], cols, sel, ys,
-        )
-
-    def retire(self, pos, col, y):
-        self._add_to_x(col, pos, [y])
-        self.live -= 1
-        if self.live:  # the last column out leaves nothing to compact
-            for blocks in (self.v_loc, self.v_hat, self.z_hat):
-                for i, blk in enumerate(blocks):
-                    blocks[i] = blk.drop_col(pos)
-
-    def update(self, cols, ys):
-        # All columns share the Krylov dimension: one batched update.
-        self._add_to_x(np.asarray(cols), slice(None), ys)
 
     def solutions(self):
         # Unscale on the way out (Algorithm 4, step 5): u = D x, per column.
-        u_hat = DistVector(
-            [_rows(d, p) * p for d, p in zip(self.system.d_parts, self.x_hat.parts)],
+        u_hat = self._vec(
+            [_rows(d, p) * p
+             for d, p in zip(self.system.d_parts, self.x_hat.parts)],
             "global",
-            self.comm,
         )
         u = _as_cols(self.system.to_global_vector(u_hat))
         return [np.ascontiguousarray(u[:, c]) for c in range(self.k)]
-
-
-class _ResidentEDDSpace(ResidentCycle, _EDDSpace):
-    """CGS on a resident engine, any number of columns: the Krylov cycle
-    lives in the workers, one dispatch per Arnoldi step
-    (:class:`repro.parallel.resident.ResidentCycle`).  The orchestrator
-    keeps ``x`` and computes the residual; ``v_0`` goes out at the head
-    of a cycle and ``x`` comes back at its end."""
-
-    def __init__(self, system, b, precond, basic, restart, plan):
-        super().__init__(system, b, precond, basic, True)
-        self.restart = restart
-        self.plan = plan
-
-    def residual(self, cols):
-        self.x_hat = DistVector(
-            self._flush(self.x_hat.parts), "global", self.comm
-        )
-        return super().residual(cols)
-
-    def start_cycle(self, cols, betas):
-        v_loc, v_hat = self._first_vectors(cols, betas)
-        self._seed(cols, v_loc.parts, v_hat.parts)
 
 
 def _make_space(system, b, precond, basic, cgs, restart):
@@ -235,12 +180,10 @@ def _make_space(system, b, precond, basic, cgs, restart):
     orthogonalization is CGS and the preconditioner has a worker-side
     program (:func:`~repro.parallel.resident.step_program`); everything
     else — MGS, a preconditioner without a program — runs inline."""
-    engine = system.rank_engine()
-    if engine.resident and cgs:
+    plan = None
+    if cgs and system.rank_engine().resident:
         plan = step_program(precond)
-        if plan is not None:
-            return _ResidentEDDSpace(system, b, precond, basic, restart, plan)
-    return _EDDSpace(system, b, precond, basic, cgs)
+    return _EDDSpace(system, b, precond, basic, cgs, restart, plan)
 
 
 def _configure(system, precond, restart, tol, max_iter, variant,

@@ -10,9 +10,9 @@ local/global format distinction disappears and inner products are plain
 local dots plus an allreduce (Eq. 47).
 
 The restart cycle lives in :func:`repro.solvers.krylov.restarted_fgmres`;
-this module supplies the system and the Krylov space the driver runs
-over — :class:`_RDDSpace`, per-rank parts through the rank engine that
-are vectors (:func:`rdd_fgmres`) or ``(n_own, k)`` blocks with one
+the Arnoldi step in :mod:`repro.sparse.arnoldi`; this module supplies the
+system and the Krylov space they run over — :class:`_RDDSpace`, per-rank
+parts that are vectors (:func:`rdd_fgmres`) or ``(n_own, k)`` blocks with one
 coalesced halo exchange per matvec (:func:`rdd_fgmres_block`).
 Orthogonalization is classical Gram-Schmidt only.
 
@@ -29,12 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.distributed import (
-    _add_to_columns, _as_cols, _n_cols, _rows, _take_cols, col_dots,
+    _as_cols, _n_cols, _rows, _take_cols, col_dots,
 )
 from repro.fem.bc import DirichletBC
 from repro.fem.mesh import Mesh
 from repro.parallel.comm import Comm, make_comm
-from repro.parallel.resident import ResidentCycle, step_program
+from repro.parallel.resident import KrylovCycle, step_program
 from repro.partition.interface import SubdomainMap
 from repro.partition.node_partition import NodePartition
 from repro.precond.base import PolynomialPreconditioner
@@ -90,24 +90,10 @@ class RDDSystem:
         return len(self.own)
 
     def rank_engine(self):
-        """The rank-operation engine of this system: the inline
-        :class:`~repro.parallel.resident.RankEngine` everywhere except
-        process-resident mode, where a
-        :class:`~repro.parallel.resident.ResidentRDDEngine`; the mode gate
-        re-evaluates per call, the instance caches per mode."""
+        """This system's :func:`~repro.parallel.resident.rank_engine`."""
         from repro.parallel import resident
 
-        mode = resident.engine_mode(self.comm, 2 * self.nnz_total)
-        cached = self.__dict__.get("_engine")
-        if cached is not None and cached[0] == mode:
-            return cached[1]
-        engine = (
-            resident.ResidentRDDEngine(self)
-            if mode == "resident"
-            else resident.RankEngine(self)
-        )
-        self.__dict__["_engine"] = (mode, engine)
-        return engine
+        return resident.rank_engine(self)
 
     def matvec(self, x_parts: list) -> list:
         """Eq. 48: halo exchange then
@@ -411,32 +397,28 @@ def _take_cols_parts(parts, idx):
     return [_take_cols(p, idx) for p in parts]
 
 
-def _drop_col_parts(parts, pos):
-    return [np.delete(p, pos, axis=1) for p in parts]
-
-
-class _RDDSpace:
+class _RDDSpace(KrylovCycle):
     """The :class:`~repro.solvers.krylov.KrylovSpace` of
     :func:`rdd_fgmres` and :func:`rdd_fgmres_block`: per-rank parts on
     disjoint DOF sets shaped like the right-hand side ``b`` — vectors for
-    one column, ``(n_own, k)`` blocks for ``k``.  Every rank body runs in
-    the orchestrator, through ``Comm.run_ranks`` (the CGS round through
-    the system's rank engine).  A column that leaves a cycle while others
-    stay is compacted out of every live Krylov block, so finished columns
-    stop charging flops and words."""
+    one column, ``(n_own, k)`` blocks for ``k``.  Its cycle
+    (:class:`~repro.parallel.resident.KrylovCycle`) runs inline through
+    ``Comm.run_ranks``, or in the pool workers given a step ``plan``."""
 
-    def __init__(self, system: RDDSystem, b: list, precond):
-        self.system = system
-        self.precond = precond
-        self.comm = system.comm
-        self.stats = system.comm.stats
-        self.engine = system.rank_engine()
+    formats = 1
+
+    def __init__(self, system: RDDSystem, b: list, precond, restart, plan):
+        super().__init__(
+            system, precond, restart, plan, [len(bb) for bb in b]
+        )
         self.b = b
         self.k = _n_cols(b[0])
         self.x = [np.zeros_like(bb) for bb in b]
+        self.ops = (system.matvec, None, None)
 
     def residual(self, cols):
         system = self.system
+        self.x = self._flush(self.x)
         idx = np.asarray(cols)
         ax = system.matvec(_take_cols_parts(self.x, idx))
         self.r = _axpy_parts(
@@ -445,52 +427,16 @@ class _RDDSpace:
         self.r_cols = list(cols)
         return np.sqrt(np.atleast_1d(system.dot(self.r, self.r)))
 
-    def _first_vector(self, cols, betas):
+    def start_cycle(self, cols, betas):
         """``v_0 = r / beta`` for column ids ``cols``."""
         r = self.r
         sel = [self.r_cols.index(c) for c in cols]
         if sel != list(range(len(self.r_cols))):
             r = _take_cols_parts(r, sel)
-        return _scale_parts(self.comm, 1.0 / betas, r)
+        self._open(cols, [_scale_parts(self.comm, 1.0 / betas, r)])
 
-    def start_cycle(self, cols, betas):
-        self.v = [self._first_vector(cols, betas)]
-        self.z: list = []
-        self.live = len(cols)
-
-    def precondition(self, j):
-        self.z.append(_precondition_rdd(self.system, self.precond, self.v[j]))
-
-    def matvec(self, j):
-        self.w = self.system.matvec(self.z[j])
-
-    def orthogonalize(self, j):
-        h = np.empty((j + 2,) + self.w[0].shape[1:])
-        # Fused CGS coefficient round mirroring edd_fgmres — partial
-        # dots, ONE allreduce of j+1 words per column, AXPY updates.
-        (self.w,) = self.engine.arnoldi_step(j, h, (self.v,), (self.w,))
-        h[j + 1] = np.sqrt(np.maximum(self.system.dot(self.w, self.w), 0.0))
-        return h.reshape(j + 2, -1)
-
-    def commit(self, j, keep, h_next):
-        w = self.w if keep is None else _take_cols_parts(self.w, keep)
-        self.v.append(_scale_parts(self.comm, 1.0 / h_next, w))
-
-    def _add_to_x(self, cols, sel, ys):
-        """``x += Z y`` for column ids ``cols`` at live positions ``sel``."""
-        _add_to_columns(self.comm, self.x, self.z, cols, sel, ys)
-
-    def retire(self, pos, col, y):
-        self._add_to_x(col, pos, [y])
-        self.live -= 1
-        if self.live:  # the last column out leaves nothing to compact
-            for blocks in (self.v, self.z):
-                for i, parts in enumerate(blocks):
-                    blocks[i] = _drop_col_parts(parts, pos)
-
-    def update(self, cols, ys):
-        # All columns share the Krylov dimension: one batched update.
-        self._add_to_x(np.asarray(cols), slice(None), ys)
+    def _apply(self, v):
+        return _precondition_rdd(self.system, self.precond, v)
 
     def solutions(self):
         system = self.system
@@ -501,36 +447,13 @@ class _RDDSpace:
         return [np.ascontiguousarray(u[:, c]) for c in range(self.k)]
 
 
-class _ResidentRDDSpace(ResidentCycle, _RDDSpace):
-    """A resident engine, any number of columns: the Krylov cycle lives
-    in the workers, one dispatch per Arnoldi step
-    (:class:`repro.parallel.resident.ResidentCycle`) — the row-based
-    twin of :class:`repro.core.edd._ResidentEDDSpace`."""
-
-    def __init__(self, system, b, precond, restart, plan):
-        super().__init__(system, b, precond)
-        self.restart = restart
-        self.plan = plan
-
-    def residual(self, cols):
-        self.x = self._flush(self.x)
-        return super().residual(cols)
-
-    def start_cycle(self, cols, betas):
-        self._seed(cols, self._first_vector(cols, betas))
-
-
 def _make_space(system, b, precond, restart):
     """The Krylov space of one solve, vectors or blocks alike: its cycle
     runs in the pool workers when the engine is resident and the
     preconditioner has a worker-side program
     (:func:`~repro.parallel.resident.step_program`); inline otherwise."""
-    engine = system.rank_engine()
-    if engine.resident:
-        plan = step_program(precond)
-        if plan is not None:
-            return _ResidentRDDSpace(system, b, precond, restart, plan)
-    return _RDDSpace(system, b, precond)
+    plan = step_program(precond) if system.rank_engine().resident else None
+    return _RDDSpace(system, b, precond, restart, plan)
 
 
 def _configure(system, precond, restart, tol, max_iter, options):

@@ -2,23 +2,22 @@
 worker processes.
 
 This module is deliberately light: a spawned child imports numpy, the
-stdlib, this module and the numpy-only :mod:`repro.sparse` kernels it
+stdlib, this module and the numpy-only :mod:`repro.sparse` leaves it
 runs — the CSR matrix, the kernel registry (scipy only if a command
-names the ``scipy`` backend) and the column arithmetic it shares with
-the orchestrator (:func:`repro.sparse.dense.col_dots` /
-``add_columns``, so both sides sum in the same order) — and never the
-solver stack, the service or scipy up front.  The package roots
-``repro`` and ``repro.parallel`` resolve their re-exports lazily, so
-reaching this module costs nothing else.
+names the ``scipy`` backend) and the Arnoldi step of
+:mod:`repro.sparse.arnoldi`, whose phases the inline solves run too —
+and never the solver stack, the service or scipy up front.  The package
+roots ``repro`` and ``repro.parallel`` resolve their re-exports lazily,
+so reaching this module costs nothing else.
 ``tests/parallel/test_worker_imports.py`` enforces the diet.  The
 orchestrator sends small pickled command tuples over a per-worker pipe;
 bulk payloads travel through a per-communicator
 ``multiprocessing.shared_memory`` arena, which is also where the workers
 of a fused rank op meet each other.  The rank ops are the resident
 Krylov cycle's ``seed`` / ``step`` / ``axpy``, the ``chain`` a benchmark
-probe issues, and the test-only ``stall``.  The preconditioner a ``step``
-applies is a program run by :func:`repro.sparse.recurrences.run_program`
-— the code the inline solves run — over this worker's parts.
+probe issues, and the test-only ``stall``.  What this module adds to the
+leaf is where the step runs: the owned ranks, the arena exchanges and
+the tree reductions a step's phases are handed as callables.
 
 Protocol
 --------
@@ -49,10 +48,9 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-from repro.sparse import kernels
+from repro.sparse import arnoldi, kernels
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.dense import _rows, add_columns, col_dots
-from repro.sparse.recurrences import run_program
+from repro.sparse.dense import _rows
 
 #: Bytes reserved at the start of every arena: ``uint64 seq`` plus one
 #: padding word (keeps the float64 payload 16-byte aligned).
@@ -295,22 +293,24 @@ class _Fused:  # pragma: no cover
                         acc[sel] = acc[sel] + seg[src]
                 hat[idx] = acc
             out[r] = hat
+        self.lap("exchange")
+        return out
+
+    def product(self, x):
+        """EDD's subdomain products (Eq. 37) on this worker's ranks."""
+        out = {r: self.ranks[r]["a"] @ x[r] for r in self.owned}
+        self.lap("matvec")
         return out
 
     def operator(self, x):
         """The communicating operator both decompositions iterate, on
-        this worker's ranks: EDD — subdomain product (Eq. 37), then
-        ``⊕Σ∂Ω``; RDD — halo fill from the peers' published operands
-        (each rank publishes its whole operand at its offset) through the
-        shipped plan, then the Eq. 48 block products."""
-        ranks = self.ranks
+        this worker's ranks: EDD — subdomain product, then ``⊕Σ∂Ω``;
+        RDD — halo fill from the peers' published operands (each rank
+        publishes its whole operand at its offset) through the shipped
+        plan, then the Eq. 48 block products."""
         if self.edd:
-            loc = {r: ranks[r]["a"] @ x[r] for r in self.owned}
-            self.lap("matvec")
-            out = self.assemble(loc)
-            self.lap("exchange")
-            return out
-        offsets, sizes = self.offsets, self.sizes
+            return self.assemble(self.product(x))
+        ranks, offsets, sizes = self.ranks, self.offsets, self.sizes
         seg = self._slot()
         for r in self.owned:
             seg[offsets[r]:offsets[r] + sizes[r]] = x[r]
@@ -333,38 +333,32 @@ class _Fused:  # pragma: no cover
         self.lap("matvec")
         return out
 
+    def each(self, body):
+        """The per-rank loop of :mod:`repro.sparse.arnoldi`: this
+        worker's ranks."""
+        for r in self.owned:
+            body(r)
+
+    def rows(self, name, shape):
+        """A reduction for :mod:`repro.sparse.arnoldi`: the partial rows
+        (rank -> ``shape`` array) go to the command's region ``name``,
+        then every worker tree-reduces them (:meth:`reduce`)."""
+        base, m = self.p[name], int(np.prod(shape))
+
+        def reduce(partial):
+            for r in self.owned:
+                self.view[base + r * m:base + (r + 1) * m] = np.reshape(
+                    partial[r], -1
+                )
+            return self.reduce(base, m).reshape(shape)
+
+        return reduce
+
     def reduce(self, base, m):
         """Meet the peers, then tree-reduce the ``(P, m)`` partial rows
         at ``base`` redundantly (every worker gets the same bits)."""
         self.barrier()
         return _tree_rows(self.view, base, self.size, m)
-
-
-class _Parts:  # pragma: no cover
-    """This worker's parts of one distributed vector (rank -> array) with
-    the arithmetic :mod:`repro.sparse.recurrences` runs on: per owned
-    rank, the numpy expression the inline vector types evaluate (their
-    ``y + 1.0 * x`` / ``y + (-1.0) * x`` are bitwise ``y + x`` /
-    ``y - x``)."""
-
-    __slots__ = ("d",)
-
-    def __init__(self, d):
-        self.d = d
-
-    def copy(self):
-        return _Parts({r: a.copy() for r, a in self.d.items()})
-
-    def __add__(self, other):
-        return _Parts({r: a + other.d[r] for r, a in self.d.items()})
-
-    def __sub__(self, other):
-        return _Parts({r: a - other.d[r] for r, a in self.d.items()})
-
-    def __mul__(self, scalar):
-        return _Parts({r: scalar * a for r, a in self.d.items()})
-
-    __rmul__ = __mul__
 
 
 def _coarse(f, key, v):  # pragma: no cover
@@ -377,13 +371,9 @@ def _coarse(f, key, v):  # pragma: no cover
     held = f.held[key]
     shared = held[None]
     fmat = shared["fmat"]
-    m = fmat.shape[0] * f.width
-    base = f.p["coarse_rows"]
-    for r in f.owned:
-        f.view[base + r * m:base + (r + 1) * m] = (
-            held[r]["wl"].T @ v[r]
-        ).reshape(-1)
-    rhs = f.reduce(base, m).reshape(fmat.shape[:1] + f.tail)
+    rhs = f.rows("coarse_rows", fmat.shape[:1] + f.tail)(
+        {r: held[r]["wl"].T @ v[r] for r in f.owned}
+    )
     if shared["fkind"] == "cho":
         from scipy.linalg import cho_solve
 
@@ -415,25 +405,21 @@ def _ilu0_apply(aux, v):  # pragma: no cover
 
 def _precondition(f, program, v):  # pragma: no cover
     """``z = C v`` on this worker's ranks: the preconditioner program
-    (``resident.step_program``) run by the shared interpreter, with this
-    worker's operator, coarse solve and ILU0 solves as its callables
-    (the caller holds ``f.within`` at ``"precondition"``, so the
-    exchanges in here count as that)."""
-    z = run_program(
-        program, _Parts(v),
-        lambda u: _Parts(f.operator(u.d)),
-        lambda key, u: _Parts(_coarse(f, key, u.d)),
-        lambda key, u: _Parts(
-            {r: _ilu0_apply(f.held[key][r], a) for r, a in u.d.items()}
-        ),
+    (``resident.step_program``) with this worker's operator, coarse
+    solve and ILU0 solves (the caller holds ``f.within`` at
+    ``"precondition"``, so the exchanges in here count as that)."""
+    return arnoldi.precondition(
+        program, v, f.operator, lambda key, u: _coarse(f, key, u),
+        lambda key, u: {
+            r: _ilu0_apply(f.held[key][r], a) for r, a in u.items()
+        },
     )
-    return z.d
 
 
 def _op_chain(f):  # pragma: no cover
     """One polynomial apply as a rank op of its own: ``[0, n)`` in,
     ``out`` out.  No solve issues it — ``bench/probes.py`` times the
-    preconditioner through ``ResidentEDDEngine.poly_chain``, which
+    preconditioner through ``ResidentEngine.poly_chain``, which
     does."""
     p = f.p
     f.within = "precondition"
@@ -453,48 +439,25 @@ def _reseed_error(w, r, held, need):  # pragma: no cover
     )
 
 
-def _compact(e, j, keep):  # pragma: no cover
-    """Drop the columns not at positions ``keep`` from a rank's Krylov
-    blocks — the ``np.delete`` of the inline spaces' retirement, so every
-    later ``col_dots`` reads the same strides — and set each dropped
-    column's ``z_0 .. z_{j-1}`` aside for the cycle's ``axpy``."""
-    zs = e["zs"]
-    gone = [c for c in range(zs.shape[-1]) if c not in keep]
-    e["saved"] += [np.array(zs[:j, :, c]) for c in gone]
-    e["basis"] = [np.delete(b, gone, axis=-1) for b in e["basis"]]
-    e["zs"] = np.delete(zs, gone, axis=-1)
-    e["w"] = [w_f[:, keep] for w_f in e["w"]]
-
-
 def _op_step(f):  # pragma: no cover
     """One whole Arnoldi step of CGS FGMRES (Algorithms 5, 6 and 8)
     against this worker's resident Krylov state, for ``(n,)`` parts or a
-    block of ``k`` live columns.
-
-    Phases, back to back: drop the columns retired since the last step
-    (``keep``) and append the previous step's normalised vector to the
-    basis (``commit``: one ``1 / h`` per column); ``z_j = C v_j``;
-    ``w = A z_j`` with its exchange (the basic EDD variant re-assembles
-    ``z_j`` first and ``w`` after the orthogonalization — its three
-    exchanges per step); the CGS coefficients ``<v_i, w>`` (one reduction
-    of ``j + 1`` words per column) and the orthogonalization; the partial
-    ``<w, w>``.  Nothing but the partial rows of the two reductions
-    leaves the workers: the orchestrator reads them from the arena and
-    replays the real ``allreduce_sum``.
+    block of ``k`` live columns: the phases of
+    :mod:`repro.sparse.arnoldi` back to back — commit (``keep``,
+    ``commit``), ``z_j = C v_j``, ``w = A z_j`` with its exchange, the
+    CGS round and the norm partial — over this worker's ranks, arena
+    exchanges and tree reductions.  Nothing but the partial rows of the
+    two reductions leaves the workers: the orchestrator reads them from
+    the arena and replays the real ``allreduce_sum``.
     """
-    p, view, ranks, owned, tail = f.p, f.view, f.ranks, f.owned, f.tail
-    j, inv_h, basic = p["j"], p["commit"], p["basic"]
+    p, ranks, owned = f.p, f.ranks, f.owned
+    j, inv_h = p["j"], p["commit"]
     for r in owned:
-        e = ranks[r]
         need = j + 1 if inv_h is None else j
-        if e.get("filled") != need:
-            raise _reseed_error(f.w, r, e.get("filled"), need)
-        if inv_h is not None:
-            if p["keep"] is not None:
-                _compact(e, j, p["keep"])
-            for basis, w_f in zip(e["basis"], e["w"]):
-                np.multiply(w_f, inv_h, out=basis[j])
-            e["filled"] = j + 1
+        if ranks[r].get("filled") != need:
+            raise _reseed_error(f.w, r, ranks[r].get("filled"), need)
+    if inv_h is not None:
+        f.each(lambda r: arnoldi.commit(ranks[r], j, p["keep"], inv_h))
     f.lap("orthogonalize")  # normalising v_j closes the previous round
 
     f.within = "precondition"
@@ -503,49 +466,21 @@ def _op_step(f):  # pragma: no cover
     )
     f.lap("precondition")
     f.within = None
-    if basic:
-        z = f.assemble(
-            {r: z[r] * _rows(ranks[r]["mask"], z[r]) for r in owned}
-        )
-        f.lap("exchange")
-    for r in owned:
-        ranks[r]["zs"][j] = z[r]
-    # ``w`` per rank: one array per format, the exchanged one last.
+    reassemble = None
+    if p["basic"]:
+        def reassemble(v):
+            f.lap("orthogonalize")
+            return f.assemble(
+                {r: v[r] * _rows(ranks[r]["mask"], v[r]) for r in owned}
+            )
     if f.edd:
-        wl = {r: ranks[r]["a"] @ z[r] for r in owned}
-        f.lap("matvec")
-        wh = f.assemble(wl)
-        f.lap("exchange")
-        ws = {r: [wl[r], wh[r]] for r in owned}
+        z, w = arnoldi.matvec(z, f.product, f.assemble, reassemble)
     else:
-        ws = {r: [y] for r, y in f.operator(z).items()}
-
-    rows, m = p["arn_rows"], (j + 1) * f.width
-    for r in owned:
-        first = ranks[r]["basis"][0]
-        out = np.empty((j + 1,) + tail)
-        for i in range(j + 1):
-            out[i] = col_dots(first[i], ws[r][-1])
-        view[rows + r * m:rows + (r + 1) * m] = out.reshape(-1)
-    h = f.reduce(rows, m).reshape((j + 1,) + tail)
-    for r in owned:
-        for k, basis in enumerate(ranks[r]["basis"]):
-            w_f = ws[r][k]
-            for i in range(j + 1):
-                w_f = w_f - h[i] * basis[i]
-            ws[r][k] = w_f
-    if basic:
-        f.lap("orthogonalize")
-        wh = f.assemble(
-            {r: ws[r][1] * _rows(ranks[r]["mask"], ws[r][1]) for r in owned}
-        )
-        f.lap("exchange")
-        for r in owned:
-            ws[r][1] = wh[r]
-    norm, c = p["norm_rows"], f.width
-    for r in owned:
-        ranks[r]["w"] = ws[r]
-        view[norm + r * c:norm + (r + 1) * c] = col_dots(ws[r][0], ws[r][-1])
+        z, w = arnoldi.matvec(z, f.operator)
+    arnoldi.cgs(
+        f.each, ranks, j, w, f.rows("arn_rows", (j + 1,) + f.tail), z
+    )
+    arnoldi.norm(f.each, ranks, w, f.rows("norm_rows", f.tail), reassemble)
     f.lap("orthogonalize")
     return f.times()
 
@@ -562,54 +497,36 @@ def _per_rank(owned, body):  # pragma: no cover
 
 def _op_seed(ranks, view, p, owned, w):  # pragma: no cover
     """Open a cycle: store ``v_0`` (one region per format) as the first
-    basis vector of each owned rank.  The Krylov buffers — per format
-    ``(restart + 1, n)``, ``z`` slots ``(restart, n)``, ``(..., n, k)``
-    for ``k`` columns — are allocated once and reused while that shape
-    holds."""
-    m, formats, k = p["restart"], p["formats"], p["k"]
-    c = k or 1
-    n_total = sum(p["sizes"])
+    basis vector of each owned rank
+    (:func:`repro.sparse.arnoldi.open_cycle`)."""
+    k, c, n_total = p["k"], p["k"] or 1, sum(p["sizes"])
 
     def body(r):
-        e = ranks[r]
         off, n = p["offsets"][r], p["sizes"][r]
         shape = (n,) if k is None else (n, k)
-        basis = e.get("basis")
-        if (
-            basis is None
-            or len(basis) != formats
-            or basis[0].shape != (m + 1,) + shape
-        ):
-            e["basis"] = basis = [
-                np.empty((m + 1,) + shape) for _ in range(formats)
-            ]
-            e["zs"] = np.empty((m,) + shape)
-        for f_, b_f in enumerate(basis):
-            base = (f_ * n_total + off) * c
-            b_f[0] = view[base:base + n * c].reshape(shape)
-        e.update(filled=1, w=None, saved=[])
+        v0 = [
+            view[(f * n_total + off) * c:(f * n_total + off + n) * c]
+            .reshape(shape)
+            for f in range(p["formats"])
+        ]
+        arnoldi.open_cycle(ranks[r], p["restart"], v0)
 
     return _per_rank(owned, body)
 
 
 def _op_axpy(ranks, view, p, owned, w):  # pragma: no cover
-    """The cycle's solution update, in place on ``x`` in the arena:
-    ``terms`` are :func:`repro.sparse.dense.add_columns` argument
-    tuples ``(cols, sel, ys, saved)`` against the rank's live ``z``
-    slots, or — ``saved`` an index — against the slots of a column
-    compacted out mid-cycle."""
+    """The cycle's solution update, in place on ``x`` in the arena
+    (:func:`repro.sparse.arnoldi.add_x`)."""
     k = p["k"]
     c = k or 1
 
     def body(r):
         e = ranks[r]
+        if "zs" not in e:
+            raise _reseed_error(w, r, 0, len(p["terms"][0][2][0]))
         off, n = p["offsets"][r], p["sizes"][r]
         x = view[off * c:(off + n) * c].reshape((n,) if k is None else (n, k))
-        for cols, sel, ys, saved in p["terms"]:
-            if "zs" not in e:
-                raise _reseed_error(w, r, 0, len(ys[0]))
-            zs = e["zs"] if saved is None else e["saved"][saved]
-            add_columns(x, zs, cols, sel, ys)
+        arnoldi.add_x(e, x, p["terms"])
 
     return _per_rank(owned, body)
 
@@ -625,12 +542,11 @@ def _do_rank_op(state, cmd, w, n_workers):  # pragma: no cover
     """Execute one named rank operation against the state shipped under
     the op's ``gen``.
 
-    The arithmetic is the orchestrator's inline arithmetic — the shared
-    :mod:`repro.sparse.dense` column kernels and
-    :mod:`repro.sparse.recurrences` bodies, the inline association order
-    everywhere else — so the floats written back are bit-identical to
-    inline execution.  Replies list ``(rank, seconds)`` per owned rank —
-    fused ops add the per-phase split as a third field.
+    The arithmetic is the orchestrator's inline arithmetic — the step
+    phases of :mod:`repro.sparse.arnoldi` and the preconditioner bodies
+    of :mod:`repro.sparse.recurrences` — so the floats written back are
+    bit-identical to inline execution.  Replies list ``(rank, seconds)``
+    per owned rank — fused ops add the per-phase split as a third field.
     """
     _op, seq, _cid, arena, total_words, p = cmd
     name = p["name"]

@@ -12,6 +12,7 @@ name that is not a registered kernel backend.
 
 from __future__ import annotations
 
+import math
 import os
 
 __all__ = ["EnvKnobError", "read_int_env", "read_float_env"]
@@ -51,11 +52,16 @@ def read_int_env(name: str, default: int | None) -> int | None:
 
 
 def read_float_env(name: str, default: float) -> float:
-    """``float(os.environ[name])`` with a named error on malformed input."""
+    """``float(os.environ[name])`` with a named error on malformed input
+    — anything but a positive finite number: the one float knob is a
+    timeout, which ``nan``, ``inf`` or ``<= 0`` would silently disarm."""
     raw = os.environ.get(name)
     if raw is None or not raw.strip():
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise EnvKnobError(name, raw, "a number") from None
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise EnvKnobError(name, raw, "a positive finite number")
+    return value

@@ -69,7 +69,8 @@ Tuning environment variables (read at construction):
   worker-resident, a smaller one inline (default 32768; identical results
   either way, ``0`` forces residency).
 * ``REPRO_PROCESS_TIMEOUT`` — per-dispatch timeout in seconds (default
-  120) after which a silent pool raises :class:`WorkerTimeoutError`.
+  120; positive and finite) after which a silent pool raises
+  :class:`WorkerTimeoutError`.
 """
 
 from __future__ import annotations

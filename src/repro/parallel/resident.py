@@ -1,55 +1,47 @@
-"""Rank-operation engines: inline execution vs. worker-resident execution.
+"""Where a distributed Krylov cycle runs: inline, or resident in the workers.
 
-A distributed Krylov solve (:mod:`repro.core.edd`, :mod:`repro.core.rdd`)
-runs its per-rank arithmetic in one of two places:
+A distributed solve (:mod:`repro.core.edd`, :mod:`repro.core.rdd`) runs
+its restart cycle through :class:`KrylovCycle`, over the one Arnoldi
+step of :mod:`repro.sparse.arnoldi`, in one of two places:
 
-* *inline*, in the orchestrator through :meth:`Comm.run_ranks` (virtual
-  and chaos backends, and process communicators below the residency
-  threshold) — :class:`RankEngine` holds the CGS coefficient round;
-* *resident*: :class:`ResidentEDDEngine` / :class:`ResidentRDDEngine`
-  ship each rank's CSR blocks with its part of the exchange plan, and
-  the preconditioner's factor state, to the worker processes **once**
-  (:meth:`ProcessComm.ship`, keyed by a generation id) and run
-  the restart cycle there as three **named rank ops** — ``seed`` opens a
-  cycle, one ``step`` per Arnoldi step does all of the step's arithmetic,
-  ``axpy`` updates ``x`` at the cycle's end.  Their base
-  :class:`ResidentEngine` carries shipping, dispatch and charge replay;
-  the subclasses what to ship and what one operator application
-  charges.
+* *inline*, in the orchestrator: each phase of the step runs in the
+  driver call it belongs to, its per-rank bodies through
+  :meth:`Comm.run_ranks` (virtual and chaos backends, and process
+  communicators below the residency threshold);
+* *resident*: :class:`ResidentEngine` ships each rank's CSR blocks with
+  its part of the exchange plan, and the preconditioner's factor state,
+  to the worker processes **once** (:meth:`ProcessComm.ship`, keyed by a
+  generation id) and runs the cycle there as three **named rank ops** —
+  ``seed`` opens a cycle, one ``step`` per Arnoldi step runs every phase
+  of the step back to back, ``axpy`` updates ``x`` at the cycle's end.
 
 A CGS solve — Algorithms 5, 6 and 8 as the paper lists them, one
 right-hand side or a block — whose preconditioner :func:`step_program`
-can express runs resident (:class:`ResidentCycle`): basis, ``z`` slots
-and work vectors never leave the workers, 1-D parts stay 1-D, and the
-workers precondition, multiply, exchange peer to peer through the arena,
-orthogonalize and take the norm dot back to back; only the partial rows
-of the step's reductions come back.  A block column that leaves
-mid-cycle is compacted out at the head of the next step and its ``x``
-update rides in the cycle's ``axpy``.  Everything else — MGS, a
-preconditioner without a program, every residual — runs inline.  Outside
-this package only ``_make_space`` and ``PreparedSystem.build`` ask
-whether an engine is ``resident``; the ``chain`` op (one polynomial
-apply) is issued by no solve and stays for ``bench/probes.py``.
+can express runs resident when :func:`rank_engine` says so: basis, ``z``
+slots and work vectors never leave the workers and only the partial
+rows of the step's reductions come back.  MGS, a preconditioner without
+a program, and every residual run inline.  The ``chain`` op (one
+polynomial apply) is issued by no solve and stays for
+``bench/probes.py``.
 
 Bit-identity contract
 ---------------------
-Workers run the inline code, not a copy of it: the column kernels of
-:mod:`repro.sparse.dense` (:func:`~repro.core.distributed.col_dots`,
-:func:`~repro.core.distributed.add_columns`) and the preconditioner
-bodies of :mod:`repro.sparse.recurrences`, whose program interpreter
-also drives the orchestrator's charge replay.  The rest of a ``step``
-keeps the inline association order, the workers' ``⊕Σ∂Ω`` sums each
-shared DOF in the order :meth:`Comm.interface_assemble` does, and a
-retired column is dropped with the inline ``np.delete`` (so later
-column dots read the same strides).  **All charging stays
+Workers and inline solves run the same code: the step phases of
+:mod:`repro.sparse.arnoldi`, the preconditioner bodies of
+:mod:`repro.sparse.recurrences` and the column kernels of
+:mod:`repro.sparse.dense`; the workers' ``⊕Σ∂Ω`` sums each shared DOF
+in the order :meth:`Comm.interface_assemble` does and their reductions
+pair rows as :meth:`Comm.allreduce_sum` does.  **All charging stays
 orchestrator-side**: after a dispatch the orchestrator *replays* the
 inline charging — the real ``allreduce_sum`` on the partial rows it
-reads back, and :meth:`Comm.charge_interface_assemble` /
+reads back, :meth:`Comm.charge_interface_assemble` /
 :meth:`Comm.charge_halo_exchange` driven by the same preconditioner
-program over charge-only ghost vectors.  So the returned floats are
-bitwise identical and ``CommStats``, tracer exchange/reduction spans and
-message logs *exactly equal* to an inline solve.  The chaos communicator
-is never resident, which keeps fault injection at the orchestrator.
+program over charge-only ghost vectors, and the step's flops from
+:func:`repro.sparse.arnoldi.flops`, the function the inline path charges
+with.  So the returned floats are bitwise identical and ``CommStats``,
+tracer exchange/reduction spans and message logs *exactly equal* to an
+inline solve.  The chaos communicator is never resident, which keeps
+fault injection at the orchestrator.
 
 State lifecycle
 ---------------
@@ -68,22 +60,22 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.distributed import DistVector, col_dots
+from repro.core.distributed import DistVector
+from repro.sparse import arnoldi
 from repro.sparse.recurrences import run_program
 
 __all__ = [
     "engine_mode",
+    "rank_engine",
     "step_program",
     "StepRows",
-    "ResidentCycle",
-    "RankEngine",
+    "KrylovCycle",
     "ResidentEngine",
-    "ResidentEDDEngine",
-    "ResidentRDDEngine",
 ]
 
 #: Generation ids for resident system state; unique per engine instance
@@ -95,6 +87,9 @@ _generations = itertools.count(1)
 #: never inherits its shipped factors.
 _aux_keys: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _aux_ids = itertools.count(1)
+
+#: What :func:`rank_engine` returns for a system that runs inline.
+INLINE = SimpleNamespace(resident=False)
 
 
 def _aux_key(precond) -> str:
@@ -129,6 +124,21 @@ def engine_mode(comm, work_hint: int) -> str:
     ):
         return "resident"
     return "inline"
+
+
+def rank_engine(system):
+    """The engine of an EDD or RDD system: a :class:`ResidentEngine`
+    whose state lives in the worker-process pool, or :data:`INLINE`
+    (virtual/chaos, and small process systems).  The mode gate is
+    re-evaluated on every call (a closed communicator falls back to
+    inline); the engine is cached per mode so resident state ships once
+    per system."""
+    mode = engine_mode(system.comm, 2 * system.nnz_total)
+    cached = system.__dict__.get("_engine")
+    if cached is None or cached[0] != mode:
+        engine = ResidentEngine(system) if mode == "resident" else INLINE
+        cached = system.__dict__["_engine"] = (mode, engine)
+    return cached[1]
 
 
 def _layout(sizes: list) -> tuple:
@@ -245,64 +255,53 @@ class _ChargeVec:
     __rmul__ = __mul__
 
 
-# ----------------------------------------------------------------------
-# The inline engine
-# ----------------------------------------------------------------------
-class RankEngine:
-    """The inline engine — what ``rank_engine()`` returns unless the
-    system is resident: the CGS Arnoldi coefficient round as per-rank
-    closures through ``Comm.run_ranks``, in the orchestrator.
-
-    ``basis`` and ``w`` hold one entry per vector format — EDD
-    ``(local, global)``, RDD one — as per-rank parts (``basis[f][i]`` is
-    basis vector ``i``), all ``(n,)`` vectors or all ``(n, k)`` blocks.
-    The dots pair the first format's basis with the last format's ``w``:
-    the mixed-format inner product of Eq. 33 for EDD, the plain Eq. 47
-    one for RDD.
-    """
-
-    resident = False
-
-    def __init__(self, system):
-        self.system = system
-
-    def arnoldi_step(self, j, h, basis, w):
-        """One CGS round: fused partial dots (per column for blocks, each
-        the ddot the vector round performs), ONE allreduce of ``j + 1``
-        words per column for all columns, then ``w[f] -= sum_i h[i] *
-        basis[f][i]`` per rank and format (a row of ``h`` broadcasts over
-        a block's columns).  Returns the orthogonalized ``w``, one parts
-        list per format."""
-        comm = self.system.comm
-        v_dot, w_dot = basis[0], w[-1]
-        partial = np.empty((comm.size, j + 1) + w_dot[0].shape[1:])
-
-        def dots_body(r: int) -> None:
-            wr = w_dot[r]
-            for i in range(j + 1):
-                partial[r, i] = col_dots(v_dot[i][r], wr)
-            comm.add_flops(r, 2 * (j + 1) * wr.size)
-
-        comm.run_ranks(dots_body)
-        h[: j + 1] = comm.allreduce_sum(list(partial), words=partial[0].size)
-        nf = len(w)
-        new_w = [[None] * len(w[0]) for _ in range(nf)]
-
-        def ortho_body(r: int) -> None:
-            for f in range(nf):
-                wr = w[f][r]
-                for i in range(j + 1):
-                    wr = wr - h[i] * basis[f][i][r]
-                new_w[f][r] = wr
-            comm.add_flops(r, 2 * nf * (j + 1) * w[0][r].size)
-
-        comm.run_ranks(ortho_body)
-        return new_w
+def _edd_states(system) -> list:
+    """Per rank: :math:`\\hat A^{(s)}`, the owner mask and the rank's
+    part of the interface plan its ``⊕Σ∂Ω`` runs on."""
+    iface = system.comm.interface_plan()["ranks"]
+    return [
+        {
+            "rank": r,
+            "arrays": dict(_csr_arrays("a", a), mask=mask),
+            "meta": {"csr": {"a": tuple(a.shape)}, "iface": iface[r]},
+        }
+        for r, (a, mask) in enumerate(zip(system.a_local, system.owner_mask))
+    ]
 
 
-# ----------------------------------------------------------------------
-# The resident cycle
-# ----------------------------------------------------------------------
+def _rdd_states(system) -> list:
+    """Per rank: the Eq. 48 blocks and the rank's part of the halo plan
+    — per neighbour ``t`` the indices ``t`` sends and the slots they land
+    in — plus its external-buffer length, sized by the rule of
+    :meth:`Comm.halo_exchange` (max referenced slot + 1) so worker-side
+    halo fills allocate identical buffers."""
+    plan = system.plan
+    states = []
+    for s, (a_loc, a_ext) in enumerate(zip(system.a_loc, system.a_ext)):
+        halo = [
+            (int(t), np.asarray(plan[t][s][0]), np.asarray(recv))
+            for t, (_, recv) in plan[s].items()
+        ]
+        ext = max(
+            (int(recv.max()) + 1 for _, _, recv in halo if len(recv)),
+            default=0,
+        )
+        states.append({
+            "rank": s,
+            "arrays": dict(
+                _csr_arrays("a_loc", a_loc), **_csr_arrays("a_ext", a_ext)
+            ),
+            "meta": {
+                "csr": {
+                    "a_loc": tuple(a_loc.shape), "a_ext": tuple(a_ext.shape),
+                },
+                "halo": halo,
+                "ext": ext,
+            },
+        })
+    return states
+
+
 class StepRows(NamedTuple):
     """What one fused ``step`` dispatch hands back: the partial rows of
     its reductions, one entry per rank."""
@@ -358,39 +357,79 @@ def step_program(precond):
     return None if program is None else (program, aux, n_coarse)
 
 
-class ResidentCycle:
-    """The half of a Krylov space whose restart cycle lives in the
-    workers (mixed into ``_ResidentEDDSpace`` / ``_ResidentRDDSpace``,
-    which supply ``engine``, ``restart``, ``plan`` and, for
-    Algorithm 5, ``basic``, and call :meth:`_seed` from ``start_cycle``
-    and :meth:`_flush` from ``residual``).  One Arnoldi step is ONE
-    ``step`` dispatch, issued by :meth:`precondition` — so its wall time
-    lands in the driver's ``precond_apply`` span — and the three driver
-    calls of a step replay, each inside its own span, what their inline
-    counterparts charge and reduce.
+# ----------------------------------------------------------------------
+# The cycle
+# ----------------------------------------------------------------------
+class KrylovCycle:
+    """The restart-cycle half of an EDD or RDD Krylov space, inline or
+    resident.  The space supplies ``formats`` (EDD carries each vector
+    local- *and* global-distributed, RDD in one format), ``residual``,
+    ``solutions`` and, for the inline strategy, ``_apply`` (the
+    preconditioner on per-rank parts), ``ops`` (the
+    :func:`repro.sparse.arnoldi.matvec` callables) and ``_mgs``; it calls
+    :meth:`_open` from ``start_cycle`` and :meth:`_flush` from
+    ``residual``.
+
+    ``plan`` — the solve's :func:`step_program` result — is given iff
+    the cycle is resident.  Then one Arnoldi step is ONE ``step``
+    dispatch, issued by :meth:`precondition` so its wall time lands in
+    the driver's ``precond_apply`` span, and the three driver calls of a
+    step replay, each inside its own span, what their inline
+    counterparts charge and reduce.  Inline, each driver call runs its
+    phase of the step.
 
     Columns are tracked by id: ``cols`` are the live ones in the
-    driver's position order, ``layout`` the order the workers' blocks
-    hold them in.  The two differ from a retirement until the next
-    step, whose dispatch carries the positions to keep; the workers set
-    the retired columns' ``z`` slots aside (``saved``) for the cycle's
-    one ``axpy``, which applies every ``x`` update the cycle owes
-    (``pending``)."""
+    driver's position order, ``layout`` the order the rank state's
+    blocks hold them in.  The two differ from a retirement until the
+    next step, whose commit compacts the blocks to the positions it
+    keeps and sets the retired columns' ``z`` slots aside (``saved``);
+    every ``x`` update the cycle owes (``pending``) is applied at its end
+    in one pass."""
 
     basic = False
+    cgs = True
     pending: tuple | list = ()
 
-    def _seed(self, cols, *v0) -> None:
-        self.engine.seed_basis(self.restart, *v0)
+    def __init__(self, system, precond, restart, plan, sizes):
+        self.system = system
+        self.precond = precond
+        self.restart = restart
+        self.plan = plan
+        self.comm = system.comm
+        self.stats = system.comm.stats
+        self.sizes = sizes
+        self.engine = None if plan is None else system.rank_engine()
+        #: Inline, each rank's Krylov state (see :mod:`repro.sparse.arnoldi`).
+        self.ranks = [{} for _ in sizes]
+
+    def _charge(self, per_row) -> None:
+        for r, n in enumerate(self.sizes):
+            self.comm.add_flops(r, per_row * n)
+
+    def _reduce(self, partial):
+        rows = [partial[r] for r in range(len(self.sizes))]
+        return self.comm.allreduce_sum(rows, words=np.size(rows[0]))
+
+    def _open(self, cols, v0) -> None:
+        """Open a cycle on column ids ``cols``: ``v0`` is ``v_0``, one
+        parts list per format."""
         self.block = v0[0][0].ndim == 2
         self.cols = list(cols)
         self.layout = list(cols)
         self.saved: list = []
         self.pending = []
+        if self.plan is not None:
+            self.engine.seed_basis(self.restart, *v0)
+            return
+        ranks, restart = self.ranks, self.restart
+        self.comm.run_ranks(
+            lambda r: arnoldi.open_cycle(ranks[r], restart, [v[r] for v in v0])
+        )
 
     def precondition(self, j):
-        """Dispatch step ``j`` — all of it — and replay what
-        ``z_j = C v_j`` charges inline."""
+        """Commit ``v_j`` (compacting retired columns) and ``z_j = C
+        v_j`` — resident: dispatch step ``j``, all of it, and replay
+        what the preconditioner charges."""
         keep = inv_h = None
         if self.layout != self.cols:
             keep = [self.layout.index(c) for c in self.cols]
@@ -401,47 +440,89 @@ class ResidentCycle:
             if not self.block:
                 inv_h = inv_h[0]
         self.tail = (len(self.cols),) if self.block else ()
-        self.rows = self.engine.step(
-            j, inv_h, keep, self.plan, self.basic, self.tail
-        )
-        self.engine.replay_precondition(
-            self.plan, self.rows.coarse, self.tail
-        )
+        if self.plan is not None:
+            self.rows = self.engine.step(
+                j, inv_h, keep, self.plan, self.basic, self.tail
+            )
+            self.engine.replay_precondition(
+                self.plan, self.rows.coarse, self.tail
+            )
+            return
+        ranks = self.ranks
+        if inv_h is not None:
+            self.comm.run_ranks(
+                lambda r: arnoldi.commit(ranks[r], j, keep, inv_h)
+            )
+        self.z = self._apply([e["basis"][-1][j] for e in ranks])
 
     def matvec(self, j):
-        """Replay what ``w = A z_j`` and its exchange charge inline."""
-        self.engine.replay_matvec(self.basic, self.tail)
+        """``w = A z_j`` and its exchange (resident: their charges)."""
+        if self.plan is None:
+            self.z, self.w = arnoldi.matvec(self.z, *self.ops)
+            return
+        if self.basic:
+            self.comm.charge_interface_assemble(self.tail)
+        self.engine.charge_operator(self.tail)
 
     def orthogonalize(self, j):
-        """The step's two reductions on the workers' partial rows;
-        returns the ``(j + 2, live)`` Hessenberg columns."""
-        return self.engine.replay_orthogonalize(
-            j, self.rows, self.basic, self.tail
-        )
+        """The CGS round and the norm — resident: the step's two
+        reductions, for real, on the workers' partial rows (identical
+        tree pairing, so identical bits to the ``h`` the workers
+        orthogonalized with); returns the ``(j + 2, live)`` Hessenberg
+        columns."""
+        if not self.cgs:
+            return self._mgs(j)
+        comm, tail = self.comm, self.tail
+        c = _width(tail)
+        h = np.empty((j + 2,) + tail)
+        if self.plan is None:
+            each = comm.run_ranks
+            h[: j + 1] = arnoldi.cgs(
+                each, self.ranks, j, self.w, self._reduce, self.z
+            )
+            norm = arnoldi.norm(
+                each, self.ranks, self.w, self._reduce, self.ops[2]
+            )
+        else:
+            rows = self.rows
+            h[: j + 1] = comm.allreduce_sum(
+                rows.arn, words=(j + 1) * c
+            ).reshape((j + 1,) + tail)
+            if self.basic:
+                comm.charge_interface_assemble(tail)
+            norm = comm.allreduce_sum(rows.norm, words=c)
+        self._charge(c * (
+            arnoldi.flops("coef", j) + arnoldi.flops("ortho", j, self.formats)
+            + arnoldi.flops("norm")
+        ))
+        h[j + 1] = np.sqrt(np.maximum(norm, 0.0))
+        return h.reshape(j + 2, -1)
 
     def retire(self, pos, col, y):
         """Column ``col`` leaves at live position ``pos``: its update
-        waits for the cycle's ``axpy``, its slots for the next step."""
+        waits for the cycle's end, its slots for the next commit."""
         self.pending.append((col, [y]))
         del self.cols[pos]
 
     def commit(self, j, keep, h_next):
-        """``v_{j+1} = w / h_next``: the workers do it at the head of
-        the next step's dispatch, which carries the scalars (and the
-        positions ``w`` keeps)."""
+        """``v_{j+1} = w / h_next``: charged now, done at the head of
+        the next step, which knows the positions ``w`` keeps."""
         self.inv_h = dict(zip(self.cols, (1.0 / h_next).tolist()))
-        self.engine.charge_commit(len(self.cols))
+        self._charge(
+            arnoldi.flops("commit", formats=self.formats) * len(self.cols)
+        )
 
     def update(self, cols, ys):
         """The columns that rode out the cycle: one batched term of the
-        cycle's ``axpy``."""
+        cycle's ``x`` update."""
         self.pending.append((list(cols), ys))
 
     def _flush(self, x_parts):
-        """Apply every ``x`` update the cycle owes in ONE ``axpy``, each
-        with the ``(cols, sel)`` arguments of the inline update (a
-        retired column: its id and live position, or its set-aside
-        slots); returns the updated parts."""
+        """Apply every ``x`` update the cycle owes in one pass (resident:
+        ONE ``axpy``), each with the ``(cols, sel)`` arguments of
+        :func:`~repro.sparse.dense.add_columns` (a retired column: its id
+        and position, or its set-aside slots); returns the updated
+        parts."""
         terms = []
         for cols, ys in self.pending:
             if isinstance(cols, list):
@@ -452,53 +533,65 @@ class ResidentCycle:
             else:
                 terms.append((cols, self.layout.index(cols), ys, None))
         self.pending = []
-        return self.engine.axpy_update(x_parts, terms)
+        terms = [t for t in terms if np.shape(t[2])[1]]
+        if not terms:
+            return x_parts
+        if self.plan is not None:
+            x_parts = self.engine.axpy_update(x_parts, terms)
+        else:
+            ranks = self.ranks
+            self.comm.run_ranks(
+                lambda r: arnoldi.add_x(ranks[r], x_parts[r], terms)
+            )
+        for _cols, _sel, ys, _saved in terms:
+            n_cols, m = np.shape(ys)
+            self._charge(2 * m * n_cols)
+        return x_parts
 
 
 # ----------------------------------------------------------------------
-# Resident engines
+# The resident engine
 # ----------------------------------------------------------------------
-class ResidentEngine(RankEngine):
-    """What the EDD and RDD resident engines share: state shipping,
-    command dispatch, charge replay and the worker-resident Krylov
-    cycle of CGS FGMRES — ``seed`` / ``step`` / ``axpy``.
+class ResidentEngine:
+    """State shipping, command dispatch and charge replay of a
+    worker-resident EDD or RDD system — the ``seed`` / ``step`` /
+    ``axpy`` rank ops a resident :class:`KrylovCycle` issues.
 
-    In a resident cycle the basis, the ``z`` slots and the work vectors
-    live in the workers (allocated at the first ``seed`` of a system,
-    reused afterwards) and one Arnoldi step is ONE ``step`` dispatch.
-    The orchestrator keeps the iterate and computes the residual,
-    nothing else; per step only the partial rows of the step's
-    reductions come back, and it replays on them — in the driver's
-    ``precond_apply`` / ``matvec`` / ``orthogonalize`` order — the real
-    ``allreduce_sum`` and the charge-only collectives, so ``CommStats``,
-    exchange and reduction spans and the per-iteration metric deltas are
-    the inline ones.  The replay methods take ``tail``, the trailing
-    shape of the step's parts (``()``, or ``(k,)`` for ``k`` live
-    columns).  ``formats`` is how many parts lists a vector has (EDD
-    carries each basis vector local- *and* global-distributed, RDD
-    vectors have one format); ``axpy_flops`` what ``y + x`` charges per
-    element.
+    The two decompositions differ only in data: what ships (EDD
+    :math:`\\hat A^{(s)}` blocks, owner masks and the interface plan;
+    RDD the Eq. 48 blocks and the halo plan), what one operator
+    application charges, ``formats`` (parts lists per vector: EDD 2, RDD
+    1), ``axpy_flops`` (what ``y + x`` charges per element) and
+    ``slot_words`` (the words of one exchange slot per column: EDD one
+    exchange publishes every rank's interface DOFs, packed; RDD every
+    rank's whole operand).  The replay methods take ``tail``, the
+    trailing shape of the step's parts (``()``, or ``(k,)`` for ``k``
+    live columns).
     """
 
     resident = True
-    formats = 1
-    axpy_flops = 2
-    mode = "rdd"
 
-    def __init__(self, system, sizes, slot_words):
-        super().__init__(system)
+    def __init__(self, system):
+        self.system = system
         self.gen = next(_generations)
+        self.mode = "edd" if hasattr(system, "a_local") else "rdd"
+        if self.mode == "edd":
+            sizes = [len(p) for p in system.d_parts]
+            self.slot_words = system.comm.interface_plan()["words"]
+            self.formats, self.axpy_flops = 2, 1
+        else:
+            sizes = [len(o) for o in system.own]
+            self.slot_words = sum(sizes)
+            self.formats, self.axpy_flops = 1, 2
         self.sizes, self.offsets, self.n_total = _layout(sizes)
-        #: Words of one exchange slot of a fused op (per column): what
-        #: the ranks publish for their peers in one exchange.
-        self.slot_words = slot_words
 
     # -- shipping ------------------------------------------------------
     def ensure_shipped(self) -> None:
         """Ship each rank's system state — its CSR blocks and its part
         of the exchange plan — unless the current pool holds this
         generation (a respawned pool re-ships here)."""
-        self.system.comm.ship(self.gen, self._base_states)
+        states = _edd_states if self.mode == "edd" else _rdd_states
+        self.system.comm.ship(self.gen, lambda: states(self.system))
 
     def ensure_aux(self, precond) -> None:
         """Ship a preconditioner's resident state (ILU factors, coarse
@@ -557,10 +650,22 @@ class ResidentEngine(RankEngine):
         return [(base + r * m, m) for r in range(len(self.sizes))]
 
     # -- charge replay -------------------------------------------------
-    def _charge_all(self, per_elem: int) -> None:
-        comm = self.system.comm
+    def charge_operator(self, tail=()) -> None:
+        """What one application of the communicating operator charges
+        inline: EDD ``matvec_assembled``, RDD ``RDDSystem.matvec``."""
+        system = self.system
+        comm = system.comm
+        c = _width(tail)
+        if self.mode == "edd":
+            for r, a in enumerate(system.a_local):
+                comm.add_flops(r, 2 * a.nnz * c)
+            comm.charge_interface_assemble(tail)
+            return
+        comm.charge_halo_exchange(system.plan, tail)
         for r, n in enumerate(self.sizes):
-            comm.add_flops(r, per_elem * n)
+            comm.add_flops(r, 2 * system.a_loc[r].nnz * c)
+            if system.a_ext[r].shape[1]:
+                comm.add_flops(r, 2 * system.a_ext[r].nnz * c + n * c)
 
     def _replay_coarse(self, tl, rows, tail) -> None:
         """Replay the inline charging of one coarse correction around
@@ -591,10 +696,9 @@ class ResidentEngine(RankEngine):
         rows (:attr:`StepRows.coarse`)."""
         program, aux, _nc = plan
         levels = {_aux_key(pc): pc for pc in aux}
+        comm = self.system.comm
         c = _width(tail)
-        vec = _ChargeVec(
-            self.system.comm, [n * c for n in self.sizes], self.axpy_flops
-        )
+        vec = _ChargeVec(comm, [n * c for n in self.sizes], self.axpy_flops)
 
         def operator(u):
             self.charge_operator(tail)
@@ -605,45 +709,12 @@ class ResidentEngine(RankEngine):
             return u
 
         def ilu0(_key, u):
-            self.charge_ilu0(tail)
+            # What one ``BlockJacobiILU.apply_parts`` charges inline.
+            for r, a in enumerate(self.system.a_loc):
+                comm.add_flops(r, 2 * a.nnz * c)
             return u
 
         run_program(program, vec, operator, coarse, ilu0)
-
-    def replay_matvec(self, basic=False, tail=()) -> None:
-        """What the step's ``w = A z_j`` and its exchange charge inline
-        (Algorithm 5 re-assembles ``z_j`` first: exchange 1 of 3)."""
-        if basic:
-            self.system.comm.charge_interface_assemble(tail)
-        self.charge_operator(tail)
-
-    def replay_orthogonalize(self, j, rows: StepRows, basic=False, tail=()):
-        """The step's two reductions, for real, on the workers' partial
-        rows — identical tree pairing, so identical bits to the ``h``
-        the workers orthogonalized with — between the flop (and, for
-        Algorithm 5, exchange 3 of 3) charges of the inline round;
-        returns the ``(j + 2, live)`` Hessenberg columns."""
-        comm = self.system.comm
-        c = _width(tail)
-        h = np.empty((j + 2,) + tail)
-        self._charge_all(2 * (j + 1) * c)
-        h[: j + 1] = comm.allreduce_sum(
-            rows.arn, words=(j + 1) * c
-        ).reshape((j + 1,) + tail)
-        self._charge_all(2 * self.formats * (j + 1) * c)
-        if basic:
-            comm.charge_interface_assemble(tail)
-        self._charge_all(2 * c)
-        h[j + 1] = np.sqrt(
-            np.maximum(comm.allreduce_sum(rows.norm, words=c), 0.0)
-        )
-        return h.reshape(j + 2, -1)
-
-    def charge_commit(self, live: int) -> None:
-        """What normalising ``live`` columns of ``w`` into ``v_{j+1}``
-        charges inline: one flop per element and format (the workers do
-        it at the head of the next ``step``)."""
-        self._charge_all(self.formats * live)
 
     # -- the resident Krylov cycle -------------------------------------
     def seed_basis(self, restart, *v0) -> None:
@@ -667,14 +738,13 @@ class ResidentEngine(RankEngine):
         )
 
     def step(self, j, inv_h, keep, plan, basic=False, tail=()) -> StepRows:
-        """Arnoldi step ``j`` as ONE dispatch: the workers keep the
-        columns at positions ``keep`` (None: all), append ``inv_h`` (one
-        scalar per column; None at ``j == 0``) times the previous step's
-        vector to the basis, apply the preconditioner program, multiply,
-        exchange, orthogonalize and take the norm dot, meeting in the
-        arena where they need each other.  ``plan`` is this solve's
-        :func:`step_program` result, ``tail`` the trailing shape of the
-        step's parts."""
+        """Arnoldi step ``j`` as ONE dispatch: the workers commit
+        ``v_j`` (``inv_h``: one scalar per column, None at ``j == 0``;
+        ``keep``: the positions that stay, None for all), apply the
+        preconditioner program, multiply, exchange, orthogonalize and
+        take the norm dot, meeting in the arena where they need each
+        other.  ``plan`` is this solve's :func:`step_program` result,
+        ``tail`` the trailing shape of the step's parts."""
         program, aux, nc = plan
         for precond in aux:
             self.ensure_aux(precond)
@@ -707,69 +777,23 @@ class ResidentEngine(RankEngine):
 
     def axpy_update(self, x, terms):
         """The cycle's solution update against the workers' ``z``
-        slots: one :func:`~repro.core.distributed.add_columns` per term
-        ``(cols, sel, ys, saved)``, all in ONE dispatch; only ``x`` and
-        the coefficients cross the boundary.  Charges what the inline
-        updates charge; returns the new ``x`` parts."""
-        terms = [t for t in terms if np.shape(t[2])[1]]
-        if not terms:
-            return x
+        slots: :func:`repro.sparse.arnoldi.add_x` with ``terms`` in ONE
+        dispatch; only ``x`` and the coefficients cross the boundary.
+        Returns the new ``x`` parts."""
         k = x[0].shape[1] if x[0].ndim == 2 else None
         c = k or 1
         out = self._dispatch(
             {"name": "axpy", "k": k, "terms": terms},
             self._vec_writes(x, k=c), self._vec_reads(0, c), self.n_total * c,
         )
-        for _cols, _sel, ys, _saved in terms:
-            n_cols, m = np.shape(ys)
-            self._charge_all(2 * m * n_cols)
         return [o.reshape(xp.shape) for o, xp in zip(out, x)]
-
-
-class ResidentEDDEngine(ResidentEngine):
-    """Named rank ops against worker-resident :math:`\\hat A^{(s)}` blocks."""
-
-    formats = 2
-    axpy_flops = 1
-    mode = "edd"
-
-    def __init__(self, system):
-        # One exchange publishes every rank's interface DOFs, packed.
-        super().__init__(
-            system, [len(p) for p in system.d_parts],
-            system.comm.interface_plan()["words"],
-        )
-
-    def _base_states(self) -> list:
-        """Per rank: :math:`\\hat A^{(s)}`, the owner mask and the rank's
-        part of the interface plan its ``⊕Σ∂Ω`` runs on."""
-        system = self.system
-        iface = system.comm.interface_plan()["ranks"]
-        return [
-            {
-                "rank": r,
-                "arrays": dict(_csr_arrays("a", a), mask=mask),
-                "meta": {"csr": {"a": tuple(a.shape)}, "iface": iface[r]},
-            }
-            for r, (a, mask) in enumerate(
-                zip(system.a_local, system.owner_mask)
-            )
-        ]
-
-    def charge_operator(self, tail=()) -> None:
-        """What one ``matvec_assembled`` charges inline."""
-        comm = self.system.comm
-        c = _width(tail)
-        for r, a in enumerate(self.system.a_local):
-            comm.add_flops(r, 2 * a.nnz * c)
-        comm.charge_interface_assemble(tail)
 
     def poly_chain(self, precond, terms, v_hat):
         """One polynomial apply ``z = P(A) v_hat`` on a global-distributed
-        vector as ONE ``chain`` dispatch: the workers run the recurrence
-        (``terms`` is ``precond.chain_terms()``) against their resident
-        blocks, exchanging peer to peer once per degree; the inline
-        charging is replayed afterwards.  No solve calls this:
+        EDD vector as ONE ``chain`` dispatch: the workers run the
+        recurrence (``terms`` is ``precond.chain_terms()``) against their
+        resident blocks, exchanging peer to peer once per degree; the
+        inline charging is replayed afterwards.  No solve calls this:
         ``bench/probes.py`` times the preconditioner through it, so it
         keeps this signature until that probe is re-pointed."""
         n = self.n_total
@@ -784,64 +808,3 @@ class ResidentEDDEngine(ResidentEngine):
         )
         self.replay_precondition((("chain",) + tuple(terms), [], 0), None)
         return DistVector(out, "global", self.system.comm)
-
-
-class ResidentRDDEngine(ResidentEngine):
-    """Named rank ops against worker-resident row blocks (Eq. 48)."""
-
-    def __init__(self, system):
-        # One exchange publishes every rank's whole operand.
-        sizes = [len(o) for o in system.own]
-        super().__init__(system, sizes, sum(sizes))
-
-    def _base_states(self) -> list:
-        """Per rank: the Eq. 48 blocks and the rank's part of the halo
-        plan — per neighbour ``t`` the indices ``t`` sends and the slots
-        they land in — plus its external-buffer length, sized by the
-        rule of :meth:`Comm.halo_exchange` (max referenced slot + 1) so
-        worker-side halo fills allocate identical buffers."""
-        system = self.system
-        plan = system.plan
-        states = []
-        for s, (a_loc, a_ext) in enumerate(zip(system.a_loc, system.a_ext)):
-            halo = [
-                (int(t), np.asarray(plan[t][s][0]), np.asarray(recv))
-                for t, (_, recv) in plan[s].items()
-            ]
-            ext = max(
-                (int(recv.max()) + 1 for _, _, recv in halo if len(recv)),
-                default=0,
-            )
-            states.append({
-                "rank": s,
-                "arrays": dict(
-                    _csr_arrays("a_loc", a_loc), **_csr_arrays("a_ext", a_ext)
-                ),
-                "meta": {
-                    "csr": {
-                        "a_loc": tuple(a_loc.shape),
-                        "a_ext": tuple(a_ext.shape),
-                    },
-                    "halo": halo,
-                    "ext": ext,
-                },
-            })
-        return states
-
-    def charge_operator(self, tail=()) -> None:
-        """What one ``RDDSystem.matvec`` charges inline."""
-        system = self.system
-        comm = system.comm
-        c = _width(tail)
-        comm.charge_halo_exchange(system.plan, tail)
-        for r, n in enumerate(self.sizes):
-            comm.add_flops(r, 2 * system.a_loc[r].nnz * c)
-            if system.a_ext[r].shape[1]:
-                comm.add_flops(r, 2 * system.a_ext[r].nnz * c + n * c)
-
-    def charge_ilu0(self, tail=()) -> None:
-        """What one ``BlockJacobiILU.apply_parts`` charges inline."""
-        comm = self.system.comm
-        c = _width(tail)
-        for r, a in enumerate(self.system.a_loc):
-            comm.add_flops(r, 2 * a.nnz * c)

@@ -75,17 +75,27 @@ KNOBS = [
 ]
 
 
-@pytest.mark.parametrize("name,make", KNOBS, ids=[n for n, _ in KNOBS])
+#: Every knob with "not-a-number", plus the values a timeout cannot take.
+INVALID = [(name, make, "not-a-number") for name, make in KNOBS] + [
+    ("REPRO_PROCESS_TIMEOUT", _make_process_comm, raw)
+    for raw in ("nan", "inf", "0", "-1")
+]
+
+
+@pytest.mark.parametrize(
+    "name,make,raw", INVALID,
+    ids=[n if r == "not-a-number" else f"{n}={r}" for n, _, r in INVALID],
+)
 def test_invalid_knob_raises_named_error_at_construction(
-    name, make, monkeypatch
+    name, make, raw, monkeypatch
 ):
-    monkeypatch.setenv(name, "not-a-number")
+    monkeypatch.setenv(name, raw)
     with pytest.raises(EnvKnobError) as exc:
         comm = make()
         comm.close()  # pragma: no cover - only on unexpected success
     assert exc.value.name == name
-    assert exc.value.value == "not-a-number"
-    assert name in str(exc.value) and "'not-a-number'" in str(exc.value)
+    assert exc.value.value == raw
+    assert name in str(exc.value) and repr(raw) in str(exc.value)
 
 
 @pytest.mark.parametrize("name,make", KNOBS, ids=[n for n, _ in KNOBS])

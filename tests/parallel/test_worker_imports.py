@@ -54,7 +54,8 @@ def test_worker_imports_no_solver_stack(child_python):
     modules = _loaded(
         child_python,
         "import repro.parallel._process_worker\n"
-        "import repro.sparse.csr, repro.sparse.dense, repro.sparse.kernels",
+        "import repro.sparse.csr, repro.sparse.dense, repro.sparse.kernels\n"
+        "import repro.sparse.arnoldi",
     )
     assert "repro.parallel._process_worker" in modules
     assert _heavy(modules) == []
