@@ -162,6 +162,67 @@ def mesh2_scaled():
     return scale_system(p.stiffness, p.load)
 
 
+def _ilu0_block_rows(rng) -> dict:
+    """Seed vs current ILU(0) on rank 0's block of the Mesh2 and Mesh3
+    ``bj-ilu0`` RDD systems at P = 4 (what the ``ilu-rdd-virtual``
+    workload factors and solves): the IKJ factor against the
+    right-looking one, the seed's row loop against the plan solve.
+    Asserts the two give the same bits."""
+    from repro.core.options import SolverOptions
+    from repro.core.session import PreparedSystem
+    from repro.precond.ilu import diag_positions, ilu0_factor
+    from repro.sparse.kernels import ILU0Plan, ilu0_solve
+    from tests.precond.ilu_seed import seed_ilu0_factor, seed_ilu0_solve
+
+    rows = {}
+    for mesh in (2, 3):
+        ps = PreparedSystem.build(
+            cantilever_problem(mesh), n_parts=4,
+            options=SolverOptions(method="rdd", precond="bj-ilu0"),
+        )
+        a = ps.system.a_loc[0]
+        ps.close()
+        seed, lu = seed_ilu0_factor(a), ilu0_factor(a)
+        assert seed.indices.tobytes() == lu.indices.tobytes()
+        assert seed.data.tobytes() == lu.data.tobytes()
+        diag = diag_positions(lu)
+        plan = ILU0Plan(lu.indptr, lu.indices, lu.data, diag)
+        v = rng.standard_normal(a.shape[0])
+
+        def seed_apply():
+            return seed_ilu0_solve(
+                lu.indptr, lu.indices, lu.data, diag, diag, v.copy()
+            )
+
+        assert seed_apply().tobytes() == ilu0_solve(plan, v.copy()).tobytes()
+        row = {
+            "n": a.shape[0],
+            "nnz": a.nnz,
+            "factor_us": {
+                "seed": _best_mean_us(lambda: seed_ilu0_factor(a), reps=3),
+                "right_looking": _best_mean_us(lambda: ilu0_factor(a), reps=3),
+            },
+            "apply_us": {
+                "seed": _best_mean_us(seed_apply, reps=20),
+                "plan": _best_mean_us(
+                    lambda: ilu0_solve(plan, v.copy()), reps=20
+                ),
+            },
+            "plan_build_us": _best_mean_us(
+                lambda: ILU0Plan(lu.indptr, lu.indices, lu.data, diag),
+                reps=3,
+            ),
+        }
+        row["factor_speedup_vs_seed"] = (
+            row["factor_us"]["seed"] / row["factor_us"]["right_looking"]
+        )
+        row["apply_speedup_vs_seed"] = (
+            row["apply_us"]["seed"] / row["apply_us"]["plan"]
+        )
+        rows[f"mesh{mesh}_p4_rank0"] = row
+    return rows
+
+
 def test_bench_kernel_suite_json(mesh4_scaled, mesh2_scaled):
     """Time every kernel on every available backend, record the table to
     ``BENCH_kernels.json``, and assert the headline acceptance number:
@@ -236,12 +297,10 @@ def test_bench_kernel_suite_json(mesh4_scaled, mesh2_scaled):
     poly["speedup_vs_seed"]["best"] = best
     report["poly_apply_gls7"] = poly
 
-    # ILU(0) setup + apply at Mesh2 scale.  The seed scanned for the
+    # ILU(0) at Mesh2 scale: the diagonal scan.  The seed scanned for the
     # diagonal positions with one Python ``searchsorted`` per row; the
     # fix is a single searchsorted over the whole row-sorted index array
-    # (repro.precond.ilu.diag_positions).  Apply stays the reference
-    # slice-dot row loop via the kernel-backend dispatch, so its rows
-    # document per-backend cost rather than a speedup claim.
+    # (repro.precond.ilu.diag_positions).
     from repro.precond.ilu import ILU0Preconditioner, diag_positions
 
     ilu2 = ILU0Preconditioner(a2)
@@ -264,16 +323,11 @@ def test_bench_kernel_suite_json(mesh4_scaled, mesh2_scaled):
                 lambda: diag_positions(lu2), reps=10
             ),
         },
-        "apply_us": {},
+        "blocks": _ilu0_block_rows(rng),
     }
     ilu0["diag_scan_speedup_vs_seed"] = (
         ilu0["diag_scan_us"]["seed"] / ilu0["diag_scan_us"]["vectorized"]
     )
-    for name in backends:
-        with use_backend(name):
-            ilu0["apply_us"][name] = _best_mean_us(
-                lambda: ilu2.apply(v2), reps=10
-            )
     report["ilu0"] = ilu0
 
     out_path = REPO_ROOT / "BENCH_kernels.json"
@@ -300,3 +354,8 @@ def test_bench_kernel_suite_json(mesh4_scaled, mesh2_scaled):
         f"{ilu0['diag_scan_speedup_vs_seed']:.2f}x the seed (need >= 2x): "
         f"{ilu0['diag_scan_us']}"
     )
+    # The right-looking factor and the plan solve must beat the seed's
+    # IKJ loop and row loop (bitwise equality is asserted while timing).
+    for mesh, row in ilu0["blocks"].items():
+        assert row["factor_speedup_vs_seed"] >= 3.0, (mesh, row)
+        assert row["apply_speedup_vs_seed"] >= 1.5, (mesh, row)

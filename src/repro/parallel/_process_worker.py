@@ -387,20 +387,23 @@ def _coarse(f, key, v):  # pragma: no cover
 
 def _ilu0_apply(aux, v):  # pragma: no cover
     """Block-Jacobi ILU0 apply against one rank's shipped factors: the
-    copy the inline ``z = v.copy()`` makes, then the backend solve the
-    inline path runs; a block is solved column by column, as
-    ``BlockJacobiILU.apply_parts`` does."""
+    copy the inline ``z = v.copy()`` makes, then the kernel solve the
+    inline path runs, over a plan built on first use and kept in the
+    held entry beside the factor it slices; a block is solved column by
+    column, as ``BlockJacobiILU.apply_parts`` does."""
+    plan = aux.get("plan")
+    if plan is None:
+        plan = aux["plan"] = kernels.ILU0Plan(
+            aux["indptr"], aux["indices"], aux["data"], aux["diag_pos"]
+        )
     if v.ndim == 2:
         out = np.empty_like(v)
         for c in range(v.shape[1]):
-            out[:, c] = _ilu0_apply(aux, np.ascontiguousarray(v[:, c]))
+            out[:, c] = kernels.ilu0_solve(
+                plan, np.array(v[:, c], order="C")
+            )
         return out
-    zv = np.array(v)
-    kernels.get_backend().ilu0_solve(
-        aux["indptr"], aux["indices"], aux["data"],
-        aux["diag_pos"], aux["split"], zv,
-    )
-    return zv
+    return kernels.ilu0_solve(plan, np.array(v))
 
 
 def _precondition(f, program, v):  # pragma: no cover

@@ -62,8 +62,9 @@ detect out-of-phase workers.
 
 Tuning environment variables (read at construction):
 
-* ``REPRO_PROCESS_WORKERS`` — worker count cap (default: usable cores, at
-  least 2 so the multi-worker paths are exercised on single-core runners).
+* ``REPRO_PROCESS_WORKERS`` — worker count cap, a positive integer
+  (default: usable cores, at least 2 so the multi-worker paths are
+  exercised on single-core runners).
 * ``REPRO_PROCESS_MIN_WORK`` — residency threshold: a system whose
   matvec costs at least this many scalar operations runs its rank ops
   worker-resident, a smaller one inline (default 32768; identical results
@@ -90,7 +91,9 @@ import numpy as np
 
 from repro.parallel._process_worker import HEADER_BYTES, worker_main
 from repro.parallel.comm import VirtualComm, guard_nested_comm
-from repro.parallel.env_knobs import read_float_env, read_int_env
+from repro.parallel.env_knobs import (
+    EnvKnobError, read_float_env, read_int_env,
+)
 from repro.partition.interface import SubdomainMap
 
 _DEFAULT_MIN_WORK = 32768
@@ -158,11 +161,17 @@ def usable_cores() -> int:
 
 
 def _default_workers() -> int:
-    """Worker cap from ``REPRO_PROCESS_WORKERS`` or the usable cores (min 2)."""
-    env = os.environ.get("REPRO_PROCESS_WORKERS")
-    if env and env.strip():
-        return max(1, read_int_env("REPRO_PROCESS_WORKERS", 1))
-    return max(2, usable_cores())
+    """Worker cap from ``REPRO_PROCESS_WORKERS`` (a positive integer) or
+    the usable cores (min 2)."""
+    workers = read_int_env("REPRO_PROCESS_WORKERS", None)
+    if workers is None:
+        return max(2, usable_cores())
+    if workers < 1:
+        raise EnvKnobError(
+            "REPRO_PROCESS_WORKERS", os.environ["REPRO_PROCESS_WORKERS"],
+            "a positive integer",
+        )
+    return workers
 
 
 #: What sizes a worker's BLAS thread pool when its library loads.

@@ -159,8 +159,9 @@ def _btimeout(comm) -> float:
 
 def _aux_states(precond) -> list:
     """What of a factor-state preconditioner ships to the workers.
-    Block-Jacobi ILU0: each rank's combined L/U CSR factor plus the
-    diagonal-position/split tables the backend ``ilu0_solve`` reads.
+    Block-Jacobi ILU0: each rank's combined L/U CSR factor plus its
+    diagonal positions, from which the worker builds the
+    ``kernels.ILU0Plan`` the solves run over.
     Two-level: the small factorized Galerkin matrix, kept by every
     worker (rank None — the redundant-solve trade the inline path
     makes), plus each rank's restriction/prolongation basis blocks (both
@@ -177,7 +178,6 @@ def _aux_states(precond) -> list:
                     "indices": ilu._lu.indices,
                     "data": ilu._lu.data,
                     "diag_pos": ilu._diag_pos,
-                    "split": ilu._split,
                 },
             }
             for r, ilu in enumerate(precond._local)

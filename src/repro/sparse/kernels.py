@@ -24,14 +24,16 @@ implement the same three kernels against the *duck-typed* matrix object
 * ``rmatvec(a, y, out)``  — ``out = A.T @ y``
 * ``matmat(a, X, out)``   — ``out = A @ X`` for ``(m, k)`` blocks (SpMM)
 
-plus one raw-array kernel used by the ILU(0) preconditioner (and by
-resident workers applying shipped factors):
+The ILU(0) triangular solves are not a backend method: both backends
+would run the same row loop.  One kernel serves the inline preconditioner
+and the resident workers applying shipped factors:
 
-* ``ilu0_solve(indptr, indices, data, diag_pos, split, z)`` — in-place
-  forward/backward substitution ``z <- U^{-1} L^{-1} z`` through an
-  in-pattern LU whose rows are column-sorted, with ``split[i]`` the index
-  one past row ``i``'s strictly-lower entries and ``diag_pos[i]`` the
-  position of its diagonal entry.
+* ``ILU0Plan(indptr, indices, data, diag_pos)`` — the per-row operands of
+  the solves through an in-pattern LU whose rows are column-sorted, with
+  ``diag_pos[i]`` the position of row ``i``'s diagonal; built once per
+  factor.
+* ``ilu0_solve(plan, z)`` — in-place forward/backward substitution
+  ``z <- U^{-1} L^{-1} z`` over that plan.
 
 Backends assume matrices are immutable after construction (the repo-wide
 convention ``CSRMatrix`` documents): cached derived arrays are never
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import inspect
 import os
+import threading
 import weakref
 from contextlib import contextmanager
 
@@ -54,6 +57,8 @@ __all__ = [
     "set_backend",
     "use_backend",
     "accepts_out",
+    "ILU0Plan",
+    "ilu0_solve",
 ]
 
 
@@ -144,29 +149,6 @@ class NumpyBackend:
             out[:, j] = ycol
         return out
 
-    def ilu0_solve(self, indptr, indices, data, diag_pos, split, z):
-        """In-place ``z <- U^{-1} L^{-1} z`` through an in-pattern LU.
-
-        Row ``i``'s strictly-lower entries live at ``[indptr[i],
-        split[i])`` and its diagonal at ``diag_pos[i]``; this is the
-        reference implementation every other backend must match in exact
-        arithmetic order (slice-dot per row, forward then backward).
-        """
-        n = len(indptr) - 1
-        # Forward solve  L z = v  (unit lower triangular).
-        for i in range(n):
-            lo, d = indptr[i], split[i]
-            if d > lo:
-                z[i] -= data[lo:d] @ z[indices[lo:d]]
-        # Backward solve  U z = z.
-        for i in range(n - 1, -1, -1):
-            d, hi = diag_pos[i], indptr[i + 1]
-            s = z[i]
-            if hi > d + 1:
-                s -= data[d + 1 : hi] @ z[indices[d + 1 : hi]]
-            z[i] = s / data[d]
-        return z
-
 
 class ScipyBackend(NumpyBackend):
     """C-loop kernels from ``scipy.sparse._sparsetools``.
@@ -215,6 +197,67 @@ class ScipyBackend(NumpyBackend):
         )
         out[:] = buf
         return out
+
+
+# ----------------------------------------------------------------------
+# ILU(0) triangular solves
+# ----------------------------------------------------------------------
+class ILU0Plan:
+    """The operands of the triangular solves through one ILU(0) factor,
+    sliced out once so a solve pays no per-row index arithmetic.
+
+    ``lower`` holds ``(i, values, columns)`` for every row with a
+    strictly-lower part, in forward order; ``upper`` holds ``(i, values,
+    columns, pivot)`` for every row, in backward order, the slices
+    covering the entries right of the diagonal.  The slices are views of
+    the factor's arrays and the pivots are copied out, so a plan belongs
+    to the one (immutable) factor it was built from.
+    """
+
+    __slots__ = ("lower", "upper")
+
+    def __init__(self, indptr, indices, data, diag_pos):
+        ptr = indptr.tolist()
+        diag = diag_pos.tolist()
+        self.lower = [
+            (i, data[lo:d], indices[lo:d])
+            for i, (lo, d) in enumerate(zip(ptr, diag))
+            if d > lo
+        ]
+        self.upper = [
+            (i, data[diag[i] + 1:ptr[i + 1]],
+             indices[diag[i] + 1:ptr[i + 1]], float(data[diag[i]]))
+            for i in range(len(diag) - 1, -1, -1)
+        ]
+
+
+def ilu0_solve(plan: ILU0Plan, z):
+    """In-place ``z <- U^{-1} L^{-1} z`` over an :class:`ILU0Plan`.
+
+    One dot of a row's values with ``z`` gathered at its columns per
+    row, forward then backward: the row loop is Python, so the plan
+    keeps everything but that gather and dot out of it.  An empty upper
+    slice dots to ``+0.0``, which leaves the row's value unchanged to
+    the bit.  Both loops below run the same BLAS ddot on the same
+    operands, so they give the same bits.
+    """
+    if threading.active_count() > 1:
+        # ``take`` and ``ndarray.dot`` release the GIL on every call,
+        # however small: beside another thread (the service's executor)
+        # each row would hand the GIL over twice and wait for it back.
+        # Fancy indexing and ``@`` keep it (below 500 elements), at
+        # about a fifth more time per row.
+        for i, dl, il in plan.lower:
+            z[i] = z[i] - dl @ z[il]
+        for i, du, iu, piv in plan.upper:
+            z[i] = (z[i] - du @ z[iu]) / piv
+        return z
+    take = z.take
+    for i, dl, il in plan.lower:
+        z[i] = z[i] - dl.dot(take(il))
+    for i, du, iu, piv in plan.upper:
+        z[i] = (z[i] - du.dot(take(iu))) / piv
+    return z
 
 
 # ----------------------------------------------------------------------

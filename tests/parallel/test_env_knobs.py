@@ -75,10 +75,13 @@ KNOBS = [
 ]
 
 
-#: Every knob with "not-a-number", plus the values a timeout cannot take.
+#: Every knob with "not-a-number", plus the values a timeout cannot take
+#: and the worker counts that are not positive.
 INVALID = [(name, make, "not-a-number") for name, make in KNOBS] + [
     ("REPRO_PROCESS_TIMEOUT", _make_process_comm, raw)
     for raw in ("nan", "inf", "0", "-1")
+] + [
+    ("REPRO_PROCESS_WORKERS", _make_process_comm, raw) for raw in ("0", "-1")
 ]
 
 

@@ -329,7 +329,7 @@ def test_deleted_rank_ops_are_unknown(name):
 
 def test_bench_probe_surface_resident_and_inline(mesh2_problem, monkeypatch):
     """``bench/probes.py`` times the preconditioner through
-    ``rank_engine().resident`` and ``ResidentEDDEngine.poly_chain``:
+    ``rank_engine().resident`` and ``ResidentEngine.poly_chain``:
     both must keep working, resident and inline, with the same bits."""
     import sys
     from pathlib import Path

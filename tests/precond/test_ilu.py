@@ -61,6 +61,43 @@ def test_missing_diagonal_raises():
         ilu0_factor(a)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entry_names_its_row(bad):
+    """A NaN used to make the pivot threshold NaN (the factor then
+    "succeeded" and every apply returned NaN); an Inf made it infinite
+    (and row 0, pivot 4.0, was blamed).  Both now name the row that
+    holds the non-finite entry."""
+    dense = 4.0 * np.eye(3) - np.eye(3, k=1) - np.eye(3, k=-1)
+    dense[1, 1] = bad
+    # Full pattern built by hand: from_dense would drop a NaN.
+    a = CSRMatrix((3, 3), [0, 3, 6, 9], np.tile(np.arange(3), 3), dense.ravel())
+    with pytest.raises(
+        SingularPreconditionerError, match="non-finite entry in row 1"
+    ):
+        ilu0_factor(a)
+
+
+def test_overflow_to_nan_pivot_names_its_row():
+    """Finite entries whose elimination overflows: rows 0 and 1 pivot
+    on 1e287 (above the 1e-14 * 1e300 threshold), so ``l_20 = l_21 =
+    1e13`` and row 2's pivot takes ``1 - inf`` from step 0 and
+    ``- (-inf)`` from step 1: NaN.  A NaN pivot is not above the
+    threshold, so it is rejected like a zero one (a ``<= tiny`` test
+    would let it through)."""
+    big, piv = 1e300, 1e287
+    a = CSRMatrix(
+        (3, 3),
+        [0, 2, 4, 7],
+        [0, 2, 1, 2, 0, 1, 2],
+        [piv, big, piv, -big, big, big, 1.0],
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(
+            SingularPreconditionerError, match="zero pivot at row 2"
+        ):
+            ilu0_factor(a)
+
+
 def test_floating_subdomain_singular():
     """Section 3.2.3: a subdomain with no Dirichlet support 'floats' — its
     local stiffness is singular and local ILU breaks down."""

@@ -16,6 +16,7 @@ from repro.sparse.kernels import (
     accepts_out,
     available_backends,
     get_backend,
+    ilu0_solve,
     set_backend,
     use_backend,
 )
@@ -283,45 +284,44 @@ def _ilu0_case(rng, n=10):
     d += (n + np.abs(d).sum(axis=1)) * np.eye(n)  # diag dominant, full diag
     a = CSRMatrix.from_dense(d, tol=-1.0)
     ilu = ILU0Preconditioner(a)
-    lu = ilu._lu
-    return lu, ilu._diag_pos, ilu._split, rng.standard_normal(n)
+    return ilu._lu, ilu._diag_pos, ilu._plan, rng.standard_normal(n)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_ilu0_solve_matches_dense_triangular(backend, rng):
-    """Each backend's fused forward/backward solve equals the dense
-    unit-lower / upper triangular solves through the same factor."""
-    lu, diag_pos, split, v = _ilu0_case(rng)
+    """The plan's forward/backward solve equals the dense unit-lower /
+    upper triangular solves through the same factor, under every
+    kernel backend (none of them takes part)."""
+    lu, diag_pos, plan, v = _ilu0_case(rng)
     dense = lu.toarray()
     low = np.tril(dense, -1) + np.eye(lu.shape[0])
     up = np.triu(dense)
     ref = np.linalg.solve(up, np.linalg.solve(low, v))
     with use_backend(backend):
-        z = get_backend().ilu0_solve(
-            lu.indptr, lu.indices, lu.data, diag_pos, split, v.copy()
-        )
+        z = ilu0_solve(plan, v.copy())
     np.testing.assert_allclose(z, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_ilu0_solve_backends_agree_bitwise(rng):
-    """The exact-arithmetic-order contract: every backend runs the same
-    slice-dot row loop, so results are bitwise equal, not just close."""
-    lu, diag_pos, split, v = _ilu0_case(rng)
+    """The exact-arithmetic-order contract: under every backend the plan
+    solve runs the seed's slice-dot row loop's arithmetic, so results
+    are bitwise equal to that loop, not just close."""
+    from tests.precond.ilu_seed import seed_ilu0_solve
+
+    lu, diag_pos, plan, v = _ilu0_case(rng)
     results = {}
     for backend in BACKENDS:
         with use_backend(backend):
-            results[backend] = get_backend().ilu0_solve(
-                lu.indptr, lu.indices, lu.data, diag_pos, split, v.copy()
-            )
-    ref = results["numpy"]
+            results[backend] = ilu0_solve(plan, v.copy())
+    ref = seed_ilu0_solve(
+        lu.indptr, lu.indices, lu.data, diag_pos, diag_pos, v.copy()
+    )
     for backend, z in results.items():
         assert z.tobytes() == ref.tobytes(), backend
 
 
 def test_ilu0_solve_is_in_place(rng):
-    lu, diag_pos, split, v = _ilu0_case(rng)
+    lu, diag_pos, plan, v = _ilu0_case(rng)
     z = v.copy()
-    out = get_backend().ilu0_solve(
-        lu.indptr, lu.indices, lu.data, diag_pos, split, z
-    )
+    out = ilu0_solve(plan, z)
     assert out is z
