@@ -326,6 +326,15 @@ class EDDSystem:
         This is the operator the polynomial recurrences iterate."""
         return self.assemble(self.matvec_local(v))
 
+    def _program_ops(self):
+        """The vector type and operator a preconditioner program runs
+        over inline: global-distributed :class:`DistVector` parts and
+        :meth:`matvec_assembled`."""
+        comm = self.comm
+        return (
+            lambda parts: DistVector(parts, "global", comm)
+        ), self.matvec_assembled
+
     def dot(self, local: DistVector, glob: DistVector):
         """The mixed-format inner product of Eq. 33:
         :math:`\\langle x, y\\rangle = \\sum_s \\langle \\tilde x^{(s)},

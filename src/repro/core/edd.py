@@ -31,42 +31,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.distributed import DistVector, EDDSystem, _as_cols, _rows
-from repro.parallel.resident import KrylovCycle, step_program
-from repro.precond.base import PolynomialPreconditioner
-from repro.precond.coarse import TwoLevelPreconditioner, TwoLevelSpec
+from repro.parallel.resident import KrylovCycle
+from repro.precond.spec import _bind, make_preconditioner
 from repro.solvers.krylov import restarted_fgmres
 from repro.solvers.result import SolveResult
-
-
-def _resolve_precond(system, options):
-    """Parse ``options.precond`` and bind system-dependent markers (the
-    two-level composite) to the built system."""
-    from repro.precond.spec import make_preconditioner
-
-    precond = make_preconditioner(options.precond)
-    if isinstance(precond, TwoLevelSpec):
-        precond = TwoLevelPreconditioner.build(system, precond)
-    return precond
-
-
-def _precondition(system: EDDSystem, precond, v_hat):
-    """Apply the polynomial preconditioner through the communicating
-    operator: ``m`` matvecs, each followed by one interface assembly
-    (the distributed Algorithm 7); a two-level preconditioner adds its
-    coarse correction around the same recurrence.  For an ``(n, k)``
-    block ``v_hat`` it is the same recurrence, each matvec one SpMM + ONE
-    interface assembly for all ``k`` columns."""
-    if precond is None:
-        return v_hat.copy()
-    if isinstance(precond, TwoLevelPreconditioner):
-        return precond.apply_edd(system, v_hat)
-    if not isinstance(precond, PolynomialPreconditioner):
-        raise TypeError(
-            "EDD-FGMRES requires a polynomial or two-level preconditioner "
-            "(or None): factorization preconditioners cannot be applied to "
-            "unassembled local-distributed matrices"
-        )
-    return precond.apply_linear(system.matvec_assembled, v_hat)
 
 
 class _EDDSpace(KrylovCycle):
@@ -75,15 +43,18 @@ class _EDDSpace(KrylovCycle):
     :class:`DistVector` pairs shaped like the right-hand side ``b`` —
     vector parts for one column, ``(n, k)`` parts for ``k``.  Its cycle
     (:class:`~repro.parallel.resident.KrylovCycle`) runs inline through
-    ``Comm.run_ranks``, or in the pool workers given a step ``plan``; the
-    orchestrator keeps ``x`` and computes the residual either way."""
+    ``Comm.run_ranks``, or ``resident`` in the pool workers; its
+    preconditioner is the step program either way — ``m`` matvecs, each
+    followed by one interface assembly (the distributed Algorithm 7),
+    for all ``k`` columns of a block at once.  The orchestrator keeps
+    ``x`` and computes the residual."""
 
     formats = 2
 
     def __init__(self, system: EDDSystem, b: DistVector, precond, basic,
-                 cgs, restart, plan):
+                 cgs, restart, resident):
         super().__init__(
-            system, precond, restart, plan, [len(p) for p in b.parts]
+            system, precond, restart, resident, [len(p) for p in b.parts]
         )
         self.basic = basic
         self.cgs = cgs
@@ -132,11 +103,6 @@ class _EDDSpace(KrylovCycle):
         self._open(cols, [(r_loc * (1.0 / betas)).parts,
                           (r_hat * (1.0 / betas)).parts])
 
-    def _apply(self, v):
-        return _precondition(
-            self.system, self.precond, self._vec(v, "global")
-        ).parts
-
     def _mgs(self, j):
         """Modified Gram-Schmidt: numerically sturdier, but each
         projection needs the *updated* w — j+1 sequential allreduces per
@@ -176,14 +142,12 @@ class _EDDSpace(KrylovCycle):
 
 def _make_space(system, b, precond, basic, cgs, restart):
     """The Krylov space of one solve, vectors or blocks alike: its cycle
-    runs in the pool workers when the engine is resident, the
-    orthogonalization is CGS and the preconditioner has a worker-side
-    program (:func:`~repro.parallel.resident.step_program`); everything
-    else — MGS, a preconditioner without a program — runs inline."""
-    plan = None
-    if cgs and system.rank_engine().resident:
-        plan = step_program(precond)
-    return _EDDSpace(system, b, precond, basic, cgs, restart, plan)
+    runs in the pool workers iff the engine is resident and the
+    orthogonalization is CGS (MGS runs inline); either way its
+    preconditioner is its :func:`~repro.parallel.resident.step_program`,
+    and one without a program raises ``TypeError`` here."""
+    resident = cgs and system.rank_engine().resident
+    return _EDDSpace(system, b, precond, basic, cgs, restart, resident)
 
 
 def _configure(system, precond, restart, tol, max_iter, variant,
@@ -198,7 +162,7 @@ def _configure(system, precond, restart, tol, max_iter, variant,
         if options.method in ("edd-basic", "edd-enhanced"):
             variant = options.method[len("edd-"):]
         if precond is None:
-            precond = _resolve_precond(system, options)
+            precond = _bind(make_preconditioner(options.precond), system)
     if variant not in ("basic", "enhanced"):
         raise ValueError("variant must be 'basic' or 'enhanced'")
     if orthogonalization not in ("cgs", "mgs"):

@@ -34,12 +34,11 @@ from repro.core.distributed import (
 from repro.fem.bc import DirichletBC
 from repro.fem.mesh import Mesh
 from repro.parallel.comm import Comm, make_comm
-from repro.parallel.resident import KrylovCycle, step_program
+from repro.parallel.resident import KrylovCycle
 from repro.partition.interface import SubdomainMap
 from repro.partition.node_partition import NodePartition
-from repro.precond.base import PolynomialPreconditioner
-from repro.precond.coarse import TwoLevelPreconditioner, TwoLevelSpec
 from repro.precond.scaling import norm1_scaling
+from repro.precond.spec import _bind, make_preconditioner
 from repro.solvers.krylov import restarted_fgmres
 from repro.solvers.result import SolveResult
 from repro.sparse.csr import CSRMatrix
@@ -119,6 +118,15 @@ class RDDSystem:
 
         comm.run_ranks(body)
         return out
+
+    def _program_ops(self):
+        """The vector type and operator a preconditioner program runs
+        over inline: :class:`_RDDVector` parts and the halo-exchanging
+        :meth:`matvec`."""
+        def wrap(parts):
+            return _RDDVector(parts, self)
+
+        return wrap, lambda u: wrap(self.matvec(u.parts))
 
     @property
     def nnz_total(self) -> int:
@@ -318,9 +326,10 @@ def _scale_parts(comm, alpha, x_parts):
 
 
 class _RDDVector:
-    """Minimal arithmetic wrapper so polynomial ``apply_linear`` recurrences
-    run unchanged on row-partitioned vectors and ``(n_own, k)`` part
-    blocks (elementwise, so block columns are exact single vectors)."""
+    """Minimal arithmetic wrapper so the preconditioner programs
+    (:mod:`repro.sparse.recurrences`) run unchanged on row-partitioned
+    vectors and ``(n_own, k)`` part blocks (elementwise, so block
+    columns are exact single vectors)."""
 
     __slots__ = ("parts", "system")
 
@@ -352,46 +361,6 @@ class _RDDVector:
     __rmul__ = __mul__
 
 
-def _resolve_precond_rdd(system: RDDSystem, options):
-    """Parse ``options.precond`` and bind system-dependent markers
-    (``"bj-ilu0"``, two-level composites) to the built system."""
-    from repro.precond.spec import BJ_ILU0_MARKER, make_preconditioner
-
-    precond = make_preconditioner(options.precond)
-    if precond == BJ_ILU0_MARKER:
-        from repro.precond.block_jacobi import BlockJacobiILU
-
-        precond = BlockJacobiILU(system)
-    elif isinstance(precond, TwoLevelSpec):
-        precond = TwoLevelPreconditioner.build(system, precond)
-    return precond
-
-
-def _precondition_rdd(system: RDDSystem, precond, v_parts: list) -> list:
-    """``z = C v`` on per-rank parts — vectors, or ``(n_own, k)`` blocks
-    for the batched path: polynomial recurrences run through the
-    (coalesced) halo-exchanging matvec, one exchange per degree for all
-    ``k`` columns; block-Jacobi solves per rank (and column) locally."""
-    if precond is None:
-        return [p.copy() for p in v_parts]
-    if isinstance(precond, TwoLevelPreconditioner):
-        return precond.apply_rdd(system, v_parts)
-    if hasattr(precond, "apply_parts"):
-        # Block-Jacobi-style local preconditioner (Section 4.1.2): solve
-        # per-rank with the diagonal block, no communication.
-        return precond.apply_parts(v_parts)
-    if not isinstance(precond, PolynomialPreconditioner):
-        raise TypeError(
-            "rdd_fgmres applies polynomial preconditioners through the "
-            "halo-exchanging matvec; wrap other preconditioners yourself"
-        )
-    vec = _RDDVector([p.copy() for p in v_parts], system)
-    out = precond.apply_linear(
-        lambda v: _RDDVector(system.matvec(v.parts), system), vec
-    )
-    return out.parts
-
-
 def _take_cols_parts(parts, idx):
     idx = np.asarray(idx, dtype=np.int64)
     return [_take_cols(p, idx) for p in parts]
@@ -403,13 +372,17 @@ class _RDDSpace(KrylovCycle):
     disjoint DOF sets shaped like the right-hand side ``b`` — vectors for
     one column, ``(n_own, k)`` blocks for ``k``.  Its cycle
     (:class:`~repro.parallel.resident.KrylovCycle`) runs inline through
-    ``Comm.run_ranks``, or in the pool workers given a step ``plan``."""
+    ``Comm.run_ranks``, or ``resident`` in the pool workers; its
+    preconditioner is the step program either way — a polynomial through
+    the halo-exchanging matvec, one (coalesced) exchange per degree;
+    block-Jacobi solves per rank, without communication."""
 
     formats = 1
 
-    def __init__(self, system: RDDSystem, b: list, precond, restart, plan):
+    def __init__(self, system: RDDSystem, b: list, precond, restart,
+                 resident):
         super().__init__(
-            system, precond, restart, plan, [len(bb) for bb in b]
+            system, precond, restart, resident, [len(bb) for bb in b]
         )
         self.b = b
         self.k = _n_cols(b[0])
@@ -435,9 +408,6 @@ class _RDDSpace(KrylovCycle):
             r = _take_cols_parts(r, sel)
         self._open(cols, [_scale_parts(self.comm, 1.0 / betas, r)])
 
-    def _apply(self, v):
-        return _precondition_rdd(self.system, self.precond, v)
-
     def solutions(self):
         system = self.system
         u = np.zeros((system.n_global,) + self.x[0].shape[1:])
@@ -449,11 +419,11 @@ class _RDDSpace(KrylovCycle):
 
 def _make_space(system, b, precond, restart):
     """The Krylov space of one solve, vectors or blocks alike: its cycle
-    runs in the pool workers when the engine is resident and the
-    preconditioner has a worker-side program
-    (:func:`~repro.parallel.resident.step_program`); inline otherwise."""
-    plan = step_program(precond) if system.rank_engine().resident else None
-    return _RDDSpace(system, b, precond, restart, plan)
+    runs in the pool workers iff the engine is resident; either way its
+    preconditioner is its :func:`~repro.parallel.resident.step_program`,
+    and one without a program raises ``TypeError`` here."""
+    resident = system.rank_engine().resident
+    return _RDDSpace(system, b, precond, restart, resident)
 
 
 def _configure(system, precond, restart, tol, max_iter, options):
@@ -464,7 +434,7 @@ def _configure(system, precond, restart, tol, max_iter, options):
         tol = options.tol
         max_iter = options.max_iter
         if precond is None:
-            precond = _resolve_precond_rdd(system, options)
+            precond = _bind(make_preconditioner(options.precond), system)
     if restart < 1:
         raise ValueError("restart must be >= 1")
     return precond, restart, tol, max_iter

@@ -50,8 +50,8 @@ from repro.parallel.machine import MachineModel, modeled_time
 from repro.parallel.stats import CommStats
 from repro.partition.element_partition import ElementPartition
 from repro.partition.node_partition import NodePartition
-from repro.precond.coarse import TwoLevelPreconditioner, TwoLevelSpec
-from repro.precond.spec import BJ_ILU0_MARKER, make_preconditioner
+from repro.precond.coarse import TwoLevelSpec
+from repro.precond.spec import BJ_ILU0_MARKER, _bind, make_preconditioner
 from repro.sparse.kernels import use_backend
 
 #: SolverOptions fields baked into a prepared system (changing any of them
@@ -258,14 +258,6 @@ class PreparedSystem:
                         "bj-ilu0 is a local (assembled-block) preconditioner; "
                         "it only applies to the rdd method"
                     )
-                if pc is None:
-                    pc_name = "I"
-                elif pc == BJ_ILU0_MARKER:
-                    pc_name = "BJ-ILU0"
-                elif isinstance(pc, TwoLevelSpec):
-                    pc_name = pc.spec  # refined once bound to the system
-                else:
-                    pc_name = pc.name
                 method = options.method
 
                 if method in ("edd-basic", "edd-enhanced"):
@@ -316,34 +308,17 @@ class PreparedSystem:
                     )
                     if traced:
                         trc.end()
-                    if pc == BJ_ILU0_MARKER:
-                        from repro.precond.block_jacobi import BlockJacobiILU
-
-                        if traced:
-                            trc.begin("precond_build", "phase")
-                        pc = BlockJacobiILU(system)
-                        if traced:
-                            trc.end()
-                        pc_name = pc.name
                 else:  # pragma: no cover - SolverOptions validates upstream
                     raise ValueError(f"unknown method {method!r}")
-                if isinstance(pc, TwoLevelSpec):
-                    # Coarse-space construction needs the built system:
-                    # assemble and factor E = W^T A W here (setup, cached
-                    # with the prepared system for every later solve).
-                    if traced:
-                        trc.begin("precond_build", "phase", coarse=True)
-                    components = (
-                        problem.bc.free % problem.mesh.dofs_per_node
-                        if pc.enrich
-                        else None
-                    )
-                    pc = TwoLevelPreconditioner.build(
-                        system, pc, components=components
-                    )
-                    if traced:
-                        trc.end()
-                    pc_name = pc.name
+                # Markers need the built system: block-Jacobi factors,
+                # a coarse space's E = W^T A W (setup, cached with the
+                # prepared system for every later solve).
+                pc = _bind(
+                    pc, system,
+                    components=problem.bc.free % problem.mesh.dofs_per_node,
+                    tracer=trc,
+                )
+                pc_name = "I" if pc is None else pc.name
                 engine = system.rank_engine()
                 if engine.resident:
                     # Ship the per-rank CSR blocks to the worker pool now

@@ -35,8 +35,17 @@ class EnvKnobError(ValueError):
         )
 
 
-def read_int_env(name: str, default: int | None) -> int | None:
-    """``int(os.environ[name])`` with a named error on malformed input.
+#: What an integer knob expects, by the least value it accepts.
+_INT_EXPECTED = {
+    None: "an integer", 0: "a non-negative integer", 1: "a positive integer",
+}
+
+
+def read_int_env(
+    name: str, default: int | None, minimum: int | None = None
+) -> int | None:
+    """``int(os.environ[name])`` with a named error on malformed input
+    or on a value below ``minimum`` (0 or 1; None accepts any integer).
 
     Unset or empty means ``default`` (matching the historical truthiness
     check on the worker-count knobs, where ``""`` falls through to the
@@ -46,9 +55,12 @@ def read_int_env(name: str, default: int | None) -> int | None:
     if raw is None or not raw.strip():
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise EnvKnobError(name, raw, "an integer") from None
+        value = None
+    if value is None or (minimum is not None and value < minimum):
+        raise EnvKnobError(name, raw, _INT_EXPECTED[minimum])
+    return value
 
 
 def read_float_env(name: str, default: float) -> float:

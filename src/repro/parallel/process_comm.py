@@ -65,10 +65,10 @@ Tuning environment variables (read at construction):
 * ``REPRO_PROCESS_WORKERS`` — worker count cap, a positive integer
   (default: usable cores, at least 2 so the multi-worker paths are
   exercised on single-core runners).
-* ``REPRO_PROCESS_MIN_WORK`` — residency threshold: a system whose
-  matvec costs at least this many scalar operations runs its rank ops
-  worker-resident, a smaller one inline (default 32768; identical results
-  either way, ``0`` forces residency).
+* ``REPRO_PROCESS_MIN_WORK`` — residency threshold, a non-negative
+  integer: a system whose matvec costs at least this many scalar
+  operations runs its rank ops worker-resident, a smaller one inline
+  (default 32768; identical results either way, ``0`` forces residency).
 * ``REPRO_PROCESS_TIMEOUT`` — per-dispatch timeout in seconds (default
   120; positive and finite) after which a silent pool raises
   :class:`WorkerTimeoutError`.
@@ -91,9 +91,7 @@ import numpy as np
 
 from repro.parallel._process_worker import HEADER_BYTES, worker_main
 from repro.parallel.comm import VirtualComm, guard_nested_comm
-from repro.parallel.env_knobs import (
-    EnvKnobError, read_float_env, read_int_env,
-)
+from repro.parallel.env_knobs import read_float_env, read_int_env
 from repro.partition.interface import SubdomainMap
 
 _DEFAULT_MIN_WORK = 32768
@@ -163,15 +161,8 @@ def usable_cores() -> int:
 def _default_workers() -> int:
     """Worker cap from ``REPRO_PROCESS_WORKERS`` (a positive integer) or
     the usable cores (min 2)."""
-    workers = read_int_env("REPRO_PROCESS_WORKERS", None)
-    if workers is None:
-        return max(2, usable_cores())
-    if workers < 1:
-        raise EnvKnobError(
-            "REPRO_PROCESS_WORKERS", os.environ["REPRO_PROCESS_WORKERS"],
-            "a positive integer",
-        )
-    return workers
+    workers = read_int_env("REPRO_PROCESS_WORKERS", None, minimum=1)
+    return max(2, usable_cores()) if workers is None else workers
 
 
 #: What sizes a worker's BLAS thread pool when its library loads.
@@ -465,7 +456,7 @@ class ProcessComm(VirtualComm):
         self.n_workers = max(1, min(int(n_workers), self.size))
         if min_dispatch_work is None:
             min_dispatch_work = read_int_env(
-                "REPRO_PROCESS_MIN_WORK", _DEFAULT_MIN_WORK
+                "REPRO_PROCESS_MIN_WORK", _DEFAULT_MIN_WORK, minimum=0
             )
         self.min_dispatch_work = min_dispatch_work
         if call_timeout is None:

@@ -15,14 +15,14 @@ step of :mod:`repro.sparse.arnoldi`, in one of two places:
   ``seed`` opens a cycle, one ``step`` per Arnoldi step runs every phase
   of the step back to back, ``axpy`` updates ``x`` at the cycle's end.
 
-A CGS solve — Algorithms 5, 6 and 8 as the paper lists them, one
-right-hand side or a block — whose preconditioner :func:`step_program`
-can express runs resident when :func:`rank_engine` says so: basis, ``z``
-slots and work vectors never leave the workers and only the partial
-rows of the step's reductions come back.  MGS, a preconditioner without
-a program, and every residual run inline.  The ``chain`` op (one
-polynomial apply) is issued by no solve and stays for
-``bench/probes.py``.
+Either way the preconditioner is its :func:`step_program`: the inline
+cycle, the workers' ``step`` op and the charge replay all run that one
+program.  A CGS solve — Algorithms 5, 6 and 8 as the paper lists them,
+one right-hand side or a block — runs resident when :func:`rank_engine`
+says so: basis, ``z`` slots and work vectors never leave the workers and
+only the partial rows of the step's reductions come back.  MGS and every
+residual run inline.  The ``chain`` op (one polynomial apply) is issued
+by no solve and stays for ``bench/probes.py``.
 
 Bit-identity contract
 ---------------------
@@ -317,44 +317,69 @@ class StepRows(NamedTuple):
 
 
 def step_program(precond):
-    """The preconditioner as a program the workers' ``step`` op runs —
-    nested tuples ``("copy",)``, ``("chain", kind, params)``,
-    ``("ilu0", key)``, ``("2l", mode, key, n_coarse, inner)`` — plus
-    the preconditioners whose resident state it reads (shipped with
-    :meth:`ResidentEngine.ensure_aux`) and the coarse dimension.  The
-    workers and the charge replay both run it through
-    :func:`repro.sparse.recurrences.run_program`.  None
-    when some part has no worker-side form (a polynomial family without
-    ``chain_terms``, a user-supplied object): such a solve runs
-    inline."""
+    """The preconditioner as the one program every distributed solve
+    runs — nested tuples ``("copy",)``, ``("chain", kind, params)``,
+    ``("ilu0", key)``, ``("2l", mode, key, n_coarse, inner)`` — plus its
+    levels (the preconditioners whose state the program reads, by key;
+    shipped with :meth:`ResidentEngine.ensure_aux`) and the coarse
+    dimension.  The inline cycle, the workers' ``step`` op and the
+    charge replay all run it through
+    :func:`repro.sparse.recurrences.run_program`.  A part with no program
+    (a user-supplied object, a global factorization) raises
+    ``TypeError``."""
     from repro.precond.base import PolynomialPreconditioner
     from repro.precond.block_jacobi import BlockJacobiILU
     from repro.precond.coarse import TwoLevelPreconditioner
 
-    aux: list = []
+    levels: dict = {}
     n_coarse = 0
 
     def build(pc):
         nonlocal n_coarse
         if pc is None:
             return ("copy",)
+        if isinstance(pc, PolynomialPreconditioner):
+            return ("chain",) + pc.chain_terms()
         if isinstance(pc, TwoLevelPreconditioner):
             inner = build(pc._inner)
-            if inner is None or pc._trivial:
+            if pc._trivial:
                 return inner
-            aux.append(pc)
+            key = _aux_key(pc)
+            levels[key] = pc
             n_coarse = pc.n_coarse
-            return ("2l", pc._spec.mode, _aux_key(pc), n_coarse, inner)
+            return ("2l", pc._spec.mode, key, n_coarse, inner)
         if isinstance(pc, BlockJacobiILU):
-            aux.append(pc)
-            return ("ilu0", _aux_key(pc))
-        if isinstance(pc, PolynomialPreconditioner):
-            terms = pc.chain_terms()
-            return None if terms is None else ("chain",) + terms
-        return None
+            key = _aux_key(pc)
+            levels[key] = pc
+            return ("ilu0", key)
+        raise TypeError(
+            f"{type(pc).__name__} has no step program: a distributed solve "
+            "runs a polynomial or two-level preconditioner, block-Jacobi "
+            "ILU(0) (rdd), or None"
+        )
 
-    program = build(precond)
-    return None if program is None else (program, aux, n_coarse)
+    return build(precond), levels, n_coarse
+
+
+def _inline_program(system, plan):
+    """``parts -> parts``: ``plan``'s program run in the orchestrator on
+    per-rank parts, over the vector type and operator the system
+    supplies (``system._program_ops()``), whose arithmetic charges each
+    rank what it executes; a level's coarse correction and block-Jacobi
+    solves are looked up by key."""
+    program, levels, _nc = plan
+    wrap, operator = system._program_ops()
+    comm = system.comm
+
+    def coarse(key, u):
+        return wrap(levels[key]._coarse_correct(comm, u.parts))
+
+    def ilu0(key, u):
+        return wrap(levels[key].apply_parts(u.parts))
+
+    return lambda parts: run_program(
+        program, wrap(parts), operator, coarse, ilu0
+    ).parts
 
 
 # ----------------------------------------------------------------------
@@ -364,19 +389,20 @@ class KrylovCycle:
     """The restart-cycle half of an EDD or RDD Krylov space, inline or
     resident.  The space supplies ``formats`` (EDD carries each vector
     local- *and* global-distributed, RDD in one format), ``residual``,
-    ``solutions`` and, for the inline strategy, ``_apply`` (the
-    preconditioner on per-rank parts), ``ops`` (the
+    ``solutions`` and, for the inline strategy, ``ops`` (the
     :func:`repro.sparse.arnoldi.matvec` callables) and ``_mgs``; it calls
     :meth:`_open` from ``start_cycle`` and :meth:`_flush` from
     ``residual``.
 
-    ``plan`` — the solve's :func:`step_program` result — is given iff
-    the cycle is resident.  Then one Arnoldi step is ONE ``step``
-    dispatch, issued by :meth:`precondition` so its wall time lands in
-    the driver's ``precond_apply`` span, and the three driver calls of a
+    ``precond`` becomes the solve's :func:`step_program` (``plan``) here,
+    so a preconditioner without one, or with a level built for another
+    system, raises ``TypeError`` before anything is charged.  Resident
+    (``resident`` true), one Arnoldi step is ONE ``step`` dispatch,
+    issued by :meth:`precondition` so its wall time lands in the
+    driver's ``precond_apply`` span, and the three driver calls of a
     step replay, each inside its own span, what their inline
     counterparts charge and reduce.  Inline, each driver call runs its
-    phase of the step.
+    phase of the step, the preconditioner as the same program.
 
     Columns are tracked by id: ``cols`` are the live ones in the
     driver's position order, ``layout`` the order the rank state's
@@ -390,15 +416,18 @@ class KrylovCycle:
     cgs = True
     pending: tuple | list = ()
 
-    def __init__(self, system, precond, restart, plan, sizes):
+    def __init__(self, system, precond, restart, resident, sizes):
         self.system = system
-        self.precond = precond
         self.restart = restart
-        self.plan = plan
+        self.plan = step_program(precond)
+        for level in self.plan[1].values():
+            if level._system is not system:
+                raise TypeError(f"{level.name} was built for another system")
         self.comm = system.comm
         self.stats = system.comm.stats
         self.sizes = sizes
-        self.engine = None if plan is None else system.rank_engine()
+        self.engine = system.rank_engine() if resident else None
+        self._run = None if resident else _inline_program(system, self.plan)
         #: Inline, each rank's Krylov state (see :mod:`repro.sparse.arnoldi`).
         self.ranks = [{} for _ in sizes]
 
@@ -418,7 +447,7 @@ class KrylovCycle:
         self.layout = list(cols)
         self.saved: list = []
         self.pending = []
-        if self.plan is not None:
+        if self.engine is not None:
             self.engine.seed_basis(self.restart, *v0)
             return
         ranks, restart = self.ranks, self.restart
@@ -440,7 +469,7 @@ class KrylovCycle:
             if not self.block:
                 inv_h = inv_h[0]
         self.tail = (len(self.cols),) if self.block else ()
-        if self.plan is not None:
+        if self.engine is not None:
             self.rows = self.engine.step(
                 j, inv_h, keep, self.plan, self.basic, self.tail
             )
@@ -453,11 +482,11 @@ class KrylovCycle:
             self.comm.run_ranks(
                 lambda r: arnoldi.commit(ranks[r], j, keep, inv_h)
             )
-        self.z = self._apply([e["basis"][-1][j] for e in ranks])
+        self.z = self._run([e["basis"][-1][j] for e in ranks])
 
     def matvec(self, j):
         """``w = A z_j`` and its exchange (resident: their charges)."""
-        if self.plan is None:
+        if self.engine is None:
             self.z, self.w = arnoldi.matvec(self.z, *self.ops)
             return
         if self.basic:
@@ -475,7 +504,7 @@ class KrylovCycle:
         comm, tail = self.comm, self.tail
         c = _width(tail)
         h = np.empty((j + 2,) + tail)
-        if self.plan is None:
+        if self.engine is None:
             each = comm.run_ranks
             h[: j + 1] = arnoldi.cgs(
                 each, self.ranks, j, self.w, self._reduce, self.z
@@ -536,7 +565,7 @@ class KrylovCycle:
         terms = [t for t in terms if np.shape(t[2])[1]]
         if not terms:
             return x_parts
-        if self.plan is not None:
+        if self.engine is not None:
             x_parts = self.engine.axpy_update(x_parts, terms)
         else:
             ranks = self.ranks
@@ -601,12 +630,10 @@ class ResidentEngine:
         self.system.comm.ship(key, lambda: _aux_states(precond), aux=key)
 
     def ship_precond(self, precond) -> None:
-        """Ship the state every part of ``precond``'s step program reads
-        (nothing for a preconditioner without a program: its solves run
-        inline)."""
-        plan = step_program(precond)
-        for pc in plan[1] if plan is not None else ():
-            self.ensure_aux(pc)
+        """Ship the state every level of ``precond``'s step program
+        reads."""
+        for level in step_program(precond)[1].values():
+            self.ensure_aux(level)
 
     def _dispatch(self, payload, writes, reads, total_words):
         from repro.sparse.kernels import active_backend_name
@@ -694,8 +721,7 @@ class ResidentEngine:
         coarse solve and ILU0 solves that only charge — the coarse one
         around the real allreduce of ``rows``, the step's coarse partial
         rows (:attr:`StepRows.coarse`)."""
-        program, aux, _nc = plan
-        levels = {_aux_key(pc): pc for pc in aux}
+        program, levels, _nc = plan
         comm = self.system.comm
         c = _width(tail)
         vec = _ChargeVec(comm, [n * c for n in self.sizes], self.axpy_flops)
@@ -745,9 +771,9 @@ class ResidentEngine:
         take the norm dot, meeting in the arena where they need each
         other.  ``plan`` is this solve's :func:`step_program` result,
         ``tail`` the trailing shape of the step's parts."""
-        program, aux, nc = plan
-        for precond in aux:
-            self.ensure_aux(precond)
+        program, levels, nc = plan
+        for level in levels.values():
+            self.ensure_aux(level)
         p, c = len(self.sizes), _width(tail)
         m = (j + 1) * c
         arn = 2 * self.slot_words * c
@@ -806,5 +832,5 @@ class ResidentEngine:
             payload, 2 * n + 2 * self.slot_words,
             self._vec_writes(v_hat.parts), self._vec_reads(n),
         )
-        self.replay_precondition((("chain",) + tuple(terms), [], 0), None)
+        self.replay_precondition((("chain",) + tuple(terms), {}, 0), None)
         return DistVector(out, "global", self.system.comm)

@@ -5,10 +5,14 @@ NumPy fast path of ``apply_linear`` performs **zero array allocations per
 degree**: the recurrences run over preallocated ping-pong buffers and the
 matvec writes into a workspace via ``out=`` whenever the supplied matvec
 supports it (detected with :func:`repro.sparse.kernels.accepts_out`).
-Distributed vector types (``DistVector``, ``_RDDVector``) run the generic
-recurrence of :mod:`repro.sparse.recurrences` — the one the pool workers
-run too — so the per-application exchange counts of the EDD/RDD drivers
-(Table 1) are untouched.
+A distributed solve never calls ``apply_linear``: it runs the family's
+:meth:`~PolynomialPreconditioner.chain_terms` recurrence from
+:mod:`repro.sparse.recurrences` — the inline cycle over its distributed
+vectors, the pool workers over their ranks' parts — through the step
+program of :func:`repro.parallel.resident.step_program`, so every
+family must name one.  ``apply_linear`` on any other vector type runs
+the same recurrence, so the per-application exchange counts of the
+EDD/RDD drivers (Table 1) are those of the program.
 """
 
 from __future__ import annotations
@@ -149,18 +153,14 @@ class PolynomialPreconditioner(Preconditioner):
             return out
         return z
 
+    @abc.abstractmethod
     def chain_terms(self):
-        """Picklable recurrence descriptor for the pool workers.
-
-        Returns ``(kind, params)`` — ``kind`` names the
-        :data:`repro.sparse.recurrences.CHAINS` recurrence this family's
-        generic path runs, ``params`` its keyword arguments —
-        (:func:`repro.parallel.resident.step_program` puts it into the
-        program every resident Arnoldi ``step`` runs), or None: a solve
-        preconditioned by it then runs inline.  Workers and the generic
-        path run the same function, so their results agree bitwise.
-        """
-        return None
+        """Picklable recurrence descriptor ``(kind, params)``: ``kind``
+        names the :data:`repro.sparse.recurrences.CHAINS` recurrence this
+        family's generic path runs, ``params`` its keyword arguments.
+        :func:`repro.parallel.resident.step_program` puts it into the
+        program every distributed solve runs, inline or in the workers;
+        both run the same function, so their results agree bitwise."""
 
     def evaluate(self, lam) -> np.ndarray:
         """Evaluate the scalar polynomial ``P_m`` on an array of points

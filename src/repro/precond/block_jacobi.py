@@ -27,7 +27,7 @@ class BlockJacobiILU(Preconditioner):
     Parameters
     ----------
     system:
-        A built :class:`repro.core.rdd.RDDSystem`; one ILU(0)
+        A built RDD system (``RDDSystem``); one ILU(0)
         factorization per rank's ``a_loc`` block is computed up front.
     """
 

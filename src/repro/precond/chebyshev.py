@@ -85,7 +85,7 @@ class ChebyshevPolynomial(PolynomialPreconditioner):
         return self._finish(horner(matvec, v, coef), out)
 
     def chain_terms(self):
-        """Resident fused-dispatch descriptor (see base class): the
+        """Step-program descriptor (see base class): the
         Horner sweep over the power-basis coefficients."""
         return ("horner", {"coef": [float(c) for c in self._coef]})
 

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.precond.base import Preconditioner
-from repro.sparse.recurrences import two_level
+from repro.sparse.dense import _n_cols
 
 #: Accepted application modes of a two-level spec.
 TWO_LEVEL_MODES = ("additive", "deflate")
@@ -67,8 +67,8 @@ class TwoLevelSpec:
     """Parsed-but-unbound two-level spec (the composite analogue of the
     ``"bj-ilu0"`` marker string): constructing the coarse space needs the
     built distributed system, so :func:`repro.precond.spec.make_preconditioner`
-    returns this marker and the session/solvers resolve it through
-    :meth:`TwoLevelPreconditioner.build`.
+    returns this marker and :func:`repro.precond.spec._bind` binds it
+    through :meth:`TwoLevelPreconditioner.build`.
 
     Attributes
     ----------
@@ -149,10 +149,12 @@ class TwoLevelPreconditioner(Preconditioner):
     """A one-level preconditioner composed with a coarse-space correction,
     bound to a built EDD or RDD system.
 
-    Build through :meth:`build`; apply through the solver-facing
-    ``apply_edd`` / ``apply_rdd`` entry points (the EDD/RDD
-    ``_precondition`` dispatchers call these), on vectors or ``(n, k)``
-    blocks alike.
+    Build through :meth:`build`.  A solve runs it as its step program's
+    ``("2l", ...)`` node (:func:`repro.parallel.resident.step_program`):
+    the composite :func:`repro.sparse.recurrences.two_level` around the
+    inner program, with :meth:`_coarse_correct` as the coarse callable
+    inline (the workers run their shipped copy of it), on vectors or
+    ``(n, k)`` blocks alike.
     """
 
     def __init__(self, system, inner, spec, *, is_edd, wg_parts, wl_parts,
@@ -186,19 +188,10 @@ class TwoLevelPreconditioner(Preconditioner):
         enrichment (the session supplies it from the problem's mesh/BC;
         direct solver calls without it get a clear error).
         """
-        from repro.precond.spec import BJ_ILU0_MARKER, make_preconditioner
+        from repro.precond.spec import _bind, make_preconditioner
 
         is_edd = hasattr(system, "submap")
-        inner = make_preconditioner(spec.inner_spec, theta)
-        if inner == BJ_ILU0_MARKER:
-            if is_edd:
-                raise ValueError(
-                    "two-level inner 'bj-ilu0' is a local assembled-block "
-                    "preconditioner; it only applies to the rdd method"
-                )
-            from repro.precond.block_jacobi import BlockJacobiILU
-
-            inner = BlockJacobiILU(system)
+        inner = _bind(make_preconditioner(spec.inner_spec, theta), system)
 
         if spec.enrich and components is None:
             raise ValueError(
@@ -288,8 +281,6 @@ class TwoLevelPreconditioner(Preconditioner):
         rank), rank-local prolongation — traced as one ``coarse_solve``
         span so its reductions reconcile with the CommStats charges.
         """
-        from repro.core.distributed import _n_cols
-
         nc = self.n_coarse
         k = _n_cols(v_parts[0])
         wl, wg = self._wl_parts, self._wg_parts
@@ -321,75 +312,19 @@ class TwoLevelPreconditioner(Preconditioner):
             trc.end()
         return out
 
-    # ------------------------------------------------------------------
-    # EDD application
-    # ------------------------------------------------------------------
-    def _inner_edd(self, system, v_hat):
-        if self._inner is None:
-            return v_hat.copy()
-        # Route through the EDD dispatcher; never recursive (the inner
-        # spec is non-composite by the grammar).
-        from repro.core.edd import _precondition
-
-        return _precondition(system, self._inner, v_hat)
-
-    def apply_edd(self, system, v_hat):
-        """``z = C_2L v`` on a global-distributed :class:`DistVector` —
-        a vector, or an ``(n, k)`` block (column-exact, one coalesced
-        coarse allreduce of ``n_coarse * k`` words)."""
-        from repro.core.distributed import DistVector
-
-        if self._trivial:
-            return self._inner_edd(system, v_hat)
-        comm = system.comm
-        return two_level(
-            self._spec.mode, v_hat,
-            lambda u: self._inner_edd(system, u),
-            lambda u: DistVector(
-                self._coarse_correct(comm, u.parts), "global", comm
-            ),
-            system.matvec_assembled,
-        )
-
-    # ------------------------------------------------------------------
-    # RDD application
-    # ------------------------------------------------------------------
-    def _inner_rdd(self, system, v_parts: list) -> list:
-        from repro.core.rdd import _precondition_rdd
-
-        return _precondition_rdd(system, self._inner, v_parts)
-
-    def apply_rdd(self, system, v_parts: list) -> list:
-        """``z = C_2L v`` on row-partitioned per-rank parts — vectors, or
-        ``(n_own, k)`` part blocks."""
-        from repro.core.rdd import _RDDVector
-
-        if self._trivial:
-            return self._inner_rdd(system, v_parts)
-        comm = system.comm
-        z = two_level(
-            self._spec.mode, _RDDVector(v_parts, system),
-            lambda u: _RDDVector(self._inner_rdd(system, u.parts), system),
-            lambda u: _RDDVector(self._coarse_correct(comm, u.parts), system),
-            lambda u: _RDDVector(system.matvec(u.parts), system),
-        )
-        return z.parts
-
-    # ------------------------------------------------------------------
-    # Sequential / reporting interface
-    # ------------------------------------------------------------------
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Global-vector interface (scatter, apply, gather) for testing —
-        the distributed solvers use the ``apply_*`` entry points."""
+        """Global-vector interface (scatter, apply, gather) for testing:
+        the solve's runner — this preconditioner's step program — over
+        the vector type and operator the system supplies."""
+        from repro.parallel.resident import _inline_program, step_program
+
+        system = self._system
+        rows = system.submap.l2g if self._is_edd else system.own
         v = np.asarray(v, dtype=np.float64)
-        if self._is_edd:
-            z = self.apply_edd(self._system, self._system.distribute(v))
-            return self._system.to_global_vector(z)
-        parts = [v[o] for o in self._system.own]
-        z_parts = self.apply_rdd(self._system, parts)
-        out = np.zeros(self._system.n_global)
-        for o, z in zip(self._system.own, z_parts):
-            out[o] = z
+        z = _inline_program(system, step_program(self))([v[g] for g in rows])
+        out = np.zeros(system.n_global)
+        for g, zs in zip(rows, z):
+            out[g] = zs
         return out
 
     @property

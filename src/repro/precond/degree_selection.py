@@ -136,7 +136,7 @@ def choose_degree_for_system(
     candidates=(1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
 ) -> tuple:
     """Convenience wrapper extracting the size parameters from a built
-    :class:`~repro.core.distributed.EDDSystem`."""
+    EDD system (``EDDSystem``)."""
     if theta is None:
         theta = SpectrumIntervals.single(1e-6, 1.0)
     nnz = max(a.nnz for a in system.a_local)

@@ -144,6 +144,19 @@ class _ThreeTermPolynomial(PolynomialPreconditioner):
             phi_prev, phi, w = phi, w, phi_prev
         return out
 
+    def chain_terms(self):
+        """Step-program descriptor (see base class): the
+        three-term recurrence with the Stieltjes and expansion tables."""
+        return (
+            "three_term",
+            {
+                "alphas": [float(x) for x in self._alphas],
+                "betas": [float(x) for x in self._betas],
+                "mus": [float(x) for x in self._mus],
+                "degree": self.degree,
+            },
+        )
+
     def power_coefficients(self) -> np.ndarray:
         """Power-basis coefficients of ``P_m`` (the recurrence run on
         ``numpy`` polynomial objects); feeds the Eq. 24 stability bound."""
@@ -198,19 +211,6 @@ class GLSPolynomial(_ThreeTermPolynomial):
         """The paper's default: :math:`\\Theta = (\\varepsilon, 1)` after
         norm-1 diagonal scaling."""
         return cls(SpectrumIntervals.single(eps, 1.0), degree, matvec=matvec)
-
-    def chain_terms(self):
-        """Resident fused-dispatch descriptor (see base class): the
-        three-term recurrence with the Stieltjes and expansion tables."""
-        return (
-            "three_term",
-            {
-                "alphas": [float(x) for x in self._alphas],
-                "betas": [float(x) for x in self._betas],
-                "mus": [float(x) for x in self._mus],
-                "degree": self.degree,
-            },
-        )
 
     def residual_sup_norm(self, per_interval: int = 400) -> float:
         """``max |1 - lambda P(lambda)|`` over a fine grid in Theta."""

@@ -77,7 +77,7 @@ class NeumannPolynomial(PolynomialPreconditioner):
         return self._finish(neumann(matvec, v, self.omega, self.degree), out)
 
     def chain_terms(self):
-        """Resident fused-dispatch descriptor (see base class): the
+        """Step-program descriptor (see base class): the
         Neumann recurrence with its damping and degree."""
         return ("neumann", {"omega": self.omega, "degree": self.degree})
 

@@ -2,8 +2,8 @@
 
 A *spec* is a short string naming a preconditioner family and its degree,
 e.g. ``"gls(7)"`` — the notation the paper's tables use.  This module is
-the public home of :func:`make_preconditioner` (re-exported by
-:mod:`repro.core.driver` for backwards compatibility); every constructed
+the public home of :func:`make_preconditioner` (the driver module
+re-exports it for backwards compatibility); every constructed
 preconditioner carries a ``spec`` property such that
 ``make_preconditioner(p.spec)`` rebuilds an equivalent preconditioner
 (with the default spectrum window).
@@ -29,6 +29,7 @@ accepted grammar — the CLI relies on this for its rc-2 diagnostics.
 
 from __future__ import annotations
 
+from repro.obs.tracer import NULL_TRACER
 from repro.spectrum.intervals import SpectrumIntervals
 
 #: The marker :func:`make_preconditioner` returns for block-Jacobi ILU —
@@ -124,8 +125,7 @@ def make_preconditioner(spec: str | None, theta: SpectrumIntervals | None = None
     Polynomial specs return ready preconditioners.  ``"bj-ilu0"``
     (block-Jacobi ILU, RDD only) returns the spec marker and
     ``"2l(...)"`` composites a :class:`~repro.precond.coarse.TwoLevelSpec`
-    marker — both are resolved later against the built system by
-    :class:`repro.core.session.PreparedSystem` / the EDD/RDD solvers.
+    marker — both are bound later to the built system by :func:`_bind`.
     ``theta`` defaults to the post-scaling window :math:`(10^{-6}, 1)`.
 
     Raises :class:`ValueError` naming the accepted grammar on any
@@ -155,6 +155,43 @@ def make_preconditioner(spec: str | None, theta: SpectrumIntervals | None = None
             cls = getattr(importlib.import_module(mod_name), cls_name)
             return cls(theta, degree) if takes_theta else cls(degree)
     raise ValueError(f"unknown preconditioner spec {spec!r}; {SPEC_GRAMMAR}")
+
+
+def _bind(pc, system, components=None, tracer=NULL_TRACER):
+    """Bind a parsed spec (what :func:`make_preconditioner` returns) to a
+    built EDD or RDD system — the one place a marker becomes a
+    preconditioner: ``"bj-ilu0"`` a
+    :class:`~repro.precond.block_jacobi.BlockJacobiILU` (rdd only), a
+    :class:`~repro.precond.coarse.TwoLevelSpec` a
+    :class:`~repro.precond.coarse.TwoLevelPreconditioner` (whose inner is
+    bound here too); anything else is returned as it is.  ``components``
+    — per free DOF, its component index — feeds a ``tr`` enrichment;
+    ``tracer`` records the construction as a ``precond_build`` span."""
+    from repro.precond.coarse import TwoLevelPreconditioner, TwoLevelSpec
+
+    if pc == BJ_ILU0_MARKER:
+        if hasattr(system, "submap"):
+            raise ValueError(
+                "bj-ilu0 is a local (assembled-block) preconditioner; "
+                "it only applies to the rdd method"
+            )
+        from repro.precond.block_jacobi import BlockJacobiILU
+
+        build, args = BlockJacobiILU, {}
+    elif isinstance(pc, TwoLevelSpec):
+        def build(system):
+            return TwoLevelPreconditioner.build(
+                system, pc, components=components
+            )
+
+        args = {"coarse": True}
+    else:
+        return pc
+    tracer.begin("precond_build", "phase", **args)
+    try:
+        return build(system)
+    finally:
+        tracer.end()
 
 
 def spec_of(precond) -> str:

@@ -3,20 +3,20 @@
 Each polynomial recurrence (Algorithm 7 and its Horner and three-term
 relatives) and the two-level composite is written here once, over any
 vector type with ``+``, ``-``, scalar ``*`` and ``copy()``; the operator,
-the coarse solve and the inner preconditioner come in as callables.  Three
-callers run the same code:
+the coarse solve and the inner preconditioner come in as callables.
+:func:`run_program` is the one runner of a solve's preconditioner (its
+``repro.parallel.resident.step_program``), and three callers run it:
 
-* the inline solves — the generic paths of ``apply_linear`` and
-  ``TwoLevelPreconditioner.apply_edd`` / ``apply_rdd`` — on distributed
-  vectors whose operations are the rank bodies;
-* the pool workers, on their owned ranks' parts, through
-  :func:`run_program`;
+* the inline solves, on distributed vectors whose operations are the
+  rank bodies (``DistVector`` for EDD, ``_RDDVector`` for RDD);
+* the pool workers, on their owned ranks' parts;
 * the orchestrator's charge replay after a resident dispatch, on
-  charge-only ghost vectors, through :func:`run_program` as well.
+  charge-only ghost vectors.
 
 So worker and inline results agree bit for bit because they are the same
 expressions, and the replayed charges are the inline ones because they
-come from the same sequence of vector operations.
+come from the same sequence of vector operations.  Outside a solve,
+``apply_linear`` runs the same recurrences.
 
 This is a leaf module (it imports nothing), so a spawned worker can load
 it without the solver stack.

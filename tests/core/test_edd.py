@@ -122,6 +122,26 @@ def test_ilu_rejected_for_distributed_system(tiny_problem):
         edd_fgmres(system, ilu)
 
 
+def test_block_jacobi_rejected_before_anything_is_charged(tiny_problem):
+    """Block-Jacobi ILU(0) factors an RDD system's assembled blocks; the
+    EDD space rejects it with TypeError when it is built, before any
+    iteration or exchange is charged."""
+    from repro.core.rdd import build_rdd_system
+    from repro.partition.node_partition import NodePartition
+    from repro.precond.block_jacobi import BlockJacobiILU
+
+    rdd = build_rdd_system(
+        tiny_problem.mesh, tiny_problem.bc,
+        NodePartition.build(tiny_problem.mesh, 2),
+        tiny_problem.stiffness, tiny_problem.load,
+    )
+    system = _build(tiny_problem, 2)
+    with pytest.raises(TypeError, match="another system"):
+        edd_fgmres(system, BlockJacobiILU(rdd))
+    per_rank = system.comm.stats.to_dict()["per_rank"]
+    assert all(v == 0 for r in per_rank for v in r.values())
+
+
 def test_invalid_variant(tiny_problem):
     system = _build(tiny_problem, 2)
     with pytest.raises(ValueError):

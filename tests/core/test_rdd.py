@@ -5,7 +5,9 @@ import pytest
 
 from repro.core.rdd import build_rdd_system, rdd_fgmres, rdd_fgmres_block
 from repro.partition.node_partition import NodePartition
+from repro.precond.diagonal import JacobiPreconditioner
 from repro.precond.gls import GLSPolynomial
+from repro.precond.ilu import ILU0Preconditioner
 from repro.precond.neumann import NeumannPolynomial
 
 
@@ -196,3 +198,18 @@ def test_block_rhs_rejects_malformed_part_list(tiny_problem, damage):
     assert expected in str(err.value)
     # the well-formed list is still taken as is
     assert all(r.converged for r in rdd_fgmres_block(system, good, tol=1e-8, restart=60))
+
+
+@pytest.mark.parametrize(
+    "make", [ILU0Preconditioner, JacobiPreconditioner], ids=["ilu0", "jacobi"]
+)
+def test_global_preconditioner_rejected_before_anything_is_charged(
+    tiny_problem, make
+):
+    """A global preconditioner has no step program: building the space
+    raises TypeError, so no iteration runs and nothing is charged."""
+    system = _build(tiny_problem, 2)
+    with pytest.raises(TypeError, match="step program"):
+        rdd_fgmres(system, make(tiny_problem.stiffness))
+    per_rank = system.comm.stats.to_dict()["per_rank"]
+    assert all(v == 0 for r in per_rank for v in r.values())

@@ -82,7 +82,7 @@ INVALID = [(name, make, "not-a-number") for name, make in KNOBS] + [
     for raw in ("nan", "inf", "0", "-1")
 ] + [
     ("REPRO_PROCESS_WORKERS", _make_process_comm, raw) for raw in ("0", "-1")
-]
+] + [("REPRO_PROCESS_MIN_WORK", _make_process_comm, "-1")]
 
 
 @pytest.mark.parametrize(

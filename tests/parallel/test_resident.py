@@ -228,6 +228,7 @@ FUSED_CONFIGS = [
     ("rdd", "gls(3)"),
     ("rdd", "bj-ilu0"),
     ("edd-enhanced", "2l(gls(3),deflate)"),
+    ("edd-enhanced", "ls(5)"),
 ]
 PHASES = {"precondition", "matvec", "exchange", "orthogonalize"}
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.precond.base import PolynomialPreconditioner
 from repro.precond.gls import GLSPolynomial
 from repro.precond.least_squares import LeastSquaresPolynomial
 from repro.precond.scaling import scale_system
@@ -86,3 +87,18 @@ def test_jacobi_weight_emphasizes_small_lambda():
 
 def test_name():
     assert LeastSquaresPolynomial(THETA, 7).name == "LS(7)"
+
+
+def test_polynomial_family_without_a_program_cannot_be_built():
+    """``chain_terms`` is abstract: a family that names no recurrence
+    fails at construction, before any solve could charge anything."""
+
+    class NoProgram(PolynomialPreconditioner):
+        def apply_linear(self, matvec, v, out=None):
+            return v
+
+        def power_coefficients(self):
+            return np.ones(1)
+
+    with pytest.raises(TypeError, match="chain_terms"):
+        NoProgram(1)
