@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.options import SolverOptions
 from repro.core.session import PreparedSystem
 from repro.fem.cantilever import PAPER_MESHES
-from repro.sparse.kernels import available_backends
+from repro.sparse.kernels import available_backends, get_backend, use_backend
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -118,47 +118,49 @@ def test_bench_batch_throughput_json(problems):
         "k_values": list(K_VALUES),
         "runs": [],
     }
-    for method in METHODS:
-        for precond in PRECONDS:
-            for comm_backend in COMM_BACKENDS:
-                opts = SolverOptions(
-                    method=method,
-                    precond=precond,
-                    comm_backend=comm_backend,
-                    kernel_backend=kernel,
-                )
-                ps = PreparedSystem.build(problem, N_PARTS, opts)
-                try:
-                    iters_at_k1 = None
-                    for k in K_VALUES:
-                        b_block = np.repeat(
-                            problem.load.reshape(-1, 1), k, axis=1
-                        )
-                        wall, s = _batch_rate(ps, b_block)
-                        # Identical columns: every width must replay the
-                        # same trajectory, so RHS/s compares equal work.
-                        iters = s.results[0].iterations
-                        if iters_at_k1 is None:
-                            iters_at_k1 = iters
-                        assert iters == iters_at_k1, (
-                            f"iteration count drifted with k at "
-                            f"({method}, {precond}, {comm_backend})"
-                        )
-                        report["runs"].append(
-                            {
-                                "method": method,
-                                "precond": precond,
-                                "comm_backend": comm_backend,
-                                "k": k,
-                                "wall_time": wall,
-                                "rhs_per_s": k / wall,
-                                "iterations": iters,
-                                "setup_time": ps.setup_time,
-                                "all_converged": bool(s.all_converged),
-                            }
-                        )
-                finally:
-                    ps.close()
+    # The kernel is a process setting; the process backend ships its
+    # name to the workers with the held state.
+    with use_backend(kernel or get_backend().name):
+        for method in METHODS:
+            for precond in PRECONDS:
+                for comm_backend in COMM_BACKENDS:
+                    opts = SolverOptions(
+                        method=method,
+                        precond=precond,
+                        comm_backend=comm_backend,
+                    )
+                    ps = PreparedSystem.build(problem, N_PARTS, opts)
+                    try:
+                        iters_at_k1 = None
+                        for k in K_VALUES:
+                            b_block = np.repeat(
+                                problem.load.reshape(-1, 1), k, axis=1
+                            )
+                            wall, s = _batch_rate(ps, b_block)
+                            # Identical columns: every width must replay the
+                            # same trajectory, so RHS/s compares equal work.
+                            iters = s.results[0].iterations
+                            if iters_at_k1 is None:
+                                iters_at_k1 = iters
+                            assert iters == iters_at_k1, (
+                                f"iteration count drifted with k at "
+                                f"({method}, {precond}, {comm_backend})"
+                            )
+                            report["runs"].append(
+                                {
+                                    "method": method,
+                                    "precond": precond,
+                                    "comm_backend": comm_backend,
+                                    "k": k,
+                                    "wall_time": wall,
+                                    "rhs_per_s": k / wall,
+                                    "iterations": iters,
+                                    "setup_time": ps.setup_time,
+                                    "all_converged": bool(s.all_converged),
+                                }
+                            )
+                    finally:
+                        ps.close()
 
     def _rate(method, precond, comm_backend, k):
         (run,) = [

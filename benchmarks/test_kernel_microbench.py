@@ -79,17 +79,6 @@ def test_bench_row_norms(benchmark, mesh4_scaled):
     assert (result > 0).all()
 
 
-def test_bench_bsr_matvec(benchmark, mesh4_scaled):
-    """BSR block matvec — recorded alongside the CSR bench to document that
-    the scalar reduceat kernel wins in pure NumPy (see repro.sparse.bsr)."""
-    from repro.sparse.bsr import BSRMatrix
-
-    bsr = BSRMatrix.from_csr(mesh4_scaled.a, 2)
-    x = np.random.default_rng(4).standard_normal(bsr.shape[1])
-    result = benchmark(bsr.matvec, x)
-    assert np.allclose(result, mesh4_scaled.a.matvec(x), atol=1e-10)
-
-
 # ----------------------------------------------------------------------
 # Cross-backend kernel suite -> BENCH_kernels.json
 #

@@ -79,11 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     solve.add_argument(
-        "--kernel-backend",
-        default=None,
-        help="sparse-kernel backend for this solve (see repro.sparse.kernels)",
-    )
-    solve.add_argument(
         "--nrhs",
         type=int,
         default=1,
@@ -259,7 +254,6 @@ def cmd_solve(args) -> int:
         restart=args.restart,
         dynamic=args.dynamic,
         comm_backend=comm_backend,
-        kernel_backend=args.kernel_backend,
     )
     if args.nrhs > 1:
         with chaos_ctx:

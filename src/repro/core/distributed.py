@@ -423,7 +423,7 @@ def build_edd_system_from_assembler(
 
     ``assembler(element_subset) -> COOMatrix`` must return the subdomain's
     unassembled matrix contribution on *full* (unreduced) DOF numbering —
-    e.g. a scalar conductivity assembly for heat problems.  Everything
+    e.g. the stiffness, or ``alpha M + beta K`` for dynamics.  Everything
     else (reduction, localization, distributed norm-1 scaling, rhs
     ownership split) is PDE-independent.  ``comm_backend`` picks the
     communicator implementation (None = session default).

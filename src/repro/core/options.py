@@ -10,7 +10,7 @@ JSON-serializable value.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from repro.parallel.comm import _resolve as _resolve_comm_backend
 
@@ -39,9 +39,6 @@ class SolverOptions:
         Inner-iteration cap across all restart cycles.
     partition_method:
         Mesh partitioner name (``"rcb"``, ``"greedy"``, ``"spectral"``...).
-    kernel_backend:
-        Sparse-kernel backend (:mod:`repro.sparse.kernels`); None keeps
-        the session default.
     comm_backend:
         Communicator backend (:mod:`repro.parallel.comm`: ``"virtual"``,
         ``"process"`` or ``"chaos"``); None keeps the session default.
@@ -62,7 +59,6 @@ class SolverOptions:
     tol: float = 1e-6
     max_iter: int = 10_000
     partition_method: str = "rcb"
-    kernel_backend: str | None = None
     comm_backend: str | None = None
     orthogonalization: str = "cgs"
     dynamic: bool = False
@@ -108,8 +104,11 @@ class SolverOptions:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SolverOptions":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; unknown keys raise ValueError."""
         payload = dict(payload)
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown SolverOptions fields: {unknown}")
         if "mass_shift" in payload:
             payload["mass_shift"] = tuple(payload["mass_shift"])
         return cls(**payload)

@@ -25,8 +25,10 @@ amortizes over many solves.  This module makes that split explicit:
 Setup-relevant options (those baked into the prepared system) are
 ``method``, ``precond``, ``partition_method``, ``dynamic``,
 ``mass_shift`` and ``comm_backend``; the remaining knobs (``tol``,
-``restart``, ``max_iter``, ``orthogonalization``, ``kernel_backend``)
-may vary per solve against the same prepared system.
+``restart``, ``max_iter``, ``orthogonalization``) may vary per solve
+against the same prepared system.  The sparse-kernel backend is a process
+setting (``REPRO_KERNEL_BACKEND`` / :func:`repro.sparse.use_backend`), not
+a per-solve option.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +53,6 @@ from repro.partition.element_partition import ElementPartition
 from repro.partition.node_partition import NodePartition
 from repro.precond.coarse import TwoLevelSpec
 from repro.precond.spec import BJ_ILU0_MARKER, _bind, make_preconditioner
-from repro.sparse.kernels import use_backend
 
 #: SolverOptions fields baked into a prepared system (changing any of them
 #: requires a rebuild); the complement may vary per solve.
@@ -68,13 +68,6 @@ SETUP_FIELDS = (
 
 def _setup_key(options: SolverOptions) -> tuple:
     return tuple(getattr(options, f) for f in SETUP_FIELDS)
-
-
-def _backend_ctx(kernel_backend):
-    return (
-        use_backend(kernel_backend) if kernel_backend is not None
-        else nullcontext()
-    )
 
 
 def _resident_nbytes(*roots) -> int:
@@ -231,111 +224,110 @@ class PreparedSystem:
         options = options if options is not None else SolverOptions()
         trc = tracer if tracer is not None else NULL_TRACER
         traced = trc.enabled
-        with _backend_ctx(options.kernel_backend):
-            t0 = time.perf_counter()
+        t0 = time.perf_counter()
+        if traced:
+            trc.begin("setup", "phase", n_parts=n_parts,
+                      method=options.method)
+        if isinstance(problem, int):
+            problem = cantilever_problem(problem, with_mass=options.dynamic)
+        if options.dynamic and problem.mass is None:
             if traced:
-                trc.begin("setup", "phase", n_parts=n_parts,
-                          method=options.method)
-            if isinstance(problem, int):
-                problem = cantilever_problem(problem, with_mass=options.dynamic)
-            if options.dynamic and problem.mass is None:
-                if traced:
-                    trc.end()
+                trc.end()
+            raise ValueError(
+                "dynamic solve requires a problem built with_mass=True"
+            )
+        try:
+            if traced:
+                trc.begin("precond_build", "phase")
+            pc = make_preconditioner(options.precond)
+            if traced:
+                trc.end()
+            inner_marker = (
+                pc.inner_spec if isinstance(pc, TwoLevelSpec) else pc
+            )
+            if inner_marker == BJ_ILU0_MARKER and options.method != "rdd":
                 raise ValueError(
-                    "dynamic solve requires a problem built with_mass=True"
+                    "bj-ilu0 is a local (assembled-block) preconditioner; "
+                    "it only applies to the rdd method"
                 )
-            try:
+            method = options.method
+
+            if method in ("edd-basic", "edd-enhanced"):
                 if traced:
-                    trc.begin("precond_build", "phase")
-                pc = make_preconditioner(options.precond)
+                    trc.begin("partition", "phase")
+                epart = ElementPartition.build(
+                    problem.mesh, n_parts, options.partition_method
+                )
                 if traced:
                     trc.end()
-                inner_marker = (
-                    pc.inner_spec if isinstance(pc, TwoLevelSpec) else pc
+                    trc.begin("assemble", "phase")
+                shift = options.mass_shift if options.dynamic else None
+                f_full = problem.bc.expand(problem.load)
+                system = build_edd_system(
+                    problem.mesh,
+                    problem.material,
+                    problem.bc,
+                    epart,
+                    f_full,
+                    mass_shift=shift,
+                    comm_backend=options.comm_backend,
                 )
-                if inner_marker == BJ_ILU0_MARKER and options.method != "rdd":
-                    raise ValueError(
-                        "bj-ilu0 is a local (assembled-block) preconditioner; "
-                        "it only applies to the rdd method"
-                    )
-                method = options.method
-
-                if method in ("edd-basic", "edd-enhanced"):
-                    if traced:
-                        trc.begin("partition", "phase")
-                    epart = ElementPartition.build(
-                        problem.mesh, n_parts, options.partition_method
-                    )
-                    if traced:
-                        trc.end()
-                        trc.begin("assemble", "phase")
-                    shift = options.mass_shift if options.dynamic else None
-                    f_full = problem.bc.expand(problem.load)
-                    system = build_edd_system(
-                        problem.mesh,
-                        problem.material,
-                        problem.bc,
-                        epart,
-                        f_full,
-                        mass_shift=shift,
-                        comm_backend=options.comm_backend,
-                    )
-                    if traced:
-                        trc.end()
-                elif method == "rdd":
-                    if traced:
-                        trc.begin("partition", "phase")
-                    npart = NodePartition.build(
-                        problem.mesh, n_parts, options.partition_method
-                    )
-                    if traced:
-                        trc.end()
-                        trc.begin("assemble", "phase")
-                    if options.dynamic:
-                        from repro.core.driver import _combine
-
-                        alpha, beta = options.mass_shift
-                        k = _combine(problem.stiffness, problem.mass, beta, alpha)
-                    else:
-                        k = problem.stiffness
-                    system = build_rdd_system(
-                        problem.mesh,
-                        problem.bc,
-                        npart,
-                        k,
-                        problem.load,
-                        comm_backend=options.comm_backend,
-                    )
-                    if traced:
-                        trc.end()
-                else:  # pragma: no cover - SolverOptions validates upstream
-                    raise ValueError(f"unknown method {method!r}")
-                # Markers need the built system: block-Jacobi factors,
-                # a coarse space's E = W^T A W (setup, cached with the
-                # prepared system for every later solve).
-                pc = _bind(
-                    pc, system,
-                    components=problem.bc.free % problem.mesh.dofs_per_node,
-                    tracer=trc,
-                )
-                pc_name = "I" if pc is None else pc.name
-                engine = system.rank_engine()
-                if engine.resident:
-                    # Ship the per-rank CSR blocks to the worker pool now
-                    # so the first solve pays no one-time transfer inside
-                    # its timed region.
-                    if traced:
-                        trc.begin("resident_ship", "phase")
-                    engine.ensure_shipped()
-                    if traced:
-                        trc.end()
-                    # Preconditioner factor state (ILU factors, coarse
-                    # bases) ships eagerly too, for the same reason.
-                    engine.ship_precond(pc)
-            finally:
                 if traced:
-                    trc.end()  # setup
-            setup_time = time.perf_counter() - t0
+                    trc.end()
+            elif method == "rdd":
+                if traced:
+                    trc.begin("partition", "phase")
+                npart = NodePartition.build(
+                    problem.mesh, n_parts, options.partition_method
+                )
+                if traced:
+                    trc.end()
+                    trc.begin("assemble", "phase")
+                if options.dynamic:
+                    from repro.core.driver import _combine
+
+                    alpha, beta = options.mass_shift
+                    k = _combine(problem.stiffness, problem.mass, beta, alpha)
+                else:
+                    k = problem.stiffness
+                system = build_rdd_system(
+                    problem.mesh,
+                    problem.bc,
+                    npart,
+                    k,
+                    problem.load,
+                    comm_backend=options.comm_backend,
+                )
+                if traced:
+                    trc.end()
+            else:  # pragma: no cover - SolverOptions validates upstream
+                raise ValueError(f"unknown method {method!r}")
+            # Markers need the built system: block-Jacobi factors,
+            # a coarse space's E = W^T A W (setup, cached with the
+            # prepared system for every later solve).
+            pc = _bind(
+                pc, system,
+                components=problem.bc.free % problem.mesh.dofs_per_node,
+                tracer=trc,
+            )
+            pc_name = "I" if pc is None else pc.name
+            engine = system.rank_engine()
+            if engine.resident:
+                # Ship the per-rank CSR blocks to the worker pool now
+                # so the first solve pays no one-time transfer inside
+                # its timed region.
+                if traced:
+                    trc.begin("resident_ship", "phase")
+                engine.ensure_shipped()
+                if traced:
+                    trc.end()
+                # Preconditioner factor state (ILU factors, coarse
+                # bases) ships eagerly too, for the same reason.
+                engine.ship_precond(pc)
+        finally:
+            if traced:
+                trc.end()  # setup
+        setup_time = time.perf_counter() - t0
         return cls(problem, n_parts, options, system, pc, pc_name, setup_time)
 
     # ------------------------------------------------------------------
@@ -393,21 +385,20 @@ class PreparedSystem:
             )
             comm.set_tracer(trc)
         try:
-            with _backend_ctx(opts.kernel_backend):
-                if traced:
-                    trc.begin("solve", "phase")
-                t0 = time.perf_counter()
-                if self.options.method == "rdd":
-                    result = rdd_fgmres(
-                        self.system, self.pc, options=opts, tracer=tracer
-                    )
-                else:
-                    result = edd_fgmres(
-                        self.system, self.pc, options=opts, tracer=tracer
-                    )
-                wall = time.perf_counter() - t0
-                if traced:
-                    trc.end(iterations=result.iterations)
+            if traced:
+                trc.begin("solve", "phase")
+            t0 = time.perf_counter()
+            if self.options.method == "rdd":
+                result = rdd_fgmres(
+                    self.system, self.pc, options=opts, tracer=tracer
+                )
+            else:
+                result = edd_fgmres(
+                    self.system, self.pc, options=opts, tracer=tracer
+                )
+            wall = time.perf_counter() - t0
+            if traced:
+                trc.end(iterations=result.iterations)
             if traced:
                 trc.begin("verify", "phase")
             true_rel = _verify_solution(
@@ -466,23 +457,22 @@ class PreparedSystem:
             )
             comm.set_tracer(trc)
         try:
-            with _backend_ctx(opts.kernel_backend):
-                if traced:
-                    trc.begin("solve", "phase")
-                t0 = time.perf_counter()
-                if self.options.method == "rdd":
-                    results = rdd_fgmres_block(
-                        self.system, b_block, self.pc, options=opts,
-                        tracer=tracer,
-                    )
-                else:
-                    results = edd_fgmres_block(
-                        self.system, b_block, self.pc, options=opts,
-                        tracer=tracer,
-                    )
-                wall = time.perf_counter() - t0
-                if traced:
-                    trc.end()
+            if traced:
+                trc.begin("solve", "phase")
+            t0 = time.perf_counter()
+            if self.options.method == "rdd":
+                results = rdd_fgmres_block(
+                    self.system, b_block, self.pc, options=opts,
+                    tracer=tracer,
+                )
+            else:
+                results = edd_fgmres_block(
+                    self.system, b_block, self.pc, options=opts,
+                    tracer=tracer,
+                )
+            wall = time.perf_counter() - t0
+            if traced:
+                trc.end()
             if traced:
                 trc.begin("verify", "phase")
             a = self.verify_operator()

@@ -29,7 +29,7 @@ the fixed-topology binary-tree allreduce — so a solve is **bit-identical**
 across backends: same iteration counts, same residual histories, same
 recorded counters.  Selection: ``make_comm(submap)`` consults
 ``set_comm_backend(name)`` / the ``REPRO_COMM_BACKEND`` environment
-variable (read at first use), mirroring the kernel-backend registry in
+variable (read at first use), mirroring the sparse-kernel registry in
 :mod:`repro.sparse.kernels`.
 """
 

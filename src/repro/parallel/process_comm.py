@@ -111,15 +111,25 @@ class ProcessPoolError(RuntimeError):
 class WorkerCrashedError(ProcessPoolError):
     """A worker process died (killed, segfaulted, OOM) mid-dispatch."""
 
-    def __init__(self, worker: int, exitcode, op: str):
+    def __init__(self, worker: int, exitcode, op: str, hint: str = ""):
         self.worker = int(worker)
         self.exitcode = exitcode
         self.op = op
         super().__init__(
             f"comm worker {worker} died during {op!r} (exitcode "
             f"{exitcode}); the pool is marked broken and will respawn on "
-            "the next dispatch"
+            f"the next dispatch{hint}"
         )
+
+
+#: Why a worker dies before its first reply, almost always: the spawned
+#: interpreter re-imports ``__main__`` and the script's module level starts
+#: a pool again, which multiprocessing refuses during bootstrap.
+_MAIN_GUARD_HINT = (
+    ". It never answered a command: spawned workers re-import the main "
+    "module, so a script that starts a process pool must do so under "
+    "'if __name__ == \"__main__\":'"
+)
 
 
 class WorkerTimeoutError(ProcessPoolError):
@@ -216,6 +226,7 @@ class _ProcessPool:
         ctx = multiprocessing.get_context("spawn")
         self._conns = []
         self._procs = []
+        self._answered = [False] * n_workers
         with _blas_capped_environ(n_workers):
             for w in range(n_workers):
                 parent, child = ctx.Pipe(duplex=True)
@@ -264,6 +275,7 @@ class _ProcessPool:
                 reply = conn.recv()
             except (EOFError, OSError):
                 raise self._lost(w, op)
+            self._answered[w] = True
             if reply[0] != seq:
                 self.broken = True
                 raise ProcessPoolError(
@@ -287,7 +299,10 @@ class _ProcessPool:
         error to raise."""
         self.broken = True
         if timeout is None:
-            err = WorkerCrashedError(w, self._procs[w].exitcode, op)
+            proc = self._procs[w]
+            proc.join(timeout=1.0)  # a closed pipe can precede the exit
+            hint = "" if self._answered[w] else _MAIN_GUARD_HINT
+            err = WorkerCrashedError(w, proc.exitcode, op, hint)
             _events.warning(
                 "comm worker %d died during %r (exitcode %s)",
                 w, op, err.exitcode,

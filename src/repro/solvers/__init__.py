@@ -32,9 +32,6 @@ from repro.solvers.fgmres import fgmres
 from repro.solvers.block_fgmres import fgmres_block
 from repro.solvers.gmres import gmres
 from repro.solvers.cg import cg
-from repro.solvers.bicgstab import bicgstab
-from repro.solvers.adaptive import adaptive_fgmres
-from repro.solvers.minres import minres
 
 __all__ = [
     "SolveResult",
@@ -46,7 +43,4 @@ __all__ = [
     "fgmres_block",
     "gmres",
     "cg",
-    "bicgstab",
-    "adaptive_fgmres",
-    "minres",
 ]

@@ -20,9 +20,8 @@ Event vocabulary (the ``kind`` field of every :class:`DiagnosticEvent`):
 * ``happy_breakdown`` — ``h_{j+1,j}`` fell below the breakdown tolerance
   (informational: the Krylov space looks invariant).
 * ``breakdown`` — a short-recurrence scalar collapsed (CG's ``p.Ap`` not
-  positive or ``r.z`` exactly zero, BiCGSTAB's ``rho``/``omega``/``t.t``
-  vanishing, MINRES's Lanczos ``beta`` dying early); the solver stops
-  instead of dividing by (near-)zero and looping on garbage.
+  positive or ``r.z`` exactly zero); the solver stops instead of dividing
+  by (near-)zero and looping on garbage.
 * ``breakdown_restart`` — a breakdown was *not* confirmed by the
   recomputed true residual; the solver restarted instead of declaring
   victory (the recovery path for corrupted "lucky" breakdowns).

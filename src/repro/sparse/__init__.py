@@ -16,7 +16,6 @@ derived index arrays forever — see :mod:`repro.sparse.csr`.
 
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.bsr import BSRMatrix
 from repro.sparse.kernels import (
     available_backends,
     get_backend,
@@ -34,7 +33,6 @@ from repro.sparse.ops import (
 __all__ = [
     "COOMatrix",
     "CSRMatrix",
-    "BSRMatrix",
     "available_backends",
     "get_backend",
     "set_backend",

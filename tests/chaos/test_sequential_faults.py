@@ -1,7 +1,7 @@
 """No-silent-wrong-answer coverage for the sequential short-recurrence
-solvers (cg / bicgstab / minres).
+solver (cg).
 
-The comm-level chaos backend cannot reach these solvers (they never touch
+The comm-level chaos backend cannot reach this solver (it never touches
 a communicator), so the faults are injected at the operator boundary
 instead: NaN/Inf poisoning of the matvec or preconditioner at a swept
 call index.  The invariant is the same as the distributed sweep's:
@@ -22,10 +22,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.solvers.bicgstab import bicgstab
 from repro.solvers.cg import cg
 from repro.solvers.diagnostics import EVENT_KINDS
-from repro.solvers.minres import minres
 
 pytestmark = pytest.mark.chaos
 
@@ -76,10 +74,6 @@ def _check_invariant(solver_name, res, a, b):
 
 SOLVERS = {
     "cg": lambda mv, b, pc: cg(mv, b, precond=pc, tol=TOL, max_iter=MAX_ITER),
-    "bicgstab": lambda mv, b, pc: bicgstab(
-        mv, b, precond=pc, tol=TOL, max_iter=MAX_ITER
-    ),
-    "minres": lambda mv, b, pc: minres(mv, b, tol=TOL, max_iter=MAX_ITER),
 }
 
 VALUES = {"nan": np.nan, "inf": np.inf}
@@ -99,7 +93,7 @@ def test_poisoned_matvec_never_silently_wrong(
 
 
 @pytest.mark.parametrize("call_index", [1, 3, 7])
-@pytest.mark.parametrize("solver_name", ["cg", "bicgstab"])
+@pytest.mark.parametrize("solver_name", ["cg"])
 def test_poisoned_precond_never_silently_wrong(solver_name, call_index):
     a, b = spd_system(seed=11)
     pc = PoisonedOp(lambda v: v, call_index, np.nan)

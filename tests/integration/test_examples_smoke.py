@@ -1,8 +1,8 @@
 """Smoke-run the fastest examples as subprocesses.
 
 The examples are the documentation users actually execute; a refactor
-that breaks their imports or output must fail the suite.  Only the two
-fastest examples run here (the rest exceed unit-test time budgets and are
+that breaks their imports or output must fail the suite.  Only the
+fastest example runs here (the rest exceed unit-test time budgets and are
 exercised piecewise by the feature tests).
 """
 
@@ -30,12 +30,6 @@ def test_quickstart_runs():
     out = _run("quickstart.py")
     assert "converged=True" in out
     assert "true relative residual" in out
-
-
-def test_heat_conduction_runs():
-    out = _run("heat_conduction.py")
-    assert "Poisson benchmark" in out
-    assert "converged=True" in out
 
 
 def test_all_examples_importable():

@@ -12,8 +12,12 @@ deadlocking the orchestrator.  Every case drives the pool through
 import glob
 import logging
 import os
+import re
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +157,35 @@ def test_killed_worker_raises_named_error(submap4):
     ref = _exercise(_comm(submap4))
     assert ref is not None
     comm.close()
+
+
+def test_unguarded_script_names_the_main_guard(tmp_path):
+    """A script that starts a pool at module level: each spawned worker
+    re-imports it as ``__main__``, starts a pool again and dies before it
+    answers.  The error gives the real exit code and names the guard."""
+    script = tmp_path / "unguarded.py"
+    script.write_text(
+        "from repro.core.driver import solve_cantilever\n"
+        "from repro.core.options import SolverOptions\n"
+        "solve_cantilever(2, n_parts=2,\n"
+        "                 options=SolverOptions(comm_backend='process'))\n"
+    )
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(
+        os.environ, PYTHONPATH=str(src),
+        REPRO_PROCESS_MIN_WORK="0", REPRO_PROCESS_WORKERS="2",
+    )
+    proc = subprocess.run(
+        [sys.executable, str(script)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode != 0
+    (last,) = [
+        line for line in proc.stderr.splitlines()
+        if line.startswith(WorkerCrashedError.__module__)
+    ]
+    assert re.search(r"\(exitcode -?\d+\)", last), last
+    assert "if __name__ == \"__main__\":" in last
 
 
 def test_every_spawn_is_logged_with_reason_and_pids(submap4, caplog):

@@ -68,6 +68,13 @@ def test_request_from_dict_rejects_unknown_keys():
         SolveRequest.from_dict({"mesh": 1, "preconditioner": "gls(7)"})
 
 
+def test_request_options_naming_kernel_backend_rejected():
+    """The kernel is a process setting: a request cannot pick one."""
+    options = dict(SolverOptions().to_dict(), kernel_backend="scipy")
+    with pytest.raises(ValueError, match="kernel_backend"):
+        SolveRequest.from_dict({"mesh": 1, "options": options})
+
+
 def test_request_from_dict_parses_nested_options():
     req = SolveRequest.from_dict(
         {"mesh": 1, "options": SolverOptions(precond="gls(3)").to_dict()}

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.precond.gls import GLSPolynomial
-from repro.solvers.bicgstab import bicgstab
 from repro.solvers.cg import cg
 from repro.solvers.fgmres import fgmres
 from repro.solvers.gmres import gmres
@@ -24,12 +23,12 @@ def _spd(n, seed):
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(3, 14), seed=st.integers(0, 3000))
 def test_all_solvers_agree(n, seed):
-    """Property: FGMRES, GMRES, CG and BiCGSTAB find the same solution of
-    the same SPD system."""
+    """Property: FGMRES, GMRES and CG find the same solution of the same SPD
+    system."""
     a, dense, b = _spd(n, seed)
     x_ref = np.linalg.solve(dense, b)
     scale = np.linalg.norm(x_ref)
-    for solver in (fgmres, gmres, cg, bicgstab):
+    for solver in (fgmres, gmres, cg):
         res = solver(a.matvec, b, tol=1e-11, max_iter=20 * n)
         assert res.converged, solver.__name__
         assert np.linalg.norm(res.x - x_ref) < 1e-6 * scale, solver.__name__
@@ -67,7 +66,7 @@ def test_polynomial_preconditioning_never_breaks_correctness(n, seed, m):
     assert np.linalg.norm(res.x - x_ref) < 1e-5 * np.linalg.norm(x_ref)
 
 
-@pytest.mark.parametrize("solver", [fgmres, gmres, cg, bicgstab])
+@pytest.mark.parametrize("solver", [fgmres, gmres, cg])
 def test_nan_rhs_rejected(solver):
     a = CSRMatrix.eye(3)
     b = np.array([1.0, np.nan, 0.0])
@@ -75,7 +74,7 @@ def test_nan_rhs_rejected(solver):
         solver(a.matvec, b)
 
 
-@pytest.mark.parametrize("solver", [fgmres, gmres, cg, bicgstab])
+@pytest.mark.parametrize("solver", [fgmres, gmres, cg])
 def test_inf_rhs_rejected(solver):
     a = CSRMatrix.eye(3)
     b = np.array([1.0, np.inf, 0.0])

@@ -143,15 +143,6 @@ def test_dist_vector_rejects_non_distvector_operand():
         _ = v + np.zeros(2)
 
 
-def test_bsr_repr_and_empty():
-    from repro.sparse.bsr import BSRMatrix
-
-    a = CSRMatrix((4, 4), np.zeros(5, dtype=np.int64), [], [])
-    bsr = BSRMatrix.from_csr(a, 2)
-    assert "blocks=0" in repr(bsr)
-    assert np.allclose(bsr.matvec(np.ones(4)), 0.0)
-
-
 def test_newmark_alpha_matches_a0():
     from repro.dynamics.newmark import NewmarkIntegrator
 
@@ -159,13 +150,6 @@ def test_newmark_alpha_matches_a0():
     m = CSRMatrix.eye(2)
     nm = NewmarkIntegrator(k, m, dt=0.5)
     assert nm.alpha == nm.a0 == pytest.approx(1 / (0.25 * 0.25))
-
-
-def test_heat_problem_neqn_property():
-    from repro.fem.poisson import heat_problem
-
-    p = heat_problem(nx=4, ny=4)
-    assert p.n_eqn == 9  # 3x3 interior nodes
 
 
 def test_cantilever_problem_neqn_property(tiny_problem):

@@ -2,12 +2,16 @@
 
 ``tools/profile_solve.py`` sat in the tree with an ``IndentationError``
 and nothing noticed, because nothing ever loaded it.  Every script under
-``tools/`` and ``examples/`` must at least compile, and the profiler —
-which no other test drives — must run end to end.
+``tools/`` and ``examples/`` must at least compile, every ``repro`` name
+imported by a script there or under ``benchmarks/`` must exist (compiling
+does not notice an import of a deleted module), and the profiler — which
+no other test drives — must run end to end.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
 import os
 import py_compile
 import subprocess
@@ -29,6 +33,35 @@ def test_script_compiles(script, tmp_path):
     py_compile.compile(
         str(script), cfile=str(tmp_path / "out.pyc"), doraise=True
     )
+
+
+IMPORTING = SCRIPTS + sorted((REPO / "benchmarks").glob("*.py"))
+
+
+def _repro_imports(script: Path):
+    """``(module, name)`` for every ``repro`` import anywhere in the
+    script; ``name`` is None for a plain ``import repro.x``."""
+    for node in ast.walk(ast.parse(script.read_text(), str(script))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "repro":
+                    yield alias.name, None
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").split(".")[0] == "repro":
+                for alias in node.names:
+                    yield node.module, alias.name
+
+
+@pytest.mark.parametrize(
+    "script", IMPORTING, ids=[str(p.relative_to(REPO)) for p in IMPORTING]
+)
+def test_script_repro_imports_resolve(script):
+    for module, name in _repro_imports(script):
+        mod = importlib.import_module(module)
+        if name is None or name == "*" or hasattr(mod, name):
+            continue
+        # ``from package import submodule`` names a module, not an attribute.
+        importlib.import_module(f"{module}.{name}")
 
 
 def test_profile_solve_runs():
