@@ -6,8 +6,8 @@ compare peak RSS (``resource.getrusage``'s ``ru_maxrss``) and solve
 wall time:
 
 * ``streamed`` — :func:`repro.fem.cantilever.cantilever_inputs` (no
-  verification assembly) + :func:`build_edd_system_streamed` (chunked
-  per-rank assembly, no global CSR ever materialized) solved under the
+  verification assembly) + :func:`build_edd_system` (chunked per-rank
+  assembly, no global CSR ever materialized) solved under the
   ``process`` comm backend with the residency threshold
   (``REPRO_PROCESS_MIN_WORK``) out of reach: rank bodies and collectives
   run inline and the worker pool is never spawned.
@@ -15,7 +15,7 @@ wall time:
   per-rank CSR blocks ship to the worker pool once and the solver's
   matvec/dot/ortho/axpy regions execute worker-resident.
 * ``serial`` — :func:`cantilever_problem` (global COO + CSR assembly)
-  + monolithic :func:`build_edd_system` under the virtual backend: the
+  + the same :func:`build_edd_system` under the virtual backend: the
   serial-assembly baseline.
 
 Each variant runs in its own child so ``ru_maxrss`` — a high-water mark
@@ -76,7 +76,7 @@ def run(mode, mesh_id, n_parts):
     options = SolverOptions(precond="gls(7)")
     pool_processes = 0
     if mode in ("streamed", "resident"):
-        from repro.core.distributed import build_edd_system_streamed
+        from repro.core.distributed import build_edd_system
         from repro.fem.cantilever import cantilever_inputs
         from repro.parallel.process_comm import (
             pool_process_count,
@@ -85,7 +85,7 @@ def run(mode, mesh_id, n_parts):
 
         mesh, bc, f_full, material = cantilever_inputs(mesh_id)
         part = ElementPartition.build(mesh, n_parts)
-        system = build_edd_system_streamed(
+        system = build_edd_system(
             mesh, material, bc, part, f_full, comm_backend="process"
         )
         try:

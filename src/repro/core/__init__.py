@@ -21,7 +21,6 @@ from repro.core.distributed import (
     DistVector,
     EDDSystem,
     build_edd_system,
-    build_edd_system_from_assembler,
 )
 from repro.core.edd import edd_fgmres, edd_fgmres_block
 from repro.core.rdd import (
@@ -46,7 +45,6 @@ __all__ = [
     "DistVector",
     "EDDSystem",
     "build_edd_system",
-    "build_edd_system_from_assembler",
     "edd_fgmres",
     "edd_fgmres_block",
     "RDDSystem",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fem.assembly import assemble_matrix
+from repro.fem import assembly
 from repro.fem.bc import DirichletBC
 from repro.fem.material import Material
 from repro.fem.mesh import Mesh
@@ -386,155 +386,33 @@ def build_edd_system(
     :func:`repro.parallel.comm.available_comm_backends`; None uses the
     session default of :func:`repro.parallel.comm.get_comm_backend`).
 
-    Other PDEs plug in through :func:`build_edd_system_from_assembler`.
+    Each subdomain's element contributions stream through
+    :func:`repro.fem.assembly.iter_element_coo` in chunks of
+    :data:`repro.fem.assembly.DEFAULT_CHUNK` elements, localized and
+    Dirichlet-filtered as they arrive, so peak memory is one chunk of COO
+    entries plus the sparse per-subdomain CSRs: no process ever holds the
+    global stiffness or the full element-matrix array.  Pair with
+    :func:`repro.fem.cantilever.cantilever_inputs` (which skips the serial
+    verification assembly) for large-mesh runs.  The chunks concatenate
+    to the entry arrays of ``assemble_matrix(..., element_subset=...)``
+    (``mass_shift`` streams all scaled stiffness chunks, then all scaled
+    mass chunks), so the CSRs do not depend on the chunk size.
 
     Setup communication is *not* charged: counters are reset before
     returning so recorded statistics cover the solve only, matching the
     paper's timed region.
     """
-
-    def assembler(elems: np.ndarray) -> COOMatrix:
-        coo = assemble_matrix(mesh, material, "stiffness", element_subset=elems)
-        if mass_shift is not None:
-            alpha, beta = mass_shift
-            m_coo = assemble_matrix(mesh, material, "mass", element_subset=elems)
-            coo = COOMatrix(
-                coo.shape,
-                np.concatenate([coo.rows, m_coo.rows]),
-                np.concatenate([coo.cols, m_coo.cols]),
-                np.concatenate([beta * coo.data, alpha * m_coo.data]),
-            )
-        return coo
-
-    return build_edd_system_from_assembler(
-        mesh, bc, partition, f_full, assembler, comm_backend=comm_backend
-    )
-
-
-def build_edd_system_from_assembler(
-    mesh: Mesh,
-    bc: DirichletBC,
-    partition: ElementPartition,
-    f_full: np.ndarray,
-    assembler,
-    comm_backend: str | None = None,
-) -> EDDSystem:
-    """Generic EDD system builder for any PDE.
-
-    ``assembler(element_subset) -> COOMatrix`` must return the subdomain's
-    unassembled matrix contribution on *full* (unreduced) DOF numbering —
-    e.g. the stiffness, or ``alpha M + beta K`` for dynamics.  Everything
-    else (reduction, localization, distributed norm-1 scaling, rhs
-    ownership split) is PDE-independent.  ``comm_backend`` picks the
-    communicator implementation (None = session default).
-    """
     submap = build_subdomain_map(mesh, partition, bc)
     comm = make_comm(submap, backend=comm_backend)
     full_to_free = bc.full_to_free()
-
-    a_local = []
-    for s in range(partition.n_parts):
-        elems = partition.subdomain_elements(s)
-        coo = assembler(elems)
-        r = full_to_free[coo.rows]
-        c = full_to_free[coo.cols]
-        keep = (r >= 0) & (c >= 0)
-        g = submap.l2g[s]
-        g2l = np.full(bc.n_free, -1, dtype=np.int64)
-        g2l[g] = np.arange(len(g))
-        local = COOMatrix(
-            (len(g), len(g)), g2l[r[keep]], g2l[c[keep]], coo.data[keep]
+    a_local = [
+        _local_matrix(
+            mesh, material, partition.subdomain_elements(s), full_to_free,
+            submap.l2g[s], mass_shift,
         )
-        a_local.append(local.tocsr())
+        for s in range(partition.n_parts)
+    ]
 
-    return _finish_edd_system(submap, comm, a_local, bc, f_full)
-
-
-def build_edd_system_streamed(
-    mesh: Mesh,
-    material: Material,
-    bc: DirichletBC,
-    partition: ElementPartition,
-    f_full: np.ndarray,
-    mass_shift: tuple | None = None,
-    comm_backend: str | None = None,
-    chunk: int | None = None,
-) -> EDDSystem:
-    """Memory-bounded variant of :func:`build_edd_system`.
-
-    Streams each subdomain's element contributions through
-    :func:`repro.fem.assembly.iter_element_coo` in chunks of ``chunk``
-    elements (default :data:`repro.fem.assembly.DEFAULT_CHUNK`), localizing
-    and Dirichlet-filtering every chunk as it arrives — so peak memory per
-    process is one chunk of COO entries plus the (sparse) per-subdomain
-    CSRs, and **no process ever materializes the global stiffness CSR** or
-    the full element-matrix array.  Pair with
-    :func:`repro.fem.cantilever.cantilever_inputs` (which skips the serial
-    verification assembly) for large-mesh runs.
-
-    Bit-identity with :func:`build_edd_system` holds by construction: the
-    streamed chunks concatenate to the exact entry arrays the monolithic
-    assembler produces (``mass_shift`` streams all scaled stiffness chunks,
-    then all scaled mass chunks, matching the monolithic concatenation
-    order), so ``tocsr`` and everything downstream agree bitwise.
-    """
-    from repro.fem.assembly import DEFAULT_CHUNK, iter_element_coo
-
-    if chunk is None:
-        chunk = DEFAULT_CHUNK
-    submap = build_subdomain_map(mesh, partition, bc)
-    comm = make_comm(submap, backend=comm_backend)
-    full_to_free = bc.full_to_free()
-
-    a_local = []
-    for s in range(partition.n_parts):
-        elems = partition.subdomain_elements(s)
-        g = submap.l2g[s]
-        g2l = np.full(bc.n_free, -1, dtype=np.int64)
-        g2l[g] = np.arange(len(g))
-        lrows: list = []
-        lcols: list = []
-        ldata: list = []
-
-        def consume(kind: str, scale: float | None) -> None:
-            for rows, cols, data in iter_element_coo(
-                mesh, material, kind, element_subset=elems, chunk=chunk
-            ):
-                r = full_to_free[rows]
-                c = full_to_free[cols]
-                keep = (r >= 0) & (c >= 0)
-                lrows.append(g2l[r[keep]])
-                lcols.append(g2l[c[keep]])
-                kept = data[keep]
-                ldata.append(kept if scale is None else scale * kept)
-
-        if mass_shift is None:
-            consume("stiffness", None)
-        else:
-            alpha, beta = mass_shift
-            consume("stiffness", beta)
-            consume("mass", alpha)
-        local = COOMatrix(
-            (len(g), len(g)),
-            np.concatenate(lrows) if lrows else np.empty(0, dtype=np.int64),
-            np.concatenate(lcols) if lcols else np.empty(0, dtype=np.int64),
-            np.concatenate(ldata) if ldata else np.empty(0),
-        )
-        a_local.append(local.tocsr())
-
-    return _finish_edd_system(submap, comm, a_local, bc, f_full)
-
-
-def _finish_edd_system(
-    submap: SubdomainMap,
-    comm: Comm,
-    a_local: list,
-    bc: DirichletBC,
-    f_full: np.ndarray,
-) -> EDDSystem:
-    """Shared PDE-independent tail of the EDD builders: distributed norm-1
-    scaling (Algorithm 3), rhs ownership split, owner masks, and the
-    stats reset that keeps setup communication out of the solve counters."""
     # Distributed norm-1 scaling (Algorithm 3): d_i = sum_s ||k_i^(s)||_1.
     d_tilde = [a.row_norms1() for a in a_local]
     d_hat = comm.interface_assemble(d_tilde)
@@ -566,3 +444,46 @@ def _finish_edd_system(
         d_parts=d_parts,
         owner_mask=owner_mask,
     )
+
+
+def _local_matrix(
+    mesh: Mesh,
+    material: Material,
+    elems: np.ndarray,
+    full_to_free: np.ndarray,
+    l2g: np.ndarray,
+    mass_shift: tuple | None,
+) -> CSRMatrix:
+    """One subdomain's unscaled :math:`\\hat K^{(s)}` (or
+    :math:`\\alpha M + \\beta K`) in local numbering: the element COO
+    chunks of ``elems``, Dirichlet-filtered and localized through
+    ``l2g`` as each chunk arrives."""
+    n = len(l2g)
+    g2l = np.full(len(full_to_free), -1, dtype=np.int64)
+    g2l[l2g] = np.arange(n)
+    if mass_shift is None:
+        terms = [("stiffness", None)]
+    else:
+        alpha, beta = mass_shift
+        terms = [("stiffness", beta), ("mass", alpha)]
+    rows_l, cols_l, data_l = [], [], []
+    for kind, scale in terms:
+        for rows, cols, data in assembly.iter_element_coo(
+            mesh, material, kind, element_subset=elems,
+            chunk=assembly.DEFAULT_CHUNK,
+        ):
+            r = full_to_free[rows]
+            c = full_to_free[cols]
+            keep = (r >= 0) & (c >= 0)
+            rows_l.append(g2l[r[keep]])
+            cols_l.append(g2l[c[keep]])
+            kept = data[keep]
+            data_l.append(kept if scale is None else scale * kept)
+    if not data_l:
+        return COOMatrix.empty((n, n)).tocsr()
+    return COOMatrix(
+        (n, n),
+        np.concatenate(rows_l),
+        np.concatenate(cols_l),
+        np.concatenate(data_l),
+    ).tocsr()

@@ -213,7 +213,6 @@ def streamed_matvec(
     x: np.ndarray,
     kind: str = "stiffness",
     scale: float = 1.0,
-    chunk: int | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """``out += scale * (A_free @ x)`` without materializing ``A``.
@@ -226,14 +225,14 @@ def streamed_matvec(
     summation order differs from a CSR matvec, so results agree to
     rounding (fine for the tolerance-based residual check), not bitwise.
     """
-    from repro.fem.assembly import DEFAULT_CHUNK, iter_element_coo
+    from repro.fem import assembly
 
-    if chunk is None:
-        chunk = DEFAULT_CHUNK
     full_to_free = bc.full_to_free()
     if out is None:
         out = np.zeros(bc.n_free)
-    for rows, cols, data in iter_element_coo(mesh, material, kind, chunk=chunk):
+    for rows, cols, data in assembly.iter_element_coo(
+        mesh, material, kind, chunk=assembly.DEFAULT_CHUNK
+    ):
         r = full_to_free[rows]
         c = full_to_free[cols]
         keep = (r >= 0) & (c >= 0)
@@ -248,7 +247,6 @@ def streamed_verify_residual(
     b: np.ndarray,
     options: SolverOptions,
     result,
-    chunk: int | None = None,
 ) -> float:
     """Memory-bounded counterpart of :func:`_verify_residual`.
 
@@ -264,15 +262,12 @@ def streamed_verify_residual(
         return 0.0
     if options.dynamic:
         alpha, beta = options.mass_shift
+        ax = streamed_matvec(mesh, material, bc, result.x, "stiffness", beta)
         ax = streamed_matvec(
-            mesh, material, bc, result.x, "stiffness", beta, chunk
-        )
-        ax = streamed_matvec(
-            mesh, material, bc, result.x, "mass", alpha, chunk, out=ax
+            mesh, material, bc, result.x, "mass", alpha, out=ax
         )
     else:
-        ax = streamed_matvec(mesh, material, bc, result.x, "stiffness", 1.0,
-                             chunk)
+        ax = streamed_matvec(mesh, material, bc, result.x)
     rel = float(np.linalg.norm(b - ax) / norm_b)
     return _verify_verdict(rel, options, result)
 

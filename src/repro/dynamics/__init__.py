@@ -13,7 +13,6 @@ from repro.dynamics.parallel_transient import (
     ParallelTransientResult,
     run_parallel_transient,
 )
-from repro.dynamics.modal import ModalResult, lowest_modes
 
 __all__ = [
     "NewmarkIntegrator",
@@ -22,6 +21,4 @@ __all__ = [
     "run_transient",
     "ParallelTransientResult",
     "run_parallel_transient",
-    "ModalResult",
-    "lowest_modes",
 ]

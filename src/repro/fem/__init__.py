@@ -20,12 +20,6 @@ from repro.fem.assembly import assemble_matrix, element_dof_map
 from repro.fem.bc import DirichletBC, apply_dirichlet, clamp_edge_dofs
 from repro.fem.loads import edge_traction_load, point_load
 from repro.fem.unstructured import delaunay_mesh, perforated_plate
-from repro.fem.stress import (
-    element_stresses,
-    nodal_stresses,
-    stress_concentration_factor,
-    von_mises,
-)
 from repro.fem.verification import convergence_study, solve_manufactured
 from repro.fem.cantilever import (
     PAPER_MESHES,
@@ -57,10 +51,6 @@ __all__ = [
     "PAPER_MESHES",
     "delaunay_mesh",
     "perforated_plate",
-    "element_stresses",
-    "nodal_stresses",
-    "von_mises",
-    "stress_concentration_factor",
     "convergence_study",
     "solve_manufactured",
 ]

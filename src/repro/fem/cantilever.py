@@ -39,9 +39,10 @@ PAPER_MESHES = {
 #: Beyond-Table-2 tiers for large-mesh scaling runs: same ``(nXele,
 #: nYele, nNode, nEqn, clamped edge)`` tuple shape, ids continuing the
 #: paper's numbering.  Mesh11/12 land in the 10^5-equation decade and
-#: Mesh13 crosses 10^6; pair them with ``cantilever_inputs`` + the
-#: streamed builders — the assembled constructors would materialize the
-#: global CSR these tiers exist to avoid.
+#: Mesh13 crosses 10^6; pair them with ``cantilever_inputs`` +
+#: :func:`repro.core.distributed.build_edd_system` (which streams each
+#: subdomain's element chunks) — ``cantilever_problem`` would
+#: materialize the global CSR these tiers exist to avoid.
 LARGE_MESHES = {
     11: (320, 160, 51681, 103040, "left"),
     12: (500, 250, 125751, 251000, "left"),
@@ -115,9 +116,10 @@ def cantilever_inputs(
 
     The large-mesh companion to :func:`cantilever_problem`: returns
     ``(mesh, bc, f_full, material)`` without ever forming the global
-    stiffness CSR, so a streamed distributed build
-    (:func:`repro.core.distributed.build_edd_system_streamed`) can run with
-    peak memory bounded by one subdomain plus one element chunk.
+    stiffness CSR, so the distributed build
+    (:func:`repro.core.distributed.build_edd_system`, which streams each
+    subdomain's element chunks) can run with peak memory bounded by one
+    subdomain plus one element chunk.
     ``f_full[bc.free]`` equals the reduced load of the assembled problem
     bitwise (homogeneous Dirichlet reduction is a pure restriction), so
     solves against either construction agree exactly.

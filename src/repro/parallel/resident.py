@@ -601,7 +601,10 @@ class ResidentEngine:
     resident = True
 
     def __init__(self, system):
-        self.system = system
+        # The system caches its engine (rank_engine); a weak reference
+        # back keeps the pair out of a cycle, so dropping an unclosed
+        # system frees its communicator without a GC pass.
+        self._system = weakref.ref(system)
         self.gen = next(_generations)
         self.mode = "edd" if hasattr(system, "a_local") else "rdd"
         if self.mode == "edd":
@@ -613,6 +616,11 @@ class ResidentEngine:
             self.slot_words = sum(sizes)
             self.formats, self.axpy_flops = 1, 2
         self.sizes, self.offsets, self.n_total = _layout(sizes)
+
+    @property
+    def system(self):
+        """The EDD or RDD system this engine runs."""
+        return self._system()
 
     # -- shipping ------------------------------------------------------
     def ensure_shipped(self) -> None:

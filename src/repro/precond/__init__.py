@@ -26,7 +26,6 @@ from repro.precond.diagonal import JacobiPreconditioner
 from repro.precond.scaling import ScaledSystem, norm1_scaling, scale_system
 from repro.precond.neumann import NeumannPolynomial
 from repro.precond.gls import GLSPolynomial
-from repro.precond.least_squares import LeastSquaresPolynomial
 from repro.precond.block_jacobi import BlockJacobiILU
 from repro.precond.degree_selection import (
     DegreeEstimate,
@@ -58,7 +57,6 @@ __all__ = [
     "scale_system",
     "NeumannPolynomial",
     "GLSPolynomial",
-    "LeastSquaresPolynomial",
     "BlockJacobiILU",
     "DegreeEstimate",
     "choose_degree",

@@ -84,17 +84,41 @@ def _stieltjes(nodes, weights, m):
     return alphas, betas
 
 
-class _ThreeTermPolynomial(PolynomialPreconditioner):
-    """What the GLS and classical least-squares polynomials share:
+class GLSPolynomial(PolynomialPreconditioner):
+    """Degree-``m`` generalized least-squares polynomial preconditioner:
     ``z = sum_i mu_i phi_i(A) v`` with ``phi_i`` orthonormal under the
-    modified weight ``lambda^2 w`` of a discrete measure, fitted by
-    :meth:`_fit`; the subclass picks the measure."""
+    modified weight ``lambda^2 w`` of the Chebyshev measure on ``theta``.
 
-    def _fit(self, nodes, weights) -> None:
-        """Stieltjes coefficients of the ``phi_i`` under ``lambda^2 w``
-        (so ``lambda phi_i`` is orthonormal under ``w``) and the
-        expansion ``mu_i = <1, lambda phi_i>_w`` of the constant 1."""
-        degree = self.degree
+    Parameters
+    ----------
+    theta:
+        Spectrum estimate :math:`\\Theta` (union of intervals, 0 excluded).
+    degree:
+        Polynomial degree ``m`` (``m`` matvecs per application).
+    n_quad:
+        Gauss-Chebyshev points per interval; must exceed ``degree + 1`` for
+        the discrete inner products to be exact (default auto-picks).
+    matvec:
+        Optional bound matvec for :meth:`apply`.
+    """
+
+    def __init__(
+        self,
+        theta: SpectrumIntervals,
+        degree: int,
+        n_quad: int | None = None,
+        matvec=None,
+    ):
+        super().__init__(degree, matvec)
+        self.theta = theta
+        if n_quad is None:
+            n_quad = max(4 * (degree + 2), 64)
+        if n_quad < degree + 2:
+            raise ValueError("n_quad must exceed degree + 1")
+        nodes, weights = _discrete_measure(theta, n_quad)
+        # Stieltjes coefficients of the phi_i under lambda^2 w (so
+        # lambda phi_i is orthonormal under w) and the expansion
+        # mu_i = <1, lambda phi_i>_w of the constant 1.
         self._alphas, self._betas = _stieltjes(
             nodes, weights * nodes * nodes, degree
         )
@@ -109,6 +133,14 @@ class _ThreeTermPolynomial(PolynomialPreconditioner):
                 ) / self._betas[i + 1]
                 phi_prev, phi = phi, nxt
         self._mus = mus
+
+    @classmethod
+    def unit_interval(
+        cls, degree: int, eps: float = 1e-6, matvec=None
+    ) -> "GLSPolynomial":
+        """The paper's default: :math:`\\Theta = (\\varepsilon, 1)` after
+        norm-1 diagonal scaling."""
+        return cls(SpectrumIntervals.single(eps, 1.0), degree, matvec=matvec)
 
     def apply_linear(self, matvec, v, out=None):
         """``z = sum_i mu_i phi_i(A) v`` via the three-term recurrence —
@@ -168,49 +200,6 @@ class _ThreeTermPolynomial(PolynomialPreconditioner):
         out = np.zeros(self.degree + 1)
         out[: len(total.coef)] = total.coef
         return out
-
-
-class GLSPolynomial(_ThreeTermPolynomial):
-    """Degree-``m`` generalized least-squares polynomial preconditioner.
-
-    Parameters
-    ----------
-    theta:
-        Spectrum estimate :math:`\\Theta` (union of intervals, 0 excluded).
-    degree:
-        Polynomial degree ``m`` (``m`` matvecs per application).
-    n_quad:
-        Gauss-Chebyshev points per interval; must exceed ``degree + 1`` for
-        the discrete inner products to be exact (default auto-picks).
-    matvec:
-        Optional bound matvec for :meth:`apply`.
-    """
-
-    def __init__(
-        self,
-        theta: SpectrumIntervals,
-        degree: int,
-        n_quad: int | None = None,
-        matvec=None,
-    ):
-        super().__init__(degree, matvec)
-        self.theta = theta
-        if n_quad is None:
-            n_quad = max(4 * (degree + 2), 64)
-        if n_quad < degree + 2:
-            raise ValueError("n_quad must exceed degree + 1")
-        nodes, weights = _discrete_measure(theta, n_quad)
-        self._fit(nodes, weights)
-        self._nodes = nodes
-        self._weights = weights
-
-    @classmethod
-    def unit_interval(
-        cls, degree: int, eps: float = 1e-6, matvec=None
-    ) -> "GLSPolynomial":
-        """The paper's default: :math:`\\Theta = (\\varepsilon, 1)` after
-        norm-1 diagonal scaling."""
-        return cls(SpectrumIntervals.single(eps, 1.0), degree, matvec=matvec)
 
     def residual_sup_norm(self, per_interval: int = 400) -> float:
         """``max |1 - lambda P(lambda)|`` over a fine grid in Theta."""

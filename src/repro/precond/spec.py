@@ -14,7 +14,6 @@ Accepted grammar (case-insensitive; see :data:`SPEC_GRAMMAR`):
 * ``"gls(m)"`` — generalized least-squares polynomial of degree ``m``.
 * ``"neumann(m)"`` — Neumann series of degree ``m``.
 * ``"cheb(m)"`` — Chebyshev residual polynomial of degree ``m``.
-* ``"ls(m)"`` — classical Jacobi-weight least-squares of degree ``m``.
 * ``"bj-ilu0"`` — block-Jacobi ILU(0) (RDD only); returned as the marker
   string because it needs a built system to construct.
 * ``"2l(inner[,additive|deflate][,tr])"`` — two-level composite: any of
@@ -40,7 +39,7 @@ BJ_ILU0_MARKER = "bj-ilu0"
 #: parse error (and printed by ``repro solve`` on a bad ``--precond``).
 SPEC_GRAMMAR = (
     "accepted preconditioner specs: 'none', 'gls(m)', 'neumann(m)', "
-    "'cheb(m)', 'ls(m)', 'bj-ilu0', or the two-level composite "
+    "'cheb(m)', 'bj-ilu0', or the two-level composite "
     "'2l(inner[,additive|deflate][,tr])' with any of the former as inner "
     "— m a non-negative integer, e.g. 'gls(7)', '2l(neumann(20),deflate)'"
 )
@@ -50,7 +49,6 @@ _DEGREE_FAMILIES = {
     "gls": ("repro.precond.gls", "GLSPolynomial", True),
     "neumann": ("repro.precond.neumann", "NeumannPolynomial", False),
     "cheb": ("repro.precond.chebyshev", "ChebyshevPolynomial", True),
-    "ls": ("repro.precond.least_squares", "LeastSquaresPolynomial", True),
 }
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 import os
 import pathlib
 import subprocess
@@ -118,8 +117,3 @@ def comm_backend(request, monkeypatch):
     monkeypatch.setenv("REPRO_PROCESS_MIN_WORK", "0")
     with use_comm_backend(request.param):
         yield request.param
-        # A solved system and its rank engine reference each other, so a
-        # test's unclosed ProcessComm stays borrowed until a GC pass, and
-        # the context exit would leave the pool up for a later test that
-        # asserts it drained.  Collect here so the exit drains it.
-        gc.collect()

@@ -339,7 +339,7 @@ def test_fused_vocabulary_replaces_per_piece_ops(tiny_problem, monkeypatch):
 @settings(max_examples=8, deadline=None)
 @given(
     method=st.sampled_from(["rdd", "edd-enhanced"]),
-    kind=st.sampled_from(["gls", "neumann", "cheb", "ls"]),
+    kind=st.sampled_from(["gls", "neumann", "cheb"]),
     degree=st.integers(min_value=1, max_value=6),
     two_level=st.booleans(),
 )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.precond.base import PolynomialPreconditioner
 from repro.precond.gls import GLSPolynomial, _discrete_measure, _stieltjes
 from repro.precond.scaling import scale_system
 from repro.spectrum.intervals import SpectrumIntervals
@@ -135,7 +136,7 @@ def test_theta_sensitivity_fig10():
     width=st.floats(0.2, 2.0),
     m=st.integers(1, 12),
 )
-def test_least_squares_optimality_property(lo, width, m):
+def test_gls_optimality_property(lo, width, m):
     """Property: the GLS residual has smaller weighted L2 norm than simple
     competitor polynomials of the same degree (here: scaled Neumann)."""
     th = SpectrumIntervals.single(lo, lo + width)
@@ -149,3 +150,18 @@ def test_least_squares_optimality_property(lo, width, m):
     r_nm = nm.residual(nodes)
     norm_nm = np.sum(weights * r_nm**2)
     assert norm_gls <= norm_nm + 1e-12
+
+
+def test_polynomial_family_without_a_program_cannot_be_built():
+    """``chain_terms`` is abstract: a family that names no recurrence
+    fails at construction, before any solve could charge anything."""
+
+    class NoProgram(PolynomialPreconditioner):
+        def apply_linear(self, matvec, v, out=None):
+            return v
+
+        def power_coefficients(self):
+            return np.ones(1)
+
+    with pytest.raises(TypeError, match="chain_terms"):
+        NoProgram(1)

@@ -48,21 +48,50 @@ def test_all_exports_resolve():
             assert hasattr(mod, name), f"{modname}.__all__ lists missing {name}"
 
 
-def test_api_reference_up_to_date(tmp_path):
-    """docs/API.md regenerates identically — catches stale references."""
+def test_api_reference_up_to_date():
+    """docs/API.md is what ``tools/gen_api.py`` would generate — catches
+    stale references.  ``--check`` compares without writing, so a stale
+    doc fails here instead of being rewritten by the test run."""
     import pathlib
     import subprocess
     import sys
 
     repo = pathlib.Path(__file__).resolve().parent.parent
-    current = (repo / "docs" / "API.md").read_text()
-    subprocess.run(
-        [sys.executable, str(repo / "tools" / "gen_api.py")],
-        check=True,
+    before = (repo / "docs" / "API.md").read_bytes()
+    proc = subprocess.run(
+        [sys.executable, str(repo / "tools" / "gen_api.py"), "--check"],
         capture_output=True,
+        text=True,
     )
-    regenerated = (repo / "docs" / "API.md").read_text()
-    assert current == regenerated
+    assert (repo / "docs" / "API.md").read_bytes() == before
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_gen_api_help_and_check_write_nothing(tmp_path, capsys):
+    """``--help`` prints usage and ``--check`` reports a stale file with
+    exit code 1; neither touches the file.  Without flags the tool
+    writes it, after which ``--check`` passes."""
+    import importlib.util
+    import pathlib
+
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "gen_api", repo / "tools" / "gen_api.py"
+    )
+    gen_api = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_api)
+    gen_api.OUT = tmp_path / "API.md"
+    gen_api.OUT.write_text("stale\n")
+
+    with pytest.raises(SystemExit) as exc:
+        gen_api.main(["--help"])
+    assert exc.value.code == 0
+    assert "--check" in capsys.readouterr().out
+    assert gen_api.main(["--check"]) == 1
+    assert gen_api.OUT.read_text() == "stale\n"
+    assert gen_api.main([]) == 0
+    assert gen_api.OUT.read_text().startswith("# API reference")
+    assert gen_api.main(["--check"]) == 0
 
 
 def test_no_vector_block_method_twins():
