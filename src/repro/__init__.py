@@ -40,10 +40,9 @@ __all__ = [
     "API_VERSION",
     "SCHEMA_VERSION",
     "solve_cantilever",
-    "solve_cantilever_batch",
     "SolveSession",
     "PreparedSystem",
-    "BatchSolveSummary",
+    "SolveSummary",
     "SolverOptions",
     "SolveOutcome",
     "SolveResult",
@@ -55,7 +54,6 @@ __all__ = [
     "make_preconditioner",
     "spec_of",
     "cantilever_problem",
-    "ParallelSolveSummary",
     "Tracer",
     "fgmres",
     "gmres",

@@ -24,12 +24,11 @@ Contract
 
 Surface map
 -----------
-Solving: :func:`solve_cantilever`, :func:`solve_cantilever_batch`,
-:class:`SolverOptions`, :class:`PreparedSystem`, :class:`SolveSession`.
+Solving: :func:`solve_cantilever`, :class:`SolverOptions`, :class:`PreparedSystem`, :class:`SolveSession`.
 Serving: :class:`SolverService`, :class:`ServiceConfig`,
 :class:`SolveRequest`, :class:`SolveResponse`, :func:`serve_jsonl`.
-Results: :class:`SolveOutcome`, :class:`ParallelSolveSummary`,
-:class:`BatchSolveSummary`, :class:`SolveResult`.
+Results: :class:`SolveOutcome`, :class:`SolveSummary`,
+:class:`SolveResult`.
 Preconditioners: :func:`make_preconditioner`, :func:`spec_of`,
 :data:`SPEC_GRAMMAR`.  Problems: :func:`cantilever_problem`.
 Observability: :class:`Tracer`.
@@ -37,15 +36,10 @@ Observability: :class:`Tracer`.
 
 from __future__ import annotations
 
-from repro.core.driver import ParallelSolveSummary, solve_cantilever
+from repro.core.driver import solve_cantilever
 from repro.core.options import SolverOptions
 from repro.core.outcome import SCHEMA_VERSION, SolveOutcome
-from repro.core.session import (
-    BatchSolveSummary,
-    PreparedSystem,
-    SolveSession,
-    solve_cantilever_batch,
-)
+from repro.core.session import PreparedSystem, SolveSession, SolveSummary
 from repro.fem.cantilever import CantileverProblem, cantilever_problem
 from repro.obs import Tracer
 from repro.precond.spec import SPEC_GRAMMAR, make_preconditioner, spec_of
@@ -60,14 +54,13 @@ from repro.solvers.result import SolveResult
 
 #: Version of the frozen facade surface (bumped on incompatible change
 #: to any ``__all__`` member; see the module docstring's contract).
-API_VERSION = "1"
+API_VERSION = "2"
 
 __all__ = [
     "API_VERSION",
     "SCHEMA_VERSION",
     # solving
     "solve_cantilever",
-    "solve_cantilever_batch",
     "SolverOptions",
     "PreparedSystem",
     "SolveSession",
@@ -79,8 +72,7 @@ __all__ = [
     "serve_jsonl",
     # results
     "SolveOutcome",
-    "ParallelSolveSummary",
-    "BatchSolveSummary",
+    "SolveSummary",
     "SolveResult",
     # preconditioners & problems
     "make_preconditioner",

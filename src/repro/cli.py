@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.core.driver import solve_cantilever
 from repro.core.options import SolverOptions
+from repro.core.session import PreparedSystem
 from repro.fem.cantilever import PAPER_MESHES, cantilever_problem
 from repro.parallel.comm import available_comm_backends
 from repro.parallel.machine import MACHINES, modeled_time
@@ -255,27 +256,31 @@ def cmd_solve(args) -> int:
         dynamic=args.dynamic,
         comm_backend=comm_backend,
     )
-    if args.nrhs > 1:
-        with chaos_ctx:
-            return _solve_batch(args, problem, options, tracer)
-    with chaos_ctx:
-        summary = solve_cantilever(
-            problem, n_parts=args.parts, options=options, tracer=tracer
-        )
-    res = summary.result
+    k = args.nrhs
+    with chaos_ctx, PreparedSystem.build(
+        problem, args.parts, options, tracer=tracer
+    ) as prepared:
+        if k == 1:
+            summary = prepared.solve(tracer=tracer)
+        else:
+            scales = 1.0 + 0.1 * np.arange(k)
+            summary = prepared.solve_batch(
+                problem.load[:, None] * scales, tracer=tracer
+            )
     print(
         f"mesh {args.mesh} ({problem.n_eqn} eqns), {args.method}, "
         f"{summary.precond_name}, P={args.parts}, "
-        f"comm={summary.comm_backend}"
+        f"comm={summary.comm_backend}, nrhs={k}"
     )
-    print(res)
-    if not args.dynamic:
-        r = problem.load - problem.stiffness.matvec(res.x)
-        rel = np.linalg.norm(r) / np.linalg.norm(problem.load)
-        print(f"true relative residual: {rel:.3e}")
-    for event in res.diagnostics:
-        print(f"diagnostic: [{event.kind}] iter {event.iteration}: "
-              f"{event.detail}")
+    for c, (res, rel) in enumerate(
+        zip(summary.results, summary.true_residuals)
+    ):
+        tag = "" if k == 1 else f"rhs[{c}] "
+        print(f"{tag}{res}")
+        print(f"{tag}true relative residual: {rel:.3e}")
+        for event in res.diagnostics:
+            print(f"{tag}diagnostic: [{event.kind}] iter {event.iteration}: "
+                  f"{event.detail}")
     st = summary.stats
     print(
         f"flops={st.total_flops:,} messages={st.total_nbr_messages} "
@@ -283,6 +288,11 @@ def cmd_solve(args) -> int:
     )
     for name, machine in sorted(MACHINES.items()):
         print(f"modeled time on {machine.name}: {modeled_time(st, machine):.4f} s")
+    rate = k / summary.wall_time if summary.wall_time > 0 else float("inf")
+    print(
+        f"setup {summary.setup_time:.4f} s, solve {summary.wall_time:.4f} s, "
+        f"{rate:.2f} RHS/s"
+    )
     if args.json:
         import os
 
@@ -299,72 +309,15 @@ def cmd_solve(args) -> int:
         records = (
             load_records(args.json) if os.path.exists(args.json) else []
         )
-        records.append(record_from_summary(summary, label, problem.n_eqn))
-        save_records(records, args.json)
-        print(f"record appended to {args.json}")
-    if tracer is not None:
-        _write_trace(tracer, args.trace)
-    return 0 if res.converged else 1
-
-
-def _solve_batch(args, problem, options, tracer=None) -> int:
-    """``repro solve --nrhs K``: one batched block solve of K load cases."""
-    from repro.core.session import solve_cantilever_batch
-
-    k = args.nrhs
-    scales = 1.0 + 0.1 * np.arange(k)
-    b_block = problem.load[:, None] * scales
-    summary = solve_cantilever_batch(
-        problem, b_block, n_parts=args.parts, options=options, tracer=tracer
-    )
-    print(
-        f"mesh {args.mesh} ({problem.n_eqn} eqns), {args.method}, "
-        f"{summary.precond_name}, P={args.parts}, "
-        f"comm={summary.comm_backend}, nrhs={k}"
-    )
-    for c, (res, rel) in enumerate(
-        zip(summary.results, summary.true_residuals)
-    ):
-        status = "converged" if res.converged else "NOT converged"
-        print(
-            f"  rhs[{c}]: {status} in {res.iterations} iterations, "
-            f"true relative residual {rel:.3e}"
-        )
-        for event in res.diagnostics:
-            print(
-                f"  diagnostic: [{event.kind}] iter {event.iteration}: "
-                f"{event.detail}"
+        records.extend(
+            record_from_summary(
+                summary, label if k == 1 else f"{label}/rhs{c}",
+                problem.n_eqn, column=c,
             )
-    st = summary.stats
-    print(
-        f"flops={st.total_flops:,} messages={st.total_nbr_messages} "
-        f"words={st.total_nbr_words:,} reductions={st.max_reductions}"
-    )
-    rate = k / summary.wall_time if summary.wall_time > 0 else float("inf")
-    print(
-        f"setup {summary.setup_time:.4f} s, solve {summary.wall_time:.4f} s, "
-        f"{rate:.2f} RHS/s"
-    )
-    if args.json:
-        import os
-
-        from repro.io.records import (
-            load_records,
-            records_from_batch,
-            save_records,
+            for c in range(k)
         )
-
-        label = (
-            f"mesh{args.mesh}/{args.method}/{summary.precond_name}/"
-            f"p{args.parts}"
-        )
-        records = (
-            load_records(args.json) if os.path.exists(args.json) else []
-        )
-        new = records_from_batch(summary, label, problem.n_eqn)
-        records.extend(new)
         save_records(records, args.json)
-        print(f"{len(new)} records appended to {args.json}")
+        print(f"{k} record(s) appended to {args.json}")
     if tracer is not None:
         _write_trace(tracer, args.trace)
     return 0 if summary.all_converged else 1

@@ -10,8 +10,9 @@
 * :mod:`repro.core.driver` — one-call API building mesh → partition →
   scale → precondition → solve, returning solution plus communication
   statistics and modeled machine times.
-* :mod:`repro.core.session` — prepared-system sessions and the batched
-  multi-RHS solve path (block Arnoldi over ``(n, k)`` right-hand-side
+* :mod:`repro.core.session` — prepared-system sessions, the one
+  :class:`SolveSummary` every solve returns, and the batched multi-RHS
+  solve path (block Arnoldi over ``(n, k)`` right-hand-side
   blocks with coalesced interface exchanges).
 * :mod:`repro.core.complexity` — the Table 1 analytic cost model, asserted
   against the recorded counters.
@@ -29,14 +30,9 @@ from repro.core.rdd import (
     rdd_fgmres,
     rdd_fgmres_block,
 )
-from repro.core.driver import ParallelSolveSummary, solve_cantilever
+from repro.core.driver import solve_cantilever
 from repro.core.options import SolverOptions
-from repro.core.session import (
-    BatchSolveSummary,
-    PreparedSystem,
-    SolveSession,
-    solve_cantilever_batch,
-)
+from repro.core.session import PreparedSystem, SolveSession, SolveSummary
 from repro.core.complexity import ArnoldiStepCost, arnoldi_step_cost
 from repro.core.schur import SchurResult, schur_solve
 
@@ -51,12 +47,10 @@ __all__ = [
     "build_rdd_system",
     "rdd_fgmres",
     "rdd_fgmres_block",
-    "ParallelSolveSummary",
     "solve_cantilever",
-    "BatchSolveSummary",
+    "SolveSummary",
     "PreparedSystem",
     "SolveSession",
-    "solve_cantilever_batch",
     "ArnoldiStepCost",
     "arnoldi_step_cost",
     "SchurResult",

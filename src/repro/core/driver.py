@@ -16,18 +16,18 @@ has been removed: stray keywords now raise ``TypeError`` pointing at
 from __future__ import annotations
 
 import time  # noqa: F401  (re-exported for timing call sites)
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.options import SolverOptions
-from repro.core.outcome import SCHEMA_VERSION
 from repro.fem.cantilever import CantileverProblem
-from repro.parallel.machine import MachineModel, modeled_time
-from repro.parallel.stats import CommStats
 from repro.precond.spec import make_preconditioner  # noqa: F401  (re-export)
 from repro.solvers.diagnostics import DiagnosticEvent
 from repro.solvers.result import SolveResult  # noqa: F401  (public re-export)
+
+if TYPE_CHECKING:
+    from repro.core.session import SolveSummary
 
 #: Convergence-verification slack: a solve that claims convergence at
 #: ``tol`` (measured on the scaled, preconditioned system) is demoted when
@@ -37,97 +37,13 @@ from repro.solvers.result import SolveResult  # noqa: F401  (public re-export)
 _VERIFY_SLACK = 100.0
 
 
-@dataclass
-class ParallelSolveSummary:
-    """A solve plus everything the evaluation reports about it.
-
-    Attributes
-    ----------
-    result:
-        The :class:`SolveResult` (``x`` is the unscaled global solution).
-    stats:
-        Per-rank operation counters of the solve phase.
-    n_parts:
-        Rank count.
-    method:
-        ``"edd-basic"``, ``"edd-enhanced"`` or ``"rdd"``.
-    precond_name:
-        Display name of the preconditioner used.
-    options:
-        The resolved :class:`SolverOptions` the solve ran with.
-    comm_backend:
-        Name of the communicator backend that executed the rank loops
-        (``"virtual"``, ``"process"`` or ``"chaos"``).
-    wall_time:
-        Measured wall-clock seconds of the solve phase (system build
-        excluded) — complements :meth:`modeled_time`.
-    setup_time:
-        Measured wall-clock seconds of the setup phase (partition,
-        subdomain assembly, scaling, preconditioner construction).  Zero
-        when the solve reused a cached
-        :class:`repro.core.session.PreparedSystem`.
-    true_residual:
-        Unscaled relative residual ``||b - A x|| / ||b||`` recomputed by
-        the driver against the *serially assembled* operator — built
-        before any communicator exists, so it is trustworthy even when the
-        distributed solve ran through a fault-injecting backend.  A solve
-        that claims convergence but fails this check is demoted (see
-        :data:`_VERIFY_SLACK`) with a ``residual_mismatch`` diagnostic.
-    """
-
-    result: SolveResult
-    stats: CommStats
-    n_parts: int
-    method: str
-    precond_name: str
-    options: SolverOptions | None = None
-    comm_backend: str = "virtual"
-    wall_time: float = field(default=0.0, compare=False)
-    true_residual: float = field(default=float("nan"), compare=False)
-    setup_time: float = field(default=0.0, compare=False)
-
-    def modeled_time(self, machine: MachineModel) -> float:
-        """Modeled wall-clock seconds on ``machine``."""
-        return modeled_time(self.stats, machine)
-
-    @property
-    def trace(self) -> dict | None:
-        """The solve's observability export when it was traced
-        (:class:`~repro.core.outcome.SolveOutcome` surface); None
-        otherwise.  Lives on the result for single solves."""
-        return self.result.trace
-
-    def to_dict(self, include_x: bool = False) -> dict:
-        """JSON-serializable summary: result, counters and configuration.
-
-        Consumed by ``repro solve --json`` (via
-        :func:`repro.io.records.record_from_summary`) and the parallel
-        benchmark emitter.  Carries ``schema_version``
-        (:data:`repro.core.outcome.SCHEMA_VERSION`) like every serialized
-        solve artifact.
-        """
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "method": self.method,
-            "precond": self.precond_name,
-            "n_parts": self.n_parts,
-            "comm_backend": self.comm_backend,
-            "wall_time": float(self.wall_time),
-            "setup_time": float(self.setup_time),
-            "true_residual": float(self.true_residual),
-            "result": self.result.to_dict(include_x=include_x),
-            "stats": self.stats.to_dict(),
-            "options": None if self.options is None else self.options.to_dict(),
-        }
-
-
 def solve_cantilever(
     problem: CantileverProblem | int,
     n_parts: int = 1,
     options: SolverOptions | None = None,
     tracer=None,
     **kwargs,
-) -> ParallelSolveSummary:
+) -> SolveSummary:
     """Solve a cantilever problem with the chosen decomposition.
 
     Parameters
@@ -144,8 +60,9 @@ def solve_cantilever(
     tracer:
         Optional :class:`repro.obs.Tracer`; records the setup / solve /
         verify phases, per-step solver spans, exchange spans and a
-        per-iteration metrics stream, attached to the returned summary as
-        ``summary.result.trace``.
+        per-iteration metrics stream, attached to the returned
+        :class:`~repro.core.session.SolveSummary` as ``summary.trace`` (and
+        ``summary.result.trace``).
     **kwargs:
         Rejected.  The PR 2 per-knob keywords (``method=``, ``precond=``,
         ...) completed their deprecation cycle; any keyword here raises
@@ -198,7 +115,14 @@ def _verify_verdict(rel: float, options: SolverOptions, result) -> float:
 def _verify_residual(a, b, options: SolverOptions, result) -> float:
     """Unscaled relative residual of ``result`` against operator ``a`` and
     right-hand side ``b``, demoting a claimed convergence that fails the
-    :data:`_VERIFY_SLACK` check."""
+    :data:`_VERIFY_SLACK` check.
+
+    The distributed solve only ever sees data that flowed through the
+    communicator; a fault injected during *system construction* makes
+    the solver coherently solve a corrupted operator, which no
+    solver-internal guard can detect.  ``a`` (see :func:`_verify_operator`)
+    was assembled serially before any communicator existed, so this
+    residual is ground truth."""
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
         return 0.0
@@ -270,27 +194,6 @@ def streamed_verify_residual(
         ax = streamed_matvec(mesh, material, bc, result.x)
     rel = float(np.linalg.norm(b - ax) / norm_b)
     return _verify_verdict(rel, options, result)
-
-
-def _verify_solution(problem, options: SolverOptions, result, a=None) -> float:
-    """Recompute the unscaled residual against the clean serial operator.
-
-    The distributed solve only ever sees data that flowed through the
-    communicator; a fault injected during *system construction* (e.g. in
-    the scaling-diagonal assembly) makes the solver coherently solve a
-    corrupted operator, which no solver-internal guard can detect.  This
-    check closes that hole: ``problem.stiffness``/``problem.load`` were
-    assembled serially before any communicator existed, so
-    ``||b - A x|| / ||b||`` here is ground truth.  A claimed convergence
-    whose true residual exceeds ``tol * _VERIFY_SLACK`` (or is non-finite)
-    is demoted with a ``residual_mismatch`` diagnostic.
-
-    ``a`` lets callers that solve repeatedly (sessions) pass the cached
-    operator instead of re-assembling it per solve.
-    """
-    if a is None:
-        a = _verify_operator(problem, options)
-    return _verify_residual(a, problem.load, options, result)
 
 
 def _combine(k, m, beta: float, alpha: float):

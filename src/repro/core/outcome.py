@@ -1,19 +1,21 @@
 """The unified solve-outcome contract shared by every result type.
 
-Three kinds of objects describe a finished solve:
+Two kinds of objects describe a finished solve:
 
-* :class:`repro.core.driver.ParallelSolveSummary` — one right-hand side
-  through the one-shot driver or a prepared system;
-* :class:`repro.core.session.BatchSolveSummary` — ``k`` right-hand sides
-  through the batched block path;
+* :class:`repro.core.session.SolveSummary` — ``k >= 1`` right-hand sides
+  through the one-shot driver, a prepared system or a session (one
+  column from ``solve``, ``k`` through the batched block path from
+  ``solve_batch``);
 * :class:`repro.service.SolveResponse` — one request's share of a
   (possibly coalesced) service solve.
 
-They historically grew independently; :class:`SolveOutcome` pins the
-common surface so callers never branch on the concrete type: a ``result``
-payload, the communication ``stats`` of the solve that produced it, an
-optional observability ``trace``, and a JSON-ready ``to_dict()`` whose
-output carries :data:`SCHEMA_VERSION` under the ``"schema_version"`` key.
+:class:`SolveOutcome` pins their common surface so callers never branch
+on the concrete type: a ``result`` payload, the communication ``stats``
+of the solve that produced it, an optional observability ``trace``, and
+a JSON-ready ``to_dict()`` whose output carries :data:`SCHEMA_VERSION`
+under the ``"schema_version"`` key.  ``isinstance`` evaluates the
+members through ``hasattr`` on some Python versions, so no member of a
+conforming type may raise.
 
 ``SCHEMA_VERSION`` is the single version stamp of every serialized solve
 artifact — summaries, service request/response messages, ``repro solve
@@ -44,8 +46,8 @@ class SolveOutcome(Protocol):
     @property
     def result(self):
         """The solution payload: a :class:`repro.solvers.result.SolveResult`
-        (single solve), a list of them (batch), or the serialized result
-        dict (service response)."""
+        (one-column summary), a list of them (``k > 1`` columns), or the
+        serialized result dict (service response)."""
         ...
 
     @property

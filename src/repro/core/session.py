@@ -17,10 +17,9 @@ amortizes over many solves.  This module makes that split explicit:
   Optional ``max_entries`` / ``max_bytes`` bounds evict least-recently-
   used systems (closing their communicators), so a long-lived service can
   cache aggressively without growing without bound.
-* :func:`solve_cantilever_batch` — the multi-RHS entry point: one
-  prepared system, one call to the block solvers
-  (:func:`repro.core.edd.edd_fgmres_block` /
-  :func:`repro.core.rdd.rdd_fgmres_block`), ``k`` solutions.
+* :class:`SolveSummary` — what every solve returns, whether it carried
+  one right-hand side (:meth:`PreparedSystem.solve`) or ``k`` of them
+  through the block solvers (:meth:`PreparedSystem.solve_batch`).
 
 Setup-relevant options (those baked into the prepared system) are
 ``method``, ``precond``, ``partition_method``, ``dynamic``,
@@ -41,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.distributed import build_edd_system
+from repro.core.driver import _combine, _verify_operator, _verify_residual
 from repro.core.edd import edd_fgmres, edd_fgmres_block
 from repro.core.options import SolverOptions
 from repro.core.outcome import SCHEMA_VERSION
@@ -111,28 +111,66 @@ def _resident_nbytes(*roots) -> int:
 
 
 @dataclass
-class BatchSolveSummary:
-    """A multi-RHS solve plus everything the evaluation reports about it.
+class SolveSummary:
+    """A finished solve of ``k >= 1`` right-hand sides plus everything the
+    evaluation reports about it.
 
-    The batched sibling of
-    :class:`repro.core.driver.ParallelSolveSummary`: one entry of
-    ``results`` / ``true_residuals`` per right-hand-side column, one
-    shared set of communication counters (which is the point — the
-    batched exchanges serve all columns at single-solve message counts).
+    Attributes
+    ----------
+    results:
+        One :class:`repro.solvers.result.SolveResult` per right-hand-side
+        column (``x`` is the unscaled global solution).
+    true_residuals:
+        Per column, the unscaled relative residual ``||b - A x|| / ||b||``
+        recomputed against the *serially assembled* operator — built
+        before any communicator exists, so it is trustworthy even when the
+        distributed solve ran through a fault-injecting backend.  A column
+        that claims convergence but fails this check is demoted (see
+        :data:`repro.core.driver._VERIFY_SLACK`) with a
+        ``residual_mismatch`` diagnostic.
+    stats:
+        Per-rank operation counters of the solve phase, shared by all
+        columns (the batched exchanges serve every column at
+        single-solve message counts).
+    n_parts:
+        Rank count.
+    method:
+        ``"edd-basic"``, ``"edd-enhanced"`` or ``"rdd"``.
+    precond_name:
+        Display name of the preconditioner used.
+    options:
+        The resolved :class:`SolverOptions` the solve ran with.
+    comm_backend:
+        Name of the communicator backend that executed the rank loops
+        (``"virtual"``, ``"process"`` or ``"chaos"``).
+    wall_time:
+        Measured wall-clock seconds of the solve phase (system build
+        excluded) — complements :meth:`modeled_time`.
+    setup_time:
+        Measured wall-clock seconds of the setup phase (partition,
+        subdomain assembly, scaling, preconditioner construction).  Zero
+        when the solve reused a cached :class:`PreparedSystem`.
+    trace:
+        The ``repro-trace/1`` export when the solve was traced; None
+        otherwise.
     """
 
     results: list
+    true_residuals: list
     stats: CommStats
     n_parts: int
-    n_rhs: int
     method: str
     precond_name: str
     options: SolverOptions | None = None
     comm_backend: str = "virtual"
     wall_time: float = field(default=0.0, compare=False)
     setup_time: float = field(default=0.0, compare=False)
-    true_residuals: list = field(default_factory=list, compare=False)
     trace: dict | None = field(default=None, compare=False)
+
+    @property
+    def n_rhs(self) -> int:
+        """Number of right-hand-side columns."""
+        return len(self.results)
 
     @property
     def all_converged(self) -> bool:
@@ -145,19 +183,28 @@ class BatchSolveSummary:
         return [r.iterations for r in self.results]
 
     @property
-    def result(self) -> list:
-        """The per-column result list — the batch's payload under the
-        :class:`~repro.core.outcome.SolveOutcome` protocol (alias of
-        ``results``)."""
-        return self.results
+    def result(self):
+        """The :class:`SolveResult` of a one-column solve; the per-column
+        list otherwise (the payload under the
+        :class:`~repro.core.outcome.SolveOutcome` protocol)."""
+        return self.results[0] if len(self.results) == 1 else self.results
+
+    @property
+    def true_residual(self):
+        """The verified residual of a one-column solve; the per-column
+        list otherwise."""
+        rels = self.true_residuals
+        return rels[0] if len(rels) == 1 else rels
 
     def modeled_time(self, machine: MachineModel) -> float:
-        """Modeled wall-clock seconds on ``machine`` for the whole batch."""
+        """Modeled wall-clock seconds on ``machine`` for the whole solve."""
         return modeled_time(self.stats, machine)
 
     def to_dict(self, include_x: bool = False) -> dict:
         """JSON-serializable summary (consumed by the CLI and benchmarks);
-        carries ``schema_version`` like every serialized solve artifact."""
+        carries ``schema_version`` like every serialized solve artifact.
+        A one-column payload also carries ``result`` / ``true_residual``."""
+        results = [r.to_dict(include_x=include_x) for r in self.results]
         out = {
             "schema_version": SCHEMA_VERSION,
             "method": self.method,
@@ -168,10 +215,13 @@ class BatchSolveSummary:
             "wall_time": float(self.wall_time),
             "setup_time": float(self.setup_time),
             "true_residuals": [float(t) for t in self.true_residuals],
-            "results": [r.to_dict(include_x=include_x) for r in self.results],
+            "results": results,
             "stats": self.stats.to_dict(),
             "options": None if self.options is None else self.options.to_dict(),
         }
+        if len(results) == 1:
+            out["result"] = results[0]
+            out["true_residual"] = out["true_residuals"][0]
         if self.trace is not None:
             out["trace"] = self.trace
         return out
@@ -284,8 +334,6 @@ class PreparedSystem:
                     trc.end()
                     trc.begin("assemble", "phase")
                 if options.dynamic:
-                    from repro.core.driver import _combine
-
                     alpha, beta = options.mass_shift
                     k = _combine(problem.stiffness, problem.mass, beta, alpha)
                 else:
@@ -347,8 +395,6 @@ class PreparedSystem:
         residual checks — built once per prepared system and cached (the
         driver used to re-assemble it on every solve)."""
         if self._verify_a is None:
-            from repro.core.driver import _verify_operator
-
             self._verify_a = _verify_operator(self.problem, self.options)
         return self._verify_a
 
@@ -357,72 +403,25 @@ class PreparedSystem:
         options: SolverOptions | None = None,
         setup_time: float | None = None,
         tracer=None,
-    ):
-        """One single-RHS solve (the system's baked-in load vector);
-        returns a :class:`~repro.core.driver.ParallelSolveSummary`.
+    ) -> SolveSummary:
+        """One single-RHS solve of the system's baked-in load vector.
 
         ``setup_time`` overrides the summary's reported setup cost (a
         session cache hit reports ~0); defaults to this system's build
         time.  ``tracer`` — optional :class:`repro.obs.Tracer`; the
         communicator emits exchange spans into it for the duration of
         this solve, and the finished trace is attached as
-        ``result.trace``.
+        ``summary.trace`` and ``summary.result.trace``.
         """
-        from repro.core.driver import ParallelSolveSummary, _verify_solution
-
-        opts = self._merge_options(options)
-        comm = self.system.comm
-        comm.reset_stats()
-        trc = tracer if tracer is not None else NULL_TRACER
-        traced = trc.enabled
-        if traced:
-            trc.meta.update(
-                method=opts.method,
-                precond=self.pc_name,
-                n_parts=self.n_parts,
-                n_rhs=1,
-                comm_backend=comm.backend_name,
-            )
-            comm.set_tracer(trc)
-        try:
-            if traced:
-                trc.begin("solve", "phase")
-            t0 = time.perf_counter()
-            if self.options.method == "rdd":
-                result = rdd_fgmres(
-                    self.system, self.pc, options=opts, tracer=tracer
-                )
-            else:
-                result = edd_fgmres(
-                    self.system, self.pc, options=opts, tracer=tracer
-                )
-            wall = time.perf_counter() - t0
-            if traced:
-                trc.end(iterations=result.iterations)
-            if traced:
-                trc.begin("verify", "phase")
-            true_rel = _verify_solution(
-                self.problem, opts, result, a=self.verify_operator()
-            )
-            if traced:
-                trc.end(true_residual=true_rel)
-        finally:
-            if traced:
-                comm.set_tracer(None)
-        if traced:
-            result.trace = trc.to_dict()
-        return ParallelSolveSummary(
-            result=result,
-            stats=comm.stats.snapshot(),
-            n_parts=self.n_parts,
-            method=opts.method,
-            precond_name=self.pc_name,
-            options=opts,
-            comm_backend=comm.backend_name,
-            wall_time=wall,
-            true_residual=true_rel,
-            setup_time=self.setup_time if setup_time is None else setup_time,
+        solver = rdd_fgmres if self.options.method == "rdd" else edd_fgmres
+        summary = self._solve(
+            lambda opts: [
+                solver(self.system, self.pc, options=opts, tracer=tracer)
+            ],
+            [self.problem.load], options, setup_time, tracer,
         )
+        summary.result.trace = summary.trace
+        return summary
 
     def solve_batch(
         self,
@@ -430,19 +429,31 @@ class PreparedSystem:
         options: SolverOptions | None = None,
         setup_time: float | None = None,
         tracer=None,
-    ) -> BatchSolveSummary:
+    ) -> SolveSummary:
         """Solve for every column of ``b_block`` (``(n_free, k)`` raw
         right-hand sides) through the batched block solvers: one SpMM-based
         Arnoldi recurrence, one coalesced exchange per step for all ``k``
-        columns.  Each column is verified against the cached serial
-        operator exactly as single solves are.  ``tracer`` records one
-        shared trace for the whole batch, attached as ``summary.trace``."""
-        from repro.core.driver import _verify_residual
-
-        opts = self._merge_options(options)
+        columns.  ``tracer`` records one shared trace for the whole batch,
+        attached as ``summary.trace`` only (no per-column result carries
+        it)."""
         b_block = np.asarray(b_block, dtype=np.float64)
         if b_block.ndim == 1:
             b_block = b_block.reshape(-1, 1)
+        solver = (
+            rdd_fgmres_block if self.options.method == "rdd"
+            else edd_fgmres_block
+        )
+        return self._solve(
+            lambda opts: solver(
+                self.system, b_block, self.pc, options=opts, tracer=tracer
+            ),
+            list(b_block.T), options, setup_time, tracer,
+        )
+
+    def _solve(self, run, rhs, options, setup_time, tracer) -> SolveSummary:
+        """The one solve body: ``run(opts)`` returns one result per column
+        of ``rhs``, each verified against the cached serial operator."""
+        opts = self._merge_options(options)
         comm = self.system.comm
         comm.reset_stats()
         trc = tracer if tracer is not None else NULL_TRACER
@@ -452,7 +463,7 @@ class PreparedSystem:
                 method=opts.method,
                 precond=self.pc_name,
                 n_parts=self.n_parts,
-                n_rhs=int(b_block.shape[1]),
+                n_rhs=len(rhs),
                 comm_backend=comm.backend_name,
             )
             comm.set_tracer(trc)
@@ -460,43 +471,33 @@ class PreparedSystem:
             if traced:
                 trc.begin("solve", "phase")
             t0 = time.perf_counter()
-            if self.options.method == "rdd":
-                results = rdd_fgmres_block(
-                    self.system, b_block, self.pc, options=opts,
-                    tracer=tracer,
-                )
-            else:
-                results = edd_fgmres_block(
-                    self.system, b_block, self.pc, options=opts,
-                    tracer=tracer,
-                )
+            results = run(opts)
             wall = time.perf_counter() - t0
             if traced:
-                trc.end()
-            if traced:
+                steps = max((r.iterations for r in results), default=0)
+                trc.end(iterations=steps)
                 trc.begin("verify", "phase")
             a = self.verify_operator()
             rels = [
-                _verify_residual(a, b_block[:, c], opts, res)
-                for c, res in enumerate(results)
+                _verify_residual(a, b, opts, res)
+                for b, res in zip(rhs, results)
             ]
             if traced:
-                trc.end()
+                trc.end(true_residual=max(rels, default=0.0))
         finally:
             if traced:
                 comm.set_tracer(None)
-        return BatchSolveSummary(
+        return SolveSummary(
             results=results,
+            true_residuals=rels,
             stats=comm.stats.snapshot(),
             n_parts=self.n_parts,
-            n_rhs=b_block.shape[1],
             method=opts.method,
             precond_name=self.pc_name,
             options=opts,
             comm_backend=comm.backend_name,
             wall_time=wall,
             setup_time=self.setup_time if setup_time is None else setup_time,
-            true_residuals=rels,
             trace=trc.to_dict() if traced else None,
         )
 
@@ -661,7 +662,7 @@ class SolveSession:
         n_parts: int = 1,
         options: SolverOptions | None = None,
         tracer=None,
-    ):
+    ) -> SolveSummary:
         """Single-RHS solve through the cache; ``setup_time`` on the
         summary is 0 on a hit.  A cache hit's trace has no ``setup``
         phase span (there was no setup)."""
@@ -677,7 +678,7 @@ class SolveSession:
         n_parts: int = 1,
         options: SolverOptions | None = None,
         tracer=None,
-    ) -> BatchSolveSummary:
+    ) -> SolveSummary:
         """Multi-RHS solve through the cache; ``setup_time`` on the
         summary is 0 on a hit."""
         ps, hit, options = self._lookup(problem, n_parts, options, tracer)
@@ -700,31 +701,3 @@ class SolveSession:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def solve_cantilever_batch(
-    problem: CantileverProblem | int,
-    b_block: np.ndarray,
-    n_parts: int = 1,
-    options: SolverOptions | None = None,
-    session: SolveSession | None = None,
-    tracer=None,
-) -> BatchSolveSummary:
-    """Solve a cantilever problem for ``k`` right-hand sides at once.
-
-    The batched sibling of :func:`repro.core.driver.solve_cantilever`:
-    ``b_block`` is ``(n_free, k)`` — each column a load vector on the free
-    DOFs.  Setup (partition, assembly, scaling, preconditioner) runs once
-    for the whole batch; the block solvers then carry all ``k`` columns
-    through a shared Arnoldi recurrence with coalesced exchanges.  Pass a
-    :class:`SolveSession` to also reuse setup *across* calls, and a
-    :class:`repro.obs.Tracer` to record the setup/solve/verify timeline
-    (attached as ``summary.trace``).
-    """
-    if session is not None:
-        return session.solve_batch(problem, b_block, n_parts, options, tracer)
-    ps = PreparedSystem.build(problem, n_parts, options, tracer=tracer)
-    try:
-        return ps.solve_batch(b_block, tracer=tracer)
-    finally:
-        ps.close()

@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
-from repro.core.driver import ParallelSolveSummary
 from repro.core.outcome import SCHEMA_VERSION
 from repro.parallel.machine import MACHINES, modeled_time
+
+if TYPE_CHECKING:
+    from repro.core.session import SolveSummary
 
 
 @dataclass(frozen=True)
@@ -74,15 +77,21 @@ class RunRecord:
 
 
 def record_from_summary(
-    summary: ParallelSolveSummary, label: str, n_eqn: int
+    summary: SolveSummary, label: str, n_eqn: int, column: int = 0
 ) -> RunRecord:
-    """Flatten a :class:`ParallelSolveSummary` into a :class:`RunRecord`.
+    """Flatten column ``column`` of a :class:`SolveSummary` into a
+    :class:`RunRecord`.
 
-    Consumes :meth:`ParallelSolveSummary.to_dict` so the CLI's ``--json``
-    output and the benchmark emitters share one serialization path.
+    The record carries that column's convergence outcome and true
+    residual; the communication counters and wall/setup times are the
+    solve's shared totals (a batched solve repeats them on every column's
+    record — the point of the batched path is that they do not scale with
+    ``k``).  The solve's trace, when present, rides on column 0 only.
+    Consumes :meth:`SolveSummary.to_dict` so the CLI's ``--json`` output
+    and the benchmark emitters share one serialization path.
     """
     payload = summary.to_dict()
-    result, stats = payload["result"], payload["stats"]
+    result, stats = payload["results"][column], payload["stats"]
     return RunRecord(
         label=label,
         method=payload["method"],
@@ -103,59 +112,11 @@ def record_from_summary(
         },
         comm_backend=payload["comm_backend"],
         wall_time=payload["wall_time"],
-        setup_time=payload.get("setup_time", 0.0),
-        true_residual=payload.get("true_residual", float("nan")),
+        setup_time=payload["setup_time"],
+        true_residual=payload["true_residuals"][column],
         diagnostics=tuple(result.get("diagnostics", ())),
-        trace=result.get("trace"),
+        trace=payload.get("trace") if column == 0 else None,
     )
-
-
-def records_from_batch(summary, label: str, n_eqn: int) -> list:
-    """Flatten a :class:`repro.core.session.BatchSolveSummary` into one
-    :class:`RunRecord` per right-hand-side column.
-
-    Column ``c`` gets label ``"{label}/rhs{c}"`` and its own convergence
-    outcome and true residual; the communication counters and wall/setup
-    times are the *shared* batch totals, repeated on every record (the
-    point of the batched path is that they do not scale with ``k``).  The
-    batch's shared trace, when present, rides on column 0 only.
-    """
-    payload = summary.to_dict()
-    stats = payload["stats"]
-    trace = payload.get("trace")
-    records = []
-    for c, result in enumerate(payload["results"]):
-        true_rels = payload["true_residuals"]
-        records.append(
-            RunRecord(
-                label=f"{label}/rhs{c}",
-                method=payload["method"],
-                precond=payload["precond"],
-                n_parts=payload["n_parts"],
-                n_eqn=int(n_eqn),
-                iterations=result["iterations"],
-                converged=result["converged"],
-                final_residual=result["final_residual"],
-                total_flops=stats["total_flops"],
-                max_flops=stats["max_flops"],
-                nbr_messages=stats["total_nbr_messages"],
-                nbr_words=stats["total_nbr_words"],
-                reductions=stats["max_reductions"],
-                modeled_times={
-                    key: modeled_time(summary.stats, machine)
-                    for key, machine in MACHINES.items()
-                },
-                comm_backend=payload["comm_backend"],
-                wall_time=payload["wall_time"],
-                setup_time=payload.get("setup_time", 0.0),
-                true_residual=(
-                    true_rels[c] if c < len(true_rels) else float("nan")
-                ),
-                diagnostics=tuple(result.get("diagnostics", ())),
-                trace=trace if c == 0 else None,
-            )
-        )
-    return records
 
 
 def save_records(records, path) -> None:

@@ -2,9 +2,9 @@
 
 :func:`fgmres` is the paper's Algorithm 1 — flexible GMRES with restart,
 where the preconditioner may change between iterations (which is what
-allows polynomial preconditioners to be applied as an inner iteration) —
-and :func:`fgmres_block` its multi-RHS form.  Both, and the distributed
-Algorithms 5, 6 and 8 in :mod:`repro.core`, are one restart cycle:
+allows polynomial preconditioners to be applied as an inner iteration).
+It, and the distributed Algorithms 5, 6 and 8 in :mod:`repro.core`
+(single and multi-RHS), are one restart cycle:
 :func:`repro.solvers.krylov.restarted_fgmres`, which owns the restart
 loop, the Givens least-squares problems, convergence monitoring, tracing
 and result assembly, and runs over a small
@@ -29,7 +29,6 @@ from repro.solvers.diagnostics import (
 )
 from repro.solvers.givens import GivensLSQ
 from repro.solvers.fgmres import fgmres
-from repro.solvers.block_fgmres import fgmres_block
 from repro.solvers.gmres import gmres
 from repro.solvers.cg import cg
 
@@ -40,7 +39,6 @@ __all__ = [
     "EVENT_KINDS",
     "GivensLSQ",
     "fgmres",
-    "fgmres_block",
     "gmres",
     "cg",
 ]

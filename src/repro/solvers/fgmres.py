@@ -53,8 +53,7 @@ class _VectorSpace:
         self._pc_out = accepts_out(precond)
         self.b = b
         self.x = x
-        # Per-solve workspace shaped like b (a vector here, an (n, k)
-        # block in the batched subclass), reused across restart cycles.
+        # Per-solve workspace, reused across restart cycles.
         self.v = np.empty((restart + 1, *b.shape))
         self.z = np.empty((restart, *b.shape))
         self.w = np.empty(b.shape)

@@ -3,8 +3,7 @@
 Algorithms 1, 5, 6 and 8 of the paper are one numerical method —
 restarted FGMRES — that differs only in *where the vectors live* and
 *when they are exchanged*.  :func:`restarted_fgmres` owns everything the
-six public solvers (:func:`~repro.solvers.fgmres.fgmres`,
-:func:`~repro.solvers.block_fgmres.fgmres_block`,
+five public solvers (:func:`~repro.solvers.fgmres.fgmres`,
 :func:`~repro.core.edd.edd_fgmres` / ``edd_fgmres_block``,
 :func:`~repro.core.rdd.rdd_fgmres` / ``rdd_fgmres_block``) have in
 common:
@@ -23,7 +22,7 @@ common:
 It is written for ``k`` columns; a single right-hand side is the
 one-column case of the *control flow*.  All arithmetic and all
 communication belong to a :class:`KrylovSpace`, so the driver never
-touches a vector: the sequential spaces keep their zero-allocation
+touches a vector: the sequential space keeps its zero-allocation
 workspaces, the distributed ones their exchange structure (one
 neighbour exchange per step for Algorithm 6, three for Algorithm 5).
 

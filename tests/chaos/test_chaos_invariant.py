@@ -173,7 +173,7 @@ def test_no_silent_wrong_answer_batched(tiny_problem, plan_name, method,
     fault plan: a fault injected into one coalesced exchange corrupts all
     columns at once, and every one of them must either verify or name an
     anomaly."""
-    from repro.core.session import solve_cantilever_batch
+    from repro.core.session import PreparedSystem
 
     plan = FaultPlan(rules=(PLANS[plan_name],), seed=20060815)
     options = SolverOptions(
@@ -183,8 +183,10 @@ def test_no_silent_wrong_answer_batched(tiny_problem, plan_name, method,
     b_block = np.column_stack(
         [(1.0 + 0.25 * c) * tiny_problem.load for c in range(k)]
     )
-    with use_fault_plan(plan):
-        summary = solve_cantilever_batch(tiny_problem, b_block, 2, options)
+    with use_fault_plan(plan), PreparedSystem.build(
+        tiny_problem, 2, options
+    ) as prepared:
+        summary = prepared.solve_batch(b_block)
     replay = (
         f"replay with REPRO_CHAOS_PLAN='{plan.to_json()}' "
         f"({method}, {precond}, nrhs={k})"

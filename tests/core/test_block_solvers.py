@@ -1,7 +1,7 @@
 """Batched multi-RHS solve paths: parity and communication invariants.
 
-The contract of ``edd_fgmres_block`` / ``rdd_fgmres_block`` /
-``fgmres_block`` has three layers, each pinned here:
+The contract of ``edd_fgmres_block`` / ``rdd_fgmres_block`` has three
+layers, each pinned here:
 
 * **k=1 is the single solver, bitwise.**  A one-column block solve takes
   the exact same floating-point path as the single-RHS solver — residual
@@ -26,7 +26,6 @@ import pytest
 
 from repro.core.options import SolverOptions
 from repro.core.session import PreparedSystem
-from repro.solvers import fgmres, fgmres_block
 
 N_PARTS = 4
 
@@ -229,76 +228,3 @@ def test_batched_exchange_coalescing(mesh2_problem, method, k):
     assert sb.total_nbr_words == k * ss.total_nbr_words
     assert sb.total_flops == k * ss.total_flops
     assert sb.max_reductions == ss.max_reductions
-
-
-# ----------------------------------------------------------------------
-# Sequential fgmres_block
-# ----------------------------------------------------------------------
-def _laplacian_system(n=120):
-    """Shifted 1-D Laplacian: well conditioned, converges in tens of
-    iterations, so block-vs-single roundoff has no room to accumulate."""
-    from repro.sparse.coo import COOMatrix
-
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        rows.append(i), cols.append(i), vals.append(3.0)
-        if i > 0:
-            rows.append(i), cols.append(i - 1), vals.append(-1.0)
-        if i < n - 1:
-            rows.append(i), cols.append(i + 1), vals.append(-1.0)
-    a = COOMatrix((n, n), np.array(rows), np.array(cols),
-                  np.array(vals, dtype=float)).tocsr()
-    return a
-
-
-def test_fgmres_block_matches_fgmres_per_column():
-    a = _laplacian_system()
-    n = a.shape[0]
-    rng = np.random.default_rng(11)
-    b_block = rng.standard_normal((n, 3))
-    results = fgmres_block(a.matmat, b_block, restart=20, tol=1e-8)
-    for c in range(3):
-        single = fgmres(a.matvec, b_block[:, c], restart=20, tol=1e-8)
-        rb = results[c]
-        assert rb.converged and single.converged
-        assert rb.iterations == single.iterations
-        np.testing.assert_allclose(rb.x, single.x, rtol=1e-7, atol=1e-10)
-        np.testing.assert_allclose(
-            np.asarray(rb.residual_history),
-            np.asarray(single.residual_history),
-            rtol=1e-6,
-        )
-
-
-def test_fgmres_block_1d_rhs_and_k0():
-    a = _laplacian_system(40)
-    b = np.ones(40)
-    results = fgmres_block(a.matmat, b, restart=15, tol=1e-10)
-    assert len(results) == 1
-    assert results[0].converged
-    np.testing.assert_allclose(a.matvec(results[0].x), b, atol=1e-8)
-    assert fgmres_block(a.matmat, np.empty((40, 0))) == []
-
-
-def test_fgmres_block_rejects_nonfinite_rhs():
-    a = _laplacian_system(10)
-    b = np.ones((10, 2))
-    b[3, 1] = np.nan
-    with pytest.raises(ValueError, match="NaN or Inf"):
-        fgmres_block(a.matmat, b)
-
-
-def test_fgmres_block_zero_column_and_masking():
-    a = _laplacian_system(60)
-    rng = np.random.default_rng(3)
-    b_block = np.column_stack(
-        [np.zeros(60), rng.standard_normal(60), np.ones(60)]
-    )
-    results = fgmres_block(a.matmat, b_block, restart=10, tol=1e-9)
-    assert results[0].converged and results[0].iterations == 0
-    assert np.array_equal(results[0].x, np.zeros(60))
-    for c in (1, 2):
-        assert results[c].converged
-        np.testing.assert_allclose(
-            a.matvec(results[c].x), b_block[:, c], atol=1e-6
-        )

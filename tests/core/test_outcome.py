@@ -1,8 +1,8 @@
 """SolveOutcome: every solve entry point returns one conforming shape.
 
-``ParallelSolveSummary`` (one-shot driver), ``BatchSolveSummary``
-(multi-RHS session path) and ``SolveResponse`` (service wire format) all
-satisfy the protocol — ``result`` / ``stats`` / ``trace`` / ``to_dict()``
+``SolveSummary`` (one-shot driver, prepared systems and the multi-RHS
+session path) and ``SolveResponse`` (service wire format) both satisfy
+the protocol — ``result`` / ``stats`` / ``trace`` / ``to_dict()``
 — and every ``to_dict()`` payload carries the single shared
 ``schema_version`` stamp.
 """
@@ -14,7 +14,7 @@ import pytest
 from repro.core.driver import solve_cantilever
 from repro.core.options import SolverOptions
 from repro.core.outcome import SCHEMA_VERSION, SolveOutcome
-from repro.core.session import solve_cantilever_batch
+from repro.core.session import SolveSession
 from repro.obs import Tracer
 from repro.service import ServiceConfig, SolveRequest, SolverService
 
@@ -26,7 +26,9 @@ def outcomes(request):
     summary = solve_cantilever(
         tiny, n_parts=2, options=SolverOptions(), tracer=Tracer()
     )
-    batch = solve_cantilever_batch(tiny, tiny.load.reshape(-1, 1), 2)
+    with SolveSession() as session:
+        batch = session.solve_batch(tiny, tiny.load.reshape(-1, 1), 2)
+        batch_k2 = session.solve_batch(tiny, tiny.load[:, None] * [1, 2], 2)
 
     async def serve_one():
         async with SolverService(ServiceConfig()) as svc:
@@ -35,10 +37,11 @@ def outcomes(request):
             )
 
     response = asyncio.run(serve_one())
-    return {"driver": summary, "batch": batch, "service": response}
+    return {"driver": summary, "batch": batch, "batch-k2": batch_k2,
+            "service": response}
 
 
-@pytest.mark.parametrize("kind", ["driver", "batch", "service"])
+@pytest.mark.parametrize("kind", ["driver", "batch", "batch-k2", "service"])
 def test_outcome_protocol_conformance(outcomes, kind):
     outcome = outcomes[kind]
     assert isinstance(outcome, SolveOutcome)
@@ -53,6 +56,19 @@ def test_traced_outcomes_expose_trace(outcomes, kind):
     trace = outcomes[kind].trace
     assert trace is not None
     assert trace["schema"] == "repro-trace/1"
+
+
+def test_summary_columns(outcomes):
+    """``result`` / ``true_residual`` are the single column of a
+    one-column summary and the per-column lists otherwise."""
+    one, two = outcomes["batch"], outcomes["batch-k2"]
+    assert one.result is one.results[0]
+    assert one.true_residual == one.true_residuals[0]
+    assert one.to_dict()["result"] == one.to_dict()["results"][0]
+    assert two.result is two.results and len(two.results) == 2
+    assert two.true_residual is two.true_residuals
+    assert "result" not in two.to_dict()
+    assert outcomes["driver"].result.trace is outcomes["driver"].trace
 
 
 def test_callers_never_branch_on_concrete_type(outcomes):

@@ -20,11 +20,7 @@ import pytest
 
 from repro.core.driver import solve_cantilever
 from repro.core.options import SolverOptions
-from repro.core.session import (
-    PreparedSystem,
-    SolveSession,
-    solve_cantilever_batch,
-)
+from repro.core.session import PreparedSystem, SolveSession
 
 N_PARTS = 4
 
@@ -138,30 +134,16 @@ def test_session_batch_solve_and_reuse(mesh2_problem):
         assert np.array_equal(rb.x, rs.x)
 
 
-def test_solve_cantilever_batch_with_session(mesh2_problem):
-    b_block = mesh2_problem.load.reshape(-1, 1)
-    with SolveSession() as session:
-        one = solve_cantilever_batch(
-            mesh2_problem, b_block, N_PARTS, session=session
-        )
-        two = solve_cantilever_batch(
-            mesh2_problem, b_block, N_PARTS, session=session
-        )
-    assert one.setup_time > 0.0
-    assert two.setup_time == 0.0
-    assert np.array_equal(one.results[0].x, two.results[0].x)
-
-
 def test_batch_summary_to_dict(mesh2_problem):
-    summary = solve_cantilever_batch(
-        mesh2_problem, mesh2_problem.load.reshape(-1, 1), 2
-    )
+    with PreparedSystem.build(mesh2_problem, 2, SolverOptions()) as ps:
+        summary = ps.solve_batch(mesh2_problem.load.reshape(-1, 1))
     payload = summary.to_dict()
     assert payload["n_rhs"] == 1
+    # A one-column payload carries the single-solve keys too.
     assert set(payload) == {
         "schema_version", "method", "precond", "n_parts", "n_rhs",
         "comm_backend", "wall_time", "setup_time", "true_residuals",
-        "results", "stats", "options",
+        "results", "stats", "options", "result", "true_residual",
     }
     assert payload["schema_version"] == 1
     assert payload["results"][0]["converged"] is True

@@ -111,16 +111,15 @@ def test_two_level_bitwise_parity_traced_vs_untraced(method, backend):
 def test_block_coarse_allreduce_coalesced():
     """The block path does ONE coarse allreduce of ``n_coarse * k`` words
     per correction, not k of them."""
-    from repro.core.session import solve_cantilever_batch
+    from repro.core.session import PreparedSystem
     from repro.fem.cantilever import cantilever_problem
 
     prob = cantilever_problem(MESH)
     b = prob.load[:, None] * np.array([1.0, 1.1, 1.2])
     trc = Tracer()
-    summary = solve_cantilever_batch(
-        prob, b, n_parts=PARTS,
-        options=SolverOptions(precond="2l(gls(3),deflate)"), tracer=trc,
-    )
+    options = SolverOptions(precond="2l(gls(3),deflate)")
+    with PreparedSystem.build(prob, PARTS, options, tracer=trc) as ps:
+        summary = ps.solve_batch(b, tracer=trc)
     assert summary.all_converged
     spans = summary.trace["spans"]
     coarse = [

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.options import SolverOptions
-from repro.core.session import PreparedSystem, solve_cantilever_batch
+from repro.core.session import PreparedSystem
 from repro.obs import (
     EXPECTED_EXCHANGES,
     Tracer,
@@ -196,10 +196,9 @@ def test_batch_trace_attached_and_consistent():
     prob = cantilever_problem(MESH)
     b = prob.load[:, None] * np.array([1.0, 1.1])
     trc = Tracer()
-    summary = solve_cantilever_batch(
-        prob, b, n_parts=PARTS, options=SolverOptions(precond="gls(7)"),
-        tracer=trc,
-    )
+    options = SolverOptions(precond="gls(7)")
+    with PreparedSystem.build(prob, PARTS, options, tracer=trc) as ps:
+        summary = ps.solve_batch(b, tracer=trc)
     assert summary.all_converged
     assert summary.trace is not None
     assert summary.trace["meta"]["n_rhs"] == 2

@@ -26,7 +26,6 @@ import pytest
 from repro.precond.chebyshev import ChebyshevPolynomial
 from repro.precond.gls import GLSPolynomial
 from repro.precond.neumann import NeumannPolynomial
-from repro.solvers.block_fgmres import fgmres_block
 from repro.solvers.fgmres import fgmres
 from repro.solvers.gmres import gmres
 from repro.sparse.csr import CSRMatrix
@@ -160,22 +159,9 @@ def test_krylov_inner_loop_steady_state_allocations(solver, lap):
     )
 
 
-class BlockMatvecProbe(MatvecProbe):
-    """SpMM wrapper with the same between-call delta recording."""
-
-    def __call__(self, x, out=None):
-        current, peak = tracemalloc.get_traced_memory()
-        if self._baseline is not None:
-            self.deltas.append(peak - self._baseline)
-        result = self._a.matmat(x, out=out)
-        tracemalloc.reset_peak()
-        self._baseline = tracemalloc.get_traced_memory()[0]
-        return result
-
-
 K_BLOCK = 4
 BLOCK_BYTES = N * K_BLOCK * 8
-# The block loop scales columns with (n, k) x (k,) broadcast ufuncs, which
+# Block kernels scale columns with (n, k) x (k,) broadcast ufuncs, which
 # numpy routes through its internal iteration buffer — a *fixed* 8192
 # elements (64 KiB, ``np.getbufsize()``) regardless of problem size, freed
 # on return.  The block slack sits just above it: a genuine O(n) leak is
@@ -210,41 +196,6 @@ def test_polynomial_block_apply_steady_state_allocations(pc, lap):
         f"state (block size is {BLOCK_BYTES} B)"
     )
     assert np.allclose(out, expected)
-
-
-def test_fgmres_block_inner_loop_steady_state_allocations(lap):
-    """The block Arnoldi loop preallocates its (restart+1, n, k) basis and
-    runs Gram-Schmidt through ufunc reductions: between consecutive SpMMs
-    nothing block-sized (or even vector-sized) is allocated.  Per-step
-    bookkeeping (Givens columns, history floats, masking lists) must fit
-    in the same slack budget as the single-RHS loop."""
-    rng = np.random.default_rng(16)
-    b = rng.standard_normal((N, K_BLOCK))
-    probe = BlockMatvecProbe(lap)
-    pc = NeumannPolynomial(3)
-
-    tracemalloc.start()
-    try:
-        fgmres_block(
-            probe,
-            b,
-            precond=lambda v, out=None: pc.apply_linear(probe, v, out=out),
-            restart=8,
-            tol=1e-10,
-            max_iter=40,
-        )
-    finally:
-        tracemalloc.stop()
-
-    degree_calls = pc.degree
-    skip = (degree_calls + 1) * 9  # first cycle: workspace + warm-up
-    steady = probe.steady_state_deltas(skip)
-    assert len(steady) >= 10, "problem too easy: not enough steady calls"
-    worst = max(steady)
-    assert worst < BLOCK_SLACK_BYTES, (
-        f"block inner loop allocated {worst} B between SpMMs "
-        f"(block size is {BLOCK_BYTES} B, one column is {VECTOR_BYTES} B)"
-    )
 
 
 def test_probe_detects_allocations(lap):

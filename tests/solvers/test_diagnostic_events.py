@@ -1,12 +1,14 @@
-"""Two exits of the convergence monitor, asserted by event kind.
+"""Exits of the convergence monitor, asserted by event kind.
 
 ``no_convergence`` is the catch-all of a solve that runs out of
 iterations with nothing more specific to say; ``happy_breakdown`` marks
 an Arnoldi step whose new direction vanished (the Krylov space looks
-invariant).  Both must reach ``SolveResult.diagnostics`` by name, from
-the serial FGMRES and from a distributed one alike.
+invariant), and ``breakdown_restart`` the restart that follows when the
+recomputed residual does not confirm it as a convergence;
+``stagnation`` marks restart cycles that no longer reduce the residual.
+Each must reach ``SolveResult.diagnostics`` by name, from the serial
+FGMRES and (where the operator allows it) from a distributed one alike.
 """
-
 import numpy as np
 import pytest
 
@@ -71,6 +73,19 @@ def test_eigenvector_rhs_reports_happy_breakdown(tiny_problem, solver):
 
     res = _solve(tiny_problem, solver, eigenvector, tol=1e-20, max_iter=5)
     kinds = [e.kind for e in res.diagnostics]
-    assert kinds[0] == "happy_breakdown"
-    assert res.diagnostics[0].iteration == 1
+    assert [(e.kind, e.iteration) for e in res.diagnostics[:2]] == [
+        ("happy_breakdown", 1), ("breakdown_restart", 1)
+    ]
     assert "no_convergence" not in kinds
+
+
+def test_rotation_under_gmres1_reports_stagnation():
+    """GMRES(1) on a 90-degree rotation: ``A b`` is orthogonal to ``b``,
+    so every one-step cycle's least-squares correction is zero and the
+    residual never moves."""
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    res = fgmres(lambda x: a @ x, np.array([1.0, 0.0]), restart=1)
+    assert not res.converged
+    assert [(e.kind, e.iteration) for e in res.diagnostics] == [
+        ("stagnation", 4)
+    ]
